@@ -23,7 +23,7 @@ import scipy
 from scipy.stats import ks_2samp, norm
 
 from .analysis import linear_fit, rate_exponent
-from .estimate import NoHitsError, conjecture_moments, density_from_times, gap_estimate, laplace_from_times
+from .estimate import NoHitsError, density_from_times, gap_estimate, laplace_from_times, truncated_argmax_moments
 from .fgn import (
     EmbeddingError,
     Hurst,
@@ -34,7 +34,7 @@ from .fgn import (
     fgn_autocovariance,
     sample_fgn,
 )
-from .runner import DEFAULT_CHUNK_PAIRS, passage_times
+from .runner import DEFAULT_CHUNK_PAIRS, SimulationJob, passage_times, run_simulation
 from .sde import EllipticityError, PropagationError, diffusion_from_name, drift_from_name, euler_solve
 from .theory import decay_scale, density_envelope, laplace_bm
 
@@ -244,8 +244,28 @@ def _estimator_names(cfg: RunConfig) -> tuple[str, ...]:
     return ("simple", "bridge") if cfg.estimator == "both" else (cfg.estimator,)
 
 
-def _is_pure(cfg: RunConfig) -> bool:
-    return cfg.drift == "zero" and cfg.diffusion == "one"
+def _job(cfg: RunConfig, chunk_pairs: int, estimators: tuple[str, ...] = (), **overrides) -> SimulationJob:
+    """The simulation job for cfg: every H of hurst_list on one set of paths.
+
+    `estimators` names the hit-time rules to run; `overrides` replaces
+    any other job field.
+    """
+    spec = dict(
+        hurst=cfg.hurst_list,
+        horizon=cfg.horizon,
+        steps=cfg.steps,
+        samples=cfg.samples,
+        master_seed=cfg.seed,
+        threshold=cfg.threshold,
+        x0=cfg.x0,
+        drift=cfg.drift,
+        diffusion=cfg.diffusion,
+        want_simple="simple" in estimators,
+        want_bridge="bridge" in estimators,
+        chunk_pairs=chunk_pairs,
+    )
+    spec.update(overrides)
+    return SimulationJob(**spec)
 
 
 # ---------------------------------------------------------------------------
@@ -259,28 +279,16 @@ def cmd_simulate(cfg: RunConfig, workers: int, chunk_pairs: int, out_dir: Path) 
     H = 1/2 row with the same estimator when 1/2 is in hurst_list, else the
     closed form when the model is pure fBm, else nan.
     """
-    grid = TimeGrid(cfg.horizon, cfg.steps)
     names = _estimator_names(cfg)
+    job = _job(cfg, chunk_pairs, names)
     table: dict[float, dict[str, dict[float, object]]] = {}
-    for hv in cfg.hurst_list:
-        times = passage_times(
-            Hurst(hv),
-            grid,
-            cfg.samples,
-            cfg.seed,
-            threshold=cfg.threshold,
-            x0=cfg.x0,
-            drift=cfg.drift,
-            diffusion=cfg.diffusion,
-            estimators=names,
-            workers=workers,
-            chunk_pairs=chunk_pairs,
-        )
+    for hv, result in zip(cfg.hurst_list, run_simulation(job, workers)):
+        times = result.hit_times()
         table[hv] = {
             name: {lam: laplace_from_times(times[name], lam, hv, name) for lam in cfg.lambda_list}
             for name in names
         }
-    pure = _is_pure(cfg)
+    pure = job.is_pure
     have_half = 0.5 in cfg.hurst_list
     rows = []
     for hv in cfg.hurst_list:
@@ -314,27 +322,16 @@ def cmd_bridge_compare(cfg: RunConfig, workers: int, chunk_pairs: int, out_dir: 
     if cfg.estimator != "both":
         raise ConfigError("bridge-compare needs estimator=both")
     hv = cfg.hurst_list[0]
-    grid = TimeGrid(cfg.horizon, cfg.steps)
-    common = dict(
-        threshold=cfg.threshold,
-        x0=cfg.x0,
-        drift=cfg.drift,
-        diffusion=cfg.diffusion,
-        workers=workers,
-        chunk_pairs=chunk_pairs,
-    )
-    times = passage_times(
-        Hurst(hv), grid, cfg.samples, cfg.seed, estimators=("simple", "bridge"), **common
-    )
-    if hv == 0.5 and _is_pure(cfg):
+    job = _job(cfg, chunk_pairs, ("simple", "bridge"), hurst=(hv,))
+    (result,) = run_simulation(job, workers)
+    times = result.hit_times()
+    if hv == 0.5 and job.is_pure:
         reference = {lam: laplace_bm(lam, cfg.x0, cfg.threshold) for lam in cfg.lambda_list}
     else:
-        fine = TimeGrid(cfg.horizon, 2 * cfg.steps)
-        fine_times = passage_times(
-            Hurst(hv), fine, cfg.samples, cfg.seed, estimators=("simple",), **common
-        )
+        fine_job = _job(cfg, chunk_pairs, ("simple",), hurst=(hv,), steps=2 * cfg.steps)
+        (fine,) = run_simulation(fine_job, workers)
         reference = {
-            lam: laplace_from_times(fine_times["simple"], lam, hv, "simple").value
+            lam: laplace_from_times(fine.tau_simple, lam, hv, "simple").value
             for lam in cfg.lambda_list
         }
     rows = []
@@ -371,23 +368,10 @@ def cmd_rate(cfg: RunConfig, workers: int, chunk_pairs: int, out_dir: Path) -> l
     if 0.5 not in cfg.hurst_list or len(h_above) < 3:
         raise ConfigError("rate needs hurst_list to contain 0.5 plus at least three larger values")
     name = "simple" if cfg.estimator == "both" else cfg.estimator
-    grid = TimeGrid(cfg.horizon, cfg.steps)
     estimates: dict[float, dict[float, object]] = {}
-    for hv in cfg.hurst_list:
-        times = passage_times(
-            Hurst(hv),
-            grid,
-            cfg.samples,
-            cfg.seed,
-            threshold=cfg.threshold,
-            x0=cfg.x0,
-            drift=cfg.drift,
-            diffusion=cfg.diffusion,
-            estimators=(name,),
-            workers=workers,
-            chunk_pairs=chunk_pairs,
-        )
-        estimates[hv] = {lam: laplace_from_times(times[name], lam, hv, name) for lam in cfg.lambda_list}
+    for hv, result in zip(cfg.hurst_list, run_simulation(_job(cfg, chunk_pairs, (name,)), workers)):
+        times = result.hit_times()[name]
+        estimates[hv] = {lam: laplace_from_times(times, lam, hv, name) for lam in cfg.lambda_list}
 
     rate_rows = []
     fig_rows = []
@@ -422,23 +406,9 @@ def cmd_density(cfg: RunConfig, workers: int, chunk_pairs: int, out_dir: Path) -
     histogram resolution.
     """
     name = "simple" if cfg.estimator == "simple" else "bridge"
-    grid = TimeGrid(cfg.horizon, cfg.steps)
     outputs = []
-    for hv in cfg.hurst_list:
-        times = passage_times(
-            Hurst(hv),
-            grid,
-            cfg.samples,
-            cfg.seed,
-            threshold=cfg.threshold,
-            x0=cfg.x0,
-            drift=cfg.drift,
-            diffusion=cfg.diffusion,
-            estimators=(name,),
-            workers=workers,
-            chunk_pairs=chunk_pairs,
-        )
-        hist = density_from_times(times[name], cfg.horizon, cfg.hist_bins)
+    for hv, result in zip(cfg.hurst_list, run_simulation(_job(cfg, chunk_pairs, (name,)), workers)):
+        hist = density_from_times(result.hit_times()[name], cfg.horizon, cfg.hist_bins)
         rows = list(zip(hist.bin_edges[:-1], hist.bin_edges[1:], hist.mass))
         filename = f"density_H{hv:g}.csv"
         write_csv(out_dir / filename, ["bin_left", "bin_right", "density"], rows)
@@ -451,16 +421,19 @@ def cmd_conjecture(cfg: RunConfig, workers: int, chunk_pairs: int, out_dir: Path
 
     Each H row group carries the OLS trend of moment against r; a flat
     trend (slope within noise of zero) means the moments stay bounded over
-    the probed windows.
+    the probed windows.  The paths are raw fBm started at zero: the model
+    options (x0, drift, diffusion) do not apply here.
     """
     for r in cfg.r_list:
         if r > cfg.horizon:
             raise ConfigError(f"r={r:g} exceeds the horizon {cfg.horizon:g}")
     grid = TimeGrid(cfg.horizon, cfg.steps)
+    indices = tuple(grid.time_index(r) for r in cfg.r_list)
+    job = _job(cfg, chunk_pairs, x0=0.0, drift="zero", diffusion="one", extreme_indices=indices)
     rows = []
-    for hv in cfg.hurst_list:
-        triples = conjecture_moments(
-            Hurst(hv), cfg.eta, cfg.p, cfg.r_list, grid, cfg.samples, cfg.seed, workers=workers
+    for hv, result in zip(cfg.hurst_list, run_simulation(job, workers)):
+        triples = truncated_argmax_moments(
+            result.sup_values, result.argmax_times, cfg.r_list, hv * cfg.p, cfg.eta
         )
         if len(triples) >= 2:
             fit = linear_fit([t[0] for t in triples], [t[1] for t in triples])
@@ -665,7 +638,12 @@ def _add_common_options(parser: argparse.ArgumentParser) -> None:
     # config-field options default to None so explicit flags are detectable
     parser.add_argument("--config", metavar="PATH", help="flat key=value config file")
     parser.add_argument("--seed", type=int, help="master seed (unsigned 64-bit)")
-    parser.add_argument("--workers", type=int, default=1, help="process count; results do not depend on it")
+    parser.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="process count, at least 1 and capped at the chunk and CPU counts; results do not depend on it",
+    )
     parser.add_argument(
         "--chunk-pairs",
         type=int,
@@ -729,8 +707,10 @@ def main(argv=None) -> int:
         return code if isinstance(code, int) else 2
     try:
         cfg = resolve_config(args)
-        workers = max(1, args.workers)
-        chunk_pairs = args.chunk_pairs if args.chunk_pairs else DEFAULT_CHUNK_PAIRS
+        workers = args.workers
+        if workers < 1:
+            raise ConfigError(f"workers must be at least 1, got {workers}")
+        chunk_pairs = args.chunk_pairs if args.chunk_pairs is not None else DEFAULT_CHUNK_PAIRS
         if chunk_pairs < 1:
             raise ConfigError(f"chunk-pairs must be positive, got {chunk_pairs}")
         out_dir = Path(cfg.out)

@@ -35,6 +35,7 @@ __all__ = [
     "supremum_stats",
     "conjecture_moment",
     "conjecture_moments",
+    "truncated_argmax_moments",
     "tail_exponent",
     "tail_exponent_from_times",
 ]
@@ -248,8 +249,19 @@ def conjecture_moments(
     sups, arg_times = runner.path_extremes(
         h, grid, samples, seed, indices, workers=workers
     )
+    return truncated_argmax_moments(sups, arg_times, r_values, h.value * p, eta)
+
+
+def truncated_argmax_moments(
+    sups: np.ndarray, arg_times: np.ndarray, r_values, exponent: float, eta: float
+) -> list[tuple[float, float, float]]:
+    """Moments E[1{sup <= 1 + eta} * argmax^exponent] from per-path extremes.
+
+    Column j of `sups` and `arg_times` holds the supremum and first-argmax
+    time over the window r_values[j].  Returns (r, moment, std_error) per
+    window, in order.
+    """
     out = []
-    exponent = h.value * p
     for j, r in enumerate(r_values):
         contrib = np.where(sups[:, j] <= 1.0 + eta, arg_times[:, j] ** exponent, 0.0)
         m = len(contrib)

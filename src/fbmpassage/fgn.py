@@ -218,10 +218,30 @@ def _sample_pair_raw(
     covariance, and they are mutually independent.
     """
     m = len(spectrum)
+    y = _pair_fft(np.sqrt(spectrum / m), _complex_noise(rng, m))
+    return np.ascontiguousarray(y.real[:steps]), np.ascontiguousarray(y.imag[:steps])
+
+
+def _complex_noise(rng: np.random.Generator, m: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Standard complex white noise u + iv of length m from 2m normals.
+
+    The real parts are drawn first, then the imaginary parts; this layout
+    is part of the reproducibility contract.  `out`, if given, receives
+    the noise and is returned.
+    """
     u = rng.standard_normal(m)
     v = rng.standard_normal(m)
-    y = np.fft.fft(np.sqrt(spectrum / m) * (u + 1j * v))
-    return np.ascontiguousarray(y.real[:steps]), np.ascontiguousarray(y.imag[:steps])
+    return np.add(u, 1j * v, out=out)
+
+
+def _pair_fft(scale: np.ndarray, noise: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """FFT(scale * noise), with scale = sqrt(spectrum / 2N).
+
+    The first N real parts and the first N imaginary parts of the result
+    are the increments of the pair's two paths.  `out`, if given, holds
+    the product and then the transform, and is returned.
+    """
+    return np.fft.fft(np.multiply(scale, noise, out=out), out=out)
 
 
 def sample_fgn(

@@ -3,22 +3,25 @@
 Paths are indexed 0..samples-1.  Consecutive indices (2k, 2k+1) form a pair
 drawn from one complex FFT whose Gaussian stream is keyed by (master_seed,
 GAUSSIAN_STREAM, k); bridge uniforms for path m come from (master_seed,
-UNIFORM_STREAM, m).  Every per-path output therefore depends only on the
-master seed and the path index, so results are identical for any worker
-count and any chunk size; chunking exists purely to bound memory and to
-let chunks run on separate processes.
+UNIFORM_STREAM, m).  Neither key involves the Hurst index, and the map from
+noise to path is linear, so one job covers several H values: each pair's
+normals and each path's uniforms are drawn once and serve every H.  Every
+per-path output depends only on the master seed, the path index and H, so
+results are identical for any worker count and any chunk size; chunking
+exists purely to bound memory and to let chunks run on separate processes.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
 
-from .fgn import Hurst, TimeGrid, circulant_spectrum, _sample_pair_raw
+from .fgn import Hurst, TimeGrid, _complex_noise, _pair_fft, circulant_spectrum
 from .passage import _bridge_hit_times_batch, _simple_hit_times_batch
 from .rng import GAUSSIAN_STREAM, UNIFORM_STREAM, substream
 from .sde import (
@@ -34,17 +37,26 @@ __all__ = ["SimulationJob", "SimulationResult", "run_simulation", "passage_times
 
 DEFAULT_CHUNK_PAIRS = 128
 
+# Pairs per block of a pure-model chunk.  A block's noise is drawn once and
+# then transformed, summed and scanned for each H in turn, so its buffers
+# stay small enough to be reused from cache.  Drifted models take the whole
+# chunk as one block instead: their Euler step is a Python loop over grid
+# steps, vectorised across rows, and costs less per row on more rows.
+BLOCK_PAIRS = 8
+
 
 @dataclass(frozen=True)
 class SimulationJob:
     """Complete, picklable description of one Monte Carlo experiment.
 
-    Workers reconstruct everything (spectrum, reduction map) from this
+    `hurst` lists the H values to simulate; all of them run on the same
+    noise, and run_simulation returns one result per entry, in order.
+    Workers reconstruct everything (spectra, reduction map) from this
     record, so a chunk can be computed anywhere and the result depends only
     on the job and the chunk index.
     """
 
-    hurst: float
+    hurst: tuple[float, ...]
     horizon: float
     steps: int
     samples: int
@@ -69,7 +81,7 @@ class SimulationJob:
 
 @dataclass(eq=False)
 class SimulationResult:
-    """Per-path outputs assembled in path-index order."""
+    """Per-path outputs of one H value, assembled in path-index order."""
 
     tau_simple: np.ndarray | None = None
     tau_bridge: np.ndarray | None = None
@@ -77,10 +89,21 @@ class SimulationResult:
     sup_values: np.ndarray | None = None
     argmax_times: np.ndarray | None = None
 
+    def hit_times(self) -> dict[str, np.ndarray]:
+        """Hit-time arrays (+inf censored) keyed by estimator name."""
+        out = {}
+        if self.tau_simple is not None:
+            out["simple"] = self.tau_simple
+        if self.tau_bridge is not None:
+            out["bridge"] = self.tau_bridge
+        return out
+
 
 @lru_cache(maxsize=16)
-def _spectrum_cached(hurst: float, horizon: float, steps: int) -> np.ndarray:
-    return circulant_spectrum(Hurst(hurst), TimeGrid(horizon, steps))
+def _noise_scale(hurst: float, horizon: float, steps: int) -> np.ndarray:
+    """sqrt(spectrum / 2N): the factor that turns white noise into the pair's FFT input."""
+    spectrum = circulant_spectrum(Hurst(hurst), TimeGrid(horizon, steps))
+    return np.sqrt(spectrum / len(spectrum))
 
 
 @lru_cache(maxsize=8)
@@ -97,127 +120,155 @@ def _auto_range(x0: float, threshold: float) -> tuple[float, float]:
     return (min(x0, threshold) - 10.0 * d, max(x0, threshold) + 10.0 * d)
 
 
-def _reduced_threshold(job: SimulationJob) -> float:
-    if job.is_pure:
-        return job.threshold - job.x0
+def _reduction(job: SimulationJob):
+    """The Lamperti map of a drifted job and its threshold in reduced coordinates."""
     lo, hi = job.map_lo, job.map_hi
     if lo is None or hi is None:
         lo, hi = _auto_range(job.x0, job.threshold)
-    _, thr = _reduction_cached(job.drift, job.diffusion, job.x0, job.threshold, lo, hi)
-    return thr
+    return _reduction_cached(job.drift, job.diffusion, job.x0, job.threshold, lo, hi)
 
 
-def _chunk_compute(job: SimulationJob, chunk_index: int):
-    """All per-path outputs for one chunk of consecutive path pairs."""
-    grid = TimeGrid(job.horizon, job.steps)
-    steps, step = job.steps, grid.step
+def _empty_result(job: SimulationJob, n: int) -> SimulationResult:
+    k = len(job.extreme_indices)
+    return SimulationResult(
+        tau_simple=np.empty(n) if job.want_simple else None,
+        tau_bridge=np.empty(n) if job.want_bridge else None,
+        marginals=np.empty((n, len(job.marginal_indices))) if job.marginal_indices else None,
+        sup_values=np.empty((n, k)) if k else None,
+        argmax_times=np.empty((n, k)) if k else None,
+    )
+
+
+def _chunk_compute(job: SimulationJob, chunk_index: int) -> list[SimulationResult]:
+    """Per-path outputs of one chunk of consecutive path pairs, one result per H.
+
+    The chunk runs in blocks of pairs.  A block draws each pair's normals
+    and each path's bridge uniforms once.  Then, for each H in turn, it
+    scales the noise by that H's sqrt(spectrum / 2N), transforms each pair,
+    writes the real and imaginary parts into one reused path buffer, takes
+    the prefix sum in place and runs the scans and reductions.
+
+    Memory per block, with N = steps: 32N bytes of complex noise and 16N of
+    path rows per pair, plus 16N of uniforms per pair with the bridge rule.
+    Pure models use blocks of BLOCK_PAIRS pairs.  Drifted models hold the
+    whole chunk in one block, 48N bytes per pair (64N with the bridge
+    rule), however many H values the job has; the Euler step overwrites
+    the path rows in place.
+    """
+    steps = job.steps
+    step = TimeGrid(job.horizon, steps).step
+    m = 2 * steps
     pairs_total = (job.samples + 1) // 2
     p0 = chunk_index * job.chunk_pairs
     pc = min(job.chunk_pairs, pairs_total - p0)
-    spectrum = _spectrum_cached(job.hurst, job.horizon, job.steps)
-
-    inc = np.empty((2 * pc, steps))
-    for i in range(pc):
-        gen = substream(job.master_seed, GAUSSIAN_STREAM, p0 + i)
-        a, b = _sample_pair_raw(spectrum, steps, gen)
-        inc[2 * i] = a
-        inc[2 * i + 1] = b
-    values = np.empty((2 * pc, steps + 1))
-    values[:, 0] = 0.0
-    np.cumsum(inc, axis=1, out=values[:, 1:])
-
-    lamperti = None
-    if job.is_pure:
-        paths = values
-        if job.x0 != 0.0:
-            paths += job.x0
-        thr = job.threshold
-    else:
-        lo, hi = job.map_lo, job.map_hi
-        if lo is None or hi is None:
-            lo, hi = _auto_range(job.x0, job.threshold)
-        lamperti, thr = _reduction_cached(job.drift, job.diffusion, job.x0, job.threshold, lo, hi)
-        paths = _euler_batch(lamperti.reduced_drift, 0.0, values, step)
-
     first_path = 2 * p0
     n_valid = min(2 * pc, job.samples - first_path)
-    paths = paths[:n_valid]
+    scales = [_noise_scale(h, job.horizon, steps) for h in job.hurst]
+    if job.is_pure:
+        lamperti, thr = None, job.threshold
+        block = min(BLOCK_PAIRS, pc)
+    else:
+        lamperti, thr = _reduction(job)
+        block = pc
 
-    tau_simple = tau_bridge = marginals = sups = args = None
-    if job.want_simple:
-        tau_simple = _simple_hit_times_batch(paths, thr, step)
-    if job.want_bridge:
-        uniforms = np.empty((n_valid, steps))
-        for j in range(n_valid):
-            uniforms[j] = substream(job.master_seed, UNIFORM_STREAM, first_path + j).random(steps)
-        step_var = step ** (2.0 * job.hurst)
-        tau_bridge = _bridge_hit_times_batch(paths, thr, step, step_var, uniforms)
-    if job.marginal_indices:
-        marginals = paths[:, list(job.marginal_indices)].copy()
-        if lamperti is not None:
-            marginals = lamperti.inverse(marginals)
-    if job.extreme_indices:
-        k = len(job.extreme_indices)
-        sups = np.empty((n_valid, k))
-        args = np.empty((n_valid, k))
-        for c, ri in enumerate(job.extreme_indices):
-            segment = paths[:, : ri + 1]
-            sups[:, c] = segment.max(axis=1)
-            args[:, c] = segment.argmax(axis=1) * step
-        if lamperti is not None:
-            # the state map is strictly increasing, so suprema and argmax
-            # locations carry over to the original coordinates
-            sups = lamperti.inverse(sups)
-    return chunk_index, tau_simple, tau_bridge, marginals, sups, args
+    results = [_empty_result(job, n_valid) for _ in job.hurst]
+    noise = np.empty((block, m), dtype=complex)
+    transformed = np.empty(m, dtype=complex)
+    values = np.empty((2 * block, steps + 1))
+    uniforms = np.empty((2 * block, steps)) if job.want_bridge else None
+    columns = list(job.marginal_indices)
+
+    for b0 in range(0, pc, block):
+        nb = min(block, pc - b0)
+        for i in range(nb):
+            _complex_noise(substream(job.master_seed, GAUSSIAN_STREAM, p0 + b0 + i), m, out=noise[i])
+        r0 = 2 * b0
+        rows = slice(r0, min(r0 + 2 * nb, n_valid))
+        n_rows = rows.stop - r0
+        if uniforms is not None:
+            for j in range(n_rows):
+                uniforms[j] = substream(job.master_seed, UNIFORM_STREAM, first_path + r0 + j).random(steps)
+        block_values = values[: 2 * nb]
+        for h, scale, result in zip(job.hurst, scales, results):
+            for i in range(nb):
+                y = _pair_fft(scale, noise[i], out=transformed)
+                block_values[2 * i, 1:] = y.real[:steps]
+                block_values[2 * i + 1, 1:] = y.imag[:steps]
+            block_values[:, 0] = 0.0
+            np.cumsum(block_values[:, 1:], axis=1, out=block_values[:, 1:])
+            if lamperti is not None:
+                _euler_batch(lamperti.reduced_drift, 0.0, block_values, step)
+            elif job.x0 != 0.0:
+                block_values += job.x0
+            paths = block_values[:n_rows]
+
+            if result.tau_simple is not None:
+                result.tau_simple[rows] = _simple_hit_times_batch(paths, thr, step)
+            if result.tau_bridge is not None:
+                step_var = step ** (2.0 * h)
+                result.tau_bridge[rows] = _bridge_hit_times_batch(paths, thr, step, step_var, uniforms[:n_rows])
+            if result.marginals is not None:
+                marginals = paths[:, columns]
+                result.marginals[rows] = marginals if lamperti is None else lamperti.inverse(marginals)
+            if result.sup_values is not None:
+                sups = np.empty((n_rows, len(job.extreme_indices)))
+                for c, ri in enumerate(job.extreme_indices):
+                    segment = paths[:, : ri + 1]
+                    sups[:, c] = segment.max(axis=1)
+                    result.argmax_times[rows, c] = segment.argmax(axis=1) * step
+                # the state map is strictly increasing, so suprema and argmax
+                # locations carry over to the original coordinates
+                result.sup_values[rows] = sups if lamperti is None else lamperti.inverse(sups)
+    return results
 
 
-def _chunk_worker(payload):
-    return _chunk_compute(*payload)
+def _merge(parts: list[SimulationResult]) -> SimulationResult:
+    merged = {}
+    for f in fields(SimulationResult):
+        arrays = [getattr(p, f.name) for p in parts]
+        merged[f.name] = None if arrays[0] is None else np.concatenate(arrays, axis=0)
+    return SimulationResult(**merged)
 
 
-def run_simulation(job: SimulationJob, workers: int = 1) -> SimulationResult:
-    """Execute a job, optionally across processes, and assemble results.
+def run_simulation(job: SimulationJob, workers: int = 1) -> list[SimulationResult]:
+    """Execute a job, optionally across processes; one result per H, in order.
 
-    Chunks are merged in chunk-index order; since every per-path output is
-    a pure function of (job, path index), the assembled arrays are
-    byte-identical for any `workers` and `chunk_pairs`.
+    All H values share one pass over the chunks and at most one process
+    pool, of min(workers, chunks, cpu_count) processes.  Chunks are merged
+    in chunk-index order; since every per-path output is a pure function
+    of (job, H, path index), the assembled arrays are byte-identical for
+    any `workers` and `chunk_pairs`.
     """
     if job.samples < 1:
         raise ValueError(f"need at least one sample path, got {job.samples}")
     if job.chunk_pairs < 1:
         raise ValueError(f"chunk_pairs must be positive, got {job.chunk_pairs}")
+    if workers < 1:
+        raise ValueError(f"workers must be positive, got {workers}")
+    if not job.hurst:
+        raise ValueError("need at least one Hurst value")
     bad = [i for i in (*job.marginal_indices, *job.extreme_indices) if not 0 <= i <= job.steps]
     if bad:
         raise ValueError(f"grid indices outside [0, {job.steps}]: {bad}")
+    # validate the spectra and the reduction up front; forked workers
+    # inherit the cached results
+    for h in job.hurst:
+        _noise_scale(h, job.horizon, job.steps)
     if not job.is_pure:
-        _reduced_threshold(job)  # validate the reduction up front
+        _reduction(job)
     pairs_total = (job.samples + 1) // 2
     n_chunks = math.ceil(pairs_total / job.chunk_pairs)
-    payloads = [(job, i) for i in range(n_chunks)]
-    if workers <= 1:
+    workers = min(workers, n_chunks, os.cpu_count() or 1)
+    if workers == 1:
         chunks = [_chunk_compute(job, i) for i in range(n_chunks)]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_chunk_worker, payloads))
-    chunks.sort(key=lambda c: c[0])
-
-    def _stack(col: int):
-        parts = [c[col] for c in chunks]
-        if parts[0] is None:
-            return None
-        return np.concatenate(parts, axis=0)
-
-    return SimulationResult(
-        tau_simple=_stack(1),
-        tau_bridge=_stack(2),
-        marginals=_stack(3),
-        sup_values=_stack(4),
-        argmax_times=_stack(5),
-    )
+            chunks = list(pool.map(_chunk_compute, [job] * n_chunks, range(n_chunks)))
+    return [_merge([c[k] for c in chunks]) for k in range(len(job.hurst))]
 
 
 # ---------------------------------------------------------------------------
-# convenience wrappers
+# single-H convenience wrappers
 # ---------------------------------------------------------------------------
 
 def passage_times(
@@ -238,7 +289,7 @@ def passage_times(
     if unknown:
         raise ValueError(f"unknown estimator(s): {sorted(unknown)}")
     job = SimulationJob(
-        hurst=h.value,
+        hurst=(h.value,),
         horizon=grid.horizon,
         steps=grid.steps,
         samples=samples,
@@ -251,13 +302,7 @@ def passage_times(
         want_bridge="bridge" in estimators,
         chunk_pairs=chunk_pairs,
     )
-    result = run_simulation(job, workers=workers)
-    out = {}
-    if result.tau_simple is not None:
-        out["simple"] = result.tau_simple
-    if result.tau_bridge is not None:
-        out["bridge"] = result.tau_bridge
-    return out
+    return run_simulation(job, workers=workers)[0].hit_times()
 
 
 def marginal_values(
@@ -271,7 +316,7 @@ def marginal_values(
 ) -> np.ndarray:
     """Path values at the given grid indices, shape (samples, len(indices))."""
     job = SimulationJob(
-        hurst=h.value,
+        hurst=(h.value,),
         horizon=grid.horizon,
         steps=grid.steps,
         samples=samples,
@@ -280,7 +325,7 @@ def marginal_values(
         marginal_indices=tuple(int(i) for i in time_indices),
         chunk_pairs=chunk_pairs,
     )
-    return run_simulation(job, workers=workers).marginals
+    return run_simulation(job, workers=workers)[0].marginals
 
 
 def path_extremes(
@@ -294,7 +339,7 @@ def path_extremes(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Suprema and first-argmax times over [0, index * step] per path."""
     job = SimulationJob(
-        hurst=h.value,
+        hurst=(h.value,),
         horizon=grid.horizon,
         steps=grid.steps,
         samples=samples,
@@ -303,5 +348,5 @@ def path_extremes(
         extreme_indices=tuple(int(i) for i in time_indices),
         chunk_pairs=chunk_pairs,
     )
-    result = run_simulation(job, workers=workers)
+    (result,) = run_simulation(job, workers=workers)
     return result.sup_values, result.argmax_times

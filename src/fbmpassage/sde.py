@@ -291,20 +291,21 @@ def _euler_batch(reduced_drift: Callable, x0: float, values: np.ndarray, step: f
     """Vectorized Euler across the rows of a (paths, steps+1) prefix-sum matrix.
 
     Same accumulation layout as euler_solve so single-path and batched runs
-    agree to the last bit for the shared recursion.
+    agree to the last bit for the shared recursion.  The solution
+    overwrites `values` column by column, so no second path buffer is
+    needed; `values` is returned.
     """
-    out = np.empty_like(values)
     acc = np.zeros(values.shape[0])
     y = x0 + values[:, 0] + acc
-    out[:, 0] = y
+    values[:, 0] = y
     for n in range(values.shape[1] - 1):
         acc = acc + step * reduced_drift(y)
         y = x0 + values[:, n + 1] + acc
-        out[:, n + 1] = y
-    if not np.isfinite(out).all():
-        bad_step = int((~np.isfinite(out)).any(axis=0).argmax())
+        values[:, n + 1] = y
+    if not np.isfinite(values).all():
+        bad_step = int((~np.isfinite(values)).any(axis=0).argmax())
         raise PropagationError(f"drift propagation failed: non-finite state at step {bad_step}")
-    return out
+    return values
 
 
 def inverse_path(lamperti: LampertiMap, path: XPath) -> XPath:

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2, norm
 
-from fbmpassage import fgn_autocovariance, laplace_bm
+from fbmpassage import fgn_autocovariance, laplace_bm, runner
 from fbmpassage.cli import (
     ConfigError,
     RunConfig,
@@ -161,6 +161,9 @@ def test_exit_code_usage_errors(capsys, tmp_path):
     assert capsys.readouterr().out.startswith("fbmpassage ")
     assert main(["simulate", "--samples", "50", "--out", str(tmp_path / "o")]) == 2
     assert "error:" in capsys.readouterr().err
+    for flag, value in (("--workers", "0"), ("--workers", "-3"), ("--chunk-pairs", "0")):
+        assert main(["simulate", flag, value, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("error:")
 
 
 def test_exit_code_no_hits(capsys, tmp_path):
@@ -260,6 +263,58 @@ def test_simulate_workers_do_not_change_files(tmp_path):
     mb = json.loads((b / "run_manifest.json").read_text())
     ma["config"].pop("out"), mb["config"].pop("out")
     assert ma == mb
+
+
+class _FakePool:
+    """Records each pool the runner starts and runs its chunks inline."""
+
+    started: list = []
+
+    def __init__(self, max_workers):
+        self.started.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+@pytest.mark.parametrize("chunk_pairs, cpus, expected", [("7", 4, 4), ("128", 4, 3), ("7", 1, None)])
+def test_worker_count_is_clamped_to_chunks_and_cpus(monkeypatch, tmp_path, chunk_pairs, cpus, expected):
+    monkeypatch.setattr(_FakePool, "started", [])
+    monkeypatch.setattr(runner, "ProcessPoolExecutor", _FakePool)
+    monkeypatch.setattr(runner.os, "cpu_count", lambda: cpus)
+    argv = _SMALL_SIM + ["--chunk-pairs", chunk_pairs]  # 300 pairs: 43 or 3 chunks
+    assert main(argv + ["--workers", "100000", "--out", str(tmp_path / "many")]) == 0
+    # one pool for every H value, sized min(workers, chunks, cpus); one worker runs serially
+    assert _FakePool.started == ([] if expected is None else [expected])
+    assert main(argv + ["--workers", "1", "--out", str(tmp_path / "one")]) == 0
+    many, one = (tmp_path / d / "laplace.csv" for d in ("many", "one"))
+    assert many.read_bytes() == one.read_bytes()
+
+
+def test_conjecture_honours_chunk_pairs(monkeypatch, tmp_path):
+    calls = []
+    original = runner._chunk_compute
+
+    def counting(job, chunk_index):
+        calls.append(chunk_index)
+        return original(job, chunk_index)
+
+    monkeypatch.setattr(runner, "_chunk_compute", counting)
+    argv = [
+        "conjecture", "--steps", "256", "--samples", "200", "--hurst-list", "0.5,0.6",
+        "--r-list", "5,10",
+    ]
+    assert main(argv + ["--chunk-pairs", "4", "--out", str(tmp_path / "c4")]) == 0
+    assert calls == list(range(25))  # 100 pairs in chunks of 4, one job for both H
+    assert main(argv + ["--out", str(tmp_path / "default")]) == 0
+    c4, default = (tmp_path / d / "conjecture.csv" for d in ("c4", "default"))
+    assert c4.read_bytes() == default.read_bytes()
 
 
 # ---------------------------------------------------------------------------

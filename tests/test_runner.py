@@ -8,12 +8,19 @@ Covers:
   - Marginal extraction: shapes, variance statistics, index validation.
   - Suprema / argmax windows: pathwise monotonicity in the window length.
   - Job validation and the pure-case fast path.
+  - Multi-H jobs: one job over several H values equals the single-H jobs
+    bit for bit, and draws each pair's normals and each path's uniforms
+    once per run.
 """
+
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from fbmpassage import (
+    GAUSSIAN_STREAM,
+    UNIFORM_STREAM,
     Hurst,
     SimulationJob,
     TimeGrid,
@@ -22,11 +29,12 @@ from fbmpassage import (
     path_extremes,
     run_simulation,
 )
+from fbmpassage import runner
 
 
 def _job(**kw):
     base = dict(
-        hurst=0.6,
+        hurst=(0.6,),
         horizon=5.0,
         steps=256,
         samples=300,
@@ -43,31 +51,31 @@ def _job(**kw):
 
 def test_worker_count_is_observationally_irrelevant():
     job = _job(want_bridge=True)
-    serial = run_simulation(job, workers=1)
-    pooled = run_simulation(job, workers=3)
+    (serial,) = run_simulation(job, workers=1)
+    (pooled,) = run_simulation(job, workers=3)
     assert np.array_equal(serial.tau_simple, pooled.tau_simple)
     assert np.array_equal(serial.tau_bridge, pooled.tau_bridge)
 
 
 def test_chunk_size_is_observationally_irrelevant():
-    a = run_simulation(_job(chunk_pairs=16, want_bridge=True))
-    b = run_simulation(_job(chunk_pairs=128, want_bridge=True))
+    (a,) = run_simulation(_job(chunk_pairs=16, want_bridge=True))
+    (b,) = run_simulation(_job(chunk_pairs=128, want_bridge=True))
     assert np.array_equal(a.tau_simple, b.tau_simple)
     assert np.array_equal(a.tau_bridge, b.tau_bridge)
 
 
 def test_same_seed_reproduces_different_seed_changes():
-    a = run_simulation(_job())
-    b = run_simulation(_job())
-    c = run_simulation(_job(master_seed=43))
+    (a,) = run_simulation(_job())
+    (b,) = run_simulation(_job())
+    (c,) = run_simulation(_job(master_seed=43))
     assert np.array_equal(a.tau_simple, b.tau_simple)
     assert not np.array_equal(a.tau_simple, c.tau_simple)
 
 
 def test_sample_prefix_stability():
     """The first paths of a longer run are exactly a shorter run."""
-    small = run_simulation(_job(samples=100))
-    large = run_simulation(_job(samples=300))
+    (small,) = run_simulation(_job(samples=100))
+    (large,) = run_simulation(_job(samples=300))
     assert np.array_equal(large.tau_simple[:100], small.tau_simple)
 
 
@@ -152,14 +160,18 @@ def test_job_validation():
     with pytest.raises(ValueError):
         run_simulation(_job(chunk_pairs=0))
     with pytest.raises(ValueError):
-        run_simulation(_job(hurst=1.2))
+        run_simulation(_job(hurst=(1.2,)))
+    with pytest.raises(ValueError):
+        run_simulation(_job(hurst=()))
+    with pytest.raises(ValueError):
+        run_simulation(_job(), workers=0)
     with pytest.raises(ValueError):
         run_simulation(_job(marginal_indices=(9999,)))  # off the grid
 
 
 def test_start_at_threshold_hits_immediately():
     """Degenerate but well defined: every path is over the line at t=0."""
-    res = run_simulation(_job(x0=1.0, samples=50))
+    (res,) = run_simulation(_job(x0=1.0, samples=50))
     assert np.array_equal(res.tau_simple, np.zeros(50))
 
 
@@ -172,3 +184,56 @@ def test_passage_times_estimator_selection():
     assert set(both) == {"simple", "bridge"}
     with pytest.raises(ValueError):
         passage_times(Hurst(0.5), TimeGrid(2.0, 128), 100, 5, estimators=("typo",))
+
+
+# ---------------------------------------------------------------------------
+# multi-H jobs
+# ---------------------------------------------------------------------------
+
+_MODELS = {
+    "pure": dict(x0=0.2),
+    "ou-const2": dict(drift="ou:1", diffusion="const:2"),
+}
+_OUTPUTS = ("tau_simple", "tau_bridge", "marginals", "sup_values", "argmax_times")
+
+
+def _all_outputs_job(model, **kw):
+    # an odd sample count leaves the last pair half used
+    return _job(
+        samples=61,
+        want_bridge=True,
+        marginal_indices=(0, 100, 256),
+        extreme_indices=(50, 256),
+        **_MODELS[model],
+        **kw,
+    )
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("chunk_pairs", [1, 7, 128])
+@pytest.mark.parametrize("model", list(_MODELS))
+def test_multi_h_job_equals_single_h_jobs(model, chunk_pairs, workers):
+    hursts = (0.5, 0.6, 0.75)
+    multi = run_simulation(_all_outputs_job(model, hurst=hursts, chunk_pairs=chunk_pairs), workers=workers)
+    assert len(multi) == len(hursts)
+    for h, got in zip(hursts, multi):
+        (want,) = run_simulation(_all_outputs_job(model, hurst=(h,)))
+        for name in _OUTPUTS:
+            assert np.array_equal(getattr(got, name), getattr(want, name)), (h, name)
+
+
+@pytest.mark.parametrize("hursts", [(0.6,), (0.5, 0.55, 0.6, 0.7, 0.9)])
+def test_each_stream_is_requested_once_per_run(monkeypatch, hursts):
+    requests = Counter()
+    original = runner.substream
+
+    def counting(master_seed, stream, index):
+        requests[stream, index] += 1
+        return original(master_seed, stream, index)
+
+    monkeypatch.setattr(runner, "substream", counting)
+    run_simulation(_job(hurst=hursts, samples=61, chunk_pairs=7, want_bridge=True))
+    gaussian = {i: n for (stream, i), n in requests.items() if stream == GAUSSIAN_STREAM}
+    uniform = {i: n for (stream, i), n in requests.items() if stream == UNIFORM_STREAM}
+    assert gaussian == {k: 1 for k in range(31)}
+    assert uniform == {i: 1 for i in range(61)}
