@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import logging
 import math
 import platform
 import sys
@@ -20,7 +21,6 @@ from pathlib import Path
 
 import numpy as np
 import scipy
-from scipy.stats import ks_2samp, norm
 
 from .analysis import linear_fit, rate_exponent
 from .estimate import NoHitsError, density_from_times, gap_estimate, laplace_from_times, truncated_argmax_moments
@@ -35,10 +35,12 @@ from .fgn import (
     sample_fgn,
 )
 from .runner import DEFAULT_CHUNK_PAIRS, SimulationJob, passage_times, run_simulation
-from .sde import EllipticityError, PropagationError, diffusion_from_name, drift_from_name, euler_solve
+from .sde import EllipticityError, PropagationError, affine_coefficients, drift_from_name, euler_solve
 from .theory import decay_scale, density_envelope, laplace_bm
 
 __all__ = ["RunConfig", "ConfigError", "main", "run_selftest", "load_config_file", "resolve_config"]
+
+logger = logging.getLogger(__name__)
 
 FULL_SCALE_STEPS = 2**16
 FULL_SCALE_SAMPLES = 100_000
@@ -157,8 +159,7 @@ def validate_config(cfg: RunConfig) -> None:
     if cfg.estimator not in ESTIMATOR_CHOICES:
         fail(f"estimator must be one of {ESTIMATOR_CHOICES}, got {cfg.estimator!r}")
     try:
-        drift_from_name(cfg.drift)
-        diffusion_from_name(cfg.diffusion)
+        affine_coefficients(cfg.drift, cfg.diffusion)
     except ValueError as exc:
         fail(str(exc))
     if cfg.hist_bins < 2:
@@ -422,8 +423,14 @@ def cmd_conjecture(cfg: RunConfig, workers: int, chunk_pairs: int, out_dir: Path
     Each H row group carries the OLS trend of moment against r; a flat
     trend (slope within noise of zero) means the moments stay bounded over
     the probed windows.  The paths are raw fBm started at zero: the model
-    options (x0, drift, diffusion) do not apply here.
+    options (x0, threshold, drift, diffusion) do not apply here, and a
+    warning names any of them that is set away from its default.
     """
+    default = RunConfig()
+    model = ("x0", "threshold", "drift", "diffusion")
+    ignored = [f"--{name}" for name in model if getattr(cfg, name) != getattr(default, name)]
+    if ignored:
+        logger.warning("conjecture simulates raw fBm from zero; ignoring %s", ", ".join(ignored))
     for r in cfg.r_list:
         if r > cfg.horizon:
             raise ConfigError(f"r={r:g} exceeds the horizon {cfg.horizon:g}")
@@ -498,6 +505,8 @@ def run_selftest(cfg: RunConfig, autocov_fn=None) -> list[tuple[str, bool, str]]
         return worst < 5.0, f"worst |z| over lags 0..5 = {worst:.2f} (limit 5)"
 
     def sampler_agreement():
+        from scipy.stats import ks_2samp
+
         h = Hurst(0.8)
         grid = TimeGrid(1.0, 128)
         spectrum = circulant_spectrum(h, grid)
@@ -567,6 +576,8 @@ def run_selftest(cfg: RunConfig, autocov_fn=None) -> list[tuple[str, bool, str]]
         return worst < 1e-4, f"max |L''/2 - lambda L| = {worst:.3g} (limit 1e-4)"
 
     def envelope_identity():
+        from scipy.stats import norm
+
         t = 2.0
         xs = np.linspace(-3.0, 3.0, 13)
         env = density_envelope(t, xs, x0=0.0, h=Hurst(0.5), c=0.0, sigma_sup=1.0)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import toeplitz
+from numpy.fft import fft  # numpy imports its fft module on first use otherwise
 
 __all__ = [
     "EIGENVALUE_TOL",
@@ -190,7 +190,7 @@ def circulant_spectrum(h: Hurst, grid: TimeGrid) -> np.ndarray:
         raise ValueError(f"steps must be a power of two for the circulant sampler, got {n}")
     gamma = _autocovariance_row(h, grid)
     row = np.concatenate([gamma, gamma[-2:0:-1]])
-    eigs = np.fft.fft(row).real
+    eigs = fft(row).real
     lam_max = float(eigs.max())
     floor = -EIGENVALUE_TOL * lam_max
     lam_min = float(eigs.min())
@@ -241,7 +241,7 @@ def _pair_fft(scale: np.ndarray, noise: np.ndarray, out: np.ndarray | None = Non
     are the increments of the pair's two paths.  `out`, if given, holds
     the product and then the transform, and is returned.
     """
-    return np.fft.fft(np.multiply(scale, noise, out=out), out=out)
+    return fft(np.multiply(scale, noise, out=out), out=out)
 
 
 def sample_fgn(
@@ -277,6 +277,8 @@ def fbm_path(block: FgnBlock) -> FbmPath:
 
 @lru_cache(maxsize=8)
 def _cholesky_factor(h_value: float, grid: TimeGrid) -> np.ndarray:
+    from scipy.linalg import toeplitz
+
     gamma = _autocovariance_row(Hurst(h_value), grid)[: grid.steps]
     cov = toeplitz(gamma)
     try:

@@ -24,23 +24,16 @@ import numpy as np
 from .fgn import Hurst, TimeGrid, _complex_noise, _pair_fft, circulant_spectrum
 from .passage import _bridge_hit_times_batch, _simple_hit_times_batch
 from .rng import GAUSSIAN_STREAM, UNIFORM_STREAM, substream
-from .sde import (
-    Coefficients,
-    _euler_batch,
-    build_lamperti,
-    diffusion_from_name,
-    drift_from_name,
-    threshold_transform,
-)
+from .sde import affine_coefficients, affine_euler
 
 __all__ = ["SimulationJob", "SimulationResult", "run_simulation", "passage_times", "marginal_values", "path_extremes"]
 
 DEFAULT_CHUNK_PAIRS = 128
 
-# Pairs per block of a pure-model chunk.  A block's noise is drawn once and
-# then transformed, summed and scanned for each H in turn, so its buffers
-# stay small enough to be reused from cache.  Drifted models take the whole
-# chunk as one block instead: their Euler step is a Python loop over grid
+# Pairs per block of a chunk with no Euler loop.  A block's noise is drawn
+# once and then transformed, summed and scanned for each H in turn, so its
+# buffers stay small enough to be reused from cache.  Drifted models take the
+# whole chunk as one block: their Euler step is a Python loop over grid
 # steps, vectorised across rows, and costs less per row on more rows.
 BLOCK_PAIRS = 8
 
@@ -51,7 +44,7 @@ class SimulationJob:
 
     `hurst` lists the H values to simulate; all of them run on the same
     noise, and run_simulation returns one result per entry, in order.
-    Workers reconstruct everything (spectra, reduction map) from this
+    Workers reconstruct everything (spectra, model coefficients) from this
     record, so a chunk can be computed anywhere and the result depends only
     on the job and the chunk index.
     """
@@ -65,8 +58,6 @@ class SimulationJob:
     x0: float = 0.0
     drift: str = "zero"
     diffusion: str = "one"
-    map_lo: float | None = None
-    map_hi: float | None = None
     want_simple: bool = True
     want_bridge: bool = False
     marginal_indices: tuple[int, ...] = ()
@@ -106,28 +97,6 @@ def _noise_scale(hurst: float, horizon: float, steps: int) -> np.ndarray:
     return np.sqrt(spectrum / len(spectrum))
 
 
-@lru_cache(maxsize=8)
-def _reduction_cached(drift: str, diffusion: str, x0: float, threshold: float, lo: float, hi: float):
-    coeffs = Coefficients(drift_from_name(drift), diffusion_from_name(diffusion))
-    lamperti = build_lamperti(coeffs, x0, (lo, hi))
-    return lamperti, threshold_transform(lamperti, threshold)
-
-
-def _auto_range(x0: float, threshold: float) -> tuple[float, float]:
-    # wide enough that typical excursions stay tabulated; extension warnings
-    # flag the rest
-    d = max(1.0, abs(threshold - x0))
-    return (min(x0, threshold) - 10.0 * d, max(x0, threshold) + 10.0 * d)
-
-
-def _reduction(job: SimulationJob):
-    """The Lamperti map of a drifted job and its threshold in reduced coordinates."""
-    lo, hi = job.map_lo, job.map_hi
-    if lo is None or hi is None:
-        lo, hi = _auto_range(job.x0, job.threshold)
-    return _reduction_cached(job.drift, job.diffusion, job.x0, job.threshold, lo, hi)
-
-
 def _empty_result(job: SimulationJob, n: int) -> SimulationResult:
     k = len(job.extreme_indices)
     return SimulationResult(
@@ -142,18 +111,22 @@ def _empty_result(job: SimulationJob, n: int) -> SimulationResult:
 def _chunk_compute(job: SimulationJob, chunk_index: int) -> list[SimulationResult]:
     """Per-path outputs of one chunk of consecutive path pairs, one result per H.
 
+    Paths run in the reduced coordinates y = (x - x0) / s of the model
+    dX = (a X + c) dt + s dB: drift a y + (a x0 + c) / s, unit diffusion,
+    level (threshold - x0) / s; marginals and suprema map back by x0 + s y.
     The chunk runs in blocks of pairs.  A block draws each pair's normals
     and each path's bridge uniforms once.  Then, for each H in turn, it
     scales the noise by that H's sqrt(spectrum / 2N), transforms each pair,
     writes the real and imaginary parts into one reused path buffer, takes
-    the prefix sum in place and runs the scans and reductions.
+    the prefix sum in place, runs the Euler step if the reduced drift is
+    not zero, and runs the scans and reductions.
 
     Memory per block, with N = steps: 32N bytes of complex noise and 16N of
     path rows per pair, plus 16N of uniforms per pair with the bridge rule.
-    Pure models use blocks of BLOCK_PAIRS pairs.  Drifted models hold the
-    whole chunk in one block, 48N bytes per pair (64N with the bridge
-    rule), however many H values the job has; the Euler step overwrites
-    the path rows in place.
+    With a zero reduced drift there is no Euler loop and a block holds
+    BLOCK_PAIRS pairs.  Otherwise the block is the whole chunk, 48N bytes
+    per pair (64N with the bridge rule), for any number of H values; the
+    Euler step overwrites the path rows in place.
     """
     steps = job.steps
     step = TimeGrid(job.horizon, steps).step
@@ -164,12 +137,11 @@ def _chunk_compute(job: SimulationJob, chunk_index: int) -> list[SimulationResul
     first_path = 2 * p0
     n_valid = min(2 * pc, job.samples - first_path)
     scales = [_noise_scale(h, job.horizon, steps) for h in job.hurst]
-    if job.is_pure:
-        lamperti, thr = None, job.threshold
-        block = min(BLOCK_PAIRS, pc)
-    else:
-        lamperti, thr = _reduction(job)
-        block = pc
+    a, c, s = affine_coefficients(job.drift, job.diffusion)
+    c_reduced = (a * job.x0 + c) / s
+    thr = (job.threshold - job.x0) / s
+    looped = a != 0.0 or c_reduced != 0.0
+    block = pc if looped else min(BLOCK_PAIRS, pc)
 
     results = [_empty_result(job, n_valid) for _ in job.hurst]
     noise = np.empty((block, m), dtype=complex)
@@ -196,10 +168,8 @@ def _chunk_compute(job: SimulationJob, chunk_index: int) -> list[SimulationResul
                 block_values[2 * i + 1, 1:] = y.imag[:steps]
             block_values[:, 0] = 0.0
             np.cumsum(block_values[:, 1:], axis=1, out=block_values[:, 1:])
-            if lamperti is not None:
-                _euler_batch(lamperti.reduced_drift, 0.0, block_values, step)
-            elif job.x0 != 0.0:
-                block_values += job.x0
+            if looped:
+                affine_euler(block_values, a, c_reduced, step)
             paths = block_values[:n_rows]
 
             if result.tau_simple is not None:
@@ -208,17 +178,13 @@ def _chunk_compute(job: SimulationJob, chunk_index: int) -> list[SimulationResul
                 step_var = step ** (2.0 * h)
                 result.tau_bridge[rows] = _bridge_hit_times_batch(paths, thr, step, step_var, uniforms[:n_rows])
             if result.marginals is not None:
-                marginals = paths[:, columns]
-                result.marginals[rows] = marginals if lamperti is None else lamperti.inverse(marginals)
-            if result.sup_values is not None:
-                sups = np.empty((n_rows, len(job.extreme_indices)))
-                for c, ri in enumerate(job.extreme_indices):
-                    segment = paths[:, : ri + 1]
-                    sups[:, c] = segment.max(axis=1)
-                    result.argmax_times[rows, c] = segment.argmax(axis=1) * step
-                # the state map is strictly increasing, so suprema and argmax
-                # locations carry over to the original coordinates
-                result.sup_values[rows] = sups if lamperti is None else lamperti.inverse(sups)
+                result.marginals[rows] = job.x0 + s * paths[:, columns]
+            # x0 + s y is strictly increasing, so suprema and argmax
+            # locations carry over to the original coordinates
+            for k, ri in enumerate(job.extreme_indices):
+                segment = paths[:, : ri + 1]
+                result.sup_values[rows, k] = job.x0 + s * segment.max(axis=1)
+                result.argmax_times[rows, k] = segment.argmax(axis=1) * step
     return results
 
 
@@ -250,12 +216,11 @@ def run_simulation(job: SimulationJob, workers: int = 1) -> list[SimulationResul
     bad = [i for i in (*job.marginal_indices, *job.extreme_indices) if not 0 <= i <= job.steps]
     if bad:
         raise ValueError(f"grid indices outside [0, {job.steps}]: {bad}")
-    # validate the spectra and the reduction up front; forked workers
-    # inherit the cached results
+    # validate the spectra and the model up front; forked workers inherit
+    # the cached spectra
     for h in job.hurst:
         _noise_scale(h, job.horizon, job.steps)
-    if not job.is_pure:
-        _reduction(job)
+    affine_coefficients(job.drift, job.diffusion)
     pairs_total = (job.samples + 1) // 2
     n_chunks = math.ceil(pairs_total / job.chunk_pairs)
     workers = min(workers, n_chunks, os.cpu_count() or 1)

@@ -4,9 +4,11 @@ A one-dimensional equation dX = b(X) dt + sigma(X) dB is reduced to unit
 diffusion through the increasing map F(x) = integral of 1/sigma from x0 to
 x.  The reduced process Y = F(X) solves dY = b~(Y) dt + dB with
 b~ = (b o F^-1) / (sigma o F^-1), so path functionals of X below a level L
-become functionals of Y below F(L).  F is tabulated by adaptive quadrature
-and inverted through a monotone spline; everything downstream (Euler
-stepping, passage scans) runs in reduced coordinates.
+become functionals of Y below F(L).  Every registry model is affine,
+b(x) = a x + c with constant sigma = s, so F(x) = (x - x0) / s exactly and
+`affine_euler` steps the reduced drift a y + (a x0 + c) / s on a block of
+paths.  For state-dependent sigma, `build_lamperti` tabulates F by
+quadrature with a cubic spline inverse; no CLI run takes that path.
 """
 
 from __future__ import annotations
@@ -17,8 +19,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.interpolate import CubicSpline
 
 from .fgn import FbmPath, Hurst, TimeGrid
 
@@ -31,7 +31,9 @@ __all__ = [
     "build_lamperti",
     "threshold_transform",
     "euler_solve",
+    "affine_euler",
     "inverse_path",
+    "affine_coefficients",
     "drift_from_name",
     "diffusion_from_name",
     "DRIFT_NAMES",
@@ -98,6 +100,8 @@ class LampertiMap:
     """
 
     def __init__(self, coefficients: Coefficients, x0: float, x_nodes: np.ndarray, f_values: np.ndarray):
+        from scipy.interpolate import CubicSpline
+
         self.coefficients = coefficients
         self.x0 = float(x0)
         self.x_lo = float(x_nodes[0])
@@ -196,6 +200,8 @@ def build_lamperti(
     Returns:
         LampertiMap with forward/inverse accurate to ~1e-12 on the window.
     """
+    from scipy.integrate import quad
+
     lo, hi = float(x_range[0]), float(x_range[1])
     if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
         raise ValueError(f"invalid tabulation range ({lo}, {hi})")
@@ -287,21 +293,23 @@ def euler_solve(reduced_drift: Callable, x0: float, path: FbmPath) -> XPath:
     return XPath(out, path.grid, path.hurst, float(x0))
 
 
-def _euler_batch(reduced_drift: Callable, x0: float, values: np.ndarray, step: float) -> np.ndarray:
-    """Vectorized Euler across the rows of a (paths, steps+1) prefix-sum matrix.
+def affine_euler(values: np.ndarray, a: float, c: float, step: float) -> np.ndarray:
+    """Euler scheme for dY = (a Y + c) dt + dB across the rows of a (paths, steps+1) block.
 
-    Same accumulation layout as euler_solve so single-path and batched runs
-    agree to the last bit for the shared recursion.  The solution
-    overwrites `values` column by column, so no second path buffer is
-    needed; `values` is returned.
+    `values` holds the prefix sums of the noise, starting at zero, and is
+    overwritten with the solution, so no second path buffer is needed.  The
+    drift is accumulated apart from the noise, as in euler_solve:
+    acc += step * (a y + c), then y = noise + acc.  Raises on a non-finite
+    state with the first offending step index; returns `values`.
     """
     acc = np.zeros(values.shape[0])
-    y = x0 + values[:, 0] + acc
-    values[:, 0] = y
-    for n in range(values.shape[1] - 1):
-        acc = acc + step * reduced_drift(y)
-        y = x0 + values[:, n + 1] + acc
-        values[:, n + 1] = y
+    drift = np.empty_like(acc)
+    for n in range(1, values.shape[1]):
+        np.multiply(values[:, n - 1], a, out=drift)
+        drift += c
+        drift *= step
+        acc += drift
+        values[:, n] += acc
     if not np.isfinite(values).all():
         bad_step = int((~np.isfinite(values)).any(axis=0).argmax())
         raise PropagationError(f"drift propagation failed: non-finite state at step {bad_step}")
@@ -337,24 +345,33 @@ def _parse_spec(spec: str, n_params: dict[str, int], kind: str) -> tuple[str, li
     return name, params
 
 
+def _drift_line(spec: str) -> tuple[float, float]:
+    name, params = _parse_spec(spec, {"zero": 0, "linear": 2, "ou": 1}, "drift")
+    if name == "ou":
+        return -params[0], 0.0
+    return (params[0], params[1]) if name == "linear" else (0.0, 0.0)
+
+
+def _diffusion_level(spec: str) -> float:
+    name, params = _parse_spec(spec, {"one": 0, "const": 1}, "diffusion")
+    s = params[0] if name == "const" else 1.0
+    if s <= 0.0:
+        raise ValueError(f"constant diffusion must be positive, got {s}")
+    return s
+
+
+def affine_coefficients(drift: str, diffusion: str) -> tuple[float, float, float]:
+    """(a, c, s) of a registry model: drift b(x) = a x + c, diffusion sigma = s > 0."""
+    return (*_drift_line(drift), _diffusion_level(diffusion))
+
+
 def drift_from_name(spec: str) -> Callable:
     """Drift callable from a registry spec: 'zero', 'linear:a,c' or 'ou:k'."""
-    name, params = _parse_spec(spec, {"zero": 0, "linear": 2, "ou": 1}, "drift")
-    if name == "zero":
-        return lambda x: x * 0.0
-    if name == "linear":
-        a, c = params
-        return lambda x: a * x + c
-    k = params[0]
-    return lambda x: -k * x
+    a, c = _drift_line(spec)
+    return lambda x: a * x + c
 
 
 def diffusion_from_name(spec: str) -> Callable:
     """Diffusion callable from a registry spec: 'one' or 'const:s' with s > 0."""
-    name, params = _parse_spec(spec, {"one": 0, "const": 1}, "diffusion")
-    if name == "one":
-        return lambda x: x * 0.0 + 1.0
-    s = params[0]
-    if s <= 0.0:
-        raise ValueError(f"constant diffusion must be positive, got {s}")
+    s = _diffusion_level(spec)
     return lambda x: x * 0.0 + s

@@ -2,18 +2,24 @@
 
 Covers config parsing and precedence, validation, exit codes, output file
 schemas, the run manifest, worker-count independence of the written files,
-and the statistical checks pinned to CLI output at its default desk scale.
+warnings on model runs, the modules a CLI import loads, and the statistical
+checks pinned to CLI output at its default desk scale.
 """
 
 import csv
 import dataclasses
 import json
+import logging
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.stats import chi2, norm
 
+import fbmpassage
 from fbmpassage import fgn_autocovariance, laplace_bm, runner
 from fbmpassage.cli import (
     ConfigError,
@@ -315,6 +321,43 @@ def test_conjecture_honours_chunk_pairs(monkeypatch, tmp_path):
     assert main(argv + ["--out", str(tmp_path / "default")]) == 0
     c4, default = (tmp_path / d / "conjecture.csv" for d in ("c4", "default"))
     assert c4.read_bytes() == default.read_bytes()
+
+
+def test_conjecture_warns_about_ignored_model_flags(caplog, tmp_path):
+    argv = [
+        "conjecture", "--steps", "256", "--samples", "100", "--hurst-list", "0.5",
+        "--r-list", "5,10",
+    ]
+    with caplog.at_level(logging.WARNING, logger="fbmpassage.cli"):
+        assert main(argv + ["--threshold", "1", "--x0", "0", "--out", str(tmp_path / "defaults")]) == 0
+        assert not caplog.records  # model flags at their defaults are not ignored flags
+        assert main(argv + ["--x0", "0.5", "--drift", "ou:1", "--out", str(tmp_path / "model")]) == 0
+    (record,) = caplog.records
+    assert "--x0" in record.message and "--drift" in record.message
+    assert "--threshold" not in record.message and "--diffusion" not in record.message
+    defaults, model = (tmp_path / d / "conjecture.csv" for d in ("defaults", "model"))
+    assert defaults.read_bytes() == model.read_bytes()
+
+
+def test_constant_diffusion_run_logs_no_sde_warning(caplog, tmp_path):
+    argv = [
+        "simulate", "--diffusion", "const:2", "--samples", "200", "--steps", "1024",
+        "--hurst-list", "0.5", "--out", str(tmp_path),
+    ]
+    with caplog.at_level(logging.WARNING):
+        assert main(argv) == 0
+    assert [r.getMessage() for r in caplog.records if r.name == "fbmpassage.sde"] == []
+
+
+def test_cli_import_loads_no_heavy_scipy_module():
+    """scipy.stats, .integrate, .interpolate and .linalg load only where a
+    selftest check or a library reduction calls them, not on every CLI run."""
+    src = str(Path(fbmpassage.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, fbmpassage.cli; print(*sorted(m for m in sys.modules if m.startswith('scipy')))"
+    loaded = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    submodules = {m.split(".")[1] for m in loaded.stdout.split() if "." in m}
+    assert submodules & {"stats", "integrate", "interpolate", "linalg"} == set()
 
 
 # ---------------------------------------------------------------------------

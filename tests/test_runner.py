@@ -11,6 +11,9 @@ Covers:
   - Multi-H jobs: one job over several H values equals the single-H jobs
     bit for bit, and draws each pair's normals and each path's uniforms
     once per run.
+  - Closed-form affine reduction: registry models agree with the tabulated
+    Lamperti map plus a per-path Euler loop, and zero drift with constant
+    diffusion is scaled fBm with no Euler loop at all.
 """
 
 from collections import Counter
@@ -21,15 +24,25 @@ import pytest
 from fbmpassage import (
     GAUSSIAN_STREAM,
     UNIFORM_STREAM,
+    Coefficients,
+    FbmPath,
     Hurst,
     SimulationJob,
     TimeGrid,
+    build_lamperti,
+    diffusion_from_name,
+    drift_from_name,
+    euler_solve,
     marginal_values,
     passage_times,
     path_extremes,
     run_simulation,
+    substream,
+    threshold_transform,
 )
 from fbmpassage import runner
+from fbmpassage.passage import _bridge_hit_times_batch, _simple_hit_times_batch
+from fbmpassage.sde import affine_coefficients
 
 
 def _job(**kw):
@@ -237,3 +250,54 @@ def test_each_stream_is_requested_once_per_run(monkeypatch, hursts):
     uniform = {i: n for (stream, i), n in requests.items() if stream == UNIFORM_STREAM}
     assert gaussian == {k: 1 for k in range(31)}
     assert uniform == {i: 1 for i in range(61)}
+
+
+# ---------------------------------------------------------------------------
+# closed-form affine reduction
+# ---------------------------------------------------------------------------
+
+_EVERY_INDEX = tuple(range(257))
+
+
+@pytest.mark.parametrize("diffusion", ["const:2", "const:0.5"])
+@pytest.mark.parametrize("drift", ["linear:0.7,-0.3", "ou:1.5"])
+def test_affine_reduction_matches_tabulated_lamperti_euler(drift, diffusion):
+    _, _, s = affine_coefficients(drift, diffusion)
+    x0, level, hv = 0.25, 0.25 + 0.75 * s, 0.6  # the reduced level is 0.75
+    model = dict(hurst=(hv,), horizon=2.0, samples=40, want_bridge=True, marginal_indices=_EVERY_INDEX)
+    (got,) = run_simulation(_job(x0=x0, threshold=level, drift=drift, diffusion=diffusion, **model))
+    (fbm,) = run_simulation(_job(**model))
+
+    grid = TimeGrid(2.0, 256)
+    coeffs = Coefficients(drift_from_name(drift), diffusion_from_name(diffusion))
+    lamperti = build_lamperti(coeffs, x0, (x0 - 100.0, x0 + 100.0))
+    reduced = np.array(
+        [euler_solve(lamperti.reduced_drift, 0.0, FbmPath(b, grid, Hurst(hv))).values for b in fbm.marginals]
+    )
+    assert np.max(np.abs(got.marginals - lamperti.inverse(reduced))) <= 1e-10
+
+    thr = threshold_transform(lamperti, level)
+    uniforms = np.array([substream(42, UNIFORM_STREAM, i).random(grid.steps) for i in range(40)])
+    bridge = _bridge_hit_times_batch(reduced, thr, grid.step, grid.step ** (2.0 * hv), uniforms)
+    assert np.array_equal(got.tau_simple, _simple_hit_times_batch(reduced, thr, grid.step))
+    assert np.array_equal(got.tau_bridge, bridge)
+    assert np.isfinite(got.tau_simple).any() and not np.isfinite(got.tau_simple).all()
+
+
+@pytest.mark.parametrize("s", [2.0, 0.5])
+def test_zero_drift_constant_diffusion_is_scaled_fbm(monkeypatch, s):
+    def no_loop(*args):
+        raise AssertionError("zero reduced drift must not step an Euler loop")
+
+    monkeypatch.setattr(runner, "affine_euler", no_loop)
+    x0, level = 0.5, 1.5
+    outputs = dict(want_bridge=True, marginal_indices=(0, 100, 256), extreme_indices=(50, 256))
+    (scaled,) = run_simulation(_job(x0=x0, threshold=level, diffusion=f"const:{s:g}", **outputs))
+    # x0 + (level - x0) / s is exact in binary for these s
+    (pure,) = run_simulation(_job(x0=x0, threshold=x0 + (level - x0) / s, **outputs))
+    (fbm,) = run_simulation(_job(**outputs))
+    assert np.array_equal(scaled.tau_simple, pure.tau_simple)
+    assert np.array_equal(scaled.tau_bridge, pure.tau_bridge)
+    assert np.array_equal(scaled.marginals, x0 + s * fbm.marginals)
+    assert np.array_equal(scaled.sup_values, x0 + s * fbm.sup_values)
+    assert np.array_equal(scaled.argmax_times, fbm.argmax_times)
