@@ -40,7 +40,15 @@ from .fgn import (
 )
 from .passage import PassageOutcome, bridge_crossing_prob, first_passage, first_passage_bridge
 from .rng import GAUSSIAN_STREAM, UNIFORM_STREAM, substream
-from .runner import SimulationJob, SimulationResult, marginal_values, passage_times, path_extremes, run_simulation
+from .runner import (
+    MemoryBudgetError,
+    SimulationJob,
+    SimulationResult,
+    marginal_values,
+    passage_times,
+    path_extremes,
+    run_simulation,
+)
 from .sde import (
     Coefficients,
     EllipticityError,
@@ -106,6 +114,7 @@ __all__ = [
     # driver
     "SimulationJob",
     "SimulationResult",
+    "MemoryBudgetError",
     "run_simulation",
     "passage_times",
     "marginal_values",

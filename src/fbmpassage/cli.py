@@ -34,7 +34,7 @@ from .fgn import (
     fgn_autocovariance,
     sample_fgn,
 )
-from .runner import DEFAULT_CHUNK_PAIRS, SimulationJob, passage_times, run_simulation
+from .runner import DEFAULT_CHUNK_PAIRS, MemoryBudgetError, SimulationJob, passage_times, run_simulation
 from .sde import EllipticityError, PropagationError, affine_coefficients, drift_from_name, euler_solve
 from .theory import decay_scale, density_envelope, laplace_bm
 
@@ -731,7 +731,7 @@ def main(argv=None) -> int:
         return 0
     except _SelftestFailure:
         return 1
-    except ConfigError as exc:
+    except (ConfigError, MemoryBudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (EmbeddingError, EllipticityError, PropagationError) as exc:

@@ -229,9 +229,10 @@ def _complex_noise(rng: np.random.Generator, m: int, out: np.ndarray | None = No
     is part of the reproducibility contract.  `out`, if given, receives
     the noise and is returned.
     """
-    u = rng.standard_normal(m)
-    v = rng.standard_normal(m)
-    return np.add(u, 1j * v, out=out)
+    noise = np.empty(m, dtype=complex) if out is None else out
+    noise.real = rng.standard_normal(m)
+    noise.imag = rng.standard_normal(m)
+    return noise
 
 
 def _pair_fft(scale: np.ndarray, noise: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

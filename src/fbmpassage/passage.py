@@ -98,10 +98,11 @@ def _bridge_hit_index(
 ) -> int:
     """First firing index under the combined grid/bridge rule, -1 if none.
 
-    uniforms[j] is compared against the bridge probability of step j+1.  The
-    full uniform vector is consumed up front regardless of where the scan
-    stops; that fixed layout keeps outcomes reproducible per path and lets
-    the scan vectorize.
+    uniforms[j] is compared against the bridge probability of step j+1.
+    This scan reads the whole grid; it is the reference for the bounded
+    batch scan.  Only the uniforms of steps before the plain hit can decide
+    the outcome, so the batch scan never draws the others; a path's
+    generator would give them the same values if it did.
     """
     if values[0] >= threshold:
         return 0
@@ -119,12 +120,38 @@ def _bridge_hit_index(
     return int(fire.argmax()) + 1
 
 
+def _plain_hit_index(values: np.ndarray, threshold: float) -> np.ndarray:
+    """First grid index at or above the threshold per row of a (paths, steps+1)
+    matrix; steps + 1 on a row that never gets there."""
+    mask = values >= threshold
+    index = mask.argmax(axis=1)
+    index[~mask[np.arange(len(index)), index]] = values.shape[1]
+    return index
+
+
+def _grid_times(index: np.ndarray, steps: int, step: float) -> np.ndarray:
+    """index * step, with +inf where the index is past the grid (censored)."""
+    return np.where(index <= steps, index * step, np.inf)
+
+
+def _bridge_draws(plain_index: np.ndarray) -> np.ndarray:
+    """Uniforms a row's bridge scan reads: one per step before its plain hit.
+
+    A row that starts at or above the threshold reads none, a censored row
+    reads one per step.
+    """
+    return np.maximum(plain_index - 1, 0)  # plain_index <= steps + 1
+
+
 def _simple_hit_times_batch(values: np.ndarray, threshold: float, step: float) -> np.ndarray:
     """Hit times for a (paths, steps+1) matrix; +inf marks censored rows."""
-    mask = values >= threshold
-    hit = mask.any(axis=1)
-    idx = mask.argmax(axis=1)
-    return np.where(hit, idx * step, np.inf)
+    return _grid_times(_plain_hit_index(values, threshold), values.shape[1] - 1, step)
+
+
+# Grid steps that a bridge scan runs for every row at once.  A row that has
+# not fired by then continues on its own, up to its plain hit, so short
+# grids are one array scan and long grids read little past each plain hit.
+SCAN_HEAD = 1024
 
 
 def _bridge_hit_times_batch(
@@ -132,19 +159,37 @@ def _bridge_hit_times_batch(
     threshold: float,
     step: float,
     step_var: float,
-    uniforms: np.ndarray,
+    log_uniforms: np.ndarray,
+    plain_index: np.ndarray,
 ) -> np.ndarray:
-    """Batch analogue of _bridge_hit_index; rowwise identical arithmetic."""
-    prev = values[:, :-1]
-    nxt = values[:, 1:]
-    grid_hit = nxt >= threshold
-    arg = -2.0 * (threshold - prev) * (threshold - nxt) / step_var
-    with np.errstate(divide="ignore"):
-        fire = grid_hit | (arg > np.log(uniforms))
-    hit = fire.any(axis=1)
-    idx = fire.argmax(axis=1) + 1
-    times = np.where(hit, idx * step, np.inf)
-    return np.where(values[:, 0] >= threshold, 0.0, times)
+    """Bridge-rule hit times for a (paths, steps+1) matrix; +inf marks censored rows.
+
+    Rowwise the same arithmetic as _bridge_hit_index, but a row is scanned
+    only up to its plain hit, `plain_index` from _plain_hit_index: no
+    bridge time can exceed the plain time.  log_uniforms[r, j] is log U for
+    step j+1 of row r; only the first _bridge_draws(plain_index) entries of
+    a row are read before its outcome is settled, and the rest may hold
+    anything.
+    """
+    steps = values.shape[1] - 1
+    bound = _bridge_draws(plain_index)
+    times = _grid_times(plain_index, steps, step)
+    head = min(SCAN_HEAD, steps)
+    nxt = values[:, 1 : head + 1]
+    fire = nxt >= threshold
+    fire |= -2.0 * (threshold - values[:, :head]) * (threshold - nxt) / step_var > log_uniforms[:, :head]
+    first = fire.argmax(axis=1)
+    fired = fire.any(axis=1) & (plain_index > 0)
+    times[fired] = (first[fired] + 1) * step
+    # the rows left have not reached the threshold within the head; before
+    # their plain hit only the bridge can fire
+    for r in np.flatnonzero(~fired & (bound > head)):
+        row = values[r, head : bound[r] + 1]
+        fire = -2.0 * (threshold - row[:-1]) * (threshold - row[1:]) / step_var > log_uniforms[r, head : bound[r]]
+        j = fire.argmax()
+        if fire[j]:
+            times[r] = (head + j + 1) * step
+    return times
 
 
 def first_passage_bridge(
@@ -154,15 +199,19 @@ def first_passage_bridge(
 
     Scans the grid in order; at each step a grid hit (value >= threshold)
     wins, otherwise the step fires with bridge_crossing_prob.  A bridge
-    firing is recorded at the right endpoint of its step.  Exactly one
-    uniform per step is drawn from `rng` up front, so the draw layout is
-    independent of where the path crosses.
+    firing is recorded at the right endpoint of its step.  One uniform per
+    step is drawn from `rng`, in step order, for the steps before the plain
+    hit only: later uniforms cannot change the outcome, so they are never
+    drawn, and a path's own generator would give them the same values if
+    they were.
 
     Hit times satisfy bridge <= simple on the same path by construction:
     every simple hit is also a bridge firing opportunity.
     """
     values, step, steps = _path_arrays(path)
-    uniforms = rng.random(steps)
+    draws = int(_bridge_draws(_plain_hit_index(values[None, :], threshold))[0])
+    uniforms = np.ones(steps)  # entries from the plain hit on cannot change the outcome
+    uniforms[:draws] = rng.random(draws)
     step_var = step ** (2.0 * path.hurst.value)
     n = _bridge_hit_index(values, threshold, step_var, uniforms)
     if n < 0:

@@ -13,20 +13,21 @@ exists purely to bound memory and to let chunks run on separate processes.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
-from functools import lru_cache
+from functools import cache, lru_cache
 
 import numpy as np
 
 from .fgn import Hurst, TimeGrid, _complex_noise, _pair_fft, circulant_spectrum
-from .passage import _bridge_hit_times_batch, _simple_hit_times_batch
+from .passage import _bridge_draws, _bridge_hit_times_batch, _grid_times, _plain_hit_index
 from .rng import GAUSSIAN_STREAM, UNIFORM_STREAM, substream
 from .sde import affine_coefficients, affine_euler
 
-__all__ = ["SimulationJob", "SimulationResult", "run_simulation", "passage_times", "marginal_values", "path_extremes"]
+__all__ = ["MemoryBudgetError", "SimulationJob", "SimulationResult", "run_simulation", "passage_times", "marginal_values", "path_extremes"]
 
 DEFAULT_CHUNK_PAIRS = 128
 
@@ -108,6 +109,112 @@ def _empty_result(job: SimulationJob, n: int) -> SimulationResult:
     )
 
 
+# glibc mallopt parameters, and the values _raise_malloc_thresholds sets
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD_BYTES = 32 << 20
+_TRIM_THRESHOLD_BYTES = 64 << 20
+
+
+@cache
+def _raise_malloc_thresholds() -> bool:
+    """Serve allocations below 32 MB from the heap and keep 64 MB of freed heap.
+
+    numpy's FFT allocates and frees a work buffer of ~512 KB on every call.
+    glibc's default serves that from a fresh mmap and returns it at once,
+    so each transform faults its pages in again until glibc's dynamic
+    thresholds happen to rise.  A chunk's own buffers, also allocated per
+    chunk, suffer the same.  Runs once per process, on its first chunk;
+    a no-op (returns False) where the C library has no mallopt.
+    """
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is None:
+        return False
+    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
+    return True
+
+
+def _draw_log_uniforms(generators, drawn: np.ndarray, log_uniforms: np.ndarray, need: np.ndarray) -> None:
+    """Extend row r's log-uniforms to need[r] entries from its own generator.
+
+    A row's draws continue where its last draw stopped, so its entries are
+    those of one random(need[r]) call however they are split.
+    """
+    grow = np.flatnonzero(need > drawn)
+    with np.errstate(divide="ignore"):
+        for r, lo, hi in zip(grow.tolist(), drawn[grow].tolist(), need[grow].tolist()):
+            fresh = log_uniforms[r, lo:hi]
+            np.log(generators[r].random(hi - lo, out=fresh), out=fresh)
+    drawn[grow] = need[grow]
+
+
+def _running_extremes(paths: np.ndarray, indices) -> tuple[np.ndarray, np.ndarray]:
+    """Max and first argmax of every row over [0, i] for each i in `indices`.
+
+    Windows are taken in increasing order, each from the previous window's
+    result and the new segment; a strict > keeps the earliest index on a
+    tie, as one argmax over the whole window would.
+    """
+    sup = np.empty((len(paths), len(indices)))
+    where = np.empty((len(paths), len(indices)), dtype=np.intp)
+    start = 0
+    for k in sorted(range(len(indices)), key=lambda k: indices[k]):
+        stop = indices[k] + 1
+        if stop > start:
+            segment = paths[:, start:stop]
+            seg_max = segment.max(axis=1)
+            seg_arg = segment.argmax(axis=1) + start
+            if start:
+                later = seg_max > best
+                seg_max = np.where(later, seg_max, best)
+                seg_arg = np.where(later, seg_arg, best_at)
+            best, best_at, start = seg_max, seg_arg, stop
+        sup[:, k] = best
+        where[:, k] = best_at
+    return sup, where
+
+
+class MemoryBudgetError(ValueError):
+    """A job whose buffers cannot fit in the machine's physical memory."""
+
+
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where the system does not report it."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
+def _reduced_drift(job: SimulationJob) -> tuple[float, float, float]:
+    """(a, c~, s): the job's model in y = (x - x0) / s has drift a y + c~ and unit diffusion."""
+    a, c, s = affine_coefficients(job.drift, job.diffusion)
+    return a, (a * job.x0 + c) / s, s
+
+
+def _memory_estimate(job: SimulationJob, processes: int) -> int:
+    """Bytes a run of `job` holds at its peak, computed before anything is allocated.
+
+    Every process holds the cached spectra (16N bytes per H, N = steps),
+    one transform buffer (32N) and one block: per pair, 32N of noise, 16N
+    of path rows, 2N of scan mask and, with the bridge rule, 16N of
+    log-uniforms.  The calling process also holds every result array
+    twice while it merges the chunks.  Raises ValueError for an unknown
+    model.
+    """
+    a, c_reduced, _ = _reduced_drift(job)
+    pairs = min(job.chunk_pairs, (job.samples + 1) // 2)
+    block = pairs if a != 0.0 or c_reduced != 0.0 else min(BLOCK_PAIRS, pairs)
+    n = job.steps + 1
+    per_pair = (32 + 16 + 2 + (16 if job.want_bridge else 0)) * n
+    per_process = 16 * n * len(job.hurst) + 32 * n + block * per_pair
+    columns = job.want_simple + job.want_bridge + len(job.marginal_indices) + 2 * len(job.extreme_indices)
+    return processes * per_process + 2 * 8 * job.samples * len(job.hurst) * columns
+
+
 def _chunk_compute(job: SimulationJob, chunk_index: int) -> list[SimulationResult]:
     """Per-path outputs of one chunk of consecutive path pairs, one result per H.
 
@@ -115,19 +222,23 @@ def _chunk_compute(job: SimulationJob, chunk_index: int) -> list[SimulationResul
     dX = (a X + c) dt + s dB: drift a y + (a x0 + c) / s, unit diffusion,
     level (threshold - x0) / s; marginals and suprema map back by x0 + s y.
     The chunk runs in blocks of pairs.  A block draws each pair's normals
-    and each path's bridge uniforms once.  Then, for each H in turn, it
-    scales the noise by that H's sqrt(spectrum / 2N), transforms each pair,
-    writes the real and imaginary parts into one reused path buffer, takes
-    the prefix sum in place, runs the Euler step if the reduced drift is
-    not zero, and runs the scans and reductions.
+    once and opens each path's uniform stream once.  Then, for each H in
+    turn, it scales the noise by that H's sqrt(spectrum / 2N), transforms
+    each pair, prefix-sums the real and imaginary parts straight into one
+    reused path buffer, runs the Euler step if the reduced drift is not
+    zero, and runs the scans and reductions.  A path's bridge scan stops at
+    its plain hit, and its uniforms are drawn, and their logs taken, only
+    as far as some H has needed them so far.
 
     Memory per block, with N = steps: 32N bytes of complex noise and 16N of
-    path rows per pair, plus 16N of uniforms per pair with the bridge rule.
-    With a zero reduced drift there is no Euler loop and a block holds
-    BLOCK_PAIRS pairs.  Otherwise the block is the whole chunk, 48N bytes
-    per pair (64N with the bridge rule), for any number of H values; the
-    Euler step overwrites the path rows in place.
+    path rows per pair, plus 16N of log-uniforms per pair with the bridge
+    rule, filled only as far as the scans read.  With a zero reduced drift
+    there is no Euler loop and a block holds BLOCK_PAIRS pairs.  Otherwise
+    the block is the whole chunk, 48N bytes per pair (64N with the bridge
+    rule), for any number of H values; the Euler step overwrites the path
+    rows in place.
     """
+    _raise_malloc_thresholds()
     steps = job.steps
     step = TimeGrid(job.horizon, steps).step
     m = 2 * steps
@@ -137,8 +248,7 @@ def _chunk_compute(job: SimulationJob, chunk_index: int) -> list[SimulationResul
     first_path = 2 * p0
     n_valid = min(2 * pc, job.samples - first_path)
     scales = [_noise_scale(h, job.horizon, steps) for h in job.hurst]
-    a, c, s = affine_coefficients(job.drift, job.diffusion)
-    c_reduced = (a * job.x0 + c) / s
+    a, c_reduced, s = _reduced_drift(job)
     thr = (job.threshold - job.x0) / s
     looped = a != 0.0 or c_reduced != 0.0
     block = pc if looped else min(BLOCK_PAIRS, pc)
@@ -147,7 +257,9 @@ def _chunk_compute(job: SimulationJob, chunk_index: int) -> list[SimulationResul
     noise = np.empty((block, m), dtype=complex)
     transformed = np.empty(m, dtype=complex)
     values = np.empty((2 * block, steps + 1))
-    uniforms = np.empty((2 * block, steps)) if job.want_bridge else None
+    values[:, 0] = 0.0
+    # a scan's head also reads entries past a row's draws: give them a value
+    log_uniforms = np.zeros((2 * block, steps)) if job.want_bridge else None
     columns = list(job.marginal_indices)
 
     for b0 in range(0, pc, block):
@@ -157,34 +269,37 @@ def _chunk_compute(job: SimulationJob, chunk_index: int) -> list[SimulationResul
         r0 = 2 * b0
         rows = slice(r0, min(r0 + 2 * nb, n_valid))
         n_rows = rows.stop - r0
-        if uniforms is not None:
-            for j in range(n_rows):
-                uniforms[j] = substream(job.master_seed, UNIFORM_STREAM, first_path + r0 + j).random(steps)
+        if log_uniforms is not None:
+            generators = [substream(job.master_seed, UNIFORM_STREAM, first_path + r0 + j) for j in range(n_rows)]
+            drawn = np.zeros(n_rows, dtype=np.intp)
         block_values = values[: 2 * nb]
         for h, scale, result in zip(job.hurst, scales, results):
             for i in range(nb):
                 y = _pair_fft(scale, noise[i], out=transformed)
-                block_values[2 * i, 1:] = y.real[:steps]
-                block_values[2 * i + 1, 1:] = y.imag[:steps]
-            block_values[:, 0] = 0.0
-            np.cumsum(block_values[:, 1:], axis=1, out=block_values[:, 1:])
+                np.add.accumulate(y.real[:steps], out=block_values[2 * i, 1:])
+                np.add.accumulate(y.imag[:steps], out=block_values[2 * i + 1, 1:])
             if looped:
                 affine_euler(block_values, a, c_reduced, step)
             paths = block_values[:n_rows]
 
+            if job.want_simple or job.want_bridge:
+                plain = _plain_hit_index(paths, thr)
             if result.tau_simple is not None:
-                result.tau_simple[rows] = _simple_hit_times_batch(paths, thr, step)
+                result.tau_simple[rows] = _grid_times(plain, steps, step)
             if result.tau_bridge is not None:
+                _draw_log_uniforms(generators, drawn, log_uniforms, _bridge_draws(plain))
                 step_var = step ** (2.0 * h)
-                result.tau_bridge[rows] = _bridge_hit_times_batch(paths, thr, step, step_var, uniforms[:n_rows])
+                result.tau_bridge[rows] = _bridge_hit_times_batch(
+                    paths, thr, step, step_var, log_uniforms[:n_rows], plain
+                )
             if result.marginals is not None:
                 result.marginals[rows] = job.x0 + s * paths[:, columns]
-            # x0 + s y is strictly increasing, so suprema and argmax
-            # locations carry over to the original coordinates
-            for k, ri in enumerate(job.extreme_indices):
-                segment = paths[:, : ri + 1]
-                result.sup_values[rows, k] = job.x0 + s * segment.max(axis=1)
-                result.argmax_times[rows, k] = segment.argmax(axis=1) * step
+            if job.extreme_indices:
+                # x0 + s y is strictly increasing, so suprema and argmax
+                # locations carry over to the original coordinates
+                sup, where = _running_extremes(paths, job.extreme_indices)
+                result.sup_values[rows] = job.x0 + s * sup
+                result.argmax_times[rows] = where * step
     return results
 
 
@@ -216,14 +331,19 @@ def run_simulation(job: SimulationJob, workers: int = 1) -> list[SimulationResul
     bad = [i for i in (*job.marginal_indices, *job.extreme_indices) if not 0 <= i <= job.steps]
     if bad:
         raise ValueError(f"grid indices outside [0, {job.steps}]: {bad}")
-    # validate the spectra and the model up front; forked workers inherit
-    # the cached spectra
-    for h in job.hurst:
-        _noise_scale(h, job.horizon, job.steps)
-    affine_coefficients(job.drift, job.diffusion)
     pairs_total = (job.samples + 1) // 2
     n_chunks = math.ceil(pairs_total / job.chunk_pairs)
     workers = min(workers, n_chunks, os.cpu_count() or 1)
+    # validate the model and bound the memory before allocating anything
+    need, have = _memory_estimate(job, workers), _physical_memory()
+    if have is not None and need > have:
+        raise MemoryBudgetError(
+            f"the run needs ~{need / 2**30:.3g} GiB but the machine has {have / 2**30:.3g} GiB; "
+            "use fewer steps, samples, workers or chunk pairs"
+        )
+    # validate the spectra up front; forked workers inherit the cached spectra
+    for h in job.hurst:
+        _noise_scale(h, job.horizon, job.steps)
     if workers == 1:
         chunks = [_chunk_compute(job, i) for i in range(n_chunks)]
     else:

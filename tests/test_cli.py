@@ -172,6 +172,28 @@ def test_exit_code_usage_errors(capsys, tmp_path):
         assert capsys.readouterr().err.startswith("error:")
 
 
+def test_exit_code_run_too_large_for_memory(capsys, monkeypatch, tmp_path):
+    def no_allocation(*args):
+        raise AssertionError("an oversized run must be refused before it allocates")
+
+    monkeypatch.setattr(runner, "_noise_scale", no_allocation)
+    monkeypatch.setattr(runner, "_chunk_compute", no_allocation)
+    out = ["--out", str(tmp_path / "o")]
+    huge_grid = ["--steps", str(2**40)]
+    for argv in (
+        ["simulate", *huge_grid],
+        ["bridge-compare", *huge_grid],
+        ["rate", *huge_grid],
+        ["density", *huge_grid],
+        ["conjecture", *huge_grid],
+        ["simulate", "--samples", str(10**12), "--steps", "16"],
+        ["simulate", "--drift", "ou:1", "--samples", str(10**7), "--chunk-pairs", str(10**7)],
+    ):
+        assert main([*argv, *out]) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "GiB" in err, argv
+
+
 def test_exit_code_no_hits(capsys, tmp_path):
     code = main(
         [

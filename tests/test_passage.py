@@ -8,6 +8,11 @@ Covers:
   - Bridge scan semantics: grid hits fire regardless of the uniforms, a
     remote threshold censors, recorded times are right-endpoint multiples
     of the mesh, bridge times never exceed grid times on the same path.
+  - The batch bridge scan stops at each row's plain hit and draws no
+    uniform past it, yet equals the full scalar scan on crafted rows: a
+    censored row, a start at the level, a hit at index 1, a bridge firing
+    one step before the plain hit, a grid value equal to the level, in the
+    common head of the scan and past it.
   - Distributional check at H = 1/2: the bridge hit time matches the exact
     ceiling-law value computed from the closed-form passage distribution.
 """
@@ -28,7 +33,14 @@ from fbmpassage import (
     laplace_from_times,
     passage_times,
 )
-from fbmpassage.passage import _bridge_hit_times_batch, _simple_hit_times_batch
+from fbmpassage.passage import (
+    SCAN_HEAD,
+    _bridge_draws,
+    _bridge_hit_index,
+    _bridge_hit_times_batch,
+    _plain_hit_index,
+    _simple_hit_times_batch,
+)
 
 
 def _path(values, horizon=None):
@@ -171,13 +183,95 @@ def test_batch_detectors_match_scalar_path_scan():
     simple = _simple_hit_times_batch(values, 1.0, grid.step)
     uniforms = rng.random((40, 64))
     step_var = grid.step
-    bridged = _bridge_hit_times_batch(values, 1.0, grid.step, step_var, uniforms)
+    bridged = _bridge_hit_times_batch(
+        values, 1.0, grid.step, step_var, np.log(uniforms), _plain_hit_index(values, 1.0)
+    )
     for i in range(40):
         path = FbmPath(values[i], grid, Hurst(0.5))
         out = first_passage(path, 1.0)
         want = out.hit_time if out.is_hit else np.inf
         assert simple[i] == want
         assert bridged[i] <= simple[i] + 1e-12
+
+
+def _crafted_rows():
+    """Rows far below the level 1 except where a case puts a feature, and
+    uniforms that fire the bridge only next to a 0.95 pair when they are 0.1.
+
+    Returns (values, uniforms, step_var); features sit both in the head
+    that the scan runs for all rows at once and past it.
+    """
+    head = SCAN_HEAD
+    steps = head + 64
+    values = np.full((12, steps + 1), -3.0)
+    values[:, 0] = 0.0
+    uniforms = np.full((12, steps), 0.5)
+    # row 0: censored; row 1: censored, bridge fires past the head
+    values[1, head + 30 : head + 32] = 0.95
+    uniforms[1, head + 30] = 0.1
+    # row 2: starts at the level; row 3: plain hit at index 1
+    values[2, 0] = 1.0
+    values[3, 1] = 1.5
+    # rows 4 and 5: the bridge fires at step k - 1, one before the plain hit k
+    for r, k in ((4, 10), (5, head + 40)):
+        values[r, k - 2 : k] = 0.95
+        values[r, k] = 1.2
+        uniforms[r, k - 2] = 0.1
+    # rows 6 and 7: a grid value exactly at the level
+    values[6, 7] = 1.0
+    values[7, head + 5] = 1.0
+    # row 8: plain hit one step past the head; row 9: a near miss before a
+    # plain hit past the head; row 10: a hit at the last step
+    values[8, head + 1] = 2.0
+    values[9, head + 20 : head + 22] = 0.95
+    uniforms[9, head + 20] = 0.9
+    values[9, head + 50] = 1.1
+    values[10, steps] = 1.0
+    # row 11: a bridge firing in the head, long before a plain hit past it
+    values[11, 3:5] = 0.95
+    uniforms[11, 3] = 0.1
+    values[11, head + 10] = 3.0
+    return values, uniforms, 0.01
+
+
+def test_bounded_bridge_scan_equals_full_scan():
+    values, uniforms, step_var = _crafted_rows()
+    step = 0.5
+    plain = _plain_hit_index(values, 1.0)
+    full = []
+    for row, u in zip(values, uniforms):
+        n = _bridge_hit_index(row, 1.0, step_var, u)
+        full.append(np.inf if n < 0 else n * step)
+    assert np.isinf(full[:2]).tolist() == [True, False]
+    assert full[2:5] == [0.0, step, 9 * step]
+    # uniforms past each row's draws are never decisive, whatever they hold
+    for filler in (0.0, -np.inf, 7.0):
+        log_u = np.full(uniforms.shape, filler)
+        for r, n in enumerate(_bridge_draws(plain)):
+            log_u[r, :n] = np.log(uniforms[r, :n])
+        got = _bridge_hit_times_batch(values, 1.0, step, step_var, log_u, plain)
+        assert got.tolist() == full
+
+
+def test_bridge_draws_stop_before_the_plain_hit():
+    values, _, _ = _crafted_rows()
+    steps = values.shape[1] - 1
+    plain = _plain_hit_index(values, 1.0)
+    assert plain[:4].tolist() == [steps + 1, steps + 1, 0, 1]
+    assert _bridge_draws(plain)[:4].tolist() == [steps, steps, 0, 0]
+    assert _bridge_draws(plain)[6] == 6
+
+    class Recording(_ConstRng):
+        def random(self, n):
+            sizes.append(n)
+            return super().random(n)
+
+    for row, n in zip(values, _bridge_draws(plain)):
+        if row[0] != 0.0:
+            continue  # an FbmPath starts at zero
+        sizes = []
+        first_passage_bridge(_path(row), 1.0, Recording(0.5))
+        assert sizes == [n]
 
 
 # ---------------------------------------------------------------------------

@@ -11,12 +11,22 @@ Covers:
   - Multi-H jobs: one job over several H values equals the single-H jobs
     bit for bit, and draws each pair's normals and each path's uniforms
     once per run.
+  - Lazy uniforms: a Philox substream's draws split anywhere give the same
+    values, and each path draws no uniform past its plain hit.
+  - Window extremes from running maxima equal a rescan of every prefix,
+    ties included.
+  - The allocator setting runs once per process, on its first chunk, and
+    never on import; the memory bound refuses a run before allocating.
   - Closed-form affine reduction: registry models agree with the tabulated
     Lamperti map plus a per-path Euler loop, and zero drift with constant
     diffusion is scaled fBm with no Euler loop at all.
 """
 
-from collections import Counter
+import os
+import subprocess
+import sys
+from collections import Counter, defaultdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,8 +50,9 @@ from fbmpassage import (
     substream,
     threshold_transform,
 )
+import fbmpassage
 from fbmpassage import runner
-from fbmpassage.passage import _bridge_hit_times_batch, _simple_hit_times_batch
+from fbmpassage.passage import _bridge_hit_times_batch, _plain_hit_index, _simple_hit_times_batch
 from fbmpassage.sde import affine_coefficients
 
 
@@ -253,6 +264,143 @@ def test_each_stream_is_requested_once_per_run(monkeypatch, hursts):
 
 
 # ---------------------------------------------------------------------------
+# lazy uniforms and window extremes
+# ---------------------------------------------------------------------------
+
+def test_substream_draws_split_anywhere_give_the_same_values():
+    whole = substream(42, UNIFORM_STREAM, 17).random(1000)
+    for cuts in ([100], [1, 998], [100, 0, 600], [999]):
+        g = substream(42, UNIFORM_STREAM, 17)
+        sizes = [*cuts, 1000 - sum(cuts)]
+        parts = [g.random(n) for n in sizes]
+        assert np.concatenate(parts).tobytes() == whole.tobytes()
+
+
+def test_each_path_draws_uniforms_only_up_to_its_plain_hit(monkeypatch):
+    drawn = defaultdict(int)
+    original = runner.substream
+
+    class Counting:
+        def __init__(self, generator, index):
+            self.generator, self.index = generator, index
+
+        def random(self, size, **kwargs):
+            drawn[self.index] += size
+            return self.generator.random(size, **kwargs)
+
+    def counting(master_seed, stream, index):
+        generator = original(master_seed, stream, index)
+        return Counting(generator, index) if stream == UNIFORM_STREAM else generator
+
+    monkeypatch.setattr(runner, "substream", counting)
+    hursts = (0.5, 0.6, 0.8)
+    job = _job(hurst=hursts, samples=61, chunk_pairs=7, want_bridge=True)
+    results = run_simulation(job)
+    monkeypatch.undo()
+    assert all(np.array_equal(a.tau_bridge, b.tau_bridge) for a, b in zip(results, run_simulation(job)))
+
+    step = job.horizon / job.steps
+    plain = np.rint(np.array([r.tau_simple for r in results]) / step)  # inf where censored
+    censored = np.isinf(plain).any(axis=0)
+    last_hit = np.where(censored, 0, plain.max(axis=0)).astype(int)
+    assert censored.any() and not censored.all()
+    for i in range(job.samples):
+        if censored[i]:
+            assert drawn[i] == job.steps
+        else:
+            assert drawn[i] == max(last_hit[i] - 1, 0) <= last_hit[i]
+    assert sum(drawn.values()) < job.samples * job.steps
+
+
+def test_running_window_extremes_equal_prefix_rescans():
+    rng = np.random.default_rng(3)
+    paths = np.round(np.cumsum(rng.normal(size=(6, 41)), axis=1))  # rounding makes ties
+    paths[0] = 0.0  # flat: every window ties from index 0
+    paths[1, 5:9] = paths[1].max() + 1.0  # a plateau across the boundary after index 6
+    paths[2, 3] = paths[2, 8] = paths[2].max() + 1.0  # the same maximum in two windows
+    paths[3, 12] = paths[3].max() + 1.0  # a new maximum in a later window
+    indices = (10, 6, 6, 0, 40, 7)
+    sup, where = runner._running_extremes(paths, indices)
+    for k, i in enumerate(indices):
+        prefix = paths[:, : i + 1]
+        assert np.array_equal(sup[:, k], prefix.max(axis=1))
+        assert np.array_equal(where[:, k], prefix.argmax(axis=1))
+    assert where[1].tolist() == [5, 5, 5, 0, 5, 5]
+    assert where[2].tolist() == [3, 3, 3, 0, 3, 3]
+
+
+# ---------------------------------------------------------------------------
+# allocator setting and memory bound
+# ---------------------------------------------------------------------------
+
+class _FakeLibc:
+    def __init__(self, calls):
+        self.mallopt = lambda param, value: calls.append((param, value)) or 1
+
+
+@pytest.fixture
+def fresh_allocator_setting():
+    runner._raise_malloc_thresholds.cache_clear()
+    yield
+    runner._raise_malloc_thresholds.cache_clear()
+
+
+def test_allocator_setting_applies_once_per_process(monkeypatch, fresh_allocator_setting):
+    calls = []
+    monkeypatch.setattr(runner.ctypes, "CDLL", lambda name: _FakeLibc(calls))
+    run_simulation(_job(samples=40, chunk_pairs=4))
+    run_simulation(_job(samples=40, chunk_pairs=4))
+    assert calls == [(-3, 32 << 20), (-1, 64 << 20)]
+
+
+def test_allocator_setting_is_a_no_op_without_mallopt(monkeypatch, fresh_allocator_setting):
+    monkeypatch.setattr(runner.ctypes, "CDLL", lambda name: object())
+    assert runner._raise_malloc_thresholds() is False
+    (got,) = run_simulation(_job(samples=40))
+    monkeypatch.undo()
+    (want,) = run_simulation(_job(samples=40))
+    assert np.array_equal(got.tau_simple, want.tau_simple)
+
+
+def test_cli_import_leaves_the_allocator_alone():
+    src = str(Path(fbmpassage.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import fbmpassage.cli as c; print(c.run_simulation.__module__, end=' '); "
+    code += "import fbmpassage.runner as r; print(r._raise_malloc_thresholds.cache_info().misses)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["fbmpassage.runner", "0"]
+
+
+def test_memory_bound_refuses_a_run_before_allocating(monkeypatch):
+    def no_spectrum(*args):
+        raise AssertionError("the memory bound must come before any spectrum")
+
+    monkeypatch.setattr(runner, "_noise_scale", no_spectrum)
+    monkeypatch.setattr(runner, "_chunk_compute", no_spectrum)
+    for job in (
+        _job(steps=2**40),
+        _job(samples=10**12, steps=16),
+        _job(samples=10**7, steps=2**16, drift="ou:1", chunk_pairs=10**7),
+    ):
+        with pytest.raises(runner.MemoryBudgetError, match="GiB"):
+            run_simulation(job)
+    monkeypatch.setattr(runner, "_physical_memory", lambda: 1 << 16)
+    with pytest.raises(runner.MemoryBudgetError):
+        run_simulation(_job())
+
+
+def test_memory_estimate_counts_blocks_spectra_and_results():
+    n = 2**10 + 1
+    pure = _job(steps=2**10, samples=300, want_bridge=True, hurst=(0.5, 0.6))
+    # two 16N spectra and a 32N transform buffer, 8-pair blocks of 66N per
+    # pair, and two results of two columns over 300 paths, held twice
+    assert runner._memory_estimate(pure, 1) == 16 * n * 2 + 32 * n + 8 * 66 * n + 2 * 8 * 300 * 2 * 2
+    drifted = _job(steps=2**10, samples=300, drift="ou:1")
+    assert runner._memory_estimate(drifted, 2) == 2 * (16 * n + 32 * n + 128 * 50 * n) + 2 * 8 * 300
+    assert runner._memory_estimate(_job(), 1) < runner._physical_memory()
+
+
+# ---------------------------------------------------------------------------
 # closed-form affine reduction
 # ---------------------------------------------------------------------------
 
@@ -278,7 +426,9 @@ def test_affine_reduction_matches_tabulated_lamperti_euler(drift, diffusion):
 
     thr = threshold_transform(lamperti, level)
     uniforms = np.array([substream(42, UNIFORM_STREAM, i).random(grid.steps) for i in range(40)])
-    bridge = _bridge_hit_times_batch(reduced, thr, grid.step, grid.step ** (2.0 * hv), uniforms)
+    bridge = _bridge_hit_times_batch(
+        reduced, thr, grid.step, grid.step ** (2.0 * hv), np.log(uniforms), _plain_hit_index(reduced, thr)
+    )
     assert np.array_equal(got.tau_simple, _simple_hit_times_batch(reduced, thr, grid.step))
     assert np.array_equal(got.tau_bridge, bridge)
     assert np.isfinite(got.tau_simple).any() and not np.isfinite(got.tau_simple).all()
