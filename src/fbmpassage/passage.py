@@ -172,20 +172,19 @@ def _bridge_hit_times_batch(
     anything.
     """
     steps = values.shape[1] - 1
-    bound = _bridge_draws(plain_index)
-    times = _grid_times(plain_index, steps, step)
     head = min(SCAN_HEAD, steps)
     nxt = values[:, 1 : head + 1]
     fire = nxt >= threshold
     fire |= -2.0 * (threshold - values[:, :head]) * (threshold - nxt) / step_var > log_uniforms[:, :head]
     first = fire.argmax(axis=1)
     fired = fire.any(axis=1) & (plain_index > 0)
-    times[fired] = (first[fired] + 1) * step
+    times = np.where(fired, (first + 1) * step, _grid_times(plain_index, steps, step))
     # the rows left have not reached the threshold within the head; before
-    # their plain hit only the bridge can fire
-    for r in np.flatnonzero(~fired & (bound > head)):
-        row = values[r, head : bound[r] + 1]
-        fire = -2.0 * (threshold - row[:-1]) * (threshold - row[1:]) / step_var > log_uniforms[r, head : bound[r]]
+    # their plain hit, at most at steps + 1, only the bridge can fire
+    for r in np.flatnonzero(~fired & (plain_index > head + 1)):
+        stop = plain_index[r]
+        row = values[r, head:stop]
+        fire = -2.0 * (threshold - row[:-1]) * (threshold - row[1:]) / step_var > log_uniforms[r, head : stop - 1]
         j = fire.argmax()
         if fire[j]:
             times[r] = (head + j + 1) * step

@@ -120,12 +120,12 @@ _TRIM_THRESHOLD_BYTES = 64 << 20
 def _raise_malloc_thresholds() -> bool:
     """Serve allocations below 32 MB from the heap and keep 64 MB of freed heap.
 
-    numpy's FFT allocates and frees a work buffer of ~512 KB on every call.
-    glibc's default serves that from a fresh mmap and returns it at once,
-    so each transform faults its pages in again until glibc's dynamic
-    thresholds happen to rise.  A chunk's own buffers, also allocated per
-    chunk, suffer the same.  Runs once per process, on its first chunk;
-    a no-op (returns False) where the C library has no mallopt.
+    numpy's FFT allocates and frees a work buffer of ~512 KB (at N = 2^14)
+    on every call.  Under glibc's default thresholds its pages go back to
+    the system on every free, so each transform faults them in again,
+    until some large enough free happens to raise the thresholds.  Runs
+    once per process, on its first chunk, not at import; a no-op (returns
+    False) where the C library has no mallopt.
     """
     mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
     if mallopt is None:
@@ -146,8 +146,7 @@ def _draw_log_uniforms(generators, drawn: np.ndarray, log_uniforms: np.ndarray, 
     grow = np.flatnonzero(need > drawn)
     with np.errstate(divide="ignore"):
         for r, lo, hi in zip(grow.tolist(), drawn[grow].tolist(), need[grow].tolist()):
-            fresh = log_uniforms[r, lo:hi]
-            np.log(generators[r].random(hi - lo, out=fresh), out=fresh)
+            np.log(generators[r].random(hi - lo), out=log_uniforms[r, lo:hi])
     drawn[grow] = need[grow]
 
 
@@ -155,18 +154,19 @@ def _running_extremes(paths: np.ndarray, indices) -> tuple[np.ndarray, np.ndarra
     """Max and first argmax of every row over [0, i] for each i in `indices`.
 
     Windows are taken in increasing order, each from the previous window's
-    result and the new segment; a strict > keeps the earliest index on a
-    tie, as one argmax over the whole window would.
+    result and the new segment, whose maximum is read at its argmax; a
+    strict > keeps the earliest index on a tie, as one argmax over the
+    whole window would.
     """
+    rows = np.arange(len(paths))
     sup = np.empty((len(paths), len(indices)))
     where = np.empty((len(paths), len(indices)), dtype=np.intp)
     start = 0
     for k in sorted(range(len(indices)), key=lambda k: indices[k]):
         stop = indices[k] + 1
         if stop > start:
-            segment = paths[:, start:stop]
-            seg_max = segment.max(axis=1)
-            seg_arg = segment.argmax(axis=1) + start
+            seg_arg = paths[:, start:stop].argmax(axis=1) + start
+            seg_max = paths[rows, seg_arg]
             if start:
                 later = seg_max > best
                 seg_max = np.where(later, seg_max, best)

@@ -203,9 +203,9 @@ def _crafted_rows():
     """
     head = SCAN_HEAD
     steps = head + 64
-    values = np.full((12, steps + 1), -3.0)
+    values = np.full((13, steps + 1), -3.0)
     values[:, 0] = 0.0
-    uniforms = np.full((12, steps), 0.5)
+    uniforms = np.full((13, steps), 0.5)
     # row 0: censored; row 1: censored, bridge fires past the head
     values[1, head + 30 : head + 32] = 0.95
     uniforms[1, head + 30] = 0.1
@@ -231,6 +231,10 @@ def _crafted_rows():
     values[11, 3:5] = 0.95
     uniforms[11, 3] = 0.1
     values[11, head + 10] = 3.0
+    # row 12: the bridge fires on the one step between the head and the plain hit
+    values[12, head : head + 2] = 0.95
+    uniforms[12, head] = 0.1
+    values[12, head + 2] = 1.5
     return values, uniforms, 0.01
 
 
@@ -244,6 +248,7 @@ def test_bounded_bridge_scan_equals_full_scan():
         full.append(np.inf if n < 0 else n * step)
     assert np.isinf(full[:2]).tolist() == [True, False]
     assert full[2:5] == [0.0, step, 9 * step]
+    assert full[12] == (SCAN_HEAD + 1) * step
     # uniforms past each row's draws are never decisive, whatever they hold
     for filler in (0.0, -np.inf, 7.0):
         log_u = np.full(uniforms.shape, filler)

@@ -26,7 +26,6 @@ import platform
 import statistics
 import subprocess
 import sys
-import tarfile
 import tempfile
 from pathlib import Path
 
@@ -41,11 +40,7 @@ def git(*args: str) -> str:
 
 def export(rev: str, into: Path) -> None:
     archive = subprocess.run(["git", "archive", "--format=tar", rev], cwd=ROOT, capture_output=True, check=True).stdout
-    with tempfile.TemporaryFile() as fh:
-        fh.write(archive)
-        fh.seek(0)
-        with tarfile.open(fileobj=fh) as tar:
-            tar.extractall(into, filter="data")
+    subprocess.run(["tar", "-x", "-C", str(into)], input=archive, check=True)
 
 
 def perfbench(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
