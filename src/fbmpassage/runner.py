@@ -123,9 +123,10 @@ def _raise_malloc_thresholds() -> bool:
     numpy's FFT allocates and frees a work buffer of ~512 KB (at N = 2^14)
     on every call.  Under glibc's default thresholds its pages go back to
     the system on every free, so each transform faults them in again,
-    until some large enough free happens to raise the thresholds.  Runs
-    once per process, on its first chunk, not at import; a no-op (returns
-    False) where the C library has no mallopt.
+    until some large enough free happens to raise the thresholds; the
+    spectra that a run computes before its first chunk do the same.  Runs
+    once per process, when it first starts a run or a chunk, not at
+    import; a no-op (returns False) where the C library has no mallopt.
     """
     mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
     if mallopt is None:
@@ -341,6 +342,7 @@ def run_simulation(job: SimulationJob, workers: int = 1) -> list[SimulationResul
             f"the run needs ~{need / 2**30:.3g} GiB but the machine has {have / 2**30:.3g} GiB; "
             "use fewer steps, samples, workers or chunk pairs"
         )
+    _raise_malloc_thresholds()
     # validate the spectra up front; forked workers inherit the cached spectra
     for h in job.hurst:
         _noise_scale(h, job.horizon, job.steps)
