@@ -144,14 +144,13 @@ def _bridge_draws(plain_index: np.ndarray) -> np.ndarray:
 
 
 def _simple_hit_times_batch(values: np.ndarray, threshold: float, step: float) -> np.ndarray:
-    """Hit times for a (paths, steps+1) matrix; +inf marks censored rows."""
+    """Hit times for a (paths, steps+1) matrix; +inf marks censored rows.
+
+    The plain rule in one call.  The runner composes the same two helpers
+    itself, since its bridge scan also needs the index; perfbench's tracer
+    still hooks this name.
+    """
     return _grid_times(_plain_hit_index(values, threshold), values.shape[1] - 1, step)
-
-
-# Grid steps that a bridge scan runs for every row at once.  A row that has
-# not fired by then continues on its own, up to its plain hit, so short
-# grids are one array scan and long grids read little past each plain hit.
-SCAN_HEAD = 1024
 
 
 def _bridge_hit_times_batch(
@@ -164,30 +163,23 @@ def _bridge_hit_times_batch(
 ) -> np.ndarray:
     """Bridge-rule hit times for a (paths, steps+1) matrix; +inf marks censored rows.
 
-    Rowwise the same arithmetic as _bridge_hit_index, but a row is scanned
-    only up to its plain hit, `plain_index` from _plain_hit_index: no
-    bridge time can exceed the plain time.  log_uniforms[r, j] is log U for
-    step j+1 of row r; only the first _bridge_draws(plain_index) entries of
-    a row are read before its outcome is settled, and the rest may hold
-    anything.
+    Rowwise the same arithmetic as _bridge_hit_index, but each row is
+    scanned on its own and only up to its plain hit, `plain_index` from
+    _plain_hit_index: no bridge time can exceed the plain time.
+    log_uniforms[r, j] is log U for step j+1 of row r; only the first
+    _bridge_draws(plain_index) entries of a row are read, and the rest may
+    hold anything.
     """
     steps = values.shape[1] - 1
-    head = min(SCAN_HEAD, steps)
-    nxt = values[:, 1 : head + 1]
-    fire = nxt >= threshold
-    fire |= -2.0 * (threshold - values[:, :head]) * (threshold - nxt) / step_var > log_uniforms[:, :head]
-    first = fire.argmax(axis=1)
-    fired = fire.any(axis=1) & (plain_index > 0)
-    times = np.where(fired, (first + 1) * step, _grid_times(plain_index, steps, step))
-    # the rows left have not reached the threshold within the head; before
-    # their plain hit, at most at steps + 1, only the bridge can fire
-    for r in np.flatnonzero(~fired & (plain_index > head + 1)):
-        stop = plain_index[r]
-        row = values[r, head:stop]
-        fire = -2.0 * (threshold - row[:-1]) * (threshold - row[1:]) / step_var > log_uniforms[r, head : stop - 1]
+    times = _grid_times(plain_index, steps, step)
+    rows = np.flatnonzero(plain_index > 1)
+    # before its plain hit, at most at steps + 1, only the bridge can fire
+    for r, stop in zip(rows.tolist(), plain_index[rows].tolist()):
+        gap = threshold - values[r, :stop]
+        fire = -2.0 * gap[:-1] * gap[1:] / step_var > log_uniforms[r, : stop - 1]
         j = fire.argmax()
         if fire[j]:
-            times[r] = (head + j + 1) * step
+            times[r] = (j + 1) * step
     return times
 
 
@@ -202,7 +194,10 @@ def first_passage_bridge(
     step is drawn from `rng`, in step order, for the steps before the plain
     hit only: later uniforms cannot change the outcome, so they are never
     drawn, and a path's own generator would give them the same values if
-    they were.
+    they were.  The number drawn thus depends on where the path crosses:
+    a generator shared by several paths leaves each later path a different
+    part of its stream than a full grid per path would, so their bridge
+    times differ from those of versions that drew the full grid.
 
     Hit times satisfy bridge <= simple on the same path by construction:
     every simple hit is also a bridge firing opportunity.

@@ -259,8 +259,7 @@ def _chunk_compute(job: SimulationJob, chunk_index: int) -> list[SimulationResul
     transformed = np.empty(m, dtype=complex)
     values = np.empty((2 * block, steps + 1))
     values[:, 0] = 0.0
-    # a scan's head also reads entries past a row's draws: give them a value
-    log_uniforms = np.zeros((2 * block, steps)) if job.want_bridge else None
+    log_uniforms = np.empty((2 * block, steps)) if job.want_bridge else None
     columns = list(job.marginal_indices)
 
     for b0 in range(0, pc, block):

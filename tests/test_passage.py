@@ -11,8 +11,8 @@ Covers:
   - The batch bridge scan stops at each row's plain hit and draws no
     uniform past it, yet equals the full scalar scan on crafted rows: a
     censored row, a start at the level, a hit at index 1, a bridge firing
-    one step before the plain hit, a grid value equal to the level, in the
-    common head of the scan and past it.
+    one step before the plain hit, a grid value equal to the level, early
+    and late in the grid.
   - Distributional check at H = 1/2: the bridge hit time matches the exact
     ceiling-law value computed from the closed-form passage distribution.
 """
@@ -34,7 +34,6 @@ from fbmpassage import (
     passage_times,
 )
 from fbmpassage.passage import (
-    SCAN_HEAD,
     _bridge_draws,
     _bridge_hit_index,
     _bridge_hit_times_batch,
@@ -198,43 +197,45 @@ def _crafted_rows():
     """Rows far below the level 1 except where a case puts a feature, and
     uniforms that fire the bridge only next to a 0.95 pair when they are 0.1.
 
-    Returns (values, uniforms, step_var); features sit both in the head
-    that the scan runs for all rows at once and past it.
+    Returns (values, uniforms, step_var); features sit both early and late
+    in the grid.
     """
-    head = SCAN_HEAD
-    steps = head + 64
+    late = 32
+    steps = late + 64
     values = np.full((13, steps + 1), -3.0)
     values[:, 0] = 0.0
     uniforms = np.full((13, steps), 0.5)
-    # row 0: censored; row 1: censored, bridge fires past the head
-    values[1, head + 30 : head + 32] = 0.95
-    uniforms[1, head + 30] = 0.1
+    # row 0: censored; row 1: censored, the bridge fires late
+    values[1, late + 30 : late + 32] = 0.95
+    uniforms[1, late + 30] = 0.1
     # row 2: starts at the level; row 3: plain hit at index 1
     values[2, 0] = 1.0
     values[3, 1] = 1.5
     # rows 4 and 5: the bridge fires at step k - 1, one before the plain hit k
-    for r, k in ((4, 10), (5, head + 40)):
+    for r, k in ((4, 10), (5, late + 40)):
         values[r, k - 2 : k] = 0.95
         values[r, k] = 1.2
         uniforms[r, k - 2] = 0.1
     # rows 6 and 7: a grid value exactly at the level
     values[6, 7] = 1.0
-    values[7, head + 5] = 1.0
-    # row 8: plain hit one step past the head; row 9: a near miss before a
-    # plain hit past the head; row 10: a hit at the last step
-    values[8, head + 1] = 2.0
-    values[9, head + 20 : head + 22] = 0.95
-    uniforms[9, head + 20] = 0.9
-    values[9, head + 50] = 1.1
+    values[7, late + 5] = 1.0
+    # row 8: the bridge fires on the one step before a plain hit at 2;
+    # row 9: a near miss before a late plain hit; row 10: a hit at the last step
+    values[8, 1] = 0.999
+    uniforms[8, 0] = 0.1
+    values[8, 2] = 2.0
+    values[9, late + 20 : late + 22] = 0.95
+    uniforms[9, late + 20] = 0.9
+    values[9, late + 50] = 1.1
     values[10, steps] = 1.0
-    # row 11: a bridge firing in the head, long before a plain hit past it
+    # row 11: an early bridge firing, long before a late plain hit
     values[11, 3:5] = 0.95
     uniforms[11, 3] = 0.1
-    values[11, head + 10] = 3.0
-    # row 12: the bridge fires on the one step between the head and the plain hit
-    values[12, head : head + 2] = 0.95
-    uniforms[12, head] = 0.1
-    values[12, head + 2] = 1.5
+    values[11, late + 10] = 3.0
+    # row 12: the bridge fires on step 2, one before the plain hit at 3
+    values[12, 1:3] = 0.95
+    uniforms[12, 1] = 0.1
+    values[12, 3] = 1.5
     return values, uniforms, 0.01
 
 
@@ -248,7 +249,8 @@ def test_bounded_bridge_scan_equals_full_scan():
         full.append(np.inf if n < 0 else n * step)
     assert np.isinf(full[:2]).tolist() == [True, False]
     assert full[2:5] == [0.0, step, 9 * step]
-    assert full[12] == (SCAN_HEAD + 1) * step
+    assert full[8] == step
+    assert full[12] == 2 * step
     # uniforms past each row's draws are never decisive, whatever they hold
     for filler in (0.0, -np.inf, 7.0):
         log_u = np.full(uniforms.shape, filler)

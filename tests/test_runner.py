@@ -43,6 +43,7 @@ from fbmpassage import (
     diffusion_from_name,
     drift_from_name,
     euler_solve,
+    first_passage,
     marginal_values,
     passage_times,
     path_extremes,
@@ -52,7 +53,7 @@ from fbmpassage import (
 )
 import fbmpassage
 from fbmpassage import runner
-from fbmpassage.passage import _bridge_hit_times_batch, _plain_hit_index, _simple_hit_times_batch
+from fbmpassage.passage import _bridge_hit_times_batch, _plain_hit_index
 from fbmpassage.sde import affine_coefficients
 
 
@@ -428,7 +429,8 @@ def test_affine_reduction_matches_tabulated_lamperti_euler(drift, diffusion):
     bridge = _bridge_hit_times_batch(
         reduced, thr, grid.step, grid.step ** (2.0 * hv), np.log(uniforms), _plain_hit_index(reduced, thr)
     )
-    assert np.array_equal(got.tau_simple, _simple_hit_times_batch(reduced, thr, grid.step))
+    plain = [first_passage(FbmPath(row, grid, Hurst(hv)), thr) for row in reduced]
+    assert np.array_equal(got.tau_simple, [out.hit_time if out.is_hit else np.inf for out in plain])
     assert np.array_equal(got.tau_bridge, bridge)
     assert np.isfinite(got.tau_simple).any() and not np.isfinite(got.tau_simple).all()
 

@@ -1,20 +1,20 @@
 """Benchmark report of this checkout against a base revision.
 
-    python3 tools/bench_pr.py --base REV --out BENCH.json [--pairs 10] [--seed 21] [--trace-seed 3]
+    python3 tools/bench_pr.py --base REV --out BENCH.json [--seed 21]
 
 Run from the root of a git checkout.  REV is exported with `git archive`
 into a temporary directory, and `perfbench/run.py` runs from both trees on
 every workload that BENCHMARK.json declares:
 
-- one traced run per tree (`--trace 1 --seed TRACE_SEED`), whose
+- one traced run per tree (`--trace 1 --seed 3`), whose
   per-layer metrics are copied into the report;
-- PAIRS timed pairs (`--trace 0 --seconds <run_seconds>`), base and
+- ten timed pairs (`--trace 0 --seconds <run_seconds>`), base and
   change alternating which runs first, pair i on seed SEED + i.
 
 For every end-to-end metric the report gives each side's median and
 quartiles over the pairs, the change's median relative to the base's, and
 the number of pairs in which the change was better.  Runs are sequential,
-so a full report takes about PAIRS x workloads x 2 x (run_seconds + 5) s.
+so a full report takes about 10 x workloads x 2 x (run_seconds + 5) s.
 """
 
 from __future__ import annotations
@@ -32,6 +32,10 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
+# Ten alternating pairs are the fewest that can show a change better in
+# nine of ten; the traced runs use one fixed seed so reports compare.
+PAIRS = 10
+TRACE_SEED = 3
 
 
 def git(*args: str) -> str:
@@ -83,9 +87,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, help="git revision to compare against")
     parser.add_argument("--out", required=True, type=Path, help="report file to write")
-    parser.add_argument("--pairs", type=int, default=10, help="timed pairs per workload")
     parser.add_argument("--seed", type=int, default=21, help="seed of the first timed pair")
-    parser.add_argument("--trace-seed", type=int, default=3, help="seed of the traced runs")
     args = parser.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = [w["name"] for w in spec["workloads"]]
@@ -111,11 +113,11 @@ def main(argv=None) -> int:
         for workload in workloads:
             for side, tree in trees.items():
                 print(f"traced {workload} {side}", file=sys.stderr)
-                result = perfbench(tree, workload, args.trace_seed, seconds, trace=1)
+                result = perfbench(tree, workload, TRACE_SEED, seconds, trace=1)
                 report["traced"][side][workload] = result.get("metrics", result)
         for workload in workloads:
             pairs, failed = [], []
-            for i in range(args.pairs):
+            for i in range(PAIRS):
                 order = ("base", "change") if i % 2 == 0 else ("change", "base")
                 got = {}
                 for side in order:
@@ -126,7 +128,7 @@ def main(argv=None) -> int:
                 else:
                     failed.append({"pair": i, **{side: got[side].get("error", got[side].get("failed")) for side in trees}})
             report["timed"][workload] = {
-                "seeds": [args.seed, args.seed + args.pairs - 1],
+                "seeds": [args.seed, args.seed + PAIRS - 1],
                 "seconds": seconds,
                 "failed_pairs": failed,
                 "metrics": compare(pairs, spec["end_to_end"]),
