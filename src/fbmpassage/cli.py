@@ -34,7 +34,14 @@ from .fgn import (
     fgn_autocovariance,
     sample_fgn,
 )
-from .runner import DEFAULT_CHUNK_PAIRS, MemoryBudgetError, SimulationJob, passage_times, run_simulation
+from .runner import (
+    DEFAULT_CHUNK_PAIRS,
+    MemoryBudgetError,
+    SimulationJob,
+    _check_fits_in_memory,
+    passage_times,
+    run_simulation,
+)
 from .sde import EllipticityError, PropagationError, affine_coefficients, drift_from_name, euler_solve
 from .theory import decay_scale, density_envelope, laplace_bm
 
@@ -45,6 +52,10 @@ logger = logging.getLogger(__name__)
 FULL_SCALE_STEPS = 2**16
 FULL_SCALE_SAMPLES = 100_000
 ESTIMATOR_CHOICES = ("simple", "bridge", "both")
+# Peak bytes per bin of a density histogram, measured: its edge, width and
+# density arrays (~40 B), then one row tuple of three numpy floats (~120 B)
+# while its CSV is written.
+HISTOGRAM_BYTES_PER_BIN = 160
 
 
 class ConfigError(Exception):
@@ -146,9 +157,17 @@ def validate_config(cfg: RunConfig) -> None:
         fail(f"samples must be at least 100, got {cfg.samples}")
     if not cfg.hurst_list:
         fail("hurst_list must not be empty")
+    step = cfg.horizon / cfg.steps
     for h in cfg.hurst_list:
         if not 0.5 <= h < 1.0:
             fail(f"every Hurst value must lie in [0.5, 1), got {h}")
+        # the increment variance step^(2H) scales every spectrum and bridge
+        try:
+            variance = step ** (2.0 * h)
+        except OverflowError:
+            variance = math.inf
+        if not (math.isfinite(variance) and variance > 0):
+            fail(f"(horizon/steps)^(2H) must be positive and finite, got {variance} for step {step:g} and H={h}")
     if not cfg.lambda_list:
         fail("lambda_list must not be empty")
     for lam in cfg.lambda_list:
@@ -406,6 +425,7 @@ def cmd_density(cfg: RunConfig, workers: int, chunk_pairs: int, out_dir: Path) -
     `simple`; the plain rule's systematic late-crossing bias is visible at
     histogram resolution.
     """
+    _check_fits_in_memory(HISTOGRAM_BYTES_PER_BIN * cfg.hist_bins, "use fewer histogram bins")
     name = "simple" if cfg.estimator == "simple" else "bridge"
     outputs = []
     for hv, result in zip(cfg.hurst_list, run_simulation(_job(cfg, chunk_pairs, (name,)), workers)):

@@ -190,6 +190,15 @@ def _physical_memory() -> int | None:
         return None
 
 
+def _check_fits_in_memory(need: int, advice: str) -> None:
+    """Raise MemoryBudgetError, ending with `advice`, if `need` bytes exceed physical memory."""
+    have = _physical_memory()
+    if have is not None and need > have:
+        raise MemoryBudgetError(
+            f"the run needs ~{need / 2**30:.3g} GiB but the machine has {have / 2**30:.3g} GiB; {advice}"
+        )
+
+
 def _reduced_drift(job: SimulationJob) -> tuple[float, float, float]:
     """(a, c~, s): the job's model in y = (x - x0) / s has drift a y + c~ and unit diffusion."""
     a, c, s = affine_coefficients(job.drift, job.diffusion)
@@ -200,17 +209,19 @@ def _memory_estimate(job: SimulationJob, processes: int) -> int:
     """Bytes a run of `job` holds at its peak, computed before anything is allocated.
 
     Every process holds the cached spectra (16N bytes per H, N = steps),
-    one transform buffer (32N) and one block: per pair, 32N of noise, 16N
-    of path rows, 2N of scan mask and, with the bridge rule, 16N of
-    log-uniforms.  The calling process also holds every result array
-    twice while it merges the chunks.  Raises ValueError for an unknown
-    model.
+    one transform buffer (32N) and one block: per pair, 16N of path rows,
+    2N of scan mask, with the bridge rule 16N of log-uniforms and, with
+    several H values, 32N of stashed noise.  A single-H block draws its
+    noise into the transform buffer.  The calling process also holds
+    every result array twice while it merges the chunks.  Raises
+    ValueError for an unknown model.
     """
     a, c_reduced, _ = _reduced_drift(job)
     pairs = min(job.chunk_pairs, (job.samples + 1) // 2)
     block = pairs if a != 0.0 or c_reduced != 0.0 else min(BLOCK_PAIRS, pairs)
     n = job.steps + 1
-    per_pair = (32 + 16 + 2 + (16 if job.want_bridge else 0)) * n
+    stash = 32 if len(job.hurst) > 1 else 0
+    per_pair = (stash + 16 + 2 + (16 if job.want_bridge else 0)) * n
     per_process = 16 * n * len(job.hurst) + 32 * n + block * per_pair
     columns = job.want_simple + job.want_bridge + len(job.marginal_indices) + 2 * len(job.extreme_indices)
     return processes * per_process + 2 * 8 * job.samples * len(job.hurst) * columns
@@ -222,22 +233,24 @@ def _chunk_compute(job: SimulationJob, chunk_index: int) -> list[SimulationResul
     Paths run in the reduced coordinates y = (x - x0) / s of the model
     dX = (a X + c) dt + s dB: drift a y + (a x0 + c) / s, unit diffusion,
     level (threshold - x0) / s; marginals and suprema map back by x0 + s y.
-    The chunk runs in blocks of pairs.  A block draws each pair's normals
-    once and opens each path's uniform stream once.  Then, for each H in
-    turn, it scales the noise by that H's sqrt(spectrum / 2N), transforms
-    each pair, prefix-sums the real and imaginary parts straight into one
-    reused path buffer, runs the Euler step if the reduced drift is not
-    zero, and runs the scans and reductions.  A path's bridge scan stops at
-    its plain hit, and its uniforms are drawn, and their logs taken, only
-    as far as some H has needed them so far.
+    The chunk runs in blocks of pairs, and a block opens each path's
+    uniform stream once.  For each H in turn it scales each pair's noise by
+    that H's sqrt(spectrum / 2N) and transforms it in one reused buffer,
+    prefix-sums the real and imaginary parts straight into one reused path
+    buffer, runs the Euler step if the reduced drift is not zero, and runs
+    the scans and reductions.  A pair's normals are drawn when the first H
+    reaches it: into the transform buffer when the job has one H, and into
+    a stash row that the later H values read again when it has several.  A
+    path's bridge scan stops at its plain hit, and its uniforms are drawn,
+    and their logs taken, only as far as some H has needed them so far.
 
-    Memory per block, with N = steps: 32N bytes of complex noise and 16N of
-    path rows per pair, plus 16N of log-uniforms per pair with the bridge
-    rule, filled only as far as the scans read.  With a zero reduced drift
-    there is no Euler loop and a block holds BLOCK_PAIRS pairs.  Otherwise
-    the block is the whole chunk, 48N bytes per pair (64N with the bridge
-    rule), for any number of H values; the Euler step overwrites the path
-    rows in place.
+    Memory per block, with N = steps: 16N bytes of path rows per pair, plus
+    16N of log-uniforms per pair with the bridge rule, filled only as far
+    as the scans read, plus 32N of stashed complex noise per pair with
+    several H values.  With a zero reduced drift there is no Euler loop and
+    a block holds BLOCK_PAIRS pairs.  Otherwise the block is the whole
+    chunk, 16N bytes per pair with one H and 48N with several (16N more
+    with the bridge rule); the Euler step overwrites the path rows in place.
     """
     _raise_malloc_thresholds()
     steps = job.steps
@@ -255,8 +268,8 @@ def _chunk_compute(job: SimulationJob, chunk_index: int) -> list[SimulationResul
     block = pc if looped else min(BLOCK_PAIRS, pc)
 
     results = [_empty_result(job, n_valid) for _ in job.hurst]
-    noise = np.empty((block, m), dtype=complex)
     transformed = np.empty(m, dtype=complex)
+    stash = np.empty((block, m), dtype=complex) if len(job.hurst) > 1 else None
     values = np.empty((2 * block, steps + 1))
     values[:, 0] = 0.0
     log_uniforms = np.empty((2 * block, steps)) if job.want_bridge else None
@@ -264,8 +277,6 @@ def _chunk_compute(job: SimulationJob, chunk_index: int) -> list[SimulationResul
 
     for b0 in range(0, pc, block):
         nb = min(block, pc - b0)
-        for i in range(nb):
-            _complex_noise(substream(job.master_seed, GAUSSIAN_STREAM, p0 + b0 + i), m, out=noise[i])
         r0 = 2 * b0
         rows = slice(r0, min(r0 + 2 * nb, n_valid))
         n_rows = rows.stop - r0
@@ -273,9 +284,14 @@ def _chunk_compute(job: SimulationJob, chunk_index: int) -> list[SimulationResul
             generators = [substream(job.master_seed, UNIFORM_STREAM, first_path + r0 + j) for j in range(n_rows)]
             drawn = np.zeros(n_rows, dtype=np.intp)
         block_values = values[: 2 * nb]
-        for h, scale, result in zip(job.hurst, scales, results):
+        for k, (h, scale, result) in enumerate(zip(job.hurst, scales, results)):
             for i in range(nb):
-                y = _pair_fft(scale, noise[i], out=transformed)
+                if k:
+                    noise = stash[i]
+                else:
+                    rng = substream(job.master_seed, GAUSSIAN_STREAM, p0 + b0 + i)
+                    noise = _complex_noise(rng, m, out=transformed if stash is None else stash[i])
+                y = _pair_fft(scale, noise, out=transformed)
                 np.add.accumulate(y.real[:steps], out=block_values[2 * i, 1:])
                 np.add.accumulate(y.imag[:steps], out=block_values[2 * i + 1, 1:])
             if looped:
@@ -335,12 +351,7 @@ def run_simulation(job: SimulationJob, workers: int = 1) -> list[SimulationResul
     n_chunks = math.ceil(pairs_total / job.chunk_pairs)
     workers = min(workers, n_chunks, os.cpu_count() or 1)
     # validate the model and bound the memory before allocating anything
-    need, have = _memory_estimate(job, workers), _physical_memory()
-    if have is not None and need > have:
-        raise MemoryBudgetError(
-            f"the run needs ~{need / 2**30:.3g} GiB but the machine has {have / 2**30:.3g} GiB; "
-            "use fewer steps, samples, workers or chunk pairs"
-        )
+    _check_fits_in_memory(_memory_estimate(job, workers), "use fewer steps, samples, workers or chunk pairs")
     _raise_malloc_thresholds()
     # validate the spectra up front; forked workers inherit the cached spectra
     for h in job.hurst:

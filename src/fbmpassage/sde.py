@@ -299,17 +299,24 @@ def affine_euler(values: np.ndarray, a: float, c: float, step: float) -> np.ndar
     `values` holds the prefix sums of the noise, starting at zero, and is
     overwritten with the solution, so no second path buffer is needed.  The
     drift is accumulated apart from the noise, as in euler_solve:
-    acc += step * (a y + c), then y = noise + acc.  Raises on a non-finite
-    state with the first offending step index; returns `values`.
+    acc += step * (a y + c), then y = noise + acc.  The column views are
+    built once, and the ufuncs take positional outputs, so a grid step
+    costs four ufunc calls, or five when c != 0.  Skipping `+ c` for
+    c == 0 changes no bit: acc starts at +0.0 and a sum is -0.0 only when
+    both terms are, so acc is never -0.0, and adding a drift of -0.0 or
+    +0.0 to it gives the same value.  Raises on a non-finite state with
+    the first offending step index; returns `values`.
     """
     acc = np.zeros(values.shape[0])
     drift = np.empty_like(acc)
-    for n in range(1, values.shape[1]):
-        np.multiply(values[:, n - 1], a, out=drift)
-        drift += c
-        drift *= step
-        acc += drift
-        values[:, n] += acc
+    columns = list(values.T)
+    for previous, current in zip(columns, columns[1:]):
+        np.multiply(previous, a, drift)
+        if c != 0.0:
+            np.add(drift, c, drift)
+        np.multiply(drift, step, drift)
+        np.add(acc, drift, acc)
+        np.add(current, acc, current)
     if not np.isfinite(values).all():
         bad_step = int((~np.isfinite(values)).any(axis=0).argmax())
         raise PropagationError(f"drift propagation failed: non-finite state at step {bad_step}")

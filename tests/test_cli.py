@@ -144,6 +144,8 @@ def test_paper_scale_flag():
         {"hist_bins": 1},
         {"seed": -1},
         {"horizon": 0.0},
+        {"horizon": 1e300, "steps": 2},  # step^(2H) overflows for H > 0.51
+        {"horizon": 1e-300, "steps": 2**20},  # step^(2H) underflows to zero
     ],
 )
 def test_validate_config_rejects(override):
@@ -170,6 +172,9 @@ def test_exit_code_usage_errors(capsys, tmp_path):
     for flag, value in (("--workers", "0"), ("--workers", "-3"), ("--chunk-pairs", "0")):
         assert main(["simulate", flag, value, "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.startswith("error:")
+    argv = ["simulate", "--samples", "100", "--steps", "2", "--horizon", "1e300"]
+    assert main([*argv, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_exit_code_run_too_large_for_memory(capsys, monkeypatch, tmp_path):
@@ -192,6 +197,16 @@ def test_exit_code_run_too_large_for_memory(capsys, monkeypatch, tmp_path):
         assert main([*argv, *out]) == 2, argv
         err = capsys.readouterr().err
         assert err.startswith("error:") and "GiB" in err, argv
+
+
+def test_exit_code_histogram_too_large_for_memory(capsys, monkeypatch, tmp_path):
+    def no_simulation(*args):
+        raise AssertionError("an oversized histogram must be refused before any simulation")
+
+    monkeypatch.setattr(fbmpassage.cli, "run_simulation", no_simulation)
+    assert main(["density", "--hist-bins", str(10**11), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "GiB" in err and "histogram bins" in err
 
 
 def test_exit_code_no_hits(capsys, tmp_path):

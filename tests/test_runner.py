@@ -384,7 +384,7 @@ def test_memory_bound_refuses_a_run_before_allocating(monkeypatch):
     ):
         with pytest.raises(runner.MemoryBudgetError, match="GiB"):
             run_simulation(job)
-    monkeypatch.setattr(runner, "_physical_memory", lambda: 1 << 16)
+    monkeypatch.setattr(runner, "_physical_memory", lambda: runner._memory_estimate(_job(), 1) - 1)
     with pytest.raises(runner.MemoryBudgetError):
         run_simulation(_job())
 
@@ -393,10 +393,16 @@ def test_memory_estimate_counts_blocks_spectra_and_results():
     n = 2**10 + 1
     pure = _job(steps=2**10, samples=300, want_bridge=True, hurst=(0.5, 0.6))
     # two 16N spectra and a 32N transform buffer, 8-pair blocks of 66N per
-    # pair, and two results of two columns over 300 paths, held twice
+    # pair (32N of it stashed noise), and two results of two columns over
+    # 300 paths, held twice
     assert runner._memory_estimate(pure, 1) == 16 * n * 2 + 32 * n + 8 * 66 * n + 2 * 8 * 300 * 2 * 2
+    # one H: the noise is drawn into the transform buffer, no stash
+    single = _job(steps=2**10, samples=300, want_bridge=True)
+    assert runner._memory_estimate(single, 1) == 16 * n + 32 * n + 8 * 34 * n + 2 * 8 * 300 * 2
     drifted = _job(steps=2**10, samples=300, drift="ou:1")
-    assert runner._memory_estimate(drifted, 2) == 2 * (16 * n + 32 * n + 128 * 50 * n) + 2 * 8 * 300
+    assert runner._memory_estimate(drifted, 2) == 2 * (16 * n + 32 * n + 128 * 18 * n) + 2 * 8 * 300
+    drifted_multi = _job(steps=2**10, samples=300, drift="ou:1", hurst=(0.5, 0.6))
+    assert runner._memory_estimate(drifted_multi, 2) == 2 * (16 * n * 2 + 32 * n + 128 * 50 * n) + 2 * 8 * 300 * 2
     assert runner._memory_estimate(_job(), 1) < runner._physical_memory()
 
 

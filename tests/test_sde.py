@@ -7,6 +7,8 @@ Covers:
   - Ellipticity enforcement on the tabulation range.
   - Euler recursion: exact zero-drift shortcut, constant-drift ramp,
     geometric decay for b(y) = -y, non-finite state detection.
+  - Block Euler for affine drift: bit for bit the plain five-ufunc loop,
+    signed zeros included, and the same failing step on a non-finite state.
 """
 
 import math
@@ -31,6 +33,7 @@ from fbmpassage import (
     sample_fgn,
     threshold_transform,
 )
+from fbmpassage.sde import affine_euler
 
 
 def _zero_noise_path(horizon, steps):
@@ -153,6 +156,68 @@ def test_divergent_drift_raises():
     path = _zero_noise_path(1.0, 60)
     with np.errstate(over="ignore"), pytest.raises(PropagationError):
         euler_solve(lambda y: y * 1e200, 1.0, path)
+
+
+def _five_ufunc_euler(values, a, c, step):
+    """The block Euler loop written plainly: five ufunc calls per grid step, `+ c` always."""
+    acc = np.zeros(values.shape[0])
+    drift = np.empty_like(acc)
+    for n in range(1, values.shape[1]):
+        np.multiply(values[:, n - 1], a, out=drift)
+        drift += c
+        drift *= step
+        acc += drift
+        values[:, n] += acc
+    if not np.isfinite(values).all():
+        bad_step = int((~np.isfinite(values)).any(axis=0).argmax())
+        raise PropagationError(f"drift propagation failed: non-finite state at step {bad_step}")
+    return values
+
+
+def _signed_zero_block():
+    rng = np.random.default_rng(5)
+    noise = np.cumsum(rng.normal(size=(6, 65)), axis=1)
+    noise[:, 0] = 0.0
+    noise[1] = -0.0  # a whole row of -0.0
+    noise[2] = 0.0
+    noise[3, ::2] = -0.0  # signed zeros between nonzero entries
+    noise[4, 1::3] = 0.0
+    noise[5, :] = np.where(np.arange(65) % 2, -0.0, 1.0)
+    return noise
+
+
+@pytest.mark.parametrize("c", [0.0, -0.0, 0.4, -1.5])
+@pytest.mark.parametrize("a", [0.0, -1.0, 0.7])
+def test_affine_euler_equals_five_ufunc_loop_bit_for_bit(a, c):
+    noise = _signed_zero_block()
+    want = _five_ufunc_euler(noise.copy(), a, c, 0.125)
+    got = noise.copy()
+    assert affine_euler(got, a, c, 0.125) is got
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("c", [0.0, 0.4])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_affine_euler_names_the_same_failing_step(bad, c):
+    noise = _signed_zero_block()
+    noise[4, 37] = bad
+    with np.errstate(invalid="ignore"):  # inf - inf downstream of the bad entry
+        with pytest.raises(PropagationError) as want:
+            _five_ufunc_euler(noise.copy(), -1.0, c, 0.125)
+        with pytest.raises(PropagationError) as got:
+            affine_euler(noise.copy(), -1.0, c, 0.125)
+    assert str(got.value) == str(want.value)
+    assert "step 37" in str(got.value)
+
+
+def test_affine_euler_names_the_step_a_divergent_drift_overflows():
+    noise = _signed_zero_block()
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(PropagationError) as want:
+            _five_ufunc_euler(noise.copy(), 1e200, 0.0, 1.0)
+        with pytest.raises(PropagationError) as got:
+            affine_euler(noise.copy(), 1e200, 0.0, 1.0)
+    assert str(got.value) == str(want.value)
 
 
 def test_inverse_path_applies_map():
