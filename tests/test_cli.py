@@ -144,7 +144,7 @@ def test_paper_scale_flag():
         {"hist_bins": 1},
         {"seed": -1},
         {"horizon": 0.0},
-        {"horizon": 1e300, "steps": 2},  # step^(2H) overflows for H > 0.51
+        {"horizon": 1e300, "steps": 2},  # step^(2H) overflows from H = 0.52 on
         {"horizon": 1e-300, "steps": 2**20},  # step^(2H) underflows to zero
     ],
 )
