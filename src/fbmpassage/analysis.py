@@ -1,4 +1,4 @@
-"""Least-squares fits and table assembly for decay-rate studies.
+"""Least-squares fits for decay-rate studies.
 
 The central question these fits answer: how fast does the gap between the
 fractional and Brownian passage functionals close as the Hurst index
@@ -18,8 +18,6 @@ __all__ = [
     "RegressionFit",
     "linear_fit",
     "rate_exponent",
-    "assemble_gap_table",
-    "pivot_wide",
 ]
 
 logger = logging.getLogger(__name__)
@@ -109,75 +107,3 @@ def rate_exponent(h_values, gaps, gap_ses=None) -> RegressionFit:
     if keep.sum() < 2:
         raise ValueError("fewer than two usable gaps for the log-log rate fit")
     return linear_fit(np.log(h[keep] - 0.5), np.log(g[keep]))
-
-
-def assemble_gap_table(estimates, reference_row) -> list[dict]:
-    """Flatten a (H x lambda) grid of estimates into gap-table rows.
-
-    Args:
-        estimates: sequence of rows, one per Hurst value, each a sequence of
-            LaplaceEstimate (or None for a missing cell) ordered by lambda.
-        reference_row: per-lambda references (floats or LaplaceEstimate),
-            typically the H = 1/2 row.
-
-    Returns:
-        Rows as dicts with keys (hurst, lam, value, std_error, gap, gap_se),
-        sorted by Hurst then lambda.
-
-    Raises:
-        ValueError: listing every missing cell, or on lambda mismatches.
-    """
-    from .estimate import gap_estimate  # local import: estimate depends on analysis
-
-    missing = []
-    rows = []
-    n_cols = len(reference_row)
-    for i, est_row in enumerate(estimates):
-        if len(est_row) != n_cols:
-            raise ValueError(
-                f"row {i} has {len(est_row)} cells but the reference has {n_cols}"
-            )
-        for j, est in enumerate(est_row):
-            if est is None:
-                missing.append((i, j))
-                continue
-            gap, gap_se = gap_estimate(est, reference_row[j])
-            rows.append(
-                {
-                    "hurst": est.hurst,
-                    "lam": est.lam,
-                    "value": est.value,
-                    "std_error": est.std_error,
-                    "gap": gap,
-                    "gap_se": gap_se,
-                }
-            )
-    if missing:
-        raise ValueError(f"gap table has missing cells at (row, column): {missing}")
-    rows.sort(key=lambda r: (r["hurst"], r["lam"]))
-    return rows
-
-
-def pivot_wide(rows: list[dict]) -> tuple[list[str], list[list[float]]]:
-    """Pivot gap-table rows into one row per H: [H, value, gap, value, gap, ...].
-
-    Column count is 2 * (number of lambdas) + 1, mirroring a side-by-side
-    transform/gap table layout.
-    """
-    lams = sorted({r["lam"] for r in rows})
-    header = ["H"]
-    for lam in lams:
-        header += [f"value_lam{lam:g}", f"gap_lam{lam:g}"]
-    by_h: dict[float, dict[float, dict]] = {}
-    for r in rows:
-        by_h.setdefault(r["hurst"], {})[r["lam"]] = r
-    table = []
-    for h in sorted(by_h):
-        cells = by_h[h]
-        if sorted(cells) != lams:
-            raise ValueError(f"incomplete lambda set for H={h}: {sorted(cells)}")
-        line = [h]
-        for lam in lams:
-            line += [cells[lam]["value"], cells[lam]["gap"]]
-        table.append(line)
-    return header, table

@@ -24,25 +24,9 @@ import scipy
 
 from .analysis import linear_fit, rate_exponent
 from .estimate import NoHitsError, density_from_times, gap_estimate, laplace_from_times, truncated_argmax_moments
-from .fgn import (
-    EmbeddingError,
-    Hurst,
-    TimeGrid,
-    cholesky_fbm,
-    circulant_spectrum,
-    fbm_path,
-    fgn_autocovariance,
-    sample_fgn,
-)
-from .runner import (
-    DEFAULT_CHUNK_PAIRS,
-    MemoryBudgetError,
-    SimulationJob,
-    _check_fits_in_memory,
-    passage_times,
-    run_simulation,
-)
-from .sde import EllipticityError, PropagationError, affine_coefficients, drift_from_name, euler_solve
+from .fgn import EmbeddingError, Hurst, TimeGrid, cholesky_fbm, circulant_spectrum, fgn_autocovariance, sample_fgn
+from .runner import DEFAULT_CHUNK_PAIRS, MemoryBudgetError, SimulationJob, _check_fits_in_memory, run_simulation
+from .sde import PropagationError, affine_coefficients, affine_euler
 from .theory import decay_scale, density_envelope, laplace_bm
 
 __all__ = ["RunConfig", "ConfigError", "main", "run_selftest", "load_config_file", "resolve_config"]
@@ -52,10 +36,10 @@ logger = logging.getLogger(__name__)
 FULL_SCALE_STEPS = 2**16
 FULL_SCALE_SAMPLES = 100_000
 ESTIMATOR_CHOICES = ("simple", "bridge", "both")
-# Peak bytes per bin of a density histogram, measured: its edge, width and
-# density arrays (~40 B), then one row tuple of three numpy floats (~120 B)
-# while its CSV is written.
-HISTOGRAM_BYTES_PER_BIN = 160
+# Peak bytes per bin of a density histogram: its edge, width and density
+# arrays, measured with tracemalloc at 10^6 bins (40.2 B).  Its CSV rows
+# are streamed from them, one at a time.
+HISTOGRAM_BYTES_PER_BIN = 41
 
 
 class ConfigError(Exception):
@@ -158,6 +142,7 @@ def validate_config(cfg: RunConfig) -> None:
     if not cfg.hurst_list:
         fail("hurst_list must not be empty")
     step = cfg.horizon / cfg.steps
+    variances = []
     for h in cfg.hurst_list:
         if not 0.5 <= h < 1.0:
             fail(f"every Hurst value must lie in [0.5, 1), got {h}")
@@ -168,6 +153,7 @@ def validate_config(cfg: RunConfig) -> None:
             variance = math.inf
         if not (math.isfinite(variance) and variance > 0):
             fail(f"(horizon/steps)^(2H) must be positive and finite, got {variance} for step {step:g} and H={h}")
+        variances.append(variance)
     if not cfg.lambda_list:
         fail("lambda_list must not be empty")
     for lam in cfg.lambda_list:
@@ -178,9 +164,18 @@ def validate_config(cfg: RunConfig) -> None:
     if cfg.estimator not in ESTIMATOR_CHOICES:
         fail(f"estimator must be one of {ESTIMATOR_CHOICES}, got {cfg.estimator!r}")
     try:
-        affine_coefficients(cfg.drift, cfg.diffusion)
+        _, _, s = affine_coefficients(cfg.drift, cfg.diffusion)
     except ValueError as exc:
         fail(str(exc))
+    # The bridge test divides 2 (level - y)^2 by step^(2H), with the reduced
+    # level (threshold - x0) / s and paths within 64 standard deviations,
+    # horizon^H, of zero.  Hit times reach 2 horizon and meet lambda in
+    # exp(-lambda t).  Both must stay finite.
+    scale = (cfg.threshold - cfg.x0) / s + 64.0 * max(cfg.horizon**h for h in cfg.hurst_list)
+    if not math.isfinite(2.0 * scale * scale / min(variances)):
+        fail(f"path scale (threshold - x0)/s + 64 horizon^H = {scale:g} overflows the bridge test 2 scale^2 / step^(2H)")
+    if not math.isfinite(2.0 * cfg.horizon * max(1.0, *cfg.lambda_list)):
+        fail(f"time scale 2 horizon max(1, lambda) overflows for horizon {cfg.horizon:g}")
     if cfg.hist_bins < 2:
         fail(f"hist_bins must be at least 2, got {cfg.hist_bins}")
     if cfg.fig_points < 2:
@@ -430,7 +425,7 @@ def cmd_density(cfg: RunConfig, workers: int, chunk_pairs: int, out_dir: Path) -
     outputs = []
     for hv, result in zip(cfg.hurst_list, run_simulation(_job(cfg, chunk_pairs, (name,)), workers)):
         hist = density_from_times(result.hit_times()[name], cfg.horizon, cfg.hist_bins)
-        rows = list(zip(hist.bin_edges[:-1], hist.bin_edges[1:], hist.mass))
+        rows = zip(hist.bin_edges[:-1], hist.bin_edges[1:], hist.mass)
         filename = f"density_H{hv:g}.csv"
         write_csv(out_dir / filename, ["bin_left", "bin_right", "density"], rows)
         outputs.append(filename)
@@ -512,9 +507,7 @@ def run_selftest(cfg: RunConfig, autocov_fn=None) -> list[tuple[str, bool, str]]
         rng = np.random.default_rng(1008)
         data = np.empty((4000, grid.steps))
         for i in range(2000):
-            a, b = sample_fgn(spectrum, h, grid, rng)
-            data[2 * i] = a.increments
-            data[2 * i + 1] = b.increments
+            data[2 * i : 2 * i + 2] = sample_fgn(spectrum, rng)
         worst = 0.0
         for lag in range(6):
             ref = reference_autocov(h, lag, grid.step)
@@ -534,10 +527,10 @@ def run_selftest(cfg: RunConfig, autocov_fn=None) -> list[tuple[str, bool, str]]
         rng_b = np.random.default_rng(3141)
         term_a = np.empty(1500)
         for i in range(750):
-            a, b = sample_fgn(spectrum, h, grid, rng_a)
-            term_a[2 * i] = a.increments.sum()
-            term_a[2 * i + 1] = b.increments.sum()
-        term_b = np.array([cholesky_fbm(h, grid, rng_b).values[-1] for _ in range(1500)])
+            a, b = sample_fgn(spectrum, rng_a)
+            term_a[2 * i] = a.sum()
+            term_a[2 * i + 1] = b.sum()
+        term_b = np.array([cholesky_fbm(h, grid, rng_b)[-1] for _ in range(1500)])
         pvalue = float(ks_2samp(term_a, term_b).pvalue)
         return pvalue > 0.001, f"terminal-value KS p = {pvalue:.4f} (limit 0.001)"
 
@@ -548,42 +541,37 @@ def run_selftest(cfg: RunConfig, autocov_fn=None) -> list[tuple[str, bool, str]]
         rng = np.random.default_rng(55)
         data = np.empty((400, grid.steps))
         for i in range(200):
-            a, b = sample_fgn(spectrum, h, grid, rng)
-            data[2 * i] = a.increments
-            data[2 * i + 1] = b.increments
+            data[2 * i : 2 * i + 2] = sample_fgn(spectrum, rng)
         block_means = (data[:, :-1] * data[:, 1:]).mean(axis=1)
         se = block_means.std(ddof=1) / math.sqrt(len(block_means))
         z = abs(block_means.mean()) / se
         return z < 5.0, f"lag-1 product |z| = {z:.2f} (limit 5)"
 
-    def prefix_sums():
-        h = Hurst(0.6)
+    def sampled_path():
         grid = TimeGrid(5.0, 512)
-        rng = np.random.default_rng(11)
-        block, _ = sample_fgn(circulant_spectrum(h, grid), h, grid, rng)
-        path = fbm_path(block)
-        dev = float(np.max(np.abs(np.diff(path.values) - block.increments)))
-        ok = path.values[0] == 0.0 and dev < 1e-12
+        increments = sample_fgn(circulant_spectrum(Hurst(0.6), grid), np.random.default_rng(11))[0]
+        return grid, increments, np.concatenate(([0.0], np.cumsum(increments)))
+
+    def prefix_sums():
+        _, increments, path = sampled_path()
+        dev = float(np.max(np.abs(np.diff(path) - increments)))
+        ok = path[0] == 0.0 and dev < 1e-12
         return ok, f"max |diff(path) - increments| = {dev:.3g} (limit 1e-12)"
 
     def bridge_dominance():
-        times = passage_times(
-            Hurst(0.6), TimeGrid(10.0, 1024), 400, 777, estimators=("simple", "bridge")
-        )
-        finite = np.isfinite(times["simple"])
-        ok = bool(np.all(times["bridge"] <= times["simple"] + 1e-12))
-        early = int((times["bridge"][finite] < times["simple"][finite]).sum())
+        job = SimulationJob(hurst=(0.6,), horizon=10.0, steps=1024, samples=400, master_seed=777, want_bridge=True)
+        (result,) = run_simulation(job)
+        simple, bridge = result.tau_simple, result.tau_bridge
+        finite = np.isfinite(simple)
+        ok = bool(np.all(bridge <= simple + 1e-12))
+        early = int((bridge[finite] < simple[finite]).sum())
         return ok, f"bridge time <= plain time on all 400 paths ({early} strictly earlier)"
 
     def euler_zero_drift():
-        h = Hurst(0.6)
-        grid = TimeGrid(5.0, 512)
-        rng = np.random.default_rng(11)
-        block, _ = sample_fgn(circulant_spectrum(h, grid), h, grid, rng)
-        path = fbm_path(block)
-        solved = euler_solve(drift_from_name("zero"), 1.25, path)
-        ok = bool(np.array_equal(solved.values, 1.25 + path.values))
-        return ok, "zero-drift Euler output equals x0 + path bit for bit"
+        grid, _, path = sampled_path()
+        solved = affine_euler(path[None, :].copy(), 0.0, 0.0, grid.step)
+        ok = solved.tobytes() == path.tobytes()
+        return ok, "zero-drift Euler output equals the prefix sums bit for bit"
 
     def laplace_generator():
         lam, h = 1.7, 1e-4
@@ -754,7 +742,7 @@ def main(argv=None) -> int:
     except (ConfigError, MemoryBudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (EmbeddingError, EllipticityError, PropagationError) as exc:
+    except (EmbeddingError, PropagationError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except NoHitsError as exc:

@@ -1,9 +1,9 @@
-"""Monte Carlo functionals of first-passage outcomes.
+"""Monte Carlo functionals of per-path arrays.
 
-Estimators here reduce per-path quantities (hit times, suprema, argmax
-times) to tables: Laplace transforms with standard errors, gaps against a
-reference, hit-time histograms, truncated argmax moments and survival-tail
-fits.  Censored paths contribute zero to Laplace functionals, which biases
+Estimators here reduce the runner's per-path arrays (hit times, suprema,
+argmax times) to tables: Laplace transforms with standard errors, gaps
+against a reference, hit-time histograms, truncated argmax moments and
+survival-tail fits.  Censored paths contribute zero to Laplace functionals, which biases
 every estimate downward by at most exp(-lambda * horizon); internally a
 censored path carries +inf as its hit time so exp(-lambda * inf) = 0 falls
 out of the same vectorized expression.
@@ -17,26 +17,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import runner
 from .analysis import RegressionFit, linear_fit
-from .fgn import Hurst, TimeGrid
-from .passage import PassageOutcome
 
 __all__ = [
     "NoHitsError",
     "LaplaceEstimate",
     "DensityHistogram",
-    "SupremumStats",
-    "laplace_estimator",
     "laplace_from_times",
     "gap_estimate",
-    "density_histogram",
     "density_from_times",
-    "supremum_stats",
-    "conjecture_moment",
-    "conjecture_moments",
     "truncated_argmax_moments",
-    "tail_exponent",
     "tail_exponent_from_times",
 ]
 
@@ -75,13 +65,6 @@ class LaplaceEstimate:
             raise ValueError(f"censored count {self.censored} outside [0, {self.samples}]")
 
 
-def _times_from_outcomes(outcomes) -> np.ndarray:
-    times = np.empty(len(outcomes))
-    for i, o in enumerate(outcomes):
-        times[i] = o.hit_time if o.is_hit else np.inf
-    return times
-
-
 def laplace_from_times(
     times: np.ndarray,
     lam: float,
@@ -105,22 +88,6 @@ def laplace_from_times(
         se = 0.0
     censored = int(np.isinf(times).sum())
     return LaplaceEstimate(value, se, float(lam), hurst, m, censored, estimator)
-
-
-def laplace_estimator(
-    outcomes,
-    lam: float,
-    hurst: float | None = None,
-    estimator: str = "simple",
-) -> LaplaceEstimate:
-    """Monte Carlo Laplace transform (1/M) sum of exp(-lam * tau).
-
-    Args:
-        outcomes: sequence of PassageOutcome; censored entries contribute 0.
-        lam: transform argument, > 0.
-        hurst, estimator: metadata recorded on the estimate.
-    """
-    return laplace_from_times(_times_from_outcomes(outcomes), lam, hurst, estimator)
 
 
 def gap_estimate(estimate: LaplaceEstimate, reference) -> tuple[float, float]:
@@ -183,74 +150,9 @@ def density_from_times(
     return DensityHistogram(edges, mass, m, hits, m - hits)
 
 
-def density_histogram(outcomes, bins: int = 200, upper: float | None = None) -> DensityHistogram:
-    """Hit-time histogram over [0, min(horizon, 10)] by default.
-
-    The default window drops the far tail where the Laplace weights at the
-    default lambda range are negligible; pass `upper` to widen it.
-    """
-    if len(outcomes) < 1:
-        raise ValueError("cannot histogram an empty sample")
-    horizon = outcomes[0].horizon
-    return density_from_times(_times_from_outcomes(outcomes), horizon, bins, upper)
-
-
 # ---------------------------------------------------------------------------
-# running supremum and argmax
+# truncated argmax moments
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SupremumStats:
-    """Supremum of a path over [0, r] and the first time attaining it."""
-
-    r: float
-    sup_value: float
-    argmax_time: float
-
-
-def supremum_stats(path, r: float) -> SupremumStats:
-    """Grid supremum and first-argmax over [0, r]; ties resolve to the earliest index."""
-    if r <= 0.0:
-        raise ValueError(f"window must be positive, got {r}")
-    n = path.grid.time_index(r)
-    segment = path.values[: n + 1]
-    i = int(segment.argmax())
-    return SupremumStats(float(r), float(segment[i]), i * path.grid.step)
-
-
-def conjecture_moments(
-    h: Hurst,
-    eta: float,
-    p: float,
-    r_values,
-    grid: TimeGrid,
-    samples: int,
-    seed: int,
-    workers: int = 1,
-) -> list[tuple[float, float, float]]:
-    """Truncated argmax moments E[1{sup <= 1 + eta} * argmax^{H*p}] for several windows.
-
-    All windows share one set of simulated paths (each r reads a prefix of
-    the same path), so estimates across r are coupled: differences between
-    them are smoother than independent-run noise.
-
-    Returns:
-        List of (r, moment, std_error), in the order of r_values.
-    """
-    if not 2.0 < p < 3.0:
-        raise ValueError(f"moment order p must lie in (2, 3), got {p}")
-    if eta <= 0.0:
-        raise ValueError(f"eta must be positive, got {eta}")
-    r_values = [float(r) for r in r_values]
-    indices = tuple(grid.time_index(r) for r in r_values)
-    for r in r_values:
-        if r <= 0.0:
-            raise ValueError(f"window must be positive, got {r}")
-    sups, arg_times = runner.path_extremes(
-        h, grid, samples, seed, indices, workers=workers
-    )
-    return truncated_argmax_moments(sups, arg_times, r_values, h.value * p, eta)
-
 
 def truncated_argmax_moments(
     sups: np.ndarray, arg_times: np.ndarray, r_values, exponent: float, eta: float
@@ -271,21 +173,6 @@ def truncated_argmax_moments(
         var = max(0.0, (s2 - s1 * s1 / m) / (m - 1)) if m > 1 else 0.0
         out.append((r, value, math.sqrt(var / m)))
     return out
-
-
-def conjecture_moment(
-    h: Hurst,
-    eta: float,
-    p: float,
-    r: float,
-    grid: TimeGrid,
-    samples: int,
-    seed: int,
-    workers: int = 1,
-) -> tuple[float, float]:
-    """Single-window truncated argmax moment; see conjecture_moments."""
-    (_, value, se), = conjecture_moments(h, eta, p, [r], grid, samples, seed, workers)
-    return value, se
 
 
 # ---------------------------------------------------------------------------
@@ -318,8 +205,3 @@ def tail_exponent_from_times(times: np.ndarray, t_values) -> RegressionFit:
     if usable.sum() < 2:
         raise NoHitsError("fewer than two usable survival estimates for the tail fit")
     return linear_fit(np.log(t_values[usable]), np.log(survival[usable]))
-
-
-def tail_exponent(outcomes, t_values) -> RegressionFit:
-    """Survival-tail exponent from passage outcomes; see tail_exponent_from_times."""
-    return tail_exponent_from_times(_times_from_outcomes(outcomes), t_values)

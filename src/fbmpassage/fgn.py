@@ -23,13 +23,10 @@ __all__ = [
     "EmbeddingError",
     "Hurst",
     "TimeGrid",
-    "FgnBlock",
-    "FbmPath",
     "fbm_covariance",
     "fgn_autocovariance",
     "circulant_spectrum",
     "sample_fgn",
-    "fbm_path",
     "cholesky_fbm",
 ]
 
@@ -91,38 +88,6 @@ class TimeGrid:
             raise ValueError(f"time {t} outside [0, {self.horizon}]")
         n = int(np.floor(t / self.step + 1e-9))
         return min(n, self.steps)
-
-
-@dataclass(frozen=True, eq=False)
-class FgnBlock:
-    """One path's worth of stationary fractional Gaussian increments."""
-
-    increments: np.ndarray
-    grid: TimeGrid
-    hurst: Hurst
-
-    def __post_init__(self):
-        if self.increments.ndim != 1 or len(self.increments) != self.grid.steps:
-            raise ValueError(
-                f"expected {self.grid.steps} increments, got shape {self.increments.shape}"
-            )
-
-
-@dataclass(frozen=True, eq=False)
-class FbmPath:
-    """Fractional Brownian motion sampled on a grid, started at zero."""
-
-    values: np.ndarray
-    grid: TimeGrid
-    hurst: Hurst
-
-    def __post_init__(self):
-        if self.values.ndim != 1 or len(self.values) != self.grid.steps + 1:
-            raise ValueError(
-                f"expected {self.grid.steps + 1} values, got shape {self.values.shape}"
-            )
-        if self.values[0] != 0.0:
-            raise ValueError(f"fBm paths start at zero, got {self.values[0]}")
 
 
 # ---------------------------------------------------------------------------
@@ -208,20 +173,6 @@ def circulant_spectrum(h: Hurst, grid: TimeGrid) -> np.ndarray:
 # samplers
 # ---------------------------------------------------------------------------
 
-def _sample_pair_raw(
-    spectrum: np.ndarray, steps: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Two independent increment blocks from one complex FFT.
-
-    With w = u + iv standard complex white noise, the real and imaginary
-    parts of FFT(sqrt(spectrum / 2N) * w) each carry the circulant
-    covariance, and they are mutually independent.
-    """
-    m = len(spectrum)
-    y = _pair_fft(np.sqrt(spectrum / m), _complex_noise(rng, m))
-    return np.ascontiguousarray(y.real[:steps]), np.ascontiguousarray(y.imag[:steps])
-
-
 def _complex_noise(rng: np.random.Generator, m: int, out: np.ndarray | None = None) -> np.ndarray:
     """Standard complex white noise u + iv of length m from 2m normals.
 
@@ -245,35 +196,19 @@ def _pair_fft(scale: np.ndarray, noise: np.ndarray, out: np.ndarray | None = Non
     return fft(np.multiply(scale, noise, out=out), out=out)
 
 
-def sample_fgn(
-    spectrum: np.ndarray, h: Hurst, grid: TimeGrid, rng: np.random.Generator
-) -> tuple[FgnBlock, FgnBlock]:
-    """Draw two independent fractional Gaussian noise blocks.
+def sample_fgn(spectrum: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Two independent increment rows of N = len(spectrum) / 2 steps from one complex FFT.
 
-    Args:
-        spectrum: output of circulant_spectrum for the same (h, grid).
-        h: Hurst index, recorded on the blocks.
-        grid: time grid, recorded on the blocks.
-        rng: source generator; exactly 4N normals are consumed.
-
-    Returns:
-        Pair of independent FgnBlock instances.  Consumers pair them with
-        consecutive path indices (2k, 2k+1) so no draw is wasted.
+    With w = u + iv standard complex white noise drawn from `rng` (4N
+    normals), the real and imaginary parts of FFT(sqrt(spectrum / 2N) * w)
+    each carry the circulant covariance, and they are mutually
+    independent.  Returns a (2, N) array: the first N real parts, then the
+    first N imaginary parts, as the runner's paths 2k and 2k+1 use them.
     """
-    if len(spectrum) != 2 * grid.steps:
-        raise ValueError(
-            f"spectrum length {len(spectrum)} does not match 2 * steps = {2 * grid.steps}"
-        )
-    a, b = _sample_pair_raw(spectrum, grid.steps, rng)
-    return FgnBlock(a, grid, h), FgnBlock(b, grid, h)
-
-
-def fbm_path(block: FgnBlock) -> FbmPath:
-    """Prefix-sum an increment block into a path started at zero."""
-    values = np.empty(block.grid.steps + 1)
-    values[0] = 0.0
-    np.cumsum(block.increments, out=values[1:])
-    return FbmPath(values, block.grid, block.hurst)
+    m = len(spectrum)
+    y = _pair_fft(np.sqrt(spectrum / m), _complex_noise(rng, m))
+    steps = m // 2
+    return np.array([y.real[:steps], y.imag[:steps]])
 
 
 @lru_cache(maxsize=8)
@@ -292,8 +227,9 @@ def _cholesky_factor(h_value: float, grid: TimeGrid) -> np.ndarray:
 
 def cholesky_fbm(
     h: Hurst, grid: TimeGrid, rng: np.random.Generator, cap: int = CHOLESKY_CAP
-) -> FbmPath:
-    """Exact fBm sample via dense Cholesky factorization of the increment covariance.
+) -> np.ndarray:
+    """Exact fBm path values at the N + 1 grid points, from a dense Cholesky
+    factorization of the increment covariance; the path starts at zero.
 
     Slow reference oracle: the factor costs O(N^3) once per (h, grid) and is
     cached; each call then consumes N normals.  Sizes above `cap` are refused
@@ -309,4 +245,4 @@ def cholesky_fbm(
     values = np.empty(grid.steps + 1)
     values[0] = 0.0
     np.cumsum(increments, out=values[1:])
-    return FbmPath(values, grid, h)
+    return values

@@ -27,7 +27,7 @@ from .passage import _bridge_draws, _bridge_hit_times_batch, _grid_times, _plain
 from .rng import GAUSSIAN_STREAM, UNIFORM_STREAM, substream
 from .sde import affine_coefficients, affine_euler
 
-__all__ = ["MemoryBudgetError", "SimulationJob", "SimulationResult", "run_simulation", "passage_times", "marginal_values", "path_extremes"]
+__all__ = ["MemoryBudgetError", "SimulationJob", "SimulationResult", "run_simulation"]
 
 DEFAULT_CHUNK_PAIRS = 128
 
@@ -362,88 +362,3 @@ def run_simulation(job: SimulationJob, workers: int = 1) -> list[SimulationResul
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_chunk_compute, [job] * n_chunks, range(n_chunks)))
     return [_merge([c[k] for c in chunks]) for k in range(len(job.hurst))]
-
-
-# ---------------------------------------------------------------------------
-# single-H convenience wrappers
-# ---------------------------------------------------------------------------
-
-def passage_times(
-    h: Hurst,
-    grid: TimeGrid,
-    samples: int,
-    seed: int,
-    threshold: float = 1.0,
-    x0: float = 0.0,
-    drift: str = "zero",
-    diffusion: str = "one",
-    estimators: tuple[str, ...] = ("simple",),
-    workers: int = 1,
-    chunk_pairs: int = DEFAULT_CHUNK_PAIRS,
-) -> dict[str, np.ndarray]:
-    """Hit-time arrays (+inf censored) keyed by estimator name."""
-    unknown = set(estimators) - {"simple", "bridge"}
-    if unknown:
-        raise ValueError(f"unknown estimator(s): {sorted(unknown)}")
-    job = SimulationJob(
-        hurst=(h.value,),
-        horizon=grid.horizon,
-        steps=grid.steps,
-        samples=samples,
-        master_seed=seed,
-        threshold=threshold,
-        x0=x0,
-        drift=drift,
-        diffusion=diffusion,
-        want_simple="simple" in estimators,
-        want_bridge="bridge" in estimators,
-        chunk_pairs=chunk_pairs,
-    )
-    return run_simulation(job, workers=workers)[0].hit_times()
-
-
-def marginal_values(
-    h: Hurst,
-    grid: TimeGrid,
-    samples: int,
-    seed: int,
-    time_indices,
-    workers: int = 1,
-    chunk_pairs: int = DEFAULT_CHUNK_PAIRS,
-) -> np.ndarray:
-    """Path values at the given grid indices, shape (samples, len(indices))."""
-    job = SimulationJob(
-        hurst=(h.value,),
-        horizon=grid.horizon,
-        steps=grid.steps,
-        samples=samples,
-        master_seed=seed,
-        want_simple=False,
-        marginal_indices=tuple(int(i) for i in time_indices),
-        chunk_pairs=chunk_pairs,
-    )
-    return run_simulation(job, workers=workers)[0].marginals
-
-
-def path_extremes(
-    h: Hurst,
-    grid: TimeGrid,
-    samples: int,
-    seed: int,
-    time_indices,
-    workers: int = 1,
-    chunk_pairs: int = DEFAULT_CHUNK_PAIRS,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Suprema and first-argmax times over [0, index * step] per path."""
-    job = SimulationJob(
-        hurst=(h.value,),
-        horizon=grid.horizon,
-        steps=grid.steps,
-        samples=samples,
-        master_seed=seed,
-        want_simple=False,
-        extreme_indices=tuple(int(i) for i in time_indices),
-        chunk_pairs=chunk_pairs,
-    )
-    (result,) = run_simulation(job, workers=workers)
-    return result.sup_values, result.argmax_times

@@ -1,31 +1,20 @@
-"""Closed-form references and analytical envelope shapes.
+"""Closed-form references.
 
-Collects the exact Brownian first-passage Laplace transform used as the
-H = 1/2 reference, and the proved upper-bound shapes for how first-passage
-functionals of fractional Brownian motion deviate from it when the Hurst
-index moves above 1/2.  Free constants in the bounds are caller-supplied
-and default to one; the functions encode only the structure.
+The exact Brownian first-passage Laplace transform used as the H = 1/2
+reference, the frequency scale of the transform's decay in lambda, and the
+Gaussian-type envelope of the marginal density, which is the exact density
+for driftless unit-diffusion runs.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .fgn import Hurst
 
-__all__ = [
-    "GapEnvelopeParams",
-    "laplace_bm",
-    "distance_scale",
-    "decay_scale",
-    "gap_envelope",
-    "variance_term_envelope",
-    "marginal_gap_envelope",
-    "density_envelope",
-]
+__all__ = ["laplace_bm", "decay_scale", "density_envelope"]
 
 
 def laplace_bm(lam: float, x0: float = 0.0, threshold: float = 1.0) -> float:
@@ -42,17 +31,6 @@ def laplace_bm(lam: float, x0: float = 0.0, threshold: float = 1.0) -> float:
     return math.exp(-(threshold - x0) * math.sqrt(2.0 * lam))
 
 
-def distance_scale(x: float, h: Hurst) -> float:
-    """Effective distance min(x, x^{1/(2H)}) entering the decay exponents.
-
-    Short distances are dampened by the 1/(2H) power when H > 1/2; beyond
-    x = 1 the linear branch takes over.
-    """
-    if x < 0.0:
-        raise ValueError(f"distance must be non-negative, got {x}")
-    return min(x, x ** (1.0 / (2.0 * h.value)))
-
-
 def decay_scale(lam: float, h: Hurst) -> float:
     """Frequency scale (2*lam)^{1 - 1/(4H)} for lam <= 1, sqrt(2*lam) above.
 
@@ -64,84 +42,6 @@ def decay_scale(lam: float, h: Hurst) -> float:
     if lam <= 1.0:
         return (2.0 * lam) ** (1.0 - 1.0 / (4.0 * h.value))
     return math.sqrt(2.0 * lam)
-
-
-@dataclass(frozen=True)
-class GapEnvelopeParams:
-    """Free parameters of the Laplace-gap envelope.
-
-    `c` is the overall constant, `alpha` the exponential rate, `mu` a drift
-    bound (zero for driftless runs), `lambda0` the smallest admissible
-    lambda, `eta` a threshold clearance and `epsilon` the rate give-up, with
-    0 < eta <= (1 - x0)/2 and 0 < epsilon < 1/4.
-    """
-
-    c: float = 1.0
-    alpha: float = 1.0
-    mu: float = 0.0
-    lambda0: float = 1.0
-    eta: float = 0.1
-    epsilon: float = 0.1
-    x0: float = 0.0
-
-    def __post_init__(self):
-        if self.c <= 0.0 or self.alpha <= 0.0:
-            raise ValueError(f"c and alpha must be positive, got c={self.c}, alpha={self.alpha}")
-        if self.mu < 0.0:
-            raise ValueError(f"mu must be non-negative, got {self.mu}")
-        if self.lambda0 < 1.0:
-            raise ValueError(f"lambda0 must be at least 1, got {self.lambda0}")
-        if not 0.0 < self.epsilon < 0.25:
-            raise ValueError(f"epsilon must lie in (0, 1/4), got {self.epsilon}")
-        if not 0.0 < self.eta <= (1.0 - self.x0) / 2.0:
-            raise ValueError(
-                f"eta must lie in (0, (1 - x0)/2], got eta={self.eta}, x0={self.x0}"
-            )
-
-
-def gap_envelope(params: GapEnvelopeParams, h: Hurst, lam: float) -> float:
-    """Envelope for the Laplace-transform gap between H > 1/2 and H = 1/2.
-
-    Shape: c * (H - 1/2)^{1/2 - epsilon}
-    * exp(-alpha * distance_scale(1 - x0 - 2*eta) * (sqrt(2*lam + mu^2) - mu)).
-    Vanishes at H = 1/2, grows in H, decays in lam.
-    """
-    if h.value < 0.5:
-        raise ValueError(f"envelope defined for H >= 1/2, got {h.value}")
-    if lam < params.lambda0:
-        raise ValueError(f"lambda {lam} below admissible minimum {params.lambda0}")
-    s = distance_scale(1.0 - params.x0 - 2.0 * params.eta, h)
-    rate = math.sqrt(2.0 * lam + params.mu**2) - params.mu
-    return params.c * (h.value - 0.5) ** (0.5 - params.epsilon) * math.exp(-params.alpha * s * rate)
-
-
-def variance_term_envelope(c: float, x0: float, h: Hurst, lam: float) -> float:
-    """Envelope c * (H - 1/2) * exp(-distance_scale(1 - x0) * decay_scale(lam) / 4).
-
-    Bounds the contribution of the variance-rate mismatch between the
-    fractional and standard processes; linear in (H - 1/2).
-    """
-    if c <= 0.0:
-        raise ValueError(f"constant must be positive, got {c}")
-    if h.value < 0.5:
-        raise ValueError(f"envelope defined for H >= 1/2, got {h.value}")
-    if x0 >= 1.0:
-        raise ValueError(f"start must lie below the unit threshold, got {x0}")
-    s = distance_scale(1.0 - x0, h)
-    return c * (h.value - 0.5) * math.exp(-0.25 * s * decay_scale(lam, h))
-
-
-def marginal_gap_envelope(c_t: float, h: Hurst) -> float:
-    """Envelope c_T * (H - 1/2) for gaps of smooth path functionals.
-
-    Linear in (H - 1/2) with a horizon-dependent constant supplied by the
-    caller; the zero at H = 1/2 is exact.
-    """
-    if c_t <= 0.0:
-        raise ValueError(f"constant must be positive, got {c_t}")
-    if h.value < 0.5:
-        raise ValueError(f"envelope defined for H >= 1/2, got {h.value}")
-    return c_t * (h.value - 0.5)
 
 
 def density_envelope(

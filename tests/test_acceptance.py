@@ -37,18 +37,18 @@ def _report(num: int, claim: str, ok: bool, detail: str) -> None:
 H_SWEEP = (0.5, 0.51, 0.52, 0.54, 0.6)
 
 
+def _job(hurst, steps, samples, **outputs):
+    return fp.SimulationJob(hurst=hurst, horizon=20.0, steps=steps, samples=samples, master_seed=SEED, **outputs)
+
+
 @pytest.fixture(scope="module")
 def desk_sweep():
-    grid = fp.TimeGrid(20.0, 2**14)
-    estimates = {}
-    for hv in H_SWEEP:
-        times = fp.passage_times(
-            fp.Hurst(hv), grid, 20_000, SEED, estimators=("simple",)
-        )["simple"]
-        estimates[hv] = {
-            lam: fp.laplace_from_times(times, lam, hv, "simple") for lam in LAMBDAS
-        }
-    return estimates
+    """Every H of the sweep in one job: per-path outputs do not depend on the grouping."""
+    results = fp.run_simulation(_job(H_SWEEP, 2**14, 20_000))
+    return {
+        hv: {lam: fp.laplace_from_times(result.tau_simple, lam, hv, "simple") for lam in LAMBDAS}
+        for hv, result in zip(H_SWEEP, results)
+    }
 
 
 def _gaps(estimates, lam):
@@ -91,10 +91,8 @@ def test_simple_estimator_error_band(desk_sweep):
 
 
 def test_bridge_beats_simple_at_brownian_case():
-    grid = fp.TimeGrid(20.0, 2**13)
-    times = fp.passage_times(
-        fp.Hurst(0.5), grid, 20_000, SEED, estimators=("simple", "bridge")
-    )
+    (result,) = fp.run_simulation(_job((0.5,), 2**13, 20_000, want_bridge=True))
+    times = result.hit_times()
     wins = 0
     details = []
     for lam in LAMBDAS:
@@ -144,13 +142,9 @@ def test_sampler_agreement_and_autocovariance():
         rng = np.random.default_rng(seed_c)
         blocks = np.empty((10_000, grid.steps))
         for i in range(5_000):
-            a, b = fp.sample_fgn(spectrum, h, grid, rng)
-            blocks[2 * i] = a.increments
-            blocks[2 * i + 1] = b.increments
+            blocks[2 * i : 2 * i + 2] = fp.sample_fgn(spectrum, rng)
         rng_k = np.random.default_rng(seed_k)
-        chol_T = np.array(
-            [fp.cholesky_fbm(h, grid, rng_k).values[-1] for _ in range(10_000)]
-        )
+        chol_T = np.array([fp.cholesky_fbm(h, grid, rng_k)[-1] for _ in range(10_000)])
         pvalue = float(ks_2samp(blocks.sum(axis=1), chol_T).pvalue)
         worst_z = 0.0
         for lag in range(6):
@@ -169,7 +163,12 @@ def test_marginals_under_envelope_and_gaussian():
     grid = fp.TimeGrid(8.0, 1024)
     h = fp.Hurst(0.7)
     t_list = (0.5, 1.0, 5.0)
-    marg = fp.marginal_values(h, grid, 20_000, 4242, [grid.time_index(t) for t in t_list])
+    job = fp.SimulationJob(
+        hurst=(h.value,), horizon=grid.horizon, steps=grid.steps, samples=20_000, master_seed=4242,
+        want_simple=False, marginal_indices=tuple(grid.time_index(t) for t in t_list),
+    )
+    (result,) = fp.run_simulation(job)
+    marg = result.marginals
     ok = True
     details = []
     for j, t in enumerate(t_list):
@@ -214,8 +213,13 @@ def test_gap_decay_in_lambda(desk_sweep):
 def test_truncated_argmax_moment_flat_trend():
     grid = fp.TimeGrid(20.0, 2**12)
     r_values = (5.0, 10.0, 20.0)
-
-    report = fp.conjecture_moments(fp.Hurst(0.6), 0.1, 2.5, r_values, grid, 10_000, SEED)
+    indices = tuple(grid.time_index(r) for r in r_values)
+    # one job for both H values: the reported H = 0.6 row and the asserted H = 1/2 row
+    job = _job((0.6, 0.5), 2**12, 10_000, want_simple=False, extreme_indices=indices)
+    report, triples = (
+        fp.truncated_argmax_moments(result.sup_values, result.argmax_times, r_values, hv * 2.5, 0.1)
+        for hv, result in zip((0.6, 0.5), fp.run_simulation(job))
+    )
     fit_report = fp.linear_fit([r for r, _, _ in report], [m for _, m, _ in report])
     print(
         "[PRIMARY 09][report] H=0.6 moments "
@@ -223,7 +227,6 @@ def test_truncated_argmax_moment_flat_trend():
         + f"; trend slope {fit_report.slope:.5f} (se {fit_report.slope_se:.5f}) - reported, not asserted"
     )
 
-    triples = fp.conjecture_moments(fp.Hurst(0.5), 0.1, 2.5, r_values, grid, 10_000, SEED)
     fit = fp.linear_fit([r for r, _, _ in triples], [m for _, m, _ in triples])
     ok = abs(fit.slope) <= 2.0 * fit.slope_se
     _report(9, "truncated argmax moment at H=1/2 shows no trend across windows",
@@ -237,11 +240,8 @@ def test_truncated_argmax_moment_flat_trend():
 
 
 def test_survival_tail_exponent():
-    grid = fp.TimeGrid(20.0, 2**12)
-    times = fp.passage_times(
-        fp.Hurst(0.5), grid, 100_000, SEED, estimators=("simple",)
-    )["simple"]
-    fit = fp.tail_exponent_from_times(times, (2.5, 5.0, 10.0, 20.0))
+    (result,) = fp.run_simulation(_job((0.5,), 2**12, 100_000))
+    fit = fp.tail_exponent_from_times(result.tau_simple, (2.5, 5.0, 10.0, 20.0))
     ok = -0.6 <= fit.slope <= -0.4
     _report(10, "survival tail at H=1/2 decays like t^(-1/2)",
             ok, f"slope {fit.slope:.4f}, R^2 {fit.r_squared:.4f}")

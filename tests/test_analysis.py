@@ -1,22 +1,16 @@
-"""Least-squares fitting and gap-table assembly.
+"""Least-squares fitting.
 
 Covers:
   - linear_fit on exact lines, with weights, and on a reference gap
     sequence with frozen slope / R-squared / log-log exponent.
   - rate_exponent filtering rules: non-positive gaps and gaps within two
     standard errors are dropped; fewer than two survivors is an error.
-  - Gap table assembly and the wide pivot layout.
 """
 
 import numpy as np
 import pytest
 
-from fbmpassage import (
-    assemble_gap_table,
-    linear_fit,
-    pivot_wide,
-    rate_exponent,
-)
+from fbmpassage import linear_fit, rate_exponent
 
 
 # ---------------------------------------------------------------------------
@@ -87,52 +81,3 @@ def test_rate_exponent_drops_noise_level_gaps():
 def test_rate_exponent_needs_two_survivors():
     with pytest.raises(ValueError):
         rate_exponent([0.51, 0.52], [0.01, -0.01])
-
-
-# ---------------------------------------------------------------------------
-# gap table assembly
-# ---------------------------------------------------------------------------
-
-def _estimate_rows():
-    from fbmpassage import laplace_from_times
-
-    rows = []
-    for hv, base in ((0.5, 0.4), (0.6, 0.9)):
-        rows.append(
-            [
-                laplace_from_times(np.array([base, base + 0.2, base + 0.4]), lam, hv)
-                for lam in (1.0, 2.0)
-            ]
-        )
-    return rows
-
-
-def test_assemble_gap_table_rows_sorted():
-    estimates = _estimate_rows()
-    rows = assemble_gap_table(estimates, estimates[0])
-    assert [(r["hurst"], r["lam"]) for r in rows] == [
-        (0.5, 1.0), (0.5, 2.0), (0.6, 1.0), (0.6, 2.0)
-    ]
-    for row in rows:
-        if row["hurst"] == 0.5:
-            assert row["gap"] == 0.0
-        else:
-            assert row["gap"] > 0.0  # later hits, smaller transform
-        assert row["gap_se"] >= 0.0
-
-
-def test_assemble_gap_table_reports_missing_cells():
-    estimates = _estimate_rows()
-    estimates[1][1] = None
-    with pytest.raises(ValueError, match="missing"):
-        assemble_gap_table(estimates, estimates[0])
-
-
-def test_pivot_wide_layout():
-    estimates = _estimate_rows()
-    rows = assemble_gap_table(estimates, estimates[0])
-    header, data = pivot_wide(rows)
-    assert header == ["H", "value_lam1", "gap_lam1", "value_lam2", "gap_lam2"]
-    assert len(data) == 2  # one row per H
-    assert data[0][0] == 0.5 and data[1][0] == 0.6
-    assert len(data[0]) == len(header)

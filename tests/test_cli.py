@@ -13,6 +13,7 @@ import logging
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -146,6 +147,11 @@ def test_paper_scale_flag():
         {"horizon": 0.0},
         {"horizon": 1e300, "steps": 2},  # step^(2H) overflows from H = 0.52 on
         {"horizon": 1e-300, "steps": 2**20},  # step^(2H) underflows to zero
+        {"horizon": 1e302, "steps": 2, "hurst_list": (0.51,)},  # 2 (64 horizon^H)^2 overflows
+        {"threshold": 1e200},  # 2 (threshold - x0)^2 overflows
+        {"diffusion": "const:1e-300"},  # the reduced level (threshold - x0) / s overflows
+        {"horizon": 1e-300, "steps": 2, "hurst_list": (0.516,)},  # 2 / step^(2H) overflows
+        {"lambda_list": (1e307,)},  # lambda * 2 horizon overflows
     ],
 )
 def test_validate_config_rejects(override):
@@ -175,6 +181,13 @@ def test_exit_code_usage_errors(capsys, tmp_path):
     argv = ["simulate", "--samples", "100", "--steps", "2", "--horizon", "1e300"]
     assert main([*argv, "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err.startswith("error:")
+    # just inside the step^(2H) bound, the path scale still overflows the bridge test
+    for horizon, hurst in (("1e302", "0.51"), ("1.7e308", "0.5")):
+        argv = ["simulate", "--samples", "100", "--steps", "2", "--horizon", horizon, "--hurst-list", hurst]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning on the way to the refusal
+            assert main([*argv, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("error:")
 
 
 def test_exit_code_run_too_large_for_memory(capsys, monkeypatch, tmp_path):
@@ -387,8 +400,9 @@ def test_constant_diffusion_run_logs_no_sde_warning(caplog, tmp_path):
 
 
 def test_cli_import_loads_no_heavy_scipy_module():
-    """scipy.stats, .integrate, .interpolate and .linalg load only where a
-    selftest check or a library reduction calls them, not on every CLI run."""
+    """scipy.stats and .linalg load only where a selftest check or the
+    Cholesky oracle calls them, not on every CLI run; nothing in the
+    package imports .integrate or .interpolate."""
     src = str(Path(fbmpassage.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = "import sys, fbmpassage.cli; print(*sorted(m for m in sys.modules if m.startswith('scipy')))"

@@ -18,16 +18,16 @@ import pytest
 from scipy.integrate import quad
 
 from fbmpassage import (
-    Hurst,
     LaplaceEstimate,
     NoHitsError,
+    SimulationJob,
     TimeGrid,
-    conjecture_moment,
-    conjecture_moments,
     density_from_times,
     gap_estimate,
     laplace_from_times,
+    run_simulation,
     tail_exponent_from_times,
+    truncated_argmax_moments,
 )
 
 
@@ -153,6 +153,17 @@ def _brownian_truncated_argmax_moment(r, eta, p):
     return val
 
 
+def _argmax_moments(hurst, eta, p, r_values, grid, samples, seed):
+    """(r, moment, std_error) per window from one run's window extremes."""
+    indices = tuple(grid.time_index(r) for r in r_values)
+    job = SimulationJob(
+        hurst=(hurst,), horizon=grid.horizon, steps=grid.steps, samples=samples, master_seed=seed,
+        want_simple=False, extreme_indices=indices,
+    )
+    (result,) = run_simulation(job)
+    return truncated_argmax_moments(result.sup_values, result.argmax_times, r_values, hurst * p, eta)
+
+
 def test_quadrature_oracle_frozen_values():
     assert _brownian_truncated_argmax_moment(5.0, 0.1, 2.5) == pytest.approx(
         0.57113, abs=2e-5
@@ -173,7 +184,7 @@ def test_conjecture_moments_match_quadrature():
     the gap shrinks with the mesh.  A fixed seed keeps this deterministic.
     """
     grid = TimeGrid(20.0, 2**12)
-    rows = conjecture_moments(Hurst(0.5), 0.1, 2.5, (5.0, 10.0, 20.0), grid, 10000, 1729)
+    rows = _argmax_moments(0.5, 0.1, 2.5, (5.0, 10.0, 20.0), grid, 10000, 1729)
     for r, value, se in rows:
         oracle = _brownian_truncated_argmax_moment(r, 0.1, 2.5)
         rel = abs(value - oracle) / oracle
@@ -187,14 +198,14 @@ def test_conjecture_moment_small_window_bound():
     # argmax <= r pathwise, so the moment is at most r^{p/2} even before truncation
     grid = TimeGrid(20.0, 2**12)
     r = grid.step * 4
-    value, se = conjecture_moment(Hurst(0.5), 0.1, 2.5, r, grid, 2000, 7)
+    ((_, value, se),) = _argmax_moments(0.5, 0.1, 2.5, (r,), grid, 2000, 7)
     assert 0.0 <= value <= r**1.25 + 1e-12
 
 
 def test_conjecture_moments_share_paths_across_windows():
     grid = TimeGrid(20.0, 2**10)
-    one = conjecture_moments(Hurst(0.5), 0.1, 2.5, (5.0,), grid, 3000, 99)
-    both = conjecture_moments(Hurst(0.5), 0.1, 2.5, (5.0, 10.0), grid, 3000, 99)
+    one = _argmax_moments(0.5, 0.1, 2.5, (5.0,), grid, 3000, 99)
+    both = _argmax_moments(0.5, 0.1, 2.5, (5.0, 10.0), grid, 3000, 99)
     assert one[0][1] == both[0][1], "adding a window must not perturb earlier ones"
 
 

@@ -9,6 +9,7 @@ Covers:
     normality, lag-1 autocovariance, pair independence, determinism.
   - Dense Cholesky oracle: agreement with the FFT sampler (two-sample KS),
     size cap, exact prefix-sum bookkeeping.
+  - The runner's paths are the prefix sums of the sampler's increment rows.
 """
 
 import numpy as np
@@ -17,16 +18,17 @@ from scipy.stats import kstest, ks_2samp
 
 from fbmpassage import (
     CHOLESKY_CAP,
-    FbmPath,
-    FgnBlock,
+    GAUSSIAN_STREAM,
     Hurst,
+    SimulationJob,
     TimeGrid,
     cholesky_fbm,
     circulant_spectrum,
     fbm_covariance,
-    fbm_path,
     fgn_autocovariance,
+    run_simulation,
     sample_fgn,
+    substream,
 )
 
 
@@ -132,12 +134,11 @@ def test_spectrum_small_case_against_direct_dft():
 def test_sample_fgn_shapes_and_determinism():
     h, grid = Hurst(0.7), TimeGrid(1.0, 64)
     spec = circulant_spectrum(h, grid)
-    a1, b1 = sample_fgn(spec, h, grid, np.random.default_rng(123))
-    a2, b2 = sample_fgn(spec, h, grid, np.random.default_rng(123))
-    assert a1.increments.shape == (64,)
-    assert np.array_equal(a1.increments, a2.increments)
-    assert np.array_equal(b1.increments, b2.increments)
-    assert not np.array_equal(a1.increments, b1.increments)
+    first = sample_fgn(spec, np.random.default_rng(123))
+    second = sample_fgn(spec, np.random.default_rng(123))
+    assert first.shape == (2, 64)
+    assert np.array_equal(first, second)
+    assert not np.array_equal(first[0], first[1])
 
 
 def test_sample_fgn_brownian_increment_variance():
@@ -146,10 +147,8 @@ def test_sample_fgn_brownian_increment_variance():
     rng = np.random.default_rng(2024)
     incs = []
     for _ in range(200):
-        a, b = sample_fgn(spec, h, grid, rng)
-        incs.append(a.increments)
-        incs.append(b.increments)
-    flat = np.concatenate(incs)
+        incs.append(sample_fgn(spec, rng))
+    flat = np.concatenate(incs).ravel()
     var = flat.var(ddof=1)
     n = flat.size
     z = (var - grid.step) / (grid.step * np.sqrt(2.0 / (n - 1)))
@@ -162,9 +161,9 @@ def test_sample_fgn_terminal_variance_and_normality():
     rng = np.random.default_rng(99)
     terms = []
     for _ in range(5000):
-        a, b = sample_fgn(spec, h, grid, rng)
-        terms.append(a.increments.sum())
-        terms.append(b.increments.sum())
+        a, b = sample_fgn(spec, rng)
+        terms.append(a.sum())
+        terms.append(b.sum())
     terms = np.asarray(terms)
     m = len(terms)
     var = terms.var(ddof=1)
@@ -180,9 +179,7 @@ def test_sample_fgn_lag1_autocovariance():
     rng = np.random.default_rng(31337)
     per_block = []
     for _ in range(3000):
-        a, b = sample_fgn(spec, h, grid, rng)
-        for blk in (a, b):
-            x = blk.increments
+        for x in sample_fgn(spec, rng):
             per_block.append(np.mean(x[:-1] * x[1:]))
     per_block = np.asarray(per_block)
     se = per_block.std(ddof=1) / np.sqrt(len(per_block))
@@ -197,9 +194,9 @@ def test_sample_fgn_pair_blocks_uncorrelated():
     rng = np.random.default_rng(7)
     xs, ys = [], []
     for _ in range(4000):
-        a, b = sample_fgn(spec, h, grid, rng)
-        xs.append(a.increments.sum())
-        ys.append(b.increments.sum())
+        a, b = sample_fgn(spec, rng)
+        xs.append(a.sum())
+        ys.append(b.sum())
     r = np.corrcoef(xs, ys)[0, 1]
     z = r * np.sqrt(len(xs))
     assert abs(z) < 5.0, f"pair correlation z = {z:.2f}"
@@ -215,11 +212,11 @@ def test_cholesky_matches_fft_sampler_distribution():
     rng_f = np.random.default_rng(2718)
     fft_terms = []
     for _ in range(750):
-        a, b = sample_fgn(spec, h, grid, rng_f)
-        fft_terms.append(a.increments.sum())
-        fft_terms.append(b.increments.sum())
+        a, b = sample_fgn(spec, rng_f)
+        fft_terms.append(a.sum())
+        fft_terms.append(b.sum())
     rng_c = np.random.default_rng(3141)
-    chol_terms = [cholesky_fbm(h, grid, rng_c).values[-1] for _ in range(1500)]
+    chol_terms = [cholesky_fbm(h, grid, rng_c)[-1] for _ in range(1500)]
     p = ks_2samp(fft_terms, chol_terms).pvalue
     assert p > 0.001, f"two-sample KS p = {p:.5f}"
 
@@ -233,41 +230,26 @@ def test_cholesky_cap():
 def test_cholesky_path_layout():
     grid = TimeGrid(1.0, 16)
     path = cholesky_fbm(Hurst(0.7), grid, np.random.default_rng(5))
-    assert path.values.shape == (17,)
-    assert path.values[0] == 0.0
+    assert path.shape == (17,)
+    assert path[0] == 0.0
 
 
 # ---------------------------------------------------------------------------
 # path assembly
 # ---------------------------------------------------------------------------
 
-def test_fbm_path_prefix_sums():
-    grid = TimeGrid(3.0, 3)
-    block = FgnBlock(np.array([1.0, -1.0, 2.0]), grid, Hurst(0.5))
-    path = fbm_path(block)
-    assert np.array_equal(path.values, np.array([0.0, 1.0, 0.0, 2.0]))
-
-
-def test_fbm_path_zero_block():
-    grid = TimeGrid(1.0, 8)
-    block = FgnBlock(np.zeros(8), grid, Hurst(0.6))
-    assert np.array_equal(fbm_path(block).values, np.zeros(9))
-
-
 def test_fbm_path_differences_recover_block():
+    """The runner's paths 2k and 2k+1 start at zero and step by the
+    increment rows that sample_fgn draws from pair k's Gaussian stream."""
     h, grid = Hurst(0.6), TimeGrid(5.0, 512)
+    job = SimulationJob(
+        hurst=(h.value,), horizon=grid.horizon, steps=grid.steps, samples=4, master_seed=11,
+        want_simple=False, marginal_indices=tuple(range(grid.steps + 1)),
+    )
+    (result,) = run_simulation(job)
     spec = circulant_spectrum(h, grid)
-    block, _ = sample_fgn(spec, h, grid, np.random.default_rng(11))
-    path = fbm_path(block)
-    assert path.values[0] == 0.0
-    assert np.max(np.abs(np.diff(path.values) - block.increments)) < 1e-12
-
-
-def test_block_and_path_validation():
-    grid = TimeGrid(1.0, 4)
-    with pytest.raises(ValueError):
-        FgnBlock(np.zeros(3), grid, Hurst(0.5))  # wrong length
-    with pytest.raises(ValueError):
-        FbmPath(np.zeros(4), grid, Hurst(0.5))  # needs steps + 1 values
-    with pytest.raises(ValueError):
-        FbmPath(np.array([0.1, 0.0, 0.0, 0.0, 0.0]), grid, Hurst(0.5))  # must start at 0
+    for k in range(2):
+        increments = sample_fgn(spec, substream(11, GAUSSIAN_STREAM, k))
+        paths = result.marginals[2 * k : 2 * k + 2]
+        assert (paths[:, 0] == 0.0).all()
+        assert np.max(np.abs(np.diff(paths, axis=1) - increments)) < 1e-12

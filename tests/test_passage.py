@@ -1,15 +1,15 @@
-"""Threshold detectors: grid scan and bridge-corrected scan.
+"""Threshold detectors: grid scan and bridge-corrected scan on blocks of paths.
 
 Covers:
-  - Grid detector on crafted paths: first crossing index, censoring,
-    boundary hit at index 0.
+  - Grid detector on crafted rows: first crossing index, touching the
+    level, censoring, boundary hit at index 0, and a per-row scan.
   - Per-step bridge crossing probability against frozen constants and its
     limiting behavior.
   - Bridge scan semantics: grid hits fire regardless of the uniforms, a
     remote threshold censors, recorded times are right-endpoint multiples
     of the mesh, bridge times never exceed grid times on the same path.
   - The batch bridge scan stops at each row's plain hit and draws no
-    uniform past it, yet equals the full scalar scan on crafted rows: a
+    uniform past it, yet equals the full-grid scan on crafted rows: a
     censored row, a start at the level, a hit at index 1, a bridge firing
     one step before the plain hit, a grid value equal to the level, early
     and late in the grid.
@@ -23,30 +23,35 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from fbmpassage import (
-    FbmPath,
-    Hurst,
-    TimeGrid,
-    bridge_crossing_prob,
-    first_passage,
-    first_passage_bridge,
-    laplace_from_times,
-    passage_times,
-)
+from fbmpassage import Hurst, SimulationJob, TimeGrid, bridge_crossing_prob, laplace_from_times, run_simulation
+from fbmpassage import runner
 from fbmpassage.passage import (
     _bridge_draws,
     _bridge_hit_index,
     _bridge_hit_times_batch,
+    _grid_times,
     _plain_hit_index,
-    _simple_hit_times_batch,
 )
 
 
-def _path(values, horizon=None):
-    values = np.asarray(values, dtype=float)
-    steps = len(values) - 1
-    grid = TimeGrid(horizon if horizon is not None else float(steps), steps)
-    return FbmPath(values, grid, Hurst(0.5))
+def _plain_times(rows, threshold, step=1.0):
+    """Plain-rule hit times of the rows of a block; +inf marks censored rows."""
+    values = np.atleast_2d(np.asarray(rows, dtype=float))
+    return _grid_times(_plain_hit_index(values, threshold), values.shape[1] - 1, step)
+
+
+def _bridge_times(rows, threshold, step, uniform):
+    """Bridge-rule hit times with every uniform equal to `uniform`, at H = 1/2."""
+    values = np.atleast_2d(np.asarray(rows, dtype=float))
+    log_u = np.full((len(values), values.shape[1] - 1), math.log(uniform))
+    plain = _plain_hit_index(values, threshold)
+    return _bridge_hit_times_batch(values, threshold, step, step, log_u, plain)
+
+
+def _simulate(hurst, grid, samples, seed, **kw):
+    job = SimulationJob(hurst=(hurst,), horizon=grid.horizon, steps=grid.steps, samples=samples, master_seed=seed, **kw)
+    (result,) = run_simulation(job)
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -54,32 +59,22 @@ def _path(values, horizon=None):
 # ---------------------------------------------------------------------------
 
 def test_first_passage_crossing_index():
-    out = first_passage(_path([0.0, 0.5, 1.2, 0.8]), 1.0)
-    assert out.is_hit
-    assert out.hit_index == 2
-    assert out.hit_time == 2.0
+    assert _plain_hit_index(np.array([[0.0, 0.5, 1.2, 0.8]]), 1.0).tolist() == [2]
+    assert _plain_times([0.0, 0.5, 1.2, 0.8], 1.0).tolist() == [2.0]
 
 
 def test_first_passage_touch_counts():
-    out = first_passage(_path([0.0, 1.0, 0.5]), 1.0)
-    assert out.hit_index == 1
+    assert _plain_hit_index(np.array([[0.0, 1.0, 0.5]]), 1.0).tolist() == [1]
 
 
 def test_first_passage_censored():
-    out = first_passage(_path([0.0, 0.4, 0.9, 0.99]), 1.0)
-    assert not out.is_hit
-    assert out.hit_index is None and out.hit_time is None
+    assert _plain_hit_index(np.array([[0.0, 0.4, 0.9, 0.99]]), 1.0).tolist() == [4]
+    assert _plain_times([0.0, 0.4, 0.9, 0.99], 1.0).tolist() == [np.inf]
 
 
 def test_first_passage_boundary_start():
-    out = first_passage(_path([0.0, -1.0, -2.0]), 0.0)
-    assert out.hit_index == 0
-    assert out.hit_time == 0.0
-
-
-def test_first_passage_rejects_non_finite():
-    with pytest.raises(ValueError):
-        first_passage(_path([0.0, np.nan, 1.0]), 1.0)
+    assert _plain_hit_index(np.array([[0.0, -1.0, -2.0]]), 0.0).tolist() == [0]
+    assert _plain_times([0.0, -1.0, -2.0], 0.0).tolist() == [0.0]
 
 
 # ---------------------------------------------------------------------------
@@ -121,41 +116,26 @@ def test_bridge_prob_zero_path_step():
 # bridge scan semantics
 # ---------------------------------------------------------------------------
 
-class _ConstRng:
-    """Deterministic stand-in: every uniform equals the given value."""
-
-    def __init__(self, u):
-        self.u = u
-
-    def random(self, n):
-        return np.full(n, self.u)
-
-
 def test_bridge_grid_hit_fires_regardless_of_uniforms():
-    path = _path([0.0, 0.5, 1.2, 0.8])
-    out = first_passage_bridge(path, 1.0, _ConstRng(1.0 - 1e-12))
-    assert out.hit_index == 2
+    assert _bridge_times([0.0, 0.5, 1.2, 0.8], 1.0, 1.0, 1.0 - 1e-12).tolist() == [2.0]
 
 
 def test_bridge_remote_threshold_censors():
-    path = _path([0.0, 0.01, -0.02, 0.005], horizon=0.003)
-    out = first_passage_bridge(path, 50.0, _ConstRng(0.5))
-    assert not out.is_hit
+    assert _bridge_times([0.0, 0.01, -0.02, 0.005], 50.0, 0.001, 0.5).tolist() == [np.inf]
 
 
 def test_bridge_fires_between_grid_points():
     # close approach: p = exp(-2 * 0.05 * 0.05 / 0.01) = exp(-0.5) ~ 0.607
-    path = _path([0.0, 0.95, 0.95, 0.0], horizon=0.03)
-    hit = first_passage_bridge(path, 1.0, _ConstRng(0.5))
-    missed = first_passage_bridge(path, 1.0, _ConstRng(0.7))
-    assert hit.hit_index == 2  # fired on the step between the two 0.95 values
-    assert hit.hit_time == pytest.approx(2 * 0.01)
-    assert not missed.is_hit
+    path = [0.0, 0.95, 0.95, 0.0]
+    (hit,) = _bridge_times(path, 1.0, 0.01, 0.5)
+    (missed,) = _bridge_times(path, 1.0, 0.01, 0.7)
+    assert hit == pytest.approx(2 * 0.01)  # fired on the step between the two 0.95 values
+    assert missed == np.inf
 
 
 def test_bridge_time_is_right_endpoint_multiple():
-    h, grid = Hurst(0.5), TimeGrid(10.0, 1024)
-    times = passage_times(h, grid, 300, 424242, estimators=("bridge",))["bridge"]
+    grid = TimeGrid(10.0, 1024)
+    times = _simulate(0.5, grid, 300, 424242, want_simple=False, want_bridge=True).tau_bridge
     finite = times[np.isfinite(times)]
     assert len(finite) > 0
     ratio = finite / grid.step
@@ -163,12 +143,10 @@ def test_bridge_time_is_right_endpoint_multiple():
 
 
 def test_bridge_never_later_than_simple():
-    times = passage_times(
-        Hurst(0.6), TimeGrid(10.0, 1024), 400, 777, estimators=("simple", "bridge")
-    )
-    assert np.all(times["bridge"] <= times["simple"] + 1e-12)
-    finite = np.isfinite(times["simple"])
-    strictly = (times["bridge"][finite] < times["simple"][finite]).sum()
+    result = _simulate(0.6, TimeGrid(10.0, 1024), 400, 777, want_bridge=True)
+    assert np.all(result.tau_bridge <= result.tau_simple + 1e-12)
+    finite = np.isfinite(result.tau_simple)
+    strictly = (result.tau_bridge[finite] < result.tau_simple[finite]).sum()
     assert strictly > 0, "bridge should fire early on some paths"
 
 
@@ -179,16 +157,16 @@ def test_batch_detectors_match_scalar_path_scan():
         np.concatenate([np.zeros((40, 1)), rng.normal(0.0, 0.4, (40, 64))], axis=1),
         axis=1,
     )
-    simple = _simple_hit_times_batch(values, 1.0, grid.step)
+    simple = _plain_times(values, 1.0, grid.step)
     uniforms = rng.random((40, 64))
     step_var = grid.step
     bridged = _bridge_hit_times_batch(
         values, 1.0, grid.step, step_var, np.log(uniforms), _plain_hit_index(values, 1.0)
     )
+    assert np.isfinite(simple).any() and not np.isfinite(simple).all()
     for i in range(40):
-        path = FbmPath(values[i], grid, Hurst(0.5))
-        out = first_passage(path, 1.0)
-        want = out.hit_time if out.is_hit else np.inf
+        crossed = np.flatnonzero(values[i] >= 1.0)
+        want = crossed[0] * grid.step if len(crossed) else np.inf
         assert simple[i] == want
         assert bridged[i] <= simple[i] + 1e-12
 
@@ -268,17 +246,24 @@ def test_bridge_draws_stop_before_the_plain_hit():
     assert _bridge_draws(plain)[:4].tolist() == [steps, steps, 0, 0]
     assert _bridge_draws(plain)[6] == 6
 
-    class Recording(_ConstRng):
-        def random(self, n):
-            sizes.append(n)
-            return super().random(n)
+    class Recording:
+        def __init__(self):
+            self.sizes = []
 
-    for row, n in zip(values, _bridge_draws(plain)):
-        if row[0] != 0.0:
-            continue  # an FbmPath starts at zero
-        sizes = []
-        first_passage_bridge(_path(row), 1.0, Recording(0.5))
-        assert sizes == [n]
+        def random(self, n):
+            self.sizes.append(n)
+            return np.full(n, 0.5)
+
+    generators = [Recording() for _ in values]
+    drawn = np.zeros(len(values), dtype=np.intp)
+    log_uniforms = np.empty((len(values), steps))
+    runner._draw_log_uniforms(generators, drawn, log_uniforms, _bridge_draws(plain))
+    for generator, n in zip(generators, _bridge_draws(plain)):
+        assert generator.sizes == ([n] if n else [])
+    assert drawn.tolist() == _bridge_draws(plain).tolist()
+    # a later H that needs no more draws takes none
+    runner._draw_log_uniforms(generators, drawn, log_uniforms, _bridge_draws(plain))
+    assert [len(g.sizes) for g in generators] == [int(n > 0) for n in _bridge_draws(plain)]
 
 
 # ---------------------------------------------------------------------------
@@ -299,9 +284,7 @@ def test_bridge_matches_exact_ceiling_law():
     oracle = float((np.exp(-lam * n * step) * (cdf - cdf_prev)).sum())
     assert oracle == pytest.approx(0.2323356068, abs=1e-9)
 
-    times = passage_times(
-        Hurst(0.5), TimeGrid(T, N), 20000, 31415, estimators=("bridge",)
-    )["bridge"]
+    times = _simulate(0.5, TimeGrid(T, N), 20000, 31415, want_simple=False, want_bridge=True).tau_bridge
     est = laplace_from_times(times, lam, 0.5, "bridge")
     assert abs(est.value - oracle) < 4.0 * est.std_error, (
         f"bridge estimate {est.value:.5f} vs exact {oracle:.5f} "

@@ -17,8 +17,8 @@ Covers:
     ties included.
   - The allocator setting runs once per process, on its first run or chunk, and
     never on import; the memory bound refuses a run before allocating.
-  - Closed-form affine reduction: registry models agree with the tabulated
-    Lamperti map plus a per-path Euler loop, and zero drift with constant
+  - Closed-form affine reduction: registry models agree with a scalar
+    per-path Euler loop on y = (x - x0) / s, and zero drift with constant
     diffusion is scaled fBm with no Euler loop at all.
 """
 
@@ -31,26 +31,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fbmpassage import (
-    GAUSSIAN_STREAM,
-    UNIFORM_STREAM,
-    Coefficients,
-    FbmPath,
-    Hurst,
-    SimulationJob,
-    TimeGrid,
-    build_lamperti,
-    diffusion_from_name,
-    drift_from_name,
-    euler_solve,
-    first_passage,
-    marginal_values,
-    passage_times,
-    path_extremes,
-    run_simulation,
-    substream,
-    threshold_transform,
-)
+from fbmpassage import GAUSSIAN_STREAM, UNIFORM_STREAM, SimulationJob, TimeGrid, run_simulation, substream
 import fbmpassage
 from fbmpassage import runner
 from fbmpassage.passage import _bridge_hit_times_batch, _plain_hit_index
@@ -110,13 +91,10 @@ def test_sample_prefix_stability():
 
 def test_start_shift_equals_threshold_shift():
     """With zero drift and unit diffusion only threshold - x0 matters."""
-    shifted = passage_times(
-        Hurst(0.55), TimeGrid(5.0, 512), 400, 4711, threshold=1.0, x0=0.2
-    )["simple"]
-    rebased = passage_times(
-        Hurst(0.55), TimeGrid(5.0, 512), 400, 4711, threshold=0.8, x0=0.0
-    )["simple"]
-    assert np.array_equal(shifted, rebased)
+    run = dict(hurst=(0.55,), steps=512, samples=400, master_seed=4711)
+    (shifted,) = run_simulation(_job(threshold=1.0, x0=0.2, **run))
+    (rebased,) = run_simulation(_job(threshold=0.8, x0=0.0, **run))
+    assert np.array_equal(shifted.tau_simple, rebased.tau_simple)
 
 
 def test_is_pure_flag():
@@ -128,13 +106,10 @@ def test_is_pure_flag():
 
 def test_drifted_run_hits_earlier_on_average():
     # a positive constant push toward the threshold can only speed hits up
-    pure = passage_times(Hurst(0.5), TimeGrid(5.0, 256), 400, 31, estimators=("simple",))
-    pushed = passage_times(
-        Hurst(0.5), TimeGrid(5.0, 256), 400, 31,
-        drift="linear:0,0.5", estimators=("simple",),
-    )
-    frac_pure = np.isfinite(pure["simple"]).mean()
-    frac_pushed = np.isfinite(pushed["simple"]).mean()
+    (pure,) = run_simulation(_job(hurst=(0.5,), samples=400, master_seed=31))
+    (pushed,) = run_simulation(_job(hurst=(0.5,), samples=400, master_seed=31, drift="linear:0,0.5"))
+    frac_pure = np.isfinite(pure.tau_simple).mean()
+    frac_pushed = np.isfinite(pushed.tau_simple).mean()
     assert frac_pushed > frac_pure
 
 
@@ -144,21 +119,25 @@ def test_drifted_run_hits_earlier_on_average():
 
 def test_marginal_values_shape_and_variance():
     grid = TimeGrid(4.0, 512)
-    h = Hurst(0.7)
-    idx = [grid.time_index(1.0), grid.time_index(4.0)]
-    marg = marginal_values(h, grid, 4000, 2020, idx)
+    idx = (grid.time_index(1.0), grid.time_index(4.0))
+    job = _job(hurst=(0.7,), horizon=4.0, steps=512, samples=4000, master_seed=2020, want_simple=False, marginal_indices=idx)
+    (result,) = run_simulation(job)
+    marg = result.marginals
+    assert result.tau_simple is None and result.sup_values is None
     assert marg.shape == (4000, 2)
     for col, t in zip(range(2), (1.0, 4.0)):
         var = marg[:, col].var(ddof=1)
-        want = t ** (2.0 * h.value)
+        want = t ** (2.0 * 0.7)
         z = (var - want) / (want * np.sqrt(2.0 / (len(marg) - 1)))
         assert abs(z) < 5.0, f"t={t}: variance z = {z:.2f}"
 
 
 def test_path_extremes_window_monotonicity():
     grid = TimeGrid(10.0, 1024)
-    idx = [grid.time_index(2.0), grid.time_index(5.0), grid.time_index(10.0)]
-    sups, args = path_extremes(Hurst(0.6), grid, 500, 808, idx)
+    idx = (grid.time_index(2.0), grid.time_index(5.0), grid.time_index(10.0))
+    job = _job(horizon=10.0, steps=1024, samples=500, master_seed=808, want_simple=False, extreme_indices=idx)
+    (result,) = run_simulation(job)
+    sups, args = result.sup_values, result.argmax_times
     assert sups.shape == (500, 3)
     assert (np.diff(sups, axis=1) >= 0.0).all(), "sup grows with the window"
     assert (np.diff(args, axis=1) >= 0.0).all(), "first argmax never moves left"
@@ -168,8 +147,12 @@ def test_path_extremes_window_monotonicity():
 
 def test_extremes_argmax_is_first_attaining_time():
     grid = TimeGrid(10.0, 256)
-    sups, args = path_extremes(Hurst(0.5), grid, 200, 11, [grid.steps])
-    marg = marginal_values(Hurst(0.5), grid, 200, 11, list(range(grid.steps + 1)))
+    job = _job(
+        hurst=(0.5,), horizon=10.0, samples=200, master_seed=11, want_simple=False,
+        extreme_indices=(grid.steps,), marginal_indices=tuple(range(grid.steps + 1)),
+    )
+    (result,) = run_simulation(job)
+    sups, args, marg = result.sup_values, result.argmax_times, result.marginals
     for i in range(200):
         j = int(np.flatnonzero(marg[i] == sups[i, 0])[0])
         assert args[i, 0] == pytest.approx(j * grid.step, abs=1e-12)
@@ -201,14 +184,15 @@ def test_start_at_threshold_hits_immediately():
 
 
 def test_passage_times_estimator_selection():
-    out = passage_times(Hurst(0.5), TimeGrid(2.0, 128), 100, 5, estimators=("simple",))
-    assert set(out) == {"simple"}
-    both = passage_times(
-        Hurst(0.5), TimeGrid(2.0, 128), 100, 5, estimators=("simple", "bridge")
-    )
-    assert set(both) == {"simple", "bridge"}
-    with pytest.raises(ValueError):
-        passage_times(Hurst(0.5), TimeGrid(2.0, 128), 100, 5, estimators=("typo",))
+    run = dict(hurst=(0.5,), horizon=2.0, steps=128, samples=100, master_seed=5)
+    (simple,) = run_simulation(_job(**run))
+    assert set(simple.hit_times()) == {"simple"}
+    (bridge,) = run_simulation(_job(want_simple=False, want_bridge=True, **run))
+    assert set(bridge.hit_times()) == {"bridge"}
+    (both,) = run_simulation(_job(want_bridge=True, **run))
+    assert set(both.hit_times()) == {"simple", "bridge"}
+    assert np.array_equal(both.hit_times()["simple"], simple.tau_simple)
+    assert np.array_equal(both.hit_times()["bridge"], bridge.tau_bridge)
 
 
 # ---------------------------------------------------------------------------
@@ -413,30 +397,39 @@ def test_memory_estimate_counts_blocks_spectra_and_results():
 _EVERY_INDEX = tuple(range(257))
 
 
+def _scalar_euler(noise, a, c, step):
+    """y_{n+1} = noise_{n+1} + acc, acc += (a y_n + c) * step, path by path in Python floats."""
+    out = np.empty_like(noise)
+    for r, row in enumerate(noise.tolist()):
+        acc = 0.0
+        out[r, 0] = y = row[0]
+        for n in range(1, len(row)):
+            acc += (a * y + c) * step
+            out[r, n] = y = row[n] + acc
+    return out
+
+
 @pytest.mark.parametrize("diffusion", ["const:2", "const:0.5"])
 @pytest.mark.parametrize("drift", ["linear:0.7,-0.3", "ou:1.5"])
 def test_affine_reduction_matches_tabulated_lamperti_euler(drift, diffusion):
-    _, _, s = affine_coefficients(drift, diffusion)
+    a, c, s = affine_coefficients(drift, diffusion)
     x0, level, hv = 0.25, 0.25 + 0.75 * s, 0.6  # the reduced level is 0.75
     model = dict(hurst=(hv,), horizon=2.0, samples=40, want_bridge=True, marginal_indices=_EVERY_INDEX)
     (got,) = run_simulation(_job(x0=x0, threshold=level, drift=drift, diffusion=diffusion, **model))
     (fbm,) = run_simulation(_job(**model))
 
     grid = TimeGrid(2.0, 256)
-    coeffs = Coefficients(drift_from_name(drift), diffusion_from_name(diffusion))
-    lamperti = build_lamperti(coeffs, x0, (x0 - 100.0, x0 + 100.0))
-    reduced = np.array(
-        [euler_solve(lamperti.reduced_drift, 0.0, FbmPath(b, grid, Hurst(hv))).values for b in fbm.marginals]
-    )
-    assert np.max(np.abs(got.marginals - lamperti.inverse(reduced))) <= 1e-10
+    # y = (x - x0) / s has unit diffusion and drift a y + (a x0 + c) / s
+    reduced = _scalar_euler(fbm.marginals, a, (a * x0 + c) / s, grid.step)
+    assert np.max(np.abs(got.marginals - (x0 + s * reduced))) <= 1e-10
 
-    thr = threshold_transform(lamperti, level)
+    thr = (level - x0) / s
     uniforms = np.array([substream(42, UNIFORM_STREAM, i).random(grid.steps) for i in range(40)])
     bridge = _bridge_hit_times_batch(
         reduced, thr, grid.step, grid.step ** (2.0 * hv), np.log(uniforms), _plain_hit_index(reduced, thr)
     )
-    plain = [first_passage(FbmPath(row, grid, Hurst(hv)), thr) for row in reduced]
-    assert np.array_equal(got.tau_simple, [out.hit_time if out.is_hit else np.inf for out in plain])
+    plain = [np.argmax(row >= thr) * grid.step if (row >= thr).any() else np.inf for row in reduced]
+    assert np.array_equal(got.tau_simple, plain)
     assert np.array_equal(got.tau_bridge, bridge)
     assert np.isfinite(got.tau_simple).any() and not np.isfinite(got.tau_simple).all()
 

@@ -1,50 +1,33 @@
-"""State-space reduction and the explicit Euler propagation step.
+"""Closed-form model reduction and the explicit Euler propagation step.
 
 Covers:
-  - Drift/diffusion registry parsing and rejection of unknown specs.
-  - Unit-diffusion reduction: identity map, constant rescale, arctan map
-    for sigma(x) = 1 + x^2, threshold mapping, inverse roundtrip.
-  - Ellipticity enforcement on the tabulation range.
+  - Drift/diffusion registry parsing and rejection of unknown specs and of
+    a vanishing diffusion.
+  - Unit-diffusion reduction: identity map for unit diffusion, rescale by
+    1/s for constant diffusion s.
   - Euler recursion: exact zero-drift shortcut, constant-drift ramp,
     geometric decay for b(y) = -y, non-finite state detection.
   - Block Euler for affine drift: bit for bit the plain five-ufunc loop,
     signed zeros included, and the same failing step on a non-finite state.
 """
 
-import math
-
 import numpy as np
 import pytest
 
-from fbmpassage import (
-    Coefficients,
-    EllipticityError,
-    FbmPath,
-    Hurst,
-    PropagationError,
-    TimeGrid,
-    build_lamperti,
-    circulant_spectrum,
-    diffusion_from_name,
-    drift_from_name,
-    euler_solve,
-    fbm_path,
-    inverse_path,
-    sample_fgn,
-    threshold_transform,
-)
-from fbmpassage.sde import affine_euler
-
-
-def _zero_noise_path(horizon, steps):
-    grid = TimeGrid(horizon, steps)
-    return FbmPath(np.zeros(steps + 1), grid, Hurst(0.5))
+from fbmpassage import Hurst, PropagationError, SimulationJob, TimeGrid, circulant_spectrum, sample_fgn
+from fbmpassage.runner import _reduced_drift
+from fbmpassage.sde import affine_coefficients, affine_euler
 
 
 def _sampled_path(seed=11, horizon=5.0, steps=512, hv=0.6):
-    h, grid = Hurst(hv), TimeGrid(horizon, steps)
-    block, _ = sample_fgn(circulant_spectrum(h, grid), h, grid, np.random.default_rng(seed))
-    return fbm_path(block)
+    """A (1, steps+1) block holding one fBm path's prefix sums, and its mesh."""
+    grid = TimeGrid(horizon, steps)
+    increments = sample_fgn(circulant_spectrum(Hurst(hv), grid), np.random.default_rng(seed))[0]
+    return np.concatenate(([0.0], np.cumsum(increments)))[None, :], grid.step
+
+
+def _model(drift="zero", diffusion="one", x0=0.0):
+    return SimulationJob(hurst=(0.5,), horizon=1.0, steps=2, samples=2, master_seed=0, x0=x0, drift=drift, diffusion=diffusion)
 
 
 # ---------------------------------------------------------------------------
@@ -52,73 +35,48 @@ def _sampled_path(seed=11, horizon=5.0, steps=512, hv=0.6):
 # ---------------------------------------------------------------------------
 
 def test_drift_registry():
-    assert drift_from_name("zero")(3.7) == 0.0
-    lin = drift_from_name("linear:2,0.5")
-    assert lin(1.0) == pytest.approx(2.5)
-    ou = drift_from_name("ou:0.8")
-    assert ou(2.0) == pytest.approx(-1.6)
+    assert affine_coefficients("zero", "one")[:2] == (0.0, 0.0)
+    a, c, _ = affine_coefficients("linear:2,0.5", "one")
+    assert a * 1.0 + c == pytest.approx(2.5)
+    a, c, _ = affine_coefficients("ou:0.8", "one")
+    assert a * 2.0 + c == pytest.approx(-1.6)
     with pytest.raises(ValueError):
-        drift_from_name("bogus")
+        affine_coefficients("bogus", "one")
     with pytest.raises(ValueError):
-        drift_from_name("linear:1")  # wrong arity
+        affine_coefficients("linear:1", "one")  # wrong arity
 
 
 def test_diffusion_registry():
-    assert diffusion_from_name("one")(0.3) == 1.0
-    assert diffusion_from_name("const:2")(9.9) == 2.0
+    assert affine_coefficients("zero", "one")[2] == 1.0
+    assert affine_coefficients("zero", "const:2")[2] == 2.0
     with pytest.raises(ValueError):
-        diffusion_from_name("const:0")  # must be positive
+        affine_coefficients("zero", "const:0")  # must be positive
     with pytest.raises(ValueError):
-        diffusion_from_name("nope")
+        affine_coefficients("zero", "nope")
 
 
 # ---------------------------------------------------------------------------
-# Lamperti reduction
+# closed-form reduction y = (x - x0) / s
 # ---------------------------------------------------------------------------
 
 def test_unit_diffusion_reduces_to_identity():
-    coeff = Coefficients(drift_from_name("zero"), diffusion_from_name("one"))
-    lam = build_lamperti(coeff, 0.0, (-5.0, 5.0))
-    for x in (-2.0, 0.0, 1.0, 4.5):
-        assert lam.forward(x) == pytest.approx(x, abs=1e-10)
-    assert threshold_transform(lam, 1.0) == pytest.approx(1.0, abs=1e-10)
+    assert _reduced_drift(_model()) == (0.0, 0.0, 1.0)
+    # a start shift moves the level, not the reduced drift
+    assert _reduced_drift(_model(x0=0.7)) == (0.0, 0.0, 1.0)
 
 
 def test_constant_diffusion_rescales():
-    coeff = Coefficients(drift_from_name("zero"), diffusion_from_name("const:2"))
-    lam = build_lamperti(coeff, 0.0, (-4.0, 4.0))
-    assert lam.forward(1.0) == pytest.approx(0.5, abs=1e-10)
-    assert threshold_transform(lam, 1.0) == pytest.approx(0.5, abs=1e-10)
-    assert threshold_transform(lam, 0.0) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_quadratic_diffusion_gives_arctan_map():
-    coeff = Coefficients(drift_from_name("zero"), lambda x: 1.0 + x * x)
-    lam = build_lamperti(coeff, 0.0, (-1.5, 1.5))
-    assert lam.forward(1.0) == pytest.approx(math.pi / 4.0, abs=1e-10)
-    assert lam.forward(-1.0) == pytest.approx(-math.pi / 4.0, abs=1e-10)
-
-
-def test_lamperti_inverse_roundtrip():
-    coeff = Coefficients(drift_from_name("zero"), lambda x: 1.0 + x * x)
-    lam = build_lamperti(coeff, 0.0, (-1.2, 1.2))
-    xs = np.linspace(-1.0, 1.0, 21)
-    back = lam.inverse(np.array([lam.forward(x) for x in xs]))
-    assert np.max(np.abs(back - xs)) < 1e-8
-
-
-def test_lamperti_monotone():
-    coeff = Coefficients(drift_from_name("zero"), lambda x: 0.5 + x * x)
-    lam = build_lamperti(coeff, 0.0, (-2.0, 2.0))
-    xs = np.linspace(-1.9, 1.9, 50)
-    ys = np.array([lam.forward(x) for x in xs])
-    assert (np.diff(ys) > 0.0).all()
+    a, c_reduced, s = _reduced_drift(_model(diffusion="const:2"))
+    assert (a, c_reduced, s) == (0.0, 0.0, 2.0)
+    assert (1.0 - 0.0) / s == 0.5  # the level 1 from x0 = 0
+    # drift a x + c becomes a y + (a x0 + c) / s
+    assert _reduced_drift(_model("linear:0.5,1", "const:2", x0=2.0)) == (0.5, 1.0, 2.0)
 
 
 def test_vanishing_diffusion_rejected():
-    coeff = Coefficients(drift_from_name("zero"), lambda x: x)  # zero at the origin
-    with pytest.raises(EllipticityError):
-        build_lamperti(coeff, 0.5, (-1.0, 1.0))
+    for spec in ("const:0", "const:-1"):
+        with pytest.raises(ValueError, match="positive"):
+            affine_coefficients("zero", spec)
 
 
 # ---------------------------------------------------------------------------
@@ -126,36 +84,34 @@ def test_vanishing_diffusion_rejected():
 # ---------------------------------------------------------------------------
 
 def test_zero_drift_is_exact_shift():
-    path = _sampled_path()
-    solved = euler_solve(drift_from_name("zero"), 1.25, path)
-    assert np.array_equal(solved.values, 1.25 + path.values)
+    path, step = _sampled_path()
+    solved = affine_euler(path.copy(), 0.0, 0.0, step)
+    assert solved.tobytes() == path.tobytes()
+    shifted = 1.25 + path
+    assert np.array_equal(affine_euler(shifted.copy(), 0.0, 0.0, step), shifted)
 
 
 def test_constant_drift_zero_noise_ramp():
-    path = _zero_noise_path(1.0, 100)
-    solved = euler_solve(lambda y: 0.75, 0.0, path)
-    want = 0.75 * np.arange(101) * path.grid.step
-    assert np.max(np.abs(solved.values - want)) < 1e-12
+    solved = affine_euler(np.zeros((1, 101)), 0.0, 0.75, 0.01)
+    want = 0.75 * np.arange(101) * 0.01
+    assert np.max(np.abs(solved[0] - want)) < 1e-12
 
 
 def test_linear_decay_recursion():
     """b(y) = -y with no noise contracts by (1 - step) each step."""
-    path = _zero_noise_path(1.0, 100)
-    solved = euler_solve(lambda y: -y, 1.0, path)
-    assert solved.values[-1] == pytest.approx(0.99**100, rel=1e-12)
-    assert solved.values[-1] == pytest.approx(0.36603234127322953, rel=1e-10)
+    solved = affine_euler(np.ones((1, 101)), -1.0, 0.0, 0.01)  # noise rows hold x0 = 1
+    assert solved[0, -1] == pytest.approx(0.99**100, rel=1e-12)
+    assert solved[0, -1] == pytest.approx(0.36603234127322953, rel=1e-10)
 
 
 def test_non_finite_drift_raises():
-    path = _zero_noise_path(1.0, 10)
     with pytest.raises(PropagationError):
-        euler_solve(lambda y: float("nan"), 0.0, path)
+        affine_euler(np.zeros((1, 11)), 0.0, float("nan"), 0.1)
 
 
 def test_divergent_drift_raises():
-    path = _zero_noise_path(1.0, 60)
     with np.errstate(over="ignore"), pytest.raises(PropagationError):
-        euler_solve(lambda y: y * 1e200, 1.0, path)
+        affine_euler(np.ones((1, 61)), 1e200, 0.0, 1.0 / 60)
 
 
 def _five_ufunc_euler(values, a, c, step):
@@ -218,12 +174,3 @@ def test_affine_euler_names_the_step_a_divergent_drift_overflows():
         with pytest.raises(PropagationError) as got:
             affine_euler(noise.copy(), 1e200, 0.0, 1.0)
     assert str(got.value) == str(want.value)
-
-
-def test_inverse_path_applies_map():
-    coeff = Coefficients(drift_from_name("zero"), lambda x: 1.0 + x * x)
-    lam = build_lamperti(coeff, 0.0, (-1.4, 1.4))
-    path = _zero_noise_path(1.0, 8)
-    solved = euler_solve(lambda y: 0.5, 0.0, path)  # ramp in reduced space
-    original = inverse_path(lam, solved)
-    assert np.max(np.abs(original.values - np.tan(solved.values))) < 1e-8

@@ -1,11 +1,11 @@
-"""Closed-form reference values and bound envelopes.
+"""Closed-form reference values and the density envelope.
 
 Covers:
   - Brownian passage-time Laplace transform against frozen constants and
     its generating ODE (finite differences).
-  - The distance scale min(x, x^{1/(2H)}) and the piecewise frequency scale.
-  - Gap, variance-term, marginal-gap and density envelopes: frozen points,
-    monotonicity, domain errors, and the Gaussian equality case.
+  - The piecewise frequency scale.
+  - The density envelope: frozen points, growth, domain errors, and the
+    Gaussian equality case.
 """
 
 import math
@@ -14,17 +14,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from fbmpassage import (
-    GapEnvelopeParams,
-    Hurst,
-    decay_scale,
-    density_envelope,
-    distance_scale,
-    gap_envelope,
-    laplace_bm,
-    marginal_gap_envelope,
-    variance_term_envelope,
-)
+from fbmpassage import Hurst, decay_scale, density_envelope, laplace_bm
 
 
 # ---------------------------------------------------------------------------
@@ -70,25 +60,8 @@ def test_laplace_bm_solves_generator_equation():
 
 
 # ---------------------------------------------------------------------------
-# distance_scale and decay_scale
+# decay_scale
 # ---------------------------------------------------------------------------
-
-def test_distance_scale_points():
-    assert distance_scale(1.0, Hurst(0.9)) == 1.0
-    assert distance_scale(0.3, Hurst(0.5)) == pytest.approx(0.3, abs=1e-15)
-    # 0.5^{2/3} > 0.5, so the plain branch wins below 1
-    assert distance_scale(0.5, Hurst(0.75)) == pytest.approx(0.5, abs=1e-15)
-
-
-def test_distance_scale_bounds():
-    for h in (Hurst(0.5), Hurst(0.6), Hurst(0.9)):
-        for x in (0.0, 0.2, 1.0, 3.7):
-            s = distance_scale(x, h)
-            assert s <= x + 1e-15
-            assert s <= x ** (1.0 / (2.0 * h.value)) + 1e-15
-            if x <= 1.0:
-                assert s == pytest.approx(x, abs=1e-15)
-
 
 def test_decay_scale_branches():
     # sqrt branch above lambda = 1
@@ -101,69 +74,6 @@ def test_decay_scale_branches():
     assert decay_scale(1.0 + 1e-12, Hurst(0.5)) == pytest.approx(
         decay_scale(1.0, Hurst(0.5)), rel=1e-9
     )
-
-
-# ---------------------------------------------------------------------------
-# gap_envelope
-# ---------------------------------------------------------------------------
-
-def _params(**kw):
-    base = dict(c=1.0, alpha=1.0, mu=0.0, lambda0=1.0, eta=0.25, epsilon=0.1, x0=0.0)
-    base.update(kw)
-    return GapEnvelopeParams(**base)
-
-
-def test_gap_envelope_vanishes_at_h_half():
-    assert gap_envelope(_params(), Hurst(0.5), 2.0) == 0.0
-
-
-def test_gap_envelope_monotone():
-    p = _params()
-    lams = [1.0, 2.0, 4.0, 8.0]
-    vals = [gap_envelope(p, Hurst(0.7), lam) for lam in lams]
-    assert all(a > b for a, b in zip(vals, vals[1:])), "must decrease in lambda"
-    hs = [0.51, 0.6, 0.7, 0.8]
-    vals_h = [gap_envelope(p, Hurst(h), 2.0) for h in hs]
-    assert all(a < b for a, b in zip(vals_h, vals_h[1:])), "must increase in H"
-    assert all(v >= 0.0 for v in vals + vals_h)
-
-
-def test_gap_envelope_rejects_lambda_below_lambda0():
-    with pytest.raises(ValueError):
-        gap_envelope(_params(lambda0=2.0), Hurst(0.6), 1.5)
-
-
-def test_gap_envelope_params_validation():
-    with pytest.raises(ValueError):
-        _params(epsilon=0.3)  # outside (0, 1/4)
-    with pytest.raises(ValueError):
-        _params(eta=0.8)  # above (1 - x0) / 2
-    with pytest.raises(ValueError):
-        _params(lambda0=0.5)  # below 1
-
-
-# ---------------------------------------------------------------------------
-# variance_term_envelope and marginal_gap_envelope
-# ---------------------------------------------------------------------------
-
-def test_variance_term_envelope_points():
-    assert variance_term_envelope(1.0, 0.0, Hurst(0.5), 3.0) == 0.0
-    # linear in (H - 1/2): doubling the offset doubles the bound
-    a = variance_term_envelope(1.0, 0.0, Hurst(0.51), 3.0)
-    b = variance_term_envelope(1.0, 0.0, Hurst(0.52), 3.0)
-    assert b == pytest.approx(2.0 * a, rel=1e-12)
-    # decreasing in lambda past 1
-    hi = variance_term_envelope(1.0, 0.0, Hurst(0.7), 2.0)
-    lo = variance_term_envelope(1.0, 0.0, Hurst(0.7), 5.0)
-    assert lo < hi
-
-
-def test_marginal_gap_envelope_points():
-    assert marginal_gap_envelope(1.0, Hurst(0.5)) == 0.0
-    assert marginal_gap_envelope(1.0, Hurst(0.6)) == pytest.approx(0.1, abs=1e-15)
-    one = marginal_gap_envelope(2.5, Hurst(0.55))
-    two = marginal_gap_envelope(2.5, Hurst(0.6))
-    assert two == pytest.approx(2.0 * one, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
