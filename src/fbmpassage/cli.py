@@ -16,7 +16,7 @@ import logging
 import math
 import platform
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -46,34 +46,6 @@ class ConfigError(Exception):
     """Invalid run configuration; the CLI maps this to exit code 2."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved experiment parameters.
-
-    Worker count and chunk size are runtime flags, not configuration:
-    results do not depend on them, so they stay out of this record and out
-    of the manifest.
-    """
-
-    seed: int = 1729
-    horizon: float = 20.0
-    steps: int = 2**14
-    samples: int = 10_000
-    hurst_list: tuple[float, ...] = (0.5, 0.51, 0.52, 0.54, 0.6)
-    lambda_list: tuple[float, ...] = (1.0, 2.0, 3.0, 4.0)
-    x0: float = 0.0
-    threshold: float = 1.0
-    estimator: str = "both"
-    drift: str = "zero"
-    diffusion: str = "one"
-    hist_bins: int = 200
-    fig_points: int = 50
-    eta: float = 0.1
-    p: float = 2.5
-    r_list: tuple[float, ...] = (5.0, 10.0, 20.0)
-    out: str = "out"
-
-
 def _parse_floats(text: str) -> tuple[float, ...]:
     parts = text.replace(",", " ").split()
     if not parts:
@@ -81,33 +53,53 @@ def _parse_floats(text: str) -> tuple[float, ...]:
     return tuple(float(p) for p in parts)
 
 
-_CONFIG_PARSERS = {
-    "seed": int,
-    "horizon": float,
-    "steps": int,
-    "samples": int,
-    "hurst_list": _parse_floats,
-    "lambda_list": _parse_floats,
-    "x0": float,
-    "threshold": float,
-    "estimator": str,
-    "drift": str,
-    "diffusion": str,
-    "hist_bins": int,
-    "fig_points": int,
-    "eta": float,
-    "p": float,
-    "r_list": _parse_floats,
-    "out": str,
-}
+# Value parser of a config key and of its flag, by the RunConfig annotation.
+_VALUE_PARSERS = {"int": int, "float": float, "str": str, "tuple[float, ...]": _parse_floats}
+
+
+def _option(default, help: str, **flag):
+    """A RunConfig field: its default, plus the help text and any choices or
+    metavar of its command-line flag."""
+    return field(default=default, metadata={"help": help, **flag})
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """Resolved experiment parameters.
+
+    Each field declares one option: the config-file key of its name, and
+    the flag --name with underscores as dashes, parsed by its annotation.
+    Worker count and chunk size are runtime flags, not configuration:
+    results do not depend on them, so they stay out of this record and out
+    of the manifest.
+    """
+
+    seed: int = _option(1729, "master seed (unsigned 64-bit)")
+    horizon: float = _option(20.0, "time horizon T")
+    steps: int = _option(2**14, "grid intervals N (power of two)")
+    samples: int = _option(10_000, "Monte Carlo sample count M")
+    hurst_list: tuple[float, ...] = _option((0.5, 0.51, 0.52, 0.54, 0.6), "Hurst values in [0.5, 1)", metavar="H,...")
+    lambda_list: tuple[float, ...] = _option((1.0, 2.0, 3.0, 4.0), "transform arguments, > 0", metavar="L,...")
+    x0: float = _option(0.0, "starting level (below threshold)")
+    threshold: float = _option(1.0, "passage level")
+    estimator: str = _option("both", "hit-time rule(s) to run", choices=ESTIMATOR_CHOICES)
+    drift: str = _option("zero", "drift spec: zero, linear:a,c or ou:k")
+    diffusion: str = _option("one", "diffusion spec: one or const:s")
+    hist_bins: int = _option(200, "histogram bin count (density)")
+    fig_points: int = _option(50, "fitted-line sample count (rate)")
+    eta: float = _option(0.1, "supremum truncation margin (conjecture)")
+    p: float = _option(2.5, "moment order in (2, 3) (conjecture)")
+    r_list: tuple[float, ...] = _option((5.0, 10.0, 20.0), "window lengths (conjecture)", metavar="R,...")
+    out: str = _option("out", "output directory (default: out)")
 
 
 def load_config_file(path) -> dict:
     """Parse a flat key = value file; '#' starts a comment, blank lines skip."""
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    options = {option.name: option for option in fields(RunConfig)}
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -117,11 +109,11 @@ def load_config_file(path) -> dict:
         if not sep:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
         key = key.strip()
-        parser = _CONFIG_PARSERS.get(key)
-        if parser is None:
+        option = options.get(key)
+        if option is None:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         try:
-            values[key] = parser(value.strip())
+            values[key] = _VALUE_PARSERS[option.type](value.strip())
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
     return values
@@ -201,10 +193,10 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     if args.paper_scale:
         values["steps"] = FULL_SCALE_STEPS
         values["samples"] = FULL_SCALE_SAMPLES
-    for field in fields(RunConfig):
-        given = getattr(args, field.name, None)
+    for option in fields(RunConfig):
+        given = getattr(args, option.name)
         if given is not None:
-            values[field.name] = given
+            values[option.name] = given
     cfg = RunConfig(**values)
     validate_config(cfg)
     return cfg
@@ -232,9 +224,9 @@ def write_csv(path: Path, header: list[str], rows) -> None:
 
 def write_manifest(out_dir: Path, command: str, cfg: RunConfig, outputs: list[str]) -> None:
     config = {}
-    for field in fields(cfg):
-        v = getattr(cfg, field.name)
-        config[field.name] = list(v) if isinstance(v, tuple) else v
+    for option in fields(cfg):
+        v = getattr(cfg, option.name)
+        config[option.name] = list(v) if isinstance(v, tuple) else v
     manifest = {
         "command": command,
         "config": config,
@@ -300,7 +292,7 @@ def cmd_simulate(cfg: RunConfig, workers: int, chunk_pairs: int, out_dir: Path) 
     for hv, result in zip(cfg.hurst_list, run_simulation(job, workers)):
         times = result.hit_times()
         table[hv] = {
-            name: {lam: laplace_from_times(times[name], lam, hv, name) for lam in cfg.lambda_list}
+            name: {lam: laplace_from_times(times[name], lam) for lam in cfg.lambda_list}
             for name in names
         }
     pure = job.is_pure
@@ -345,15 +337,12 @@ def cmd_bridge_compare(cfg: RunConfig, workers: int, chunk_pairs: int, out_dir: 
     else:
         fine_job = _job(cfg, chunk_pairs, ("simple",), hurst=(hv,), steps=2 * cfg.steps)
         (fine,) = run_simulation(fine_job, workers)
-        reference = {
-            lam: laplace_from_times(fine.tau_simple, lam, hv, "simple").value
-            for lam in cfg.lambda_list
-        }
+        reference = {lam: laplace_from_times(fine.tau_simple, lam).value for lam in cfg.lambda_list}
     rows = []
     for lam in cfg.lambda_list:
         ref = reference[lam]
-        simple = laplace_from_times(times["simple"], lam, hv, "simple").value
-        bridge = laplace_from_times(times["bridge"], lam, hv, "bridge").value
+        simple = laplace_from_times(times["simple"], lam).value
+        bridge = laplace_from_times(times["bridge"], lam).value
         rows.append(
             [
                 lam,
@@ -386,7 +375,7 @@ def cmd_rate(cfg: RunConfig, workers: int, chunk_pairs: int, out_dir: Path) -> l
     estimates: dict[float, dict[float, object]] = {}
     for hv, result in zip(cfg.hurst_list, run_simulation(_job(cfg, chunk_pairs, (name,)), workers)):
         times = result.hit_times()[name]
-        estimates[hv] = {lam: laplace_from_times(times, lam, hv, name) for lam in cfg.lambda_list}
+        estimates[hv] = {lam: laplace_from_times(times, lam) for lam in cfg.lambda_list}
 
     rate_rows = []
     fig_rows = []
@@ -476,15 +465,12 @@ def cmd_conjecture(cfg: RunConfig, workers: int, chunk_pairs: int, out_dir: Path
 # selftest
 # ---------------------------------------------------------------------------
 
-def run_selftest(cfg: RunConfig, autocov_fn=None) -> list[tuple[str, bool, str]]:
+def run_selftest(cfg: RunConfig) -> list[tuple[str, bool, str]]:
     """Built-in invariant battery; returns (name, passed, detail) triples.
 
     Statistical checks run on fixed internal seeds so a correct build
-    always reports the same statistics; `autocov_fn` swaps the reference
-    increment autocovariance (used to prove the covariance check actually
-    bites).
+    always reports the same statistics.
     """
-    reference_autocov = autocov_fn if autocov_fn is not None else fgn_autocovariance
     checks: list[tuple[str, bool, str]] = []
 
     def record(name, fn):
@@ -510,7 +496,7 @@ def run_selftest(cfg: RunConfig, autocov_fn=None) -> list[tuple[str, bool, str]]
             data[2 * i : 2 * i + 2] = sample_fgn(spectrum, rng)
         worst = 0.0
         for lag in range(6):
-            ref = reference_autocov(h, lag, grid.step)
+            ref = fgn_autocovariance(h, lag, grid.step)
             stop = grid.steps - lag
             block_means = (data[:, :stop] * data[:, lag : lag + stop]).mean(axis=1)
             se = block_means.std(ddof=1) / math.sqrt(len(block_means))
@@ -643,20 +629,19 @@ class _SelftestFailure(Exception):
 # argument parsing and dispatch
 # ---------------------------------------------------------------------------
 
+# subcommand name -> (function, help text)
 _COMMANDS = {
-    "simulate": cmd_simulate,
-    "bridge-compare": cmd_bridge_compare,
-    "rate": cmd_rate,
-    "density": cmd_density,
-    "conjecture": cmd_conjecture,
-    "selftest": cmd_selftest,
+    "simulate": (cmd_simulate, "estimate hit-time Laplace transforms over the H and lambda grids"),
+    "bridge-compare": (cmd_bridge_compare, "compare plain and bridge-corrected estimators against a reference"),
+    "rate": (cmd_rate, "regress the transform gap on H - 1/2 and fit its log-log exponent"),
+    "density": (cmd_density, "histogram hit times for each Hurst value"),
+    "conjecture": (cmd_conjecture, "truncated argmax moments over several windows"),
+    "selftest": (cmd_selftest, "run built-in statistical and analytic invariant checks"),
 }
 
 
 def _add_common_options(parser: argparse.ArgumentParser) -> None:
-    # config-field options default to None so explicit flags are detectable
     parser.add_argument("--config", metavar="PATH", help="flat key=value config file")
-    parser.add_argument("--seed", type=int, help="master seed (unsigned 64-bit)")
     parser.add_argument(
         "--workers",
         type=int,
@@ -666,7 +651,7 @@ def _add_common_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--chunk-pairs",
         type=int,
-        default=None,
+        default=DEFAULT_CHUNK_PAIRS,
         metavar="N",
         help="path pairs per work chunk; results do not depend on it",
     )
@@ -676,22 +661,10 @@ def _add_common_options(parser: argparse.ArgumentParser) -> None:
         help=f"full reference scale: steps={FULL_SCALE_STEPS}, samples={FULL_SCALE_SAMPLES} "
         "(explicit --steps/--samples still win)",
     )
-    parser.add_argument("--out", help="output directory (default: out)")
-    parser.add_argument("--horizon", type=float, help="time horizon T")
-    parser.add_argument("--steps", type=int, help="grid intervals N (power of two)")
-    parser.add_argument("--samples", type=int, help="Monte Carlo sample count M")
-    parser.add_argument("--hurst-list", type=_parse_floats, metavar="H,...", help="Hurst values in [0.5, 1)")
-    parser.add_argument("--lambda-list", type=_parse_floats, metavar="L,...", help="transform arguments, > 0")
-    parser.add_argument("--x0", type=float, help="starting level (below threshold)")
-    parser.add_argument("--threshold", type=float, help="passage level")
-    parser.add_argument("--estimator", choices=list(ESTIMATOR_CHOICES), help="hit-time rule(s) to run")
-    parser.add_argument("--drift", help="drift spec: zero, linear:a,c or ou:k")
-    parser.add_argument("--diffusion", help="diffusion spec: one or const:s")
-    parser.add_argument("--hist-bins", type=int, help="histogram bin count (density)")
-    parser.add_argument("--fig-points", type=int, help="fitted-line sample count (rate)")
-    parser.add_argument("--eta", type=float, help="supremum truncation margin (conjecture)")
-    parser.add_argument("--p", type=float, help="moment order in (2, 3) (conjecture)")
-    parser.add_argument("--r-list", type=_parse_floats, metavar="R,...", help="window lengths (conjecture)")
+    # config-field options default to None so explicit flags are detectable
+    for option in fields(RunConfig):
+        flag = "--" + option.name.replace("_", "-")
+        parser.add_argument(flag, dest=option.name, type=_VALUE_PARSERS[option.type], **option.metadata)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -701,15 +674,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {_package_version()}")
     subparsers = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-    helps = {
-        "simulate": "estimate hit-time Laplace transforms over the H and lambda grids",
-        "bridge-compare": "compare plain and bridge-corrected estimators against a reference",
-        "rate": "regress the transform gap on H - 1/2 and fit its log-log exponent",
-        "density": "histogram hit times for each Hurst value",
-        "conjecture": "truncated argmax moments over several windows",
-        "selftest": "run built-in statistical and analytic invariant checks",
-    }
-    for name, help_text in helps.items():
+    for name, (_, help_text) in _COMMANDS.items():
         sub = subparsers.add_parser(name, help=help_text, description=help_text)
         _add_common_options(sub)
     return parser
@@ -729,12 +694,16 @@ def main(argv=None) -> int:
         workers = args.workers
         if workers < 1:
             raise ConfigError(f"workers must be at least 1, got {workers}")
-        chunk_pairs = args.chunk_pairs if args.chunk_pairs is not None else DEFAULT_CHUNK_PAIRS
+        chunk_pairs = args.chunk_pairs
         if chunk_pairs < 1:
             raise ConfigError(f"chunk-pairs must be positive, got {chunk_pairs}")
         out_dir = Path(cfg.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        outputs = _COMMANDS[args.command](cfg, workers, chunk_pairs, out_dir)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory {out_dir}: {exc}") from exc
+        command, _ = _COMMANDS[args.command]
+        outputs = command(cfg, workers, chunk_pairs, out_dir)
         write_manifest(out_dir, args.command, cfg, outputs)
         return 0
     except _SelftestFailure:

@@ -42,17 +42,14 @@ class LaplaceEstimate:
     """Mean of exp(-lam * tau) over the sample, with its standard error.
 
     Censored paths contribute zero, so `value` underestimates the true
-    transform; `censored` counts them.  `estimator` records which detector
-    produced the hit times ('simple' or 'bridge').
+    transform; `censored` counts them.
     """
 
     value: float
     std_error: float
     lam: float
-    hurst: float | None
     samples: int
     censored: int
-    estimator: str = "simple"
 
     def __post_init__(self):
         if not 0.0 <= self.value <= 1.0:
@@ -65,29 +62,28 @@ class LaplaceEstimate:
             raise ValueError(f"censored count {self.censored} outside [0, {self.samples}]")
 
 
-def laplace_from_times(
-    times: np.ndarray,
-    lam: float,
-    hurst: float | None = None,
-    estimator: str = "simple",
-) -> LaplaceEstimate:
+def _mean_and_se(values: np.ndarray) -> tuple[float, float]:
+    """Sample mean of `values` and its standard error, both sums taken with math.fsum.
+
+    The standard error is 0.0 for a single value.
+    """
+    m = len(values)
+    s1 = math.fsum(values)
+    s2 = math.fsum(values * values)
+    var = max(0.0, (s2 - s1 * s1 / m) / (m - 1)) if m > 1 else 0.0
+    return s1 / m, math.sqrt(var / m)
+
+
+def laplace_from_times(times: np.ndarray, lam: float) -> LaplaceEstimate:
     """Laplace estimate from an array of hit times (+inf marks censoring)."""
     if not (np.isfinite(lam) and lam > 0.0):
         raise ValueError(f"lambda must be positive, got {lam}")
     m = len(times)
     if m < 1:
         raise ValueError("cannot estimate from an empty sample")
-    w = np.exp(-lam * times)
-    s1 = math.fsum(w)
-    s2 = math.fsum(w * w)
-    value = s1 / m
-    if m > 1:
-        var = max(0.0, (s2 - s1 * s1 / m) / (m - 1))
-        se = math.sqrt(var / m)
-    else:
-        se = 0.0
+    value, se = _mean_and_se(np.exp(-lam * times))
     censored = int(np.isinf(times).sum())
-    return LaplaceEstimate(value, se, float(lam), hurst, m, censored, estimator)
+    return LaplaceEstimate(value, se, float(lam), m, censored)
 
 
 def gap_estimate(estimate: LaplaceEstimate, reference) -> tuple[float, float]:
@@ -128,10 +124,8 @@ class DensityHistogram:
     censored: int
 
 
-def density_from_times(
-    times: np.ndarray, horizon: float, bins: int = 200, upper: float | None = None
-) -> DensityHistogram:
-    """Histogram from a hit-time array (+inf marks censoring)."""
+def density_from_times(times: np.ndarray, horizon: float, bins: int = 200) -> DensityHistogram:
+    """Histogram over [0, min(horizon, 10)] from a hit-time array (+inf marks censoring)."""
     if bins < 1:
         raise ValueError(f"need at least one bin, got {bins}")
     m = len(times)
@@ -141,9 +135,7 @@ def density_from_times(
     hits = int(finite.sum())
     if hits == 0:
         raise NoHitsError("every path was censored; no hit times to histogram")
-    if upper is None:
-        upper = min(horizon, 10.0)
-    edges = np.linspace(0.0, upper, bins + 1)
+    edges = np.linspace(0.0, min(horizon, 10.0), bins + 1)
     counts, _ = np.histogram(times[finite], bins=edges)
     widths = np.diff(edges)
     mass = counts / (m * widths)
@@ -166,12 +158,7 @@ def truncated_argmax_moments(
     out = []
     for j, r in enumerate(r_values):
         contrib = np.where(sups[:, j] <= 1.0 + eta, arg_times[:, j] ** exponent, 0.0)
-        m = len(contrib)
-        s1 = math.fsum(contrib)
-        s2 = math.fsum(contrib * contrib)
-        value = s1 / m
-        var = max(0.0, (s2 - s1 * s1 / m) / (m - 1)) if m > 1 else 0.0
-        out.append((r, value, math.sqrt(var / m)))
+        out.append((r, *_mean_and_se(contrib)))
     return out
 
 

@@ -34,7 +34,7 @@ __all__ = [
 # are rounded up to zero, anything lower is a hard failure.
 EIGENVALUE_TOL = 1e-12
 
-# Default size cap for the dense Cholesky oracle (O(N^3) factor cost).
+# Size cap for the dense Cholesky oracle (O(N^3) factor cost).
 CHOLESKY_CAP = 2**11
 
 
@@ -78,9 +78,6 @@ class TimeGrid:
     @property
     def step(self) -> float:
         return self.horizon / self.steps
-
-    def times(self) -> np.ndarray:
-        return np.arange(self.steps + 1) * self.step
 
     def time_index(self, t: float) -> int:
         """Largest grid index n with n * step <= t (tolerating roundoff)."""
@@ -225,19 +222,17 @@ def _cholesky_factor(h_value: float, grid: TimeGrid) -> np.ndarray:
         ) from exc
 
 
-def cholesky_fbm(
-    h: Hurst, grid: TimeGrid, rng: np.random.Generator, cap: int = CHOLESKY_CAP
-) -> np.ndarray:
+def cholesky_fbm(h: Hurst, grid: TimeGrid, rng: np.random.Generator) -> np.ndarray:
     """Exact fBm path values at the N + 1 grid points, from a dense Cholesky
     factorization of the increment covariance; the path starts at zero.
 
     Slow reference oracle: the factor costs O(N^3) once per (h, grid) and is
-    cached; each call then consumes N normals.  Sizes above `cap` are refused
+    cached; each call then consumes N normals.  Sizes above CHOLESKY_CAP are refused
     to keep accidental quadratic-memory use out of production paths.
     """
-    if grid.steps > cap:
+    if grid.steps > CHOLESKY_CAP:
         raise ValueError(
-            f"Cholesky oracle capped at {cap} steps, got {grid.steps}; "
+            f"Cholesky oracle capped at {CHOLESKY_CAP} steps, got {grid.steps}; "
             "use the circulant sampler for large grids"
         )
     factor = _cholesky_factor(h.value, grid)

@@ -205,26 +205,44 @@ def _reduced_drift(job: SimulationJob) -> tuple[float, float, float]:
     return a, (a * job.x0 + c) / s, s
 
 
+def _block_layout(job: SimulationJob, pairs: int) -> tuple[bool, int]:
+    """(looped, block) for a chunk of `pairs` pairs.
+
+    `looped` says whether the reduced drift is not zero, so the Euler loop
+    runs; then a block is the whole chunk, and otherwise BLOCK_PAIRS pairs.
+    Raises ValueError for an unknown model.
+    """
+    a, c_reduced, _ = _reduced_drift(job)
+    looped = a != 0.0 or c_reduced != 0.0
+    return looped, pairs if looped else min(BLOCK_PAIRS, pairs)
+
+
 def _memory_estimate(job: SimulationJob, processes: int) -> int:
     """Bytes a run of `job` holds at its peak, computed before anything is allocated.
 
-    Every process holds the cached spectra (16N bytes per H, N = steps),
-    one transform buffer (32N) and one block: per pair, 16N of path rows,
-    2N of scan mask, with the bridge rule 16N of log-uniforms and, with
-    several H values, 32N of stashed noise.  A single-H block draws its
-    noise into the transform buffer.  The calling process also holds
-    every result array twice while it merges the chunks.  Raises
-    ValueError for an unknown model.
+    An upper bound on the traced peak, with N = steps.  Every process
+    holds 64 kB of small objects, the cached spectra (16N bytes per H), one
+    transform buffer (32N), one block and the largest temporary of a block
+    step.  Per pair, a block holds 16N of path rows and 2N of scan or
+    finiteness mask; with the bridge rule 16N of log-uniforms and two
+    uniform generators of ~1 kB; with window extremes 16N for the copy of
+    a window that argmax makes; with several H values 32N of stashed
+    noise.  A single-H block draws its noise into the transform buffer.
+    The largest temporary is 32N: the 16N of one noise draw, the FFT's
+    ufunc buffer or one row's bridge scan.  The Euler loop adds 136 bytes
+    per grid column for its column views.  The calling process holds
+    every result array twice while it merges the chunks, and 1 kB of
+    records per chunk and H.  Raises ValueError for an unknown model.
     """
-    a, c_reduced, _ = _reduced_drift(job)
-    pairs = min(job.chunk_pairs, (job.samples + 1) // 2)
-    block = pairs if a != 0.0 or c_reduced != 0.0 else min(BLOCK_PAIRS, pairs)
+    pairs = (job.samples + 1) // 2
+    looped, block = _block_layout(job, min(job.chunk_pairs, pairs))
     n = job.steps + 1
-    stash = 32 if len(job.hurst) > 1 else 0
-    per_pair = (stash + 16 + 2 + (16 if job.want_bridge else 0)) * n
-    per_process = 16 * n * len(job.hurst) + 32 * n + block * per_pair
+    per_pair = (16 + 2 + 16 * job.want_bridge + 16 * bool(job.extreme_indices) + 32 * (len(job.hurst) > 1)) * n
+    per_pair += 2048 * job.want_bridge
+    per_process = (64 << 10) + (16 * len(job.hurst) + 32 + 32 + 136 * looped) * n + block * per_pair
     columns = job.want_simple + job.want_bridge + len(job.marginal_indices) + 2 * len(job.extreme_indices)
-    return processes * per_process + 2 * 8 * job.samples * len(job.hurst) * columns
+    results = 2 * 8 * job.samples * columns + 1024 * math.ceil(pairs / job.chunk_pairs)
+    return processes * per_process + len(job.hurst) * results
 
 
 def _chunk_compute(job: SimulationJob, chunk_index: int) -> list[SimulationResult]:
@@ -264,8 +282,7 @@ def _chunk_compute(job: SimulationJob, chunk_index: int) -> list[SimulationResul
     scales = [_noise_scale(h, job.horizon, steps) for h in job.hurst]
     a, c_reduced, s = _reduced_drift(job)
     thr = (job.threshold - job.x0) / s
-    looped = a != 0.0 or c_reduced != 0.0
-    block = pc if looped else min(BLOCK_PAIRS, pc)
+    looped, block = _block_layout(job, pc)
 
     results = [_empty_result(job, n_valid) for _ in job.hurst]
     transformed = np.empty(m, dtype=complex)

@@ -12,13 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "PropagationError",
-    "affine_euler",
-    "affine_coefficients",
-    "DRIFT_NAMES",
-    "DIFFUSION_NAMES",
-]
+__all__ = ["PropagationError", "affine_euler", "affine_coefficients"]
 
 
 class PropagationError(ArithmeticError):
@@ -58,10 +52,6 @@ def affine_euler(values: np.ndarray, a: float, c: float, step: float) -> np.ndar
 # ---------------------------------------------------------------------------
 # named coefficient registry (CLI surface)
 # ---------------------------------------------------------------------------
-
-DRIFT_NAMES = ("zero", "linear", "ou")
-DIFFUSION_NAMES = ("one", "const")
-
 
 def _parse_spec(spec: str, n_params: dict[str, int], kind: str) -> tuple[str, list[float]]:
     name, _, tail = spec.partition(":")

@@ -46,7 +46,7 @@ def desk_sweep():
     """Every H of the sweep in one job: per-path outputs do not depend on the grouping."""
     results = fp.run_simulation(_job(H_SWEEP, 2**14, 20_000))
     return {
-        hv: {lam: fp.laplace_from_times(result.tau_simple, lam, hv, "simple") for lam in LAMBDAS}
+        hv: {lam: fp.laplace_from_times(result.tau_simple, lam) for lam in LAMBDAS}
         for hv, result in zip(H_SWEEP, results)
     }
 
@@ -97,8 +97,8 @@ def test_bridge_beats_simple_at_brownian_case():
     details = []
     for lam in LAMBDAS:
         ana = fp.laplace_bm(lam)
-        rel_s = abs(fp.laplace_from_times(times["simple"], lam, 0.5, "simple").value - ana) / ana
-        rel_b = abs(fp.laplace_from_times(times["bridge"], lam, 0.5, "bridge").value - ana) / ana
+        rel_s = abs(fp.laplace_from_times(times["simple"], lam).value - ana) / ana
+        rel_b = abs(fp.laplace_from_times(times["bridge"], lam).value - ana) / ana
         wins += rel_b < rel_s
         details.append(f"lam={lam:g}: bridge {100*rel_b:.2f}% vs simple {100*rel_s:.2f}%")
     ok = wins >= 3

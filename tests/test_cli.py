@@ -6,18 +6,23 @@ warnings on model runs, the modules a CLI import loads, and the statistical
 checks pinned to CLI output at its default desk scale.
 """
 
+import contextlib
 import csv
 import dataclasses
+import io
 import json
 import logging
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.stats import chi2, norm
 
 import fbmpassage
@@ -113,6 +118,60 @@ def test_flag_overrides_file_overrides_default(tmp_path):
     assert cfg.steps == 2**14  # untouched default
 
 
+# Value texts by RunConfig annotation: canonical forms with no surrounding
+# blanks and no '#', which a config file strips and a flag keeps.  Each
+# strategy mixes arbitrary values with ones that pass validation.
+_FLOAT = st.one_of(st.floats(allow_nan=False), st.floats(-5.0, 5.0))
+_VALUE_TEXTS = {
+    "int": st.one_of(st.integers(-(2**70), 2**70), st.integers(1, 14).map(lambda k: 2**k)).map(str),
+    "float": _FLOAT.map(repr),
+    "tuple[float, ...]": st.lists(st.one_of(_FLOAT, st.floats(0.5, 0.99)), max_size=4).map(
+        lambda xs: ", ".join(map(repr, xs))
+    ),
+    "str": st.one_of(
+        st.sampled_from(["simple", "bridge", "both", "zero", "ou:1", "linear:0.5,1", "one", "const:2"]),
+        st.text("abcdefghijklmnopqrstuvwxyz0123456789:,.-=/", min_size=1, max_size=12),
+    ),
+}
+
+
+def _resolve_or_reject(argv):
+    """The RunConfig that argv resolves to, or "rejected" for a usage or config error."""
+    try:
+        with contextlib.redirect_stderr(io.StringIO()):
+            return resolve_config(build_parser().parse_args(argv))
+    except (ConfigError, SystemExit):
+        return "rejected"
+
+
+@given(st.data())
+def test_config_key_and_flag_resolve_alike(data):
+    option = data.draw(st.sampled_from(dataclasses.fields(RunConfig)))
+    text = data.draw(_VALUE_TEXTS[option.type])
+    flag = "--" + option.name.replace("_", "-")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "run.cfg"
+        path.write_text(f"{option.name} = {text}\n")
+        from_file = _resolve_or_reject(["simulate", "--config", str(path)])
+    # "--flag=text": argparse takes a separate "-1e-05" for an option name
+    assert _resolve_or_reject(["simulate", f"{flag}={text}"]) == from_file
+
+
+_CONFIG_LINES = [b"samples = 300", b"hurst_list = 0.5, 0.6", b"# comment", b"", b"seed=7", b"steps = x", b"\xff\xfe = 1"]
+
+
+@given(st.lists(st.one_of(st.binary(max_size=24), st.sampled_from(_CONFIG_LINES)), max_size=6))
+def test_load_config_file_raises_only_config_error(lines):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "run.cfg"
+        path.write_bytes(b"\n".join(lines))
+        try:
+            values = load_config_file(path)
+        except ConfigError:
+            return
+    assert set(values) <= {option.name for option in dataclasses.fields(RunConfig)}
+
+
 def test_paper_scale_flag():
     parser = build_parser()
     cfg = resolve_config(parser.parse_args(["simulate", "--paper-scale"]))
@@ -180,6 +239,14 @@ def test_exit_code_usage_errors(capsys, tmp_path):
         assert capsys.readouterr().err.startswith("error:")
     argv = ["simulate", "--samples", "100", "--steps", "2", "--horizon", "1e300"]
     assert main([*argv, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    not_utf8 = tmp_path / "bytes.cfg"
+    not_utf8.write_bytes(b"samples = 300\n\xff\xfe = 1\n")
+    assert main(["simulate", "--config", str(not_utf8), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    occupied = tmp_path / "occupied"
+    occupied.write_text("")
+    assert main(["simulate", "--samples", "100", "--steps", "16", "--out", str(occupied)]) == 2
     assert capsys.readouterr().err.startswith("error:")
     # just inside the step^(2H) bound, the path scale still overflows the bridge test
     for horizon, hurst in (("1e302", "0.51"), ("1.7e308", "0.5")):
@@ -569,7 +636,7 @@ def test_selftest_passes_and_writes_report(capsys, tmp_path):
         assert name in report
 
 
-def test_selftest_catches_covariance_corruption():
+def test_selftest_catches_covariance_corruption(monkeypatch):
     """Swapping in a skewed reference autocovariance must trip exactly the
     increment-autocovariance check, proving the check has teeth."""
 
@@ -577,6 +644,7 @@ def test_selftest_catches_covariance_corruption():
         base = fgn_autocovariance(h, lag, step)
         return base * 1.1 if lag == 1 else base
 
-    checks = run_selftest(RunConfig(), autocov_fn=skewed)
+    monkeypatch.setattr(fbmpassage.cli, "fgn_autocovariance", skewed)
+    checks = run_selftest(RunConfig())
     failed = [name for name, ok, _ in checks if not ok]
     assert failed == ["increment_autocovariance"]

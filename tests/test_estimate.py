@@ -37,12 +37,11 @@ from fbmpassage import (
 
 def test_laplace_hand_values():
     times = np.array([0.5, np.inf, 1.0])
-    est = laplace_from_times(times, 1.0, 0.5, "simple")
+    est = laplace_from_times(times, 1.0)
     want = (math.exp(-0.5) + 0.0 + math.exp(-1.0)) / 3.0
     assert est.value == pytest.approx(want, rel=1e-14)
     assert est.censored == 1
     assert est.samples == 3
-    assert est.estimator == "simple"
     weights = np.array([math.exp(-0.5), 0.0, math.exp(-1.0)])
     assert est.std_error == pytest.approx(weights.std(ddof=1) / math.sqrt(3), rel=1e-12)
 
@@ -69,11 +68,11 @@ def test_laplace_rejects_bad_lambda():
 
 def test_laplace_estimate_validation():
     with pytest.raises(ValueError):
-        LaplaceEstimate(1.5, 0.0, 1.0, 0.5, 10, 0)
+        LaplaceEstimate(1.5, 0.0, 1.0, 10, 0)
     with pytest.raises(ValueError):
-        LaplaceEstimate(0.5, -0.1, 1.0, 0.5, 10, 0)
+        LaplaceEstimate(0.5, -0.1, 1.0, 10, 0)
     with pytest.raises(ValueError):
-        LaplaceEstimate(0.5, 0.1, 1.0, 0.5, 10, 11)
+        LaplaceEstimate(0.5, 0.1, 1.0, 10, 11)
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +106,7 @@ def test_gap_rejects_mismatched_lambda():
 # ---------------------------------------------------------------------------
 
 def test_density_one_point():
-    hist = density_from_times(np.array([1.0]), 2.0, bins=1, upper=2.0)
+    hist = density_from_times(np.array([1.0]), 2.0, bins=1)
     assert hist.mass.shape == (1,)
     # one hit out of one path spread over a width-2 bin
     assert hist.mass[0] == pytest.approx(0.5, rel=1e-14)

@@ -22,9 +22,11 @@ Covers:
     diffusion is scaled fBm with no Euler loop at all.
 """
 
+import dataclasses
 import os
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter, defaultdict
 from pathlib import Path
 
@@ -375,19 +377,55 @@ def test_memory_bound_refuses_a_run_before_allocating(monkeypatch):
 
 def test_memory_estimate_counts_blocks_spectra_and_results():
     n = 2**10 + 1
+    small = 64 << 10  # small objects, per process
     pure = _job(steps=2**10, samples=300, want_bridge=True, hurst=(0.5, 0.6))
-    # two 16N spectra and a 32N transform buffer, 8-pair blocks of 66N per
-    # pair (32N of it stashed noise), and two results of two columns over
-    # 300 paths, held twice
-    assert runner._memory_estimate(pure, 1) == 16 * n * 2 + 32 * n + 8 * 66 * n + 2 * 8 * 300 * 2 * 2
+    # two 16N spectra, a 32N transform buffer and a 32N temporary; 8-pair
+    # blocks of 66N (32N of it stashed noise) and two 1 kB generators per
+    # pair; two results of two columns over 300 paths, held twice, and
+    # 1 kB of records per chunk (two chunks) and H
+    assert runner._memory_estimate(pure, 1) == (
+        small + 16 * n * 2 + 64 * n + 8 * (66 * n + 2048) + 2 * (2 * 8 * 300 * 2 + 1024 * 2)
+    )
     # one H: the noise is drawn into the transform buffer, no stash
     single = _job(steps=2**10, samples=300, want_bridge=True)
-    assert runner._memory_estimate(single, 1) == 16 * n + 32 * n + 8 * 34 * n + 2 * 8 * 300 * 2
+    assert runner._memory_estimate(single, 1) == small + 16 * n + 64 * n + 8 * (34 * n + 2048) + 2 * 8 * 300 * 2 + 1024 * 2
+    # drifted: the block is the whole 128-pair chunk, and the Euler loop's
+    # column views take 136 B per grid column
     drifted = _job(steps=2**10, samples=300, drift="ou:1")
-    assert runner._memory_estimate(drifted, 2) == 2 * (16 * n + 32 * n + 128 * 18 * n) + 2 * 8 * 300
+    assert runner._memory_estimate(drifted, 2) == 2 * (small + 16 * n + 64 * n + 136 * n + 128 * 18 * n) + 2 * 8 * 300 + 1024 * 2
     drifted_multi = _job(steps=2**10, samples=300, drift="ou:1", hurst=(0.5, 0.6))
-    assert runner._memory_estimate(drifted_multi, 2) == 2 * (16 * n * 2 + 32 * n + 128 * 50 * n) + 2 * 8 * 300 * 2
+    assert runner._memory_estimate(drifted_multi, 2) == (
+        2 * (small + 16 * n * 2 + 64 * n + 136 * n + 128 * 50 * n) + 2 * (2 * 8 * 300 + 1024 * 2)
+    )
+    # window extremes: 16N per pair for the window copy argmax makes, two columns per window
+    extremes = _job(steps=2**10, samples=300, want_simple=False, extreme_indices=(10, 1024))
+    assert runner._memory_estimate(extremes, 1) == small + 16 * n + 64 * n + 8 * 34 * n + 2 * 8 * 300 * 4 + 1024 * 2
     assert runner._memory_estimate(_job(), 1) < runner._physical_memory()
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [
+        {},
+        {"hurst": (0.5, 0.6, 0.7), "want_bridge": True},
+        {"drift": "ou:1", "diffusion": "const:2"},
+        {"drift": "ou:1", "hurst": (0.5, 0.6), "want_bridge": True},
+        {"hurst": (0.5, 0.7), "want_simple": False, "extreme_indices": (1024, 4096), "marginal_indices": (7,)},
+        {"samples": 301, "chunk_pairs": 7, "want_bridge": True},
+    ],
+)
+def test_memory_estimate_bounds_the_traced_peak(shape):
+    job = _job(**{"steps": 2**12, "samples": 256, **shape})
+    run_simulation(dataclasses.replace(job, samples=4))  # one-time allocations
+    runner._noise_scale.cache_clear()
+    tracemalloc.start()
+    try:
+        run_simulation(job)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    estimate = runner._memory_estimate(job, 1)
+    assert peak <= estimate < 1.5 * peak
 
 
 # ---------------------------------------------------------------------------
