@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2, norm
 
@@ -144,6 +144,7 @@ def _resolve_or_reject(argv):
         return "rejected"
 
 
+@settings(deadline=None)  # the host's speed can shift 2x within a minute
 @given(st.data())
 def test_config_key_and_flag_resolve_alike(data):
     option = data.draw(st.sampled_from(dataclasses.fields(RunConfig)))
@@ -160,6 +161,7 @@ def test_config_key_and_flag_resolve_alike(data):
 _CONFIG_LINES = [b"samples = 300", b"hurst_list = 0.5, 0.6", b"# comment", b"", b"seed=7", b"steps = x", b"\xff\xfe = 1"]
 
 
+@settings(deadline=None)
 @given(st.lists(st.one_of(st.binary(max_size=24), st.sampled_from(_CONFIG_LINES)), max_size=6))
 def test_load_config_file_raises_only_config_error(lines):
     with tempfile.TemporaryDirectory() as tmp:
