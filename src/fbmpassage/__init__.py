@@ -26,15 +26,13 @@ from .fgn import (
     TimeGrid,
     cholesky_fbm,
     circulant_spectrum,
-    fbm_covariance,
     fgn_autocovariance,
     sample_fgn,
 )
-from .passage import bridge_crossing_prob
 from .rng import GAUSSIAN_STREAM, UNIFORM_STREAM, substream
 from .runner import MemoryBudgetError, SimulationJob, SimulationResult, run_simulation
 from .sde import PropagationError
-from .theory import decay_scale, density_envelope, laplace_bm
+from .theory import density_envelope, laplace_bm
 
 __version__ = "0.1.0"
 
@@ -44,7 +42,6 @@ __all__ = [
     "Hurst",
     "TimeGrid",
     "EmbeddingError",
-    "fbm_covariance",
     "fgn_autocovariance",
     "circulant_spectrum",
     "sample_fgn",
@@ -56,8 +53,6 @@ __all__ = [
     "UNIFORM_STREAM",
     # model reduction
     "PropagationError",
-    # passage
-    "bridge_crossing_prob",
     # driver
     "SimulationJob",
     "SimulationResult",
@@ -74,7 +69,6 @@ __all__ = [
     "tail_exponent_from_times",
     # closed forms
     "laplace_bm",
-    "decay_scale",
     "density_envelope",
     # analysis
     "RegressionFit",

@@ -15,6 +15,7 @@ import json
 import logging
 import math
 import platform
+import re
 import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -27,7 +28,7 @@ from .estimate import NoHitsError, density_from_times, gap_estimate, laplace_fro
 from .fgn import EmbeddingError, Hurst, TimeGrid, cholesky_fbm, circulant_spectrum, fgn_autocovariance, sample_fgn
 from .runner import DEFAULT_CHUNK_PAIRS, MemoryBudgetError, SimulationJob, _check_fits_in_memory, run_simulation
 from .sde import PropagationError, affine_coefficients, affine_euler
-from .theory import decay_scale, density_envelope, laplace_bm
+from .theory import density_envelope, laplace_bm
 
 __all__ = ["RunConfig", "ConfigError", "main", "run_selftest", "load_config_file", "resolve_config"]
 
@@ -410,15 +411,18 @@ def cmd_density(cfg: RunConfig, workers: int, chunk_pairs: int, out_dir: Path) -
     histogram resolution.
     """
     _check_fits_in_memory(HISTOGRAM_BYTES_PER_BIN * cfg.hist_bins, "use fewer histogram bins")
+    outputs: dict[str, float] = {}
+    for hv in cfg.hurst_list:
+        filename = f"density_H{hv:g}.csv"
+        if filename in outputs:
+            raise ConfigError(f"H={outputs[filename]!r} and H={hv!r} would both write {filename}")
+        outputs[filename] = hv
     name = "simple" if cfg.estimator == "simple" else "bridge"
-    outputs = []
-    for hv, result in zip(cfg.hurst_list, run_simulation(_job(cfg, chunk_pairs, (name,)), workers)):
+    for filename, result in zip(outputs, run_simulation(_job(cfg, chunk_pairs, (name,)), workers)):
         hist = density_from_times(result.hit_times()[name], cfg.horizon, cfg.hist_bins)
         rows = zip(hist.bin_edges[:-1], hist.bin_edges[1:], hist.mass)
-        filename = f"density_H{hv:g}.csv"
         write_csv(out_dir / filename, ["bin_left", "bin_right", "density"], rows)
-        outputs.append(filename)
-    return outputs
+    return list(outputs)
 
 
 def cmd_conjecture(cfg: RunConfig, workers: int, chunk_pairs: int, out_dir: Path) -> list[str]:
@@ -486,21 +490,24 @@ def run_selftest(cfg: RunConfig) -> list[tuple[str, bool, str]]:
         dev = float(np.max(np.abs(spectrum - grid.step)))
         return dev < 1e-12, f"max |eigenvalue - step| = {dev:.3g} (limit 1e-12)"
 
+    def fgn_rows(h, grid, seed, pairs):
+        """`pairs` sample_fgn draws from one seeded generator, as a (2 * pairs, steps) array."""
+        spectrum = circulant_spectrum(h, grid)
+        rng = np.random.default_rng(seed)
+        return np.concatenate([sample_fgn(spectrum, rng) for _ in range(pairs)])
+
+    def lag_z(rows, lag, ref):
+        """|z| of the mean lag-`lag` product of the rows against `ref`, with rows as blocks."""
+        stop = rows.shape[1] - lag
+        block_means = (rows[:, :stop] * rows[:, lag : lag + stop]).mean(axis=1)
+        se = block_means.std(ddof=1) / math.sqrt(len(block_means))
+        return abs(block_means.mean() - ref) / se
+
     def increment_autocov():
         h = Hurst(0.7)
         grid = TimeGrid(256.0, 256)  # unit step keeps the lags O(1)
-        spectrum = circulant_spectrum(h, grid)
-        rng = np.random.default_rng(1008)
-        data = np.empty((4000, grid.steps))
-        for i in range(2000):
-            data[2 * i : 2 * i + 2] = sample_fgn(spectrum, rng)
-        worst = 0.0
-        for lag in range(6):
-            ref = fgn_autocovariance(h, lag, grid.step)
-            stop = grid.steps - lag
-            block_means = (data[:, :stop] * data[:, lag : lag + stop]).mean(axis=1)
-            se = block_means.std(ddof=1) / math.sqrt(len(block_means))
-            worst = max(worst, abs(block_means.mean() - ref) / se)
+        rows = fgn_rows(h, grid, 1008, 2000)
+        worst = max(lag_z(rows, lag, fgn_autocovariance(h, lag, grid.step)) for lag in range(6))
         return worst < 5.0, f"worst |z| over lags 0..5 = {worst:.2f} (limit 5)"
 
     def sampler_agreement():
@@ -508,41 +515,15 @@ def run_selftest(cfg: RunConfig) -> list[tuple[str, bool, str]]:
 
         h = Hurst(0.8)
         grid = TimeGrid(1.0, 128)
-        spectrum = circulant_spectrum(h, grid)
-        rng_a = np.random.default_rng(2718)
+        term_a = fgn_rows(h, grid, 2718, 750).sum(axis=1)
         rng_b = np.random.default_rng(3141)
-        term_a = np.empty(1500)
-        for i in range(750):
-            a, b = sample_fgn(spectrum, rng_a)
-            term_a[2 * i] = a.sum()
-            term_a[2 * i + 1] = b.sum()
         term_b = np.array([cholesky_fbm(h, grid, rng_b)[-1] for _ in range(1500)])
         pvalue = float(ks_2samp(term_a, term_b).pvalue)
         return pvalue > 0.001, f"terminal-value KS p = {pvalue:.4f} (limit 0.001)"
 
     def independent_increments():
-        h = Hurst(0.5)
-        grid = TimeGrid(1024.0, 1024)
-        spectrum = circulant_spectrum(h, grid)
-        rng = np.random.default_rng(55)
-        data = np.empty((400, grid.steps))
-        for i in range(200):
-            data[2 * i : 2 * i + 2] = sample_fgn(spectrum, rng)
-        block_means = (data[:, :-1] * data[:, 1:]).mean(axis=1)
-        se = block_means.std(ddof=1) / math.sqrt(len(block_means))
-        z = abs(block_means.mean()) / se
+        z = lag_z(fgn_rows(Hurst(0.5), TimeGrid(1024.0, 1024), 55, 200), 1, 0.0)
         return z < 5.0, f"lag-1 product |z| = {z:.2f} (limit 5)"
-
-    def sampled_path():
-        grid = TimeGrid(5.0, 512)
-        increments = sample_fgn(circulant_spectrum(Hurst(0.6), grid), np.random.default_rng(11))[0]
-        return grid, increments, np.concatenate(([0.0], np.cumsum(increments)))
-
-    def prefix_sums():
-        _, increments, path = sampled_path()
-        dev = float(np.max(np.abs(np.diff(path) - increments)))
-        ok = path[0] == 0.0 and dev < 1e-12
-        return ok, f"max |diff(path) - increments| = {dev:.3g} (limit 1e-12)"
 
     def bridge_dominance():
         job = SimulationJob(hurst=(0.6,), horizon=10.0, steps=1024, samples=400, master_seed=777, want_bridge=True)
@@ -554,7 +535,8 @@ def run_selftest(cfg: RunConfig) -> list[tuple[str, bool, str]]:
         return ok, f"bridge time <= plain time on all 400 paths ({early} strictly earlier)"
 
     def euler_zero_drift():
-        grid, _, path = sampled_path()
+        grid = TimeGrid(5.0, 512)
+        path = np.concatenate(([0.0], np.cumsum(fgn_rows(Hurst(0.6), grid, 11, 1)[0])))
         solved = affine_euler(path[None, :].copy(), 0.0, 0.0, grid.step)
         ok = solved.tobytes() == path.tobytes()
         return ok, "zero-drift Euler output equals the prefix sums bit for bit"
@@ -582,23 +564,15 @@ def run_selftest(cfg: RunConfig) -> list[tuple[str, bool, str]]:
         bound = math.exp(-min(cfg.lambda_list) * cfg.horizon)
         return bound < 1e-6, f"max weight of a censored path = {bound:.3g} (limit 1e-6)"
 
-    def decay_branches():
-        left = abs(decay_scale(1.0, Hurst(0.75)) - 2.0 ** (2.0 / 3.0))
-        right = abs(decay_scale(2.0, Hurst(0.6)) - 2.0)
-        dev = max(left, right)
-        return dev < 1e-12, f"branch values off by {dev:.3g} (limit 1e-12)"
-
     record("flat_spectrum_at_h_half", flat_spectrum)
     record("increment_autocovariance", increment_autocov)
     record("circulant_vs_cholesky_ks", sampler_agreement)
     record("brownian_increment_independence", independent_increments)
-    record("path_prefix_sums", prefix_sums)
     record("bridge_dominance", bridge_dominance)
     record("euler_zero_drift_exact", euler_zero_drift)
     record("laplace_reference_ode", laplace_generator)
     record("envelope_gaussian_identity", envelope_identity)
     record("censoring_weight_bound", censoring_weight)
-    record("decay_scale_branches", decay_branches)
     return checks
 
 
@@ -667,8 +641,22 @@ def _add_common_options(parser: argparse.ArgumentParser) -> None:
         parser.add_argument(flag, dest=option.name, type=_VALUE_PARSERS[option.type], **option.metadata)
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reads `--flag -1e-05` as `--flag=-1e-05`: argparse takes a token that
+    starts with '-' for an option name unless it is a plain decimal."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        tokens: list[str] = []
+        for token in sys.argv[1:] if args is None else args:
+            if tokens and re.fullmatch(r"--[^=]+", tokens[-1]) and re.match(r"-([\d.]|inf|nan)", token, re.I):
+                tokens[-1] += "=" + token
+            else:
+                tokens.append(token)
+        return super().parse_known_args(tokens, namespace)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="fbmpassage",
         description="Exact fBm synthesis and first-passage Laplace transform experiments.",
     )

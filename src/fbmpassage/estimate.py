@@ -119,9 +119,6 @@ class DensityHistogram:
 
     bin_edges: np.ndarray
     mass: np.ndarray
-    samples: int
-    hits: int
-    censored: int
 
 
 def density_from_times(times: np.ndarray, horizon: float, bins: int = 200) -> DensityHistogram:
@@ -132,14 +129,13 @@ def density_from_times(times: np.ndarray, horizon: float, bins: int = 200) -> De
     if m < 1:
         raise ValueError("cannot histogram an empty sample")
     finite = np.isfinite(times)
-    hits = int(finite.sum())
-    if hits == 0:
+    if not finite.any():
         raise NoHitsError("every path was censored; no hit times to histogram")
     edges = np.linspace(0.0, min(horizon, 10.0), bins + 1)
     counts, _ = np.histogram(times[finite], bins=edges)
     widths = np.diff(edges)
     mass = counts / (m * widths)
-    return DensityHistogram(edges, mass, m, hits, m - hits)
+    return DensityHistogram(edges, mass)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ __all__ = [
     "EmbeddingError",
     "Hurst",
     "TimeGrid",
-    "fbm_covariance",
     "fgn_autocovariance",
     "circulant_spectrum",
     "sample_fgn",
@@ -90,18 +89,6 @@ class TimeGrid:
 # ---------------------------------------------------------------------------
 # covariance structure
 # ---------------------------------------------------------------------------
-
-def fbm_covariance(h: Hurst, s: float, t: float) -> float:
-    """Covariance of fractional Brownian motion at times s and t.
-
-    Equals (s^{2H} + t^{2H} - |t - s|^{2H}) / 2; at H = 1/2 this reduces to
-    min(s, t), the standard Brownian covariance.
-    """
-    if s < 0.0 or t < 0.0:
-        raise ValueError(f"times must be non-negative, got s={s}, t={t}")
-    two_h = 2.0 * h.value
-    return 0.5 * (s**two_h + t**two_h - abs(t - s) ** two_h)
-
 
 def fgn_autocovariance(h: Hurst, lag: int, step: float) -> float:
     """Autocovariance of the increment sequence at the given lag.

@@ -7,40 +7,16 @@ conditional crossing probability of a pinned bridge,
 p = exp(-2 * (threshold - x_prev) * (threshold - x_next) / step^{2H}),
 which is the exact Brownian bridge correction at H = 1/2 and a heuristic
 extension for H > 1/2 (the mesh variance step is replaced by step^{2H}).
-Both scans work on (paths, steps+1) blocks and return +inf for a path
-that never crosses.
+_bridge_hit_times_batch, the runner's scan, is the one implementation of p
+(in log space); _bridge_hit_index is its full-grid reference.  Both scans
+work on (paths, steps+1) blocks and return +inf for a path that never crosses.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .fgn import Hurst
-
-__all__ = ["bridge_crossing_prob"]
-
-
-def bridge_crossing_prob(
-    x_prev: float, x_next: float, threshold: float, step: float, h: Hurst
-) -> float:
-    """Crossing probability of one step given both endpoints below threshold.
-
-    exp(-2 * (threshold - x_prev) * (threshold - x_next) / step^{2H}).
-    Exact for a Brownian bridge at H = 1/2; for H > 1/2 the denominator
-    uses the fractional mesh variance step^{2H} as a heuristic.  Tends to 1
-    as either endpoint approaches the threshold and to 0 as the step
-    shrinks.
-    """
-    if not (np.isfinite(step) and step > 0.0):
-        raise ValueError(f"step must be positive, got {step}")
-    if x_prev >= threshold or x_next >= threshold:
-        raise ValueError(
-            f"both endpoints must lie strictly below the threshold, "
-            f"got {x_prev}, {x_next} vs {threshold}"
-        )
-    return float(
-        np.exp(-2.0 * (threshold - x_prev) * (threshold - x_next) / step ** (2.0 * h.value))
-    )
+__all__: list[str] = []
 
 
 def _bridge_hit_index(

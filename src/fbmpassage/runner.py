@@ -67,8 +67,8 @@ class SimulationJob:
 
     @property
     def is_pure(self) -> bool:
-        """True when the path is raw fBm shifted by x0 (no drift, unit diffusion)."""
-        return self.drift == "zero" and self.diffusion == "one"
+        """True when the path is raw fBm shifted by x0: zero drift and unit diffusion, however spelled."""
+        return affine_coefficients(self.drift, self.diffusion) == (0.0, 0.0, 1.0)
 
 
 @dataclass(eq=False)

@@ -1,9 +1,8 @@
 """Closed-form references.
 
 The exact Brownian first-passage Laplace transform used as the H = 1/2
-reference, the frequency scale of the transform's decay in lambda, and the
-Gaussian-type envelope of the marginal density, which is the exact density
-for driftless unit-diffusion runs.
+reference, and the Gaussian-type envelope of the marginal density, which is
+the exact density for driftless unit-diffusion runs.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ import numpy as np
 
 from .fgn import Hurst
 
-__all__ = ["laplace_bm", "decay_scale", "density_envelope"]
+__all__ = ["laplace_bm", "density_envelope"]
 
 
 def laplace_bm(lam: float, x0: float = 0.0, threshold: float = 1.0) -> float:
@@ -29,19 +28,6 @@ def laplace_bm(lam: float, x0: float = 0.0, threshold: float = 1.0) -> float:
     if x0 > threshold:
         raise ValueError(f"start {x0} must not exceed threshold {threshold}")
     return math.exp(-(threshold - x0) * math.sqrt(2.0 * lam))
-
-
-def decay_scale(lam: float, h: Hurst) -> float:
-    """Frequency scale (2*lam)^{1 - 1/(4H)} for lam <= 1, sqrt(2*lam) above.
-
-    Piecewise in lam with a deliberate jump at lam = 1 whenever H > 1/2;
-    both branches coincide at H = 1/2.
-    """
-    if not (np.isfinite(lam) and lam > 0.0):
-        raise ValueError(f"lambda must be positive, got {lam}")
-    if lam <= 1.0:
-        return (2.0 * lam) ** (1.0 - 1.0 / (4.0 * h.value))
-    return math.sqrt(2.0 * lam)
 
 
 def density_envelope(

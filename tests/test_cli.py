@@ -44,13 +44,11 @@ SELFTEST_NAMES = [
     "increment_autocovariance",
     "circulant_vs_cholesky_ks",
     "brownian_increment_independence",
-    "path_prefix_sums",
     "bridge_dominance",
     "euler_zero_drift_exact",
     "laplace_reference_ode",
     "envelope_gaussian_identity",
     "censoring_weight_bound",
-    "decay_scale_branches",
 ]
 
 
@@ -154,8 +152,17 @@ def test_config_key_and_flag_resolve_alike(data):
         path = Path(tmp) / "run.cfg"
         path.write_text(f"{option.name} = {text}\n")
         from_file = _resolve_or_reject(["simulate", "--config", str(path)])
-    # "--flag=text": argparse takes a separate "-1e-05" for an option name
     assert _resolve_or_reject(["simulate", f"{flag}={text}"]) == from_file
+    # a number is also read as a separate token, "-1e-05" and "-inf" included
+    if option.type != "str":
+        assert _resolve_or_reject(["simulate", flag, text]) == from_file
+
+
+def test_negative_flag_value_in_exponent_form(capsys, tmp_path):
+    for text in ("-1e-05", "-1E-3"):
+        assert resolve_config(build_parser().parse_args(["simulate", "--x0", text])).x0 == float(text)
+    assert main(["simulate", "--x0", "-inf", "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("error: x0 must be below threshold, got x0=-inf")
 
 
 _CONFIG_LINES = [b"samples = 300", b"hurst_list = 0.5, 0.6", b"# comment", b"", b"seed=7", b"steps = x", b"\xff\xfe = 1"]
@@ -291,6 +298,17 @@ def test_exit_code_histogram_too_large_for_memory(capsys, monkeypatch, tmp_path)
     assert err.startswith("error:") and "GiB" in err and "histogram bins" in err
 
 
+def test_exit_code_density_files_collide(capsys, monkeypatch, tmp_path):
+    def no_simulation(*args):
+        raise AssertionError("colliding histogram files must be refused before any simulation")
+
+    monkeypatch.setattr(fbmpassage.cli, "run_simulation", no_simulation)
+    for hurst in ("0.5,0.5000001", "0.5,0.6,0.5"):
+        assert main(["density", "--hurst-list", hurst, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "density_H0.5.csv" in err
+
+
 def test_exit_code_no_hits(capsys, tmp_path):
     code = main(
         [
@@ -377,6 +395,23 @@ def test_simulate_schema_and_manifest(tmp_path):
     # runtime knobs must not leak into the record of what was computed
     assert "workers" not in manifest["config"]
     assert "chunk" not in (out / "run_manifest.json").read_text()
+
+
+@pytest.mark.parametrize("model", [["--drift", "linear:0,0"], ["--drift", "ou:0"], ["--diffusion", "const:1"]])
+def test_pure_model_spellings_write_the_pure_bytes(tmp_path, model):
+    """Zero drift and unit diffusion under another name get the closed-form
+    reference: the same gap columns in laplace.csv and the same reference
+    column in bridge_compare.csv as the default model."""
+    small = ["--samples", "200", "--steps", "64"]
+    for argv, filename in (
+        (["simulate", "--hurst-list", "0.6", "--estimator", "simple", *small], "laplace.csv"),
+        (["bridge-compare", "--hurst-list", "0.5", *small], "bridge_compare.csv"),
+    ):
+        assert main([*argv, "--out", str(tmp_path / "pure")]) == 0
+        assert main([*argv, *model, "--out", str(tmp_path / "spelled")]) == 0
+        pure = (tmp_path / "pure" / filename).read_bytes()
+        assert "nan" not in pure.decode()
+        assert (tmp_path / "spelled" / filename).read_bytes() == pure
 
 
 def test_simulate_workers_do_not_change_files(tmp_path):
@@ -630,9 +665,9 @@ def test_selftest_passes_and_writes_report(capsys, tmp_path):
     out = tmp_path / "st"
     assert main(["selftest", "--out", str(out)]) == 0
     printed = capsys.readouterr().out
-    assert "11 passed, 0 failed" in printed
+    assert "9 passed, 0 failed" in printed
     report = (out / "selftest_report.txt").read_text()
-    assert report.count("[PASS]") == 11
+    assert report.count("[PASS]") == 9
     assert "[FAIL]" not in report
     for name in SELFTEST_NAMES:
         assert name in report

@@ -24,7 +24,6 @@ from fbmpassage import (
     TimeGrid,
     cholesky_fbm,
     circulant_spectrum,
-    fbm_covariance,
     fgn_autocovariance,
     run_simulation,
     sample_fgn,
@@ -59,13 +58,6 @@ def test_time_grid_arithmetic():
 # ---------------------------------------------------------------------------
 # covariance closed forms
 # ---------------------------------------------------------------------------
-
-def test_fbm_covariance_points():
-    assert fbm_covariance(Hurst(0.5), 1.0, 2.0) == pytest.approx(1.0, abs=1e-15)
-    assert fbm_covariance(Hurst(0.7), 3.0, 3.0) == pytest.approx(3.0**1.4, rel=1e-15)
-    assert fbm_covariance(Hurst(0.6), 1.0, 2.0) == pytest.approx(1.148698354997035, abs=1e-12)
-    assert fbm_covariance(Hurst(0.7), 1.0, 3.0) == pytest.approx(1.5082604501, abs=1e-9)
-
 
 def test_fgn_autocovariance_points():
     assert fgn_autocovariance(Hurst(0.5), 1, 0.25) == 0.0

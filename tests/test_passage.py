@@ -3,8 +3,9 @@
 Covers:
   - Grid detector on crafted rows: first crossing index, touching the
     level, censoring, boundary hit at index 0, and a per-row scan.
-  - Per-step bridge crossing probability against frozen constants and its
-    limiting behavior.
+  - The batch bridge scan fires on one step exactly below the crossing
+    probability's frozen log value, at H = 1/2 and H = 0.6, for a
+    vanishing gap and for a flat path far from the level.
   - Bridge scan semantics: grid hits fire regardless of the uniforms, a
     remote threshold censors, recorded times are right-endpoint multiples
     of the mesh, bridge times never exceed grid times on the same path.
@@ -23,7 +24,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from fbmpassage import Hurst, SimulationJob, TimeGrid, bridge_crossing_prob, laplace_from_times, run_simulation
+from fbmpassage import SimulationJob, TimeGrid, laplace_from_times, run_simulation
 from fbmpassage import runner
 from fbmpassage.passage import (
     _bridge_draws,
@@ -81,35 +82,24 @@ def test_first_passage_boundary_start():
 # per-step bridge probability
 # ---------------------------------------------------------------------------
 
-def test_bridge_prob_brownian_point():
-    # exp(-2 * 0.1 * 0.05 / 0.01) = exp(-1)
-    p = bridge_crossing_prob(0.9, 0.95, 1.0, 0.01, Hurst(0.5))
-    assert p == pytest.approx(math.exp(-1.0), abs=1e-12)
-
-
-def test_bridge_prob_fractional_point():
-    # exp(-0.01 / 0.01^{1.2}) = exp(-0.01^{-0.2}) = exp(-10^{0.4})
-    p = bridge_crossing_prob(0.9, 0.95, 1.0, 0.01, Hurst(0.6))
-    assert p == pytest.approx(math.exp(-(10.0**0.4)), abs=1e-12)
-    assert p == pytest.approx(0.0811151, abs=1e-6)
-
-
-def test_bridge_prob_limits():
-    h = Hurst(0.5)
-    near = bridge_crossing_prob(0.5, 1.0 - 1e-12, 1.0, 0.01, h)
-    assert near > 1.0 - 1e-9  # vanishing gap forces a crossing
-    tiny_step = bridge_crossing_prob(0.5, 0.5, 1.0, 1e-8, h)
-    assert tiny_step < 1e-300 or tiny_step == 0.0
-    with pytest.raises(ValueError):
-        bridge_crossing_prob(1.0, 0.5, 1.0, 0.01, h)  # endpoint at threshold
-    with pytest.raises(ValueError):
-        bridge_crossing_prob(0.5, 0.5, 1.0, 0.0, h)
-
-
-def test_bridge_prob_zero_path_step():
-    # a flat path far from the threshold fires with probability exp(-2 / step^{2H})
-    p = bridge_crossing_prob(0.0, 0.0, 1.0, 0.1, Hurst(0.5))
-    assert p == pytest.approx(math.exp(-20.0), rel=1e-12)
+@pytest.mark.parametrize(
+    "row,step,hurst,log_p",
+    [
+        ([0.9, 0.95], 0.01, 0.5, -1.0),  # -2 * 0.1 * 0.05 / 0.01
+        ([0.9, 0.95], 0.01, 0.6, -(10.0**0.4)),  # -0.01 / 0.01^{1.2} = -0.01^{-0.2}
+        ([0.5, 1.0 - 1e-12], 0.01, 0.5, -1e-10),  # a vanishing gap: p -> 1
+        ([0.0, 0.0], 0.1, 0.5, -20.0),  # a flat path far from the level: -2 / step^{2H}
+    ],
+    ids=["brownian_point", "fractional_point", "vanishing_gap", "flat_path"],
+)
+def test_bridge_scan_fires_below_frozen_log_probability(row, step, hurst, log_p):
+    """One step below the level 1 fires exactly when log U < log p, with
+    p = exp(-2 (1 - x_prev)(1 - x_next) / step^{2H}) pinned by hand."""
+    values = np.array([row])
+    plain = _plain_hit_index(values, 1.0)
+    for log_u, expected in ((log_p - 1e-12, step), (log_p + 1e-12, np.inf)):
+        times = _bridge_hit_times_batch(values, 1.0, step, step ** (2.0 * hurst), np.array([[log_u]]), plain)
+        assert times.tolist() == [expected], log_u
 
 
 # ---------------------------------------------------------------------------

@@ -104,6 +104,12 @@ def test_is_pure_flag():
     assert not _job(drift="ou:0.5").is_pure
     assert not _job(diffusion="const:2").is_pure
     assert _job(x0=0.3).is_pure  # a start shift keeps the fast path
+    # the coefficients decide, not the spelling of the specs
+    assert _job(drift="linear:0,0").is_pure
+    assert _job(drift="ou:0").is_pure
+    assert _job(diffusion="const:1").is_pure
+    assert not _job(drift="linear:0,0.5").is_pure
+    assert not _job(drift="linear:0.5,0").is_pure
 
 
 def test_drifted_run_hits_earlier_on_average():

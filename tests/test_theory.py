@@ -3,7 +3,6 @@
 Covers:
   - Brownian passage-time Laplace transform against frozen constants and
     its generating ODE (finite differences).
-  - The piecewise frequency scale.
   - The density envelope: frozen points, growth, domain errors, and the
     Gaussian equality case.
 """
@@ -14,7 +13,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from fbmpassage import Hurst, decay_scale, density_envelope, laplace_bm
+from fbmpassage import Hurst, density_envelope, laplace_bm
 
 
 # ---------------------------------------------------------------------------
@@ -57,23 +56,6 @@ def test_laplace_bm_solves_generator_equation():
         assert abs(second - lam * mid) < 1e-6 * max(lam * mid, 1e-30)
     assert laplace_bm(lam, 1.0, 1.0) == 1.0
     assert laplace_bm(lam, -50.0, 1.0) < 1e-12
-
-
-# ---------------------------------------------------------------------------
-# decay_scale
-# ---------------------------------------------------------------------------
-
-def test_decay_scale_branches():
-    # sqrt branch above lambda = 1
-    assert decay_scale(2.0, Hurst(0.8)) == pytest.approx(2.0, abs=1e-15)
-    # power branch at or below 1: (2 lam)^{1 - 1/(4H)}
-    assert decay_scale(0.5, Hurst(0.5)) == pytest.approx(1.0, abs=1e-15)
-    assert decay_scale(1.0, Hurst(0.75)) == pytest.approx(2.0 ** (2.0 / 3.0), abs=1e-12)
-    # the two branches meet only at H = 1/2; the jump at lambda = 1 is intentional
-    assert decay_scale(1.0, Hurst(0.75)) > math.sqrt(2.0)
-    assert decay_scale(1.0 + 1e-12, Hurst(0.5)) == pytest.approx(
-        decay_scale(1.0, Hurst(0.5)), rel=1e-9
-    )
 
 
 # ---------------------------------------------------------------------------
