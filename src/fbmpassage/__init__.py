@@ -10,13 +10,11 @@ reference curves for comparison.
 
 from .analysis import RegressionFit, linear_fit, rate_exponent
 from .estimate import (
-    DensityHistogram,
     LaplaceEstimate,
     NoHitsError,
     density_from_times,
     gap_estimate,
     laplace_from_times,
-    tail_exponent_from_times,
     truncated_argmax_moments,
 )
 from .fgn import (
@@ -32,7 +30,7 @@ from .fgn import (
 from .rng import GAUSSIAN_STREAM, UNIFORM_STREAM, substream
 from .runner import MemoryBudgetError, SimulationJob, SimulationResult, run_simulation
 from .sde import PropagationError
-from .theory import density_envelope, laplace_bm
+from .theory import laplace_bm
 
 __version__ = "0.1.0"
 
@@ -61,15 +59,12 @@ __all__ = [
     # estimation
     "LaplaceEstimate",
     "NoHitsError",
-    "DensityHistogram",
     "laplace_from_times",
     "gap_estimate",
     "density_from_times",
     "truncated_argmax_moments",
-    "tail_exponent_from_times",
     # closed forms
     "laplace_bm",
-    "density_envelope",
     # analysis
     "RegressionFit",
     "linear_fit",

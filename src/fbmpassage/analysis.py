@@ -23,28 +23,25 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class RegressionFit:
-    """Ordinary least squares y = intercept + slope * x.
+    """Ordinary least squares y = intercept + slope * x over n points.
 
-    Residuals are y - fitted, kept in input order; slope_se is the usual
-    OLS standard error (zero when n == 2 leaves no residual freedom).
+    slope_se is the usual OLS standard error (zero when n == 2 leaves no
+    residual freedom).
     """
 
     slope: float
     intercept: float
     r_squared: float
-    residuals: np.ndarray
     n: int
     slope_se: float
 
 
-def linear_fit(xs, ys, weights=None) -> RegressionFit:
-    """Least-squares line through (xs, ys), optionally weighted.
+def linear_fit(xs, ys) -> RegressionFit:
+    """Least-squares line through (xs, ys).
 
-    Unweighted by default; pass `weights` (e.g. 1/se^2) for a weighted fit.
-    Requires at least two points with non-degenerate x spread.  Residuals
-    satisfy sum(w * r) = 0 and sum(w * r * x) = 0 up to roundoff.
+    Requires at least two points with non-degenerate x spread.
     """
     x = np.asarray(xs, dtype=float)
     y = np.asarray(ys, dtype=float)
@@ -55,27 +52,20 @@ def linear_fit(xs, ys, weights=None) -> RegressionFit:
         raise ValueError(f"need at least two points, got {n}")
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise ValueError("fit inputs must be finite")
-    if weights is None:
-        w = np.ones(n)
-    else:
-        w = np.asarray(weights, dtype=float)
-        if w.shape != x.shape or not np.isfinite(w).all() or np.any(w <= 0.0):
-            raise ValueError("weights must be positive, finite and match x in length")
-    sw = w.sum()
-    x_bar = float((w * x).sum() / sw)
-    y_bar = float((w * y).sum() / sw)
+    x_bar = float(x.sum() / n)
+    y_bar = float(y.sum() / n)
     dx = x - x_bar
-    sxx = float((w * dx * dx).sum())
+    sxx = float((dx * dx).sum())
     if sxx <= 0.0:
         raise ValueError("x values are degenerate (no spread); cannot fit a slope")
-    slope = float((w * dx * (y - y_bar)).sum() / sxx)
+    slope = float((dx * (y - y_bar)).sum() / sxx)
     intercept = y_bar - slope * x_bar
     residuals = y - (intercept + slope * x)
-    ss_res = float((w * residuals * residuals).sum())
-    ss_tot = float((w * (y - y_bar) ** 2).sum())
+    ss_res = float((residuals * residuals).sum())
+    ss_tot = float(((y - y_bar) ** 2).sum())
     r_squared = 1.0 - ss_res / ss_tot if ss_tot > 0.0 else 1.0
     slope_se = math.sqrt(ss_res / (n - 2) / sxx) if n > 2 else 0.0
-    return RegressionFit(slope, intercept, r_squared, residuals, n, slope_se)
+    return RegressionFit(slope, intercept, r_squared, n, slope_se)
 
 
 def rate_exponent(h_values, gaps, gap_ses=None) -> RegressionFit:

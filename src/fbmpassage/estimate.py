@@ -2,8 +2,8 @@
 
 Estimators here reduce the runner's per-path arrays (hit times, suprema,
 argmax times) to tables: Laplace transforms with standard errors, gaps
-against a reference, hit-time histograms, truncated argmax moments and
-survival-tail fits.  Censored paths contribute zero to Laplace functionals, which biases
+against a reference, hit-time histograms and truncated argmax moments.
+Censored paths contribute zero to Laplace functionals, which biases
 every estimate downward by at most exp(-lambda * horizon); internally a
 censored path carries +inf as its hit time so exp(-lambda * inf) = 0 falls
 out of the same vectorized expression.
@@ -11,26 +11,19 @@ out of the same vectorized expression.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import RegressionFit, linear_fit
-
 __all__ = [
     "NoHitsError",
     "LaplaceEstimate",
-    "DensityHistogram",
     "laplace_from_times",
     "gap_estimate",
     "density_from_times",
     "truncated_argmax_moments",
-    "tail_exponent_from_times",
 ]
-
-logger = logging.getLogger(__name__)
 
 
 class NoHitsError(ValueError):
@@ -108,21 +101,14 @@ def gap_estimate(estimate: LaplaceEstimate, reference) -> tuple[float, float]:
 # hit-time density
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class DensityHistogram:
-    """Histogram of hit times normalized against the full sample count.
+def density_from_times(times: np.ndarray, horizon: float, bins: int = 200) -> tuple[np.ndarray, np.ndarray]:
+    """Histogram (edges, mass) over [0, min(horizon, 10)] from a hit-time array (+inf marks censoring).
 
-    mass[i] is a density height; sum(mass * widths) equals the fraction of
-    samples that hit inside the window, so censored paths (and hits beyond
-    the window) flatten the histogram instead of renormalizing it.
+    mass[i] is a density height normalized against the full sample count:
+    sum(mass * widths) equals the fraction of samples that hit inside the
+    window, so censored paths (and hits beyond the window) flatten the
+    histogram instead of renormalizing it.
     """
-
-    bin_edges: np.ndarray
-    mass: np.ndarray
-
-
-def density_from_times(times: np.ndarray, horizon: float, bins: int = 200) -> DensityHistogram:
-    """Histogram over [0, min(horizon, 10)] from a hit-time array (+inf marks censoring)."""
     if bins < 1:
         raise ValueError(f"need at least one bin, got {bins}")
     m = len(times)
@@ -133,9 +119,7 @@ def density_from_times(times: np.ndarray, horizon: float, bins: int = 200) -> De
         raise NoHitsError("every path was censored; no hit times to histogram")
     edges = np.linspace(0.0, min(horizon, 10.0), bins + 1)
     counts, _ = np.histogram(times[finite], bins=edges)
-    widths = np.diff(edges)
-    mass = counts / (m * widths)
-    return DensityHistogram(edges, mass)
+    return edges, counts / (m * np.diff(edges))
 
 
 # ---------------------------------------------------------------------------
@@ -157,34 +141,3 @@ def truncated_argmax_moments(
         out.append((r, *_mean_and_se(contrib)))
     return out
 
-
-# ---------------------------------------------------------------------------
-# survival tail
-# ---------------------------------------------------------------------------
-
-def tail_exponent_from_times(times: np.ndarray, t_values) -> RegressionFit:
-    """Log-log fit of the survival function P(tau >= t) against t.
-
-    Survival estimates equal to 0 or 1 carry no log-scale information and
-    are excluded (with a log note).  Censored paths count as surviving all
-    t below the horizon.
-    """
-    t_values = np.asarray(list(t_values), dtype=float)
-    if len(t_values) < 2:
-        raise ValueError("need at least two time points for the tail fit")
-    if np.any(t_values <= 0.0):
-        raise ValueError("tail fit times must be positive")
-    m = len(times)
-    if m < 1:
-        raise ValueError("cannot fit a tail from an empty sample")
-    survival = np.array([(times >= t).sum() / m for t in t_values])
-    usable = (survival > 0.0) & (survival < 1.0)
-    if not usable.all():
-        logger.warning(
-            "tail fit dropped %d of %d survival points at the {0,1} boundary",
-            int((~usable).sum()),
-            len(t_values),
-        )
-    if usable.sum() < 2:
-        raise NoHitsError("fewer than two usable survival estimates for the tail fit")
-    return linear_fit(np.log(t_values[usable]), np.log(survival[usable]))

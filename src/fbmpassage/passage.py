@@ -8,8 +8,9 @@ p = exp(-2 * (threshold - x_prev) * (threshold - x_next) / step^{2H}),
 which is the exact Brownian bridge correction at H = 1/2 and a heuristic
 extension for H > 1/2 (the mesh variance step is replaced by step^{2H}).
 _bridge_hit_times_batch, the runner's scan, is the one implementation of p
-(in log space); _bridge_hit_index is its full-grid reference.  Both scans
-work on (paths, steps+1) blocks and return +inf for a path that never crosses.
+(in log space); its full-grid reference lives with the passage tests.  Both
+scans work on (paths, steps+1) blocks and return +inf for a path that never
+crosses.
 """
 
 from __future__ import annotations
@@ -17,33 +18,6 @@ from __future__ import annotations
 import numpy as np
 
 __all__: list[str] = []
-
-
-def _bridge_hit_index(
-    values: np.ndarray, threshold: float, step_var: float, uniforms: np.ndarray
-) -> int:
-    """First firing index under the combined grid/bridge rule, -1 if none.
-
-    uniforms[j] is compared against the bridge probability of step j+1.
-    This scan reads the whole grid; it is the reference for the bounded
-    batch scan.  Only the uniforms of steps before the plain hit can decide
-    the outcome, so the batch scan never draws the others; a path's
-    generator would give them the same values if it did.
-    """
-    if values[0] >= threshold:
-        return 0
-    prev = values[:-1]
-    nxt = values[1:]
-    grid_hit = nxt >= threshold
-    # log-space comparison: U < exp(arg) <=> arg > log U.  Entries at or
-    # after a grid hit may have arg > 0; they never precede the first hit,
-    # so they cannot affect the argmax below.
-    arg = -2.0 * (threshold - prev) * (threshold - nxt) / step_var
-    with np.errstate(divide="ignore"):
-        fire = grid_hit | (arg > np.log(uniforms))
-    if not fire.any():
-        return -1
-    return int(fire.argmax()) + 1
 
 
 def _plain_hit_index(values: np.ndarray, threshold: float) -> np.ndarray:
@@ -79,7 +53,7 @@ def _bridge_hit_times_batch(
 ) -> np.ndarray:
     """Bridge-rule hit times for a (paths, steps+1) matrix; +inf marks censored rows.
 
-    Rowwise the same arithmetic as _bridge_hit_index, but each row is
+    Rowwise the same arithmetic as a full-grid scan, but each row is
     scanned on its own and only up to its plain hit, `plain_index` from
     _plain_hit_index: no bridge time can exceed the plain time.
     log_uniforms[r, j] is log U for step j+1 of row r; only the first

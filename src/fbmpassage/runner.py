@@ -154,28 +154,11 @@ def _draw_log_uniforms(generators, drawn: np.ndarray, log_uniforms: np.ndarray, 
 def _running_extremes(paths: np.ndarray, indices) -> tuple[np.ndarray, np.ndarray]:
     """Max and first argmax of every row over [0, i] for each i in `indices`.
 
-    Windows are taken in increasing order, each from the previous window's
-    result and the new segment, whose maximum is read at its argmax; a
-    strict > keeps the earliest index on a tie, as one argmax over the
-    whole window would.
+    Each argmax reads a contiguous 1-d row slice, which numpy scans in place,
+    and returns the earliest index on a tie.
     """
-    rows = np.arange(len(paths))
-    sup = np.empty((len(paths), len(indices)))
-    where = np.empty((len(paths), len(indices)), dtype=np.intp)
-    start = 0
-    for k in sorted(range(len(indices)), key=lambda k: indices[k]):
-        stop = indices[k] + 1
-        if stop > start:
-            seg_arg = paths[:, start:stop].argmax(axis=1) + start
-            seg_max = paths[rows, seg_arg]
-            if start:
-                later = seg_max > best
-                seg_max = np.where(later, seg_max, best)
-                seg_arg = np.where(later, seg_arg, best_at)
-            best, best_at, start = seg_max, seg_arg, stop
-        sup[:, k] = best
-        where[:, k] = best_at
-    return sup, where
+    where = np.array([[row[: i + 1].argmax() for i in indices] for row in paths], dtype=np.intp)
+    return np.take_along_axis(paths, where, axis=1), where
 
 
 class MemoryBudgetError(ValueError):
@@ -225,8 +208,7 @@ def _memory_estimate(job: SimulationJob, processes: int) -> int:
     transform buffer (32N), one block and the largest temporary of a block
     step.  Per pair, a block holds 16N of path rows and 2N of scan or
     finiteness mask; with the bridge rule 16N of log-uniforms and two
-    uniform generators of ~1 kB; with window extremes 16N for the copy of
-    a window that argmax makes; with several H values 32N of stashed
+    uniform generators of ~1 kB; with several H values 32N of stashed
     noise.  A single-H block draws its noise into the transform buffer.
     The largest temporary is 32N: the 16N of one noise draw, the FFT's
     ufunc buffer or one row's bridge scan.  The Euler loop adds 136 bytes
@@ -237,7 +219,7 @@ def _memory_estimate(job: SimulationJob, processes: int) -> int:
     pairs = (job.samples + 1) // 2
     looped, block = _block_layout(job, min(job.chunk_pairs, pairs))
     n = job.steps + 1
-    per_pair = (16 + 2 + 16 * job.want_bridge + 16 * bool(job.extreme_indices) + 32 * (len(job.hurst) > 1)) * n
+    per_pair = (16 + 2 + 16 * job.want_bridge + 32 * (len(job.hurst) > 1)) * n
     per_pair += 2048 * job.want_bridge
     per_process = (64 << 10) + (16 * len(job.hurst) + 32 + 32 + 136 * looped) * n + block * per_pair
     columns = job.want_simple + job.want_bridge + len(job.marginal_indices) + 2 * len(job.extreme_indices)

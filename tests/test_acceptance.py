@@ -179,9 +179,7 @@ def test_marginals_under_envelope_and_gaussian():
         widths = np.diff(edges)
         emp = counts / (len(x) * widths)
         mids = 0.5 * (edges[:-1] + edges[1:])
-        env = np.array(
-            [fp.density_envelope(t, v, 0.0, h, c=0.0, sigma_sup=1.0) for v in mids]
-        )
+        env = norm.pdf(mids, scale=sd)
         # allow 3 binomial SEs of headroom per bin before calling a breach
         p_bin = env * widths
         rel_se = np.sqrt((1.0 - p_bin) / (len(x) * p_bin))
@@ -241,7 +239,10 @@ def test_truncated_argmax_moment_flat_trend():
 
 def test_survival_tail_exponent():
     (result,) = fp.run_simulation(_job((0.5,), 2**12, 100_000))
-    fit = fp.tail_exponent_from_times(result.tau_simple, (2.5, 5.0, 10.0, 20.0))
+    t_values = np.array([2.5, 5.0, 10.0, 20.0])
+    times = result.tau_simple
+    survival = np.array([(times >= t).sum() / len(times) for t in t_values])
+    fit = fp.linear_fit(np.log(t_values), np.log(survival))
     ok = -0.6 <= fit.slope <= -0.4
     _report(10, "survival tail at H=1/2 decays like t^(-1/2)",
             ok, f"slope {fit.slope:.4f}, R^2 {fit.r_squared:.4f}")

@@ -47,7 +47,6 @@ SELFTEST_NAMES = [
     "bridge_dominance",
     "euler_zero_drift_exact",
     "laplace_reference_ode",
-    "envelope_gaussian_identity",
     "censoring_weight_bound",
 ]
 
@@ -303,10 +302,21 @@ def test_exit_code_density_files_collide(capsys, monkeypatch, tmp_path):
         raise AssertionError("colliding histogram files must be refused before any simulation")
 
     monkeypatch.setattr(fbmpassage.cli, "run_simulation", no_simulation)
-    for hurst in ("0.5,0.5000001", "0.5,0.6,0.5"):
-        assert main(["density", "--hurst-list", hurst, "--out", str(tmp_path / "o")]) == 2
+    assert main(["density", "--hurst-list", "0.5,0.5000001", "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "density_H0.5.csv" in err
+
+
+def test_exit_code_repeated_hurst_values(capsys, monkeypatch, tmp_path):
+    def no_simulation(*args):
+        raise AssertionError("repeated H values must be refused before any simulation")
+
+    monkeypatch.setattr(fbmpassage.cli, "run_simulation", no_simulation)
+    for command in ("simulate", "rate", "density"):
+        argv = [command, "--hurst-list", "0.5,0.6,0.52,0.54,0.5", "--out", str(tmp_path / "o")]
+        assert main(argv) == 2, command
         err = capsys.readouterr().err
-        assert err.startswith("error:") and "density_H0.5.csv" in err
+        assert err == "error: hurst_list repeats H=0.5\n", command
 
 
 def test_exit_code_no_hits(capsys, tmp_path):
@@ -665,9 +675,9 @@ def test_selftest_passes_and_writes_report(capsys, tmp_path):
     out = tmp_path / "st"
     assert main(["selftest", "--out", str(out)]) == 0
     printed = capsys.readouterr().out
-    assert "9 passed, 0 failed" in printed
+    assert "8 passed, 0 failed" in printed
     report = (out / "selftest_report.txt").read_text()
-    assert report.count("[PASS]") == 9
+    assert report.count("[PASS]") == 8
     assert "[FAIL]" not in report
     for name in SELFTEST_NAMES:
         assert name in report

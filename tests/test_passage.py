@@ -28,11 +28,37 @@ from fbmpassage import SimulationJob, TimeGrid, laplace_from_times, run_simulati
 from fbmpassage import runner
 from fbmpassage.passage import (
     _bridge_draws,
-    _bridge_hit_index,
     _bridge_hit_times_batch,
     _grid_times,
     _plain_hit_index,
 )
+
+
+def _bridge_hit_index(
+    values: np.ndarray, threshold: float, step_var: float, uniforms: np.ndarray
+) -> int:
+    """First firing index under the combined grid/bridge rule, -1 if none.
+
+    uniforms[j] is compared against the bridge probability of step j+1.
+    This scan reads the whole grid; it is the reference for the bounded
+    batch scan.  Only the uniforms of steps before the plain hit can decide
+    the outcome, so the batch scan never draws the others; a path's
+    generator would give them the same values if it did.
+    """
+    if values[0] >= threshold:
+        return 0
+    prev = values[:-1]
+    nxt = values[1:]
+    grid_hit = nxt >= threshold
+    # log-space comparison: U < exp(arg) <=> arg > log U.  Entries at or
+    # after a grid hit may have arg > 0; they never precede the first hit,
+    # so they cannot affect the argmax below.
+    arg = -2.0 * (threshold - prev) * (threshold - nxt) / step_var
+    with np.errstate(divide="ignore"):
+        fire = grid_hit | (arg > np.log(uniforms))
+    if not fire.any():
+        return -1
+    return int(fire.argmax()) + 1
 
 
 def _plain_times(rows, threshold, step=1.0):

@@ -13,8 +13,8 @@ Covers:
     once per run.
   - Lazy uniforms: a Philox substream's draws split anywhere give the same
     values, and each path draws no uniform past its plain hit.
-  - Window extremes from running maxima equal a rescan of every prefix,
-    ties included.
+  - Window extremes equal a rescan of every prefix, ties included, and
+    copy no window.
   - The allocator setting runs once per process, on its first run or chunk, and
     never on import; the memory bound refuses a run before allocating.
   - Closed-form affine reduction: registry models agree with a scalar
@@ -322,6 +322,18 @@ def test_running_window_extremes_equal_prefix_rescans():
     assert where[2].tolist() == [3, 3, 3, 0, 3, 3]
 
 
+def test_running_window_extremes_copy_no_window():
+    paths = np.random.default_rng(5).normal(size=(16, 2**14 + 1)).cumsum(axis=1)
+    runner._running_extremes(paths, (4096, 8192, 16384))  # one-time allocations
+    tracemalloc.start()
+    try:
+        runner._running_extremes(paths, (4096, 8192, 16384))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 10, "a window's argmax must not copy it"
+
+
 # ---------------------------------------------------------------------------
 # allocator setting and memory bound
 # ---------------------------------------------------------------------------
@@ -403,9 +415,9 @@ def test_memory_estimate_counts_blocks_spectra_and_results():
     assert runner._memory_estimate(drifted_multi, 2) == (
         2 * (small + 16 * n * 2 + 64 * n + 136 * n + 128 * 50 * n) + 2 * (2 * 8 * 300 + 1024 * 2)
     )
-    # window extremes: 16N per pair for the window copy argmax makes, two columns per window
+    # window extremes: argmax scans row slices in place, two columns per window
     extremes = _job(steps=2**10, samples=300, want_simple=False, extreme_indices=(10, 1024))
-    assert runner._memory_estimate(extremes, 1) == small + 16 * n + 64 * n + 8 * 34 * n + 2 * 8 * 300 * 4 + 1024 * 2
+    assert runner._memory_estimate(extremes, 1) == small + 16 * n + 64 * n + 8 * 18 * n + 2 * 8 * 300 * 4 + 1024 * 2
     assert runner._memory_estimate(_job(), 1) < runner._physical_memory()
 
 

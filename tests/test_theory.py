@@ -1,19 +1,15 @@
-"""Closed-form reference values and the density envelope.
+"""Closed-form reference values.
 
 Covers:
   - Brownian passage-time Laplace transform against frozen constants and
     its generating ODE (finite differences).
-  - The density envelope: frozen points, growth, domain errors, and the
-    Gaussian equality case.
 """
 
 import math
 
-import numpy as np
 import pytest
-from scipy.stats import norm
 
-from fbmpassage import Hurst, density_envelope, laplace_bm
+from fbmpassage import laplace_bm
 
 
 # ---------------------------------------------------------------------------
@@ -57,39 +53,3 @@ def test_laplace_bm_solves_generator_equation():
     assert laplace_bm(lam, 1.0, 1.0) == 1.0
     assert laplace_bm(lam, -50.0, 1.0) < 1e-12
 
-
-# ---------------------------------------------------------------------------
-# density_envelope
-# ---------------------------------------------------------------------------
-
-def test_density_envelope_gaussian_equality_case():
-    """With no drift and unit diffusion bound the envelope is the exact density."""
-    t = 2.0
-    xs = np.linspace(-4.0, 4.0, 41)
-    env = [density_envelope(t, x, 0.0, Hurst(0.5), c=0.0, sigma_sup=1.0) for x in xs]
-    exact = norm.pdf(xs, scale=math.sqrt(t))
-    assert np.max(np.abs(np.asarray(env) - exact)) < 1e-14
-
-
-def test_density_envelope_mode_value():
-    v = density_envelope(1.0, 0.0, 0.0, Hurst(0.5), c=0.0, sigma_sup=1.0)
-    assert v == pytest.approx(1.0 / math.sqrt(2.0 * math.pi), abs=1e-12)
-
-
-def test_density_envelope_growth_at_center():
-    """At x = x0 the envelope is exp(c t) / sqrt(2 pi t^{2H}): check the log slope."""
-    h, c = Hurst(0.7), 0.8
-    ts = np.linspace(1.0, 3.0, 200)
-    logs = np.log([density_envelope(t, 0.0, 0.0, h, c=c, sigma_sup=1.0) for t in ts])
-    slope = np.gradient(logs, ts)[1:-1]  # endpoints are one-sided, skip them
-    want = c - h.value / ts[1:-1]
-    assert np.max(np.abs(slope - want)) < 1e-3
-
-
-def test_density_envelope_domain_and_sign():
-    with pytest.raises(ValueError):
-        density_envelope(0.0, 0.0, 0.0, Hurst(0.5))
-    with pytest.raises(ValueError):
-        density_envelope(1.0, 0.0, 0.0, Hurst(0.5), sigma_sup=0.0)
-    for x in (-3.0, 0.0, 5.0):
-        assert density_envelope(0.7, x, 0.1, Hurst(0.8), c=2.0, sigma_sup=1.5) > 0.0
