@@ -10,7 +10,6 @@ reference curves for comparison.
 
 from .analysis import RegressionFit, linear_fit, rate_exponent
 from .estimate import (
-    LaplaceEstimate,
     NoHitsError,
     density_from_times,
     gap_estimate,
@@ -57,7 +56,6 @@ __all__ = [
     "MemoryBudgetError",
     "run_simulation",
     # estimation
-    "LaplaceEstimate",
     "NoHitsError",
     "laplace_from_times",
     "gap_estimate",

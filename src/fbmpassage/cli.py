@@ -41,6 +41,9 @@ ESTIMATOR_CHOICES = ("simple", "bridge", "both")
 # arrays, measured with tracemalloc at 10^6 bins (40.2 B).  Its CSV rows
 # are streamed from them, one at a time.
 HISTOGRAM_BYTES_PER_BIN = 41
+# Peak bytes per fitted-line point and lambda of rate's fig1_data.csv rows,
+# measured with tracemalloc at 10^6 points (160.4 B).
+FIG_BYTES_PER_POINT = 161
 
 
 class ConfigError(Exception):
@@ -291,28 +294,22 @@ def cmd_simulate(cfg: RunConfig, workers: int, chunk_pairs: int, out_dir: Path) 
     """
     names = _estimator_names(cfg)
     job = _job(cfg, chunk_pairs, names)
-    table: dict[float, dict[str, dict[float, object]]] = {}
-    for hv, result in zip(cfg.hurst_list, run_simulation(job, workers)):
-        times = result.hit_times()
-        table[hv] = {
-            name: {lam: laplace_from_times(times[name], lam) for lam in cfg.lambda_list}
-            for name in names
-        }
-    pure = job.is_pure
-    have_half = 0.5 in cfg.hurst_list
+    times = {hv: result.hit_times() for hv, result in zip(cfg.hurst_list, run_simulation(job, workers))}
     rows = []
     for hv in cfg.hurst_list:
+        censored = {name: int(np.isinf(times[hv][name]).sum()) for name in names}
         for lam in cfg.lambda_list:
             for name in names:
-                est = table[hv][name][lam]
-                if have_half:
-                    ref = table[0.5][name][lam]
-                    delta, delta_se = (0.0, 0.0) if est is ref else gap_estimate(est, ref)
-                elif pure:
-                    delta, delta_se = gap_estimate(est, laplace_bm(lam, cfg.x0, cfg.threshold))
+                value, se = laplace_from_times(times[hv][name], lam)
+                if hv == 0.5:
+                    delta, delta_se = 0.0, 0.0
+                elif 0.5 in times:
+                    delta, delta_se = gap_estimate(times[hv][name], times[0.5][name], lam)
+                elif job.is_pure:
+                    delta, delta_se = laplace_bm(lam, cfg.x0, cfg.threshold) - value, se
                 else:
                     delta, delta_se = math.nan, math.nan
-                rows.append([hv, lam, name, est.value, est.std_error, est.censored, delta, delta_se])
+                rows.append([hv, lam, name, value, se, censored[name], delta, delta_se])
     write_csv(
         out_dir / "laplace.csv",
         ["H", "lambda", "estimator", "value", "std_error", "censored", "delta_vs_bm", "delta_se"],
@@ -340,22 +337,15 @@ def cmd_bridge_compare(cfg: RunConfig, workers: int, chunk_pairs: int, out_dir: 
     else:
         fine_job = _job(cfg, chunk_pairs, ("simple",), hurst=(hv,), steps=2 * cfg.steps)
         (fine,) = run_simulation(fine_job, workers)
-        reference = {lam: laplace_from_times(fine.tau_simple, lam).value for lam in cfg.lambda_list}
+        reference = {lam: laplace_from_times(fine.tau_simple, lam)[0] for lam in cfg.lambda_list}
     rows = []
     for lam in cfg.lambda_list:
         ref = reference[lam]
-        simple = laplace_from_times(times["simple"], lam).value
-        bridge = laplace_from_times(times["bridge"], lam).value
-        rows.append(
-            [
-                lam,
-                ref,
-                simple,
-                100.0 * abs(simple - ref) / ref,
-                bridge,
-                100.0 * abs(bridge - ref) / ref,
-            ]
-        )
+        row = [lam, ref]
+        for name in ("simple", "bridge"):
+            value = laplace_from_times(times[name], lam)[0]
+            row += [value, 100.0 * abs(value - ref) / ref]
+        rows.append(row)
     write_csv(
         out_dir / "bridge_compare.csv",
         ["lambda", "reference_or_fine", "simple", "simple_err_pct", "bridge", "bridge_err_pct"],
@@ -374,22 +364,16 @@ def cmd_rate(cfg: RunConfig, workers: int, chunk_pairs: int, out_dir: Path) -> l
     h_above = [hv for hv in cfg.hurst_list if hv > 0.5]
     if 0.5 not in cfg.hurst_list or len(h_above) < 3:
         raise ConfigError("rate needs hurst_list to contain 0.5 plus at least three larger values")
+    _check_fits_in_memory(FIG_BYTES_PER_POINT * cfg.fig_points * len(cfg.lambda_list), "use fewer fig points")
     name = "simple" if cfg.estimator == "both" else cfg.estimator
-    estimates: dict[float, dict[float, object]] = {}
-    for hv, result in zip(cfg.hurst_list, run_simulation(_job(cfg, chunk_pairs, (name,)), workers)):
-        times = result.hit_times()[name]
-        estimates[hv] = {lam: laplace_from_times(times, lam) for lam in cfg.lambda_list}
+    results = run_simulation(_job(cfg, chunk_pairs, (name,)), workers)
+    times = {hv: result.hit_times()[name] for hv, result in zip(cfg.hurst_list, results)}
 
     rate_rows = []
     fig_rows = []
     xs = [hv - 0.5 for hv in h_above]
     for lam in cfg.lambda_list:
-        ref = estimates[0.5][lam]
-        gaps, ses = [], []
-        for hv in h_above:
-            gap, gap_se = gap_estimate(estimates[hv][lam], ref)
-            gaps.append(gap)
-            ses.append(gap_se)
+        gaps, ses = zip(*(gap_estimate(times[hv], times[0.5], lam) for hv in h_above))
         fit = linear_fit(xs, gaps)
         try:
             beta = rate_exponent(h_above, gaps, ses).slope
@@ -471,11 +455,12 @@ def cmd_conjecture(cfg: RunConfig, workers: int, chunk_pairs: int, out_dir: Path
 # selftest
 # ---------------------------------------------------------------------------
 
-def run_selftest(cfg: RunConfig) -> list[tuple[str, bool, str]]:
+def run_selftest() -> list[tuple[str, bool, str]]:
     """Built-in invariant battery; returns (name, passed, detail) triples.
 
-    Statistical checks run on fixed internal seeds so a correct build
-    always reports the same statistics.
+    Statistical checks run on fixed internal seeds and the censoring bound
+    on RunConfig's defaults, so a correct build always reports the same,
+    whatever the run's configuration.
     """
     checks: list[tuple[str, bool, str]] = []
 
@@ -554,7 +539,8 @@ def run_selftest(cfg: RunConfig) -> list[tuple[str, bool, str]]:
         return worst < 1e-4, f"max |L''/2 - lambda L| = {worst:.3g} (limit 1e-4)"
 
     def censoring_weight():
-        bound = math.exp(-min(cfg.lambda_list) * cfg.horizon)
+        default = RunConfig()
+        bound = math.exp(-min(default.lambda_list) * default.horizon)
         return bound < 1e-6, f"max weight of a censored path = {bound:.3g} (limit 1e-6)"
 
     record("flat_spectrum_at_h_half", flat_spectrum)
@@ -578,7 +564,7 @@ def _format_selftest(checks: list[tuple[str, bool, str]]) -> str:
 
 
 def cmd_selftest(cfg: RunConfig, workers: int, chunk_pairs: int, out_dir: Path) -> list[str]:
-    checks = run_selftest(cfg)
+    checks = run_selftest()
     report = _format_selftest(checks)
     print(report)
     (out_dir / "selftest_report.txt").write_text(report + "\n")

@@ -1,24 +1,23 @@
 """Monte Carlo functionals of per-path arrays.
 
 Estimators here reduce the runner's per-path arrays (hit times, suprema,
-argmax times) to tables: Laplace transforms with standard errors, gaps
-against a reference, hit-time histograms and truncated argmax moments.
-Censored paths contribute zero to Laplace functionals, which biases
-every estimate downward by at most exp(-lambda * horizon); internally a
-censored path carries +inf as its hit time so exp(-lambda * inf) = 0 falls
-out of the same vectorized expression.
+argmax times) to plain numbers: a Laplace transform and its standard
+error, the gap between the transforms of two hit-time arrays, a hit-time
+histogram as (edges, mass) and truncated argmax moments as
+(r, moment, std_error) triples.  Censored paths contribute zero to Laplace
+functionals, which biases every estimate downward by at most
+exp(-lambda * horizon); internally a censored path carries +inf as its hit
+time so exp(-lambda * inf) = 0 falls out of the same vectorized expression.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "NoHitsError",
-    "LaplaceEstimate",
     "laplace_from_times",
     "gap_estimate",
     "density_from_times",
@@ -28,31 +27,6 @@ __all__ = [
 
 class NoHitsError(ValueError):
     """Raised when an estimator needs hits and every path was censored."""
-
-
-@dataclass(frozen=True)
-class LaplaceEstimate:
-    """Mean of exp(-lam * tau) over the sample, with its standard error.
-
-    Censored paths contribute zero, so `value` underestimates the true
-    transform; `censored` counts them.
-    """
-
-    value: float
-    std_error: float
-    lam: float
-    samples: int
-    censored: int
-
-    def __post_init__(self):
-        if not 0.0 <= self.value <= 1.0:
-            raise ValueError(f"Laplace estimate must lie in [0, 1], got {self.value}")
-        if self.std_error < 0.0:
-            raise ValueError(f"standard error must be non-negative, got {self.std_error}")
-        if self.samples < 1:
-            raise ValueError(f"need at least one sample, got {self.samples}")
-        if not 0 <= self.censored <= self.samples:
-            raise ValueError(f"censored count {self.censored} outside [0, {self.samples}]")
 
 
 def _mean_and_se(values: np.ndarray) -> tuple[float, float]:
@@ -67,34 +41,25 @@ def _mean_and_se(values: np.ndarray) -> tuple[float, float]:
     return s1 / m, math.sqrt(var / m)
 
 
-def laplace_from_times(times: np.ndarray, lam: float) -> LaplaceEstimate:
-    """Laplace estimate from an array of hit times (+inf marks censoring)."""
+def laplace_from_times(times: np.ndarray, lam: float) -> tuple[float, float]:
+    """Mean of exp(-lam * tau) over a hit-time array, and its standard error.
+
+    A censored path (+inf) contributes zero, so the value underestimates
+    the true transform by at most exp(-lam * horizon).  The value lies in
+    [0, 1] and the standard error is non-negative.
+    """
     if not (np.isfinite(lam) and lam > 0.0):
         raise ValueError(f"lambda must be positive, got {lam}")
-    m = len(times)
-    if m < 1:
+    if len(times) < 1:
         raise ValueError("cannot estimate from an empty sample")
-    value, se = _mean_and_se(np.exp(-lam * times))
-    censored = int(np.isinf(times).sum())
-    return LaplaceEstimate(value, se, float(lam), m, censored)
+    return _mean_and_se(np.exp(-lam * times))
 
 
-def gap_estimate(estimate: LaplaceEstimate, reference) -> tuple[float, float]:
-    """Gap reference - estimate and its standard error.
-
-    `reference` is either an exact value (float, zero error contribution)
-    or another LaplaceEstimate at the same lambda, whose error is combined
-    in quadrature.
-    """
-    if isinstance(reference, LaplaceEstimate):
-        if reference.lam != estimate.lam:
-            raise ValueError(
-                f"lambda mismatch between estimate ({estimate.lam}) and reference ({reference.lam})"
-            )
-        return reference.value - estimate.value, math.hypot(
-            estimate.std_error, reference.std_error
-        )
-    return float(reference) - estimate.value, estimate.std_error
+def gap_estimate(times: np.ndarray, ref_times: np.ndarray, lam: float) -> tuple[float, float]:
+    """Gap ref - value between the transforms at lam of two hit-time arrays; their errors add in quadrature."""
+    value, se = laplace_from_times(times, lam)
+    ref, ref_se = laplace_from_times(ref_times, lam)
+    return ref - value, math.hypot(se, ref_se)
 
 
 # ---------------------------------------------------------------------------

@@ -297,6 +297,17 @@ def test_exit_code_histogram_too_large_for_memory(capsys, monkeypatch, tmp_path)
     assert err.startswith("error:") and "GiB" in err and "histogram bins" in err
 
 
+def test_exit_code_fig_points_too_large_for_memory(capsys, monkeypatch, tmp_path):
+    def no_simulation(*args):
+        raise AssertionError("an oversized fitted line must be refused before any simulation")
+
+    monkeypatch.setattr(fbmpassage.cli, "run_simulation", no_simulation)
+    argv = ["rate", "--hurst-list", "0.5,0.6,0.7,0.8", "--lambda-list", "1", "--fig-points", str(10**13)]
+    assert main([*argv, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "GiB" in err and "fig points" in err
+
+
 def test_exit_code_density_files_collide(capsys, monkeypatch, tmp_path):
     def no_simulation(*args):
         raise AssertionError("colliding histogram files must be refused before any simulation")
@@ -378,6 +389,15 @@ _SMALL_SIM = [
 def test_simulate_schema_and_manifest(tmp_path):
     out = tmp_path / "sim"
     assert main(_SMALL_SIM + ["--out", str(out)]) == 0
+    job = fbmpassage.SimulationJob(
+        hurst=(0.5, 0.6), horizon=10.0, steps=1024, samples=600, master_seed=77, want_bridge=True
+    )
+    censored = {
+        (hv, name): int(np.isinf(times).sum())
+        for hv, result in zip((0.5, 0.6), fbmpassage.run_simulation(job))
+        for name, times in result.hit_times().items()
+    }
+    assert 0 < min(censored.values())
 
     rows = _read_csv(out / "laplace.csv")
     assert list(rows[0]) == [
@@ -389,7 +409,8 @@ def test_simulate_schema_and_manifest(tmp_path):
         # 17-significant-digit cells parse back to the identical string
         for col in ("value", "std_error", "delta_vs_bm", "delta_se"):
             assert format(float(row[col]), ".17g") == row[col]
-        assert row["censored"] == str(int(row["censored"]))
+        # one count per (H, rule), the same for every lambda
+        assert row["censored"] == str(censored[float(row["H"]), row["estimator"]])
         if row["H"] == "0.5":
             assert float(row["delta_vs_bm"]) == 0.0  # H=1/2 is its own reference
         else:
@@ -405,6 +426,19 @@ def test_simulate_schema_and_manifest(tmp_path):
     # runtime knobs must not leak into the record of what was computed
     assert "workers" not in manifest["config"]
     assert "chunk" not in (out / "run_manifest.json").read_text()
+
+
+def test_simulate_without_half_gaps_against_the_closed_form(tmp_path):
+    """With no H = 1/2 row, a pure model's gap is laplace_bm - value and
+    carries the estimate's own standard error, bit for bit."""
+    argv = ["simulate", "--hurst-list", "0.55,0.6", "--samples", "200", "--steps", "64", "--lambda-list", "1,2,3"]
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    rows = _read_csv(tmp_path / "laplace.csv")
+    assert len(rows) == 2 * 3 * 2
+    for row in rows:
+        value = float(row["value"])
+        assert float(row["delta_vs_bm"]) == laplace_bm(float(row["lambda"])) - value
+        assert row["delta_se"] == row["std_error"]
 
 
 @pytest.mark.parametrize("model", [["--drift", "linear:0,0"], ["--drift", "ou:0"], ["--diffusion", "const:1"]])
@@ -593,6 +627,7 @@ def density_run(tmp_path_factory):
             "--samples", "100000",
             "--steps", "8192",
             "--seed", "555",
+            "--workers", "2",
             "--out", str(out),
         ]
     )
@@ -681,6 +716,11 @@ def test_selftest_passes_and_writes_report(capsys, tmp_path):
     assert "[FAIL]" not in report
     for name in SELFTEST_NAMES:
         assert name in report
+    # a run config whose censoring weight is far above 1e-6 leaves the report
+    # as it is: the battery checks the default configuration
+    custom = tmp_path / "custom"
+    assert main(["selftest", "--horizon", "5", "--lambda-list", "0.1", "--out", str(custom)]) == 0
+    assert (custom / "selftest_report.txt").read_text() == report
 
 
 def test_selftest_catches_covariance_corruption(monkeypatch):
@@ -692,6 +732,6 @@ def test_selftest_catches_covariance_corruption(monkeypatch):
         return base * 1.1 if lag == 1 else base
 
     monkeypatch.setattr(fbmpassage.cli, "fgn_autocovariance", skewed)
-    checks = run_selftest(RunConfig())
+    checks = run_selftest()
     failed = [name for name, ok, _ in checks if not ok]
     assert failed == ["increment_autocovariance"]
