@@ -41,9 +41,10 @@ ESTIMATOR_CHOICES = ("simple", "bridge", "both")
 # arrays, measured with tracemalloc at 10^6 bins (40.2 B).  Its CSV rows
 # are streamed from them, one at a time.
 HISTOGRAM_BYTES_PER_BIN = 41
-# Peak bytes per fitted-line point and lambda of rate's fig1_data.csv rows,
-# measured with tracemalloc at 10^6 points (160.4 B).
-FIG_BYTES_PER_POINT = 161
+# Peak bytes per fitted-line point of rate's fig1_data.csv: the line's
+# linspace entry, measured with tracemalloc at 10^6 points (8.0009 B).  Its
+# rows are streamed, one lambda's line at a time.
+FIG_BYTES_PER_POINT = 9
 
 
 class ConfigError(Exception):
@@ -364,13 +365,13 @@ def cmd_rate(cfg: RunConfig, workers: int, chunk_pairs: int, out_dir: Path) -> l
     h_above = [hv for hv in cfg.hurst_list if hv > 0.5]
     if 0.5 not in cfg.hurst_list or len(h_above) < 3:
         raise ConfigError("rate needs hurst_list to contain 0.5 plus at least three larger values")
-    _check_fits_in_memory(FIG_BYTES_PER_POINT * cfg.fig_points * len(cfg.lambda_list), "use fewer fig points")
+    _check_fits_in_memory(FIG_BYTES_PER_POINT * cfg.fig_points, "use fewer fig points")
     name = "simple" if cfg.estimator == "both" else cfg.estimator
     results = run_simulation(_job(cfg, chunk_pairs, (name,)), workers)
     times = {hv: result.hit_times()[name] for hv, result in zip(cfg.hurst_list, results)}
 
     rate_rows = []
-    fig_rows = []
+    fits = []
     xs = [hv - 0.5 for hv in h_above]
     for lam in cfg.lambda_list:
         gaps, ses = zip(*(gap_estimate(times[hv], times[0.5], lam) for hv in h_above))
@@ -380,12 +381,17 @@ def cmd_rate(cfg: RunConfig, workers: int, chunk_pairs: int, out_dir: Path) -> l
         except ValueError as exc:
             raise NoHitsError(f"log-log exponent fit failed for lambda={lam:g}: {exc}") from exc
         rate_rows.append([lam, fit.slope, fit.intercept, fit.r_squared, beta])
-        for x, gap, se in zip(xs, gaps, ses):
-            fig_rows.append(["point", lam, x, gap, se])
-        for x in np.linspace(0.0, max(xs), cfg.fig_points):
-            fig_rows.append(["line", lam, x, fit.intercept + fit.slope * x, ""])
+        fits.append((lam, gaps, ses, fit))
+
+    def fig_rows():
+        for lam, gaps, ses, fit in fits:
+            for x, gap, se in zip(xs, gaps, ses):
+                yield ["point", lam, x, gap, se]
+            for x in np.linspace(0.0, max(xs), cfg.fig_points):
+                yield ["line", lam, x, fit.intercept + fit.slope * x, ""]
+
     write_csv(out_dir / "rate.csv", ["lambda", "slope", "intercept", "r_squared", "beta_hat"], rate_rows)
-    write_csv(out_dir / "fig1_data.csv", ["kind", "lambda", "x", "y", "se"], fig_rows)
+    write_csv(out_dir / "fig1_data.csv", ["kind", "lambda", "x", "y", "se"], fig_rows())
     return ["rate.csv", "fig1_data.csv"]
 
 

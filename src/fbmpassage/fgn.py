@@ -171,11 +171,14 @@ def _complex_noise(rng: np.random.Generator, m: int, out: np.ndarray | None = No
 
 
 def _pair_fft(scale: np.ndarray, noise: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """FFT(scale * noise), with scale = sqrt(spectrum / 2N).
+    """FFT(scale * noise) along the last axis, with scale = sqrt(spectrum / 2N).
 
-    The first N real parts and the first N imaginary parts of the result
-    are the increments of the pair's two paths.  `out`, if given, holds
-    the product and then the transform, and is returned.
+    `noise` is one pair's 2N entries or a (pairs, 2N) block of them, and a
+    block is transformed in one call, row by row, with the same bits as one
+    call per row.  In each row of the result the first N real parts and the
+    first N imaginary parts are the increments of the pair's two paths.
+    `out`, if given, has the shape of `noise`, holds the product and then
+    the transform, and is returned.
     """
     return fft(np.multiply(scale, noise, out=out), out=out)
 

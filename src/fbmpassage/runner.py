@@ -31,12 +31,13 @@ __all__ = ["MemoryBudgetError", "SimulationJob", "SimulationResult", "run_simula
 
 DEFAULT_CHUNK_PAIRS = 128
 
-# Pairs per block of a chunk with no Euler loop.  A block's noise is drawn
-# once and then transformed, summed and scanned for each H in turn, so its
-# buffers stay small enough to be reused from cache.  Drifted models take the
-# whole chunk as one block: their Euler step is a Python loop over grid
-# steps, vectorised across rows, and costs less per row on more rows.
-BLOCK_PAIRS = 8
+# Pairs per block of a chunk with no Euler loop, and pairs per FFT call.  A
+# block's noise is drawn once and then transformed, summed and scanned for
+# each H in turn, so its buffers stay small enough to be reused from cache.
+# Drifted models take the whole chunk as one block: their Euler step is a
+# Python loop over grid steps, vectorised across rows, and costs less per
+# row on more rows; they transform the block BLOCK_PAIRS pairs at a time.
+BLOCK_PAIRS = 4
 
 
 @dataclass(frozen=True)
@@ -193,7 +194,9 @@ def _block_layout(job: SimulationJob, pairs: int) -> tuple[bool, int]:
 
     `looped` says whether the reduced drift is not zero, so the Euler loop
     runs; then a block is the whole chunk, and otherwise BLOCK_PAIRS pairs.
-    Raises ValueError for an unknown model.
+    Either way one FFT call transforms at most BLOCK_PAIRS pairs, so the
+    transform buffer holds min(BLOCK_PAIRS, block) rows.  Raises ValueError
+    for an unknown model.
     """
     a, c_reduced, _ = _reduced_drift(job)
     looped = a != 0.0 or c_reduced != 0.0
@@ -205,11 +208,12 @@ def _memory_estimate(job: SimulationJob, processes: int) -> int:
 
     An upper bound on the traced peak, with N = steps.  Every process
     holds 64 kB of small objects, the cached spectra (16N bytes per H), one
-    transform buffer (32N), one block and the largest temporary of a block
-    step.  Per pair, a block holds 16N of path rows and 2N of scan or
-    finiteness mask; with the bridge rule 16N of log-uniforms and two
-    uniform generators of ~1 kB; with several H values 32N of stashed
-    noise.  A single-H block draws its noise into the transform buffer.
+    transform buffer of min(BLOCK_PAIRS, block) rows of 32N, one block and
+    the largest temporary of a block step.  Per pair, a block holds 16N of
+    path rows and 2N of scan or finiteness mask; with the bridge rule 16N
+    of log-uniforms and two uniform generators of ~1 kB; with several H
+    values 32N of stashed noise.  A single-H block draws its noise into
+    the transform buffer's rows.
     The largest temporary is 32N: the 16N of one noise draw, the FFT's
     ufunc buffer or one row's bridge scan.  The Euler loop adds 136 bytes
     per grid column for its column views.  The calling process holds
@@ -221,7 +225,8 @@ def _memory_estimate(job: SimulationJob, processes: int) -> int:
     n = job.steps + 1
     per_pair = (16 + 2 + 16 * job.want_bridge + 32 * (len(job.hurst) > 1)) * n
     per_pair += 2048 * job.want_bridge
-    per_process = (64 << 10) + (16 * len(job.hurst) + 32 + 32 + 136 * looped) * n + block * per_pair
+    transform = min(BLOCK_PAIRS, block) * 32 * n
+    per_process = (64 << 10) + (16 * len(job.hurst) + 32 + 136 * looped) * n + transform + block * per_pair
     columns = job.want_simple + job.want_bridge + len(job.marginal_indices) + 2 * len(job.extreme_indices)
     results = 2 * 8 * job.samples * columns + 1024 * math.ceil(pairs / job.chunk_pairs)
     return processes * per_process + len(job.hurst) * results
@@ -234,23 +239,28 @@ def _chunk_compute(job: SimulationJob, chunk_index: int) -> list[SimulationResul
     dX = (a X + c) dt + s dB: drift a y + (a x0 + c) / s, unit diffusion,
     level (threshold - x0) / s; marginals and suprema map back by x0 + s y.
     The chunk runs in blocks of pairs, and a block opens each path's
-    uniform stream once.  For each H in turn it scales each pair's noise by
-    that H's sqrt(spectrum / 2N) and transforms it in one reused buffer,
-    prefix-sums the real and imaginary parts straight into one reused path
-    buffer, runs the Euler step if the reduced drift is not zero, and runs
-    the scans and reductions.  A pair's normals are drawn when the first H
-    reaches it: into the transform buffer when the job has one H, and into
-    a stash row that the later H values read again when it has several.  A
-    path's bridge scan stops at its plain hit, and its uniforms are drawn,
-    and their logs taken, only as far as some H has needed them so far.
+    uniform stream once.  For each H in turn, and for each BLOCK_PAIRS
+    pairs of the block, it scales the pairs' noise by that H's
+    sqrt(spectrum / 2N) into the rows of one reused buffer of up to
+    BLOCK_PAIRS rows of 2N, and transforms them in one FFT call; then it
+    prefix-sums each row's real and imaginary parts straight into one
+    reused path buffer, runs the Euler step on the whole block if the
+    reduced drift is not zero, and runs the scans and reductions.  A pair's normals are drawn
+    when the first H reaches it: into its row of the transform buffer when
+    the job has one H, and into a stash row that the later H values read
+    again when it has several.  A path's bridge scan stops at its plain
+    hit, and its uniforms are drawn, and their logs taken, only as far as
+    some H has needed them so far.
 
     Memory per block, with N = steps: 16N bytes of path rows per pair, plus
     16N of log-uniforms per pair with the bridge rule, filled only as far
     as the scans read, plus 32N of stashed complex noise per pair with
-    several H values.  With a zero reduced drift there is no Euler loop and
-    a block holds BLOCK_PAIRS pairs.  Otherwise the block is the whole
-    chunk, 16N bytes per pair with one H and 48N with several (16N more
-    with the bridge rule); the Euler step overwrites the path rows in place.
+    several H values, plus the transform buffer's 32N per row.  With a
+    zero reduced drift there is no Euler loop and a block holds
+    BLOCK_PAIRS pairs, one transform buffer row each.  Otherwise the block
+    is the whole chunk, 16N bytes per pair with one H and 48N with several
+    (16N more with the bridge rule), next to a transform buffer of up to
+    BLOCK_PAIRS rows; the Euler step overwrites the path rows in place.
     """
     _raise_malloc_thresholds()
     steps = job.steps
@@ -267,7 +277,7 @@ def _chunk_compute(job: SimulationJob, chunk_index: int) -> list[SimulationResul
     looped, block = _block_layout(job, pc)
 
     results = [_empty_result(job, n_valid) for _ in job.hurst]
-    transformed = np.empty(m, dtype=complex)
+    transformed = np.empty((min(BLOCK_PAIRS, block), m), dtype=complex)
     stash = np.empty((block, m), dtype=complex) if len(job.hurst) > 1 else None
     values = np.empty((2 * block, steps + 1))
     values[:, 0] = 0.0
@@ -284,15 +294,17 @@ def _chunk_compute(job: SimulationJob, chunk_index: int) -> list[SimulationResul
             drawn = np.zeros(n_rows, dtype=np.intp)
         block_values = values[: 2 * nb]
         for k, (h, scale, result) in enumerate(zip(job.hurst, scales, results)):
-            for i in range(nb):
-                if k:
-                    noise = stash[i]
-                else:
-                    rng = substream(job.master_seed, GAUSSIAN_STREAM, p0 + b0 + i)
-                    noise = _complex_noise(rng, m, out=transformed if stash is None else stash[i])
-                y = _pair_fft(scale, noise, out=transformed)
-                np.add.accumulate(y.real[:steps], out=block_values[2 * i, 1:])
-                np.add.accumulate(y.imag[:steps], out=block_values[2 * i + 1, 1:])
+            for g0 in range(0, nb, BLOCK_PAIRS):
+                g = min(BLOCK_PAIRS, nb - g0)
+                noise = transformed[:g] if stash is None else stash[g0 : g0 + g]
+                if not k:
+                    for i in range(g):
+                        rng = substream(job.master_seed, GAUSSIAN_STREAM, p0 + b0 + g0 + i)
+                        _complex_noise(rng, m, out=noise[i])
+                y = _pair_fft(scale, noise, out=transformed[:g])
+                for i in range(g):
+                    np.add.accumulate(y.real[i, :steps], out=block_values[2 * (g0 + i), 1:])
+                    np.add.accumulate(y.imag[i, :steps], out=block_values[2 * (g0 + i) + 1, 1:])
             if looped:
                 affine_euler(block_values, a, c_reduced, step)
             paths = block_values[:n_rows]

@@ -16,6 +16,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -306,6 +307,25 @@ def test_exit_code_fig_points_too_large_for_memory(capsys, monkeypatch, tmp_path
     assert main([*argv, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "GiB" in err and "fig points" in err
+
+
+def test_fig_rows_stream_in_bytes_per_point(monkeypatch, tmp_path):
+    simulate = fbmpassage.cli.run_simulation
+
+    def then_trace(*args):
+        results = simulate(*args)
+        tracemalloc.start()
+        return results
+
+    monkeypatch.setattr(fbmpassage.cli, "run_simulation", then_trace)
+    points = 10**5
+    argv = ["rate", "--samples", "200", "--steps", "64", "--horizon", "5", "--hurst-list", "0.5,0.6,0.7,0.8"]
+    try:
+        assert main([*argv, "--lambda-list", "1", "--fig-points", str(points), "--out", str(tmp_path / "o")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * points, "the fitted line's rows must be streamed, not held"
 
 
 def test_exit_code_density_files_collide(capsys, monkeypatch, tmp_path):

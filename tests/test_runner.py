@@ -11,12 +11,17 @@ Covers:
   - Multi-H jobs: one job over several H values equals the single-H jobs
     bit for bit, and draws each pair's normals and each path's uniforms
     once per run.
+  - Block assembly: every path, pure or through the Euler loop, equals the
+    prefix sum of its sample_fgn row bit for bit, for one and several H,
+    partial last blocks and a half-used last pair.
   - Lazy uniforms: a Philox substream's draws split anywhere give the same
     values, and each path draws no uniform past its plain hit.
   - Window extremes equal a rescan of every prefix, ties included, and
     copy no window.
   - The allocator setting runs once per process, on its first run or chunk, and
-    never on import; the memory bound refuses a run before allocating.
+    never on import; the memory bound refuses a run before allocating,
+    counts blocks, spectra, the transform buffer and results exactly, and
+    bounds the traced peak of seven job shapes from above.
   - Closed-form affine reduction: registry models agree with a scalar
     per-path Euler loop on y = (x - x0) / s, and zero drift with constant
     diffusion is scaled fBm with no Euler loop at all.
@@ -33,11 +38,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fbmpassage import GAUSSIAN_STREAM, UNIFORM_STREAM, SimulationJob, TimeGrid, run_simulation, substream
+from fbmpassage import (
+    GAUSSIAN_STREAM, UNIFORM_STREAM, Hurst, SimulationJob, TimeGrid, circulant_spectrum, run_simulation, sample_fgn,
+    substream,
+)
 import fbmpassage
 from fbmpassage import runner
 from fbmpassage.passage import _bridge_hit_times_batch, _plain_hit_index
-from fbmpassage.sde import affine_coefficients
+from fbmpassage.sde import affine_coefficients, affine_euler
 
 
 def _job(**kw):
@@ -257,6 +265,32 @@ def test_each_stream_is_requested_once_per_run(monkeypatch, hursts):
 
 
 # ---------------------------------------------------------------------------
+# block assembly
+# ---------------------------------------------------------------------------
+
+_EVERY_INDEX = tuple(range(257))
+
+
+@pytest.mark.parametrize("drift", ["zero", "ou:1"])
+@pytest.mark.parametrize("hursts", [(0.6,), (0.5, 0.6, 0.75)])
+@pytest.mark.parametrize("chunk_pairs", [1, 3, 128])
+def test_block_paths_equal_summed_sample_fgn_rows(chunk_pairs, hursts, drift):
+    # 11 paths: a partial last block, and the last pair's second path unused
+    job = _job(
+        hurst=hursts, samples=11, drift=drift, chunk_pairs=chunk_pairs, want_simple=False, marginal_indices=_EVERY_INDEX
+    )
+    a, c, s = affine_coefficients(job.drift, job.diffusion)
+    grid = TimeGrid(job.horizon, job.steps)
+    for h, got in zip(hursts, run_simulation(job)):
+        spectrum = circulant_spectrum(Hurst(h), grid)
+        rows = np.concatenate([sample_fgn(spectrum, substream(42, GAUSSIAN_STREAM, k)) for k in range(6)])
+        paths = np.zeros((12, grid.steps + 1))
+        np.add.accumulate(rows, axis=1, out=paths[:, 1:])
+        affine_euler(paths, a, (a * job.x0 + c) / s, grid.step)  # a = c = 0 leaves the sums as they are
+        assert (got.marginals == job.x0 + s * paths[:11]).all(), h
+
+
+# ---------------------------------------------------------------------------
 # lazy uniforms and window extremes
 # ---------------------------------------------------------------------------
 
@@ -397,27 +431,36 @@ def test_memory_estimate_counts_blocks_spectra_and_results():
     n = 2**10 + 1
     small = 64 << 10  # small objects, per process
     pure = _job(steps=2**10, samples=300, want_bridge=True, hurst=(0.5, 0.6))
-    # two 16N spectra, a 32N transform buffer and a 32N temporary; 8-pair
-    # blocks of 66N (32N of it stashed noise) and two 1 kB generators per
-    # pair; two results of two columns over 300 paths, held twice, and
-    # 1 kB of records per chunk (two chunks) and H
+    # two 16N spectra and a 32N temporary; 4-pair blocks with a 4-row 32N
+    # transform buffer, 66N per pair (32N of it stashed noise) and two 1 kB
+    # generators per pair; two results of two columns over 300 paths, held
+    # twice, and 1 kB of records per chunk (two chunks) and H
     assert runner._memory_estimate(pure, 1) == (
-        small + 16 * n * 2 + 64 * n + 8 * (66 * n + 2048) + 2 * (2 * 8 * 300 * 2 + 1024 * 2)
+        small + 16 * n * 2 + 32 * n + 4 * 32 * n + 4 * (66 * n + 2048) + 2 * (2 * 8 * 300 * 2 + 1024 * 2)
     )
     # one H: the noise is drawn into the transform buffer, no stash
     single = _job(steps=2**10, samples=300, want_bridge=True)
-    assert runner._memory_estimate(single, 1) == small + 16 * n + 64 * n + 8 * (34 * n + 2048) + 2 * 8 * 300 * 2 + 1024 * 2
-    # drifted: the block is the whole 128-pair chunk, and the Euler loop's
-    # column views take 136 B per grid column
+    assert runner._memory_estimate(single, 1) == (
+        small + 16 * n + 32 * n + 4 * 32 * n + 4 * (34 * n + 2048) + 2 * 8 * 300 * 2 + 1024 * 2
+    )
+    # drifted: the block is the whole 128-pair chunk, transformed four pairs
+    # at a time, and the Euler loop's column views take 136 B per grid column
     drifted = _job(steps=2**10, samples=300, drift="ou:1")
-    assert runner._memory_estimate(drifted, 2) == 2 * (small + 16 * n + 64 * n + 136 * n + 128 * 18 * n) + 2 * 8 * 300 + 1024 * 2
+    assert runner._memory_estimate(drifted, 2) == (
+        2 * (small + 16 * n + 32 * n + 4 * 32 * n + 136 * n + 128 * 18 * n) + 2 * 8 * 300 + 1024 * 2
+    )
     drifted_multi = _job(steps=2**10, samples=300, drift="ou:1", hurst=(0.5, 0.6))
     assert runner._memory_estimate(drifted_multi, 2) == (
-        2 * (small + 16 * n * 2 + 64 * n + 136 * n + 128 * 50 * n) + 2 * (2 * 8 * 300 + 1024 * 2)
+        2 * (small + 16 * n * 2 + 32 * n + 4 * 32 * n + 136 * n + 128 * 50 * n) + 2 * (2 * 8 * 300 + 1024 * 2)
     )
+    # a one-pair chunk holds a one-row transform buffer
+    tiny = _job(steps=2**10, samples=2, chunk_pairs=1)
+    assert runner._memory_estimate(tiny, 1) == small + 16 * n + 32 * n + 32 * n + 18 * n + 2 * 8 * 2 + 1024
     # window extremes: argmax scans row slices in place, two columns per window
     extremes = _job(steps=2**10, samples=300, want_simple=False, extreme_indices=(10, 1024))
-    assert runner._memory_estimate(extremes, 1) == small + 16 * n + 64 * n + 8 * 18 * n + 2 * 8 * 300 * 4 + 1024 * 2
+    assert runner._memory_estimate(extremes, 1) == (
+        small + 16 * n + 32 * n + 4 * 32 * n + 4 * 18 * n + 2 * 8 * 300 * 4 + 1024 * 2
+    )
     assert runner._memory_estimate(_job(), 1) < runner._physical_memory()
 
 
@@ -430,6 +473,7 @@ def test_memory_estimate_counts_blocks_spectra_and_results():
         {"drift": "ou:1", "hurst": (0.5, 0.6), "want_bridge": True},
         {"hurst": (0.5, 0.7), "want_simple": False, "extreme_indices": (1024, 4096), "marginal_indices": (7,)},
         {"samples": 301, "chunk_pairs": 7, "want_bridge": True},
+        {"drift": "ou:1", "samples": 301, "chunk_pairs": 7},
     ],
 )
 def test_memory_estimate_bounds_the_traced_peak(shape):
@@ -449,8 +493,6 @@ def test_memory_estimate_bounds_the_traced_peak(shape):
 # ---------------------------------------------------------------------------
 # closed-form affine reduction
 # ---------------------------------------------------------------------------
-
-_EVERY_INDEX = tuple(range(257))
 
 
 def _scalar_euler(noise, a, c, step):
