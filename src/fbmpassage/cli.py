@@ -420,11 +420,16 @@ def cmd_density(cfg: RunConfig, workers: int, chunk_pairs: int, out_dir: Path) -
 def cmd_conjecture(cfg: RunConfig, workers: int, chunk_pairs: int, out_dir: Path) -> list[str]:
     """Truncated argmax moments over the r windows -> conjecture.csv.
 
-    Each H row group carries the OLS trend of moment against r; a flat
-    trend (slope within noise of zero) means the moments stay bounded over
-    the probed windows.  The paths are raw fBm started at zero: the model
-    options (x0, threshold, drift, diffusion) do not apply here, and a
-    warning names any of them that is set away from its default.
+    Each H row group carries the OLS trend of moment against r and its
+    standard error.  That error is the residual SE of the fit through the
+    few (r, moment) points, not a Monte Carlo sampling error, so a slope
+    within it of zero does not show that the moments stay bounded.  Nor
+    are the moments flat at H = 1/2: with the default p and eta, the
+    exact Brownian values (by quadrature of the joint law of the maximum
+    and its location) grow, 0.5711, 0.7310 and 0.9094 at r = 5, 10 and 20.
+    The paths are raw fBm started at zero: the model options (x0,
+    threshold, drift, diffusion) do not apply here, and a warning names
+    any of them that is set away from its default.
     """
     default = RunConfig()
     model = ("x0", "threshold", "drift", "diffusion")

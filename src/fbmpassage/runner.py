@@ -25,7 +25,7 @@ import numpy as np
 from .fgn import Hurst, TimeGrid, _complex_noise, _pair_fft, circulant_spectrum
 from .passage import _bridge_draws, _bridge_hit_times_batch, _grid_times, _plain_hit_index
 from .rng import GAUSSIAN_STREAM, UNIFORM_STREAM, substream
-from .sde import affine_coefficients, affine_euler
+from .sde import CHECK_COLUMNS, TAIL_PIECE, affine_coefficients, affine_euler
 
 __all__ = ["MemoryBudgetError", "SimulationJob", "SimulationResult", "run_simulation"]
 
@@ -216,7 +216,10 @@ def _memory_estimate(job: SimulationJob, processes: int) -> int:
     the transform buffer's rows.
     The largest temporary is 32N: the 16N of one noise draw, the FFT's
     ufunc buffer or one row's bridge scan.  The Euler loop adds 136 bytes
-    per grid column for its column views.  The calling process holds
+    per grid column for its column views, 4 bytes per pair and column of
+    one CHECK_COLUMNS batch for its check of which rows have reached the
+    level, and 66 bytes per entry of its tail's TAIL_PIECE-column pieces of
+    Python floats (65.1 B by `tracemalloc`).  The calling process holds
     every result array twice while it merges the chunks, and 1 kB of
     records per chunk and H.  Raises ValueError for an unknown model.
     """
@@ -226,7 +229,8 @@ def _memory_estimate(job: SimulationJob, processes: int) -> int:
     per_pair = (16 + 2 + 16 * job.want_bridge + 32 * (len(job.hurst) > 1)) * n
     per_pair += 2048 * job.want_bridge
     transform = min(BLOCK_PAIRS, block) * 32 * n
-    per_process = (64 << 10) + (16 * len(job.hurst) + 32 + 136 * looped) * n + transform + block * per_pair
+    euler = 136 * n + 4 * min(CHECK_COLUMNS + 1, n) * block + 66 * TAIL_PIECE if looped else 0
+    per_process = (64 << 10) + (16 * len(job.hurst) + 32) * n + euler + transform + block * per_pair
     columns = job.want_simple + job.want_bridge + len(job.marginal_indices) + 2 * len(job.extreme_indices)
     results = 2 * 8 * job.samples * columns + 1024 * math.ceil(pairs / job.chunk_pairs)
     return processes * per_process + len(job.hurst) * results
@@ -244,13 +248,17 @@ def _chunk_compute(job: SimulationJob, chunk_index: int) -> list[SimulationResul
     sqrt(spectrum / 2N) into the rows of one reused buffer of up to
     BLOCK_PAIRS rows of 2N, and transforms them in one FFT call; then it
     prefix-sums each row's real and imaginary parts straight into one
-    reused path buffer, runs the Euler step on the whole block if the
-    reduced drift is not zero, and runs the scans and reductions.  A pair's normals are drawn
-    when the first H reaches it: into its row of the transform buffer when
-    the job has one H, and into a stash row that the later H values read
-    again when it has several.  A path's bridge scan stops at its plain
-    hit, and its uniforms are drawn, and their logs taken, only as far as
-    some H has needed them so far.
+    reused path buffer, runs the Euler step on the block's valid rows if
+    the reduced drift is not zero, and runs the scans and reductions.  The
+    Euler step takes each row only through the later of its plain hit and
+    the last column that a marginal or extreme reads; the states past that
+    are not read, and hold the noise prefix sums or states stepped on with
+    the block.  A pair's normals are drawn when the first H reaches it:
+    into its row of the transform buffer when the job has one H, and into
+    a stash row that the later H values read again when it has several.
+    A path's bridge scan stops at its plain hit, and its uniforms are
+    drawn, and their logs taken, only as far as some H has needed them so
+    far.
 
     Memory per block, with N = steps: 16N bytes of path rows per pair, plus
     16N of log-uniforms per pair with the bridge rule, filled only as far
@@ -260,7 +268,9 @@ def _chunk_compute(job: SimulationJob, chunk_index: int) -> list[SimulationResul
     BLOCK_PAIRS pairs, one transform buffer row each.  Otherwise the block
     is the whole chunk, 16N bytes per pair with one H and 48N with several
     (16N more with the bridge rule), next to a transform buffer of up to
-    BLOCK_PAIRS rows; the Euler step overwrites the path rows in place.
+    BLOCK_PAIRS rows; the Euler step overwrites the path rows in place,
+    and its row check and scalar tail hold bounded pieces (see
+    _memory_estimate).
     """
     _raise_malloc_thresholds()
     steps = job.steps
@@ -283,6 +293,9 @@ def _chunk_compute(job: SimulationJob, chunk_index: int) -> list[SimulationResul
     values[:, 0] = 0.0
     log_uniforms = np.empty((2 * block, steps)) if job.want_bridge else None
     columns = list(job.marginal_indices)
+    # the Euler loop steps each row through its plain hit and the last column any output reads
+    level = thr if job.want_simple or job.want_bridge else -math.inf
+    read_to = max((*job.marginal_indices, *job.extreme_indices), default=0)
 
     for b0 in range(0, pc, block):
         nb = min(block, pc - b0)
@@ -305,9 +318,9 @@ def _chunk_compute(job: SimulationJob, chunk_index: int) -> list[SimulationResul
                 for i in range(g):
                     np.add.accumulate(y.real[i, :steps], out=block_values[2 * (g0 + i), 1:])
                     np.add.accumulate(y.imag[i, :steps], out=block_values[2 * (g0 + i) + 1, 1:])
-            if looped:
-                affine_euler(block_values, a, c_reduced, step)
             paths = block_values[:n_rows]
+            if looped:
+                affine_euler(paths, a, c_reduced, step, level, read_to)
 
             if job.want_simple or job.want_bridge:
                 plain = _plain_hit_index(paths, thr)

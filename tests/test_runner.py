@@ -21,10 +21,14 @@ Covers:
   - The allocator setting runs once per process, on its first run or chunk, and
     never on import; the memory bound refuses a run before allocating,
     counts blocks, spectra, the transform buffer and results exactly, and
-    bounds the traced peak of seven job shapes from above.
+    bounds the traced peak of eight job shapes from above.
   - Closed-form affine reduction: registry models agree with a scalar
     per-path Euler loop on y = (x - x0) / s, and zero drift with constant
     diffusion is scaled fBm with no Euler loop at all.
+  - Early-stopped Euler: every output equals a run that steps every
+    state, for any chunk size; the padding row of an odd sample count is
+    not stepped; states that overflow after every row's passage do not
+    fail a run.
 """
 
 import dataclasses
@@ -44,8 +48,8 @@ from fbmpassage import (
 )
 import fbmpassage
 from fbmpassage import runner
-from fbmpassage.passage import _bridge_hit_times_batch, _plain_hit_index
-from fbmpassage.sde import affine_coefficients, affine_euler
+from fbmpassage.passage import _bridge_hit_times_batch, _grid_times, _plain_hit_index
+from fbmpassage.sde import PropagationError, affine_coefficients, affine_euler
 
 
 def _job(**kw):
@@ -444,14 +448,17 @@ def test_memory_estimate_counts_blocks_spectra_and_results():
         small + 16 * n + 32 * n + 4 * 32 * n + 4 * (34 * n + 2048) + 2 * 8 * 300 * 2 + 1024 * 2
     )
     # drifted: the block is the whole 128-pair chunk, transformed four pairs
-    # at a time, and the Euler loop's column views take 136 B per grid column
+    # at a time; the Euler loop's column views take 136 B per grid column,
+    # its row check 4 B per pair and column of a 128-column batch, and its
+    # tail 66 B per entry of a 256-entry piece
+    euler = 136 * n + 4 * 129 * 128 + 66 * 256
     drifted = _job(steps=2**10, samples=300, drift="ou:1")
     assert runner._memory_estimate(drifted, 2) == (
-        2 * (small + 16 * n + 32 * n + 4 * 32 * n + 136 * n + 128 * 18 * n) + 2 * 8 * 300 + 1024 * 2
+        2 * (small + 16 * n + 32 * n + 4 * 32 * n + euler + 128 * 18 * n) + 2 * 8 * 300 + 1024 * 2
     )
     drifted_multi = _job(steps=2**10, samples=300, drift="ou:1", hurst=(0.5, 0.6))
     assert runner._memory_estimate(drifted_multi, 2) == (
-        2 * (small + 16 * n * 2 + 32 * n + 4 * 32 * n + 136 * n + 128 * 50 * n) + 2 * (2 * 8 * 300 + 1024 * 2)
+        2 * (small + 16 * n * 2 + 32 * n + 4 * 32 * n + euler + 128 * 50 * n) + 2 * (2 * 8 * 300 + 1024 * 2)
     )
     # a one-pair chunk holds a one-row transform buffer
     tiny = _job(steps=2**10, samples=2, chunk_pairs=1)
@@ -474,6 +481,8 @@ def test_memory_estimate_counts_blocks_spectra_and_results():
         {"hurst": (0.5, 0.7), "want_simple": False, "extreme_indices": (1024, 4096), "marginal_indices": (7,)},
         {"samples": 301, "chunk_pairs": 7, "want_bridge": True},
         {"drift": "ou:1", "samples": 301, "chunk_pairs": 7},
+        # no path reaches the level, so every row runs the scalar tail to the end
+        {"drift": "ou:1", "threshold": 1e6, "samples": 16, "chunk_pairs": 1},
     ],
 )
 def test_memory_estimate_bounds_the_traced_peak(shape):
@@ -538,6 +547,8 @@ def test_zero_drift_constant_diffusion_is_scaled_fbm(monkeypatch, s):
         raise AssertionError("zero reduced drift must not step an Euler loop")
 
     monkeypatch.setattr(runner, "affine_euler", no_loop)
+    with pytest.raises(AssertionError, match="Euler loop"):  # a drifted run steps through this name
+        run_simulation(_job(drift="ou:1", samples=4))
     x0, level = 0.5, 1.5
     outputs = dict(want_bridge=True, marginal_indices=(0, 100, 256), extreme_indices=(50, 256))
     (scaled,) = run_simulation(_job(x0=x0, threshold=level, diffusion=f"const:{s:g}", **outputs))
@@ -549,3 +560,70 @@ def test_zero_drift_constant_diffusion_is_scaled_fbm(monkeypatch, s):
     assert np.array_equal(scaled.marginals, x0 + s * fbm.marginals)
     assert np.array_equal(scaled.sup_values, x0 + s * fbm.sup_values)
     assert np.array_equal(scaled.argmax_times, fbm.argmax_times)
+
+
+# ---------------------------------------------------------------------------
+# early-stopped Euler loop
+# ---------------------------------------------------------------------------
+
+def _full_loop(values, a, c, step, *read_range):
+    """The runner's Euler call without its level and read column: every state stepped."""
+    return affine_euler(values, a, c, step)
+
+
+_READS = [
+    dict(want_bridge=True),
+    dict(want_bridge=True, marginal_indices=(0, 3, 40), extreme_indices=(10, 60)),
+    dict(want_simple=False, marginal_indices=(5, 90)),
+    dict(threshold=0.25, marginal_indices=(256,)),  # every path starts at the level
+]
+
+
+@pytest.mark.parametrize("outputs", range(len(_READS)))
+@pytest.mark.parametrize("chunk_pairs", [1, 7, 128])
+@pytest.mark.parametrize("drift", ["ou:1", "linear:0.7,-0.3"])
+def test_early_stopped_run_equals_full_loop_run(monkeypatch, drift, chunk_pairs, outputs):
+    job = _job(drift=drift, diffusion="const:2", x0=0.25, samples=301, chunk_pairs=chunk_pairs, **_READS[outputs])
+    (got,) = run_simulation(job)
+    monkeypatch.setattr(runner, "affine_euler", _full_loop)
+    (want,) = run_simulation(job)
+    for name in _OUTPUTS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a is None and b is None) or a.tobytes() == b.tobytes(), name
+    if job.want_simple and job.threshold > job.x0:
+        assert np.isfinite(got.tau_simple).any() and not np.isfinite(got.tau_simple).all()
+
+
+def test_padding_row_of_an_odd_sample_count_is_not_stepped(monkeypatch):
+    rows = []
+
+    def spy(values, *args):
+        rows.append(len(values))
+        return affine_euler(values, *args)
+
+    monkeypatch.setattr(runner, "affine_euler", spy)
+    run_simulation(_job(drift="ou:1", samples=11, chunk_pairs=3))
+    assert rows == [6, 5]
+
+
+@pytest.mark.parametrize("chunk_pairs", [1, 128])
+def test_overflow_after_every_passage_completes(chunk_pairs):
+    # y1 = noise + 1e6 * step: every path is above the level at the first
+    # step, and the states overflow some 70 steps later, which a 256-row
+    # block loop steps before it checks which rows have passed
+    drift = "linear:1e6,1e6"
+    job = _job(drift=drift, want_bridge=True, marginal_indices=(0, 1), chunk_pairs=chunk_pairs)
+    (got,) = run_simulation(job)
+
+    (fbm,) = run_simulation(_job(want_simple=False, marginal_indices=_EVERY_INDEX))
+    a, c, _ = affine_coefficients(drift, "one")
+    step = TimeGrid(job.horizon, job.steps).step
+    reduced = _scalar_euler(fbm.marginals, a, c, step)
+    assert not np.isfinite(reduced[:, 100]).any()
+    with pytest.raises(PropagationError):
+        affine_euler(fbm.marginals.copy(), a, c, step)
+    want = _grid_times(_plain_hit_index(reduced, 1.0), job.steps, step)
+    assert (want == step).all()
+    assert np.array_equal(got.tau_simple, want)
+    assert np.array_equal(got.tau_bridge, want)
+    assert got.marginals.tobytes() == reduced[:, :2].tobytes()

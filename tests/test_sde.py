@@ -9,12 +9,17 @@ Covers:
     geometric decay for b(y) = -y, non-finite state detection.
   - Block Euler for affine drift: bit for bit the plain five-ufunc loop,
     signed zeros included, and the same failing step on a non-finite state.
+  - Early-stopped Euler: with a level and a last read column, every state
+    through each row's read range equals the full loop bit for bit, on
+    signed-zero blocks and on real OU and linear-drift blocks; the error
+    follows each row's own read range.
 """
 
 import numpy as np
 import pytest
 
 from fbmpassage import Hurst, PropagationError, SimulationJob, TimeGrid, circulant_spectrum, sample_fgn
+from fbmpassage import sde
 from fbmpassage.runner import _reduced_drift
 from fbmpassage.sde import affine_coefficients, affine_euler
 
@@ -174,3 +179,88 @@ def test_affine_euler_names_the_step_a_divergent_drift_overflows():
         with pytest.raises(PropagationError) as got:
             affine_euler(noise.copy(), 1e200, 0.0, 1.0)
     assert str(got.value) == str(want.value)
+
+
+# ---------------------------------------------------------------------------
+# early-stopped Euler: each row through its plain hit and the last read column
+# ---------------------------------------------------------------------------
+
+def _read_ends(states, level, read_to):
+    """Each row's last read column: the later of read_to and its first state at or above level
+    (its last column if it has none)."""
+    mask = states >= level
+    first = np.where(mask.any(axis=1), mask.argmax(axis=1), states.shape[1] - 1)
+    return np.maximum(first, read_to)
+
+
+def _assert_read_ranges_equal(noise, a, c, step, level, read_to):
+    want = _five_ufunc_euler(noise.copy(), a, c, step)
+    got = noise.copy()
+    assert affine_euler(got, a, c, step, level, read_to) is got
+    for row, end in enumerate(_read_ends(want, level, read_to)):
+        assert got[row, : end + 1].tobytes() == want[row, : end + 1].tobytes(), (row, end)
+    return _read_ends(want, level, 0)
+
+
+def _drifted_block(drift, rows, steps=1024, horizon=3.0, hv=0.6, seed=3):
+    """Prefix sums of `rows` fGn rows and the reduced (a, c, level) of `drift` with const:2 from x0 = 0.25."""
+    grid = TimeGrid(horizon, steps)
+    spectrum = circulant_spectrum(Hurst(hv), grid)
+    rng = np.random.default_rng(seed)
+    noise = np.zeros((rows, steps + 1))
+    for r in range(0, rows, 2):
+        np.add.accumulate(sample_fgn(spectrum, rng), axis=1, out=noise[r : r + 2, 1:])
+    a, c_reduced, s = _reduced_drift(_model(drift, "const:2", x0=0.25))
+    return noise, a, c_reduced, (1.0 - 0.25) / s, grid.step
+
+
+@pytest.mark.parametrize("read_to", [0, 17, 64])
+@pytest.mark.parametrize("level", [-0.5, 0.0, 1.5, 4.0, 1e9])
+@pytest.mark.parametrize("c", [0.0, -0.0, 0.4])
+@pytest.mark.parametrize("a", [-1.0, 0.7])
+def test_early_stopped_euler_equals_full_loop_on_signed_zeros(a, c, level, read_to):
+    # level <= 0: every row is at the level at column 0; 1e9: no row gets there
+    hits = _assert_read_ranges_equal(_signed_zero_block(), a, c, 0.1, level, read_to)
+    if level <= 0.0:
+        assert (hits == 0).all()
+    if level == 1e9:
+        assert (hits == 64).all()
+
+
+@pytest.mark.parametrize("read_to", [0, 300, 1024])
+@pytest.mark.parametrize("rows", [6, sde.TAIL_ROWS, 2 * sde.TAIL_ROWS + 2, 96])
+@pytest.mark.parametrize("drift", ["ou:1", "linear:0.7,-0.3"])
+def test_early_stopped_euler_equals_full_loop_on_drifted_blocks(drift, rows, read_to):
+    noise, a, c, level, step = _drifted_block(drift, rows)
+    assert c != 0.0
+    hits = _assert_read_ranges_equal(noise, a, c, step, level, read_to)
+    assert (hits < 1024).any()
+    if rows > sde.TAIL_ROWS:
+        # some rows pass the level in the block loop and some never do
+        assert (hits == 1024).any()
+
+
+@pytest.mark.parametrize("rows", [6, 96])
+def test_non_finite_state_past_every_read_range_is_not_an_error(rows):
+    noise, a, c, _, step = _drifted_block("ou:1", rows)
+    noise[:, 1:100] += 5.0  # every row is at the level at column 1, and below it from 100 to 199
+    noise[:, 200:] = np.inf
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(PropagationError, match="step 200"):
+            affine_euler(noise.copy(), a, c, step)
+        got = affine_euler(noise.copy(), a, c, step, 1.0, 150)
+        assert np.isfinite(got[:, :151]).all()
+        with pytest.raises(PropagationError, match="step 200"):
+            affine_euler(noise.copy(), a, c, step, 1.0, 200)
+
+
+@pytest.mark.parametrize("rows", [6, 96])
+def test_non_finite_state_names_the_first_step_in_any_read_range(rows):
+    noise, a, c, _, step = _drifted_block("ou:1", rows)
+    noise[:, 1:] += 5.0  # every row is at the level from column 1...
+    noise[3, 1:600] -= 10.0  # ...but row 3, which is still below it at 420
+    noise[3, 420] = np.nan
+    noise[1, 100] = np.inf  # past row 1's read range, inside the first block batch
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(PropagationError, match="step 420"):
+            affine_euler(noise.copy(), a, c, step, 1.0, 0)

@@ -1,0 +1,68 @@
+"""The in-process stage timer in tools/stage_split.py.
+
+Covers:
+  - A tiny drifted and a tiny bridge job: every stage the job reaches is
+    timed, the stages add up to no more than the runner's wall time, the
+    outputs are those of an untimed run, and the wrappers are gone
+    afterwards.
+  - The command line at a tiny grid, in a fresh process, on all three
+    shapes; the tool does not touch the benchmark's files.
+"""
+
+import importlib.util
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from fbmpassage import SimulationJob, run_simulation, runner
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "stage_split.py"
+
+
+def _tool():
+    spec = importlib.util.spec_from_file_location("stage_split", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize(
+    "model, reached",
+    [
+        (dict(drift="ou:1", diffusion="const:2"), {"Euler", "plain scan"}),
+        (
+            dict(hurst=(0.5, 0.6), want_bridge=True, extreme_indices=(64,)),
+            {"plain scan", "bridge scan", "uniforms", "extremes"},
+        ),
+    ],
+)
+def test_split_times_every_reached_stage_and_restores_the_runner(monkeypatch, model, reached):
+    tool = _tool()
+    job = SimulationJob(**{"hurst": (0.6,), "horizon": 5.0, "steps": 128, "samples": 10, "master_seed": 7, **model})
+    originals = {name: getattr(runner, name) for name in tool.STAGES}
+    want = run_simulation(job)
+    got = []
+    monkeypatch.setattr(runner, "run_simulation", lambda *args, **kw: got.extend(run_simulation(*args, **kw)))
+    wall, seconds = tool.split(runner, job)
+    assert {name: getattr(runner, name) for name in tool.STAGES} == originals
+    assert set(seconds) == {"substream", "normals", "FFT"} | reached
+    assert 0.0 < sum(seconds.values()) <= wall
+    assert len(got) == len(want) and all(np.array_equal(g.tau_simple, w.tau_simple) for g, w in zip(got, want))
+    lines = tool.report("tiny", wall, seconds).splitlines()
+    assert lines[0].startswith("tiny: runner") and lines[-1].split()[0] == "rest"
+    assert len(lines) == 2 + len(set(tool.STAGES.values()))
+
+
+def test_command_line_at_a_tiny_grid():
+    src = Path(runner.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    argv = [sys.executable, str(TOOL), "--src", str(src), "--steps", "256", "--samples", "6"]
+    out = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    heads = [line.split(":")[0] for line in out.stdout.splitlines() if not line.startswith(" ")]
+    assert heads == ["sim-multiH-bridge", "sim-ou-plain", "conjecture-large-pool"]
+    assert "perfbench" not in TOOL.read_text()
