@@ -50,8 +50,11 @@ def _row_tail(row: np.ndarray, n: int, acc: float, a: float, c: float, step: flo
     loop's arithmetic, acc += (a y + c) * step, then y = noise + acc, with
     the same IEEE operations in the same order; `+ c` with c = 0 changes
     no bit, as in `affine_euler`.  The row stops at its first state at or
-    above `level`, at its first non-finite state or at its last column, and
-    converts at most TAIL_PIECE noise entries to Python floats at a time.
+    above `level`, at its last column, or at the end of the TAIL_PIECE
+    piece that holds its first non-finite state; it converts at most
+    TAIL_PIECE noise entries to Python floats at a time.  Every state after
+    a non-finite one is non-finite too, so the caller's check of the last
+    written state catches it and names the exact step.
     """
     y = float(row[n])
     last = len(row) - 1
@@ -118,7 +121,7 @@ def affine_euler(
                 np.multiply(drift, step, drift)
                 np.add(acc, drift, acc)
                 np.add(current, acc, current)
-            if level is not None:
+            if level is not None and below.any():
                 reached = np.greater_equal(values[:, n : end + 1], level, out=mask[:, : end + 1 - n])
                 hit = below & reached.any(axis=1)
                 stop[hit] = np.maximum(n + reached[hit].argmax(axis=1), read_to)

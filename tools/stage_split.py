@@ -1,7 +1,6 @@
 """In-process stage timer for the runner's hot path.
 
-    python3 tools/stage_split.py [--shape NAME] [--repeat K] [--src DIR]
-                                 [--steps N] [--samples M]
+    python3 tools/stage_split.py [--shape NAME] [--src DIR] [--steps N] [--samples M]
 
 Wraps the stage entry points that `fbmpassage.runner` calls with
 `time.perf_counter`, runs `run_simulation` serially on the three
@@ -95,7 +94,6 @@ def report(name: str, wall: float, seconds: dict[str, float]) -> str:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--shape", choices=sorted(SHAPES), action="append", help="shape to run (default: all)")
-    parser.add_argument("--repeat", type=int, default=1, help="runs per shape, each reported")
     parser.add_argument("--src", type=Path, default=ROOT / "src", help="source tree that holds fbmpassage")
     parser.add_argument("--seed", type=int, default=3)
     parser.add_argument("--steps", type=int, help="grid steps in place of the shape's")
@@ -112,8 +110,7 @@ def main(argv: list[str] | None = None) -> int:
             job = dataclasses.replace(job, steps=args.steps, extreme_indices=indices)
         if args.samples:
             job = dataclasses.replace(job, samples=args.samples)
-        for _ in range(args.repeat):
-            print(report(name, *split(runner, job)), flush=True)
+        print(report(name, *split(runner, job)), flush=True)
     return 0
 
 
