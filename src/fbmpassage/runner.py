@@ -215,13 +215,13 @@ def _memory_estimate(job: SimulationJob, processes: int) -> int:
     values 32N of stashed noise.  A single-H block draws its noise into
     the transform buffer's rows.
     The largest temporary is 32N: the 16N of one noise draw, the FFT's
-    ufunc buffer or one row's bridge scan.  The Euler loop adds 136 bytes
-    per grid column for its column views, 4 bytes per pair and column of
-    one CHECK_COLUMNS batch for its check of which rows have reached the
-    level, and 66 bytes per entry of its tail's TAIL_PIECE-column pieces of
-    Python floats (65.1 B by `tracemalloc`).  The calling process holds
-    every result array twice while it merges the chunks, and 1 kB of
-    records per chunk and H.  Raises ValueError for an unknown model.
+    ufunc buffer or one row's bridge scan.  The Euler loop holds nothing
+    else sized by the grid: 4 bytes per pair and column of a CHECK_COLUMNS
+    batch for its check of which rows have reached the level, and 66 bytes
+    per entry of its tail's TAIL_PIECE-column pieces of Python floats
+    (65.1 B by `tracemalloc`).  The calling process holds every result
+    array twice while it merges the chunks, and 1 kB of records per chunk
+    and H.  Raises ValueError for an unknown model.
     """
     pairs = (job.samples + 1) // 2
     looped, block = _block_layout(job, min(job.chunk_pairs, pairs))
@@ -229,7 +229,7 @@ def _memory_estimate(job: SimulationJob, processes: int) -> int:
     per_pair = (16 + 2 + 16 * job.want_bridge + 32 * (len(job.hurst) > 1)) * n
     per_pair += 2048 * job.want_bridge
     transform = min(BLOCK_PAIRS, block) * 32 * n
-    euler = 136 * n + 4 * min(CHECK_COLUMNS + 1, n) * block + 66 * TAIL_PIECE if looped else 0
+    euler = 4 * min(CHECK_COLUMNS + 1, n) * block + 66 * TAIL_PIECE if looped else 0
     per_process = (64 << 10) + (16 * len(job.hurst) + 32) * n + euler + transform + block * per_pair
     columns = job.want_simple + job.want_bridge + len(job.marginal_indices) + 2 * len(job.extreme_indices)
     results = 2 * 8 * job.samples * columns + 1024 * math.ceil(pairs / job.chunk_pairs)
@@ -269,8 +269,8 @@ def _chunk_compute(job: SimulationJob, chunk_index: int) -> list[SimulationResul
     is the whole chunk, 16N bytes per pair with one H and 48N with several
     (16N more with the bridge rule), next to a transform buffer of up to
     BLOCK_PAIRS rows; the Euler step overwrites the path rows in place,
-    and its row check and scalar tail hold bounded pieces (see
-    _memory_estimate).
+    one bounded batch of columns at a time, and its row check and scalar
+    tail hold pieces of fixed size (see _memory_estimate).
     """
     _raise_malloc_thresholds()
     steps = job.steps

@@ -19,6 +19,7 @@ which rows share a block.
 from __future__ import annotations
 
 import math
+from itertools import pairwise
 
 import numpy as np
 
@@ -72,7 +73,7 @@ def _row_tail(row: np.ndarray, n: int, acc: float, a: float, c: float, step: flo
 
 
 def affine_euler(
-    values: np.ndarray, a: float, c: float, step: float, level: float | None = None, read_to: int = 0
+    values: np.ndarray, a: float, c: float, step: float, level: float = -math.inf, read_to: int | None = None
 ) -> np.ndarray:
     """Euler scheme for dY = (a Y + c) dt + dB across the rows of a (paths, steps+1) block.
 
@@ -80,20 +81,21 @@ def affine_euler(
     overwritten with the solution, so no second path buffer is needed.  The
     drift is accumulated apart from the noise, acc += step * (a y + c),
     then y = noise + acc, so with a = c = 0 the output equals the noise.
-    The column views are built once, and the ufuncs take positional
-    outputs, so a grid step costs four ufunc calls, or five when c != 0.
+    Each CHECK_COLUMNS batch walks views of its own columns, and the ufuncs
+    take positional outputs, so a grid step costs four ufunc calls, or five
+    when c != 0, and the loop holds nothing sized by the grid but `values`.
     Skipping `+ c` for c == 0 changes no bit: acc starts at +0.0 and a
     sum is -0.0 only when both terms are, so acc is never -0.0, and adding
     a drift of -0.0 or +0.0 to it gives the same value.
 
-    With no `level` every state is stepped.  With one, a row's read range
-    ends at the later of `read_to` and its first state at or above `level`
-    (its last column if it has none), and states past it keep whatever the
-    loop left there: the noise prefix sums, or states stepped on with the
-    block.  The block steps CHECK_COLUMNS columns at a time, and after each
-    batch drops the rows that have reached the level; once it is past
-    `read_to` with at most TAIL_ROWS rows left, each of those finishes
-    alone in Python floats (`_row_tail`), bit for bit the same states.
+    A row's read range ends at the later of `read_to` (the last column by
+    default) and its first state at or above `level`, or at its last
+    column if it has none; states past it keep what the loop left there:
+    the noise prefix sums, or states stepped on with the block.  The block
+    steps CHECK_COLUMNS columns at a time, and after each batch drops the
+    rows that have reached the level; once it is past `read_to` with at
+    most TAIL_ROWS rows left, each of those finishes alone in Python floats
+    (`_row_tail`), bit for bit the same states.
 
     Raises PropagationError, naming the first offending step, if and only
     if some row has a non-finite state in its read range.  A non-finite
@@ -102,11 +104,9 @@ def affine_euler(
     `values`.
     """
     last = values.shape[1] - 1
-    if level is None:
-        read_to = last
+    read_to = last if read_to is None else read_to
     acc = np.zeros(values.shape[0])
     drift = np.empty_like(acc)
-    columns = list(values.T)
     stop = np.full(len(acc), last)  # each row's last read column
     below = np.ones(len(acc), dtype=bool)  # rows not yet seen at or above the level
     mask = np.empty((len(acc), min(CHECK_COLUMNS, last) + 1), dtype=bool)
@@ -114,14 +114,14 @@ def affine_euler(
     with np.errstate(over="ignore", invalid="ignore"):
         while n < last and (n < read_to or np.count_nonzero(below) > TAIL_ROWS):
             end = min(n + CHECK_COLUMNS, last)
-            for previous, current in zip(columns[n:end], columns[n + 1 : end + 1]):
+            for previous, current in pairwise(values[:, n : end + 1].T):
                 np.multiply(previous, a, drift)
                 if c != 0.0:
                     np.add(drift, c, drift)
                 np.multiply(drift, step, drift)
                 np.add(acc, drift, acc)
                 np.add(current, acc, current)
-            if level is not None and below.any():
+            if below.any():
                 reached = np.greater_equal(values[:, n : end + 1], level, out=mask[:, : end + 1 - n])
                 hit = below & reached.any(axis=1)
                 stop[hit] = np.maximum(n + reached[hit].argmax(axis=1), read_to)

@@ -448,10 +448,9 @@ def test_memory_estimate_counts_blocks_spectra_and_results():
         small + 16 * n + 32 * n + 4 * 32 * n + 4 * (34 * n + 2048) + 2 * 8 * 300 * 2 + 1024 * 2
     )
     # drifted: the block is the whole 128-pair chunk, transformed four pairs
-    # at a time; the Euler loop's column views take 136 B per grid column,
-    # its row check 4 B per pair and column of a 128-column batch, and its
-    # tail 66 B per entry of a 256-entry piece
-    euler = 136 * n + 4 * 129 * 128 + 66 * 256
+    # at a time; the Euler loop's row check takes 4 B per pair and column of
+    # a 128-column batch, and its tail 66 B per entry of a 256-entry piece
+    euler = 4 * 129 * 128 + 66 * 256
     drifted = _job(steps=2**10, samples=300, drift="ou:1")
     assert runner._memory_estimate(drifted, 2) == (
         2 * (small + 16 * n + 32 * n + 4 * 32 * n + euler + 128 * 18 * n) + 2 * 8 * 300 + 1024 * 2

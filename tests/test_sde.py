@@ -12,8 +12,12 @@ Covers:
   - Early-stopped Euler: with a level and a last read column, every state
     through each row's read range equals the full loop bit for bit, on
     signed-zero blocks and on real OU and linear-drift blocks; the error
-    follows each row's own read range.
+    follows each row's own read range; a block whose rows all reach the
+    level in the first batch is stepped with a traced peak that does not
+    grow with the grid.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -264,3 +268,18 @@ def test_non_finite_state_names_the_first_step_in_any_read_range(rows):
     with np.errstate(invalid="ignore"):
         with pytest.raises(PropagationError, match="step 420"):
             affine_euler(noise.copy(), a, c, step, 1.0, 0)
+
+
+def test_early_stopped_euler_peak_does_not_grow_with_the_grid():
+    peaks = []
+    for steps in (2**12, 2**16):
+        noise = np.zeros((8, steps + 1))
+        noise[:, 1:] = 5.0  # every row is at the level from column 1
+        tracemalloc.start()
+        try:
+            affine_euler(noise, -1.0, 0.0, 0.01, 1.0, 0)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # a view per grid column would hold ~120 B per column: ~7 MB more at 2^16
+    assert peaks[1] <= 1.1 * peaks[0], peaks
