@@ -342,6 +342,8 @@ def cmd_bridge_compare(cfg: RunConfig, workers: int, chunk_pairs: int, out_dir: 
     rows = []
     for lam in cfg.lambda_list:
         ref = reference[lam]
+        if ref == 0.0:
+            raise NoHitsError(f"reference transform at lambda={lam:g} is 0, so the relative errors are undefined")
         row = [lam, ref]
         for name in ("simple", "bridge"):
             value = laplace_from_times(times[name], lam)[0]

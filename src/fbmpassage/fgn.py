@@ -90,32 +90,20 @@ class TimeGrid:
 # covariance structure
 # ---------------------------------------------------------------------------
 
-def fgn_autocovariance(h: Hurst, lag: int, step: float) -> float:
-    """Autocovariance of the increment sequence at the given lag.
+def fgn_autocovariance(h: Hurst, lag: int | np.ndarray, step: float) -> float | np.ndarray:
+    """Autocovariance of the increment sequence at a lag, or elementwise at an array of lags.
 
-    gamma(k) = step^{2H} / 2 * (|k+1|^{2H} - 2|k|^{2H} + |k-1|^{2H}).
-    Lag zero gives the increment variance step^{2H}; for H = 1/2 all
-    positive lags vanish.
+    gamma(k) = step^{2H} / 2 * (|k+1|^{2H} - 2|k|^{2H} + |k-1|^{2H}).  np.power, not numpy's
+    scalar ** (the C library's pow), gives a lone lag the bits it has in an array.
     """
-    if lag < 0:
+    k = np.asarray(lag, dtype=float)
+    if (k < 0.0).any():
         raise ValueError(f"lag must be non-negative, got {lag}")
     if not (np.isfinite(step) and step > 0.0):
         raise ValueError(f"step must be positive, got {step}")
     two_h = 2.0 * h.value
-    k = float(lag)
-    return 0.5 * step**two_h * (
-        abs(k + 1.0) ** two_h - 2.0 * k**two_h + abs(k - 1.0) ** two_h
-    )
-
-
-def _autocovariance_row(h: Hurst, grid: TimeGrid) -> np.ndarray:
-    """gamma(0..N) evaluated in one vectorized sweep."""
-    two_h = 2.0 * h.value
-    pw = np.arange(grid.steps + 2, dtype=float) ** two_h
-    # second difference of j^{2H} gives lags 1..N; lag 0 is (1 - 0 + 1)/2 = 1
-    core = 0.5 * (pw[2:] - 2.0 * pw[1:-1] + pw[:-2])
-    gamma = np.concatenate(([1.0], core))
-    return grid.step**two_h * gamma
+    core = np.power(np.abs(k + 1.0), two_h) - 2.0 * np.power(k, two_h) + np.power(np.abs(k - 1.0), two_h)
+    return 0.5 * step**two_h * core
 
 
 def circulant_spectrum(h: Hurst, grid: TimeGrid) -> np.ndarray:
@@ -137,9 +125,8 @@ def circulant_spectrum(h: Hurst, grid: TimeGrid) -> np.ndarray:
     n = grid.steps
     if n < 1 or (n & (n - 1)) != 0:
         raise ValueError(f"steps must be a power of two for the circulant sampler, got {n}")
-    gamma = _autocovariance_row(h, grid)
-    row = np.concatenate([gamma, gamma[-2:0:-1]])
-    eigs = fft(row).real
+    gamma = fgn_autocovariance(h, np.arange(n + 1), grid.step)
+    eigs = fft(np.concatenate([gamma, gamma[-2:0:-1]])).real
     lam_max = float(eigs.max())
     floor = -EIGENVALUE_TOL * lam_max
     lam_min = float(eigs.min())
@@ -200,12 +187,10 @@ def sample_fgn(spectrum: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 
 @lru_cache(maxsize=8)
 def _cholesky_factor(h_value: float, grid: TimeGrid) -> np.ndarray:
-    from scipy.linalg import toeplitz
-
-    gamma = _autocovariance_row(Hurst(h_value), grid)[: grid.steps]
-    cov = toeplitz(gamma)
+    i = np.arange(grid.steps)
+    gamma = fgn_autocovariance(Hurst(h_value), i, grid.step)
     try:
-        return np.linalg.cholesky(cov)
+        return np.linalg.cholesky(gamma[np.abs(i[:, None] - i)])
     except np.linalg.LinAlgError as exc:
         raise EmbeddingError(
             f"increment covariance not positive definite for H={h_value}, N={grid.steps}: {exc}"

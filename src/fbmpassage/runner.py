@@ -247,18 +247,18 @@ def _chunk_compute(job: SimulationJob, chunk_index: int) -> list[SimulationResul
     pairs of the block, it scales the pairs' noise by that H's
     sqrt(spectrum / 2N) into the rows of one reused buffer of up to
     BLOCK_PAIRS rows of 2N, and transforms them in one FFT call; then it
-    prefix-sums each row's real and imaginary parts straight into one
-    reused path buffer, runs the Euler step on the block's valid rows if
-    the reduced drift is not zero, and runs the scans and reductions.  The
-    Euler step takes each row only through the later of its plain hit and
-    the last column that a marginal or extreme reads; the states past that
-    are not read, and hold the noise prefix sums or states stepped on with
-    the block.  A pair's normals are drawn when the first H reaches it:
-    into its row of the transform buffer when the job has one H, and into
-    a stash row that the later H values read again when it has several.
-    A path's bridge scan stops at its plain hit, and its uniforms are
-    drawn, and their logs taken, only as far as some H has needed them so
-    far.
+    prefix-sums their real parts into the even and their imaginary parts
+    into the odd rows of one reused path buffer, one call per part, runs the
+    Euler step on the block's valid rows if the reduced drift is not zero,
+    and runs the scans and reductions.  The Euler step takes each row only
+    through the later of its plain hit and the last column that a marginal
+    or extreme reads; the states past that are not read, and hold the noise
+    prefix sums or states stepped on with the block.  A pair's normals are
+    drawn when the first H reaches it: into its row of the transform buffer
+    when the job has one H, and into a stash row that the later H values
+    read again when it has several.  A path's bridge scan stops at its plain
+    hit, and its uniforms are drawn, and their logs taken, only as far as
+    some H has needed them so far.
 
     Memory per block, with N = steps: 16N bytes of path rows per pair, plus
     16N of log-uniforms per pair with the bridge rule, filled only as far
@@ -315,9 +315,9 @@ def _chunk_compute(job: SimulationJob, chunk_index: int) -> list[SimulationResul
                         rng = substream(job.master_seed, GAUSSIAN_STREAM, p0 + b0 + g0 + i)
                         _complex_noise(rng, m, out=noise[i])
                 y = _pair_fft(scale, noise, out=transformed[:g])
-                for i in range(g):
-                    np.add.accumulate(y.real[i, :steps], out=block_values[2 * (g0 + i), 1:])
-                    np.add.accumulate(y.imag[i, :steps], out=block_values[2 * (g0 + i) + 1, 1:])
+                group = block_values[2 * g0 : 2 * (g0 + g), 1:]
+                np.add.accumulate(y.real[:, :steps], axis=1, out=group[0::2])
+                np.add.accumulate(y.imag[:, :steps], axis=1, out=group[1::2])
             paths = block_values[:n_rows]
             if looped:
                 affine_euler(paths, a, c_reduced, step, level, read_to)

@@ -366,6 +366,29 @@ def test_exit_code_no_hits(capsys, tmp_path):
     assert "degenerate data:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "hurst, threshold",
+    [("0.6", "200"), ("0.5", "600")],
+    ids=["fine-grid-all-censored", "closed-form-underflows"],
+)
+def test_exit_code_bridge_compare_zero_reference(capsys, tmp_path, hurst, threshold):
+    """A reference transform of 0 leaves the relative errors undefined: exit 4, not a traceback."""
+    argv = [
+        "bridge-compare",
+        "--hurst-list", hurst,
+        "--estimator", "both",
+        "--steps", "64",
+        "--samples", "100",
+        "--horizon", "1",
+        "--threshold", threshold,
+        "--lambda-list", "1",
+        "--out", str(tmp_path / "o"),
+    ]
+    assert main(argv) == 4
+    assert "degenerate data:" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "bridge_compare.csv").exists()
+
+
 def test_exit_code_numerical_failure(capsys, tmp_path):
     argv = [
         "simulate",
@@ -568,9 +591,9 @@ def test_constant_diffusion_run_logs_no_sde_warning(caplog, tmp_path):
 
 
 def test_cli_import_loads_no_heavy_scipy_module():
-    """scipy.stats and .linalg load only where a selftest check or the
-    Cholesky oracle calls them, not on every CLI run; nothing in the
-    package imports .integrate or .interpolate."""
+    """scipy.stats loads only where a selftest check calls it, not on
+    every CLI run; nothing in the package imports .linalg, .integrate or
+    .interpolate."""
     src = str(Path(fbmpassage.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = "import sys, fbmpassage.cli; print(*sorted(m for m in sys.modules if m.startswith('scipy')))"

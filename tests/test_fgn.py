@@ -3,17 +3,19 @@
 Covers:
   - Hurst and TimeGrid validation plus grid arithmetic.
   - Covariance closed forms against frozen constants and the telescoping
-    identity sum_{i,j} gamma(|i-j|) = T^{2H}.
+    identity sum_{i,j} gamma(|i-j|) = T^{2H}; lag arrays against scalar lags.
   - Circulant spectrum: flatness at H = 1/2, positivity, trace identity.
   - FFT sampler statistics: increment variance, terminal variance and
     normality, lag-1 autocovariance, pair independence, determinism.
-  - Dense Cholesky oracle: agreement with the FFT sampler (two-sample KS),
-    size cap, exact prefix-sum bookkeeping.
+  - Dense Cholesky oracle: its factor is that of the Toeplitz covariance,
+    agreement with the FFT sampler (two-sample KS), size cap, exact
+    prefix-sum bookkeeping.
   - The runner's paths are the prefix sums of the sampler's increment rows.
 """
 
 import numpy as np
 import pytest
+from scipy.linalg import toeplitz
 from scipy.stats import kstest, ks_2samp
 
 from fbmpassage import (
@@ -29,6 +31,7 @@ from fbmpassage import (
     sample_fgn,
     substream,
 )
+from fbmpassage.fgn import _cholesky_factor
 
 
 # ---------------------------------------------------------------------------
@@ -82,6 +85,18 @@ def test_fgn_autocovariance_positive_memory():
     # H > 1/2 increments are positively correlated at every lag
     for lag in range(1, 6):
         assert fgn_autocovariance(Hurst(0.8), lag, 0.5) > 0.0
+
+
+@pytest.mark.parametrize("hv", [0.51, 0.7])
+def test_fgn_autocovariance_array_matches_scalar_calls(hv):
+    h, lags = Hurst(hv), np.arange(300)
+    scalar = np.array([fgn_autocovariance(h, int(k), 0.25) for k in lags])
+    np.testing.assert_array_max_ulp(fgn_autocovariance(h, lags, 0.25), scalar, maxulp=1)
+
+
+def test_fgn_autocovariance_rejects_a_negative_lag_in_an_array():
+    with pytest.raises(ValueError, match="non-negative"):
+        fgn_autocovariance(Hurst(0.7), np.array([0, 1, -2, 3]), 0.25)
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +231,14 @@ def test_cholesky_cap():
     grid = TimeGrid(1.0, CHOLESKY_CAP * 2)
     with pytest.raises(ValueError):
         cholesky_fbm(Hurst(0.6), grid, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("hv", [0.3, 0.5, 0.8])
+def test_cholesky_factor_equals_factor_of_toeplitz_matrix(hv):
+    """The oracle's covariance matrix is the Toeplitz layout of gamma(0..N-1), bit for bit."""
+    h, grid = Hurst(hv), TimeGrid(3.0, 64)
+    cov = toeplitz(fgn_autocovariance(h, np.arange(grid.steps), grid.step))
+    np.testing.assert_array_equal(_cholesky_factor(hv, grid), np.linalg.cholesky(cov))
 
 
 def test_cholesky_path_layout():
