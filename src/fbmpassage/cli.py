@@ -331,19 +331,19 @@ def cmd_bridge_compare(cfg: RunConfig, workers: int, chunk_pairs: int, out_dir: 
         raise ConfigError("bridge-compare needs estimator=both")
     hv = cfg.hurst_list[0]
     job = _job(cfg, chunk_pairs, ("simple", "bridge"), hurst=(hv,))
-    (result,) = run_simulation(job, workers)
-    times = result.hit_times()
     if hv == 0.5 and job.is_pure:
-        reference = {lam: laplace_bm(lam, cfg.x0, cfg.threshold) for lam in cfg.lambda_list}
+        reference = [laplace_bm(lam, cfg.x0, cfg.threshold) for lam in cfg.lambda_list]
     else:
         fine_job = _job(cfg, chunk_pairs, ("simple",), hurst=(hv,), steps=2 * cfg.steps)
         (fine,) = run_simulation(fine_job, workers)
-        reference = {lam: laplace_from_times(fine.tau_simple, lam)[0] for lam in cfg.lambda_list}
-    rows = []
-    for lam in cfg.lambda_list:
-        ref = reference[lam]
+        reference = [laplace_from_times(fine.tau_simple, lam)[0] for lam in cfg.lambda_list]
+    for lam, ref in zip(cfg.lambda_list, reference):
         if ref == 0.0:
             raise NoHitsError(f"reference transform at lambda={lam:g} is 0, so the relative errors are undefined")
+    (result,) = run_simulation(job, workers)
+    times = result.hit_times()
+    rows = []
+    for lam, ref in zip(cfg.lambda_list, reference):
         row = [lam, ref]
         for name in ("simple", "bridge"):
             value = laplace_from_times(times[name], lam)[0]

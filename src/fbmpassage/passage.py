@@ -34,21 +34,12 @@ def _grid_times(index: np.ndarray, steps: int, step: float) -> np.ndarray:
     return np.where(index <= steps, index * step, np.inf)
 
 
-def _bridge_draws(plain_index: np.ndarray) -> np.ndarray:
-    """Uniforms a row's bridge scan reads: one per step before its plain hit.
-
-    A row that starts at or above the threshold reads none, a censored row
-    reads one per step.
-    """
-    return np.maximum(plain_index - 1, 0)  # plain_index <= steps + 1
-
-
 def _bridge_hit_times_batch(
     values: np.ndarray,
     threshold: float,
     step: float,
     step_var: float,
-    log_uniforms: np.ndarray,
+    log_uniforms,
     plain_index: np.ndarray,
 ) -> np.ndarray:
     """Bridge-rule hit times for a (paths, steps+1) matrix; +inf marks censored rows.
@@ -56,9 +47,9 @@ def _bridge_hit_times_batch(
     Rowwise the same arithmetic as a full-grid scan, but each row is
     scanned on its own and only up to its plain hit, `plain_index` from
     _plain_hit_index: no bridge time can exceed the plain time.
-    log_uniforms[r, j] is log U for step j+1 of row r; only the first
-    _bridge_draws(plain_index) entries of a row are read, and the rest may
-    hold anything.
+    log_uniforms(r, n) returns row r's first n log-uniforms, entry j for
+    step j+1.  The scan asks only the rows whose plain hit is past index 1,
+    each for one per step before that hit, all of them on a censored row.
     """
     steps = values.shape[1] - 1
     times = _grid_times(plain_index, steps, step)
@@ -66,7 +57,7 @@ def _bridge_hit_times_batch(
     # before its plain hit, at most at steps + 1, only the bridge can fire
     for r, stop in zip(rows.tolist(), plain_index[rows].tolist()):
         gap = threshold - values[r, :stop]
-        fire = -2.0 * gap[:-1] * gap[1:] / step_var > log_uniforms[r, : stop - 1]
+        fire = -2.0 * gap[:-1] * gap[1:] / step_var > log_uniforms(r, stop - 1)
         j = fire.argmax()
         if fire[j]:
             times[r] = (j + 1) * step

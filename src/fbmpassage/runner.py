@@ -18,12 +18,12 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
-from functools import cache, lru_cache
+from functools import cache, lru_cache, partial
 
 import numpy as np
 
 from .fgn import Hurst, TimeGrid, _complex_noise, _pair_fft, circulant_spectrum
-from .passage import _bridge_draws, _bridge_hit_times_batch, _grid_times, _plain_hit_index
+from .passage import _bridge_hit_times_batch, _grid_times, _plain_hit_index
 from .rng import GAUSSIAN_STREAM, UNIFORM_STREAM, substream
 from .sde import CHECK_COLUMNS, TAIL_PIECE, affine_coefficients, affine_euler
 
@@ -139,17 +139,18 @@ def _raise_malloc_thresholds() -> bool:
     return True
 
 
-def _draw_log_uniforms(generators, drawn: np.ndarray, log_uniforms: np.ndarray, need: np.ndarray) -> None:
-    """Extend row r's log-uniforms to need[r] entries from its own generator.
+def _row_log_uniforms(generators, drawn: list[int], buffer: np.ndarray, r: int, n: int) -> np.ndarray:
+    """Row r's first n log-uniforms, drawn from its own generator on first need.
 
-    A row's draws continue where its last draw stopped, so its entries are
-    those of one random(need[r]) call however they are split.
+    drawn[r] counts the entries of buffer row r drawn so far.  Each draw
+    continues the row's stream, so the entries are those of one random(n) call.
     """
-    grow = np.flatnonzero(need > drawn)
-    with np.errstate(divide="ignore"):
-        for r, lo, hi in zip(grow.tolist(), drawn[grow].tolist(), need[grow].tolist()):
-            np.log(generators[r].random(hi - lo), out=log_uniforms[r, lo:hi])
-    drawn[grow] = need[grow]
+    lo = drawn[r]
+    if lo < n:
+        with np.errstate(divide="ignore"):
+            np.log(generators[r].random(n - lo), out=buffer[r, lo:n])
+        drawn[r] = n
+    return buffer[r, :n]
 
 
 def _running_extremes(paths: np.ndarray, indices) -> tuple[np.ndarray, np.ndarray]:
@@ -257,8 +258,8 @@ def _chunk_compute(job: SimulationJob, chunk_index: int) -> list[SimulationResul
     drawn when the first H reaches it: into its row of the transform buffer
     when the job has one H, and into a stash row that the later H values
     read again when it has several.  A path's bridge scan stops at its plain
-    hit, and its uniforms are drawn, and their logs taken, only as far as
-    some H has needed them so far.
+    hit and asks _row_log_uniforms for the uniforms it reads, which draws
+    them, and takes their logs, only as far as some H has asked so far.
 
     Memory per block, with N = steps: 16N bytes of path rows per pair, plus
     16N of log-uniforms per pair with the bridge rule, filled only as far
@@ -291,7 +292,7 @@ def _chunk_compute(job: SimulationJob, chunk_index: int) -> list[SimulationResul
     stash = np.empty((block, m), dtype=complex) if len(job.hurst) > 1 else None
     values = np.empty((2 * block, steps + 1))
     values[:, 0] = 0.0
-    log_uniforms = np.empty((2 * block, steps)) if job.want_bridge else None
+    uniforms = np.empty((2 * block, steps)) if job.want_bridge else None
     columns = list(job.marginal_indices)
     # the Euler loop steps each row through its plain hit and the last column any output reads
     level = thr if job.want_simple or job.want_bridge else -math.inf
@@ -302,9 +303,9 @@ def _chunk_compute(job: SimulationJob, chunk_index: int) -> list[SimulationResul
         r0 = 2 * b0
         rows = slice(r0, min(r0 + 2 * nb, n_valid))
         n_rows = rows.stop - r0
-        if log_uniforms is not None:
+        if job.want_bridge:
             generators = [substream(job.master_seed, UNIFORM_STREAM, first_path + r0 + j) for j in range(n_rows)]
-            drawn = np.zeros(n_rows, dtype=np.intp)
+            log_uniforms = partial(_row_log_uniforms, generators, [0] * n_rows, uniforms)
         block_values = values[: 2 * nb]
         for k, (h, scale, result) in enumerate(zip(job.hurst, scales, results)):
             for g0 in range(0, nb, BLOCK_PAIRS):
@@ -327,11 +328,8 @@ def _chunk_compute(job: SimulationJob, chunk_index: int) -> list[SimulationResul
             if result.tau_simple is not None:
                 result.tau_simple[rows] = _grid_times(plain, steps, step)
             if result.tau_bridge is not None:
-                _draw_log_uniforms(generators, drawn, log_uniforms, _bridge_draws(plain))
                 step_var = step ** (2.0 * h)
-                result.tau_bridge[rows] = _bridge_hit_times_batch(
-                    paths, thr, step, step_var, log_uniforms[:n_rows], plain
-                )
+                result.tau_bridge[rows] = _bridge_hit_times_batch(paths, thr, step, step_var, log_uniforms, plain)
             if result.marginals is not None:
                 result.marginals[rows] = job.x0 + s * paths[:, columns]
             if job.extreme_indices:

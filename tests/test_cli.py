@@ -367,12 +367,21 @@ def test_exit_code_no_hits(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "hurst, threshold",
-    [("0.6", "200"), ("0.5", "600")],
+    "hurst, threshold, simulates",
+    [("0.6", "200", True), ("0.5", "600", False)],
     ids=["fine-grid-all-censored", "closed-form-underflows"],
 )
-def test_exit_code_bridge_compare_zero_reference(capsys, tmp_path, hurst, threshold):
-    """A reference transform of 0 leaves the relative errors undefined: exit 4, not a traceback."""
+def test_exit_code_bridge_compare_zero_reference(capsys, monkeypatch, tmp_path, hurst, threshold, simulates):
+    """A reference transform of 0 leaves the relative errors undefined: exit 4, not a traceback.
+
+    A closed form of 0 is refused before any simulation.
+    """
+
+    def no_simulation(*args):
+        raise AssertionError("a zero closed-form reference must be refused before any simulation")
+
+    if not simulates:
+        monkeypatch.setattr(fbmpassage.cli, "run_simulation", no_simulation)
     argv = [
         "bridge-compare",
         "--hurst-list", hurst,

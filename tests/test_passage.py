@@ -9,15 +9,17 @@ Covers:
   - Bridge scan semantics: grid hits fire regardless of the uniforms, a
     remote threshold censors, recorded times are right-endpoint multiples
     of the mesh, bridge times never exceed grid times on the same path.
-  - The batch bridge scan stops at each row's plain hit and draws no
+  - The batch bridge scan stops at each row's plain hit and asks for no
     uniform past it, yet equals the full-grid scan on crafted rows: a
     censored row, a start at the level, a hit at index 1, a bridge firing
     one step before the plain hit, a grid value equal to the level, early
-    and late in the grid.
+    and late in the grid.  The runner's accessor draws a row's uniforms
+    once, on first need, and a later scan that needs no more draws none.
   - Distributional check at H = 1/2: the bridge hit time matches the exact
     ceiling-law value computed from the closed-form passage distribution.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -26,12 +28,7 @@ from scipy.stats import norm
 
 from fbmpassage import SimulationJob, TimeGrid, laplace_from_times, run_simulation
 from fbmpassage import runner
-from fbmpassage.passage import (
-    _bridge_draws,
-    _bridge_hit_times_batch,
-    _grid_times,
-    _plain_hit_index,
-)
+from fbmpassage.passage import _bridge_hit_times_batch, _grid_times, _plain_hit_index
 
 
 def _bridge_hit_index(
@@ -72,7 +69,7 @@ def _bridge_times(rows, threshold, step, uniform):
     values = np.atleast_2d(np.asarray(rows, dtype=float))
     log_u = np.full((len(values), values.shape[1] - 1), math.log(uniform))
     plain = _plain_hit_index(values, threshold)
-    return _bridge_hit_times_batch(values, threshold, step, step, log_u, plain)
+    return _bridge_hit_times_batch(values, threshold, step, step, lambda r, n: log_u[r, :n], plain)
 
 
 def _simulate(hurst, grid, samples, seed, **kw):
@@ -124,7 +121,7 @@ def test_bridge_scan_fires_below_frozen_log_probability(row, step, hurst, log_p)
     values = np.array([row])
     plain = _plain_hit_index(values, 1.0)
     for log_u, expected in ((log_p - 1e-12, step), (log_p + 1e-12, np.inf)):
-        times = _bridge_hit_times_batch(values, 1.0, step, step ** (2.0 * hurst), np.array([[log_u]]), plain)
+        times = _bridge_hit_times_batch(values, 1.0, step, step ** (2.0 * hurst), lambda r, n: np.full(n, log_u), plain)
         assert times.tolist() == [expected], log_u
 
 
@@ -174,10 +171,10 @@ def test_batch_detectors_match_scalar_path_scan():
         axis=1,
     )
     simple = _plain_times(values, 1.0, grid.step)
-    uniforms = rng.random((40, 64))
+    log_u = np.log(rng.random((40, 64)))
     step_var = grid.step
     bridged = _bridge_hit_times_batch(
-        values, 1.0, grid.step, step_var, np.log(uniforms), _plain_hit_index(values, 1.0)
+        values, 1.0, grid.step, step_var, lambda r, n: log_u[r, :n], _plain_hit_index(values, 1.0)
     )
     assert np.isfinite(simple).any() and not np.isfinite(simple).all()
     for i in range(40):
@@ -245,22 +242,16 @@ def test_bounded_bridge_scan_equals_full_scan():
     assert full[2:5] == [0.0, step, 9 * step]
     assert full[8] == step
     assert full[12] == 2 * step
-    # uniforms past each row's draws are never decisive, whatever they hold
-    for filler in (0.0, -np.inf, 7.0):
-        log_u = np.full(uniforms.shape, filler)
-        for r, n in enumerate(_bridge_draws(plain)):
-            log_u[r, :n] = np.log(uniforms[r, :n])
-        got = _bridge_hit_times_batch(values, 1.0, step, step_var, log_u, plain)
-        assert got.tolist() == full
+    log_u = np.log(uniforms)
+    got = _bridge_hit_times_batch(values, 1.0, step, step_var, lambda r, n: log_u[r, :n], plain)
+    assert got.tolist() == full
 
 
 def test_bridge_draws_stop_before_the_plain_hit():
-    values, _, _ = _crafted_rows()
+    values, _, step_var = _crafted_rows()
     steps = values.shape[1] - 1
     plain = _plain_hit_index(values, 1.0)
     assert plain[:4].tolist() == [steps + 1, steps + 1, 0, 1]
-    assert _bridge_draws(plain)[:4].tolist() == [steps, steps, 0, 0]
-    assert _bridge_draws(plain)[6] == 6
 
     class Recording:
         def __init__(self):
@@ -271,15 +262,20 @@ def test_bridge_draws_stop_before_the_plain_hit():
             return np.full(n, 0.5)
 
     generators = [Recording() for _ in values]
-    drawn = np.zeros(len(values), dtype=np.intp)
-    log_uniforms = np.empty((len(values), steps))
-    runner._draw_log_uniforms(generators, drawn, log_uniforms, _bridge_draws(plain))
-    for generator, n in zip(generators, _bridge_draws(plain)):
-        assert generator.sizes == ([n] if n else [])
-    assert drawn.tolist() == _bridge_draws(plain).tolist()
-    # a later H that needs no more draws takes none
-    runner._draw_log_uniforms(generators, drawn, log_uniforms, _bridge_draws(plain))
-    assert [len(g.sizes) for g in generators] == [int(n > 0) for n in _bridge_draws(plain)]
+    log_uniforms = functools.partial(runner._row_log_uniforms, generators, [0] * len(values), np.empty(values.shape))
+    first = _bridge_hit_times_batch(values, 1.0, 0.5, step_var, log_uniforms, plain)
+    sizes = [g.sizes for g in generators]
+    # censored rows draw every step, rows at or above the level by index 1 none
+    assert sizes[:4] == [[steps], [steps], [], []]
+    assert sizes[6] == [6]  # the plain hit is at 7
+    assert all(len(s) <= 1 for s in sizes)
+    # a later H that needs no more draws takes none, and reads the same entries
+    again = _bridge_hit_times_batch(values, 1.0, 0.5, step_var, log_uniforms, plain)
+    assert [g.sizes for g in generators] == sizes and again.tolist() == first.tolist()
+    assert log_uniforms(6, 6).tolist() == [math.log(0.5)] * 6
+    # a row asked for more draws only the entries it lacks
+    log_uniforms(6, 9)
+    assert generators[6].sizes == [6, 3]
 
 
 # ---------------------------------------------------------------------------

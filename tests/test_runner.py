@@ -24,7 +24,9 @@ Covers:
     bounds the traced peak of eight job shapes from above.
   - Closed-form affine reduction: registry models agree with a scalar
     per-path Euler loop on y = (x - x0) / s, and zero drift with constant
-    diffusion is scaled fBm with no Euler loop at all.
+    diffusion is scaled fBm with no Euler loop at all.  OU marginals match
+    their exact Gaussian law, E cos X_n = exp(-s^2 w_n' Gamma w_n / 2),
+    with w_n from the Euler recursion and Gamma the fGn covariance.
   - Early-stopped Euler: every output equals a run that steps every
     state, for any chunk size; the padding row of an odd sample count is
     not stepped; states that overflow after every row's passage do not
@@ -32,6 +34,7 @@ Covers:
 """
 
 import dataclasses
+import math
 import os
 import subprocess
 import sys
@@ -43,8 +46,8 @@ import numpy as np
 import pytest
 
 from fbmpassage import (
-    GAUSSIAN_STREAM, UNIFORM_STREAM, Hurst, SimulationJob, TimeGrid, circulant_spectrum, run_simulation, sample_fgn,
-    substream,
+    GAUSSIAN_STREAM, UNIFORM_STREAM, Hurst, SimulationJob, TimeGrid, circulant_spectrum, fgn_autocovariance,
+    run_simulation, sample_fgn, substream,
 )
 import fbmpassage
 from fbmpassage import runner
@@ -530,9 +533,9 @@ def test_affine_reduction_matches_tabulated_lamperti_euler(drift, diffusion):
     assert np.max(np.abs(got.marginals - (x0 + s * reduced))) <= 1e-10
 
     thr = (level - x0) / s
-    uniforms = np.array([substream(42, UNIFORM_STREAM, i).random(grid.steps) for i in range(40)])
+    log_u = np.log([substream(42, UNIFORM_STREAM, i).random(grid.steps) for i in range(40)])
     bridge = _bridge_hit_times_batch(
-        reduced, thr, grid.step, grid.step ** (2.0 * hv), np.log(uniforms), _plain_hit_index(reduced, thr)
+        reduced, thr, grid.step, grid.step ** (2.0 * hv), lambda r, n: log_u[r, :n], _plain_hit_index(reduced, thr)
     )
     plain = [np.argmax(row >= thr) * grid.step if (row >= thr).any() else np.inf for row in reduced]
     assert np.array_equal(got.tau_simple, plain)
@@ -559,6 +562,33 @@ def test_zero_drift_constant_diffusion_is_scaled_fbm(monkeypatch, s):
     assert np.array_equal(scaled.marginals, x0 + s * fbm.marginals)
     assert np.array_equal(scaled.sup_values, x0 + s * fbm.sup_values)
     assert np.array_equal(scaled.argmax_times, fbm.argmax_times)
+
+
+@pytest.mark.parametrize("seed", [1729, 7, 2024])
+def test_ou_euler_marginals_follow_their_exact_gaussian_law(seed):
+    """The Euler marginal of dX = -X dt + s dB is s w_n . xi for fGn increments
+    xi, so E cos X_n = exp(-s^2 w_n' Gamma w_n / 2) exactly, whatever the mesh."""
+    indices = (8, 32, 64, 128, 192, 256)
+    job = SimulationJob(
+        hurst=(0.6,), horizon=5.0, steps=256, samples=4000, master_seed=seed,
+        drift="ou:1", diffusion="const:2", want_simple=False, marginal_indices=indices,
+    )
+    (result,) = run_simulation(job)
+    a, s = -1.0, 2.0
+    step = job.horizon / job.steps
+    # y_n = B_n + acc_n with acc_n = acc_{n-1} + a step y_{n-1}: weights of y_n on xi_0..xi_{N-1}
+    weights = np.zeros((job.steps + 1, job.steps))
+    acc = np.zeros(job.steps)
+    for n in range(1, job.steps + 1):
+        acc = acc + a * step * weights[n - 1]
+        weights[n] = (np.arange(job.steps) < n) + acc
+    lags = np.abs(np.subtract.outer(np.arange(job.steps), np.arange(job.steps)))
+    gamma = fgn_autocovariance(Hurst(0.6), lags, step)
+    for column, n in enumerate(indices):
+        variance = s**2 * weights[n] @ gamma @ weights[n]
+        cosines = np.cos(result.marginals[:, column])
+        z = (cosines.mean() - math.exp(-variance / 2.0)) / (cosines.std(ddof=1) / math.sqrt(job.samples))
+        assert abs(z) <= 4.0, (n, z)
 
 
 # ---------------------------------------------------------------------------

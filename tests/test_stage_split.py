@@ -5,6 +5,8 @@ Covers:
     timed, the stages add up to no more than the runner's wall time, the
     outputs are those of an untimed run, and the wrappers are gone
     afterwards.
+  - A stage called from inside another is booked to itself only: the
+    enclosing stage's self time leaves it out.
   - The command line at a tiny grid, in a fresh process, on all three
     shapes; the tool does not touch the benchmark's files.
 """
@@ -13,6 +15,8 @@ import importlib.util
 import os
 import subprocess
 import sys
+import time
+import types
 from pathlib import Path
 
 import numpy as np
@@ -55,6 +59,20 @@ def test_split_times_every_reached_stage_and_restores_the_runner(monkeypatch, mo
     lines = tool.report("tiny", wall, seconds).splitlines()
     assert lines[0].startswith("tiny: runner") and lines[-1].split()[0] == "rest"
     assert len(lines) == 2 + len(set(tool.STAGES.values()))
+
+
+def test_a_stage_inside_another_books_only_its_self_time():
+    tool = _tool()
+    fake = types.SimpleNamespace(**{name: lambda *args: None for name in tool.STAGES})
+    fake._row_log_uniforms = lambda r, n: time.sleep(0.05)
+    fake._bridge_hit_times_batch = lambda *args: fake._row_log_uniforms(0, 1)
+    start = time.perf_counter()
+    with tool.timed_stages(fake) as seconds:
+        fake._bridge_hit_times_batch()
+    wall = time.perf_counter() - start
+    assert seconds["uniforms"] >= 0.05
+    assert seconds["bridge scan"] < 0.04
+    assert sum(seconds.values()) <= wall
 
 
 def test_command_line_at_a_tiny_grid():

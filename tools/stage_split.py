@@ -8,8 +8,10 @@ benchmark shapes, and prints each stage's seconds and its share of the
 runner's wall time.  "rest" is what no wrapper saw: the prefix sums,
 block bookkeeping and result assembly.  `--src` imports `fbmpassage` from
 another source tree (say, a base revision exported with `git archive`),
-so two revisions can be split with the same timer.  The wrapped stages
-are called one at a time and none calls another, so their times add up.
+so two revisions with the same stage names can be split with one timer.
+The bridge scan calls the uniforms stage, so each stage is booked its self
+time: a stack of open stages takes the time of the stages a call encloses
+out of its own, and the stages add up to at most the runner's wall time.
 The pool shape runs serially here, so its pool start-up is not counted.
 """
 
@@ -34,7 +36,7 @@ STAGES = {
     "affine_euler": "Euler",
     "_plain_hit_index": "plain scan",
     "_bridge_hit_times_batch": "bridge scan",
-    "_draw_log_uniforms": "uniforms",
+    "_row_log_uniforms": "uniforms",
     "_running_extremes": "extremes",
 }
 
@@ -51,17 +53,21 @@ SHAPES = {
 
 @contextmanager
 def timed_stages(runner):
-    """Wrap the runner's stage entry points; yields {label: seconds}, restores them on exit."""
+    """Wrap the runner's stage entry points; yields {label: self seconds}, restores them on exit."""
     seconds = defaultdict(float)
+    enclosed = [0.0]  # time of the stages a call encloses, one entry per open stage
     originals = {name: getattr(runner, name) for name in STAGES}
 
     def wrap(label, fn):
         def timed(*args, **kwargs):
+            enclosed.append(0.0)
             start = time.perf_counter()
             try:
                 return fn(*args, **kwargs)
             finally:
-                seconds[label] += time.perf_counter() - start
+                elapsed = time.perf_counter() - start
+                seconds[label] += elapsed - enclosed.pop()
+                enclosed[-1] += elapsed
 
         return timed
 
