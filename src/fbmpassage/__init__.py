@@ -5,7 +5,8 @@ circulant embedding, runs them in deterministic batches through the
 closed-form reduction of affine drifted models, estimates Laplace
 transforms of threshold hitting times (plain grid rule and a conditional
 bridge correction) from the per-path arrays, and ships closed-form
-reference curves for comparison.
+reference curves for comparison.  run_simulation returns those arrays as
+one mapping, hit times keyed by rule name, each indexed [H, path].
 """
 
 from .analysis import RegressionFit, linear_fit, rate_exponent
@@ -27,7 +28,7 @@ from .fgn import (
     sample_fgn,
 )
 from .rng import GAUSSIAN_STREAM, UNIFORM_STREAM, substream
-from .runner import MemoryBudgetError, SimulationJob, SimulationResult, run_simulation
+from .runner import RULES, MemoryBudgetError, SimulationJob, run_simulation
 from .sde import PropagationError
 from .theory import laplace_bm
 
@@ -52,7 +53,7 @@ __all__ = [
     "PropagationError",
     # driver
     "SimulationJob",
-    "SimulationResult",
+    "RULES",
     "MemoryBudgetError",
     "run_simulation",
     # estimation

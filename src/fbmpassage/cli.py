@@ -17,7 +17,7 @@ import math
 import platform
 import re
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +26,7 @@ import scipy
 from .analysis import linear_fit, rate_exponent
 from .estimate import NoHitsError, density_from_times, gap_estimate, laplace_from_times, truncated_argmax_moments
 from .fgn import EmbeddingError, Hurst, TimeGrid, cholesky_fbm, circulant_spectrum, fgn_autocovariance, sample_fgn
-from .runner import DEFAULT_CHUNK_PAIRS, MemoryBudgetError, SimulationJob, _check_fits_in_memory, run_simulation
+from .runner import DEFAULT_CHUNK_PAIRS, RULES, MemoryBudgetError, SimulationJob, _check_fits_in_memory, run_simulation
 from .sde import PropagationError, affine_coefficients, affine_euler
 from .theory import laplace_bm
 
@@ -36,7 +36,7 @@ logger = logging.getLogger(__name__)
 
 FULL_SCALE_STEPS = 2**16
 FULL_SCALE_SAMPLES = 100_000
-ESTIMATOR_CHOICES = ("simple", "bridge", "both")
+ESTIMATOR_CHOICES = (*RULES, "both")
 # Peak bytes per bin of a density histogram: its edge, width and density
 # arrays, measured with tracemalloc at 10^6 bins (40.2 B).  Its CSV rows
 # are streamed from them, one at a time.
@@ -202,6 +202,11 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         values["samples"] = FULL_SCALE_SAMPLES
     for option in fields(RunConfig):
         given = getattr(args, option.name)
+        if given == []:  # argparse (3.11) drops the value of "--name=--" and stores []
+            try:
+                given = _VALUE_PARSERS[option.type]("--")
+            except ValueError as exc:
+                raise ConfigError(f"bad value for --{option.name.replace('_', '-')}: {exc}") from exc
         if given is not None:
             values[option.name] = given
     cfg = RunConfig(**values)
@@ -230,13 +235,9 @@ def write_csv(path: Path, header: list[str], rows) -> None:
 
 
 def write_manifest(out_dir: Path, command: str, cfg: RunConfig, outputs: list[str]) -> None:
-    config = {}
-    for option in fields(cfg):
-        v = getattr(cfg, option.name)
-        config[option.name] = list(v) if isinstance(v, tuple) else v
     manifest = {
         "command": command,
-        "config": config,
+        "config": asdict(cfg),
         "outputs": sorted(outputs),
         "versions": {
             "fbmpassage": _package_version(),
@@ -254,15 +255,11 @@ def _package_version() -> str:
     return __version__
 
 
-def _estimator_names(cfg: RunConfig) -> tuple[str, ...]:
-    return ("simple", "bridge") if cfg.estimator == "both" else (cfg.estimator,)
-
-
-def _job(cfg: RunConfig, chunk_pairs: int, estimators: tuple[str, ...] = (), **overrides) -> SimulationJob:
+def _job(cfg: RunConfig, chunk_pairs: int, **overrides) -> SimulationJob:
     """The simulation job for cfg: every H of hurst_list on one set of paths.
 
-    `estimators` names the hit-time rules to run; `overrides` replaces
-    any other job field.
+    It runs the hit-time rules that cfg.estimator names; `overrides`
+    replaces any job field.
     """
     spec = dict(
         hurst=cfg.hurst_list,
@@ -274,8 +271,7 @@ def _job(cfg: RunConfig, chunk_pairs: int, estimators: tuple[str, ...] = (), **o
         x0=cfg.x0,
         drift=cfg.drift,
         diffusion=cfg.diffusion,
-        want_simple="simple" in estimators,
-        want_bridge="bridge" in estimators,
+        rules=RULES if cfg.estimator == "both" else (cfg.estimator,),
         chunk_pairs=chunk_pairs,
     )
     spec.update(overrides)
@@ -293,24 +289,24 @@ def cmd_simulate(cfg: RunConfig, workers: int, chunk_pairs: int, out_dir: Path) 
     H = 1/2 row with the same estimator when 1/2 is in hurst_list, else the
     closed form when the model is pure fBm, else nan.
     """
-    names = _estimator_names(cfg)
-    job = _job(cfg, chunk_pairs, names)
-    times = {hv: result.hit_times() for hv, result in zip(cfg.hurst_list, run_simulation(job, workers))}
+    job = _job(cfg, chunk_pairs)
+    times = run_simulation(job, workers)
+    censored = {name: np.isinf(times[name]).sum(axis=1) for name in job.rules}
+    half = cfg.hurst_list.index(0.5) if 0.5 in cfg.hurst_list else None
     rows = []
-    for hv in cfg.hurst_list:
-        censored = {name: int(np.isinf(times[hv][name]).sum()) for name in names}
+    for k, hv in enumerate(cfg.hurst_list):
         for lam in cfg.lambda_list:
-            for name in names:
-                value, se = laplace_from_times(times[hv][name], lam)
+            for name in job.rules:
+                value, se = laplace_from_times(times[name][k], lam)
                 if hv == 0.5:
                     delta, delta_se = 0.0, 0.0
-                elif 0.5 in times:
-                    delta, delta_se = gap_estimate(times[hv][name], times[0.5][name], lam)
+                elif half is not None:
+                    delta, delta_se = gap_estimate(times[name][k], times[name][half], lam)
                 elif job.is_pure:
                     delta, delta_se = laplace_bm(lam, cfg.x0, cfg.threshold) - value, se
                 else:
                     delta, delta_se = math.nan, math.nan
-                rows.append([hv, lam, name, value, se, censored[name], delta, delta_se])
+                rows.append([hv, lam, name, value, se, censored[name][k], delta, delta_se])
     write_csv(
         out_dir / "laplace.csv",
         ["H", "lambda", "estimator", "value", "std_error", "censored", "delta_vs_bm", "delta_se"],
@@ -330,23 +326,22 @@ def cmd_bridge_compare(cfg: RunConfig, workers: int, chunk_pairs: int, out_dir: 
     if cfg.estimator != "both":
         raise ConfigError("bridge-compare needs estimator=both")
     hv = cfg.hurst_list[0]
-    job = _job(cfg, chunk_pairs, ("simple", "bridge"), hurst=(hv,))
+    job = _job(cfg, chunk_pairs, hurst=(hv,))
     if hv == 0.5 and job.is_pure:
         reference = [laplace_bm(lam, cfg.x0, cfg.threshold) for lam in cfg.lambda_list]
     else:
-        fine_job = _job(cfg, chunk_pairs, ("simple",), hurst=(hv,), steps=2 * cfg.steps)
-        (fine,) = run_simulation(fine_job, workers)
-        reference = [laplace_from_times(fine.tau_simple, lam)[0] for lam in cfg.lambda_list]
+        fine_job = _job(cfg, chunk_pairs, hurst=(hv,), steps=2 * cfg.steps, rules=("simple",))
+        fine = run_simulation(fine_job, workers)["simple"][0]
+        reference = [laplace_from_times(fine, lam)[0] for lam in cfg.lambda_list]
     for lam, ref in zip(cfg.lambda_list, reference):
         if ref == 0.0:
             raise NoHitsError(f"reference transform at lambda={lam:g} is 0, so the relative errors are undefined")
-    (result,) = run_simulation(job, workers)
-    times = result.hit_times()
+    times = run_simulation(job, workers)
     rows = []
     for lam, ref in zip(cfg.lambda_list, reference):
         row = [lam, ref]
-        for name in ("simple", "bridge"):
-            value = laplace_from_times(times[name], lam)[0]
+        for name in RULES:
+            value = laplace_from_times(times[name][0], lam)[0]
             row += [value, 100.0 * abs(value - ref) / ref]
         rows.append(row)
     write_csv(
@@ -369,14 +364,15 @@ def cmd_rate(cfg: RunConfig, workers: int, chunk_pairs: int, out_dir: Path) -> l
         raise ConfigError("rate needs hurst_list to contain 0.5 plus at least three larger values")
     _check_fits_in_memory(FIG_BYTES_PER_POINT * cfg.fig_points, "use fewer fig points")
     name = "simple" if cfg.estimator == "both" else cfg.estimator
-    results = run_simulation(_job(cfg, chunk_pairs, (name,)), workers)
-    times = {hv: result.hit_times()[name] for hv, result in zip(cfg.hurst_list, results)}
+    times = run_simulation(_job(cfg, chunk_pairs, rules=(name,)), workers)[name]
+    brownian = times[cfg.hurst_list.index(0.5)]
+    above = [t for hv, t in zip(cfg.hurst_list, times) if hv > 0.5]
 
     rate_rows = []
     fits = []
     xs = [hv - 0.5 for hv in h_above]
     for lam in cfg.lambda_list:
-        gaps, ses = zip(*(gap_estimate(times[hv], times[0.5], lam) for hv in h_above))
+        gaps, ses = zip(*(gap_estimate(t, brownian, lam) for t in above))
         fit = linear_fit(xs, gaps)
         try:
             beta = rate_exponent(h_above, gaps, ses).slope
@@ -412,8 +408,8 @@ def cmd_density(cfg: RunConfig, workers: int, chunk_pairs: int, out_dir: Path) -
             raise ConfigError(f"H={outputs[filename]!r} and H={hv!r} would both write {filename}")
         outputs[filename] = hv
     name = "simple" if cfg.estimator == "simple" else "bridge"
-    for filename, result in zip(outputs, run_simulation(_job(cfg, chunk_pairs, (name,)), workers)):
-        edges, mass = density_from_times(result.hit_times()[name], cfg.horizon, cfg.hist_bins)
+    for filename, times in zip(outputs, run_simulation(_job(cfg, chunk_pairs, rules=(name,)), workers)[name]):
+        edges, mass = density_from_times(times, cfg.horizon, cfg.hist_bins)
         rows = zip(edges[:-1], edges[1:], mass)
         write_csv(out_dir / filename, ["bin_left", "bin_right", "density"], rows)
     return list(outputs)
@@ -443,12 +439,11 @@ def cmd_conjecture(cfg: RunConfig, workers: int, chunk_pairs: int, out_dir: Path
             raise ConfigError(f"r={r:g} exceeds the horizon {cfg.horizon:g}")
     grid = TimeGrid(cfg.horizon, cfg.steps)
     indices = tuple(grid.time_index(r) for r in cfg.r_list)
-    job = _job(cfg, chunk_pairs, x0=0.0, drift="zero", diffusion="one", extreme_indices=indices)
+    job = _job(cfg, chunk_pairs, x0=0.0, drift="zero", diffusion="one", rules=(), extreme_indices=indices)
+    out = run_simulation(job, workers)
     rows = []
-    for hv, result in zip(cfg.hurst_list, run_simulation(job, workers)):
-        triples = truncated_argmax_moments(
-            result.sup_values, result.argmax_times, cfg.r_list, hv * cfg.p, cfg.eta
-        )
+    for hv, sups, argmax_times in zip(cfg.hurst_list, out["sup_values"], out["argmax_times"]):
+        triples = truncated_argmax_moments(sups, argmax_times, cfg.r_list, hv * cfg.p, cfg.eta)
         if len(triples) >= 2:
             fit = linear_fit([t[0] for t in triples], [t[1] for t in triples])
             slope, slope_se = fit.slope, fit.slope_se
@@ -526,9 +521,9 @@ def run_selftest() -> list[tuple[str, bool, str]]:
         return z < 5.0, f"lag-1 product |z| = {z:.2f} (limit 5)"
 
     def bridge_dominance():
-        job = SimulationJob(hurst=(0.6,), horizon=10.0, steps=1024, samples=400, master_seed=777, want_bridge=True)
-        (result,) = run_simulation(job)
-        simple, bridge = result.tau_simple, result.tau_bridge
+        job = SimulationJob(hurst=(0.6,), horizon=10.0, steps=1024, samples=400, master_seed=777, rules=RULES)
+        out = run_simulation(job)
+        simple, bridge = out["simple"][0], out["bridge"][0]
         finite = np.isfinite(simple)
         ok = bool(np.all(bridge <= simple + 1e-12))
         early = int((bridge[finite] < simple[finite]).sum())

@@ -9,6 +9,8 @@ normals and each path's uniforms are drawn once and serve every H.  Every
 per-path output depends only on the master seed, the path index and H, so
 results are identical for any worker count and any chunk size; chunking
 exists purely to bound memory and to let chunks run on separate processes.
+A run returns one array per output, indexed [H, path]: row k of every
+array belongs to hurst[k], and column m of every row to path m.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import ctypes
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cache, lru_cache, partial
 
 import numpy as np
@@ -27,9 +29,11 @@ from .passage import _bridge_hit_times_batch, _grid_times, _plain_hit_index
 from .rng import GAUSSIAN_STREAM, UNIFORM_STREAM, substream
 from .sde import CHECK_COLUMNS, TAIL_PIECE, affine_coefficients, affine_euler
 
-__all__ = ["MemoryBudgetError", "SimulationJob", "SimulationResult", "run_simulation"]
+__all__ = ["MemoryBudgetError", "RULES", "SimulationJob", "run_simulation"]
 
 DEFAULT_CHUNK_PAIRS = 128
+# hit-time rules, by the key of their times in run_simulation's output
+RULES = ("simple", "bridge")
 
 # Pairs per block of a chunk with no Euler loop, and pairs per FFT call.  A
 # block's noise is drawn once and then transformed, summed and scanned for
@@ -45,7 +49,8 @@ class SimulationJob:
     """Complete, picklable description of one Monte Carlo experiment.
 
     `hurst` lists the H values to simulate; all of them run on the same
-    noise, and run_simulation returns one result per entry, in order.
+    noise, and row k of every output array belongs to hurst[k].  `rules`
+    names the hit-time rules to run, drawn from RULES, each at most once.
     Workers reconstruct everything (spectra, model coefficients) from this
     record, so a chunk can be computed anywhere and the result depends only
     on the job and the chunk index.
@@ -60,8 +65,7 @@ class SimulationJob:
     x0: float = 0.0
     drift: str = "zero"
     diffusion: str = "one"
-    want_simple: bool = True
-    want_bridge: bool = False
+    rules: tuple[str, ...] = ("simple",)
     marginal_indices: tuple[int, ...] = ()
     extreme_indices: tuple[int, ...] = ()
     chunk_pairs: int = DEFAULT_CHUNK_PAIRS
@@ -72,26 +76,6 @@ class SimulationJob:
         return affine_coefficients(self.drift, self.diffusion) == (0.0, 0.0, 1.0)
 
 
-@dataclass(eq=False)
-class SimulationResult:
-    """Per-path outputs of one H value, assembled in path-index order."""
-
-    tau_simple: np.ndarray | None = None
-    tau_bridge: np.ndarray | None = None
-    marginals: np.ndarray | None = None
-    sup_values: np.ndarray | None = None
-    argmax_times: np.ndarray | None = None
-
-    def hit_times(self) -> dict[str, np.ndarray]:
-        """Hit-time arrays (+inf censored) keyed by estimator name."""
-        out = {}
-        if self.tau_simple is not None:
-            out["simple"] = self.tau_simple
-        if self.tau_bridge is not None:
-            out["bridge"] = self.tau_bridge
-        return out
-
-
 @lru_cache(maxsize=16)
 def _noise_scale(hurst: float, horizon: float, steps: int) -> np.ndarray:
     """sqrt(spectrum / 2N): the factor that turns white noise into the pair's FFT input."""
@@ -99,15 +83,16 @@ def _noise_scale(hurst: float, horizon: float, steps: int) -> np.ndarray:
     return np.sqrt(spectrum / len(spectrum))
 
 
-def _empty_result(job: SimulationJob, n: int) -> SimulationResult:
-    k = len(job.extreme_indices)
-    return SimulationResult(
-        tau_simple=np.empty(n) if job.want_simple else None,
-        tau_bridge=np.empty(n) if job.want_bridge else None,
-        marginals=np.empty((n, len(job.marginal_indices))) if job.marginal_indices else None,
-        sup_values=np.empty((n, k)) if k else None,
-        argmax_times=np.empty((n, k)) if k else None,
-    )
+def _empty_outputs(job: SimulationJob, n: int) -> dict[str, np.ndarray]:
+    """Uninitialised output arrays of `n` paths for every H, keyed as run_simulation returns them."""
+    shape = (len(job.hurst), n)
+    out = {rule: np.empty(shape) for rule in job.rules}
+    if job.marginal_indices:
+        out["marginals"] = np.empty((*shape, len(job.marginal_indices)))
+    if job.extreme_indices:
+        out["sup_values"] = np.empty((*shape, len(job.extreme_indices)))
+        out["argmax_times"] = np.empty((*shape, len(job.extreme_indices)))
+    return out
 
 
 # glibc mallopt parameters, and the values _raise_malloc_thresholds sets
@@ -221,24 +206,25 @@ def _memory_estimate(job: SimulationJob, processes: int) -> int:
     batch for its check of which rows have reached the level, and 66 bytes
     per entry of its tail's TAIL_PIECE-column pieces of Python floats
     (65.1 B by `tracemalloc`).  The calling process holds every result
-    array twice while it merges the chunks, and 1 kB of records per chunk
-    and H.  Raises ValueError for an unknown model.
+    array twice while it merges the chunks, and 1 kB of array headers per
+    chunk and H.  Raises ValueError for an unknown model.
     """
     pairs = (job.samples + 1) // 2
     looped, block = _block_layout(job, min(job.chunk_pairs, pairs))
     n = job.steps + 1
-    per_pair = (16 + 2 + 16 * job.want_bridge + 32 * (len(job.hurst) > 1)) * n
-    per_pair += 2048 * job.want_bridge
+    bridge = "bridge" in job.rules
+    per_pair = (16 + 2 + 16 * bridge + 32 * (len(job.hurst) > 1)) * n
+    per_pair += 2048 * bridge
     transform = min(BLOCK_PAIRS, block) * 32 * n
     euler = 4 * min(CHECK_COLUMNS + 1, n) * block + 66 * TAIL_PIECE if looped else 0
     per_process = (64 << 10) + (16 * len(job.hurst) + 32) * n + euler + transform + block * per_pair
-    columns = job.want_simple + job.want_bridge + len(job.marginal_indices) + 2 * len(job.extreme_indices)
+    columns = len(job.rules) + len(job.marginal_indices) + 2 * len(job.extreme_indices)
     results = 2 * 8 * job.samples * columns + 1024 * math.ceil(pairs / job.chunk_pairs)
     return processes * per_process + len(job.hurst) * results
 
 
-def _chunk_compute(job: SimulationJob, chunk_index: int) -> list[SimulationResult]:
-    """Per-path outputs of one chunk of consecutive path pairs, one result per H.
+def _chunk_compute(job: SimulationJob, chunk_index: int) -> dict[str, np.ndarray]:
+    """Per-path outputs of one chunk of consecutive path pairs, indexed [H, path in chunk].
 
     Paths run in the reduced coordinates y = (x - x0) / s of the model
     dX = (a X + c) dt + s dB: drift a y + (a x0 + c) / s, unit diffusion,
@@ -287,15 +273,16 @@ def _chunk_compute(job: SimulationJob, chunk_index: int) -> list[SimulationResul
     thr = (job.threshold - job.x0) / s
     looped, block = _block_layout(job, pc)
 
-    results = [_empty_result(job, n_valid) for _ in job.hurst]
+    out = _empty_outputs(job, n_valid)
+    bridge = "bridge" in job.rules
     transformed = np.empty((min(BLOCK_PAIRS, block), m), dtype=complex)
     stash = np.empty((block, m), dtype=complex) if len(job.hurst) > 1 else None
     values = np.empty((2 * block, steps + 1))
     values[:, 0] = 0.0
-    uniforms = np.empty((2 * block, steps)) if job.want_bridge else None
+    uniforms = np.empty((2 * block, steps)) if bridge else None
     columns = list(job.marginal_indices)
     # the Euler loop steps each row through its plain hit and the last column any output reads
-    level = thr if job.want_simple or job.want_bridge else -math.inf
+    level = thr if job.rules else -math.inf
     read_to = max((*job.marginal_indices, *job.extreme_indices), default=0)
 
     for b0 in range(0, pc, block):
@@ -303,11 +290,11 @@ def _chunk_compute(job: SimulationJob, chunk_index: int) -> list[SimulationResul
         r0 = 2 * b0
         rows = slice(r0, min(r0 + 2 * nb, n_valid))
         n_rows = rows.stop - r0
-        if job.want_bridge:
+        if bridge:
             generators = [substream(job.master_seed, UNIFORM_STREAM, first_path + r0 + j) for j in range(n_rows)]
             log_uniforms = partial(_row_log_uniforms, generators, [0] * n_rows, uniforms)
         block_values = values[: 2 * nb]
-        for k, (h, scale, result) in enumerate(zip(job.hurst, scales, results)):
+        for k, (h, scale) in enumerate(zip(job.hurst, scales)):
             for g0 in range(0, nb, BLOCK_PAIRS):
                 g = min(BLOCK_PAIRS, nb - g0)
                 noise = transformed[:g] if stash is None else stash[g0 : g0 + g]
@@ -323,35 +310,32 @@ def _chunk_compute(job: SimulationJob, chunk_index: int) -> list[SimulationResul
             if looped:
                 affine_euler(paths, a, c_reduced, step, level, read_to)
 
-            if job.want_simple or job.want_bridge:
+            if job.rules:
                 plain = _plain_hit_index(paths, thr)
-            if result.tau_simple is not None:
-                result.tau_simple[rows] = _grid_times(plain, steps, step)
-            if result.tau_bridge is not None:
+            if "simple" in out:
+                out["simple"][k, rows] = _grid_times(plain, steps, step)
+            if bridge:
                 step_var = step ** (2.0 * h)
-                result.tau_bridge[rows] = _bridge_hit_times_batch(paths, thr, step, step_var, log_uniforms, plain)
-            if result.marginals is not None:
-                result.marginals[rows] = job.x0 + s * paths[:, columns]
+                out["bridge"][k, rows] = _bridge_hit_times_batch(paths, thr, step, step_var, log_uniforms, plain)
+            if job.marginal_indices:
+                out["marginals"][k, rows] = job.x0 + s * paths[:, columns]
             if job.extreme_indices:
                 # x0 + s y is strictly increasing, so suprema and argmax
                 # locations carry over to the original coordinates
                 sup, where = _running_extremes(paths, job.extreme_indices)
-                result.sup_values[rows] = job.x0 + s * sup
-                result.argmax_times[rows] = where * step
-    return results
+                out["sup_values"][k, rows] = job.x0 + s * sup
+                out["argmax_times"][k, rows] = where * step
+    return out
 
 
-def _merge(parts: list[SimulationResult]) -> SimulationResult:
-    merged = {}
-    for f in fields(SimulationResult):
-        arrays = [getattr(p, f.name) for p in parts]
-        merged[f.name] = None if arrays[0] is None else np.concatenate(arrays, axis=0)
-    return SimulationResult(**merged)
+def run_simulation(job: SimulationJob, workers: int = 1) -> dict[str, np.ndarray]:
+    """Execute a job, optionally across processes; one array per output, indexed [H, path].
 
-
-def run_simulation(job: SimulationJob, workers: int = 1) -> list[SimulationResult]:
-    """Execute a job, optionally across processes; one result per H, in order.
-
+    The keys are the rule names of job.rules, whose arrays hold hit times
+    (+inf where a path is censored), then "marginals" when the job has
+    marginal indices and "sup_values" and "argmax_times" when it has
+    extreme indices; those three carry a last axis with one entry per
+    index.  Every array has shape (len(hurst), samples, ...).
     All H values share one pass over the chunks and at most one process
     pool, of min(workers, chunks, cpu_count) processes.  Chunks are merged
     in chunk-index order; since every per-path output is a pure function
@@ -366,6 +350,8 @@ def run_simulation(job: SimulationJob, workers: int = 1) -> list[SimulationResul
         raise ValueError(f"workers must be positive, got {workers}")
     if not job.hurst:
         raise ValueError("need at least one Hurst value")
+    if not set(job.rules) <= set(RULES) or len(set(job.rules)) < len(job.rules):
+        raise ValueError(f"rules must be distinct names from {RULES}, got {job.rules}")
     bad = [i for i in (*job.marginal_indices, *job.extreme_indices) if not 0 <= i <= job.steps]
     if bad:
         raise ValueError(f"grid indices outside [0, {job.steps}]: {bad}")
@@ -383,4 +369,4 @@ def run_simulation(job: SimulationJob, workers: int = 1) -> list[SimulationResul
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_chunk_compute, [job] * n_chunks, range(n_chunks)))
-    return [_merge([c[k] for c in chunks]) for k in range(len(job.hurst))]
+    return {key: np.concatenate([c[key] for c in chunks], axis=1) for key in chunks[0]}

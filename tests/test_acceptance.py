@@ -45,8 +45,8 @@ def _job(hurst, steps, samples, **outputs):
 def desk_sweep():
     """Plain-rule hit times per H, every H of the sweep in one job: per-path
     outputs do not depend on the grouping."""
-    results = fp.run_simulation(_job(H_SWEEP, 2**14, 20_000), workers=2)
-    return {hv: result.tau_simple for hv, result in zip(H_SWEEP, results)}
+    times = fp.run_simulation(_job(H_SWEEP, 2**14, 20_000), workers=2)["simple"]
+    return dict(zip(H_SWEEP, times))
 
 
 def _gaps(times, lam):
@@ -84,8 +84,7 @@ def test_simple_estimator_error_band(desk_sweep):
 
 
 def test_bridge_beats_simple_at_brownian_case():
-    (result,) = fp.run_simulation(_job((0.5,), 2**13, 20_000, want_bridge=True))
-    times = result.hit_times()
+    times = {name: t[0] for name, t in fp.run_simulation(_job((0.5,), 2**13, 20_000, rules=fp.RULES)).items()}
     wins = 0
     details = []
     for lam in LAMBDAS:
@@ -158,10 +157,9 @@ def test_marginals_under_envelope_and_gaussian():
     t_list = (0.5, 1.0, 5.0)
     job = fp.SimulationJob(
         hurst=(h.value,), horizon=grid.horizon, steps=grid.steps, samples=20_000, master_seed=4242,
-        want_simple=False, marginal_indices=tuple(grid.time_index(t) for t in t_list),
+        rules=(), marginal_indices=tuple(grid.time_index(t) for t in t_list),
     )
-    (result,) = fp.run_simulation(job)
-    marg = result.marginals
+    marg = fp.run_simulation(job)["marginals"][0]
     ok = True
     details = []
     for j, t in enumerate(t_list):
@@ -206,10 +204,11 @@ def test_truncated_argmax_moment_flat_trend():
     r_values = (5.0, 10.0, 20.0)
     indices = tuple(grid.time_index(r) for r in r_values)
     # one job for both H values: the reported H = 0.6 row and the asserted H = 1/2 row
-    job = _job((0.6, 0.5), 2**12, 10_000, want_simple=False, extreme_indices=indices)
+    job = _job((0.6, 0.5), 2**12, 10_000, rules=(), extreme_indices=indices)
+    out = fp.run_simulation(job)
     report, triples = (
-        fp.truncated_argmax_moments(result.sup_values, result.argmax_times, r_values, hv * 2.5, 0.1)
-        for hv, result in zip((0.6, 0.5), fp.run_simulation(job))
+        fp.truncated_argmax_moments(sups, argmax_times, r_values, hv * 2.5, 0.1)
+        for hv, sups, argmax_times in zip((0.6, 0.5), out["sup_values"], out["argmax_times"])
     )
     fit_report = fp.linear_fit([r for r, _, _ in report], [m for _, m, _ in report])
     print(
@@ -231,9 +230,8 @@ def test_truncated_argmax_moment_flat_trend():
 
 
 def test_survival_tail_exponent():
-    (result,) = fp.run_simulation(_job((0.5,), 2**12, 100_000), workers=2)
+    times = fp.run_simulation(_job((0.5,), 2**12, 100_000), workers=2)["simple"][0]
     t_values = np.array([2.5, 5.0, 10.0, 20.0])
-    times = result.tau_simple
     survival = np.array([(times >= t).sum() / len(times) for t in t_values])
     fit = fp.linear_fit(np.log(t_values), np.log(survival))
     ok = -0.6 <= fit.slope <= -0.4

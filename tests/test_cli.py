@@ -165,6 +165,14 @@ def test_negative_flag_value_in_exponent_form(capsys, tmp_path):
     assert capsys.readouterr().err.startswith("error: x0 must be below threshold, got x0=-inf")
 
 
+def test_flag_value_of_two_dashes_reads_as_the_text(capsys, tmp_path):
+    """argparse stores "--name=--" as an empty list; it reads as "--", as the key does in a config file."""
+    assert resolve_config(build_parser().parse_args(["simulate", "--out=--"])).out == "--"
+    for flag in ("--drift=--", "--seed=--", "--hurst-list=--"):
+        assert main(["simulate", flag, "--out", str(tmp_path / "o")]) == 2, flag
+        assert capsys.readouterr().err.startswith("error:"), flag
+
+
 _CONFIG_LINES = [b"samples = 300", b"hurst_list = 0.5, 0.6", b"# comment", b"", b"seed=7", b"steps = x", b"\xff\xfe = 1"]
 
 
@@ -442,12 +450,12 @@ def test_simulate_schema_and_manifest(tmp_path):
     out = tmp_path / "sim"
     assert main(_SMALL_SIM + ["--out", str(out)]) == 0
     job = fbmpassage.SimulationJob(
-        hurst=(0.5, 0.6), horizon=10.0, steps=1024, samples=600, master_seed=77, want_bridge=True
+        hurst=(0.5, 0.6), horizon=10.0, steps=1024, samples=600, master_seed=77, rules=fbmpassage.RULES
     )
     censored = {
-        (hv, name): int(np.isinf(times).sum())
-        for hv, result in zip((0.5, 0.6), fbmpassage.run_simulation(job))
-        for name, times in result.hit_times().items()
+        (hv, name): int(count)
+        for name, times in fbmpassage.run_simulation(job).items()
+        for hv, count in zip((0.5, 0.6), np.isinf(times).sum(axis=1))
     }
     assert 0 < min(censored.values())
 

@@ -139,10 +139,10 @@ def _argmax_moments(hurst, eta, p, r_values, grid, samples, seed):
     indices = tuple(grid.time_index(r) for r in r_values)
     job = SimulationJob(
         hurst=(hurst,), horizon=grid.horizon, steps=grid.steps, samples=samples, master_seed=seed,
-        want_simple=False, extreme_indices=indices,
+        rules=(), extreme_indices=indices,
     )
-    (result,) = run_simulation(job)
-    return truncated_argmax_moments(result.sup_values, result.argmax_times, r_values, hurst * p, eta)
+    out = run_simulation(job)
+    return truncated_argmax_moments(out["sup_values"][0], out["argmax_times"][0], r_values, hurst * p, eta)
 
 
 def test_quadrature_oracle_frozen_values():

@@ -258,12 +258,12 @@ def test_fbm_path_differences_recover_block():
     h, grid = Hurst(0.6), TimeGrid(5.0, 512)
     job = SimulationJob(
         hurst=(h.value,), horizon=grid.horizon, steps=grid.steps, samples=4, master_seed=11,
-        want_simple=False, marginal_indices=tuple(range(grid.steps + 1)),
+        rules=(), marginal_indices=tuple(range(grid.steps + 1)),
     )
-    (result,) = run_simulation(job)
+    marginals = run_simulation(job)["marginals"][0]
     spec = circulant_spectrum(h, grid)
     for k in range(2):
         increments = sample_fgn(spec, substream(11, GAUSSIAN_STREAM, k))
-        paths = result.marginals[2 * k : 2 * k + 2]
+        paths = marginals[2 * k : 2 * k + 2]
         assert (paths[:, 0] == 0.0).all()
         assert np.max(np.abs(np.diff(paths, axis=1) - increments)) < 1e-12

@@ -26,7 +26,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from fbmpassage import SimulationJob, TimeGrid, laplace_from_times, run_simulation
+from fbmpassage import RULES, SimulationJob, TimeGrid, laplace_from_times, run_simulation
 from fbmpassage import runner
 from fbmpassage.passage import _bridge_hit_times_batch, _grid_times, _plain_hit_index
 
@@ -73,9 +73,9 @@ def _bridge_times(rows, threshold, step, uniform):
 
 
 def _simulate(hurst, grid, samples, seed, **kw):
+    """The outputs of a one-H run: row 0 of each of run_simulation's arrays."""
     job = SimulationJob(hurst=(hurst,), horizon=grid.horizon, steps=grid.steps, samples=samples, master_seed=seed, **kw)
-    (result,) = run_simulation(job)
-    return result
+    return {key: array[0] for key, array in run_simulation(job).items()}
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +148,7 @@ def test_bridge_fires_between_grid_points():
 
 def test_bridge_time_is_right_endpoint_multiple():
     grid = TimeGrid(10.0, 1024)
-    times = _simulate(0.5, grid, 300, 424242, want_simple=False, want_bridge=True).tau_bridge
+    times = _simulate(0.5, grid, 300, 424242, rules=("bridge",))["bridge"]
     finite = times[np.isfinite(times)]
     assert len(finite) > 0
     ratio = finite / grid.step
@@ -156,10 +156,10 @@ def test_bridge_time_is_right_endpoint_multiple():
 
 
 def test_bridge_never_later_than_simple():
-    result = _simulate(0.6, TimeGrid(10.0, 1024), 400, 777, want_bridge=True)
-    assert np.all(result.tau_bridge <= result.tau_simple + 1e-12)
-    finite = np.isfinite(result.tau_simple)
-    strictly = (result.tau_bridge[finite] < result.tau_simple[finite]).sum()
+    result = _simulate(0.6, TimeGrid(10.0, 1024), 400, 777, rules=RULES)
+    assert np.all(result["bridge"] <= result["simple"] + 1e-12)
+    finite = np.isfinite(result["simple"])
+    strictly = (result["bridge"][finite] < result["simple"][finite]).sum()
     assert strictly > 0, "bridge should fire early on some paths"
 
 
@@ -296,7 +296,7 @@ def test_bridge_matches_exact_ceiling_law():
     oracle = float((np.exp(-lam * n * step) * (cdf - cdf_prev)).sum())
     assert oracle == pytest.approx(0.2323356068, abs=1e-9)
 
-    times = _simulate(0.5, TimeGrid(T, N), 20000, 31415, want_simple=False, want_bridge=True).tau_bridge
+    times = _simulate(0.5, TimeGrid(T, N), 20000, 31415, rules=("bridge",))["bridge"]
     value, se = laplace_from_times(times, lam)
     assert abs(value - oracle) < 4.0 * se, (
         f"bridge estimate {value:.5f} vs exact {oracle:.5f} "

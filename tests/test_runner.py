@@ -7,7 +7,10 @@ Covers:
     same as moving the threshold.
   - Marginal extraction: shapes, variance statistics, index validation.
   - Suprema / argmax windows: pathwise monotonicity in the window length.
-  - Job validation and the pure-case fast path.
+  - Job validation (rule names outside RULES or repeated included) and the
+    pure-case fast path.
+  - The output mapping: exactly the requested keys, each array indexed
+    [H, path].
   - Multi-H jobs: one job over several H values equals the single-H jobs
     bit for bit, and draws each pair's normals and each path's uniforms
     once per run.
@@ -46,7 +49,7 @@ import numpy as np
 import pytest
 
 from fbmpassage import (
-    GAUSSIAN_STREAM, UNIFORM_STREAM, Hurst, SimulationJob, TimeGrid, circulant_spectrum, fgn_autocovariance,
+    GAUSSIAN_STREAM, RULES, UNIFORM_STREAM, Hurst, SimulationJob, TimeGrid, circulant_spectrum, fgn_autocovariance,
     run_simulation, sample_fgn, substream,
 )
 import fbmpassage
@@ -73,33 +76,33 @@ def _job(**kw):
 # ---------------------------------------------------------------------------
 
 def test_worker_count_is_observationally_irrelevant():
-    job = _job(want_bridge=True)
-    (serial,) = run_simulation(job, workers=1)
-    (pooled,) = run_simulation(job, workers=3)
-    assert np.array_equal(serial.tau_simple, pooled.tau_simple)
-    assert np.array_equal(serial.tau_bridge, pooled.tau_bridge)
+    job = _job(rules=RULES)
+    serial = run_simulation(job, workers=1)
+    pooled = run_simulation(job, workers=3)
+    assert np.array_equal(serial["simple"], pooled["simple"])
+    assert np.array_equal(serial["bridge"], pooled["bridge"])
 
 
 def test_chunk_size_is_observationally_irrelevant():
-    (a,) = run_simulation(_job(chunk_pairs=16, want_bridge=True))
-    (b,) = run_simulation(_job(chunk_pairs=128, want_bridge=True))
-    assert np.array_equal(a.tau_simple, b.tau_simple)
-    assert np.array_equal(a.tau_bridge, b.tau_bridge)
+    a = run_simulation(_job(chunk_pairs=16, rules=RULES))
+    b = run_simulation(_job(chunk_pairs=128, rules=RULES))
+    assert np.array_equal(a["simple"], b["simple"])
+    assert np.array_equal(a["bridge"], b["bridge"])
 
 
 def test_same_seed_reproduces_different_seed_changes():
-    (a,) = run_simulation(_job())
-    (b,) = run_simulation(_job())
-    (c,) = run_simulation(_job(master_seed=43))
-    assert np.array_equal(a.tau_simple, b.tau_simple)
-    assert not np.array_equal(a.tau_simple, c.tau_simple)
+    a = run_simulation(_job())["simple"]
+    b = run_simulation(_job())["simple"]
+    c = run_simulation(_job(master_seed=43))["simple"]
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
 
 
 def test_sample_prefix_stability():
     """The first paths of a longer run are exactly a shorter run."""
-    (small,) = run_simulation(_job(samples=100))
-    (large,) = run_simulation(_job(samples=300))
-    assert np.array_equal(large.tau_simple[:100], small.tau_simple)
+    small = run_simulation(_job(samples=100))["simple"][0]
+    large = run_simulation(_job(samples=300))["simple"][0]
+    assert np.array_equal(large[:100], small)
 
 
 # ---------------------------------------------------------------------------
@@ -109,9 +112,9 @@ def test_sample_prefix_stability():
 def test_start_shift_equals_threshold_shift():
     """With zero drift and unit diffusion only threshold - x0 matters."""
     run = dict(hurst=(0.55,), steps=512, samples=400, master_seed=4711)
-    (shifted,) = run_simulation(_job(threshold=1.0, x0=0.2, **run))
-    (rebased,) = run_simulation(_job(threshold=0.8, x0=0.0, **run))
-    assert np.array_equal(shifted.tau_simple, rebased.tau_simple)
+    shifted = run_simulation(_job(threshold=1.0, x0=0.2, **run))["simple"]
+    rebased = run_simulation(_job(threshold=0.8, x0=0.0, **run))["simple"]
+    assert np.array_equal(shifted, rebased)
 
 
 def test_is_pure_flag():
@@ -129,10 +132,10 @@ def test_is_pure_flag():
 
 def test_drifted_run_hits_earlier_on_average():
     # a positive constant push toward the threshold can only speed hits up
-    (pure,) = run_simulation(_job(hurst=(0.5,), samples=400, master_seed=31))
-    (pushed,) = run_simulation(_job(hurst=(0.5,), samples=400, master_seed=31, drift="linear:0,0.5"))
-    frac_pure = np.isfinite(pure.tau_simple).mean()
-    frac_pushed = np.isfinite(pushed.tau_simple).mean()
+    pure = run_simulation(_job(hurst=(0.5,), samples=400, master_seed=31))["simple"]
+    pushed = run_simulation(_job(hurst=(0.5,), samples=400, master_seed=31, drift="linear:0,0.5"))["simple"]
+    frac_pure = np.isfinite(pure).mean()
+    frac_pushed = np.isfinite(pushed).mean()
     assert frac_pushed > frac_pure
 
 
@@ -143,11 +146,11 @@ def test_drifted_run_hits_earlier_on_average():
 def test_marginal_values_shape_and_variance():
     grid = TimeGrid(4.0, 512)
     idx = (grid.time_index(1.0), grid.time_index(4.0))
-    job = _job(hurst=(0.7,), horizon=4.0, steps=512, samples=4000, master_seed=2020, want_simple=False, marginal_indices=idx)
-    (result,) = run_simulation(job)
-    marg = result.marginals
-    assert result.tau_simple is None and result.sup_values is None
-    assert marg.shape == (4000, 2)
+    job = _job(hurst=(0.7,), horizon=4.0, steps=512, samples=4000, master_seed=2020, rules=(), marginal_indices=idx)
+    result = run_simulation(job)
+    assert set(result) == {"marginals"}
+    assert result["marginals"].shape == (1, 4000, 2)
+    marg = result["marginals"][0]
     for col, t in zip(range(2), (1.0, 4.0)):
         var = marg[:, col].var(ddof=1)
         want = t ** (2.0 * 0.7)
@@ -158,9 +161,9 @@ def test_marginal_values_shape_and_variance():
 def test_path_extremes_window_monotonicity():
     grid = TimeGrid(10.0, 1024)
     idx = (grid.time_index(2.0), grid.time_index(5.0), grid.time_index(10.0))
-    job = _job(horizon=10.0, steps=1024, samples=500, master_seed=808, want_simple=False, extreme_indices=idx)
-    (result,) = run_simulation(job)
-    sups, args = result.sup_values, result.argmax_times
+    job = _job(horizon=10.0, steps=1024, samples=500, master_seed=808, rules=(), extreme_indices=idx)
+    result = run_simulation(job)
+    sups, args = result["sup_values"][0], result["argmax_times"][0]
     assert sups.shape == (500, 3)
     assert (np.diff(sups, axis=1) >= 0.0).all(), "sup grows with the window"
     assert (np.diff(args, axis=1) >= 0.0).all(), "first argmax never moves left"
@@ -171,11 +174,11 @@ def test_path_extremes_window_monotonicity():
 def test_extremes_argmax_is_first_attaining_time():
     grid = TimeGrid(10.0, 256)
     job = _job(
-        hurst=(0.5,), horizon=10.0, samples=200, master_seed=11, want_simple=False,
+        hurst=(0.5,), horizon=10.0, samples=200, master_seed=11, rules=(),
         extreme_indices=(grid.steps,), marginal_indices=tuple(range(grid.steps + 1)),
     )
-    (result,) = run_simulation(job)
-    sups, args, marg = result.sup_values, result.argmax_times, result.marginals
+    result = run_simulation(job)
+    sups, args, marg = result["sup_values"][0], result["argmax_times"][0], result["marginals"][0]
     for i in range(200):
         j = int(np.flatnonzero(marg[i] == sups[i, 0])[0])
         assert args[i, 0] == pytest.approx(j * grid.step, abs=1e-12)
@@ -198,24 +201,27 @@ def test_job_validation():
         run_simulation(_job(), workers=0)
     with pytest.raises(ValueError):
         run_simulation(_job(marginal_indices=(9999,)))  # off the grid
+    for rules in (("simple", "fancy"), ("bridge", "bridge"), "simple"):
+        with pytest.raises(ValueError, match="rules must be distinct names"):
+            run_simulation(_job(rules=rules))
 
 
 def test_start_at_threshold_hits_immediately():
     """Degenerate but well defined: every path is over the line at t=0."""
-    (res,) = run_simulation(_job(x0=1.0, samples=50))
-    assert np.array_equal(res.tau_simple, np.zeros(50))
+    times = run_simulation(_job(x0=1.0, samples=50))["simple"][0]
+    assert np.array_equal(times, np.zeros(50))
 
 
 def test_passage_times_estimator_selection():
     run = dict(hurst=(0.5,), horizon=2.0, steps=128, samples=100, master_seed=5)
-    (simple,) = run_simulation(_job(**run))
-    assert set(simple.hit_times()) == {"simple"}
-    (bridge,) = run_simulation(_job(want_simple=False, want_bridge=True, **run))
-    assert set(bridge.hit_times()) == {"bridge"}
-    (both,) = run_simulation(_job(want_bridge=True, **run))
-    assert set(both.hit_times()) == {"simple", "bridge"}
-    assert np.array_equal(both.hit_times()["simple"], simple.tau_simple)
-    assert np.array_equal(both.hit_times()["bridge"], bridge.tau_bridge)
+    simple = run_simulation(_job(**run))
+    assert set(simple) == {"simple"}
+    bridge = run_simulation(_job(rules=("bridge",), **run))
+    assert set(bridge) == {"bridge"}
+    both = run_simulation(_job(rules=RULES, **run))
+    assert set(both) == {"simple", "bridge"}
+    assert np.array_equal(both["simple"], simple["simple"])
+    assert np.array_equal(both["bridge"], bridge["bridge"])
 
 
 # ---------------------------------------------------------------------------
@@ -226,14 +232,14 @@ _MODELS = {
     "pure": dict(x0=0.2),
     "ou-const2": dict(drift="ou:1", diffusion="const:2"),
 }
-_OUTPUTS = ("tau_simple", "tau_bridge", "marginals", "sup_values", "argmax_times")
+_OUTPUTS = ("simple", "bridge", "marginals", "sup_values", "argmax_times")
 
 
 def _all_outputs_job(model, **kw):
     # an odd sample count leaves the last pair half used
     return _job(
         samples=61,
-        want_bridge=True,
+        rules=RULES,
         marginal_indices=(0, 100, 256),
         extreme_indices=(50, 256),
         **_MODELS[model],
@@ -247,11 +253,34 @@ def _all_outputs_job(model, **kw):
 def test_multi_h_job_equals_single_h_jobs(model, chunk_pairs, workers):
     hursts = (0.5, 0.6, 0.75)
     multi = run_simulation(_all_outputs_job(model, hurst=hursts, chunk_pairs=chunk_pairs), workers=workers)
-    assert len(multi) == len(hursts)
-    for h, got in zip(hursts, multi):
-        (want,) = run_simulation(_all_outputs_job(model, hurst=(h,)))
+    assert all(len(array) == len(hursts) for array in multi.values())
+    for k, h in enumerate(hursts):
+        want = run_simulation(_all_outputs_job(model, hurst=(h,)))
         for name in _OUTPUTS:
-            assert np.array_equal(getattr(got, name), getattr(want, name)), (h, name)
+            assert np.array_equal(multi[name][k], want[name][0]), (h, name)
+
+
+@pytest.mark.parametrize(
+    "outputs, keys",
+    [
+        (dict(rules=RULES, marginal_indices=(0, 100, 256), extreme_indices=(50, 256)), _OUTPUTS),
+        (dict(rules=("bridge",), extreme_indices=(50,)), ("bridge", "sup_values", "argmax_times")),
+        (dict(rules=(), marginal_indices=(7,)), ("marginals",)),
+        (dict(rules=()), ()),
+    ],
+)
+def test_output_mapping_holds_exactly_the_requested_keys(outputs, keys):
+    hursts = (0.5, 0.6, 0.75)
+    job = _job(hurst=hursts, samples=61, chunk_pairs=7, drift="ou:1", diffusion="const:2", **outputs)
+    out = run_simulation(job)
+    assert tuple(out) == keys
+    for name, array in out.items():
+        assert array.shape[:2] == (len(hursts), job.samples), name
+        assert array.ndim == (2 if name in RULES else 3), name
+    if "marginals" in out:
+        assert out["marginals"].shape[2] == len(job.marginal_indices)
+    if "sup_values" in out:
+        assert out["sup_values"].shape[2] == out["argmax_times"].shape[2] == len(job.extreme_indices)
 
 
 @pytest.mark.parametrize("hursts", [(0.6,), (0.5, 0.55, 0.6, 0.7, 0.9)])
@@ -264,7 +293,7 @@ def test_each_stream_is_requested_once_per_run(monkeypatch, hursts):
         return original(master_seed, stream, index)
 
     monkeypatch.setattr(runner, "substream", counting)
-    run_simulation(_job(hurst=hursts, samples=61, chunk_pairs=7, want_bridge=True))
+    run_simulation(_job(hurst=hursts, samples=61, chunk_pairs=7, rules=RULES))
     gaussian = {i: n for (stream, i), n in requests.items() if stream == GAUSSIAN_STREAM}
     uniform = {i: n for (stream, i), n in requests.items() if stream == UNIFORM_STREAM}
     assert gaussian == {k: 1 for k in range(31)}
@@ -284,17 +313,17 @@ _EVERY_INDEX = tuple(range(257))
 def test_block_paths_equal_summed_sample_fgn_rows(chunk_pairs, hursts, drift):
     # 11 paths: a partial last block, and the last pair's second path unused
     job = _job(
-        hurst=hursts, samples=11, drift=drift, chunk_pairs=chunk_pairs, want_simple=False, marginal_indices=_EVERY_INDEX
+        hurst=hursts, samples=11, drift=drift, chunk_pairs=chunk_pairs, rules=(), marginal_indices=_EVERY_INDEX
     )
     a, c, s = affine_coefficients(job.drift, job.diffusion)
     grid = TimeGrid(job.horizon, job.steps)
-    for h, got in zip(hursts, run_simulation(job)):
+    for h, got in zip(hursts, run_simulation(job)["marginals"]):
         spectrum = circulant_spectrum(Hurst(h), grid)
         rows = np.concatenate([sample_fgn(spectrum, substream(42, GAUSSIAN_STREAM, k)) for k in range(6)])
         paths = np.zeros((12, grid.steps + 1))
         np.add.accumulate(rows, axis=1, out=paths[:, 1:])
         affine_euler(paths, a, (a * job.x0 + c) / s, grid.step)  # a = c = 0 leaves the sums as they are
-        assert (got.marginals == job.x0 + s * paths[:11]).all(), h
+        assert (got == job.x0 + s * paths[:11]).all(), h
 
 
 # ---------------------------------------------------------------------------
@@ -328,13 +357,13 @@ def test_each_path_draws_uniforms_only_up_to_its_plain_hit(monkeypatch):
 
     monkeypatch.setattr(runner, "substream", counting)
     hursts = (0.5, 0.6, 0.8)
-    job = _job(hurst=hursts, samples=61, chunk_pairs=7, want_bridge=True)
+    job = _job(hurst=hursts, samples=61, chunk_pairs=7, rules=RULES)
     results = run_simulation(job)
     monkeypatch.undo()
-    assert all(np.array_equal(a.tau_bridge, b.tau_bridge) for a, b in zip(results, run_simulation(job)))
+    assert np.array_equal(results["bridge"], run_simulation(job)["bridge"])
 
     step = job.horizon / job.steps
-    plain = np.rint(np.array([r.tau_simple for r in results]) / step)  # inf where censored
+    plain = np.rint(results["simple"] / step)  # inf where censored
     censored = np.isinf(plain).any(axis=0)
     last_hit = np.where(censored, 0, plain.max(axis=0)).astype(int)
     assert censored.any() and not censored.all()
@@ -402,10 +431,10 @@ def test_allocator_setting_applies_once_per_process(monkeypatch, fresh_allocator
 def test_allocator_setting_is_a_no_op_without_mallopt(monkeypatch, fresh_allocator_setting):
     monkeypatch.setattr(runner.ctypes, "CDLL", lambda name: object())
     assert runner._raise_malloc_thresholds() is False
-    (got,) = run_simulation(_job(samples=40))
+    got = run_simulation(_job(samples=40))
     monkeypatch.undo()
-    (want,) = run_simulation(_job(samples=40))
-    assert np.array_equal(got.tau_simple, want.tau_simple)
+    want = run_simulation(_job(samples=40))
+    assert np.array_equal(got["simple"], want["simple"])
 
 
 def test_cli_import_leaves_the_allocator_alone():
@@ -437,16 +466,16 @@ def test_memory_bound_refuses_a_run_before_allocating(monkeypatch):
 def test_memory_estimate_counts_blocks_spectra_and_results():
     n = 2**10 + 1
     small = 64 << 10  # small objects, per process
-    pure = _job(steps=2**10, samples=300, want_bridge=True, hurst=(0.5, 0.6))
+    pure = _job(steps=2**10, samples=300, rules=RULES, hurst=(0.5, 0.6))
     # two 16N spectra and a 32N temporary; 4-pair blocks with a 4-row 32N
     # transform buffer, 66N per pair (32N of it stashed noise) and two 1 kB
-    # generators per pair; two results of two columns over 300 paths, held
-    # twice, and 1 kB of records per chunk (two chunks) and H
+    # generators per pair; two H rows of two columns over 300 paths, held
+    # twice, and 1 kB of array headers per chunk (two chunks) and H
     assert runner._memory_estimate(pure, 1) == (
         small + 16 * n * 2 + 32 * n + 4 * 32 * n + 4 * (66 * n + 2048) + 2 * (2 * 8 * 300 * 2 + 1024 * 2)
     )
     # one H: the noise is drawn into the transform buffer, no stash
-    single = _job(steps=2**10, samples=300, want_bridge=True)
+    single = _job(steps=2**10, samples=300, rules=RULES)
     assert runner._memory_estimate(single, 1) == (
         small + 16 * n + 32 * n + 4 * 32 * n + 4 * (34 * n + 2048) + 2 * 8 * 300 * 2 + 1024 * 2
     )
@@ -466,7 +495,7 @@ def test_memory_estimate_counts_blocks_spectra_and_results():
     tiny = _job(steps=2**10, samples=2, chunk_pairs=1)
     assert runner._memory_estimate(tiny, 1) == small + 16 * n + 32 * n + 32 * n + 18 * n + 2 * 8 * 2 + 1024
     # window extremes: argmax scans row slices in place, two columns per window
-    extremes = _job(steps=2**10, samples=300, want_simple=False, extreme_indices=(10, 1024))
+    extremes = _job(steps=2**10, samples=300, rules=(), extreme_indices=(10, 1024))
     assert runner._memory_estimate(extremes, 1) == (
         small + 16 * n + 32 * n + 4 * 32 * n + 4 * 18 * n + 2 * 8 * 300 * 4 + 1024 * 2
     )
@@ -477,11 +506,11 @@ def test_memory_estimate_counts_blocks_spectra_and_results():
     "shape",
     [
         {},
-        {"hurst": (0.5, 0.6, 0.7), "want_bridge": True},
+        {"hurst": (0.5, 0.6, 0.7), "rules": RULES},
         {"drift": "ou:1", "diffusion": "const:2"},
-        {"drift": "ou:1", "hurst": (0.5, 0.6), "want_bridge": True},
-        {"hurst": (0.5, 0.7), "want_simple": False, "extreme_indices": (1024, 4096), "marginal_indices": (7,)},
-        {"samples": 301, "chunk_pairs": 7, "want_bridge": True},
+        {"drift": "ou:1", "hurst": (0.5, 0.6), "rules": RULES},
+        {"hurst": (0.5, 0.7), "rules": (), "extreme_indices": (1024, 4096), "marginal_indices": (7,)},
+        {"samples": 301, "chunk_pairs": 7, "rules": RULES},
         {"drift": "ou:1", "samples": 301, "chunk_pairs": 7},
         # no path reaches the level, so every row runs the scalar tail to the end
         {"drift": "ou:1", "threshold": 1e6, "samples": 16, "chunk_pairs": 1},
@@ -523,14 +552,14 @@ def _scalar_euler(noise, a, c, step):
 def test_affine_reduction_matches_tabulated_lamperti_euler(drift, diffusion):
     a, c, s = affine_coefficients(drift, diffusion)
     x0, level, hv = 0.25, 0.25 + 0.75 * s, 0.6  # the reduced level is 0.75
-    model = dict(hurst=(hv,), horizon=2.0, samples=40, want_bridge=True, marginal_indices=_EVERY_INDEX)
-    (got,) = run_simulation(_job(x0=x0, threshold=level, drift=drift, diffusion=diffusion, **model))
-    (fbm,) = run_simulation(_job(**model))
+    model = dict(hurst=(hv,), horizon=2.0, samples=40, rules=RULES, marginal_indices=_EVERY_INDEX)
+    got = run_simulation(_job(x0=x0, threshold=level, drift=drift, diffusion=diffusion, **model))
+    fbm = run_simulation(_job(**model))["marginals"][0]
 
     grid = TimeGrid(2.0, 256)
     # y = (x - x0) / s has unit diffusion and drift a y + (a x0 + c) / s
-    reduced = _scalar_euler(fbm.marginals, a, (a * x0 + c) / s, grid.step)
-    assert np.max(np.abs(got.marginals - (x0 + s * reduced))) <= 1e-10
+    reduced = _scalar_euler(fbm, a, (a * x0 + c) / s, grid.step)
+    assert np.max(np.abs(got["marginals"][0] - (x0 + s * reduced))) <= 1e-10
 
     thr = (level - x0) / s
     log_u = np.log([substream(42, UNIFORM_STREAM, i).random(grid.steps) for i in range(40)])
@@ -538,9 +567,9 @@ def test_affine_reduction_matches_tabulated_lamperti_euler(drift, diffusion):
         reduced, thr, grid.step, grid.step ** (2.0 * hv), lambda r, n: log_u[r, :n], _plain_hit_index(reduced, thr)
     )
     plain = [np.argmax(row >= thr) * grid.step if (row >= thr).any() else np.inf for row in reduced]
-    assert np.array_equal(got.tau_simple, plain)
-    assert np.array_equal(got.tau_bridge, bridge)
-    assert np.isfinite(got.tau_simple).any() and not np.isfinite(got.tau_simple).all()
+    assert np.array_equal(got["simple"][0], plain)
+    assert np.array_equal(got["bridge"][0], bridge)
+    assert np.isfinite(got["simple"]).any() and not np.isfinite(got["simple"]).all()
 
 
 @pytest.mark.parametrize("s", [2.0, 0.5])
@@ -552,16 +581,16 @@ def test_zero_drift_constant_diffusion_is_scaled_fbm(monkeypatch, s):
     with pytest.raises(AssertionError, match="Euler loop"):  # a drifted run steps through this name
         run_simulation(_job(drift="ou:1", samples=4))
     x0, level = 0.5, 1.5
-    outputs = dict(want_bridge=True, marginal_indices=(0, 100, 256), extreme_indices=(50, 256))
-    (scaled,) = run_simulation(_job(x0=x0, threshold=level, diffusion=f"const:{s:g}", **outputs))
+    outputs = dict(rules=RULES, marginal_indices=(0, 100, 256), extreme_indices=(50, 256))
+    scaled = run_simulation(_job(x0=x0, threshold=level, diffusion=f"const:{s:g}", **outputs))
     # x0 + (level - x0) / s is exact in binary for these s
-    (pure,) = run_simulation(_job(x0=x0, threshold=x0 + (level - x0) / s, **outputs))
-    (fbm,) = run_simulation(_job(**outputs))
-    assert np.array_equal(scaled.tau_simple, pure.tau_simple)
-    assert np.array_equal(scaled.tau_bridge, pure.tau_bridge)
-    assert np.array_equal(scaled.marginals, x0 + s * fbm.marginals)
-    assert np.array_equal(scaled.sup_values, x0 + s * fbm.sup_values)
-    assert np.array_equal(scaled.argmax_times, fbm.argmax_times)
+    pure = run_simulation(_job(x0=x0, threshold=x0 + (level - x0) / s, **outputs))
+    fbm = run_simulation(_job(**outputs))
+    assert np.array_equal(scaled["simple"], pure["simple"])
+    assert np.array_equal(scaled["bridge"], pure["bridge"])
+    assert np.array_equal(scaled["marginals"], x0 + s * fbm["marginals"])
+    assert np.array_equal(scaled["sup_values"], x0 + s * fbm["sup_values"])
+    assert np.array_equal(scaled["argmax_times"], fbm["argmax_times"])
 
 
 @pytest.mark.parametrize("seed", [1729, 7, 2024])
@@ -571,9 +600,9 @@ def test_ou_euler_marginals_follow_their_exact_gaussian_law(seed):
     indices = (8, 32, 64, 128, 192, 256)
     job = SimulationJob(
         hurst=(0.6,), horizon=5.0, steps=256, samples=4000, master_seed=seed,
-        drift="ou:1", diffusion="const:2", want_simple=False, marginal_indices=indices,
+        drift="ou:1", diffusion="const:2", rules=(), marginal_indices=indices,
     )
-    (result,) = run_simulation(job)
+    marginals = run_simulation(job)["marginals"][0]
     a, s = -1.0, 2.0
     step = job.horizon / job.steps
     # y_n = B_n + acc_n with acc_n = acc_{n-1} + a step y_{n-1}: weights of y_n on xi_0..xi_{N-1}
@@ -586,7 +615,7 @@ def test_ou_euler_marginals_follow_their_exact_gaussian_law(seed):
     gamma = fgn_autocovariance(Hurst(0.6), lags, step)
     for column, n in enumerate(indices):
         variance = s**2 * weights[n] @ gamma @ weights[n]
-        cosines = np.cos(result.marginals[:, column])
+        cosines = np.cos(marginals[:, column])
         z = (cosines.mean() - math.exp(-variance / 2.0)) / (cosines.std(ddof=1) / math.sqrt(job.samples))
         assert abs(z) <= 4.0, (n, z)
 
@@ -601,9 +630,9 @@ def _full_loop(values, a, c, step, *read_range):
 
 
 _READS = [
-    dict(want_bridge=True),
-    dict(want_bridge=True, marginal_indices=(0, 3, 40), extreme_indices=(10, 60)),
-    dict(want_simple=False, marginal_indices=(5, 90)),
+    dict(rules=RULES),
+    dict(rules=RULES, marginal_indices=(0, 3, 40), extreme_indices=(10, 60)),
+    dict(rules=(), marginal_indices=(5, 90)),
     dict(threshold=0.25, marginal_indices=(256,)),  # every path starts at the level
 ]
 
@@ -613,14 +642,14 @@ _READS = [
 @pytest.mark.parametrize("drift", ["ou:1", "linear:0.7,-0.3"])
 def test_early_stopped_run_equals_full_loop_run(monkeypatch, drift, chunk_pairs, outputs):
     job = _job(drift=drift, diffusion="const:2", x0=0.25, samples=301, chunk_pairs=chunk_pairs, **_READS[outputs])
-    (got,) = run_simulation(job)
+    got = run_simulation(job)
     monkeypatch.setattr(runner, "affine_euler", _full_loop)
-    (want,) = run_simulation(job)
-    for name in _OUTPUTS:
-        a, b = getattr(got, name), getattr(want, name)
-        assert (a is None and b is None) or a.tobytes() == b.tobytes(), name
-    if job.want_simple and job.threshold > job.x0:
-        assert np.isfinite(got.tau_simple).any() and not np.isfinite(got.tau_simple).all()
+    want = run_simulation(job)
+    assert got.keys() == want.keys()
+    for name in got:
+        assert got[name].tobytes() == want[name].tobytes(), name
+    if "simple" in job.rules and job.threshold > job.x0:
+        assert np.isfinite(got["simple"]).any() and not np.isfinite(got["simple"]).all()
 
 
 def test_padding_row_of_an_odd_sample_count_is_not_stepped(monkeypatch):
@@ -641,18 +670,18 @@ def test_overflow_after_every_passage_completes(chunk_pairs):
     # step, and the states overflow some 70 steps later, which a 256-row
     # block loop steps before it checks which rows have passed
     drift = "linear:1e6,1e6"
-    job = _job(drift=drift, want_bridge=True, marginal_indices=(0, 1), chunk_pairs=chunk_pairs)
-    (got,) = run_simulation(job)
+    job = _job(drift=drift, rules=RULES, marginal_indices=(0, 1), chunk_pairs=chunk_pairs)
+    got = run_simulation(job)
 
-    (fbm,) = run_simulation(_job(want_simple=False, marginal_indices=_EVERY_INDEX))
+    fbm = run_simulation(_job(rules=(), marginal_indices=_EVERY_INDEX))["marginals"][0]
     a, c, _ = affine_coefficients(drift, "one")
     step = TimeGrid(job.horizon, job.steps).step
-    reduced = _scalar_euler(fbm.marginals, a, c, step)
+    reduced = _scalar_euler(fbm, a, c, step)
     assert not np.isfinite(reduced[:, 100]).any()
     with pytest.raises(PropagationError):
-        affine_euler(fbm.marginals.copy(), a, c, step)
+        affine_euler(fbm.copy(), a, c, step)
     want = _grid_times(_plain_hit_index(reduced, 1.0), job.steps, step)
     assert (want == step).all()
-    assert np.array_equal(got.tau_simple, want)
-    assert np.array_equal(got.tau_bridge, want)
-    assert got.marginals.tobytes() == reduced[:, :2].tobytes()
+    assert np.array_equal(got["simple"][0], want)
+    assert np.array_equal(got["bridge"][0], want)
+    assert got["marginals"][0].tobytes() == reduced[:, :2].tobytes()

@@ -7,6 +7,8 @@ Covers:
     afterwards.
   - A stage called from inside another is booked to itself only: the
     enclosing stage's self time leaves it out.
+  - A stage name that the runner lacks is left alone and reported as
+    absent, as in a source tree from before the stage existed.
   - The command line at a tiny grid, in a fresh process, on all three
     shapes; the tool does not touch the benchmark's files.
 """
@@ -39,7 +41,7 @@ def _tool():
     [
         (dict(drift="ou:1", diffusion="const:2"), {"Euler", "plain scan"}),
         (
-            dict(hurst=(0.5, 0.6), want_bridge=True, extreme_indices=(64,)),
+            dict(hurst=(0.5, 0.6), rules=("simple", "bridge"), extreme_indices=(64,)),
             {"plain scan", "bridge scan", "uniforms", "extremes"},
         ),
     ],
@@ -50,12 +52,13 @@ def test_split_times_every_reached_stage_and_restores_the_runner(monkeypatch, mo
     originals = {name: getattr(runner, name) for name in tool.STAGES}
     want = run_simulation(job)
     got = []
-    monkeypatch.setattr(runner, "run_simulation", lambda *args, **kw: got.extend(run_simulation(*args, **kw)))
+    monkeypatch.setattr(runner, "run_simulation", lambda *args, **kw: got.append(run_simulation(*args, **kw)))
     wall, seconds = tool.split(runner, job)
     assert {name: getattr(runner, name) for name in tool.STAGES} == originals
     assert set(seconds) == {"substream", "normals", "FFT"} | reached
     assert 0.0 < sum(seconds.values()) <= wall
-    assert len(got) == len(want) and all(np.array_equal(g.tau_simple, w.tau_simple) for g, w in zip(got, want))
+    assert len(got) == 1 and got[0].keys() == want.keys()
+    assert all(np.array_equal(got[0][key], want[key]) for key in want)
     lines = tool.report("tiny", wall, seconds).splitlines()
     assert lines[0].startswith("tiny: runner") and lines[-1].split()[0] == "rest"
     assert len(lines) == 2 + len(set(tool.STAGES.values()))
@@ -73,6 +76,19 @@ def test_a_stage_inside_another_books_only_its_self_time():
     assert seconds["uniforms"] >= 0.05
     assert seconds["bridge scan"] < 0.04
     assert sum(seconds.values()) <= wall
+
+
+def test_a_stage_the_runner_lacks_is_reported_absent():
+    tool = _tool()
+    fake = types.SimpleNamespace(**{name: lambda *args: None for name in tool.STAGES if name != "_row_log_uniforms"})
+    originals = dict(vars(fake))
+    with tool.timed_stages(fake) as seconds:
+        fake._bridge_hit_times_batch()
+    assert vars(fake) == originals
+    assert seconds["uniforms"] is None and seconds["bridge scan"] >= 0.0
+    lines = tool.report("old tree", 1.0, dict(seconds)).splitlines()
+    assert [line.split() for line in lines if "uniforms" in line] == [["uniforms", "absent"]]
+    assert len(lines) == 2 + len(set(tool.STAGES.values()))
 
 
 def test_command_line_at_a_tiny_grid():

@@ -8,7 +8,8 @@ benchmark shapes, and prints each stage's seconds and its share of the
 runner's wall time.  "rest" is what no wrapper saw: the prefix sums,
 block bookkeeping and result assembly.  `--src` imports `fbmpassage` from
 another source tree (say, a base revision exported with `git archive`),
-so two revisions with the same stage names can be split with one timer.
+so two revisions can be split with one timer.  A stage name that the
+tree's runner lacks is left unwrapped and reported as absent.
 The bridge scan calls the uniforms stage, so each stage is booked its self
 time: a stack of open stages takes the time of the stages a call encloses
 out of its own, and the stages add up to at most the runner's wall time.
@@ -43,20 +44,27 @@ STAGES = {
 # The benchmark's three workloads as runner jobs: horizon 20, level 1
 # from x0 = 0.
 SHAPES = {
-    "sim-multiH-bridge": dict(hurst=(0.5, 0.51, 0.52, 0.54, 0.6), steps=2**14, samples=256, want_bridge=True),
+    "sim-multiH-bridge": dict(
+        hurst=(0.5, 0.51, 0.52, 0.54, 0.6), steps=2**14, samples=256, rules=("simple", "bridge")
+    ),
     "sim-ou-plain": dict(hurst=(0.5,), steps=2**14, samples=512, drift="ou:1", diffusion="const:2"),
     "conjecture-large-pool": dict(
-        hurst=(0.5, 0.55, 0.6), steps=2**16, samples=512, want_simple=False, extreme_indices=(16384, 32768, 65536)
+        hurst=(0.5, 0.55, 0.6), steps=2**16, samples=512, rules=(), extreme_indices=(16384, 32768, 65536)
     ),
 }
 
 
 @contextmanager
 def timed_stages(runner):
-    """Wrap the runner's stage entry points; yields {label: self seconds}, restores them on exit."""
+    """Wrap the runner's stage entry points; yields {label: self seconds}, restores them on exit.
+
+    The label of a stage that the runner lacks maps to None in place of seconds.
+    """
     seconds = defaultdict(float)
     enclosed = [0.0]  # time of the stages a call encloses, one entry per open stage
-    originals = {name: getattr(runner, name) for name in STAGES}
+    originals = {name: getattr(runner, name) for name in STAGES if hasattr(runner, name)}
+    for name in STAGES.keys() - originals.keys():
+        seconds[STAGES[name]] = None
 
     def wrap(label, fn):
         def timed(*args, **kwargs):
@@ -91,9 +99,10 @@ def split(runner, job) -> tuple[float, dict[str, float]]:
 
 def report(name: str, wall: float, seconds: dict[str, float]) -> str:
     lines = [f"{name}: runner {wall:.3f} s"]
-    rest = wall - sum(seconds.values())
+    rest = wall - sum(s for s in seconds.values() if s is not None)
     for label, s in [*((label, seconds.get(label, 0.0)) for label in dict.fromkeys(STAGES.values())), ("rest", rest)]:
-        lines.append(f"  {label:<12} {s:8.3f} s  {100.0 * s / wall:5.1f}%")
+        timing = "  absent" if s is None else f"{s:8.3f} s  {100.0 * s / wall:5.1f}%"
+        lines.append(f"  {label:<12} {timing}")
     return "\n".join(lines)
 
 
