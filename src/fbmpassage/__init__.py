@@ -6,7 +6,9 @@ closed-form reduction of affine drifted models, estimates Laplace
 transforms of threshold hitting times (plain grid rule and a conditional
 bridge correction) from the per-path arrays, and ships closed-form
 reference curves for comparison.  run_simulation returns those arrays as
-one mapping, hit times keyed by rule name, each indexed [H, path].
+one mapping, hit times keyed by rule name, each indexed [H, path].  Every
+layer takes the Hurst index, the horizon and the grid steps as plain
+numbers, the fields of a SimulationJob.
 """
 
 from .analysis import RegressionFit, linear_fit, rate_exponent
@@ -20,8 +22,6 @@ from .estimate import (
 from .fgn import (
     CHOLESKY_CAP,
     EmbeddingError,
-    Hurst,
-    TimeGrid,
     cholesky_fbm,
     circulant_spectrum,
     fgn_autocovariance,
@@ -37,8 +37,6 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # sampling
-    "Hurst",
-    "TimeGrid",
     "EmbeddingError",
     "fgn_autocovariance",
     "circulant_spectrum",

@@ -68,7 +68,7 @@ def linear_fit(xs, ys) -> RegressionFit:
     return RegressionFit(slope, intercept, r_squared, n, slope_se)
 
 
-def rate_exponent(h_values, gaps, gap_ses=None) -> RegressionFit:
+def rate_exponent(hurst, gaps, gap_ses=None) -> RegressionFit:
     """Log-log fit log(gap) = const + beta * log(H - 1/2).
 
     The slope beta estimates the decay exponent of the gap as H approaches
@@ -76,7 +76,7 @@ def rate_exponent(h_values, gaps, gap_ses=None) -> RegressionFit:
     when `gap_ses` is given, carry no log-scale signal and are dropped with
     a log note.
     """
-    h = np.asarray(h_values, dtype=float)
+    h = np.asarray(hurst, dtype=float)
     g = np.asarray(gaps, dtype=float)
     if h.shape != g.shape:
         raise ValueError(f"H and gap arrays must match, got {h.shape} vs {g.shape}")

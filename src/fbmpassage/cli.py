@@ -25,7 +25,7 @@ import scipy
 
 from .analysis import linear_fit, rate_exponent
 from .estimate import NoHitsError, density_from_times, gap_estimate, laplace_from_times, truncated_argmax_moments
-from .fgn import EmbeddingError, Hurst, TimeGrid, cholesky_fbm, circulant_spectrum, fgn_autocovariance, sample_fgn
+from .fgn import EmbeddingError, cholesky_fbm, circulant_spectrum, fgn_autocovariance, sample_fgn
 from .runner import DEFAULT_CHUNK_PAIRS, RULES, MemoryBudgetError, SimulationJob, _check_fits_in_memory, run_simulation
 from .sde import PropagationError, affine_coefficients, affine_euler
 from .theory import laplace_bm
@@ -415,6 +415,14 @@ def cmd_density(cfg: RunConfig, workers: int, chunk_pairs: int, out_dir: Path) -
     return list(outputs)
 
 
+def _grid_index(t: float, horizon: float, steps: int) -> int:
+    """Largest index n of the grid of `steps` intervals on [0, horizon] with
+    n * (horizon / steps) <= t (tolerating roundoff)."""
+    if not 0.0 <= t <= horizon * (1.0 + 1e-12):
+        raise ValueError(f"time {t} outside [0, {horizon}]")
+    return min(int(np.floor(t / (horizon / steps) + 1e-9)), steps)
+
+
 def cmd_conjecture(cfg: RunConfig, workers: int, chunk_pairs: int, out_dir: Path) -> list[str]:
     """Truncated argmax moments over the r windows -> conjecture.csv.
 
@@ -427,19 +435,24 @@ def cmd_conjecture(cfg: RunConfig, workers: int, chunk_pairs: int, out_dir: Path
     and its location) grow, 0.5711, 0.7310 and 0.9094 at r = 5, 10 and 20.
     The paths are raw fBm started at zero: the model options (x0,
     threshold, drift, diffusion) do not apply here, and a warning names
-    any of them that is set away from its default.
+    any of them that is set away from its default.  Every r must lie
+    between one grid step and the horizon: a shorter window holds only
+    t = 0, so its moment would be 0 by construction.
     """
     default = RunConfig()
     model = ("x0", "threshold", "drift", "diffusion")
     ignored = [f"--{name}" for name in model if getattr(cfg, name) != getattr(default, name)]
     if ignored:
         logger.warning("conjecture simulates raw fBm from zero; ignoring %s", ", ".join(ignored))
+    indices = []
     for r in cfg.r_list:
         if r > cfg.horizon:
             raise ConfigError(f"r={r:g} exceeds the horizon {cfg.horizon:g}")
-    grid = TimeGrid(cfg.horizon, cfg.steps)
-    indices = tuple(grid.time_index(r) for r in cfg.r_list)
-    job = _job(cfg, chunk_pairs, x0=0.0, drift="zero", diffusion="one", rules=(), extreme_indices=indices)
+        indices.append(_grid_index(r, cfg.horizon, cfg.steps))
+        if not indices[-1]:
+            step = cfg.horizon / cfg.steps
+            raise ConfigError(f"r={r:g} is shorter than one grid step {step:g}; its window holds only t = 0")
+    job = _job(cfg, chunk_pairs, x0=0.0, drift="zero", diffusion="one", rules=(), extreme_indices=tuple(indices))
     out = run_simulation(job, workers)
     rows = []
     for hv, sups, argmax_times in zip(cfg.hurst_list, out["sup_values"], out["argmax_times"]):
@@ -480,14 +493,13 @@ def run_selftest() -> list[tuple[str, bool, str]]:
         checks.append((name, bool(ok), detail))
 
     def flat_spectrum():
-        grid = TimeGrid(1.0, 256)
-        spectrum = circulant_spectrum(Hurst(0.5), grid)
-        dev = float(np.max(np.abs(spectrum - grid.step)))
+        spectrum = circulant_spectrum(0.5, 1.0, 256)
+        dev = float(np.max(np.abs(spectrum - 1.0 / 256)))
         return dev < 1e-12, f"max |eigenvalue - step| = {dev:.3g} (limit 1e-12)"
 
-    def fgn_rows(h, grid, seed, pairs):
+    def fgn_rows(h, horizon, steps, seed, pairs):
         """`pairs` sample_fgn draws from one seeded generator, as a (2 * pairs, steps) array."""
-        spectrum = circulant_spectrum(h, grid)
+        spectrum = circulant_spectrum(h, horizon, steps)
         rng = np.random.default_rng(seed)
         return np.concatenate([sample_fgn(spectrum, rng) for _ in range(pairs)])
 
@@ -499,25 +511,21 @@ def run_selftest() -> list[tuple[str, bool, str]]:
         return abs(block_means.mean() - ref) / se
 
     def increment_autocov():
-        h = Hurst(0.7)
-        grid = TimeGrid(256.0, 256)  # unit step keeps the lags O(1)
-        rows = fgn_rows(h, grid, 1008, 2000)
-        worst = max(lag_z(rows, lag, fgn_autocovariance(h, lag, grid.step)) for lag in range(6))
+        rows = fgn_rows(0.7, 256.0, 256, 1008, 2000)  # unit step keeps the lags O(1)
+        worst = max(lag_z(rows, lag, fgn_autocovariance(0.7, lag, 1.0)) for lag in range(6))
         return worst < 5.0, f"worst |z| over lags 0..5 = {worst:.2f} (limit 5)"
 
     def sampler_agreement():
         from scipy.stats import ks_2samp
 
-        h = Hurst(0.8)
-        grid = TimeGrid(1.0, 128)
-        term_a = fgn_rows(h, grid, 2718, 750).sum(axis=1)
+        term_a = fgn_rows(0.8, 1.0, 128, 2718, 750).sum(axis=1)
         rng_b = np.random.default_rng(3141)
-        term_b = np.array([cholesky_fbm(h, grid, rng_b)[-1] for _ in range(1500)])
+        term_b = np.array([cholesky_fbm(0.8, 1.0, 128, rng_b)[-1] for _ in range(1500)])
         pvalue = float(ks_2samp(term_a, term_b).pvalue)
         return pvalue > 0.001, f"terminal-value KS p = {pvalue:.4f} (limit 0.001)"
 
     def independent_increments():
-        z = lag_z(fgn_rows(Hurst(0.5), TimeGrid(1024.0, 1024), 55, 200), 1, 0.0)
+        z = lag_z(fgn_rows(0.5, 1024.0, 1024, 55, 200), 1, 0.0)
         return z < 5.0, f"lag-1 product |z| = {z:.2f} (limit 5)"
 
     def bridge_dominance():
@@ -530,9 +538,8 @@ def run_selftest() -> list[tuple[str, bool, str]]:
         return ok, f"bridge time <= plain time on all 400 paths ({early} strictly earlier)"
 
     def euler_zero_drift():
-        grid = TimeGrid(5.0, 512)
-        path = np.concatenate(([0.0], np.cumsum(fgn_rows(Hurst(0.6), grid, 11, 1)[0])))
-        solved = affine_euler(path[None, :].copy(), 0.0, 0.0, grid.step)
+        path = np.concatenate(([0.0], np.cumsum(fgn_rows(0.6, 5.0, 512, 11, 1)[0])))
+        solved = affine_euler(path[None, :].copy(), 0.0, 0.0, 5.0 / 512)
         ok = solved.tobytes() == path.tobytes()
         return ok, "zero-drift Euler output equals the prefix sums bit for bit"
 

@@ -6,12 +6,13 @@ discrete Fourier transform of the wrapped autocovariance row, and one complex
 FFT of white noise yields two independent increment blocks, so the method is
 exact in distribution at every grid size.  A dense Cholesky factorization of
 the same covariance serves as an independent, small-size oracle for
-cross-checking the fast path.
+cross-checking the fast path.  Every entry point takes the Hurst index h,
+the horizon and the grid's steps as plain numbers, the fields of a
+SimulationJob, and checks them; the mesh is horizon / steps.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -21,8 +22,6 @@ __all__ = [
     "EIGENVALUE_TOL",
     "CHOLESKY_CAP",
     "EmbeddingError",
-    "Hurst",
-    "TimeGrid",
     "fgn_autocovariance",
     "circulant_spectrum",
     "sample_fgn",
@@ -42,97 +41,65 @@ class EmbeddingError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# value types
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Hurst:
-    """Hurst index of the process, constrained to the open interval (0, 1)."""
-
-    value: float
-
-    def __post_init__(self):
-        v = self.value
-        if not (np.isfinite(v) and 0.0 < v < 1.0):
-            raise ValueError(f"Hurst index must lie in (0, 1), got {v}")
-
-
-@dataclass(frozen=True)
-class TimeGrid:
-    """Uniform grid on [0, horizon] with `steps` intervals.
-
-    The mesh is always horizon / steps, computed in one division; grid times
-    are n * step so that recorded event times are exact multiples of the mesh.
-    """
-
-    horizon: float
-    steps: int
-
-    def __post_init__(self):
-        if not (np.isfinite(self.horizon) and self.horizon > 0.0):
-            raise ValueError(f"horizon must be positive and finite, got {self.horizon}")
-        if not (isinstance(self.steps, (int, np.integer)) and self.steps >= 1):
-            raise ValueError(f"steps must be a positive integer, got {self.steps}")
-
-    @property
-    def step(self) -> float:
-        return self.horizon / self.steps
-
-    def time_index(self, t: float) -> int:
-        """Largest grid index n with n * step <= t (tolerating roundoff)."""
-        if not 0.0 <= t <= self.horizon * (1.0 + 1e-12):
-            raise ValueError(f"time {t} outside [0, {self.horizon}]")
-        n = int(np.floor(t / self.step + 1e-9))
-        return min(n, self.steps)
-
-
-# ---------------------------------------------------------------------------
 # covariance structure
 # ---------------------------------------------------------------------------
 
-def fgn_autocovariance(h: Hurst, lag: int | np.ndarray, step: float) -> float | np.ndarray:
+def fgn_autocovariance(h: float, lag: int | np.ndarray, step: float) -> float | np.ndarray:
     """Autocovariance of the increment sequence at a lag, or elementwise at an array of lags.
 
-    gamma(k) = step^{2H} / 2 * (|k+1|^{2H} - 2|k|^{2H} + |k-1|^{2H}).  np.power, not numpy's
-    scalar ** (the C library's pow), gives a lone lag the bits it has in an array.
+    gamma(k) = step^{2H} / 2 * (|k+1|^{2H} - 2|k|^{2H} + |k-1|^{2H}), for a Hurst index h
+    in (0, 1).  np.power, not numpy's scalar ** (the C library's pow), gives a lone lag
+    the bits it has in an array.
     """
+    if not (np.isfinite(h) and 0.0 < h < 1.0):
+        raise ValueError(f"Hurst index must lie in (0, 1), got {h}")
     k = np.asarray(lag, dtype=float)
     if (k < 0.0).any():
         raise ValueError(f"lag must be non-negative, got {lag}")
     if not (np.isfinite(step) and step > 0.0):
         raise ValueError(f"step must be positive, got {step}")
-    two_h = 2.0 * h.value
+    two_h = 2.0 * h
     core = np.power(np.abs(k + 1.0), two_h) - 2.0 * np.power(k, two_h) + np.power(np.abs(k - 1.0), two_h)
     return 0.5 * step**two_h * core
 
 
-def circulant_spectrum(h: Hurst, grid: TimeGrid) -> np.ndarray:
+def _check_grid(horizon: float, steps: int) -> None:
+    """Raise ValueError unless [0, horizon] with `steps` intervals is a grid."""
+    if not (np.isfinite(horizon) and horizon > 0.0):
+        raise ValueError(f"horizon must be positive and finite, got {horizon}")
+    if not (isinstance(steps, (int, np.integer)) and steps >= 1):
+        raise ValueError(f"steps must be a positive integer, got {steps}")
+
+
+def circulant_spectrum(h: float, horizon: float, steps: int) -> np.ndarray:
     """Eigenvalues of the circulant embedding of the increment covariance.
 
     The wrapped row is [gamma(0), .., gamma(N-1), gamma(N), gamma(N-1), .., gamma(1)]
-    of length 2N; its DFT is real and must be non-negative for exact sampling.
+    of length 2N, with mesh horizon / N; its DFT is real and must be non-negative
+    for exact sampling.
     Entries within EIGENVALUE_TOL * max of zero (from roundoff) are clamped to
     zero; genuinely negative entries raise EmbeddingError.
 
     Args:
-        h: Hurst index.
-        grid: time grid; `steps` must be a power of two (FFT-friendly sizes
-            keep the transform exact and fast; other sizes are rejected).
+        h: Hurst index, in (0, 1).
+        horizon: length of the time interval [0, horizon], finite and positive.
+        steps: grid intervals N, a power of two (FFT-friendly sizes keep the
+            transform exact and fast; other sizes are rejected).
 
     Returns:
         Vector of 2N non-negative eigenvalues.
     """
-    n = grid.steps
-    if n < 1 or (n & (n - 1)) != 0:
-        raise ValueError(f"steps must be a power of two for the circulant sampler, got {n}")
-    gamma = fgn_autocovariance(h, np.arange(n + 1), grid.step)
+    _check_grid(horizon, steps)
+    if steps & (steps - 1):
+        raise ValueError(f"steps must be a power of two for the circulant sampler, got {steps}")
+    gamma = fgn_autocovariance(h, np.arange(steps + 1), horizon / steps)
     eigs = fft(np.concatenate([gamma, gamma[-2:0:-1]])).real
     lam_max = float(eigs.max())
     floor = -EIGENVALUE_TOL * lam_max
     lam_min = float(eigs.min())
     if lam_min < floor:
         raise EmbeddingError(
-            f"circulant embedding failed for H={h.value}, N={n}: "
+            f"circulant embedding failed for H={h}, N={steps}: "
             f"eigenvalue {lam_min:.3e} below tolerance {floor:.3e}"
         )
     if lam_min < 0.0:
@@ -186,33 +153,35 @@ def sample_fgn(spectrum: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _cholesky_factor(h_value: float, grid: TimeGrid) -> np.ndarray:
-    i = np.arange(grid.steps)
-    gamma = fgn_autocovariance(Hurst(h_value), i, grid.step)
+def _cholesky_factor(h: float, horizon: float, steps: int) -> np.ndarray:
+    i = np.arange(steps)
+    gamma = fgn_autocovariance(h, i, horizon / steps)
     try:
         return np.linalg.cholesky(gamma[np.abs(i[:, None] - i)])
     except np.linalg.LinAlgError as exc:
         raise EmbeddingError(
-            f"increment covariance not positive definite for H={h_value}, N={grid.steps}: {exc}"
+            f"increment covariance not positive definite for H={h}, N={steps}: {exc}"
         ) from exc
 
 
-def cholesky_fbm(h: Hurst, grid: TimeGrid, rng: np.random.Generator) -> np.ndarray:
-    """Exact fBm path values at the N + 1 grid points, from a dense Cholesky
-    factorization of the increment covariance; the path starts at zero.
+def cholesky_fbm(h: float, horizon: float, steps: int, rng: np.random.Generator) -> np.ndarray:
+    """Exact fBm path values at the N + 1 points of the grid of `steps` intervals
+    on [0, horizon], from a dense Cholesky factorization of the increment
+    covariance; the path starts at zero.
 
-    Slow reference oracle: the factor costs O(N^3) once per (h, grid) and is
-    cached; each call then consumes N normals.  Sizes above CHOLESKY_CAP are refused
-    to keep accidental quadratic-memory use out of production paths.
+    Slow reference oracle: the factor costs O(N^3) once per (h, horizon, steps)
+    and is cached; each call then consumes N normals.  Sizes above CHOLESKY_CAP are
+    refused to keep accidental quadratic-memory use out of production paths.
     """
-    if grid.steps > CHOLESKY_CAP:
+    _check_grid(horizon, steps)
+    if steps > CHOLESKY_CAP:
         raise ValueError(
-            f"Cholesky oracle capped at {CHOLESKY_CAP} steps, got {grid.steps}; "
+            f"Cholesky oracle capped at {CHOLESKY_CAP} steps, got {steps}; "
             "use the circulant sampler for large grids"
         )
-    factor = _cholesky_factor(h.value, grid)
-    increments = factor @ rng.standard_normal(grid.steps)
-    values = np.empty(grid.steps + 1)
+    factor = _cholesky_factor(h, horizon, steps)
+    increments = factor @ rng.standard_normal(steps)
+    values = np.empty(steps + 1)
     values[0] = 0.0
     np.cumsum(increments, out=values[1:])
     return values

@@ -24,7 +24,7 @@ from functools import cache, lru_cache, partial
 
 import numpy as np
 
-from .fgn import Hurst, TimeGrid, _complex_noise, _pair_fft, circulant_spectrum
+from .fgn import _complex_noise, _pair_fft, circulant_spectrum
 from .passage import _bridge_hit_times_batch, _grid_times, _plain_hit_index
 from .rng import GAUSSIAN_STREAM, UNIFORM_STREAM, substream
 from .sde import CHECK_COLUMNS, TAIL_PIECE, affine_coefficients, affine_euler
@@ -79,7 +79,7 @@ class SimulationJob:
 @lru_cache(maxsize=16)
 def _noise_scale(hurst: float, horizon: float, steps: int) -> np.ndarray:
     """sqrt(spectrum / 2N): the factor that turns white noise into the pair's FFT input."""
-    spectrum = circulant_spectrum(Hurst(hurst), TimeGrid(horizon, steps))
+    spectrum = circulant_spectrum(hurst, horizon, steps)
     return np.sqrt(spectrum / len(spectrum))
 
 
@@ -261,7 +261,7 @@ def _chunk_compute(job: SimulationJob, chunk_index: int) -> dict[str, np.ndarray
     """
     _raise_malloc_thresholds()
     steps = job.steps
-    step = TimeGrid(job.horizon, steps).step
+    step = job.horizon / steps
     m = 2 * steps
     pairs_total = (job.samples + 1) // 2
     p0 = chunk_index * job.chunk_pairs
@@ -328,6 +328,11 @@ def _chunk_compute(job: SimulationJob, chunk_index: int) -> dict[str, np.ndarray
     return out
 
 
+def _is_int(value) -> bool:
+    """True for a Python or numpy integer, and False for a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def run_simulation(job: SimulationJob, workers: int = 1) -> dict[str, np.ndarray]:
     """Execute a job, optionally across processes; one array per output, indexed [H, path].
 
@@ -340,21 +345,25 @@ def run_simulation(job: SimulationJob, workers: int = 1) -> dict[str, np.ndarray
     pool, of min(workers, chunks, cpu_count) processes.  Chunks are merged
     in chunk-index order; since every per-path output is a pure function
     of (job, H, path index), the assembled arrays are byte-identical for
-    any `workers` and `chunk_pairs`.
+    any `workers` and `chunk_pairs`.  A job with a non-integer count or
+    grid index, or a non-finite x0 or threshold, raises ValueError before
+    anything is allocated.
     """
-    if job.samples < 1:
-        raise ValueError(f"need at least one sample path, got {job.samples}")
-    if job.chunk_pairs < 1:
-        raise ValueError(f"chunk_pairs must be positive, got {job.chunk_pairs}")
+    if not (_is_int(job.samples) and job.samples >= 1):
+        raise ValueError(f"samples must be an integer of at least 1, got {job.samples!r}")
+    if not (_is_int(job.chunk_pairs) and job.chunk_pairs >= 1):
+        raise ValueError(f"chunk_pairs must be an integer of at least 1, got {job.chunk_pairs!r}")
+    if not (math.isfinite(job.x0) and math.isfinite(job.threshold)):
+        raise ValueError(f"x0 and threshold must be finite, got x0={job.x0}, threshold={job.threshold}")
     if workers < 1:
         raise ValueError(f"workers must be positive, got {workers}")
     if not job.hurst:
         raise ValueError("need at least one Hurst value")
     if not set(job.rules) <= set(RULES) or len(set(job.rules)) < len(job.rules):
         raise ValueError(f"rules must be distinct names from {RULES}, got {job.rules}")
-    bad = [i for i in (*job.marginal_indices, *job.extreme_indices) if not 0 <= i <= job.steps]
+    bad = [i for i in (*job.marginal_indices, *job.extreme_indices) if not (_is_int(i) and 0 <= i <= job.steps)]
     if bad:
-        raise ValueError(f"grid indices outside [0, {job.steps}]: {bad}")
+        raise ValueError(f"grid indices must be integers in [0, {job.steps}], got {bad}")
     pairs_total = (job.samples + 1) // 2
     n_chunks = math.ceil(pairs_total / job.chunk_pairs)
     workers = min(workers, n_chunks, os.cpu_count() or 1)

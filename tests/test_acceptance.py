@@ -19,7 +19,7 @@ import pytest
 from scipy.stats import chi2, ks_2samp, norm
 
 import fbmpassage as fp
-from fbmpassage.cli import main
+from fbmpassage.cli import _grid_index, main
 
 SEED = 1729
 LAMBDAS = (1.0, 2.0, 3.0, 4.0)
@@ -125,24 +125,23 @@ def test_gap_growth_rate_fits(desk_sweep):
 
 
 def test_sampler_agreement_and_autocovariance():
-    grid = fp.TimeGrid(1.0, 256)
+    horizon, steps = 1.0, 256
     results = []
     ok = True
     for hv, seed_c, seed_k in ((0.6, 101, 201), (0.8, 102, 202)):
-        h = fp.Hurst(hv)
-        spectrum = fp.circulant_spectrum(h, grid)
+        spectrum = fp.circulant_spectrum(hv, horizon, steps)
         rng = np.random.default_rng(seed_c)
-        blocks = np.empty((10_000, grid.steps))
+        blocks = np.empty((10_000, steps))
         for i in range(5_000):
             blocks[2 * i : 2 * i + 2] = fp.sample_fgn(spectrum, rng)
         rng_k = np.random.default_rng(seed_k)
-        chol_T = np.array([fp.cholesky_fbm(h, grid, rng_k)[-1] for _ in range(10_000)])
+        chol_T = np.array([fp.cholesky_fbm(hv, horizon, steps, rng_k)[-1] for _ in range(10_000)])
         pvalue = float(ks_2samp(blocks.sum(axis=1), chol_T).pvalue)
         worst_z = 0.0
         for lag in range(6):
-            per_block = (blocks[:, : grid.steps - lag] * blocks[:, lag:]).mean(axis=1)
+            per_block = (blocks[:, : steps - lag] * blocks[:, lag:]).mean(axis=1)
             se = per_block.std(ddof=1) / math.sqrt(len(per_block))
-            ref = fp.fgn_autocovariance(h, lag, grid.step)
+            ref = fp.fgn_autocovariance(hv, lag, horizon / steps)
             worst_z = max(worst_z, abs((per_block.mean() - ref) / se))
         ok &= pvalue > 0.01 and worst_z < 5.0
         results.append(f"H={hv:g}: KS p {pvalue:.3f}, worst lag |z| {worst_z:.2f}")
@@ -152,19 +151,18 @@ def test_sampler_agreement_and_autocovariance():
 
 
 def test_marginals_under_envelope_and_gaussian():
-    grid = fp.TimeGrid(8.0, 1024)
-    h = fp.Hurst(0.7)
+    h = 0.7
     t_list = (0.5, 1.0, 5.0)
     job = fp.SimulationJob(
-        hurst=(h.value,), horizon=grid.horizon, steps=grid.steps, samples=20_000, master_seed=4242,
-        rules=(), marginal_indices=tuple(grid.time_index(t) for t in t_list),
+        hurst=(h,), horizon=8.0, steps=1024, samples=20_000, master_seed=4242,
+        rules=(), marginal_indices=tuple(_grid_index(t, 8.0, 1024) for t in t_list),
     )
     marg = fp.run_simulation(job)["marginals"][0]
     ok = True
     details = []
     for j, t in enumerate(t_list):
         x = marg[:, j]
-        sd = t**h.value
+        sd = t**h
         edges = np.linspace(-3.8 * sd, 3.8 * sd, 39)
         counts, _ = np.histogram(x, bins=edges)
         widths = np.diff(edges)
@@ -200,9 +198,8 @@ def test_gap_decay_in_lambda(desk_sweep):
 
 
 def test_truncated_argmax_moment_flat_trend():
-    grid = fp.TimeGrid(20.0, 2**12)
     r_values = (5.0, 10.0, 20.0)
-    indices = tuple(grid.time_index(r) for r in r_values)
+    indices = tuple(_grid_index(r, 20.0, 2**12) for r in r_values)
     # one job for both H values: the reported H = 0.6 row and the asserted H = 1/2 row
     job = _job((0.6, 0.5), 2**12, 10_000, rules=(), extreme_indices=indices)
     out = fp.run_simulation(job)

@@ -427,8 +427,13 @@ def test_exit_code_subcommand_preconditions(capsys, tmp_path):
     assert main(["bridge-compare", "--estimator", "simple", "--out", out]) == 2
     assert main(["rate", "--hurst-list", "0.5,0.6", "--out", out]) == 2
     assert main(["conjecture", "--r-list", "30", "--horizon", "20", "--out", out]) == 2
+    # a window shorter than one grid step holds only t = 0: its moment is 0 by construction
+    short = ["--steps", "1024", "--samples", "200", "--hurst-list", "0.5", "--r-list", "0.001,5"]
+    assert main(["conjecture", *short, "--out", out]) == 2
     err = capsys.readouterr().err
-    assert err.count("error:") == 3
+    assert err.count("error:") == 4
+    assert "r=0.001 is shorter than one grid step" in err
+    assert not (tmp_path / "o" / "conjecture.csv").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -19,13 +19,13 @@ from scipy.integrate import quad
 from fbmpassage import (
     NoHitsError,
     SimulationJob,
-    TimeGrid,
     density_from_times,
     gap_estimate,
     laplace_from_times,
     run_simulation,
     truncated_argmax_moments,
 )
+from fbmpassage.cli import _grid_index
 
 
 # ---------------------------------------------------------------------------
@@ -134,11 +134,11 @@ def _brownian_truncated_argmax_moment(r, eta, p):
     return val
 
 
-def _argmax_moments(hurst, eta, p, r_values, grid, samples, seed):
+def _argmax_moments(hurst, eta, p, r_values, horizon, steps, samples, seed):
     """(r, moment, std_error) per window from one run's window extremes."""
-    indices = tuple(grid.time_index(r) for r in r_values)
+    indices = tuple(_grid_index(r, horizon, steps) for r in r_values)
     job = SimulationJob(
-        hurst=(hurst,), horizon=grid.horizon, steps=grid.steps, samples=samples, master_seed=seed,
+        hurst=(hurst,), horizon=horizon, steps=steps, samples=samples, master_seed=seed,
         rules=(), extreme_indices=indices,
     )
     out = run_simulation(job)
@@ -164,8 +164,7 @@ def test_conjecture_moments_match_quadrature():
     keeps slightly too many paths and the estimate lands a few percent high;
     the gap shrinks with the mesh.  A fixed seed keeps this deterministic.
     """
-    grid = TimeGrid(20.0, 2**12)
-    rows = _argmax_moments(0.5, 0.1, 2.5, (5.0, 10.0, 20.0), grid, 10000, 1729)
+    rows = _argmax_moments(0.5, 0.1, 2.5, (5.0, 10.0, 20.0), 20.0, 2**12, 10000, 1729)
     for r, value, se in rows:
         oracle = _brownian_truncated_argmax_moment(r, 0.1, 2.5)
         rel = abs(value - oracle) / oracle
@@ -177,15 +176,13 @@ def test_conjecture_moments_match_quadrature():
 
 def test_conjecture_moment_small_window_bound():
     # argmax <= r pathwise, so the moment is at most r^{p/2} even before truncation
-    grid = TimeGrid(20.0, 2**12)
-    r = grid.step * 4
-    ((_, value, se),) = _argmax_moments(0.5, 0.1, 2.5, (r,), grid, 2000, 7)
+    r = 20.0 / 2**12 * 4
+    ((_, value, se),) = _argmax_moments(0.5, 0.1, 2.5, (r,), 20.0, 2**12, 2000, 7)
     assert 0.0 <= value <= r**1.25 + 1e-12
 
 
 def test_conjecture_moments_share_paths_across_windows():
-    grid = TimeGrid(20.0, 2**10)
-    one = _argmax_moments(0.5, 0.1, 2.5, (5.0,), grid, 3000, 99)
-    both = _argmax_moments(0.5, 0.1, 2.5, (5.0, 10.0), grid, 3000, 99)
+    one = _argmax_moments(0.5, 0.1, 2.5, (5.0,), 20.0, 2**10, 3000, 99)
+    both = _argmax_moments(0.5, 0.1, 2.5, (5.0, 10.0), 20.0, 2**10, 3000, 99)
     assert one[0][1] == both[0][1], "adding a window must not perturb earlier ones"
 

@@ -26,7 +26,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from fbmpassage import RULES, SimulationJob, TimeGrid, laplace_from_times, run_simulation
+from fbmpassage import RULES, SimulationJob, laplace_from_times, run_simulation
 from fbmpassage import runner
 from fbmpassage.passage import _bridge_hit_times_batch, _grid_times, _plain_hit_index
 
@@ -72,9 +72,9 @@ def _bridge_times(rows, threshold, step, uniform):
     return _bridge_hit_times_batch(values, threshold, step, step, lambda r, n: log_u[r, :n], plain)
 
 
-def _simulate(hurst, grid, samples, seed, **kw):
+def _simulate(hurst, horizon, steps, samples, seed, **kw):
     """The outputs of a one-H run: row 0 of each of run_simulation's arrays."""
-    job = SimulationJob(hurst=(hurst,), horizon=grid.horizon, steps=grid.steps, samples=samples, master_seed=seed, **kw)
+    job = SimulationJob(hurst=(hurst,), horizon=horizon, steps=steps, samples=samples, master_seed=seed, **kw)
     return {key: array[0] for key, array in run_simulation(job).items()}
 
 
@@ -147,16 +147,15 @@ def test_bridge_fires_between_grid_points():
 
 
 def test_bridge_time_is_right_endpoint_multiple():
-    grid = TimeGrid(10.0, 1024)
-    times = _simulate(0.5, grid, 300, 424242, rules=("bridge",))["bridge"]
+    times = _simulate(0.5, 10.0, 1024, 300, 424242, rules=("bridge",))["bridge"]
     finite = times[np.isfinite(times)]
     assert len(finite) > 0
-    ratio = finite / grid.step
+    ratio = finite / (10.0 / 1024)
     assert np.max(np.abs(ratio - np.round(ratio))) < 1e-9
 
 
 def test_bridge_never_later_than_simple():
-    result = _simulate(0.6, TimeGrid(10.0, 1024), 400, 777, rules=RULES)
+    result = _simulate(0.6, 10.0, 1024, 400, 777, rules=RULES)
     assert np.all(result["bridge"] <= result["simple"] + 1e-12)
     finite = np.isfinite(result["simple"])
     strictly = (result["bridge"][finite] < result["simple"][finite]).sum()
@@ -165,21 +164,21 @@ def test_bridge_never_later_than_simple():
 
 def test_batch_detectors_match_scalar_path_scan():
     rng = np.random.default_rng(909)
-    grid = TimeGrid(4.0, 64)
+    step = 4.0 / 64
     values = np.cumsum(
         np.concatenate([np.zeros((40, 1)), rng.normal(0.0, 0.4, (40, 64))], axis=1),
         axis=1,
     )
-    simple = _plain_times(values, 1.0, grid.step)
+    simple = _plain_times(values, 1.0, step)
     log_u = np.log(rng.random((40, 64)))
-    step_var = grid.step
+    step_var = step
     bridged = _bridge_hit_times_batch(
-        values, 1.0, grid.step, step_var, lambda r, n: log_u[r, :n], _plain_hit_index(values, 1.0)
+        values, 1.0, step, step_var, lambda r, n: log_u[r, :n], _plain_hit_index(values, 1.0)
     )
     assert np.isfinite(simple).any() and not np.isfinite(simple).all()
     for i in range(40):
         crossed = np.flatnonzero(values[i] >= 1.0)
-        want = crossed[0] * grid.step if len(crossed) else np.inf
+        want = crossed[0] * step if len(crossed) else np.inf
         assert simple[i] == want
         assert bridged[i] <= simple[i] + 1e-12
 
@@ -296,7 +295,7 @@ def test_bridge_matches_exact_ceiling_law():
     oracle = float((np.exp(-lam * n * step) * (cdf - cdf_prev)).sum())
     assert oracle == pytest.approx(0.2323356068, abs=1e-9)
 
-    times = _simulate(0.5, TimeGrid(T, N), 20000, 31415, rules=("bridge",))["bridge"]
+    times = _simulate(0.5, T, N, 20000, 31415, rules=("bridge",))["bridge"]
     value, se = laplace_from_times(times, lam)
     assert abs(value - oracle) < 4.0 * se, (
         f"bridge estimate {value:.5f} vs exact {oracle:.5f} "

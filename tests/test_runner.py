@@ -49,11 +49,12 @@ import numpy as np
 import pytest
 
 from fbmpassage import (
-    GAUSSIAN_STREAM, RULES, UNIFORM_STREAM, Hurst, SimulationJob, TimeGrid, circulant_spectrum, fgn_autocovariance,
-    run_simulation, sample_fgn, substream,
+    GAUSSIAN_STREAM, RULES, UNIFORM_STREAM, SimulationJob, circulant_spectrum, fgn_autocovariance, run_simulation,
+    sample_fgn, substream,
 )
 import fbmpassage
 from fbmpassage import runner
+from fbmpassage.cli import _grid_index
 from fbmpassage.passage import _bridge_hit_times_batch, _grid_times, _plain_hit_index
 from fbmpassage.sde import PropagationError, affine_coefficients, affine_euler
 
@@ -144,8 +145,7 @@ def test_drifted_run_hits_earlier_on_average():
 # ---------------------------------------------------------------------------
 
 def test_marginal_values_shape_and_variance():
-    grid = TimeGrid(4.0, 512)
-    idx = (grid.time_index(1.0), grid.time_index(4.0))
+    idx = (_grid_index(1.0, 4.0, 512), _grid_index(4.0, 4.0, 512))
     job = _job(hurst=(0.7,), horizon=4.0, steps=512, samples=4000, master_seed=2020, rules=(), marginal_indices=idx)
     result = run_simulation(job)
     assert set(result) == {"marginals"}
@@ -159,8 +159,7 @@ def test_marginal_values_shape_and_variance():
 
 
 def test_path_extremes_window_monotonicity():
-    grid = TimeGrid(10.0, 1024)
-    idx = (grid.time_index(2.0), grid.time_index(5.0), grid.time_index(10.0))
+    idx = tuple(_grid_index(t, 10.0, 1024) for t in (2.0, 5.0, 10.0))
     job = _job(horizon=10.0, steps=1024, samples=500, master_seed=808, rules=(), extreme_indices=idx)
     result = run_simulation(job)
     sups, args = result["sup_values"][0], result["argmax_times"][0]
@@ -172,16 +171,15 @@ def test_path_extremes_window_monotonicity():
 
 
 def test_extremes_argmax_is_first_attaining_time():
-    grid = TimeGrid(10.0, 256)
     job = _job(
         hurst=(0.5,), horizon=10.0, samples=200, master_seed=11, rules=(),
-        extreme_indices=(grid.steps,), marginal_indices=tuple(range(grid.steps + 1)),
+        extreme_indices=(256,), marginal_indices=tuple(range(257)),
     )
     result = run_simulation(job)
     sups, args, marg = result["sup_values"][0], result["argmax_times"][0], result["marginals"][0]
     for i in range(200):
         j = int(np.flatnonzero(marg[i] == sups[i, 0])[0])
-        assert args[i, 0] == pytest.approx(j * grid.step, abs=1e-12)
+        assert args[i, 0] == pytest.approx(j * (10.0 / 256), abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -193,6 +191,25 @@ def test_job_validation():
         run_simulation(_job(samples=0))
     with pytest.raises(ValueError):
         run_simulation(_job(chunk_pairs=0))
+    # counts, indices and levels of the wrong kind fail before any chunk runs
+    bad_fields = [
+        ("samples", 10.5, "samples must be an integer"),
+        ("samples", True, "samples must be an integer"),
+        ("chunk_pairs", 2.5, "chunk_pairs must be an integer"),
+        ("marginal_indices", (2.5,), "grid indices must be integers"),
+        ("extreme_indices", (3.5,), "grid indices must be integers"),
+        ("marginal_indices", (True,), "grid indices must be integers"),
+        ("x0", float("nan"), "x0 and threshold must be finite"),
+        ("threshold", float("nan"), "x0 and threshold must be finite"),
+        ("threshold", float("inf"), "x0 and threshold must be finite"),
+    ]
+    for name, value, message in bad_fields:
+        with pytest.raises(ValueError, match=message):
+            run_simulation(_job(steps=64, **{name: value}))
+    i64 = np.int64
+    numpy_ints = run_simulation(_job(steps=64, samples=i64(10), marginal_indices=(i64(3),), extreme_indices=(i64(5),)))
+    plain_ints = run_simulation(_job(steps=64, samples=10, marginal_indices=(3,), extreme_indices=(5,)))
+    assert all(np.array_equal(numpy_ints[key], plain_ints[key]) for key in plain_ints)
     with pytest.raises(ValueError):
         run_simulation(_job(hurst=(1.2,)))
     with pytest.raises(ValueError):
@@ -316,13 +333,12 @@ def test_block_paths_equal_summed_sample_fgn_rows(chunk_pairs, hursts, drift):
         hurst=hursts, samples=11, drift=drift, chunk_pairs=chunk_pairs, rules=(), marginal_indices=_EVERY_INDEX
     )
     a, c, s = affine_coefficients(job.drift, job.diffusion)
-    grid = TimeGrid(job.horizon, job.steps)
     for h, got in zip(hursts, run_simulation(job)["marginals"]):
-        spectrum = circulant_spectrum(Hurst(h), grid)
+        spectrum = circulant_spectrum(h, job.horizon, job.steps)
         rows = np.concatenate([sample_fgn(spectrum, substream(42, GAUSSIAN_STREAM, k)) for k in range(6)])
-        paths = np.zeros((12, grid.steps + 1))
+        paths = np.zeros((12, job.steps + 1))
         np.add.accumulate(rows, axis=1, out=paths[:, 1:])
-        affine_euler(paths, a, (a * job.x0 + c) / s, grid.step)  # a = c = 0 leaves the sums as they are
+        affine_euler(paths, a, (a * job.x0 + c) / s, job.horizon / job.steps)  # a = c = 0 leaves the sums as they are
         assert (got == job.x0 + s * paths[:11]).all(), h
 
 
@@ -556,17 +572,17 @@ def test_affine_reduction_matches_tabulated_lamperti_euler(drift, diffusion):
     got = run_simulation(_job(x0=x0, threshold=level, drift=drift, diffusion=diffusion, **model))
     fbm = run_simulation(_job(**model))["marginals"][0]
 
-    grid = TimeGrid(2.0, 256)
+    step = 2.0 / 256
     # y = (x - x0) / s has unit diffusion and drift a y + (a x0 + c) / s
-    reduced = _scalar_euler(fbm, a, (a * x0 + c) / s, grid.step)
+    reduced = _scalar_euler(fbm, a, (a * x0 + c) / s, step)
     assert np.max(np.abs(got["marginals"][0] - (x0 + s * reduced))) <= 1e-10
 
     thr = (level - x0) / s
-    log_u = np.log([substream(42, UNIFORM_STREAM, i).random(grid.steps) for i in range(40)])
+    log_u = np.log([substream(42, UNIFORM_STREAM, i).random(256) for i in range(40)])
     bridge = _bridge_hit_times_batch(
-        reduced, thr, grid.step, grid.step ** (2.0 * hv), lambda r, n: log_u[r, :n], _plain_hit_index(reduced, thr)
+        reduced, thr, step, step ** (2.0 * hv), lambda r, n: log_u[r, :n], _plain_hit_index(reduced, thr)
     )
-    plain = [np.argmax(row >= thr) * grid.step if (row >= thr).any() else np.inf for row in reduced]
+    plain = [np.argmax(row >= thr) * step if (row >= thr).any() else np.inf for row in reduced]
     assert np.array_equal(got["simple"][0], plain)
     assert np.array_equal(got["bridge"][0], bridge)
     assert np.isfinite(got["simple"]).any() and not np.isfinite(got["simple"]).all()
@@ -612,7 +628,7 @@ def test_ou_euler_marginals_follow_their_exact_gaussian_law(seed):
         acc = acc + a * step * weights[n - 1]
         weights[n] = (np.arange(job.steps) < n) + acc
     lags = np.abs(np.subtract.outer(np.arange(job.steps), np.arange(job.steps)))
-    gamma = fgn_autocovariance(Hurst(0.6), lags, step)
+    gamma = fgn_autocovariance(0.6, lags, step)
     for column, n in enumerate(indices):
         variance = s**2 * weights[n] @ gamma @ weights[n]
         cosines = np.cos(marginals[:, column])
@@ -675,7 +691,7 @@ def test_overflow_after_every_passage_completes(chunk_pairs):
 
     fbm = run_simulation(_job(rules=(), marginal_indices=_EVERY_INDEX))["marginals"][0]
     a, c, _ = affine_coefficients(drift, "one")
-    step = TimeGrid(job.horizon, job.steps).step
+    step = job.horizon / job.steps
     reduced = _scalar_euler(fbm, a, c, step)
     assert not np.isfinite(reduced[:, 100]).any()
     with pytest.raises(PropagationError):

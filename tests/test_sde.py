@@ -22,7 +22,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fbmpassage import Hurst, PropagationError, SimulationJob, TimeGrid, circulant_spectrum, sample_fgn
+from fbmpassage import PropagationError, SimulationJob, circulant_spectrum, sample_fgn
 from fbmpassage import sde
 from fbmpassage.runner import _reduced_drift
 from fbmpassage.sde import affine_coefficients, affine_euler
@@ -30,9 +30,8 @@ from fbmpassage.sde import affine_coefficients, affine_euler
 
 def _sampled_path(seed=11, horizon=5.0, steps=512, hv=0.6):
     """A (1, steps+1) block holding one fBm path's prefix sums, and its mesh."""
-    grid = TimeGrid(horizon, steps)
-    increments = sample_fgn(circulant_spectrum(Hurst(hv), grid), np.random.default_rng(seed))[0]
-    return np.concatenate(([0.0], np.cumsum(increments)))[None, :], grid.step
+    increments = sample_fgn(circulant_spectrum(hv, horizon, steps), np.random.default_rng(seed))[0]
+    return np.concatenate(([0.0], np.cumsum(increments)))[None, :], horizon / steps
 
 
 def _model(drift="zero", diffusion="one", x0=0.0):
@@ -208,14 +207,13 @@ def _assert_read_ranges_equal(noise, a, c, step, level, read_to):
 
 def _drifted_block(drift, rows, steps=1024, horizon=3.0, hv=0.6, seed=3):
     """Prefix sums of `rows` fGn rows and the reduced (a, c, level) of `drift` with const:2 from x0 = 0.25."""
-    grid = TimeGrid(horizon, steps)
-    spectrum = circulant_spectrum(Hurst(hv), grid)
+    spectrum = circulant_spectrum(hv, horizon, steps)
     rng = np.random.default_rng(seed)
     noise = np.zeros((rows, steps + 1))
     for r in range(0, rows, 2):
         np.add.accumulate(sample_fgn(spectrum, rng), axis=1, out=noise[r : r + 2, 1:])
     a, c_reduced, s = _reduced_drift(_model(drift, "const:2", x0=0.25))
-    return noise, a, c_reduced, (1.0 - 0.25) / s, grid.step
+    return noise, a, c_reduced, (1.0 - 0.25) / s, horizon / steps
 
 
 @pytest.mark.parametrize("read_to", [0, 17, 64])
