@@ -41,10 +41,6 @@ ESTIMATOR_CHOICES = (*RULES, "both")
 # arrays, measured with tracemalloc at 10^6 bins (40.2 B).  Its CSV rows
 # are streamed from them, one at a time.
 HISTOGRAM_BYTES_PER_BIN = 41
-# Peak bytes per fitted-line point of rate's fig1_data.csv: the line's
-# linspace entry, measured with tracemalloc at 10^6 points (8.0009 B).  Its
-# rows are streamed, one lambda's line at a time.
-FIG_BYTES_PER_POINT = 9
 
 
 class ConfigError(Exception):
@@ -91,7 +87,6 @@ class RunConfig:
     drift: str = _option("zero", "drift spec: zero, linear:a,c or ou:k")
     diffusion: str = _option("one", "diffusion spec: one or const:s")
     hist_bins: int = _option(200, "histogram bin count (density)")
-    fig_points: int = _option(50, "fitted-line sample count (rate)")
     eta: float = _option(0.1, "supremum truncation margin (conjecture)")
     p: float = _option(2.5, "moment order in (2, 3) (conjecture)")
     r_list: tuple[float, ...] = _option((5.0, 10.0, 20.0), "window lengths (conjecture)", metavar="R,...")
@@ -177,8 +172,6 @@ def validate_config(cfg: RunConfig) -> None:
         fail(f"time scale 2 horizon max(1, lambda) overflows for horizon {cfg.horizon:g}")
     if cfg.hist_bins < 2:
         fail(f"hist_bins must be at least 2, got {cfg.hist_bins}")
-    if cfg.fig_points < 2:
-        fail(f"fig_points must be at least 2, got {cfg.fig_points}")
     if not (math.isfinite(cfg.eta) and cfg.eta > 0):
         fail(f"eta must be positive, got {cfg.eta}")
     if not 2.0 < cfg.p < 3.0:
@@ -355,21 +348,25 @@ def cmd_bridge_compare(cfg: RunConfig, workers: int, chunk_pairs: int, out_dir: 
 def cmd_rate(cfg: RunConfig, workers: int, chunk_pairs: int, out_dir: Path) -> list[str]:
     """Gap-vs-(H - 1/2) regression per lambda -> rate.csv and fig1_data.csv.
 
+    fig1_data.csv holds, per lambda, a `point` row (gap, se) per H above
+    1/2 and the fitted line's two endpoints, x = 0 and x = max(H - 1/2).
     All H values share the same Gaussian draws (the increment stream is
     keyed by path index alone), so gaps between nearby H are far less noisy
-    than independent runs would give.
+    than independent runs would give.  Yet `se` is gap_estimate's
+    quadrature sum of the two transforms' SEs, the independent-runs error:
+    it overstates the gap's error (7x at H = 0.51, N = 2^14), and the
+    log-log fit's 2-SE drop rule reads it.
     """
     h_above = [hv for hv in cfg.hurst_list if hv > 0.5]
     if 0.5 not in cfg.hurst_list or len(h_above) < 3:
         raise ConfigError("rate needs hurst_list to contain 0.5 plus at least three larger values")
-    _check_fits_in_memory(FIG_BYTES_PER_POINT * cfg.fig_points, "use fewer fig points")
     name = "simple" if cfg.estimator == "both" else cfg.estimator
     times = run_simulation(_job(cfg, chunk_pairs, rules=(name,)), workers)[name]
     brownian = times[cfg.hurst_list.index(0.5)]
     above = [t for hv, t in zip(cfg.hurst_list, times) if hv > 0.5]
 
     rate_rows = []
-    fits = []
+    fig_rows = []
     xs = [hv - 0.5 for hv in h_above]
     for lam in cfg.lambda_list:
         gaps, ses = zip(*(gap_estimate(t, brownian, lam) for t in above))
@@ -379,40 +376,31 @@ def cmd_rate(cfg: RunConfig, workers: int, chunk_pairs: int, out_dir: Path) -> l
         except ValueError as exc:
             raise NoHitsError(f"log-log exponent fit failed for lambda={lam:g}: {exc}") from exc
         rate_rows.append([lam, fit.slope, fit.intercept, fit.r_squared, beta])
-        fits.append((lam, gaps, ses, fit))
-
-    def fig_rows():
-        for lam, gaps, ses, fit in fits:
-            for x, gap, se in zip(xs, gaps, ses):
-                yield ["point", lam, x, gap, se]
-            for x in np.linspace(0.0, max(xs), cfg.fig_points):
-                yield ["line", lam, x, fit.intercept + fit.slope * x, ""]
+        fig_rows += [["point", lam, x, gap, se] for x, gap, se in zip(xs, gaps, ses)]
+        fig_rows += [["line", lam, x, fit.intercept + fit.slope * x, ""] for x in (0.0, max(xs))]
 
     write_csv(out_dir / "rate.csv", ["lambda", "slope", "intercept", "r_squared", "beta_hat"], rate_rows)
-    write_csv(out_dir / "fig1_data.csv", ["kind", "lambda", "x", "y", "se"], fig_rows())
+    write_csv(out_dir / "fig1_data.csv", ["kind", "lambda", "x", "y", "se"], fig_rows)
     return ["rate.csv", "fig1_data.csv"]
 
 
 def cmd_density(cfg: RunConfig, workers: int, chunk_pairs: int, out_dir: Path) -> list[str]:
     """Hit-time histogram per Hurst value -> density_H{value}.csv.
 
-    Bridge-corrected times are used unless the estimator is explicitly
-    `simple`; the plain rule's systematic late-crossing bias is visible at
-    histogram resolution.
+    Each file is named by the exact H, its shortest round-tripping repr
+    (density_H0.5.csv, density_H0.5000001.csv), so distinct H values never
+    share a file.  Bridge-corrected times are used unless the estimator is
+    explicitly `simple`; the plain rule's systematic late-crossing bias is
+    visible at histogram resolution.
     """
     _check_fits_in_memory(HISTOGRAM_BYTES_PER_BIN * cfg.hist_bins, "use fewer histogram bins")
-    outputs: dict[str, float] = {}
-    for hv in cfg.hurst_list:
-        filename = f"density_H{hv:g}.csv"
-        if filename in outputs:
-            raise ConfigError(f"H={outputs[filename]!r} and H={hv!r} would both write {filename}")
-        outputs[filename] = hv
+    outputs = [f"density_H{hv!r}.csv" for hv in cfg.hurst_list]
     name = "simple" if cfg.estimator == "simple" else "bridge"
     for filename, times in zip(outputs, run_simulation(_job(cfg, chunk_pairs, rules=(name,)), workers)[name]):
         edges, mass = density_from_times(times, cfg.horizon, cfg.hist_bins)
         rows = zip(edges[:-1], edges[1:], mass)
         write_csv(out_dir / filename, ["bin_left", "bin_right", "density"], rows)
-    return list(outputs)
+    return outputs
 
 
 def _grid_index(t: float, horizon: float, steps: int) -> int:

@@ -67,7 +67,7 @@ def _check_grid(horizon: float, steps: int) -> None:
     """Raise ValueError unless [0, horizon] with `steps` intervals is a grid."""
     if not (np.isfinite(horizon) and horizon > 0.0):
         raise ValueError(f"horizon must be positive and finite, got {horizon}")
-    if not (isinstance(steps, (int, np.integer)) and steps >= 1):
+    if not (isinstance(steps, (int, np.integer)) and not isinstance(steps, bool) and steps >= 1):
         raise ValueError(f"steps must be a positive integer, got {steps}")
 
 

@@ -22,11 +22,13 @@ def substream(master_seed: int, stream: int, index: int) -> np.random.Generator:
     """Return the generator for block `index` of the given stream.
 
     The mapping (master_seed, stream, index) -> generator state is fixed,
-    so identical arguments always reproduce identical draws.
+    so identical arguments always reproduce identical draws.  The three
+    words go to SeedSequence as given, so a Python or numpy integer keys
+    the same stream and a non-integer raises TypeError.
     """
-    if not 0 <= int(master_seed) < _MAX_SEED:
+    if not 0 <= master_seed < _MAX_SEED:
         raise ValueError(f"master seed must be in [0, 2**64), got {master_seed}")
     if stream < 0 or index < 0:
         raise ValueError(f"stream tag and index must be non-negative, got {stream}, {index}")
-    seq = np.random.SeedSequence(entropy=(int(master_seed), int(stream), int(index)))
+    seq = np.random.SeedSequence(entropy=(master_seed, stream, index))
     return np.random.Generator(np.random.Philox(seq))

@@ -345,10 +345,15 @@ def run_simulation(job: SimulationJob, workers: int = 1) -> dict[str, np.ndarray
     pool, of min(workers, chunks, cpu_count) processes.  Chunks are merged
     in chunk-index order; since every per-path output is a pure function
     of (job, H, path index), the assembled arrays are byte-identical for
-    any `workers` and `chunk_pairs`.  A job with a non-integer count or
-    grid index, or a non-finite x0 or threshold, raises ValueError before
-    anything is allocated.
+    any `workers` and `chunk_pairs`.  A job with a master seed outside the
+    integers in [0, 2^64), a non-integer count, step count or grid index,
+    or a non-finite x0 or threshold, raises ValueError before anything is
+    allocated.
     """
+    if not (_is_int(job.master_seed) and 0 <= job.master_seed < 2**64):
+        raise ValueError(f"master_seed must be an integer in [0, 2**64), got {job.master_seed!r}")
+    if not _is_int(job.steps):
+        raise ValueError(f"steps must be an integer, got {job.steps!r}")
     if not (_is_int(job.samples) and job.samples >= 1):
         raise ValueError(f"samples must be an integer of at least 1, got {job.samples!r}")
     if not (_is_int(job.chunk_pairs) and job.chunk_pairs >= 1):

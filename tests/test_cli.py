@@ -16,7 +16,6 @@ import os
 import subprocess
 import sys
 import tempfile
-import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -306,44 +305,14 @@ def test_exit_code_histogram_too_large_for_memory(capsys, monkeypatch, tmp_path)
     assert err.startswith("error:") and "GiB" in err and "histogram bins" in err
 
 
-def test_exit_code_fig_points_too_large_for_memory(capsys, monkeypatch, tmp_path):
-    def no_simulation(*args):
-        raise AssertionError("an oversized fitted line must be refused before any simulation")
-
-    monkeypatch.setattr(fbmpassage.cli, "run_simulation", no_simulation)
-    argv = ["rate", "--hurst-list", "0.5,0.6,0.7,0.8", "--lambda-list", "1", "--fig-points", str(10**13)]
-    assert main([*argv, "--out", str(tmp_path / "o")]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "GiB" in err and "fig points" in err
-
-
-def test_fig_rows_stream_in_bytes_per_point(monkeypatch, tmp_path):
-    simulate = fbmpassage.cli.run_simulation
-
-    def then_trace(*args):
-        results = simulate(*args)
-        tracemalloc.start()
-        return results
-
-    monkeypatch.setattr(fbmpassage.cli, "run_simulation", then_trace)
-    points = 10**5
-    argv = ["rate", "--samples", "200", "--steps", "64", "--horizon", "5", "--hurst-list", "0.5,0.6,0.7,0.8"]
-    try:
-        assert main([*argv, "--lambda-list", "1", "--fig-points", str(points), "--out", str(tmp_path / "o")]) == 0
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 * points, "the fitted line's rows must be streamed, not held"
-
-
-def test_exit_code_density_files_collide(capsys, monkeypatch, tmp_path):
-    def no_simulation(*args):
-        raise AssertionError("colliding histogram files must be refused before any simulation")
-
-    monkeypatch.setattr(fbmpassage.cli, "run_simulation", no_simulation)
-    assert main(["density", "--hurst-list", "0.5,0.5000001", "--out", str(tmp_path / "o")]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "density_H0.5.csv" in err
+def test_density_files_named_by_exact_hurst(tmp_path):
+    """H values equal to 6 significant digits still write one file each."""
+    out = tmp_path / "o"
+    argv = ["density", "--samples", "100", "--steps", "64", "--hurst-list", "0.5,0.5000001", "--out", str(out)]
+    assert main(argv) == 0
+    names = ["density_H0.5.csv", "density_H0.5000001.csv"]
+    assert all((out / name).is_file() for name in names)
+    assert json.loads((out / "run_manifest.json").read_text())["outputs"] == sorted(names)
 
 
 def test_exit_code_repeated_hurst_values(capsys, monkeypatch, tmp_path):
@@ -670,8 +639,13 @@ def test_rate_outputs(tmp_path):
         points = [r for r in fig_rows if r["kind"] == "point" and r["lambda"] == lam]
         line = [r for r in fig_rows if r["kind"] == "line" and r["lambda"] == lam]
         assert len(points) == 4  # one per H above 1/2 in the default list
-        assert len(line) == 50  # default fig_points
         assert all(r["se"] == "" for r in line)
+        # the fitted line's two endpoints, x = 0 and x = max(H - 1/2) = 0.1
+        fit = next(r for r in rate_rows if float(r["lambda"]) == float(lam))
+        assert [float(r["x"]) for r in line] == pytest.approx([0.0, 0.1], abs=1e-15)
+        for r in line:
+            x = float(r["x"])
+            assert float(r["y"]) == float(fit["intercept"]) + float(fit["slope"]) * x
 
     manifest = json.loads((out / "run_manifest.json").read_text())
     assert manifest["outputs"] == ["fig1_data.csv", "rate.csv"]  # sorted

@@ -49,7 +49,7 @@ GOLDEN = {
         "bridge_compare.csv": "7ccf2796b240dfa46d4a1bf654eff5301ed659557967aa43e336772dfcd340fe",
     },
     ("pure", "rate"): {
-        "fig1_data.csv": "57dde58f1369a1bea1919a15bd29f0ee82bef2459f6710a041d871d05bd79520",
+        "fig1_data.csv": "bff3531705f38c0db2c93d22a1a0db94620f0b875541fdd80a4dd9fde6ef666d",
         "rate.csv": "4035675f8c115b55281c8928e107bfece4628293cdc1c1640e9a170cdbc81adc",
     },
     ("pure", "density"): {
@@ -64,7 +64,7 @@ GOLDEN = {
         "bridge_compare.csv": "735523d9a6f1f90c7db563b417ef8ec8d298cfa5f8c92cacf39e37ee389e221b",
     },
     ("ou", "rate"): {
-        "fig1_data.csv": "44bfb2dc196ca576fed35952798819e1200a3e7d6ecd86570e2661e445a24ea2",
+        "fig1_data.csv": "e9e2035d81f5067ad130c716f265f6a5d2063d9aebe8825acb35797349e4e838",
         "rate.csv": "dd2603c7b610e097f4d11bf76cd8d382f14466268d35751081a00a2085d61b3b",
     },
     ("ou", "density"): {

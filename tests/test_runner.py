@@ -191,8 +191,13 @@ def test_job_validation():
         run_simulation(_job(samples=0))
     with pytest.raises(ValueError):
         run_simulation(_job(chunk_pairs=0))
-    # counts, indices and levels of the wrong kind fail before any chunk runs
+    # seeds, counts, indices and levels of the wrong kind fail before any chunk runs
     bad_fields = [
+        ("master_seed", 1.5, "master_seed must be an integer"),
+        ("master_seed", True, "master_seed must be an integer"),
+        ("master_seed", -1, "master_seed must be an integer"),
+        ("master_seed", 2**64, "master_seed must be an integer"),
+        ("steps", 64.0, "steps must be an integer"),
         ("samples", 10.5, "samples must be an integer"),
         ("samples", True, "samples must be an integer"),
         ("chunk_pairs", 2.5, "chunk_pairs must be an integer"),
@@ -205,7 +210,20 @@ def test_job_validation():
     ]
     for name, value, message in bad_fields:
         with pytest.raises(ValueError, match=message):
-            run_simulation(_job(steps=64, **{name: value}))
+            run_simulation(_job(**{"steps": 64, name: value}))
+    # a substream key word that is not an integer raises instead of aliasing another stream
+    for key in ((0, 0.7, 0), (0, 0, 2.9), (1.5, 0, 0)):
+        with pytest.raises(TypeError, match="seed must be integer"):
+            substream(*key)
+    top = 2**64 - 1
+    numpy_key = substream(np.uint64(top), np.int64(UNIFORM_STREAM), np.int32(3)).random(8)
+    assert np.array_equal(numpy_key, substream(top, UNIFORM_STREAM, 3).random(8))
+    top_seed = run_simulation(_job(steps=64, samples=10, master_seed=np.uint64(top)))
+    assert np.array_equal(top_seed["simple"], run_simulation(_job(steps=64, samples=10, master_seed=top))["simple"])
+    # a bool step count is no grid
+    for sampler in (circulant_spectrum, lambda *grid: fbmpassage.cholesky_fbm(*grid, np.random.default_rng(0))):
+        with pytest.raises(ValueError, match="steps must be a positive integer, got True"):
+            sampler(0.6, 1.0, True)
     i64 = np.int64
     numpy_ints = run_simulation(_job(steps=64, samples=i64(10), marginal_indices=(i64(3),), extreme_indices=(i64(5),)))
     plain_ints = run_simulation(_job(steps=64, samples=10, marginal_indices=(3,), extreme_indices=(5,)))
