@@ -26,7 +26,8 @@ import scipy
 from .analysis import linear_fit, rate_exponent
 from .estimate import NoHitsError, density_from_times, gap_estimate, laplace_from_times, truncated_argmax_moments
 from .fgn import EmbeddingError, cholesky_fbm, circulant_spectrum, fgn_autocovariance, sample_fgn
-from .runner import DEFAULT_CHUNK_PAIRS, RULES, MemoryBudgetError, SimulationJob, _check_fits_in_memory, run_simulation
+from .runner import BLOCK_PAIRS, DEFAULT_CHUNK_PAIRS, RULES, MemoryBudgetError, SimulationJob, run_simulation
+from .runner import _check_fits_in_memory
 from .sde import PropagationError, affine_coefficients, affine_euler
 from .theory import laplace_bm
 
@@ -178,9 +179,11 @@ def validate_config(cfg: RunConfig) -> None:
         fail(f"p must lie in (2, 3), got {cfg.p}")
     if not cfg.r_list:
         fail("r_list must not be empty")
-    for r in cfg.r_list:
+    for i, r in enumerate(cfg.r_list):
         if not (math.isfinite(r) and r > 0):
             fail(f"every r must be a positive real, got {r}")
+        if r in cfg.r_list[i + 1 :]:
+            fail(f"r_list repeats r={r!r}")
     if not cfg.out:
         fail("out must name a directory")
 
@@ -248,7 +251,7 @@ def _package_version() -> str:
     return __version__
 
 
-def _job(cfg: RunConfig, chunk_pairs: int, **overrides) -> SimulationJob:
+def _job(cfg: RunConfig, chunk_pairs: int | None, **overrides) -> SimulationJob:
     """The simulation job for cfg: every H of hurst_list on one set of paths.
 
     It runs the hit-time rules that cfg.estimator names; `overrides`
@@ -275,7 +278,7 @@ def _job(cfg: RunConfig, chunk_pairs: int, **overrides) -> SimulationJob:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_simulate(cfg: RunConfig, workers: int, chunk_pairs: int, out_dir: Path) -> list[str]:
+def cmd_simulate(cfg: RunConfig, workers: int, chunk_pairs: int | None, out_dir: Path) -> list[str]:
     """Laplace table over the (H, lambda, estimator) lattice -> laplace.csv.
 
     delta_vs_bm is the gap against the Brownian reference: the estimated
@@ -308,7 +311,7 @@ def cmd_simulate(cfg: RunConfig, workers: int, chunk_pairs: int, out_dir: Path) 
     return ["laplace.csv"]
 
 
-def cmd_bridge_compare(cfg: RunConfig, workers: int, chunk_pairs: int, out_dir: Path) -> list[str]:
+def cmd_bridge_compare(cfg: RunConfig, workers: int, chunk_pairs: int | None, out_dir: Path) -> list[str]:
     """Plain vs bridge-corrected estimator at the configured grid -> bridge_compare.csv.
 
     Uses the first entry of hurst_list.  The reference column holds the
@@ -345,7 +348,7 @@ def cmd_bridge_compare(cfg: RunConfig, workers: int, chunk_pairs: int, out_dir: 
     return ["bridge_compare.csv"]
 
 
-def cmd_rate(cfg: RunConfig, workers: int, chunk_pairs: int, out_dir: Path) -> list[str]:
+def cmd_rate(cfg: RunConfig, workers: int, chunk_pairs: int | None, out_dir: Path) -> list[str]:
     """Gap-vs-(H - 1/2) regression per lambda -> rate.csv and fig1_data.csv.
 
     fig1_data.csv holds, per lambda, a `point` row (gap, se) per H above
@@ -384,7 +387,7 @@ def cmd_rate(cfg: RunConfig, workers: int, chunk_pairs: int, out_dir: Path) -> l
     return ["rate.csv", "fig1_data.csv"]
 
 
-def cmd_density(cfg: RunConfig, workers: int, chunk_pairs: int, out_dir: Path) -> list[str]:
+def cmd_density(cfg: RunConfig, workers: int, chunk_pairs: int | None, out_dir: Path) -> list[str]:
     """Hit-time histogram per Hurst value -> density_H{value}.csv.
 
     Each file is named by the exact H, its shortest round-tripping repr
@@ -411,7 +414,7 @@ def _grid_index(t: float, horizon: float, steps: int) -> int:
     return min(int(np.floor(t / (horizon / steps) + 1e-9)), steps)
 
 
-def cmd_conjecture(cfg: RunConfig, workers: int, chunk_pairs: int, out_dir: Path) -> list[str]:
+def cmd_conjecture(cfg: RunConfig, workers: int, chunk_pairs: int | None, out_dir: Path) -> list[str]:
     """Truncated argmax moments over the r windows -> conjecture.csv.
 
     Each H row group carries the OLS trend of moment against r and its
@@ -566,7 +569,7 @@ def _format_selftest(checks: list[tuple[str, bool, str]]) -> str:
     return "\n".join(lines)
 
 
-def cmd_selftest(cfg: RunConfig, workers: int, chunk_pairs: int, out_dir: Path) -> list[str]:
+def cmd_selftest(cfg: RunConfig, workers: int, chunk_pairs: int | None, out_dir: Path) -> list[str]:
     checks = run_selftest()
     report = _format_selftest(checks)
     print(report)
@@ -606,9 +609,9 @@ def _add_common_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--chunk-pairs",
         type=int,
-        default=DEFAULT_CHUNK_PAIRS,
         metavar="N",
-        help="path pairs per work chunk; results do not depend on it",
+        help=f"path pairs per work chunk, by default {BLOCK_PAIRS} without an Euler loop and "
+        f"{DEFAULT_CHUNK_PAIRS} with one; results do not depend on it",
     )
     parser.add_argument(
         "--paper-scale",
@@ -664,7 +667,7 @@ def main(argv=None) -> int:
         if workers < 1:
             raise ConfigError(f"workers must be at least 1, got {workers}")
         chunk_pairs = args.chunk_pairs
-        if chunk_pairs < 1:
+        if chunk_pairs is not None and chunk_pairs < 1:
             raise ConfigError(f"chunk-pairs must be positive, got {chunk_pairs}")
         out_dir = Path(cfg.out)
         try:

@@ -24,8 +24,10 @@ def substream(master_seed: int, stream: int, index: int) -> np.random.Generator:
     The mapping (master_seed, stream, index) -> generator state is fixed,
     so identical arguments always reproduce identical draws.  The three
     words go to SeedSequence as given, so a Python or numpy integer keys
-    the same stream and a non-integer raises TypeError.
+    the same stream and a non-integer, a bool included, raises TypeError.
     """
+    if any(isinstance(word, bool) for word in (master_seed, stream, index)):
+        raise TypeError(f"substream key words must be integers, not bool, got {(master_seed, stream, index)}")
     if not 0 <= master_seed < _MAX_SEED:
         raise ValueError(f"master seed must be in [0, 2**64), got {master_seed}")
     if stream < 0 or index < 0:

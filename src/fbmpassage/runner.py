@@ -35,12 +35,12 @@ DEFAULT_CHUNK_PAIRS = 128
 # hit-time rules, by the key of their times in run_simulation's output
 RULES = ("simple", "bridge")
 
-# Pairs per block of a chunk with no Euler loop, and pairs per FFT call.  A
-# block's noise is drawn once and then transformed, summed and scanned for
-# each H in turn, so its buffers stay small enough to be reused from cache.
-# Drifted models take the whole chunk as one block: their Euler step is a
-# Python loop over grid steps, vectorised across rows, and costs less per
-# row on more rows; they transform the block BLOCK_PAIRS pairs at a time.
+# Pairs per FFT call, and the default pairs per chunk with no Euler loop.
+# A chunk's noise is drawn once and then transformed, summed and scanned
+# for each H in turn, so such a chunk's buffers stay small enough to be
+# reused from cache.  Drifted models default to DEFAULT_CHUNK_PAIRS: their
+# Euler step is a Python loop over grid steps, vectorised across rows, and
+# costs less per row on more rows.
 BLOCK_PAIRS = 4
 
 
@@ -51,6 +51,8 @@ class SimulationJob:
     `hurst` lists the H values to simulate; all of them run on the same
     noise, and row k of every output array belongs to hurst[k].  `rules`
     names the hit-time rules to run, drawn from RULES, each at most once.
+    `chunk_pairs` is the path pairs per chunk; None picks BLOCK_PAIRS
+    when the reduced drift is zero and DEFAULT_CHUNK_PAIRS otherwise.
     Workers reconstruct everything (spectra, model coefficients) from this
     record, so a chunk can be computed anywhere and the result depends only
     on the job and the chunk index.
@@ -68,7 +70,7 @@ class SimulationJob:
     rules: tuple[str, ...] = ("simple",)
     marginal_indices: tuple[int, ...] = ()
     extreme_indices: tuple[int, ...] = ()
-    chunk_pairs: int = DEFAULT_CHUNK_PAIRS
+    chunk_pairs: int | None = None
 
     @property
     def is_pure(self) -> bool:
@@ -175,18 +177,15 @@ def _reduced_drift(job: SimulationJob) -> tuple[float, float, float]:
     return a, (a * job.x0 + c) / s, s
 
 
-def _block_layout(job: SimulationJob, pairs: int) -> tuple[bool, int]:
-    """(looped, block) for a chunk of `pairs` pairs.
-
-    `looped` says whether the reduced drift is not zero, so the Euler loop
-    runs; then a block is the whole chunk, and otherwise BLOCK_PAIRS pairs.
-    Either way one FFT call transforms at most BLOCK_PAIRS pairs, so the
-    transform buffer holds min(BLOCK_PAIRS, block) rows.  Raises ValueError
-    for an unknown model.
+def _chunk_layout(job: SimulationJob) -> tuple[bool, int]:
+    """(looped, pairs per chunk): whether the reduced drift is not zero, so
+    the Euler loop runs, and chunk_pairs, by default DEFAULT_CHUNK_PAIRS
+    with the loop and BLOCK_PAIRS without.  Raises ValueError for an unknown model.
     """
     a, c_reduced, _ = _reduced_drift(job)
     looped = a != 0.0 or c_reduced != 0.0
-    return looped, pairs if looped else min(BLOCK_PAIRS, pairs)
+    default = DEFAULT_CHUNK_PAIRS if looped else BLOCK_PAIRS
+    return looped, default if job.chunk_pairs is None else job.chunk_pairs
 
 
 def _memory_estimate(job: SimulationJob, processes: int) -> int:
@@ -194,11 +193,11 @@ def _memory_estimate(job: SimulationJob, processes: int) -> int:
 
     An upper bound on the traced peak, with N = steps.  Every process
     holds 64 kB of small objects, the cached spectra (16N bytes per H), one
-    transform buffer of min(BLOCK_PAIRS, block) rows of 32N, one block and
-    the largest temporary of a block step.  Per pair, a block holds 16N of
+    transform buffer of min(BLOCK_PAIRS, chunk) rows of 32N, one chunk and
+    the largest temporary of a chunk step.  Per pair, a chunk holds 16N of
     path rows and 2N of scan or finiteness mask; with the bridge rule 16N
     of log-uniforms and two uniform generators of ~1 kB; with several H
-    values 32N of stashed noise.  A single-H block draws its noise into
+    values 32N of stashed noise.  A single-H chunk draws its noise into
     the transform buffer's rows.
     The largest temporary is 32N: the 16N of one noise draw, the FFT's
     ufunc buffer or one row's bridge scan.  The Euler loop holds nothing
@@ -210,16 +209,17 @@ def _memory_estimate(job: SimulationJob, processes: int) -> int:
     chunk and H.  Raises ValueError for an unknown model.
     """
     pairs = (job.samples + 1) // 2
-    looped, block = _block_layout(job, min(job.chunk_pairs, pairs))
+    looped, chunk = _chunk_layout(job)
+    pc = min(chunk, pairs)  # pairs in the largest chunk
     n = job.steps + 1
     bridge = "bridge" in job.rules
     per_pair = (16 + 2 + 16 * bridge + 32 * (len(job.hurst) > 1)) * n
     per_pair += 2048 * bridge
-    transform = min(BLOCK_PAIRS, block) * 32 * n
-    euler = 4 * min(CHECK_COLUMNS + 1, n) * block + 66 * TAIL_PIECE if looped else 0
-    per_process = (64 << 10) + (16 * len(job.hurst) + 32) * n + euler + transform + block * per_pair
+    transform = min(BLOCK_PAIRS, pc) * 32 * n
+    euler = 4 * min(CHECK_COLUMNS + 1, n) * pc + 66 * TAIL_PIECE if looped else 0
+    per_process = (64 << 10) + (16 * len(job.hurst) + 32) * n + euler + transform + pc * per_pair
     columns = len(job.rules) + len(job.marginal_indices) + 2 * len(job.extreme_indices)
-    results = 2 * 8 * job.samples * columns + 1024 * math.ceil(pairs / job.chunk_pairs)
+    results = 2 * 8 * job.samples * columns + 1024 * math.ceil(pairs / chunk)
     return processes * per_process + len(job.hurst) * results
 
 
@@ -229,33 +229,31 @@ def _chunk_compute(job: SimulationJob, chunk_index: int) -> dict[str, np.ndarray
     Paths run in the reduced coordinates y = (x - x0) / s of the model
     dX = (a X + c) dt + s dB: drift a y + (a x0 + c) / s, unit diffusion,
     level (threshold - x0) / s; marginals and suprema map back by x0 + s y.
-    The chunk runs in blocks of pairs, and a block opens each path's
-    uniform stream once.  For each H in turn, and for each BLOCK_PAIRS
-    pairs of the block, it scales the pairs' noise by that H's
-    sqrt(spectrum / 2N) into the rows of one reused buffer of up to
-    BLOCK_PAIRS rows of 2N, and transforms them in one FFT call; then it
-    prefix-sums their real parts into the even and their imaginary parts
-    into the odd rows of one reused path buffer, one call per part, runs the
-    Euler step on the block's valid rows if the reduced drift is not zero,
-    and runs the scans and reductions.  The Euler step takes each row only
-    through the later of its plain hit and the last column that a marginal
-    or extreme reads; the states past that are not read, and hold the noise
-    prefix sums or states stepped on with the block.  A pair's normals are
-    drawn when the first H reaches it: into its row of the transform buffer
-    when the job has one H, and into a stash row that the later H values
-    read again when it has several.  A path's bridge scan stops at its plain
-    hit and asks _row_log_uniforms for the uniforms it reads, which draws
-    them, and takes their logs, only as far as some H has asked so far.
+    The chunk is processed as one unit, and opens each path's uniform
+    stream once.  For each H in turn, and for each BLOCK_PAIRS pairs of
+    the chunk, it scales the pairs' noise by that H's sqrt(spectrum / 2N)
+    into the rows of one reused buffer of up to BLOCK_PAIRS rows of 2N,
+    and transforms them in one FFT call; then it prefix-sums their real
+    parts into the even and their imaginary parts into the odd rows of one
+    reused path buffer, one call per part, runs the Euler step on the
+    chunk's valid rows if the reduced drift is not zero, and runs the scans
+    and reductions.  The Euler step takes each row only through the later
+    of its plain hit and the last column that a marginal or extreme reads;
+    the states past that are not read, and hold the noise prefix sums or
+    states stepped on with the chunk.  A pair's normals are drawn when the
+    first H reaches it: into its row of the transform buffer when the job
+    has one H, and into a stash row that the later H values read again
+    when it has several.  A path's bridge scan stops at its plain hit and
+    asks _row_log_uniforms for the uniforms it reads, which draws them,
+    and takes their logs, only as far as some H has asked so far.
 
-    Memory per block, with N = steps: 16N bytes of path rows per pair, plus
-    16N of log-uniforms per pair with the bridge rule, filled only as far
-    as the scans read, plus 32N of stashed complex noise per pair with
-    several H values, plus the transform buffer's 32N per row.  With a
-    zero reduced drift there is no Euler loop and a block holds
-    BLOCK_PAIRS pairs, one transform buffer row each.  Otherwise the block
-    is the whole chunk, 16N bytes per pair with one H and 48N with several
-    (16N more with the bridge rule), next to a transform buffer of up to
-    BLOCK_PAIRS rows; the Euler step overwrites the path rows in place,
+    Memory per chunk, with N = steps: 16N bytes of path rows per pair,
+    plus 16N of log-uniforms per pair with the bridge rule, filled only as
+    far as the scans read, plus 32N of stashed complex noise per pair with
+    several H values, next to a transform buffer of 32N per row for up to
+    BLOCK_PAIRS rows.  By default a chunk with a zero reduced drift holds
+    BLOCK_PAIRS pairs, one transform buffer row each, and a drifted chunk
+    DEFAULT_CHUNK_PAIRS; the Euler step overwrites the path rows in place,
     one bounded batch of columns at a time, and its row check and scalar
     tail hold pieces of fixed size (see _memory_estimate).
     """
@@ -264,67 +262,60 @@ def _chunk_compute(job: SimulationJob, chunk_index: int) -> dict[str, np.ndarray
     step = job.horizon / steps
     m = 2 * steps
     pairs_total = (job.samples + 1) // 2
-    p0 = chunk_index * job.chunk_pairs
-    pc = min(job.chunk_pairs, pairs_total - p0)
+    looped, chunk = _chunk_layout(job)
+    p0 = chunk_index * chunk
+    pc = min(chunk, pairs_total - p0)
     first_path = 2 * p0
     n_valid = min(2 * pc, job.samples - first_path)
     scales = [_noise_scale(h, job.horizon, steps) for h in job.hurst]
     a, c_reduced, s = _reduced_drift(job)
     thr = (job.threshold - job.x0) / s
-    looped, block = _block_layout(job, pc)
 
     out = _empty_outputs(job, n_valid)
     bridge = "bridge" in job.rules
-    transformed = np.empty((min(BLOCK_PAIRS, block), m), dtype=complex)
-    stash = np.empty((block, m), dtype=complex) if len(job.hurst) > 1 else None
-    values = np.empty((2 * block, steps + 1))
+    transformed = np.empty((min(BLOCK_PAIRS, pc), m), dtype=complex)
+    stash = np.empty((pc, m), dtype=complex) if len(job.hurst) > 1 else None
+    values = np.empty((2 * pc, steps + 1))
     values[:, 0] = 0.0
-    uniforms = np.empty((2 * block, steps)) if bridge else None
+    paths = values[:n_valid]
+    if bridge:
+        generators = [substream(job.master_seed, UNIFORM_STREAM, first_path + j) for j in range(n_valid)]
+        log_uniforms = partial(_row_log_uniforms, generators, [0] * n_valid, np.empty((2 * pc, steps)))
     columns = list(job.marginal_indices)
     # the Euler loop steps each row through its plain hit and the last column any output reads
     level = thr if job.rules else -math.inf
     read_to = max((*job.marginal_indices, *job.extreme_indices), default=0)
 
-    for b0 in range(0, pc, block):
-        nb = min(block, pc - b0)
-        r0 = 2 * b0
-        rows = slice(r0, min(r0 + 2 * nb, n_valid))
-        n_rows = rows.stop - r0
-        if bridge:
-            generators = [substream(job.master_seed, UNIFORM_STREAM, first_path + r0 + j) for j in range(n_rows)]
-            log_uniforms = partial(_row_log_uniforms, generators, [0] * n_rows, uniforms)
-        block_values = values[: 2 * nb]
-        for k, (h, scale) in enumerate(zip(job.hurst, scales)):
-            for g0 in range(0, nb, BLOCK_PAIRS):
-                g = min(BLOCK_PAIRS, nb - g0)
-                noise = transformed[:g] if stash is None else stash[g0 : g0 + g]
-                if not k:
-                    for i in range(g):
-                        rng = substream(job.master_seed, GAUSSIAN_STREAM, p0 + b0 + g0 + i)
-                        _complex_noise(rng, m, out=noise[i])
-                y = _pair_fft(scale, noise, out=transformed[:g])
-                group = block_values[2 * g0 : 2 * (g0 + g), 1:]
-                np.add.accumulate(y.real[:, :steps], axis=1, out=group[0::2])
-                np.add.accumulate(y.imag[:, :steps], axis=1, out=group[1::2])
-            paths = block_values[:n_rows]
-            if looped:
-                affine_euler(paths, a, c_reduced, step, level, read_to)
+    for k, (h, scale) in enumerate(zip(job.hurst, scales)):
+        for g0 in range(0, pc, BLOCK_PAIRS):
+            g = min(BLOCK_PAIRS, pc - g0)
+            noise = transformed[:g] if stash is None else stash[g0 : g0 + g]
+            if not k:
+                for i in range(g):
+                    rng = substream(job.master_seed, GAUSSIAN_STREAM, p0 + g0 + i)
+                    _complex_noise(rng, m, out=noise[i])
+            y = _pair_fft(scale, noise, out=transformed[:g])
+            group = values[2 * g0 : 2 * (g0 + g), 1:]
+            np.add.accumulate(y.real[:, :steps], axis=1, out=group[0::2])
+            np.add.accumulate(y.imag[:, :steps], axis=1, out=group[1::2])
+        if looped:
+            affine_euler(paths, a, c_reduced, step, level, read_to)
 
-            if job.rules:
-                plain = _plain_hit_index(paths, thr)
-            if "simple" in out:
-                out["simple"][k, rows] = _grid_times(plain, steps, step)
-            if bridge:
-                step_var = step ** (2.0 * h)
-                out["bridge"][k, rows] = _bridge_hit_times_batch(paths, thr, step, step_var, log_uniforms, plain)
-            if job.marginal_indices:
-                out["marginals"][k, rows] = job.x0 + s * paths[:, columns]
-            if job.extreme_indices:
-                # x0 + s y is strictly increasing, so suprema and argmax
-                # locations carry over to the original coordinates
-                sup, where = _running_extremes(paths, job.extreme_indices)
-                out["sup_values"][k, rows] = job.x0 + s * sup
-                out["argmax_times"][k, rows] = where * step
+        if job.rules:
+            plain = _plain_hit_index(paths, thr)
+        if "simple" in out:
+            out["simple"][k] = _grid_times(plain, steps, step)
+        if bridge:
+            step_var = step ** (2.0 * h)
+            out["bridge"][k] = _bridge_hit_times_batch(paths, thr, step, step_var, log_uniforms, plain)
+        if job.marginal_indices:
+            out["marginals"][k] = job.x0 + s * paths[:, columns]
+        if job.extreme_indices:
+            # x0 + s y is strictly increasing, so suprema and argmax
+            # locations carry over to the original coordinates
+            sup, where = _running_extremes(paths, job.extreme_indices)
+            out["sup_values"][k] = job.x0 + s * sup
+            out["argmax_times"][k] = where * step
     return out
 
 
@@ -356,7 +347,7 @@ def run_simulation(job: SimulationJob, workers: int = 1) -> dict[str, np.ndarray
         raise ValueError(f"steps must be an integer, got {job.steps!r}")
     if not (_is_int(job.samples) and job.samples >= 1):
         raise ValueError(f"samples must be an integer of at least 1, got {job.samples!r}")
-    if not (_is_int(job.chunk_pairs) and job.chunk_pairs >= 1):
+    if not (job.chunk_pairs is None or (_is_int(job.chunk_pairs) and job.chunk_pairs >= 1)):
         raise ValueError(f"chunk_pairs must be an integer of at least 1, got {job.chunk_pairs!r}")
     if not (math.isfinite(job.x0) and math.isfinite(job.threshold)):
         raise ValueError(f"x0 and threshold must be finite, got x0={job.x0}, threshold={job.threshold}")
@@ -369,10 +360,10 @@ def run_simulation(job: SimulationJob, workers: int = 1) -> dict[str, np.ndarray
     bad = [i for i in (*job.marginal_indices, *job.extreme_indices) if not (_is_int(i) and 0 <= i <= job.steps)]
     if bad:
         raise ValueError(f"grid indices must be integers in [0, {job.steps}], got {bad}")
-    pairs_total = (job.samples + 1) // 2
-    n_chunks = math.ceil(pairs_total / job.chunk_pairs)
-    workers = min(workers, n_chunks, os.cpu_count() or 1)
     # validate the model and bound the memory before allocating anything
+    pairs_total = (job.samples + 1) // 2
+    n_chunks = math.ceil(pairs_total / _chunk_layout(job)[1])
+    workers = min(workers, n_chunks, os.cpu_count() or 1)
     _check_fits_in_memory(_memory_estimate(job, workers), "use fewer steps, samples, workers or chunk pairs")
     _raise_malloc_thresholds()
     # validate the spectra up front; forked workers inherit the cached spectra

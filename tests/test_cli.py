@@ -227,6 +227,7 @@ def test_paper_scale_flag():
         {"diffusion": "const:1e-300"},  # the reduced level (threshold - x0) / s overflows
         {"horizon": 1e-300, "steps": 2, "hurst_list": (0.516,)},  # 2 / step^(2H) overflows
         {"lambda_list": (1e307,)},  # lambda * 2 horizon overflows
+        {"r_list": (5.0, 5.0)},  # a repeated window leaves the trend fit degenerate
     ],
 )
 def test_validate_config_rejects(override):
@@ -399,9 +400,13 @@ def test_exit_code_subcommand_preconditions(capsys, tmp_path):
     # a window shorter than one grid step holds only t = 0: its moment is 0 by construction
     short = ["--steps", "1024", "--samples", "200", "--hurst-list", "0.5", "--r-list", "0.001,5"]
     assert main(["conjecture", *short, "--out", out]) == 2
+    # a repeated window would leave the trend fit with degenerate x values
+    repeated = ["--steps", "256", "--samples", "100", "--hurst-list", "0.5", "--r-list", "5,5"]
+    assert main(["conjecture", *repeated, "--out", out]) == 2
     err = capsys.readouterr().err
-    assert err.count("error:") == 4
+    assert err.count("error:") == 5
     assert "r=0.001 is shorter than one grid step" in err
+    assert "r_list repeats r=5.0" in err
     assert not (tmp_path / "o" / "conjecture.csv").exists()
 
 

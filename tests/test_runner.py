@@ -1,29 +1,31 @@
 """Deterministic chunked Monte Carlo driver.
 
 Covers:
-  - Bit-identical results across worker counts and chunk sizes.
+  - Bit-identical results across worker counts and chunk sizes, the
+    model's default chunk size included: 4 pairs with no Euler loop, 128
+    with one.
   - Seed separation: different seeds decorrelate, same seed reproduces.
   - Shift invariance of the pure zero-drift case: moving the start is the
     same as moving the threshold.
   - Marginal extraction: shapes, variance statistics, index validation.
   - Suprema / argmax windows: pathwise monotonicity in the window length.
-  - Job validation (rule names outside RULES or repeated included) and the
-    pure-case fast path.
+  - Job validation (rule names outside RULES or repeated, and bool
+    substream key words, included) and the pure-case fast path.
   - The output mapping: exactly the requested keys, each array indexed
     [H, path].
   - Multi-H jobs: one job over several H values equals the single-H jobs
     bit for bit, and draws each pair's normals and each path's uniforms
     once per run.
-  - Block assembly: every path, pure or through the Euler loop, equals the
+  - Chunk assembly: every path, pure or through the Euler loop, equals the
     prefix sum of its sample_fgn row bit for bit, for one and several H,
-    partial last blocks and a half-used last pair.
+    partial last chunks and FFT groups and a half-used last pair.
   - Lazy uniforms: a Philox substream's draws split anywhere give the same
     values, and each path draws no uniform past its plain hit.
   - Window extremes equal a rescan of every prefix, ties included, and
     copy no window.
   - The allocator setting runs once per process, on its first run or chunk, and
     never on import; the memory bound refuses a run before allocating,
-    counts blocks, spectra, the transform buffer and results exactly, and
+    counts chunks, spectra, the transform buffer and results exactly, and
     bounds the traced peak of eight job shapes from above.
   - Closed-form affine reduction: registry models agree with a scalar
     per-path Euler loop on y = (x - x0) / s, and zero drift with constant
@@ -85,10 +87,23 @@ def test_worker_count_is_observationally_irrelevant():
 
 
 def test_chunk_size_is_observationally_irrelevant():
-    a = run_simulation(_job(chunk_pairs=16, rules=RULES))
-    b = run_simulation(_job(chunk_pairs=128, rules=RULES))
-    assert np.array_equal(a["simple"], b["simple"])
-    assert np.array_equal(a["bridge"], b["bridge"])
+    outputs = dict(rules=RULES, marginal_indices=(17, 256), extreme_indices=(64, 256))
+    for drift in ("zero", "ou:1"):
+        runs = [run_simulation(_job(drift=drift, chunk_pairs=c, **outputs)) for c in (None, 1, 3, 7, 128)]
+        for other in runs[1:]:
+            assert other.keys() == runs[0].keys()
+            assert all(np.array_equal(other[key], runs[0][key]) for key in runs[0])
+
+
+@pytest.mark.parametrize(
+    "model, pairs", [(("zero", "one"), 4), (("zero", "const:2"), 4), (("ou:1", "one"), 128)]
+)
+def test_default_chunk_pairs_follow_the_model(model, pairs):
+    drift, diffusion = model
+    job = _job(drift=drift, diffusion=diffusion)
+    assert job.chunk_pairs is None
+    assert runner._chunk_layout(job) == (drift != "zero", pairs)
+    assert runner._chunk_layout(dataclasses.replace(job, chunk_pairs=7)) == (drift != "zero", 7)
 
 
 def test_same_seed_reproduces_different_seed_changes():
@@ -215,6 +230,13 @@ def test_job_validation():
     for key in ((0, 0.7, 0), (0, 0, 2.9), (1.5, 0, 0)):
         with pytest.raises(TypeError, match="seed must be integer"):
             substream(*key)
+    # a bool key word would alias the integer 0 or 1
+    for key in ((0, True, 0), (True, 0, 0), (0, 0, False), (0, np.True_, 0)):
+        with pytest.raises(TypeError):
+            substream(*key)
+    for key in ((0, 1, 0), (1, 0, 0), (np.int64(1), np.uint8(0), np.int32(0))):
+        want = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=tuple(map(int, key)))))
+        assert np.array_equal(substream(*key).random(4), want.random(4))
     top = 2**64 - 1
     numpy_key = substream(np.uint64(top), np.int64(UNIFORM_STREAM), np.int32(3)).random(8)
     assert np.array_equal(numpy_key, substream(top, UNIFORM_STREAM, 3).random(8))
@@ -501,19 +523,19 @@ def test_memory_estimate_counts_blocks_spectra_and_results():
     n = 2**10 + 1
     small = 64 << 10  # small objects, per process
     pure = _job(steps=2**10, samples=300, rules=RULES, hurst=(0.5, 0.6))
-    # two 16N spectra and a 32N temporary; 4-pair blocks with a 4-row 32N
+    # two 16N spectra and a 32N temporary; 4-pair chunks with a 4-row 32N
     # transform buffer, 66N per pair (32N of it stashed noise) and two 1 kB
     # generators per pair; two H rows of two columns over 300 paths, held
-    # twice, and 1 kB of array headers per chunk (two chunks) and H
+    # twice, and 1 kB of array headers per chunk (38 chunks) and H
     assert runner._memory_estimate(pure, 1) == (
-        small + 16 * n * 2 + 32 * n + 4 * 32 * n + 4 * (66 * n + 2048) + 2 * (2 * 8 * 300 * 2 + 1024 * 2)
+        small + 16 * n * 2 + 32 * n + 4 * 32 * n + 4 * (66 * n + 2048) + 2 * (2 * 8 * 300 * 2 + 1024 * 38)
     )
     # one H: the noise is drawn into the transform buffer, no stash
     single = _job(steps=2**10, samples=300, rules=RULES)
     assert runner._memory_estimate(single, 1) == (
-        small + 16 * n + 32 * n + 4 * 32 * n + 4 * (34 * n + 2048) + 2 * 8 * 300 * 2 + 1024 * 2
+        small + 16 * n + 32 * n + 4 * 32 * n + 4 * (34 * n + 2048) + 2 * 8 * 300 * 2 + 1024 * 38
     )
-    # drifted: the block is the whole 128-pair chunk, transformed four pairs
+    # drifted: a 128-pair chunk, transformed four pairs
     # at a time; the Euler loop's row check takes 4 B per pair and column of
     # a 128-column batch, and its tail 66 B per entry of a 256-entry piece
     euler = 4 * 129 * 128 + 66 * 256
@@ -531,7 +553,7 @@ def test_memory_estimate_counts_blocks_spectra_and_results():
     # window extremes: argmax scans row slices in place, two columns per window
     extremes = _job(steps=2**10, samples=300, rules=(), extreme_indices=(10, 1024))
     assert runner._memory_estimate(extremes, 1) == (
-        small + 16 * n + 32 * n + 4 * 32 * n + 4 * 18 * n + 2 * 8 * 300 * 4 + 1024 * 2
+        small + 16 * n + 32 * n + 4 * 32 * n + 4 * 18 * n + 2 * 8 * 300 * 4 + 1024 * 38
     )
     assert runner._memory_estimate(_job(), 1) < runner._physical_memory()
 

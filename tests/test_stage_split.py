@@ -11,6 +11,10 @@ Covers:
     absent, as in a source tree from before the stage existed.
   - The command line at a tiny grid, in a fresh process, on all three
     shapes; the tool does not touch the benchmark's files.
+  - Each shape is its benchmark workload's job: horizon, level, start,
+    steps, samples, H list, model and hit-time rules, and for the
+    conjecture workload the window ends at r/20 of the grid for r = 5, 10
+    and 20.  The workloads are read from perfbench/ without changing it.
 """
 
 import importlib.util
@@ -24,9 +28,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fbmpassage import SimulationJob, run_simulation, runner
+from fbmpassage import RULES, SimulationJob, run_simulation, runner
 
-TOOL = Path(__file__).resolve().parents[1] / "tools" / "stage_split.py"
+ROOT = Path(__file__).resolve().parents[1]
+TOOL = ROOT / "tools" / "stage_split.py"
 
 
 def _tool():
@@ -100,3 +105,23 @@ def test_command_line_at_a_tiny_grid():
     heads = [line.split(":")[0] for line in out.stdout.splitlines() if not line.startswith(" ")]
     assert heads == ["sim-multiH-bridge", "sim-ou-plain", "conjecture-large-pool"]
     assert "perfbench" not in TOOL.read_text()
+
+
+def test_shapes_are_the_benchmark_workloads(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    shapes = _tool().SHAPES
+    assert list(shapes) == list(workloads.WORKLOADS)
+    for name, w in workloads.WORKLOADS.items():
+        job = SimulationJob(horizon=20.0, threshold=1.0, master_seed=3, **shapes[name])
+        options = dict(zip(w.options[0::2], w.options[1::2]))
+        assert (job.horizon, job.threshold, job.x0) == (workloads.HORIZON, workloads.THRESHOLD, workloads.X0)
+        assert (job.steps, job.samples, job.hurst) == (w.steps, w.samples, w.hurst)
+        assert (job.drift, job.diffusion) == (options.get("--drift", "zero"), options.get("--diffusion", "one"))
+        if w.command == "conjecture":
+            assert options["--r-list"] == "5,10,20" and job.rules == ()
+            assert job.extreme_indices == tuple(r * w.steps // 20 for r in (5, 10, 20))
+        else:
+            estimator = options["--estimator"]
+            assert job.rules == (RULES if estimator == "both" else (estimator,))
+            assert job.extreme_indices == job.marginal_indices == ()

@@ -6,7 +6,7 @@ Wraps the stage entry points that `fbmpassage.runner` calls with
 `time.perf_counter`, runs `run_simulation` serially on the three
 benchmark shapes, and prints each stage's seconds and its share of the
 runner's wall time.  "rest" is what no wrapper saw: the prefix sums,
-block bookkeeping and result assembly.  `--src` imports `fbmpassage` from
+chunk bookkeeping and result assembly.  `--src` imports `fbmpassage` from
 another source tree (say, a base revision exported with `git archive`),
 so two revisions can be split with one timer.  A stage name that the
 tree's runner lacks is left unwrapped and reported as absent.
