@@ -604,7 +604,8 @@ def _add_common_options(parser: argparse.ArgumentParser) -> None:
         "--workers",
         type=int,
         default=1,
-        help="process count, at least 1 and capped at the chunk and CPU counts; results do not depend on it",
+        help="process count, at least 1 and capped at the chunks and the CPUs this process may run on; "
+        "results do not depend on it",
     )
     parser.add_argument(
         "--chunk-pairs",

@@ -78,11 +78,11 @@ class SimulationJob:
         return affine_coefficients(self.drift, self.diffusion) == (0.0, 0.0, 1.0)
 
 
-@lru_cache(maxsize=16)
-def _noise_scale(hurst: float, horizon: float, steps: int) -> np.ndarray:
-    """sqrt(spectrum / 2N): the factor that turns white noise into the pair's FFT input."""
-    spectrum = circulant_spectrum(hurst, horizon, steps)
-    return np.sqrt(spectrum / len(spectrum))
+@lru_cache(maxsize=1)
+def _noise_scales(hurst: tuple[float, ...], horizon: float, steps: int) -> tuple[np.ndarray, ...]:
+    """A job's table of sqrt(spectrum / 2N), one per H: the factors that turn white noise into FFT input."""
+    spectra = (circulant_spectrum(h, horizon, steps) for h in hurst)
+    return tuple(np.sqrt(spectrum / len(spectrum)) for spectrum in spectra)
 
 
 def _empty_outputs(job: SimulationJob, n: int) -> dict[str, np.ndarray]:
@@ -192,13 +192,13 @@ def _memory_estimate(job: SimulationJob, processes: int) -> int:
     """Bytes a run of `job` holds at its peak, computed before anything is allocated.
 
     An upper bound on the traced peak, with N = steps.  Every process
-    holds 64 kB of small objects, the cached spectra (16N bytes per H), one
-    transform buffer of min(BLOCK_PAIRS, chunk) rows of 32N, one chunk and
-    the largest temporary of a chunk step.  Per pair, a chunk holds 16N of
-    path rows and 2N of scan or finiteness mask; with the bridge rule 16N
-    of log-uniforms and two uniform generators of ~1 kB; with several H
-    values 32N of stashed noise.  A single-H chunk draws its noise into
-    the transform buffer's rows.
+    holds 64 kB of small objects, the job's spectrum table (16N bytes per
+    H), one transform buffer of min(BLOCK_PAIRS, chunk) rows of 32N, one
+    chunk and the largest temporary of a chunk step.  Per pair, a chunk
+    holds 16N of path rows and 2N of scan or finiteness mask; with the
+    bridge rule 16N of log-uniforms and two uniform generators of ~1 kB;
+    with several H values 32N of stashed noise.  A single-H chunk draws
+    its noise into the transform buffer's rows.
     The largest temporary is 32N: the 16N of one noise draw, the FFT's
     ufunc buffer or one row's bridge scan.  The Euler loop holds nothing
     else sized by the grid: 4 bytes per pair and column of a CHECK_COLUMNS
@@ -267,7 +267,7 @@ def _chunk_compute(job: SimulationJob, chunk_index: int) -> dict[str, np.ndarray
     pc = min(chunk, pairs_total - p0)
     first_path = 2 * p0
     n_valid = min(2 * pc, job.samples - first_path)
-    scales = [_noise_scale(h, job.horizon, steps) for h in job.hurst]
+    scales = _noise_scales(tuple(job.hurst), job.horizon, steps)
     a, c_reduced, s = _reduced_drift(job)
     thr = (job.threshold - job.x0) / s
 
@@ -333,13 +333,14 @@ def run_simulation(job: SimulationJob, workers: int = 1) -> dict[str, np.ndarray
     extreme indices; those three carry a last axis with one entry per
     index.  Every array has shape (len(hurst), samples, ...).
     All H values share one pass over the chunks and at most one process
-    pool, of min(workers, chunks, cpu_count) processes.  Chunks are merged
-    in chunk-index order; since every per-path output is a pure function
-    of (job, H, path index), the assembled arrays are byte-identical for
-    any `workers` and `chunk_pairs`.  A job with a master seed outside the
-    integers in [0, 2^64), a non-integer count, step count or grid index,
-    or a non-finite x0 or threshold, raises ValueError before anything is
-    allocated.
+    pool, of min(workers, chunks, CPUs this process may run on) processes.
+    Chunks are merged in chunk-index order; since every per-path output is
+    a pure function of (job, H, path index), the assembled arrays are
+    byte-identical for any `workers` and `chunk_pairs`.  A job with a
+    master seed outside the integers in [0, 2^64), a non-integer count,
+    step count or grid index, or a non-finite x0 or threshold, and a
+    `workers` that is not an integer of at least 1, raise ValueError
+    before anything is allocated.
     """
     if not (_is_int(job.master_seed) and 0 <= job.master_seed < 2**64):
         raise ValueError(f"master_seed must be an integer in [0, 2**64), got {job.master_seed!r}")
@@ -351,8 +352,8 @@ def run_simulation(job: SimulationJob, workers: int = 1) -> dict[str, np.ndarray
         raise ValueError(f"chunk_pairs must be an integer of at least 1, got {job.chunk_pairs!r}")
     if not (math.isfinite(job.x0) and math.isfinite(job.threshold)):
         raise ValueError(f"x0 and threshold must be finite, got x0={job.x0}, threshold={job.threshold}")
-    if workers < 1:
-        raise ValueError(f"workers must be positive, got {workers}")
+    if not (_is_int(workers) and workers >= 1):
+        raise ValueError(f"workers must be an integer of at least 1, got {workers!r}")
     if not job.hurst:
         raise ValueError("need at least one Hurst value")
     if not set(job.rules) <= set(RULES) or len(set(job.rules)) < len(job.rules):
@@ -363,12 +364,13 @@ def run_simulation(job: SimulationJob, workers: int = 1) -> dict[str, np.ndarray
     # validate the model and bound the memory before allocating anything
     pairs_total = (job.samples + 1) // 2
     n_chunks = math.ceil(pairs_total / _chunk_layout(job)[1])
-    workers = min(workers, n_chunks, os.cpu_count() or 1)
+    # an affinity mask (taskset, a cpuset) may allow fewer CPUs than the machine has
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(int(workers), n_chunks, cpus)
     _check_fits_in_memory(_memory_estimate(job, workers), "use fewer steps, samples, workers or chunk pairs")
     _raise_malloc_thresholds()
-    # validate the spectra up front; forked workers inherit the cached spectra
-    for h in job.hurst:
-        _noise_scale(h, job.horizon, job.steps)
+    # build the job's spectrum table once, validating every spectrum; forked workers inherit it
+    _noise_scales(tuple(job.hurst), job.horizon, job.steps)
     if workers == 1:
         chunks = [_chunk_compute(job, i) for i in range(n_chunks)]
     else:

@@ -278,7 +278,7 @@ def test_exit_code_run_too_large_for_memory(capsys, monkeypatch, tmp_path):
     def no_allocation(*args):
         raise AssertionError("an oversized run must be refused before it allocates")
 
-    monkeypatch.setattr(runner, "_noise_scale", no_allocation)
+    monkeypatch.setattr(runner, "_noise_scales", no_allocation)
     monkeypatch.setattr(runner, "_chunk_compute", no_allocation)
     out = ["--out", str(tmp_path / "o")]
     huge_grid = ["--steps", str(2**40)]
@@ -530,7 +530,7 @@ class _FakePool:
 def test_worker_count_is_clamped_to_chunks_and_cpus(monkeypatch, tmp_path, chunk_pairs, cpus, expected):
     monkeypatch.setattr(_FakePool, "started", [])
     monkeypatch.setattr(runner, "ProcessPoolExecutor", _FakePool)
-    monkeypatch.setattr(runner.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(runner.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
     argv = _SMALL_SIM + ["--chunk-pairs", chunk_pairs]  # 300 pairs: 43 or 3 chunks
     assert main(argv + ["--workers", "100000", "--out", str(tmp_path / "many")]) == 0
     # one pool for every H value, sized min(workers, chunks, cpus); one worker runs serially

@@ -9,13 +9,15 @@ Covers:
     same as moving the threshold.
   - Marginal extraction: shapes, variance statistics, index validation.
   - Suprema / argmax windows: pathwise monotonicity in the window length.
-  - Job validation (rule names outside RULES or repeated, and bool
-    substream key words, included) and the pure-case fast path.
+  - Job validation (rule names outside RULES or repeated, bool substream
+    key words and non-integer worker counts included) and the pure-case
+    fast path.  A one-CPU affinity mask starts no process pool.
   - The output mapping: exactly the requested keys, each array indexed
     [H, path].
   - Multi-H jobs: one job over several H values equals the single-H jobs
     bit for bit, and draws each pair's normals and each path's uniforms
-    once per run.
+    once per run; a 17-H job over several chunks computes each spectrum
+    once, and a job whose H values are a list equals the tuple job.
   - Chunk assembly: every path, pure or through the Euler loop, equals the
     prefix sum of its sample_fgn row bit for bit, for one and several H,
     partial last chunks and FFT groups and a half-used last pair.
@@ -84,6 +86,18 @@ def test_worker_count_is_observationally_irrelevant():
     pooled = run_simulation(job, workers=3)
     assert np.array_equal(serial["simple"], pooled["simple"])
     assert np.array_equal(serial["bridge"], pooled["bridge"])
+
+
+def test_a_one_cpu_affinity_mask_starts_no_pool(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process that may run on one CPU must run its chunks serially")
+
+    job = _job(samples=40, chunk_pairs=2)  # 10 chunks
+    serial = run_simulation(job)
+    monkeypatch.setattr(runner.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(runner.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(runner, "ProcessPoolExecutor", no_pool)
+    assert np.array_equal(run_simulation(job, workers=4)["simple"], serial["simple"])
 
 
 def test_chunk_size_is_observationally_irrelevant():
@@ -254,8 +268,13 @@ def test_job_validation():
         run_simulation(_job(hurst=(1.2,)))
     with pytest.raises(ValueError):
         run_simulation(_job(hurst=()))
-    with pytest.raises(ValueError):
-        run_simulation(_job(), workers=0)
+    # a worker count is an integer of at least 1, numpy integers included
+    for workers in (0, 0.5, 2.5, True):
+        with pytest.raises(ValueError, match="workers must be an integer of at least 1"):
+            run_simulation(_job(steps=64), workers=workers)
+    two_chunks = _job(steps=64, samples=10, chunk_pairs=3)
+    pooled = run_simulation(two_chunks, workers=np.int64(2))
+    assert np.array_equal(pooled["simple"], run_simulation(two_chunks)["simple"])
     with pytest.raises(ValueError):
         run_simulation(_job(marginal_indices=(9999,)))  # off the grid
     for rules in (("simple", "fancy"), ("bridge", "bridge"), "simple"):
@@ -315,6 +334,32 @@ def test_multi_h_job_equals_single_h_jobs(model, chunk_pairs, workers):
         want = run_simulation(_all_outputs_job(model, hurst=(h,)))
         for name in _OUTPUTS:
             assert np.array_equal(multi[name][k], want[name][0]), (h, name)
+
+
+def test_a_job_computes_each_spectrum_once_for_any_number_of_h_values(monkeypatch):
+    hursts = tuple(0.5 + 0.005 * k for k in range(17))
+    outputs = dict(
+        steps=64, samples=20, chunk_pairs=3, rules=RULES, marginal_indices=(0, 32, 64), extreme_indices=(16, 64)
+    )
+    spectra = Counter()
+    original = runner.circulant_spectrum
+
+    def counting(h, horizon, steps):
+        spectra[h] += 1
+        return original(h, horizon, steps)
+
+    monkeypatch.setattr(runner, "circulant_spectrum", counting)
+    runner._noise_scales.cache_clear()
+    multi = run_simulation(_job(hurst=hursts, **outputs))  # 10 pairs in 4 chunks, serially
+    assert spectra == {h: 1 for h in hursts}
+    for k in (0, 16):
+        want = run_simulation(_job(hurst=(hursts[k],), **outputs))
+        assert all(np.array_equal(multi[name][k], want[name][0]) for name in _OUTPUTS), hursts[k]
+
+
+def test_a_list_of_hurst_values_runs_as_its_tuple():
+    listed, tupled = (run_simulation(_job(hurst=h, samples=20, rules=RULES)) for h in ([0.5, 0.6], (0.5, 0.6)))
+    assert all(np.array_equal(listed[key], tupled[key]) for key in tupled)
 
 
 @pytest.mark.parametrize(
@@ -505,7 +550,7 @@ def test_memory_bound_refuses_a_run_before_allocating(monkeypatch):
     def no_spectrum(*args):
         raise AssertionError("the memory bound must come before any spectrum")
 
-    monkeypatch.setattr(runner, "_noise_scale", no_spectrum)
+    monkeypatch.setattr(runner, "_noise_scales", no_spectrum)
     monkeypatch.setattr(runner, "_chunk_compute", no_spectrum)
     for job in (
         _job(steps=2**40),
@@ -575,7 +620,7 @@ def test_memory_estimate_counts_blocks_spectra_and_results():
 def test_memory_estimate_bounds_the_traced_peak(shape):
     job = _job(**{"steps": 2**12, "samples": 256, **shape})
     run_simulation(dataclasses.replace(job, samples=4))  # one-time allocations
-    runner._noise_scale.cache_clear()
+    runner._noise_scales.cache_clear()
     tracemalloc.start()
     try:
         run_simulation(job)

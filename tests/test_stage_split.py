@@ -60,7 +60,7 @@ def test_split_times_every_reached_stage_and_restores_the_runner(monkeypatch, mo
     monkeypatch.setattr(runner, "run_simulation", lambda *args, **kw: got.append(run_simulation(*args, **kw)))
     wall, seconds = tool.split(runner, job)
     assert {name: getattr(runner, name) for name in tool.STAGES} == originals
-    assert set(seconds) == {"substream", "normals", "FFT"} | reached
+    assert set(seconds) == {"spectra", "substream", "normals", "FFT"} | reached
     assert 0.0 < sum(seconds.values()) <= wall
     assert len(got) == 1 and got[0].keys() == want.keys()
     assert all(np.array_equal(got[0][key], want[key]) for key in want)

@@ -31,6 +31,7 @@ ROOT = Path(__file__).resolve().parent.parent
 # runner global -> stage label; every name is looked up in the runner's
 # namespace, where the chunk loop finds it
 STAGES = {
+    "_noise_scales": "spectra",
     "substream": "substream",
     "_complex_noise": "normals",
     "_pair_fft": "FFT",
