@@ -23,11 +23,11 @@ from pathlib import Path
 import numpy as np
 import scipy
 
+from . import __version__
 from .analysis import linear_fit, rate_exponent
 from .estimate import NoHitsError, density_from_times, gap_estimate, laplace_from_times, truncated_argmax_moments
 from .fgn import EmbeddingError, cholesky_fbm, circulant_spectrum, fgn_autocovariance, sample_fgn
-from .runner import BLOCK_PAIRS, DEFAULT_CHUNK_PAIRS, RULES, MemoryBudgetError, SimulationJob, run_simulation
-from .runner import _check_fits_in_memory
+from .runner import RULES, MemoryBudgetError, SimulationJob, _check_fits_in_memory, run_simulation
 from .sde import PropagationError, affine_coefficients, affine_euler
 from .theory import laplace_bm
 
@@ -46,6 +46,12 @@ HISTOGRAM_BYTES_PER_BIN = 41
 
 class ConfigError(Exception):
     """Invalid run configuration; the CLI maps this to exit code 2."""
+
+
+class _StderrHandler(logging.StreamHandler):
+    """Writes to sys.stderr as it is when a record is emitted, not when the handler is made."""
+
+    stream = property(lambda self: sys.stderr, lambda self, stream: None)
 
 
 def _parse_floats(text: str) -> tuple[float, ...]:
@@ -71,9 +77,8 @@ class RunConfig:
 
     Each field declares one option: the config-file key of its name, and
     the flag --name with underscores as dashes, parsed by its annotation.
-    Worker count and chunk size are runtime flags, not configuration:
-    results do not depend on them, so they stay out of this record and out
-    of the manifest.
+    The worker count is a runtime flag, not configuration: results do not
+    depend on it, so it stays out of this record and out of the manifest.
     """
 
     seed: int = _option(1729, "master seed (unsigned 64-bit)")
@@ -151,9 +156,11 @@ def validate_config(cfg: RunConfig) -> None:
         variances.append(variance)
     if not cfg.lambda_list:
         fail("lambda_list must not be empty")
-    for lam in cfg.lambda_list:
+    for i, lam in enumerate(cfg.lambda_list):
         if not (math.isfinite(lam) and lam > 0):
             fail(f"every lambda must be a positive real, got {lam}")
+        if lam in cfg.lambda_list[i + 1 :]:
+            fail(f"lambda_list repeats lambda={lam!r}")
     if not (math.isfinite(cfg.x0) and math.isfinite(cfg.threshold) and cfg.x0 < cfg.threshold):
         fail(f"x0 must be below threshold, got x0={cfg.x0}, threshold={cfg.threshold}")
     if cfg.estimator not in ESTIMATOR_CHOICES:
@@ -236,7 +243,7 @@ def write_manifest(out_dir: Path, command: str, cfg: RunConfig, outputs: list[st
         "config": asdict(cfg),
         "outputs": sorted(outputs),
         "versions": {
-            "fbmpassage": _package_version(),
+            "fbmpassage": __version__,
             "numpy": np.__version__,
             "python": platform.python_version(),
             "scipy": scipy.__version__,
@@ -245,13 +252,7 @@ def write_manifest(out_dir: Path, command: str, cfg: RunConfig, outputs: list[st
     (out_dir / "run_manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def _package_version() -> str:
-    from . import __version__
-
-    return __version__
-
-
-def _job(cfg: RunConfig, chunk_pairs: int | None, **overrides) -> SimulationJob:
+def _job(cfg: RunConfig, **overrides) -> SimulationJob:
     """The simulation job for cfg: every H of hurst_list on one set of paths.
 
     It runs the hit-time rules that cfg.estimator names; `overrides`
@@ -268,7 +269,6 @@ def _job(cfg: RunConfig, chunk_pairs: int | None, **overrides) -> SimulationJob:
         drift=cfg.drift,
         diffusion=cfg.diffusion,
         rules=RULES if cfg.estimator == "both" else (cfg.estimator,),
-        chunk_pairs=chunk_pairs,
     )
     spec.update(overrides)
     return SimulationJob(**spec)
@@ -278,14 +278,14 @@ def _job(cfg: RunConfig, chunk_pairs: int | None, **overrides) -> SimulationJob:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_simulate(cfg: RunConfig, workers: int, chunk_pairs: int | None, out_dir: Path) -> list[str]:
+def cmd_simulate(cfg: RunConfig, workers: int, out_dir: Path) -> list[str]:
     """Laplace table over the (H, lambda, estimator) lattice -> laplace.csv.
 
     delta_vs_bm is the gap against the Brownian reference: the estimated
     H = 1/2 row with the same estimator when 1/2 is in hurst_list, else the
     closed form when the model is pure fBm, else nan.
     """
-    job = _job(cfg, chunk_pairs)
+    job = _job(cfg)
     times = run_simulation(job, workers)
     censored = {name: np.isinf(times[name]).sum(axis=1) for name in job.rules}
     half = cfg.hurst_list.index(0.5) if 0.5 in cfg.hurst_list else None
@@ -311,7 +311,7 @@ def cmd_simulate(cfg: RunConfig, workers: int, chunk_pairs: int | None, out_dir:
     return ["laplace.csv"]
 
 
-def cmd_bridge_compare(cfg: RunConfig, workers: int, chunk_pairs: int | None, out_dir: Path) -> list[str]:
+def cmd_bridge_compare(cfg: RunConfig, workers: int, out_dir: Path) -> list[str]:
     """Plain vs bridge-corrected estimator at the configured grid -> bridge_compare.csv.
 
     Uses the first entry of hurst_list.  The reference column holds the
@@ -322,11 +322,11 @@ def cmd_bridge_compare(cfg: RunConfig, workers: int, chunk_pairs: int | None, ou
     if cfg.estimator != "both":
         raise ConfigError("bridge-compare needs estimator=both")
     hv = cfg.hurst_list[0]
-    job = _job(cfg, chunk_pairs, hurst=(hv,))
+    job = _job(cfg, hurst=(hv,))
     if hv == 0.5 and job.is_pure:
         reference = [laplace_bm(lam, cfg.x0, cfg.threshold) for lam in cfg.lambda_list]
     else:
-        fine_job = _job(cfg, chunk_pairs, hurst=(hv,), steps=2 * cfg.steps, rules=("simple",))
+        fine_job = _job(cfg, hurst=(hv,), steps=2 * cfg.steps, rules=("simple",))
         fine = run_simulation(fine_job, workers)["simple"][0]
         reference = [laplace_from_times(fine, lam)[0] for lam in cfg.lambda_list]
     for lam, ref in zip(cfg.lambda_list, reference):
@@ -348,7 +348,7 @@ def cmd_bridge_compare(cfg: RunConfig, workers: int, chunk_pairs: int | None, ou
     return ["bridge_compare.csv"]
 
 
-def cmd_rate(cfg: RunConfig, workers: int, chunk_pairs: int | None, out_dir: Path) -> list[str]:
+def cmd_rate(cfg: RunConfig, workers: int, out_dir: Path) -> list[str]:
     """Gap-vs-(H - 1/2) regression per lambda -> rate.csv and fig1_data.csv.
 
     fig1_data.csv holds, per lambda, a `point` row (gap, se) per H above
@@ -364,7 +364,7 @@ def cmd_rate(cfg: RunConfig, workers: int, chunk_pairs: int | None, out_dir: Pat
     if 0.5 not in cfg.hurst_list or len(h_above) < 3:
         raise ConfigError("rate needs hurst_list to contain 0.5 plus at least three larger values")
     name = "simple" if cfg.estimator == "both" else cfg.estimator
-    times = run_simulation(_job(cfg, chunk_pairs, rules=(name,)), workers)[name]
+    times = run_simulation(_job(cfg, rules=(name,)), workers)[name]
     brownian = times[cfg.hurst_list.index(0.5)]
     above = [t for hv, t in zip(cfg.hurst_list, times) if hv > 0.5]
 
@@ -387,7 +387,7 @@ def cmd_rate(cfg: RunConfig, workers: int, chunk_pairs: int | None, out_dir: Pat
     return ["rate.csv", "fig1_data.csv"]
 
 
-def cmd_density(cfg: RunConfig, workers: int, chunk_pairs: int | None, out_dir: Path) -> list[str]:
+def cmd_density(cfg: RunConfig, workers: int, out_dir: Path) -> list[str]:
     """Hit-time histogram per Hurst value -> density_H{value}.csv.
 
     Each file is named by the exact H, its shortest round-tripping repr
@@ -399,7 +399,7 @@ def cmd_density(cfg: RunConfig, workers: int, chunk_pairs: int | None, out_dir: 
     _check_fits_in_memory(HISTOGRAM_BYTES_PER_BIN * cfg.hist_bins, "use fewer histogram bins")
     outputs = [f"density_H{hv!r}.csv" for hv in cfg.hurst_list]
     name = "simple" if cfg.estimator == "simple" else "bridge"
-    for filename, times in zip(outputs, run_simulation(_job(cfg, chunk_pairs, rules=(name,)), workers)[name]):
+    for filename, times in zip(outputs, run_simulation(_job(cfg, rules=(name,)), workers)[name]):
         edges, mass = density_from_times(times, cfg.horizon, cfg.hist_bins)
         rows = zip(edges[:-1], edges[1:], mass)
         write_csv(out_dir / filename, ["bin_left", "bin_right", "density"], rows)
@@ -414,7 +414,7 @@ def _grid_index(t: float, horizon: float, steps: int) -> int:
     return min(int(np.floor(t / (horizon / steps) + 1e-9)), steps)
 
 
-def cmd_conjecture(cfg: RunConfig, workers: int, chunk_pairs: int | None, out_dir: Path) -> list[str]:
+def cmd_conjecture(cfg: RunConfig, workers: int, out_dir: Path) -> list[str]:
     """Truncated argmax moments over the r windows -> conjecture.csv.
 
     Each H row group carries the OLS trend of moment against r and its
@@ -443,7 +443,7 @@ def cmd_conjecture(cfg: RunConfig, workers: int, chunk_pairs: int | None, out_di
         if not indices[-1]:
             step = cfg.horizon / cfg.steps
             raise ConfigError(f"r={r:g} is shorter than one grid step {step:g}; its window holds only t = 0")
-    job = _job(cfg, chunk_pairs, x0=0.0, drift="zero", diffusion="one", rules=(), extreme_indices=tuple(indices))
+    job = _job(cfg, x0=0.0, drift="zero", diffusion="one", rules=(), extreme_indices=tuple(indices))
     out = run_simulation(job, workers)
     rows = []
     for hv, sups, argmax_times in zip(cfg.hurst_list, out["sup_values"], out["argmax_times"]):
@@ -569,7 +569,7 @@ def _format_selftest(checks: list[tuple[str, bool, str]]) -> str:
     return "\n".join(lines)
 
 
-def cmd_selftest(cfg: RunConfig, workers: int, chunk_pairs: int | None, out_dir: Path) -> list[str]:
+def cmd_selftest(cfg: RunConfig, workers: int, out_dir: Path) -> list[str]:
     checks = run_selftest()
     report = _format_selftest(checks)
     print(report)
@@ -604,15 +604,8 @@ def _add_common_options(parser: argparse.ArgumentParser) -> None:
         "--workers",
         type=int,
         default=1,
-        help="process count, at least 1 and capped at the chunks and the CPUs this process may run on; "
+        help="process count, at least 1 and capped at the work to share and the CPUs this process may run on; "
         "results do not depend on it",
-    )
-    parser.add_argument(
-        "--chunk-pairs",
-        type=int,
-        metavar="N",
-        help=f"path pairs per work chunk, by default {BLOCK_PAIRS} without an Euler loop and "
-        f"{DEFAULT_CHUNK_PAIRS} with one; results do not depend on it",
     )
     parser.add_argument(
         "--paper-scale",
@@ -645,7 +638,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="fbmpassage",
         description="Exact fBm synthesis and first-passage Laplace transform experiments.",
     )
-    parser.add_argument("--version", action="version", version=f"%(prog)s {_package_version()}")
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     subparsers = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
     for name, (_, help_text) in _COMMANDS.items():
         sub = subparsers.add_parser(name, help=help_text, description=help_text)
@@ -654,6 +647,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    package = logging.getLogger(__package__)
+    if not package.handlers:  # the package's warnings reach stderr once, however often main runs
+        handler = _StderrHandler()
+        handler.setFormatter(logging.Formatter("warning: %(message)s"))
+        package.addHandler(handler)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -664,19 +662,15 @@ def main(argv=None) -> int:
         return code if isinstance(code, int) else 2
     try:
         cfg = resolve_config(args)
-        workers = args.workers
-        if workers < 1:
-            raise ConfigError(f"workers must be at least 1, got {workers}")
-        chunk_pairs = args.chunk_pairs
-        if chunk_pairs is not None and chunk_pairs < 1:
-            raise ConfigError(f"chunk-pairs must be positive, got {chunk_pairs}")
+        if args.workers < 1:
+            raise ConfigError(f"workers must be at least 1, got {args.workers}")
         out_dir = Path(cfg.out)
         try:
             out_dir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"cannot create output directory {out_dir}: {exc}") from exc
         command, _ = _COMMANDS[args.command]
-        outputs = command(cfg, workers, chunk_pairs, out_dir)
+        outputs = command(cfg, args.workers, out_dir)
         write_manifest(out_dir, args.command, cfg, outputs)
         return 0
     except _SelftestFailure:

@@ -19,7 +19,7 @@ import ctypes
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache, lru_cache, partial
 
 import numpy as np
@@ -51,8 +51,9 @@ class SimulationJob:
     `hurst` lists the H values to simulate; all of them run on the same
     noise, and row k of every output array belongs to hurst[k].  `rules`
     names the hit-time rules to run, drawn from RULES, each at most once.
-    `chunk_pairs` is the path pairs per chunk; None picks BLOCK_PAIRS
-    when the reduced drift is zero and DEFAULT_CHUNK_PAIRS otherwise.
+    `chunk_pairs` is the path pairs per chunk.  None lets run_simulation
+    pick: BLOCK_PAIRS when the reduced drift is zero and DEFAULT_CHUNK_PAIRS
+    otherwise, halved until the run fits in physical memory.
     Workers reconstruct everything (spectra, model coefficients) from this
     record, so a chunk can be computed anywhere and the result depends only
     on the job and the chunk index.
@@ -247,15 +248,8 @@ def _chunk_compute(job: SimulationJob, chunk_index: int) -> dict[str, np.ndarray
     asks _row_log_uniforms for the uniforms it reads, which draws them,
     and takes their logs, only as far as some H has asked so far.
 
-    Memory per chunk, with N = steps: 16N bytes of path rows per pair,
-    plus 16N of log-uniforms per pair with the bridge rule, filled only as
-    far as the scans read, plus 32N of stashed complex noise per pair with
-    several H values, next to a transform buffer of 32N per row for up to
-    BLOCK_PAIRS rows.  By default a chunk with a zero reduced drift holds
-    BLOCK_PAIRS pairs, one transform buffer row each, and a drifted chunk
-    DEFAULT_CHUNK_PAIRS; the Euler step overwrites the path rows in place,
-    one bounded batch of columns at a time, and its row check and scalar
-    tail hold pieces of fixed size (see _memory_estimate).
+    Its buffers are the ones _memory_estimate counts; the Euler step
+    overwrites the path rows in place.
     """
     _raise_malloc_thresholds()
     steps = job.steps
@@ -336,11 +330,14 @@ def run_simulation(job: SimulationJob, workers: int = 1) -> dict[str, np.ndarray
     pool, of min(workers, chunks, CPUs this process may run on) processes.
     Chunks are merged in chunk-index order; since every per-path output is
     a pure function of (job, H, path index), the assembled arrays are
-    byte-identical for any `workers` and `chunk_pairs`.  A job with a
-    master seed outside the integers in [0, 2^64), a non-integer count,
-    step count or grid index, or a non-finite x0 or threshold, and a
-    `workers` that is not an integer of at least 1, raise ValueError
-    before anything is allocated.
+    byte-identical for any `workers` and `chunk_pairs`.  A None chunk_pairs
+    runs the model's default chunk, halved until _memory_estimate fits
+    physical memory at min(workers, CPUs) processes.  A run that does not
+    fit at one pair, or at an explicit chunk_pairs, raises MemoryBudgetError;
+    a master seed outside the integers in [0, 2^64), a non-integer count,
+    step count or grid index, a non-finite x0 or threshold, or a `workers`
+    that is not an integer of at least 1 raises ValueError.  Both are
+    raised before anything is allocated.
     """
     if not (_is_int(job.master_seed) and 0 <= job.master_seed < 2**64):
         raise ValueError(f"master_seed must be an integer in [0, 2**64), got {job.master_seed!r}")
@@ -361,13 +358,20 @@ def run_simulation(job: SimulationJob, workers: int = 1) -> dict[str, np.ndarray
     bad = [i for i in (*job.marginal_indices, *job.extreme_indices) if not (_is_int(i) and 0 <= i <= job.steps)]
     if bad:
         raise ValueError(f"grid indices must be integers in [0, {job.steps}], got {bad}")
-    # validate the model and bound the memory before allocating anything
-    pairs_total = (job.samples + 1) // 2
-    n_chunks = math.ceil(pairs_total / _chunk_layout(job)[1])
+    # validate the model; a default chunk halves until the run fits at the most processes it may start
+    fitted = replace(job, chunk_pairs=_chunk_layout(job)[1])
     # an affinity mask (taskset, a cpuset) may allow fewer CPUs than the machine has
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    workers = min(int(workers), n_chunks, cpus)
-    _check_fits_in_memory(_memory_estimate(job, workers), "use fewer steps, samples, workers or chunk pairs")
+    workers = min(int(workers), cpus)
+    have = _physical_memory()
+    if job.chunk_pairs is None and have is not None:
+        while fitted.chunk_pairs > 1 and _memory_estimate(fitted, workers) > have:
+            fitted = replace(fitted, chunk_pairs=fitted.chunk_pairs // 2)
+    n_chunks = math.ceil((job.samples + 1) // 2 / fitted.chunk_pairs)
+    workers = min(workers, n_chunks)
+    levers = "steps, samples or workers" if job.chunk_pairs is None else "steps, samples, workers or chunk pairs"
+    _check_fits_in_memory(_memory_estimate(fitted, workers), f"use fewer {levers}")
+    job = fitted
     _raise_malloc_thresholds()
     # build the job's spectrum table once, validating every spectrum; forked workers inherit it
     _noise_scales(tuple(job.hurst), job.horizon, job.steps)

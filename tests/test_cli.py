@@ -2,8 +2,9 @@
 
 Covers config parsing and precedence, validation, exit codes, output file
 schemas, the run manifest, worker-count independence of the written files,
-warnings on model runs, the modules a CLI import loads, and the statistical
-checks pinned to CLI output at its default desk scale.
+warnings on model runs and their once-per-run `warning:` lines on stderr,
+the modules a CLI import loads, and the statistical checks pinned to CLI
+output at its default desk scale.
 """
 
 import contextlib
@@ -228,6 +229,7 @@ def test_paper_scale_flag():
         {"horizon": 1e-300, "steps": 2, "hurst_list": (0.516,)},  # 2 / step^(2H) overflows
         {"lambda_list": (1e307,)},  # lambda * 2 horizon overflows
         {"r_list": (5.0, 5.0)},  # a repeated window leaves the trend fit degenerate
+        {"lambda_list": (1.0, 1.0)},  # a repeated lambda would write every laplace.csv row twice
     ],
 )
 def test_validate_config_rejects(override):
@@ -251,9 +253,12 @@ def test_exit_code_usage_errors(capsys, tmp_path):
     assert capsys.readouterr().out.startswith("fbmpassage ")
     assert main(["simulate", "--samples", "50", "--out", str(tmp_path / "o")]) == 2
     assert "error:" in capsys.readouterr().err
-    for flag, value in (("--workers", "0"), ("--workers", "-3"), ("--chunk-pairs", "0")):
-        assert main(["simulate", flag, value, "--out", str(tmp_path / "o")]) == 2
+    for value in ("0", "-3"):
+        assert main(["simulate", "--workers", value, "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.startswith("error:")
+    # the runner alone sizes a run's chunks
+    assert main(["simulate", "--chunk-pairs", "4", "--out", str(tmp_path / "o")]) == 2
+    assert "unrecognized arguments: --chunk-pairs" in capsys.readouterr().err
     argv = ["simulate", "--samples", "100", "--steps", "2", "--horizon", "1e300"]
     assert main([*argv, "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err.startswith("error:")
@@ -289,11 +294,12 @@ def test_exit_code_run_too_large_for_memory(capsys, monkeypatch, tmp_path):
         ["density", *huge_grid],
         ["conjecture", *huge_grid],
         ["simulate", "--samples", str(10**12), "--steps", "16"],
-        ["simulate", "--drift", "ou:1", "--samples", str(10**7), "--chunk-pairs", str(10**7)],
+        ["simulate", "--drift", "ou:1", "--samples", str(10**10), "--steps", "16"],  # too large at one pair
     ):
         assert main([*argv, *out]) == 2, argv
         err = capsys.readouterr().err
         assert err.startswith("error:") and "GiB" in err, argv
+        assert err.rstrip().endswith("use fewer steps, samples or workers"), argv
 
 
 def test_exit_code_histogram_too_large_for_memory(capsys, monkeypatch, tmp_path):
@@ -497,10 +503,17 @@ def test_pure_model_spellings_write_the_pure_bytes(tmp_path, model):
         assert (tmp_path / "spelled" / filename).read_bytes() == pure
 
 
-def test_simulate_workers_do_not_change_files(tmp_path):
+def _set_default_chunk_pairs(monkeypatch, pairs):
+    """Give every model `pairs` path pairs per chunk; forked pool workers inherit the patch."""
+    monkeypatch.setattr(runner, "BLOCK_PAIRS", pairs)
+    monkeypatch.setattr(runner, "DEFAULT_CHUNK_PAIRS", pairs)
+
+
+def test_simulate_workers_do_not_change_files(monkeypatch, tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     assert main(_SMALL_SIM + ["--out", str(a), "--workers", "1"]) == 0
-    assert main(_SMALL_SIM + ["--out", str(b), "--workers", "3", "--chunk-pairs", "7"]) == 0
+    _set_default_chunk_pairs(monkeypatch, 7)
+    assert main(_SMALL_SIM + ["--out", str(b), "--workers", "3"]) == 0
     assert (a / "laplace.csv").read_bytes() == (b / "laplace.csv").read_bytes()
     ma = json.loads((a / "run_manifest.json").read_text())
     mb = json.loads((b / "run_manifest.json").read_text())
@@ -526,12 +539,13 @@ class _FakePool:
         return map(fn, *iterables)
 
 
-@pytest.mark.parametrize("chunk_pairs, cpus, expected", [("7", 4, 4), ("128", 4, 3), ("7", 1, None)])
+@pytest.mark.parametrize("chunk_pairs, cpus, expected", [(7, 4, 4), (128, 4, 3), (7, 1, None)])
 def test_worker_count_is_clamped_to_chunks_and_cpus(monkeypatch, tmp_path, chunk_pairs, cpus, expected):
     monkeypatch.setattr(_FakePool, "started", [])
     monkeypatch.setattr(runner, "ProcessPoolExecutor", _FakePool)
     monkeypatch.setattr(runner.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-    argv = _SMALL_SIM + ["--chunk-pairs", chunk_pairs]  # 300 pairs: 43 or 3 chunks
+    _set_default_chunk_pairs(monkeypatch, chunk_pairs)
+    argv = _SMALL_SIM  # 300 pairs: 43 or 3 chunks
     assert main(argv + ["--workers", "100000", "--out", str(tmp_path / "many")]) == 0
     # one pool for every H value, sized min(workers, chunks, cpus); one worker runs serially
     assert _FakePool.started == ([] if expected is None else [expected])
@@ -540,7 +554,7 @@ def test_worker_count_is_clamped_to_chunks_and_cpus(monkeypatch, tmp_path, chunk
     assert many.read_bytes() == one.read_bytes()
 
 
-def test_conjecture_honours_chunk_pairs(monkeypatch, tmp_path):
+def test_conjecture_runs_in_zero_drift_default_chunks(monkeypatch, tmp_path):
     calls = []
     original = runner._chunk_compute
 
@@ -553,11 +567,14 @@ def test_conjecture_honours_chunk_pairs(monkeypatch, tmp_path):
         "conjecture", "--steps", "256", "--samples", "200", "--hurst-list", "0.5,0.6",
         "--r-list", "5,10",
     ]
-    assert main(argv + ["--chunk-pairs", "4", "--out", str(tmp_path / "c4")]) == 0
-    assert calls == list(range(25))  # 100 pairs in chunks of 4, one job for both H
     assert main(argv + ["--out", str(tmp_path / "default")]) == 0
-    c4, default = (tmp_path / d / "conjecture.csv" for d in ("c4", "default"))
-    assert c4.read_bytes() == default.read_bytes()
+    assert calls == list(range(25))  # 100 pairs in the zero-drift default of 4, one job for both H
+    calls.clear()
+    # conjecture ignores the model flags, so a drifted model keeps the zero-drift chunks
+    assert main(argv + ["--drift", "ou:1", "--out", str(tmp_path / "drift")]) == 0
+    assert calls == list(range(25))
+    default, drift = (tmp_path / d / "conjecture.csv" for d in ("default", "drift"))
+    assert drift.read_bytes() == default.read_bytes()
 
 
 def test_conjecture_warns_about_ignored_model_flags(caplog, tmp_path):
@@ -574,6 +591,19 @@ def test_conjecture_warns_about_ignored_model_flags(caplog, tmp_path):
     assert "--threshold" not in record.message and "--diffusion" not in record.message
     defaults, model = (tmp_path / d / "conjecture.csv" for d in ("defaults", "model"))
     assert defaults.read_bytes() == model.read_bytes()
+
+
+def test_package_warnings_print_once_per_run_with_a_prefix(capsys, tmp_path):
+    argv = [
+        "rate", "--seed", "4", "--samples", "400", "--steps", "256", "--hurst-list", "0.5,0.501,0.6,0.7,0.8",
+        "--lambda-list", "1",
+    ]
+    for run in ("first", "second"):  # one handler, however often main runs in a process
+        assert main(argv + ["--out", str(tmp_path / run)]) == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert [line for line in lines if "rate fit dropped" in line] == [
+            "warning: rate fit dropped 1 gap(s) at H=[0.501] (non-positive or within 2 SE of zero)"
+        ]
 
 
 def test_constant_diffusion_run_logs_no_sde_warning(caplog, tmp_path):

@@ -3,8 +3,9 @@
 Each subcommand runs at a tiny configuration (at most 1024 steps and 600
 paths), on raw fBm and on an OU drift with constant diffusion, in two
 layouts: serial with the default chunk size, and two workers with 7-pair
-chunks.  Every layout must write the same bytes, so one digest table
-serves both.
+chunks, set by patching the runner's two default chunk sizes (forked pool
+workers inherit the patch).  Every layout must write the same bytes, so
+one digest table serves both.
 
 A change that moves an output byte on purpose re-pins the digests and
 says why.  A numpy release that draws different normals fails here too;
@@ -15,6 +16,7 @@ import hashlib
 
 import pytest
 
+from fbmpassage import runner
 from fbmpassage.cli import main
 
 BASE = ["--seed", "1729", "--horizon", "20", "--threshold", "1", "--samples", "600", "--lambda-list", "1,2,3"]
@@ -32,9 +34,10 @@ MODELS = {
     "ou": ["--drift", "ou:1", "--diffusion", "const:2"],
 }
 
+# layout -> (flags, pairs per chunk for every model, or None for the model's default)
 LAYOUTS = {
-    "serial": ["--workers", "1"],
-    "pool-chunk7": ["--workers", "2", "--chunk-pairs", "7"],
+    "serial": (["--workers", "1"], None),
+    "pool-chunk7": (["--workers", "2"], 7),
 }
 
 # conjecture simulates raw fBm from zero whatever the model flags say, so
@@ -78,8 +81,12 @@ GOLDEN = {
 @pytest.mark.parametrize("layout", LAYOUTS)
 @pytest.mark.parametrize("case", CASES)
 @pytest.mark.parametrize("model", MODELS)
-def test_csv_digests(tmp_path, model, case, layout):
-    argv = CASES[case] + BASE + MODELS[model] + LAYOUTS[layout] + ["--out", str(tmp_path)]
+def test_csv_digests(monkeypatch, tmp_path, model, case, layout):
+    flags, chunk_pairs = LAYOUTS[layout]
+    if chunk_pairs is not None:
+        monkeypatch.setattr(runner, "BLOCK_PAIRS", chunk_pairs)
+        monkeypatch.setattr(runner, "DEFAULT_CHUNK_PAIRS", chunk_pairs)
+    argv = CASES[case] + BASE + MODELS[model] + flags + ["--out", str(tmp_path)]
     assert main(argv) == 0
     written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.glob("*.csv")}
     assert written == GOLDEN[model, case]

@@ -26,7 +26,9 @@ Covers:
   - Window extremes equal a rescan of every prefix, ties included, and
     copy no window.
   - The allocator setting runs once per process, on its first run or chunk, and
-    never on import; the memory bound refuses a run before allocating,
+    never on import; a default chunk halves until the run fits in memory,
+    down to one pair, and an explicit one is refused instead; the memory
+    bound refuses a run before allocating,
     counts chunks, spectra, the transform buffer and results exactly, and
     bounds the traced peak of eight job shapes from above.
   - Closed-form affine reduction: registry models agree with a scalar
@@ -559,9 +561,74 @@ def test_memory_bound_refuses_a_run_before_allocating(monkeypatch):
     ):
         with pytest.raises(runner.MemoryBudgetError, match="GiB"):
             run_simulation(job)
-    monkeypatch.setattr(runner, "_physical_memory", lambda: runner._memory_estimate(_job(), 1) - 1)
-    with pytest.raises(runner.MemoryBudgetError):
+    # a default job is refused when no chunk the fit tries (4, 2, 1 pairs) fits; at 300
+    # paths and 256 steps the 4-pair layout needs least, since array headers grow per chunk
+    least = min(runner._memory_estimate(dataclasses.replace(_job(), chunk_pairs=c), 1) for c in (4, 2, 1))
+    monkeypatch.setattr(runner, "_physical_memory", lambda: least - 1)
+    with pytest.raises(runner.MemoryBudgetError, match="use fewer steps, samples or workers$"):
         run_simulation(_job())
+
+
+def _fit_job(**kw):
+    """A two-H OU job with every output; at 300 paths, 2 default chunks of 128 pairs, or 5 of 32."""
+    outputs = dict(rules=RULES, marginal_indices=(17, 256), extreme_indices=(64, 256))
+    return _job(hurst=(0.5, 0.6), drift="ou:1", **outputs, **kw)
+
+
+def _counting_chunks(monkeypatch) -> list:
+    """Patch _chunk_compute to record (chunk index, chunk_pairs) of each serial call."""
+    calls = []
+    original = runner._chunk_compute
+
+    def counting(job, chunk_index):
+        calls.append((chunk_index, job.chunk_pairs))
+        return original(job, chunk_index)
+
+    monkeypatch.setattr(runner, "_chunk_compute", counting)
+    return calls
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_default_chunk_shrinks_to_fit_memory(monkeypatch, workers):
+    job = _fit_job()
+    want = run_simulation(job)
+    budget = runner._memory_estimate(dataclasses.replace(job, chunk_pairs=32), 1)
+    assert runner._memory_estimate(job, 1) > budget
+    monkeypatch.setattr(runner, "_physical_memory", lambda: budget)
+    calls = _counting_chunks(monkeypatch) if workers == 1 else []
+    got = run_simulation(job, workers=workers)
+    assert got.keys() == want.keys()
+    assert all(np.array_equal(got[key], want[key]) for key in want)
+    if workers == 1:  # halved from 128 to 32 pairs: 150 pairs in 5 chunks
+        assert calls == [(i, 32) for i in range(5)]
+
+
+def test_an_explicit_chunk_is_refused_not_shrunk(monkeypatch):
+    def no_allocation(*args):
+        raise AssertionError("an explicit chunk that does not fit must be refused before any spectrum or chunk")
+
+    job = _fit_job()
+    budget = runner._memory_estimate(dataclasses.replace(job, chunk_pairs=32), 1)
+    monkeypatch.setattr(runner, "_physical_memory", lambda: budget)
+    monkeypatch.setattr(runner, "_noise_scales", no_allocation)
+    monkeypatch.setattr(runner, "_chunk_compute", no_allocation)
+    with pytest.raises(runner.MemoryBudgetError, match="use fewer steps, samples, workers or chunk pairs$"):
+        run_simulation(dataclasses.replace(job, chunk_pairs=128))
+
+
+def test_a_default_chunk_fits_down_to_one_pair(monkeypatch):
+    # 10 pairs on 4096 steps: each halving below 10 pairs needs less memory
+    job = _fit_job(steps=2**12, samples=20)
+    want = run_simulation(job)
+    one_pair = runner._memory_estimate(dataclasses.replace(job, chunk_pairs=1), 1)
+    monkeypatch.setattr(runner, "_physical_memory", lambda: one_pair - 1)
+    with pytest.raises(runner.MemoryBudgetError, match="use fewer steps, samples or workers$"):
+        run_simulation(job)
+    monkeypatch.setattr(runner, "_physical_memory", lambda: one_pair)
+    calls = _counting_chunks(monkeypatch)
+    got = run_simulation(job)
+    assert calls == [(i, 1) for i in range(10)]
+    assert all(np.array_equal(got[key], want[key]) for key in want)
 
 
 def test_memory_estimate_counts_blocks_spectra_and_results():
