@@ -61,6 +61,8 @@ def _parse_floats(text: str) -> tuple[float, ...]:
     return tuple(float(p) for p in parts)
 
 
+_parse_floats.__name__ = "float list"  # argparse's "invalid <type> value" names a type by it
+
 # Value parser of a config key and of its flag, by the RunConfig annotation.
 _VALUE_PARSERS = {"int": int, "float": float, "str": str, "tuple[float, ...]": _parse_floats}
 
@@ -631,6 +633,10 @@ class _ArgumentParser(argparse.ArgumentParser):
             else:
                 tokens.append(token)
         return super().parse_known_args(tokens, namespace)
+
+    def error(self, message):
+        """Print one `error: <message>` line on stderr, with no usage block, and exit 2."""
+        self.exit(2, f"error: {message}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:

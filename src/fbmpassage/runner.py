@@ -19,7 +19,7 @@ import ctypes
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cache, lru_cache, partial
 
 import numpy as np
@@ -51,12 +51,9 @@ class SimulationJob:
     `hurst` lists the H values to simulate; all of them run on the same
     noise, and row k of every output array belongs to hurst[k].  `rules`
     names the hit-time rules to run, drawn from RULES, each at most once.
-    `chunk_pairs` is the path pairs per chunk.  None lets run_simulation
-    pick: BLOCK_PAIRS when the reduced drift is zero and DEFAULT_CHUNK_PAIRS
-    otherwise, halved until the run fits in physical memory.
     Workers reconstruct everything (spectra, model coefficients) from this
     record, so a chunk can be computed anywhere and the result depends only
-    on the job and the chunk index.
+    on the job and the chunk's pair range.
     """
 
     hurst: tuple[float, ...]
@@ -71,7 +68,6 @@ class SimulationJob:
     rules: tuple[str, ...] = ("simple",)
     marginal_indices: tuple[int, ...] = ()
     extreme_indices: tuple[int, ...] = ()
-    chunk_pairs: int | None = None
 
     @property
     def is_pure(self) -> bool:
@@ -178,19 +174,19 @@ def _reduced_drift(job: SimulationJob) -> tuple[float, float, float]:
     return a, (a * job.x0 + c) / s, s
 
 
-def _chunk_layout(job: SimulationJob) -> tuple[bool, int]:
-    """(looped, pairs per chunk): whether the reduced drift is not zero, so
-    the Euler loop runs, and chunk_pairs, by default DEFAULT_CHUNK_PAIRS
-    with the loop and BLOCK_PAIRS without.  Raises ValueError for an unknown model.
-    """
+def _is_looped(job: SimulationJob) -> bool:
+    """True when the reduced drift is not zero, so the Euler loop runs.  Raises ValueError for an unknown model."""
     a, c_reduced, _ = _reduced_drift(job)
-    looped = a != 0.0 or c_reduced != 0.0
-    default = DEFAULT_CHUNK_PAIRS if looped else BLOCK_PAIRS
-    return looped, default if job.chunk_pairs is None else job.chunk_pairs
+    return a != 0.0 or c_reduced != 0.0
 
 
-def _memory_estimate(job: SimulationJob, processes: int) -> int:
-    """Bytes a run of `job` holds at its peak, computed before anything is allocated.
+def _model_chunk_pairs(job: SimulationJob) -> int:
+    """The model's pairs per chunk: DEFAULT_CHUNK_PAIRS with the Euler loop and BLOCK_PAIRS without."""
+    return DEFAULT_CHUNK_PAIRS if _is_looped(job) else BLOCK_PAIRS
+
+
+def _memory_estimate(job: SimulationJob, chunk: int, processes: int) -> int:
+    """Bytes a run of `job` in chunks of `chunk` pairs holds at its peak, computed before anything is allocated.
 
     An upper bound on the traced peak, with N = steps.  Every process
     holds 64 kB of small objects, the job's spectrum table (16N bytes per
@@ -210,7 +206,7 @@ def _memory_estimate(job: SimulationJob, processes: int) -> int:
     chunk and H.  Raises ValueError for an unknown model.
     """
     pairs = (job.samples + 1) // 2
-    looped, chunk = _chunk_layout(job)
+    looped = _is_looped(job)
     pc = min(chunk, pairs)  # pairs in the largest chunk
     n = job.steps + 1
     bridge = "bridge" in job.rules
@@ -224,8 +220,8 @@ def _memory_estimate(job: SimulationJob, processes: int) -> int:
     return processes * per_process + len(job.hurst) * results
 
 
-def _chunk_compute(job: SimulationJob, chunk_index: int) -> dict[str, np.ndarray]:
-    """Per-path outputs of one chunk of consecutive path pairs, indexed [H, path in chunk].
+def _chunk_compute(job: SimulationJob, first_pair: int, pairs: int) -> dict[str, np.ndarray]:
+    """Per-path outputs of the chunk of `pairs` path pairs from `first_pair` on, indexed [H, path in chunk].
 
     Paths run in the reduced coordinates y = (x - x0) / s of the model
     dX = (a X + c) dt + s dB: drift a y + (a x0 + c) / s, unit diffusion,
@@ -255,38 +251,35 @@ def _chunk_compute(job: SimulationJob, chunk_index: int) -> dict[str, np.ndarray
     steps = job.steps
     step = job.horizon / steps
     m = 2 * steps
-    pairs_total = (job.samples + 1) // 2
-    looped, chunk = _chunk_layout(job)
-    p0 = chunk_index * chunk
-    pc = min(chunk, pairs_total - p0)
-    first_path = 2 * p0
-    n_valid = min(2 * pc, job.samples - first_path)
+    first_path = 2 * first_pair
+    n_valid = min(2 * pairs, job.samples - first_path)
     scales = _noise_scales(tuple(job.hurst), job.horizon, steps)
     a, c_reduced, s = _reduced_drift(job)
+    looped = _is_looped(job)
     thr = (job.threshold - job.x0) / s
 
     out = _empty_outputs(job, n_valid)
     bridge = "bridge" in job.rules
-    transformed = np.empty((min(BLOCK_PAIRS, pc), m), dtype=complex)
-    stash = np.empty((pc, m), dtype=complex) if len(job.hurst) > 1 else None
-    values = np.empty((2 * pc, steps + 1))
+    transformed = np.empty((min(BLOCK_PAIRS, pairs), m), dtype=complex)
+    stash = np.empty((pairs, m), dtype=complex) if len(job.hurst) > 1 else None
+    values = np.empty((2 * pairs, steps + 1))
     values[:, 0] = 0.0
     paths = values[:n_valid]
     if bridge:
         generators = [substream(job.master_seed, UNIFORM_STREAM, first_path + j) for j in range(n_valid)]
-        log_uniforms = partial(_row_log_uniforms, generators, [0] * n_valid, np.empty((2 * pc, steps)))
+        log_uniforms = partial(_row_log_uniforms, generators, [0] * n_valid, np.empty((2 * pairs, steps)))
     columns = list(job.marginal_indices)
     # the Euler loop steps each row through its plain hit and the last column any output reads
     level = thr if job.rules else -math.inf
     read_to = max((*job.marginal_indices, *job.extreme_indices), default=0)
 
     for k, (h, scale) in enumerate(zip(job.hurst, scales)):
-        for g0 in range(0, pc, BLOCK_PAIRS):
-            g = min(BLOCK_PAIRS, pc - g0)
+        for g0 in range(0, pairs, BLOCK_PAIRS):
+            g = min(BLOCK_PAIRS, pairs - g0)
             noise = transformed[:g] if stash is None else stash[g0 : g0 + g]
             if not k:
                 for i in range(g):
-                    rng = substream(job.master_seed, GAUSSIAN_STREAM, p0 + g0 + i)
+                    rng = substream(job.master_seed, GAUSSIAN_STREAM, first_pair + g0 + i)
                     _complex_noise(rng, m, out=noise[i])
             y = _pair_fft(scale, noise, out=transformed[:g])
             group = values[2 * g0 : 2 * (g0 + g), 1:]
@@ -328,13 +321,12 @@ def run_simulation(job: SimulationJob, workers: int = 1) -> dict[str, np.ndarray
     index.  Every array has shape (len(hurst), samples, ...).
     All H values share one pass over the chunks and at most one process
     pool, of min(workers, chunks, CPUs this process may run on) processes.
-    Chunks are merged in chunk-index order; since every per-path output is
-    a pure function of (job, H, path index), the assembled arrays are
-    byte-identical for any `workers` and `chunk_pairs`.  A None chunk_pairs
-    runs the model's default chunk, halved until _memory_estimate fits
-    physical memory at min(workers, CPUs) processes.  A run that does not
-    fit at one pair, or at an explicit chunk_pairs, raises MemoryBudgetError;
-    a master seed outside the integers in [0, 2^64), a non-integer count,
+    The chunks start from the model's chunk, halved until _memory_estimate
+    fits physical memory at min(workers, CPUs) processes, and are merged
+    in path order; since every per-path output is a pure function of
+    (job, H, path index), the assembled arrays are byte-identical for any
+    `workers` and chunk size.  A run that does not fit at one pair raises
+    MemoryBudgetError; a master seed outside the integers in [0, 2^64), a non-integer count,
     step count or grid index, a non-finite x0 or threshold, or a `workers`
     that is not an integer of at least 1 raises ValueError.  Both are
     raised before anything is allocated.
@@ -345,8 +337,6 @@ def run_simulation(job: SimulationJob, workers: int = 1) -> dict[str, np.ndarray
         raise ValueError(f"steps must be an integer, got {job.steps!r}")
     if not (_is_int(job.samples) and job.samples >= 1):
         raise ValueError(f"samples must be an integer of at least 1, got {job.samples!r}")
-    if not (job.chunk_pairs is None or (_is_int(job.chunk_pairs) and job.chunk_pairs >= 1)):
-        raise ValueError(f"chunk_pairs must be an integer of at least 1, got {job.chunk_pairs!r}")
     if not (math.isfinite(job.x0) and math.isfinite(job.threshold)):
         raise ValueError(f"x0 and threshold must be finite, got x0={job.x0}, threshold={job.threshold}")
     if not (_is_int(workers) and workers >= 1):
@@ -358,26 +348,26 @@ def run_simulation(job: SimulationJob, workers: int = 1) -> dict[str, np.ndarray
     bad = [i for i in (*job.marginal_indices, *job.extreme_indices) if not (_is_int(i) and 0 <= i <= job.steps)]
     if bad:
         raise ValueError(f"grid indices must be integers in [0, {job.steps}], got {bad}")
-    # validate the model; a default chunk halves until the run fits at the most processes it may start
-    fitted = replace(job, chunk_pairs=_chunk_layout(job)[1])
+    # validate the model; its chunk halves until the run fits at the most processes it may start
+    chunk = _model_chunk_pairs(job)
     # an affinity mask (taskset, a cpuset) may allow fewer CPUs than the machine has
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     workers = min(int(workers), cpus)
     have = _physical_memory()
-    if job.chunk_pairs is None and have is not None:
-        while fitted.chunk_pairs > 1 and _memory_estimate(fitted, workers) > have:
-            fitted = replace(fitted, chunk_pairs=fitted.chunk_pairs // 2)
-    n_chunks = math.ceil((job.samples + 1) // 2 / fitted.chunk_pairs)
-    workers = min(workers, n_chunks)
-    levers = "steps, samples or workers" if job.chunk_pairs is None else "steps, samples, workers or chunk pairs"
-    _check_fits_in_memory(_memory_estimate(fitted, workers), f"use fewer {levers}")
-    job = fitted
+    if have is not None:
+        while chunk > 1 and _memory_estimate(job, chunk, workers) > have:
+            chunk //= 2
+    pairs = (job.samples + 1) // 2
+    firsts = range(0, pairs, chunk)
+    workers = min(workers, len(firsts))
+    _check_fits_in_memory(_memory_estimate(job, chunk, workers), "use fewer steps, samples or workers")
     _raise_malloc_thresholds()
     # build the job's spectrum table once, validating every spectrum; forked workers inherit it
     _noise_scales(tuple(job.hurst), job.horizon, job.steps)
+    sizes = [min(chunk, pairs - first) for first in firsts]
     if workers == 1:
-        chunks = [_chunk_compute(job, i) for i in range(n_chunks)]
+        chunks = [_chunk_compute(job, first, size) for first, size in zip(firsts, sizes)]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_chunk_compute, [job] * n_chunks, range(n_chunks)))
+            chunks = list(pool.map(_chunk_compute, [job] * len(firsts), firsts, sizes))
     return {key: np.concatenate([c[key] for c in chunks], axis=1) for key in chunks[0]}

@@ -247,10 +247,24 @@ def test_validate_config_accepts_defaults():
 # ---------------------------------------------------------------------------
 
 def test_exit_code_usage_errors(capsys, tmp_path):
-    assert main(["simulate", "--bogus"]) == 2
-    capsys.readouterr()
+    # argparse's usage errors print one error line and no usage block
+    for argv in (
+        ["simulate", "--bogus"],
+        ["simulate", "--workers", "x"],
+        ["simulate", "--estimator", "foo"],
+        [],  # no COMMAND
+    ):
+        assert main(argv) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error:") and "usage:" not in err, argv
+    assert main(["simulate", "--hurst-list="]) == 2
+    assert capsys.readouterr().err == "error: argument --hurst-list: invalid float list value: ''\n"
     assert main(["--version"]) == 0
-    assert capsys.readouterr().out.startswith("fbmpassage ")
+    out, err = capsys.readouterr()
+    assert out.startswith("fbmpassage ") and err == ""
+    assert main(["-h"]) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: fbmpassage") and err == ""
     assert main(["simulate", "--samples", "50", "--out", str(tmp_path / "o")]) == 2
     assert "error:" in capsys.readouterr().err
     for value in ("0", "-3"):
@@ -258,7 +272,7 @@ def test_exit_code_usage_errors(capsys, tmp_path):
         assert capsys.readouterr().err.startswith("error:")
     # the runner alone sizes a run's chunks
     assert main(["simulate", "--chunk-pairs", "4", "--out", str(tmp_path / "o")]) == 2
-    assert "unrecognized arguments: --chunk-pairs" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith("error: unrecognized arguments: --chunk-pairs")
     argv = ["simulate", "--samples", "100", "--steps", "2", "--horizon", "1e300"]
     assert main([*argv, "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err.startswith("error:")
@@ -503,16 +517,10 @@ def test_pure_model_spellings_write_the_pure_bytes(tmp_path, model):
         assert (tmp_path / "spelled" / filename).read_bytes() == pure
 
 
-def _set_default_chunk_pairs(monkeypatch, pairs):
-    """Give every model `pairs` path pairs per chunk; forked pool workers inherit the patch."""
-    monkeypatch.setattr(runner, "BLOCK_PAIRS", pairs)
-    monkeypatch.setattr(runner, "DEFAULT_CHUNK_PAIRS", pairs)
-
-
-def test_simulate_workers_do_not_change_files(monkeypatch, tmp_path):
+def test_simulate_workers_do_not_change_files(pin_chunk, tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     assert main(_SMALL_SIM + ["--out", str(a), "--workers", "1"]) == 0
-    _set_default_chunk_pairs(monkeypatch, 7)
+    pin_chunk(7)
     assert main(_SMALL_SIM + ["--out", str(b), "--workers", "3"]) == 0
     assert (a / "laplace.csv").read_bytes() == (b / "laplace.csv").read_bytes()
     ma = json.loads((a / "run_manifest.json").read_text())
@@ -540,11 +548,11 @@ class _FakePool:
 
 
 @pytest.mark.parametrize("chunk_pairs, cpus, expected", [(7, 4, 4), (128, 4, 3), (7, 1, None)])
-def test_worker_count_is_clamped_to_chunks_and_cpus(monkeypatch, tmp_path, chunk_pairs, cpus, expected):
+def test_worker_count_is_clamped_to_chunks_and_cpus(monkeypatch, pin_chunk, tmp_path, chunk_pairs, cpus, expected):
     monkeypatch.setattr(_FakePool, "started", [])
     monkeypatch.setattr(runner, "ProcessPoolExecutor", _FakePool)
     monkeypatch.setattr(runner.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-    _set_default_chunk_pairs(monkeypatch, chunk_pairs)
+    pin_chunk(chunk_pairs)
     argv = _SMALL_SIM  # 300 pairs: 43 or 3 chunks
     assert main(argv + ["--workers", "100000", "--out", str(tmp_path / "many")]) == 0
     # one pool for every H value, sized min(workers, chunks, cpus); one worker runs serially
@@ -558,9 +566,9 @@ def test_conjecture_runs_in_zero_drift_default_chunks(monkeypatch, tmp_path):
     calls = []
     original = runner._chunk_compute
 
-    def counting(job, chunk_index):
-        calls.append(chunk_index)
-        return original(job, chunk_index)
+    def counting(job, first_pair, pairs):
+        calls.append((first_pair, pairs))
+        return original(job, first_pair, pairs)
 
     monkeypatch.setattr(runner, "_chunk_compute", counting)
     argv = [
@@ -568,11 +576,12 @@ def test_conjecture_runs_in_zero_drift_default_chunks(monkeypatch, tmp_path):
         "--r-list", "5,10",
     ]
     assert main(argv + ["--out", str(tmp_path / "default")]) == 0
-    assert calls == list(range(25))  # 100 pairs in the zero-drift default of 4, one job for both H
+    default_chunks = [(first, 4) for first in range(0, 100, 4)]
+    assert calls == default_chunks  # 100 pairs in the zero-drift default of 4, one job for both H
     calls.clear()
     # conjecture ignores the model flags, so a drifted model keeps the zero-drift chunks
     assert main(argv + ["--drift", "ou:1", "--out", str(tmp_path / "drift")]) == 0
-    assert calls == list(range(25))
+    assert calls == default_chunks
     default, drift = (tmp_path / d / "conjecture.csv" for d in ("default", "drift"))
     assert drift.read_bytes() == default.read_bytes()
 

@@ -2,10 +2,10 @@
 
 Each subcommand runs at a tiny configuration (at most 1024 steps and 600
 paths), on raw fBm and on an OU drift with constant diffusion, in two
-layouts: serial with the default chunk size, and two workers with 7-pair
-chunks, set by patching the runner's two default chunk sizes (forked pool
-workers inherit the patch).  Every layout must write the same bytes, so
-one digest table serves both.
+layouts: serial with the model's chunk size, and two workers with 7-pair
+chunks for every model, pinned through the `pin_chunk` fixture; a zero-drift
+7-pair chunk then runs as FFT groups of 4 and 3 pairs.  Every layout must
+write the same bytes, so one digest table serves both.
 
 A change that moves an output byte on purpose re-pins the digests and
 says why.  A numpy release that draws different normals fails here too;
@@ -16,7 +16,6 @@ import hashlib
 
 import pytest
 
-from fbmpassage import runner
 from fbmpassage.cli import main
 
 BASE = ["--seed", "1729", "--horizon", "20", "--threshold", "1", "--samples", "600", "--lambda-list", "1,2,3"]
@@ -81,11 +80,10 @@ GOLDEN = {
 @pytest.mark.parametrize("layout", LAYOUTS)
 @pytest.mark.parametrize("case", CASES)
 @pytest.mark.parametrize("model", MODELS)
-def test_csv_digests(monkeypatch, tmp_path, model, case, layout):
+def test_csv_digests(pin_chunk, tmp_path, model, case, layout):
     flags, chunk_pairs = LAYOUTS[layout]
     if chunk_pairs is not None:
-        monkeypatch.setattr(runner, "BLOCK_PAIRS", chunk_pairs)
-        monkeypatch.setattr(runner, "DEFAULT_CHUNK_PAIRS", chunk_pairs)
+        pin_chunk(chunk_pairs)
     argv = CASES[case] + BASE + MODELS[model] + flags + ["--out", str(tmp_path)]
     assert main(argv) == 0
     written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.glob("*.csv")}

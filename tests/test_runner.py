@@ -26,11 +26,11 @@ Covers:
   - Window extremes equal a rescan of every prefix, ties included, and
     copy no window.
   - The allocator setting runs once per process, on its first run or chunk, and
-    never on import; a default chunk halves until the run fits in memory,
-    down to one pair, and an explicit one is refused instead; the memory
-    bound refuses a run before allocating,
-    counts chunks, spectra, the transform buffer and results exactly, and
-    bounds the traced peak of eight job shapes from above.
+    never on import; the model's chunk halves until the run fits in memory,
+    down to one pair, and the chunks tile the path pairs in order, each
+    computed from the caller's job; the memory bound refuses a run before
+    allocating, counts chunks, spectra, the transform buffer and results
+    exactly, and bounds the traced peak of eight job shapes from above.
   - Closed-form affine reduction: registry models agree with a scalar
     per-path Euler loop on y = (x - x0) / s, and zero drift with constant
     diffusion is scaled fBm with no Euler loop at all.  OU marginals match
@@ -90,11 +90,12 @@ def test_worker_count_is_observationally_irrelevant():
     assert np.array_equal(serial["bridge"], pooled["bridge"])
 
 
-def test_a_one_cpu_affinity_mask_starts_no_pool(monkeypatch):
+def test_a_one_cpu_affinity_mask_starts_no_pool(monkeypatch, pin_chunk):
     def no_pool(*args, **kwargs):
         raise AssertionError("a process that may run on one CPU must run its chunks serially")
 
-    job = _job(samples=40, chunk_pairs=2)  # 10 chunks
+    pin_chunk(2)
+    job = _job(samples=40)  # 10 chunks
     serial = run_simulation(job)
     monkeypatch.setattr(runner.os, "cpu_count", lambda: 4)
     monkeypatch.setattr(runner.os, "sched_getaffinity", lambda pid: {0}, raising=False)
@@ -102,13 +103,16 @@ def test_a_one_cpu_affinity_mask_starts_no_pool(monkeypatch):
     assert np.array_equal(run_simulation(job, workers=4)["simple"], serial["simple"])
 
 
-def test_chunk_size_is_observationally_irrelevant():
+def test_chunk_size_is_observationally_irrelevant(pin_chunk):
     outputs = dict(rules=RULES, marginal_indices=(17, 256), extreme_indices=(64, 256))
-    for drift in ("zero", "ou:1"):
-        runs = [run_simulation(_job(drift=drift, chunk_pairs=c, **outputs)) for c in (None, 1, 3, 7, 128)]
-        for other in runs[1:]:
-            assert other.keys() == runs[0].keys()
-            assert all(np.array_equal(other[key], runs[0][key]) for key in runs[0])
+    jobs = [_job(drift=drift, **outputs) for drift in ("zero", "ou:1")]
+    defaults = [run_simulation(job) for job in jobs]  # the model's chunk
+    for pairs in (1, 3, 7, 128):
+        pin_chunk(pairs)
+        for job, want in zip(jobs, defaults):
+            got = run_simulation(job)
+            assert got.keys() == want.keys()
+            assert all(np.array_equal(got[key], want[key]) for key in want)
 
 
 @pytest.mark.parametrize(
@@ -116,10 +120,9 @@ def test_chunk_size_is_observationally_irrelevant():
 )
 def test_default_chunk_pairs_follow_the_model(model, pairs):
     drift, diffusion = model
-    job = _job(drift=drift, diffusion=diffusion)
-    assert job.chunk_pairs is None
-    assert runner._chunk_layout(job) == (drift != "zero", pairs)
-    assert runner._chunk_layout(dataclasses.replace(job, chunk_pairs=7)) == (drift != "zero", 7)
+    assert runner._model_chunk_pairs(_job(drift=drift, diffusion=diffusion)) == pairs
+    with pytest.raises(ValueError):
+        runner._model_chunk_pairs(_job(drift="nope"))
 
 
 def test_same_seed_reproduces_different_seed_changes():
@@ -217,11 +220,9 @@ def test_extremes_argmax_is_first_attaining_time():
 # validation
 # ---------------------------------------------------------------------------
 
-def test_job_validation():
+def test_job_validation(pin_chunk):
     with pytest.raises(ValueError):
         run_simulation(_job(samples=0))
-    with pytest.raises(ValueError):
-        run_simulation(_job(chunk_pairs=0))
     # seeds, counts, indices and levels of the wrong kind fail before any chunk runs
     bad_fields = [
         ("master_seed", 1.5, "master_seed must be an integer"),
@@ -231,7 +232,6 @@ def test_job_validation():
         ("steps", 64.0, "steps must be an integer"),
         ("samples", 10.5, "samples must be an integer"),
         ("samples", True, "samples must be an integer"),
-        ("chunk_pairs", 2.5, "chunk_pairs must be an integer"),
         ("marginal_indices", (2.5,), "grid indices must be integers"),
         ("extreme_indices", (3.5,), "grid indices must be integers"),
         ("marginal_indices", (True,), "grid indices must be integers"),
@@ -274,7 +274,8 @@ def test_job_validation():
     for workers in (0, 0.5, 2.5, True):
         with pytest.raises(ValueError, match="workers must be an integer of at least 1"):
             run_simulation(_job(steps=64), workers=workers)
-    two_chunks = _job(steps=64, samples=10, chunk_pairs=3)
+    pin_chunk(3)
+    two_chunks = _job(steps=64, samples=10)
     pooled = run_simulation(two_chunks, workers=np.int64(2))
     assert np.array_equal(pooled["simple"], run_simulation(two_chunks)["simple"])
     with pytest.raises(ValueError):
@@ -328,21 +329,21 @@ def _all_outputs_job(model, **kw):
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("chunk_pairs", [1, 7, 128])
 @pytest.mark.parametrize("model", list(_MODELS))
-def test_multi_h_job_equals_single_h_jobs(model, chunk_pairs, workers):
+def test_multi_h_job_equals_single_h_jobs(pin_chunk, model, chunk_pairs, workers):
     hursts = (0.5, 0.6, 0.75)
-    multi = run_simulation(_all_outputs_job(model, hurst=hursts, chunk_pairs=chunk_pairs), workers=workers)
+    wants = [run_simulation(_all_outputs_job(model, hurst=(h,))) for h in hursts]  # the model's chunk
+    pin_chunk(chunk_pairs)
+    multi = run_simulation(_all_outputs_job(model, hurst=hursts), workers=workers)
     assert all(len(array) == len(hursts) for array in multi.values())
-    for k, h in enumerate(hursts):
-        want = run_simulation(_all_outputs_job(model, hurst=(h,)))
+    for k, (h, want) in enumerate(zip(hursts, wants)):
         for name in _OUTPUTS:
             assert np.array_equal(multi[name][k], want[name][0]), (h, name)
 
 
-def test_a_job_computes_each_spectrum_once_for_any_number_of_h_values(monkeypatch):
+def test_a_job_computes_each_spectrum_once_for_any_number_of_h_values(monkeypatch, pin_chunk):
     hursts = tuple(0.5 + 0.005 * k for k in range(17))
-    outputs = dict(
-        steps=64, samples=20, chunk_pairs=3, rules=RULES, marginal_indices=(0, 32, 64), extreme_indices=(16, 64)
-    )
+    pin_chunk(3)
+    outputs = dict(steps=64, samples=20, rules=RULES, marginal_indices=(0, 32, 64), extreme_indices=(16, 64))
     spectra = Counter()
     original = runner.circulant_spectrum
 
@@ -373,9 +374,10 @@ def test_a_list_of_hurst_values_runs_as_its_tuple():
         (dict(rules=()), ()),
     ],
 )
-def test_output_mapping_holds_exactly_the_requested_keys(outputs, keys):
+def test_output_mapping_holds_exactly_the_requested_keys(pin_chunk, outputs, keys):
     hursts = (0.5, 0.6, 0.75)
-    job = _job(hurst=hursts, samples=61, chunk_pairs=7, drift="ou:1", diffusion="const:2", **outputs)
+    pin_chunk(7)
+    job = _job(hurst=hursts, samples=61, drift="ou:1", diffusion="const:2", **outputs)
     out = run_simulation(job)
     assert tuple(out) == keys
     for name, array in out.items():
@@ -388,7 +390,7 @@ def test_output_mapping_holds_exactly_the_requested_keys(outputs, keys):
 
 
 @pytest.mark.parametrize("hursts", [(0.6,), (0.5, 0.55, 0.6, 0.7, 0.9)])
-def test_each_stream_is_requested_once_per_run(monkeypatch, hursts):
+def test_each_stream_is_requested_once_per_run(monkeypatch, pin_chunk, hursts):
     requests = Counter()
     original = runner.substream
 
@@ -397,7 +399,8 @@ def test_each_stream_is_requested_once_per_run(monkeypatch, hursts):
         return original(master_seed, stream, index)
 
     monkeypatch.setattr(runner, "substream", counting)
-    run_simulation(_job(hurst=hursts, samples=61, chunk_pairs=7, rules=RULES))
+    pin_chunk(7)
+    run_simulation(_job(hurst=hursts, samples=61, rules=RULES))
     gaussian = {i: n for (stream, i), n in requests.items() if stream == GAUSSIAN_STREAM}
     uniform = {i: n for (stream, i), n in requests.items() if stream == UNIFORM_STREAM}
     assert gaussian == {k: 1 for k in range(31)}
@@ -414,11 +417,10 @@ _EVERY_INDEX = tuple(range(257))
 @pytest.mark.parametrize("drift", ["zero", "ou:1"])
 @pytest.mark.parametrize("hursts", [(0.6,), (0.5, 0.6, 0.75)])
 @pytest.mark.parametrize("chunk_pairs", [1, 3, 128])
-def test_block_paths_equal_summed_sample_fgn_rows(chunk_pairs, hursts, drift):
+def test_block_paths_equal_summed_sample_fgn_rows(pin_chunk, chunk_pairs, hursts, drift):
     # 11 paths: a partial last block, and the last pair's second path unused
-    job = _job(
-        hurst=hursts, samples=11, drift=drift, chunk_pairs=chunk_pairs, rules=(), marginal_indices=_EVERY_INDEX
-    )
+    pin_chunk(chunk_pairs)
+    job = _job(hurst=hursts, samples=11, drift=drift, rules=(), marginal_indices=_EVERY_INDEX)
     a, c, s = affine_coefficients(job.drift, job.diffusion)
     for h, got in zip(hursts, run_simulation(job)["marginals"]):
         spectrum = circulant_spectrum(h, job.horizon, job.steps)
@@ -442,7 +444,7 @@ def test_substream_draws_split_anywhere_give_the_same_values():
         assert np.concatenate(parts).tobytes() == whole.tobytes()
 
 
-def test_each_path_draws_uniforms_only_up_to_its_plain_hit(monkeypatch):
+def test_each_path_draws_uniforms_only_up_to_its_plain_hit(monkeypatch, pin_chunk):
     drawn = defaultdict(int)
     original = runner.substream
 
@@ -459,8 +461,9 @@ def test_each_path_draws_uniforms_only_up_to_its_plain_hit(monkeypatch):
         return Counting(generator, index) if stream == UNIFORM_STREAM else generator
 
     monkeypatch.setattr(runner, "substream", counting)
+    pin_chunk(7)
     hursts = (0.5, 0.6, 0.8)
-    job = _job(hurst=hursts, samples=61, chunk_pairs=7, rules=RULES)
+    job = _job(hurst=hursts, samples=61, rules=RULES)
     results = run_simulation(job)
     monkeypatch.undo()
     assert np.array_equal(results["bridge"], run_simulation(job)["bridge"])
@@ -523,11 +526,12 @@ def fresh_allocator_setting():
     runner._raise_malloc_thresholds.cache_clear()
 
 
-def test_allocator_setting_applies_once_per_process(monkeypatch, fresh_allocator_setting):
+def test_allocator_setting_applies_once_per_process(monkeypatch, pin_chunk, fresh_allocator_setting):
     calls = []
     monkeypatch.setattr(runner.ctypes, "CDLL", lambda name: _FakeLibc(calls))
-    run_simulation(_job(samples=40, chunk_pairs=4))
-    run_simulation(_job(samples=40, chunk_pairs=4))
+    pin_chunk(4)
+    run_simulation(_job(samples=40))
+    run_simulation(_job(samples=40))
     assert calls == [(-3, 32 << 20), (-1, 64 << 20)]
 
 
@@ -557,13 +561,13 @@ def test_memory_bound_refuses_a_run_before_allocating(monkeypatch):
     for job in (
         _job(steps=2**40),
         _job(samples=10**12, steps=16),
-        _job(samples=10**7, steps=2**16, drift="ou:1", chunk_pairs=10**7),
+        _job(samples=10**7, steps=2**32, drift="ou:1"),  # ~400 GiB at one pair per chunk
     ):
         with pytest.raises(runner.MemoryBudgetError, match="GiB"):
             run_simulation(job)
     # a default job is refused when no chunk the fit tries (4, 2, 1 pairs) fits; at 300
     # paths and 256 steps the 4-pair layout needs least, since array headers grow per chunk
-    least = min(runner._memory_estimate(dataclasses.replace(_job(), chunk_pairs=c), 1) for c in (4, 2, 1))
+    least = min(runner._memory_estimate(_job(), c, 1) for c in (4, 2, 1))
     monkeypatch.setattr(runner, "_physical_memory", lambda: least - 1)
     with pytest.raises(runner.MemoryBudgetError, match="use fewer steps, samples or workers$"):
         run_simulation(_job())
@@ -576,58 +580,49 @@ def _fit_job(**kw):
 
 
 def _counting_chunks(monkeypatch) -> list:
-    """Patch _chunk_compute to record (chunk index, chunk_pairs) of each serial call."""
+    """Patch _chunk_compute to record (job, first pair, pairs) of each serial call."""
     calls = []
     original = runner._chunk_compute
 
-    def counting(job, chunk_index):
-        calls.append((chunk_index, job.chunk_pairs))
-        return original(job, chunk_index)
+    def counting(job, first_pair, pairs):
+        calls.append((job, first_pair, pairs))
+        return original(job, first_pair, pairs)
 
     monkeypatch.setattr(runner, "_chunk_compute", counting)
     return calls
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_a_default_chunk_shrinks_to_fit_memory(monkeypatch, workers):
+def test_a_default_chunk_shrinks_to_fit_memory(monkeypatch, pin_chunk, workers):
     job = _fit_job()
     want = run_simulation(job)
-    budget = runner._memory_estimate(dataclasses.replace(job, chunk_pairs=32), 1)
-    assert runner._memory_estimate(job, 1) > budget
+    budget = runner._memory_estimate(job, 32, 1)
+    assert runner._memory_estimate(job, 128, 1) > budget
     monkeypatch.setattr(runner, "_physical_memory", lambda: budget)
     calls = _counting_chunks(monkeypatch) if workers == 1 else []
     got = run_simulation(job, workers=workers)
     assert got.keys() == want.keys()
     assert all(np.array_equal(got[key], want[key]) for key in want)
-    if workers == 1:  # halved from 128 to 32 pairs: 150 pairs in 5 chunks
-        assert calls == [(i, 32) for i in range(5)]
-
-
-def test_an_explicit_chunk_is_refused_not_shrunk(monkeypatch):
-    def no_allocation(*args):
-        raise AssertionError("an explicit chunk that does not fit must be refused before any spectrum or chunk")
-
-    job = _fit_job()
-    budget = runner._memory_estimate(dataclasses.replace(job, chunk_pairs=32), 1)
-    monkeypatch.setattr(runner, "_physical_memory", lambda: budget)
-    monkeypatch.setattr(runner, "_noise_scales", no_allocation)
-    monkeypatch.setattr(runner, "_chunk_compute", no_allocation)
-    with pytest.raises(runner.MemoryBudgetError, match="use fewer steps, samples, workers or chunk pairs$"):
-        run_simulation(dataclasses.replace(job, chunk_pairs=128))
+    if workers == 1:  # halved from 128 to 32 pairs: 150 pairs tiled in order, on the caller's job object
+        assert [(first, pairs) for _, first, pairs in calls] == [(0, 32), (32, 32), (64, 32), (96, 32), (128, 22)]
+        assert all(called is job for called, _, _ in calls)
+    pin_chunk(1)
+    one_pair = run_simulation(job)
+    assert all(np.array_equal(got[key], one_pair[key]) for key in want)
 
 
 def test_a_default_chunk_fits_down_to_one_pair(monkeypatch):
     # 10 pairs on 4096 steps: each halving below 10 pairs needs less memory
     job = _fit_job(steps=2**12, samples=20)
     want = run_simulation(job)
-    one_pair = runner._memory_estimate(dataclasses.replace(job, chunk_pairs=1), 1)
+    one_pair = runner._memory_estimate(job, 1, 1)
     monkeypatch.setattr(runner, "_physical_memory", lambda: one_pair - 1)
     with pytest.raises(runner.MemoryBudgetError, match="use fewer steps, samples or workers$"):
         run_simulation(job)
     monkeypatch.setattr(runner, "_physical_memory", lambda: one_pair)
     calls = _counting_chunks(monkeypatch)
     got = run_simulation(job)
-    assert calls == [(i, 1) for i in range(10)]
+    assert [(first, pairs) for _, first, pairs in calls] == [(i, 1) for i in range(10)]
     assert all(np.array_equal(got[key], want[key]) for key in want)
 
 
@@ -639,12 +634,12 @@ def test_memory_estimate_counts_blocks_spectra_and_results():
     # transform buffer, 66N per pair (32N of it stashed noise) and two 1 kB
     # generators per pair; two H rows of two columns over 300 paths, held
     # twice, and 1 kB of array headers per chunk (38 chunks) and H
-    assert runner._memory_estimate(pure, 1) == (
+    assert runner._memory_estimate(pure, 4, 1) == (
         small + 16 * n * 2 + 32 * n + 4 * 32 * n + 4 * (66 * n + 2048) + 2 * (2 * 8 * 300 * 2 + 1024 * 38)
     )
     # one H: the noise is drawn into the transform buffer, no stash
     single = _job(steps=2**10, samples=300, rules=RULES)
-    assert runner._memory_estimate(single, 1) == (
+    assert runner._memory_estimate(single, 4, 1) == (
         small + 16 * n + 32 * n + 4 * 32 * n + 4 * (34 * n + 2048) + 2 * 8 * 300 * 2 + 1024 * 38
     )
     # drifted: a 128-pair chunk, transformed four pairs
@@ -652,22 +647,22 @@ def test_memory_estimate_counts_blocks_spectra_and_results():
     # a 128-column batch, and its tail 66 B per entry of a 256-entry piece
     euler = 4 * 129 * 128 + 66 * 256
     drifted = _job(steps=2**10, samples=300, drift="ou:1")
-    assert runner._memory_estimate(drifted, 2) == (
+    assert runner._memory_estimate(drifted, 128, 2) == (
         2 * (small + 16 * n + 32 * n + 4 * 32 * n + euler + 128 * 18 * n) + 2 * 8 * 300 + 1024 * 2
     )
     drifted_multi = _job(steps=2**10, samples=300, drift="ou:1", hurst=(0.5, 0.6))
-    assert runner._memory_estimate(drifted_multi, 2) == (
+    assert runner._memory_estimate(drifted_multi, 128, 2) == (
         2 * (small + 16 * n * 2 + 32 * n + 4 * 32 * n + euler + 128 * 50 * n) + 2 * (2 * 8 * 300 + 1024 * 2)
     )
     # a one-pair chunk holds a one-row transform buffer
-    tiny = _job(steps=2**10, samples=2, chunk_pairs=1)
-    assert runner._memory_estimate(tiny, 1) == small + 16 * n + 32 * n + 32 * n + 18 * n + 2 * 8 * 2 + 1024
+    tiny = _job(steps=2**10, samples=2)
+    assert runner._memory_estimate(tiny, 1, 1) == small + 16 * n + 32 * n + 32 * n + 18 * n + 2 * 8 * 2 + 1024
     # window extremes: argmax scans row slices in place, two columns per window
     extremes = _job(steps=2**10, samples=300, rules=(), extreme_indices=(10, 1024))
-    assert runner._memory_estimate(extremes, 1) == (
+    assert runner._memory_estimate(extremes, 4, 1) == (
         small + 16 * n + 32 * n + 4 * 32 * n + 4 * 18 * n + 2 * 8 * 300 * 4 + 1024 * 38
     )
-    assert runner._memory_estimate(_job(), 1) < runner._physical_memory()
+    assert runner._memory_estimate(_job(), 4, 1) < runner._physical_memory()
 
 
 @pytest.mark.parametrize(
@@ -684,7 +679,10 @@ def test_memory_estimate_counts_blocks_spectra_and_results():
         {"drift": "ou:1", "threshold": 1e6, "samples": 16, "chunk_pairs": 1},
     ],
 )
-def test_memory_estimate_bounds_the_traced_peak(shape):
+def test_memory_estimate_bounds_the_traced_peak(pin_chunk, shape):
+    shape = dict(shape)
+    if "chunk_pairs" in shape:
+        pin_chunk(shape.pop("chunk_pairs"))
     job = _job(**{"steps": 2**12, "samples": 256, **shape})
     run_simulation(dataclasses.replace(job, samples=4))  # one-time allocations
     runner._noise_scales.cache_clear()
@@ -694,7 +692,7 @@ def test_memory_estimate_bounds_the_traced_peak(shape):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    estimate = runner._memory_estimate(job, 1)
+    estimate = runner._memory_estimate(job, runner._model_chunk_pairs(job), 1)
     assert peak <= estimate < 1.5 * peak
 
 
@@ -808,8 +806,9 @@ _READS = [
 @pytest.mark.parametrize("outputs", range(len(_READS)))
 @pytest.mark.parametrize("chunk_pairs", [1, 7, 128])
 @pytest.mark.parametrize("drift", ["ou:1", "linear:0.7,-0.3"])
-def test_early_stopped_run_equals_full_loop_run(monkeypatch, drift, chunk_pairs, outputs):
-    job = _job(drift=drift, diffusion="const:2", x0=0.25, samples=301, chunk_pairs=chunk_pairs, **_READS[outputs])
+def test_early_stopped_run_equals_full_loop_run(monkeypatch, pin_chunk, drift, chunk_pairs, outputs):
+    pin_chunk(chunk_pairs)
+    job = _job(drift=drift, diffusion="const:2", x0=0.25, samples=301, **_READS[outputs])
     got = run_simulation(job)
     monkeypatch.setattr(runner, "affine_euler", _full_loop)
     want = run_simulation(job)
@@ -820,7 +819,7 @@ def test_early_stopped_run_equals_full_loop_run(monkeypatch, drift, chunk_pairs,
         assert np.isfinite(got["simple"]).any() and not np.isfinite(got["simple"]).all()
 
 
-def test_padding_row_of_an_odd_sample_count_is_not_stepped(monkeypatch):
+def test_padding_row_of_an_odd_sample_count_is_not_stepped(monkeypatch, pin_chunk):
     rows = []
 
     def spy(values, *args):
@@ -828,17 +827,19 @@ def test_padding_row_of_an_odd_sample_count_is_not_stepped(monkeypatch):
         return affine_euler(values, *args)
 
     monkeypatch.setattr(runner, "affine_euler", spy)
-    run_simulation(_job(drift="ou:1", samples=11, chunk_pairs=3))
+    pin_chunk(3)
+    run_simulation(_job(drift="ou:1", samples=11))
     assert rows == [6, 5]
 
 
 @pytest.mark.parametrize("chunk_pairs", [1, 128])
-def test_overflow_after_every_passage_completes(chunk_pairs):
+def test_overflow_after_every_passage_completes(pin_chunk, chunk_pairs):
     # y1 = noise + 1e6 * step: every path is above the level at the first
     # step, and the states overflow some 70 steps later, which a 256-row
     # block loop steps before it checks which rows have passed
     drift = "linear:1e6,1e6"
-    job = _job(drift=drift, rules=RULES, marginal_indices=(0, 1), chunk_pairs=chunk_pairs)
+    pin_chunk(chunk_pairs)
+    job = _job(drift=drift, rules=RULES, marginal_indices=(0, 1))
     got = run_simulation(job)
 
     fbm = run_simulation(_job(rules=(), marginal_indices=_EVERY_INDEX))["marginals"][0]
