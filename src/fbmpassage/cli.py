@@ -284,8 +284,9 @@ def cmd_simulate(cfg: RunConfig, workers: int, out_dir: Path) -> list[str]:
     """Laplace table over the (H, lambda, estimator) lattice -> laplace.csv.
 
     delta_vs_bm is the gap against the Brownian reference: the estimated
-    H = 1/2 row with the same estimator when 1/2 is in hurst_list, else the
-    closed form when the model is pure fBm, else nan.
+    H = 1/2 row with the same estimator when 1/2 is in hurst_list (delta_se
+    is then the SE of per-path differences, and that row reads 0 +- 0),
+    else the closed form when the model is pure fBm, else nan.
     """
     job = _job(cfg)
     times = run_simulation(job, workers)
@@ -296,9 +297,7 @@ def cmd_simulate(cfg: RunConfig, workers: int, out_dir: Path) -> list[str]:
         for lam in cfg.lambda_list:
             for name in job.rules:
                 value, se = laplace_from_times(times[name][k], lam)
-                if hv == 0.5:
-                    delta, delta_se = 0.0, 0.0
-                elif half is not None:
+                if half is not None:
                     delta, delta_se = gap_estimate(times[name][k], times[name][half], lam)
                 elif job.is_pure:
                     delta, delta_se = laplace_bm(lam, cfg.x0, cfg.threshold) - value, se
@@ -321,10 +320,8 @@ def cmd_bridge_compare(cfg: RunConfig, workers: int, out_dir: Path) -> list[str]
     grid twice as fine (a lower bound on the true transform, so the signed
     errors of the two coarse estimators are comparable against it).
     """
-    if cfg.estimator != "both":
-        raise ConfigError("bridge-compare needs estimator=both")
     hv = cfg.hurst_list[0]
-    job = _job(cfg, hurst=(hv,))
+    job = _job(cfg, hurst=(hv,), rules=RULES)
     if hv == 0.5 and job.is_pure:
         reference = [laplace_bm(lam, cfg.x0, cfg.threshold) for lam in cfg.lambda_list]
     else:
@@ -356,11 +353,9 @@ def cmd_rate(cfg: RunConfig, workers: int, out_dir: Path) -> list[str]:
     fig1_data.csv holds, per lambda, a `point` row (gap, se) per H above
     1/2 and the fitted line's two endpoints, x = 0 and x = max(H - 1/2).
     All H values share the same Gaussian draws (the increment stream is
-    keyed by path index alone), so gaps between nearby H are far less noisy
-    than independent runs would give.  Yet `se` is gap_estimate's
-    quadrature sum of the two transforms' SEs, the independent-runs error:
-    it overstates the gap's error (7x at H = 0.51, N = 2^14), and the
-    log-log fit's 2-SE drop rule reads it.
+    keyed by path index alone), so `se` is the standard error of the
+    per-path differences against the H = 1/2 row, far below what
+    independent runs would give; the log-log fit's 2-SE drop rule reads it.
     """
     h_above = [hv for hv in cfg.hurst_list if hv > 0.5]
     if 0.5 not in cfg.hurst_list or len(h_above) < 3:

@@ -41,6 +41,15 @@ def _mean_and_se(values: np.ndarray) -> tuple[float, float]:
     return s1 / m, math.sqrt(var / m)
 
 
+def _weights(times: np.ndarray, lam: float) -> np.ndarray:
+    """exp(-lam * tau) per path of a non-empty hit-time array, for a finite lam > 0."""
+    if not (np.isfinite(lam) and lam > 0.0):
+        raise ValueError(f"lambda must be positive, got {lam}")
+    if len(times) < 1:
+        raise ValueError("cannot estimate from an empty sample")
+    return np.exp(-lam * times)
+
+
 def laplace_from_times(times: np.ndarray, lam: float) -> tuple[float, float]:
     """Mean of exp(-lam * tau) over a hit-time array, and its standard error.
 
@@ -48,18 +57,14 @@ def laplace_from_times(times: np.ndarray, lam: float) -> tuple[float, float]:
     the true transform by at most exp(-lam * horizon).  The value lies in
     [0, 1] and the standard error is non-negative.
     """
-    if not (np.isfinite(lam) and lam > 0.0):
-        raise ValueError(f"lambda must be positive, got {lam}")
-    if len(times) < 1:
-        raise ValueError("cannot estimate from an empty sample")
-    return _mean_and_se(np.exp(-lam * times))
+    return _mean_and_se(_weights(times, lam))
 
 
 def gap_estimate(times: np.ndarray, ref_times: np.ndarray, lam: float) -> tuple[float, float]:
-    """Gap ref - value between the transforms at lam of two hit-time arrays; their errors add in quadrature."""
-    value, se = laplace_from_times(times, lam)
-    ref, ref_se = laplace_from_times(ref_times, lam)
-    return ref - value, math.hypot(se, ref_se)
+    """Transform gap ref - value at lam over the same paths: mean and SE of the per-path differences."""
+    if len(times) != len(ref_times):
+        raise ValueError(f"a gap needs the same paths on both sides, got {len(times)} and {len(ref_times)}")
+    return _mean_and_se(_weights(ref_times, lam) - _weights(times, lam))
 
 
 # ---------------------------------------------------------------------------

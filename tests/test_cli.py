@@ -414,7 +414,6 @@ def test_exit_code_numerical_failure(capsys, tmp_path):
 
 def test_exit_code_subcommand_preconditions(capsys, tmp_path):
     out = str(tmp_path / "o")
-    assert main(["bridge-compare", "--estimator", "simple", "--out", out]) == 2
     assert main(["rate", "--hurst-list", "0.5,0.6", "--out", out]) == 2
     assert main(["conjecture", "--r-list", "30", "--horizon", "20", "--out", out]) == 2
     # a window shorter than one grid step holds only t = 0: its moment is 0 by construction
@@ -424,7 +423,7 @@ def test_exit_code_subcommand_preconditions(capsys, tmp_path):
     repeated = ["--steps", "256", "--samples", "100", "--hurst-list", "0.5", "--r-list", "5,5"]
     assert main(["conjecture", *repeated, "--out", out]) == 2
     err = capsys.readouterr().err
-    assert err.count("error:") == 5
+    assert err.count("error:") == 4
     assert "r=0.001 is shorter than one grid step" in err
     assert "r_list repeats r=5.0" in err
     assert not (tmp_path / "o" / "conjecture.csv").exists()
@@ -471,7 +470,8 @@ def test_simulate_schema_and_manifest(tmp_path):
         # one count per (H, rule), the same for every lambda
         assert row["censored"] == str(censored[float(row["H"]), row["estimator"]])
         if row["H"] == "0.5":
-            assert float(row["delta_vs_bm"]) == 0.0  # H=1/2 is its own reference
+            # H=1/2 is its own reference: every per-path difference is zero
+            assert (float(row["delta_vs_bm"]), float(row["delta_se"])) == (0.0, 0.0)
         else:
             assert float(row["delta_vs_bm"]) > 0.0
 
@@ -625,6 +625,18 @@ def test_constant_diffusion_run_logs_no_sde_warning(caplog, tmp_path):
     assert [r.getMessage() for r in caplog.records if r.name == "fbmpassage.sde"] == []
 
 
+@pytest.mark.parametrize("model", [[], ["--drift", "ou:1", "--diffusion", "const:2"]])
+def test_rate_at_the_golden_config_drops_no_gap(capsys, tmp_path, model):
+    """Paired standard errors leave every gap of test_golden.py's rate run,
+    pure and OU, more than two errors above zero."""
+    argv = [
+        "rate", "--steps", "1024", "--hurst-list", "0.5,0.55,0.6,0.7", "--estimator", "simple", "--seed", "1729",
+        "--horizon", "20", "--threshold", "1", "--samples", "600", "--lambda-list", "1,2,3", *model,
+    ]
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    assert "rate fit dropped" not in capsys.readouterr().err
+
+
 def test_cli_import_loads_no_heavy_scipy_module():
     """scipy.stats loads only where a selftest check calls it, not on
     every CLI run; nothing in the package imports .linalg, .integrate or
@@ -658,6 +670,17 @@ def test_bridge_compare_brownian_reference(tmp_path):
         )
         assert 0.0 <= float(row["simple_err_pct"]) < 5.0
         assert 0.0 <= float(row["bridge_err_pct"]) < 5.0
+
+
+@pytest.mark.parametrize("estimator", ["simple", "bridge"])
+def test_bridge_compare_ignores_the_estimator(tmp_path, estimator):
+    """bridge-compare runs both rules by definition, so a config shared with
+    simulate may set any estimator."""
+    argv = ["bridge-compare", "--hurst-list", "0.6", "--samples", "200", "--steps", "64"]
+    assert main([*argv, "--estimator", "both", "--out", str(tmp_path / "both")]) == 0
+    assert main([*argv, "--estimator", estimator, "--out", str(tmp_path / "one")]) == 0
+    both, one = (tmp_path / d / "bridge_compare.csv" for d in ("both", "one"))
+    assert one.read_bytes() == both.read_bytes()
 
 
 # ---------------------------------------------------------------------------

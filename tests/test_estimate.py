@@ -3,7 +3,8 @@
 Covers:
   - Laplace averaging: hand-computed values, censoring as zero weight,
     degenerate inputs, standard errors.
-  - Gaps between the transforms of two hit-time arrays.
+  - Gaps between the transforms of two hit-time arrays over the same
+    paths: the mean and standard error of the per-path differences.
   - Hit-time histograms: one-point case, mass normalization, no-hit error.
   - Truncated argmax moments: an independent quadrature oracle for the
     Brownian case (joint supremum/argmax density), Monte Carlo agreement,
@@ -26,6 +27,7 @@ from fbmpassage import (
     truncated_argmax_moments,
 )
 from fbmpassage.cli import _grid_index
+from fbmpassage.estimate import _mean_and_se
 
 
 # ---------------------------------------------------------------------------
@@ -65,22 +67,39 @@ def test_laplace_rejects_bad_lambda():
 # ---------------------------------------------------------------------------
 
 def test_gap_against_exact_reference():
-    """An array against itself: the gap is exactly zero, and both errors count."""
-    times = np.array([1.0, 2.0])
-    gap, se = gap_estimate(times, times, 1.0)
-    _, one_se = laplace_from_times(times, 1.0)
-    assert gap == 0.0
-    assert se == math.hypot(one_se, one_se)
+    """An array against itself: every per-path difference is zero, so gap and error are exactly zero."""
+    times = np.array([1.0, 2.0, np.inf, 2.0])
+    assert gap_estimate(times, times, 1.0) == (0.0, 0.0)
 
 
 def test_gap_against_other_estimate():
+    """The gap is the transforms' difference; its error is that of the per-path differences."""
     ref_times = np.array([0.5, 1.5, np.inf])
     times = np.array([1.0, 2.0, 3.0])
-    va, sa = laplace_from_times(ref_times, 1.0)
-    vb, sb = laplace_from_times(times, 1.0)
+    ref, value = laplace_from_times(ref_times, 1.0)[0], laplace_from_times(times, 1.0)[0]
     gap, se = gap_estimate(times, ref_times, 1.0)
-    assert gap == va - vb
-    assert se == math.hypot(sb, sa)
+    assert gap == pytest.approx(ref - value, rel=1e-14)
+    diffs = np.array([math.exp(-0.5) - math.exp(-1.0), math.exp(-1.5) - math.exp(-2.0), -math.exp(-3.0)])
+    assert se == pytest.approx(diffs.std(ddof=1) / math.sqrt(3), rel=1e-12)
+
+
+@pytest.mark.parametrize("lam", [0.5, 1.0, 3.0])
+def test_gap_is_mean_and_se_of_per_path_differences(lam):
+    """Bit for bit, with tied times and censored (+inf) paths on either side."""
+    ref_times = np.array([0.5, 0.5, np.inf, 2.0, np.inf, 1.25, 0.0])
+    times = np.array([0.5, 1.0, np.inf, np.inf, 3.0, 1.25, 0.25])
+    assert gap_estimate(times, ref_times, lam) == _mean_and_se(np.exp(-lam * ref_times) - np.exp(-lam * times))
+
+
+def test_gap_rejects_unpaired_arrays_bad_lambda_and_empty_samples():
+    for n, n_ref in ((3, 2), (1, 2), (2, 1)):  # a single entry would otherwise broadcast
+        with pytest.raises(ValueError, match="same paths"):
+            gap_estimate(np.ones(n), np.ones(n_ref), 1.0)
+    for lam in (0.0, -2.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="lambda"):
+            gap_estimate(np.ones(2), np.ones(2), lam)
+    with pytest.raises(ValueError, match="empty"):
+        gap_estimate(np.array([]), np.array([]), 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -45,14 +45,14 @@ _CONJECTURE = {"conjecture.csv": "1ac447f13df363a36597a7f9cf95936405177e9081fb2c
 
 GOLDEN = {
     ("pure", "simulate"): {
-        "laplace.csv": "ac20c5a3252b1192903333c96cb233983847b8bca0df95a99bd3421370f86bb9",
+        "laplace.csv": "2deaf78188e474b0373441c3a614577b10ef30ee2f8509514ab6e5c57de26328",
     },
     ("pure", "bridge-compare"): {
         "bridge_compare.csv": "7ccf2796b240dfa46d4a1bf654eff5301ed659557967aa43e336772dfcd340fe",
     },
     ("pure", "rate"): {
-        "fig1_data.csv": "bff3531705f38c0db2c93d22a1a0db94620f0b875541fdd80a4dd9fde6ef666d",
-        "rate.csv": "4035675f8c115b55281c8928e107bfece4628293cdc1c1640e9a170cdbc81adc",
+        "fig1_data.csv": "5f66b6af5661aab0d9647e76f051a395b019ad2016884ad5c62fe281c99e60dc",
+        "rate.csv": "bc97a1bef832ac8a010d953fb8ccf2805dc8e254d6b3953f8e2fdc2903c6c269",
     },
     ("pure", "density"): {
         "density_H0.5.csv": "6fc218f43b06eb96712ecb11517ec3d4e883582565a2c76c731bb6a3da508ad1",
@@ -60,14 +60,14 @@ GOLDEN = {
     },
     ("pure", "conjecture"): _CONJECTURE,
     ("ou", "simulate"): {
-        "laplace.csv": "2e78136624f399f023031baf27a56291a25869b974fca6ee7b9953da42736ba9",
+        "laplace.csv": "45b4f9364a83cfb029812a58027d0f2d765a3058dcc8eaeb78ecc33d8cc887da",
     },
     ("ou", "bridge-compare"): {
         "bridge_compare.csv": "735523d9a6f1f90c7db563b417ef8ec8d298cfa5f8c92cacf39e37ee389e221b",
     },
     ("ou", "rate"): {
-        "fig1_data.csv": "e9e2035d81f5067ad130c716f265f6a5d2063d9aebe8825acb35797349e4e838",
-        "rate.csv": "dd2603c7b610e097f4d11bf76cd8d382f14466268d35751081a00a2085d61b3b",
+        "fig1_data.csv": "a482cc6ada7b115339c69dd8910b79a58e92c9667399e16ab6f9597ddca967c3",
+        "rate.csv": "4da10cbb05e668f6a2c10bf63b7e3b2019b62fa1d09020bfbb92ec4acdc77bfd",
     },
     ("ou", "density"): {
         "density_H0.5.csv": "17ef84ce506348de1685022931f7f73c5bd80634167a10eb2f6ccab8110eeda1",
