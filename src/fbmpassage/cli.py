@@ -27,7 +27,7 @@ from . import __version__
 from .analysis import linear_fit, rate_exponent
 from .estimate import NoHitsError, density_from_times, gap_estimate, laplace_from_times, truncated_argmax_moments
 from .fgn import EmbeddingError, cholesky_fbm, circulant_spectrum, fgn_autocovariance, sample_fgn
-from .runner import RULES, MemoryBudgetError, SimulationJob, _check_fits_in_memory, run_simulation
+from .runner import RULES, MemoryBudgetError, SimulationJob, _brownian_level, _check_fits_in_memory, run_simulation
 from .sde import PropagationError, affine_coefficients, affine_euler
 from .theory import laplace_bm
 
@@ -286,10 +286,11 @@ def cmd_simulate(cfg: RunConfig, workers: int, out_dir: Path) -> list[str]:
     delta_vs_bm is the gap against the Brownian reference: the estimated
     H = 1/2 row with the same estimator when 1/2 is in hurst_list (delta_se
     is then the SE of per-path differences, and that row reads 0 +- 0),
-    else the closed form when the model is pure fBm, else nan.
+    else the closed form when the reduced drift is zero, else nan.
     """
     job = _job(cfg)
     times = run_simulation(job, workers)
+    level = _brownian_level(job)
     censored = {name: np.isinf(times[name]).sum(axis=1) for name in job.rules}
     half = cfg.hurst_list.index(0.5) if 0.5 in cfg.hurst_list else None
     rows = []
@@ -299,8 +300,8 @@ def cmd_simulate(cfg: RunConfig, workers: int, out_dir: Path) -> list[str]:
                 value, se = laplace_from_times(times[name][k], lam)
                 if half is not None:
                     delta, delta_se = gap_estimate(times[name][k], times[name][half], lam)
-                elif job.is_pure:
-                    delta, delta_se = laplace_bm(lam, cfg.x0, cfg.threshold) - value, se
+                elif level is not None:
+                    delta, delta_se = laplace_bm(lam, 0.0, level) - value, se
                 else:
                     delta, delta_se = math.nan, math.nan
                 rows.append([hv, lam, name, value, se, censored[name][k], delta, delta_se])
@@ -315,15 +316,15 @@ def cmd_simulate(cfg: RunConfig, workers: int, out_dir: Path) -> list[str]:
 def cmd_bridge_compare(cfg: RunConfig, workers: int, out_dir: Path) -> list[str]:
     """Plain vs bridge-corrected estimator at the configured grid -> bridge_compare.csv.
 
-    Uses the first entry of hurst_list.  The reference column holds the
-    closed form when H = 1/2 on pure fBm, otherwise a plain estimate on a
-    grid twice as fine (a lower bound on the true transform, so the signed
-    errors of the two coarse estimators are comparable against it).
+    Uses the first entry of hurst_list.  The reference column is the closed
+    form when H = 1/2 with zero reduced drift, else a plain estimate on a grid
+    twice as fine (a lower bound, so both coarse signed errors compare to it).
     """
     hv = cfg.hurst_list[0]
     job = _job(cfg, hurst=(hv,), rules=RULES)
-    if hv == 0.5 and job.is_pure:
-        reference = [laplace_bm(lam, cfg.x0, cfg.threshold) for lam in cfg.lambda_list]
+    level = _brownian_level(job) if hv == 0.5 else None
+    if level is not None:
+        reference = [laplace_bm(lam, 0.0, level) for lam in cfg.lambda_list]
     else:
         fine_job = _job(cfg, hurst=(hv,), steps=2 * cfg.steps, rules=("simple",))
         fine = run_simulation(fine_job, workers)["simple"][0]

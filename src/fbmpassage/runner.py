@@ -69,11 +69,6 @@ class SimulationJob:
     marginal_indices: tuple[int, ...] = ()
     extreme_indices: tuple[int, ...] = ()
 
-    @property
-    def is_pure(self) -> bool:
-        """True when the path is raw fBm shifted by x0: zero drift and unit diffusion, however spelled."""
-        return affine_coefficients(self.drift, self.diffusion) == (0.0, 0.0, 1.0)
-
 
 @lru_cache(maxsize=1)
 def _noise_scales(hurst: tuple[float, ...], horizon: float, steps: int) -> tuple[np.ndarray, ...]:
@@ -180,6 +175,11 @@ def _is_looped(job: SimulationJob) -> bool:
     return a != 0.0 or c_reduced != 0.0
 
 
+def _brownian_level(job: SimulationJob) -> float | None:
+    """The level (threshold - x0) / s that the paths run to as fBm when the reduced drift is zero, else None."""
+    return None if _is_looped(job) else (job.threshold - job.x0) / _reduced_drift(job)[2]
+
+
 def _model_chunk_pairs(job: SimulationJob) -> int:
     """The model's pairs per chunk: DEFAULT_CHUNK_PAIRS with the Euler loop and BLOCK_PAIRS without."""
     return DEFAULT_CHUNK_PAIRS if _is_looped(job) else BLOCK_PAIRS
@@ -206,14 +206,13 @@ def _memory_estimate(job: SimulationJob, chunk: int, processes: int) -> int:
     chunk and H.  Raises ValueError for an unknown model.
     """
     pairs = (job.samples + 1) // 2
-    looped = _is_looped(job)
     pc = min(chunk, pairs)  # pairs in the largest chunk
     n = job.steps + 1
     bridge = "bridge" in job.rules
     per_pair = (16 + 2 + 16 * bridge + 32 * (len(job.hurst) > 1)) * n
     per_pair += 2048 * bridge
     transform = min(BLOCK_PAIRS, pc) * 32 * n
-    euler = 4 * min(CHECK_COLUMNS + 1, n) * pc + 66 * TAIL_PIECE if looped else 0
+    euler = 4 * min(CHECK_COLUMNS + 1, n) * pc + 66 * TAIL_PIECE if _is_looped(job) else 0
     per_process = (64 << 10) + (16 * len(job.hurst) + 32) * n + euler + transform + pc * per_pair
     columns = len(job.rules) + len(job.marginal_indices) + 2 * len(job.extreme_indices)
     results = 2 * 8 * job.samples * columns + 1024 * math.ceil(pairs / chunk)

@@ -13,6 +13,7 @@ import dataclasses
 import io
 import json
 import logging
+import math
 import os
 import subprocess
 import sys
@@ -515,6 +516,48 @@ def test_pure_model_spellings_write_the_pure_bytes(tmp_path, model):
         pure = (tmp_path / "pure" / filename).read_bytes()
         assert "nan" not in pure.decode()
         assert (tmp_path / "spelled" / filename).read_bytes() == pure
+
+
+@pytest.mark.parametrize(
+    "argv, filename",
+    [
+        (["simulate", "--hurst-list", "0.6"], "laplace.csv"),
+        (["simulate", "--hurst-list", "0.5,0.6"], "laplace.csv"),
+        (["bridge-compare", "--hurst-list", "0.5"], "bridge_compare.csv"),
+    ],
+    ids=["simulate-closed-form", "simulate-paired", "bridge-compare"],
+)
+def test_constant_diffusion_writes_the_reduced_experiments_bytes(tmp_path, argv, filename):
+    """Zero drift with diffusion 2 and threshold 1 is fBm run to 1/2, so it
+    writes the bytes of the default model at threshold 0.5: the closed-form
+    gaps and reference included, with no nan and no fine-grid reference."""
+    small = ["--samples", "200", "--steps", "64"]
+    assert main([*argv, *small, "--diffusion", "const:2", "--threshold", "1", "--out", str(tmp_path / "s2")]) == 0
+    assert main([*argv, *small, "--threshold", "0.5", "--out", str(tmp_path / "reduced")]) == 0
+    reduced = (tmp_path / "reduced" / filename).read_bytes()
+    assert "nan" not in reduced.decode()
+    assert (tmp_path / "s2" / filename).read_bytes() == reduced
+
+
+@pytest.mark.parametrize("drift, simulations", [("zero", 1), ("ou:1", 2)])
+def test_bridge_compare_simulates_a_reference_only_for_a_drifted_model(monkeypatch, tmp_path, drift, simulations):
+    """At H = 1/2 with zero reduced drift the reference is the closed form at
+    the reduced level (threshold - x0) / s, so only the coarse run is
+    simulated; a drift keeps the fine-grid run."""
+    jobs = []
+
+    def counting(job, workers):
+        jobs.append(job)
+        return fbmpassage.run_simulation(job, workers)
+
+    monkeypatch.setattr(fbmpassage.cli, "run_simulation", counting)
+    argv = ["bridge-compare", "--hurst-list", "0.5", "--drift", drift, "--diffusion", "const:2"]
+    assert main([*argv, "--samples", "200", "--steps", "64", "--out", str(tmp_path)]) == 0
+    assert len(jobs) == simulations
+    if simulations == 1:
+        for row in _read_csv(tmp_path / "bridge_compare.csv"):
+            lam = float(row["lambda"])
+            assert float(row["reference_or_fine"]) == math.exp(-0.5 * math.sqrt(2.0 * lam))
 
 
 def test_simulate_workers_do_not_change_files(pin_chunk, tmp_path):

@@ -10,8 +10,9 @@ Covers:
   - Marginal extraction: shapes, variance statistics, index validation.
   - Suprema / argmax windows: pathwise monotonicity in the window length.
   - Job validation (rule names outside RULES or repeated, bool substream
-    key words and non-integer worker counts included) and the pure-case
-    fast path.  A one-CPU affinity mask starts no process pool.
+    key words and non-integer worker counts included) and the one test of
+    zero reduced drift that skips the Euler loop and gives the Brownian
+    level.  A one-CPU affinity mask starts no process pool.
   - The output mapping: exactly the requested keys, each array indexed
     [H, path].
   - Multi-H jobs: one job over several H values equals the single-H jobs
@@ -152,17 +153,24 @@ def test_start_shift_equals_threshold_shift():
     assert np.array_equal(shifted, rebased)
 
 
-def test_is_pure_flag():
-    assert _job().is_pure
-    assert not _job(drift="ou:0.5").is_pure
-    assert not _job(diffusion="const:2").is_pure
-    assert _job(x0=0.3).is_pure  # a start shift keeps the fast path
+def test_is_looped_reads_the_reduced_drift():
+    """One Brownian test: the Euler loop runs exactly when the reduced drift
+    is not zero, and otherwise the paths are fBm run to (threshold - x0) / s."""
+    assert not runner._is_looped(_job())
+    assert not runner._is_looped(_job(x0=0.3))  # a start shift keeps the fast path
+    assert not runner._is_looped(_job(diffusion="const:2"))  # so does a constant diffusion
     # the coefficients decide, not the spelling of the specs
-    assert _job(drift="linear:0,0").is_pure
-    assert _job(drift="ou:0").is_pure
-    assert _job(diffusion="const:1").is_pure
-    assert not _job(drift="linear:0,0.5").is_pure
-    assert not _job(drift="linear:0.5,0").is_pure
+    assert not runner._is_looped(_job(drift="linear:0,0"))
+    assert not runner._is_looped(_job(drift="ou:0"))
+    assert not runner._is_looped(_job(diffusion="const:1"))
+    assert runner._is_looped(_job(drift="ou:0.5"))
+    assert runner._is_looped(_job(drift="linear:0,0.5"))
+    assert runner._is_looped(_job(drift="linear:0.5,0"))
+
+    assert runner._brownian_level(_job()) == 1.0
+    assert runner._brownian_level(_job(x0=0.3, threshold=1.3)) == 1.3 - 0.3
+    assert runner._brownian_level(_job(diffusion="const:2")) == 0.5
+    assert runner._brownian_level(_job(drift="ou:0.5")) is None
 
 
 def test_drifted_run_hits_earlier_on_average():
