@@ -3,8 +3,8 @@
 The package samples fBm paths with exact finite-dimensional marginals via
 circulant embedding, runs them in deterministic batches through the
 closed-form reduction of affine drifted models, estimates Laplace
-transforms of threshold hitting times (plain grid rule and a conditional
-bridge correction) from the per-path arrays, and ships closed-form
+transforms of threshold hitting times (the plain grid rule and the sampled
+Brownian-bridge crossing rule) from the per-path arrays, and ships closed-form
 reference curves for comparison.  run_simulation returns those arrays as
 one mapping, hit times keyed by rule name, each indexed [H, path].  Every
 layer takes the Hurst index, the horizon and the grid steps as plain

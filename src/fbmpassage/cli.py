@@ -17,6 +17,8 @@ import math
 import platform
 import re
 import sys
+from collections import Counter
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -42,6 +44,7 @@ ESTIMATOR_CHOICES = (*RULES, "both")
 # arrays, measured with tracemalloc at 10^6 bins (40.2 B).  Its CSV rows
 # are streamed from them, one at a time.
 HISTOGRAM_BYTES_PER_BIN = 41
+CONFIG_MAX_BYTES = 2**20  # a longer config file is refused, after reading one byte past this
 
 
 class ConfigError(Exception):
@@ -102,9 +105,13 @@ class RunConfig:
 
 
 def load_config_file(path) -> dict:
-    """Parse a flat key = value file; '#' starts a comment, blank lines skip."""
+    """Parse a flat key = value file of UTF-8, CONFIG_MAX_BYTES at most; '#' starts a comment, blank lines skip."""
     try:
-        text = Path(path).read_text()
+        with open(path, "rb") as fh:
+            data = fh.read(CONFIG_MAX_BYTES + 1)
+        if len(data) > CONFIG_MAX_BYTES:
+            raise ConfigError(f"config file {path} exceeds the cap of {CONFIG_MAX_BYTES} bytes (1 MiB)")
+        text = data.decode()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     options = {option.name: option for option in fields(RunConfig)}
@@ -127,9 +134,26 @@ def load_config_file(path) -> dict:
     return values
 
 
+def _list_entries(values, name: str, label: str, valid, problem: str):
+    """Yield each entry of a list option that passes `valid` and equals no later entry; the list must not be empty."""
+    if not values:
+        raise ConfigError(f"{name} must not be empty")
+    ahead = Counter(values)  # each value's count from the current entry on: one pass finds every repeat
+    for x in values:
+        if not valid(x):
+            raise ConfigError(f"{problem}, got {x}")
+        ahead[x] -= 1
+        if ahead[x]:
+            raise ConfigError(f"{name} repeats {label}={x!r}")
+        yield x
+
+
 def validate_config(cfg: RunConfig) -> None:
     def fail(msg):
         raise ConfigError(msg)
+
+    def positive(x):
+        return math.isfinite(x) and x > 0
 
     if not 0 <= cfg.seed < 2**64:
         fail(f"seed must fit in 64 bits, got {cfg.seed}")
@@ -139,15 +163,11 @@ def validate_config(cfg: RunConfig) -> None:
         fail(f"steps must be a power of two >= 2, got {cfg.steps}")
     if cfg.samples < 100:
         fail(f"samples must be at least 100, got {cfg.samples}")
-    if not cfg.hurst_list:
-        fail("hurst_list must not be empty")
     step = cfg.horizon / cfg.steps
     variances = []
-    for i, h in enumerate(cfg.hurst_list):
-        if not 0.5 <= h < 1.0:
-            fail(f"every Hurst value must lie in [0.5, 1), got {h}")
-        if h in cfg.hurst_list[i + 1 :]:
-            fail(f"hurst_list repeats H={h!r}")
+    for h in _list_entries(
+        cfg.hurst_list, "hurst_list", "H", lambda h: 0.5 <= h < 1.0, "every Hurst value must lie in [0.5, 1)"
+    ):
         # the increment variance step^(2H) scales every spectrum and bridge
         try:
             variance = step ** (2.0 * h)
@@ -156,13 +176,8 @@ def validate_config(cfg: RunConfig) -> None:
         if not (math.isfinite(variance) and variance > 0):
             fail(f"(horizon/steps)^(2H) must be positive and finite, got {variance} for step {step:g} and H={h}")
         variances.append(variance)
-    if not cfg.lambda_list:
-        fail("lambda_list must not be empty")
-    for i, lam in enumerate(cfg.lambda_list):
-        if not (math.isfinite(lam) and lam > 0):
-            fail(f"every lambda must be a positive real, got {lam}")
-        if lam in cfg.lambda_list[i + 1 :]:
-            fail(f"lambda_list repeats lambda={lam!r}")
+    for _ in _list_entries(cfg.lambda_list, "lambda_list", "lambda", positive, "every lambda must be a positive real"):
+        pass
     if not (math.isfinite(cfg.x0) and math.isfinite(cfg.threshold) and cfg.x0 < cfg.threshold):
         fail(f"x0 must be below threshold, got x0={cfg.x0}, threshold={cfg.threshold}")
     if cfg.estimator not in ESTIMATOR_CHOICES:
@@ -186,13 +201,8 @@ def validate_config(cfg: RunConfig) -> None:
         fail(f"eta must be positive, got {cfg.eta}")
     if not 2.0 < cfg.p < 3.0:
         fail(f"p must lie in (2, 3), got {cfg.p}")
-    if not cfg.r_list:
-        fail("r_list must not be empty")
-    for i, r in enumerate(cfg.r_list):
-        if not (math.isfinite(r) and r > 0):
-            fail(f"every r must be a positive real, got {r}")
-        if r in cfg.r_list[i + 1 :]:
-            fail(f"r_list repeats r={r!r}")
+    for _ in _list_entries(cfg.r_list, "r_list", "r", positive, "every r must be a positive real"):
+        pass
     if not cfg.out:
         fail("out must name a directory")
 
@@ -231,8 +241,18 @@ def _fmt(value) -> str:
     return format(float(value), ".17g")
 
 
+@contextmanager
+def _output(path: Path):
+    """The file at `path`, open for writing; an OSError on the way becomes a ConfigError."""
+    try:
+        with open(path, "w", newline="") as fh:
+            yield fh
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
 def write_csv(path: Path, header: list[str], rows) -> None:
-    with open(path, "w", newline="") as fh:
+    with _output(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
@@ -251,7 +271,8 @@ def write_manifest(out_dir: Path, command: str, cfg: RunConfig, outputs: list[st
             "scipy": scipy.__version__,
         },
     }
-    (out_dir / "run_manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    with _output(out_dir / "run_manifest.json") as fh:
+        fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def _job(cfg: RunConfig, **overrides) -> SimulationJob:
@@ -571,7 +592,8 @@ def cmd_selftest(cfg: RunConfig, workers: int, out_dir: Path) -> list[str]:
     checks = run_selftest()
     report = _format_selftest(checks)
     print(report)
-    (out_dir / "selftest_report.txt").write_text(report + "\n")
+    with _output(out_dir / "selftest_report.txt") as fh:
+        fh.write(report + "\n")
     if any(not ok for _, ok, _ in checks):
         raise _SelftestFailure()
     return ["selftest_report.txt"]
@@ -657,11 +679,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code
-        if code is None:
-            return 0
-        return code if isinstance(code, int) else 2
+    except SystemExit as exc:  # argparse exits with 0 after -h or --version, else 2
+        return exc.code
     try:
         cfg = resolve_config(args)
         if args.workers < 1:

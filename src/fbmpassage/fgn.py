@@ -63,11 +63,16 @@ def fgn_autocovariance(h: float, lag: int | np.ndarray, step: float) -> float | 
     return 0.5 * step**two_h * core
 
 
+def _is_int(value) -> bool:
+    """True for a Python or numpy integer, and False for a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _check_grid(horizon: float, steps: int) -> None:
     """Raise ValueError unless [0, horizon] with `steps` intervals is a grid."""
     if not (np.isfinite(horizon) and horizon > 0.0):
         raise ValueError(f"horizon must be positive and finite, got {horizon}")
-    if not (isinstance(steps, (int, np.integer)) and not isinstance(steps, bool) and steps >= 1):
+    if not (_is_int(steps) and steps >= 1):
         raise ValueError(f"steps must be a positive integer, got {steps}")
 
 

@@ -24,7 +24,7 @@ from functools import cache, lru_cache, partial
 
 import numpy as np
 
-from .fgn import _complex_noise, _pair_fft, circulant_spectrum
+from .fgn import _complex_noise, _is_int, _pair_fft, circulant_spectrum
 from .passage import _bridge_hit_times_batch, _grid_times, _plain_hit_index
 from .rng import GAUSSIAN_STREAM, UNIFORM_STREAM, substream
 from .sde import CHECK_COLUMNS, TAIL_PIECE, affine_coefficients, affine_euler
@@ -303,11 +303,6 @@ def _chunk_compute(job: SimulationJob, first_pair: int, pairs: int) -> dict[str,
             out["sup_values"][k] = job.x0 + s * sup
             out["argmax_times"][k] = where * step
     return out
-
-
-def _is_int(value) -> bool:
-    """True for a Python or numpy integer, and False for a bool."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def run_simulation(job: SimulationJob, workers: int = 1) -> dict[str, np.ndarray]:

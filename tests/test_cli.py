@@ -18,6 +18,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 import warnings
 from pathlib import Path
 
@@ -29,7 +30,10 @@ from scipy.stats import chi2, norm
 
 import fbmpassage
 from fbmpassage import fgn_autocovariance, laplace_bm, runner
+from fbmpassage.sde import affine_coefficients
 from fbmpassage.cli import (
+    CONFIG_MAX_BYTES,
+    ESTIMATOR_CHOICES,
     ConfigError,
     RunConfig,
     _parse_floats,
@@ -243,11 +247,132 @@ def test_validate_config_accepts_defaults():
     validate_config(RunConfig())
 
 
+def _reference_validate_config(cfg):
+    """validate_config as it was with one hand-written loop per list option
+    and a quadratic repeat test: the reference for messages and fault order."""
+
+    def fail(msg):
+        raise ConfigError(msg)
+
+    if not 0 <= cfg.seed < 2**64:
+        fail(f"seed must fit in 64 bits, got {cfg.seed}")
+    if not (math.isfinite(cfg.horizon) and cfg.horizon > 0):
+        fail(f"horizon must be a positive real, got {cfg.horizon}")
+    if cfg.steps < 2 or cfg.steps & (cfg.steps - 1):
+        fail(f"steps must be a power of two >= 2, got {cfg.steps}")
+    if cfg.samples < 100:
+        fail(f"samples must be at least 100, got {cfg.samples}")
+    if not cfg.hurst_list:
+        fail("hurst_list must not be empty")
+    step = cfg.horizon / cfg.steps
+    variances = []
+    for i, h in enumerate(cfg.hurst_list):
+        if not 0.5 <= h < 1.0:
+            fail(f"every Hurst value must lie in [0.5, 1), got {h}")
+        if h in cfg.hurst_list[i + 1 :]:
+            fail(f"hurst_list repeats H={h!r}")
+        try:
+            variance = step ** (2.0 * h)
+        except OverflowError:
+            variance = math.inf
+        if not (math.isfinite(variance) and variance > 0):
+            fail(f"(horizon/steps)^(2H) must be positive and finite, got {variance} for step {step:g} and H={h}")
+        variances.append(variance)
+    if not cfg.lambda_list:
+        fail("lambda_list must not be empty")
+    for i, lam in enumerate(cfg.lambda_list):
+        if not (math.isfinite(lam) and lam > 0):
+            fail(f"every lambda must be a positive real, got {lam}")
+        if lam in cfg.lambda_list[i + 1 :]:
+            fail(f"lambda_list repeats lambda={lam!r}")
+    if not (math.isfinite(cfg.x0) and math.isfinite(cfg.threshold) and cfg.x0 < cfg.threshold):
+        fail(f"x0 must be below threshold, got x0={cfg.x0}, threshold={cfg.threshold}")
+    if cfg.estimator not in ESTIMATOR_CHOICES:
+        fail(f"estimator must be one of {ESTIMATOR_CHOICES}, got {cfg.estimator!r}")
+    try:
+        _, _, s = affine_coefficients(cfg.drift, cfg.diffusion)
+    except ValueError as exc:
+        fail(str(exc))
+    scale = (cfg.threshold - cfg.x0) / s + 64.0 * max(cfg.horizon**h for h in cfg.hurst_list)
+    if not math.isfinite(2.0 * scale * scale / min(variances)):
+        fail(f"path scale (threshold - x0)/s + 64 horizon^H = {scale:g} overflows the bridge test 2 scale^2 / step^(2H)")
+    if not math.isfinite(2.0 * cfg.horizon * max(1.0, *cfg.lambda_list)):
+        fail(f"time scale 2 horizon max(1, lambda) overflows for horizon {cfg.horizon:g}")
+    if cfg.hist_bins < 2:
+        fail(f"hist_bins must be at least 2, got {cfg.hist_bins}")
+    if not (math.isfinite(cfg.eta) and cfg.eta > 0):
+        fail(f"eta must be positive, got {cfg.eta}")
+    if not 2.0 < cfg.p < 3.0:
+        fail(f"p must lie in (2, 3), got {cfg.p}")
+    if not cfg.r_list:
+        fail("r_list must not be empty")
+    for i, r in enumerate(cfg.r_list):
+        if not (math.isfinite(r) and r > 0):
+            fail(f"every r must be a positive real, got {r}")
+        if r in cfg.r_list[i + 1 :]:
+            fail(f"r_list repeats r={r!r}")
+    if not cfg.out:
+        fail("out must name a directory")
+
+
+def _outcome(check, cfg):
+    """None if `check` accepts cfg, else the ConfigError message."""
+    try:
+        check(cfg)
+    except ConfigError as exc:
+        return str(exc)
+    return None
+
+
+def test_validate_config_keeps_every_list_message_and_fault_order():
+    rng = np.random.default_rng(3030)
+    nan = math.nan  # one object: `in` and a Counter both match it by identity
+    # each pool holds valid entries, then out-of-range ones, +-0.0, nan (shared and fresh) and +-inf
+    pools = {
+        "hurst_list": ([0.5, 0.51, 0.6, 0.75, 0.99], [0.49, 1.0, 1.5, 0.0, -0.0, nan, math.inf, -math.inf]),
+        "lambda_list": ([1.0, 2.0, 3.5, 1e-300, 1e307], [0.0, -0.0, -1.0, nan, math.inf, -math.inf]),
+        "r_list": ([5.0, 10.0, 20.0, 1e-3], [0.0, -0.0, -2.0, nan, math.inf, -math.inf]),
+    }
+    # the step^(2H) test and the scale guards fire on the extreme grids
+    grids = [(20.0, 2**14), (1e300, 2), (1e302, 2), (1e-300, 2**20), (1e-300, 2), (1.0, 2)]
+    outcomes = []
+    for _ in range(3000):
+        horizon, steps = grids[rng.integers(len(grids))]
+        override = {"horizon": horizon, "steps": steps}
+        for name, (valid, invalid) in pools.items():
+            pool = valid if rng.random() < 0.5 else valid + invalid
+            # a few distinct candidates drawn with replacement make repeats common
+            candidates = [pool[i] for i in rng.choice(len(pool), size=rng.integers(1, 4), replace=False)]
+            entries = [candidates[i] for i in rng.integers(len(candidates), size=rng.integers(0, 7))]
+            # half of the nan entries are fresh objects, which no identity test matches
+            override[name] = tuple(float("nan") if x != x and rng.random() < 0.5 else x for x in entries)
+        if rng.random() < 0.1:
+            override["threshold"] = -1.0  # a later fault behind valid lists
+        cfg = dataclasses.replace(RunConfig(), **override)
+        expected = _outcome(_reference_validate_config, cfg)
+        assert _outcome(validate_config, cfg) == expected, override
+        outcomes.append(expected)
+    # every kind of outcome turned up
+    for fragment in ("must not be empty", "repeats H=", "repeats lambda=", "repeats r=", "every Hurst value",
+                     "every lambda", "every r", "(horizon/steps)^(2H)", "x0 must be below", "path scale"):
+        assert any(o is not None and fragment in o for o in outcomes), fragment
+    assert None in outcomes
+
+
+def test_validate_config_repeat_test_is_linear():
+    distinct = tuple(1.0 + k for k in range(10**5))
+    start = time.perf_counter()
+    validate_config(dataclasses.replace(RunConfig(), lambda_list=distinct))
+    assert time.perf_counter() - start < 10.0
+    with pytest.raises(ConfigError, match=r"^lambda_list repeats lambda=5\.0$"):
+        validate_config(dataclasses.replace(RunConfig(), lambda_list=(*distinct, 5.0)))
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 # ---------------------------------------------------------------------------
 
-def test_exit_code_usage_errors(capsys, tmp_path):
+def test_exit_code_usage_errors(capsys, monkeypatch, tmp_path):
     # argparse's usage errors print one error line and no usage block
     for argv in (
         ["simulate", "--bogus"],
@@ -285,6 +410,21 @@ def test_exit_code_usage_errors(capsys, tmp_path):
     occupied.write_text("")
     assert main(["simulate", "--samples", "100", "--steps", "16", "--out", str(occupied)]) == 2
     assert capsys.readouterr().err.startswith("error:")
+    # an output file that cannot be written: one error line, not a traceback and exit 1
+    monkeypatch.setattr(fbmpassage.cli, "run_selftest", lambda: [("quick", True, "patched")])
+    for command, blocked in (("simulate", "laplace.csv"), ("simulate", "run_manifest.json"),
+                             ("selftest", "selftest_report.txt")):
+        out = tmp_path / f"blocked-{blocked}"
+        (out / blocked).mkdir(parents=True)
+        assert main([command, "--samples", "100", "--steps", "16", "--out", str(out)]) == 2, blocked
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out / blocked}:") and err.count("\n") == 1, err
+    # a config file longer than the cap is refused, however valid its lines
+    long_config = tmp_path / "long.cfg"
+    long_config.write_text("samples = 100\n" + "#" * 99 + "\n" + ("#" * 1023 + "\n") * 1024)
+    assert long_config.stat().st_size > CONFIG_MAX_BYTES == 2**20
+    assert main(["simulate", "--config", str(long_config), "--steps", "16", "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"error: config file {long_config} exceeds the cap of 1048576 bytes (1 MiB)\n"
     # just inside the step^(2H) bound, the path scale still overflows the bridge test
     for horizon, hurst in (("1e302", "0.51"), ("1.7e308", "0.5")):
         argv = ["simulate", "--samples", "100", "--steps", "2", "--horizon", horizon, "--hurst-list", hurst]

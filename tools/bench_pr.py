@@ -30,6 +30,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 ROOT = Path(__file__).resolve().parent.parent
 # Ten alternating pairs are the fewest that can show a change better in
@@ -105,6 +106,10 @@ def main(argv=None) -> int:
                 "cpus": os.cpu_count(),
                 "python": platform.python_version(),
                 "numpy": np.__version__,
+                "scipy": scipy.__version__,
+                # when set, every run compiles src/ afresh (~20 ms of setup_s), so
+                # setup_s compares only between reports that agree on it
+                "PYTHONDONTWRITEBYTECODE": bool(os.environ.get("PYTHONDONTWRITEBYTECODE")),
             },
             "command": "perfbench/run.py",
             "traced": {side: {} for side in trees},
