@@ -14,8 +14,10 @@ import csv
 import json
 import logging
 import math
+import os
 import platform
 import re
+import stat
 import sys
 from collections import Counter
 from contextlib import contextmanager
@@ -106,9 +108,14 @@ class RunConfig:
 
 def load_config_file(path) -> dict:
     """Parse a flat key = value file of UTF-8, CONFIG_MAX_BYTES at most; '#' starts a comment, blank lines skip."""
+    nonblock = getattr(os, "O_NONBLOCK", 0)  # a FIFO with no writer when it is opened is refused, not waited on
     try:
-        with open(path, "rb") as fh:
+        with open(path, "rb", opener=lambda name, flags: os.open(name, flags | nonblock)) as fh:
+            if nonblock:
+                os.set_blocking(fh.fileno(), True)
             data = fh.read(CONFIG_MAX_BYTES + 1)
+            if not data and stat.S_ISFIFO(os.fstat(fh.fileno()).st_mode):
+                raise ConfigError(f"config file {path} is a FIFO with no writer, or an empty pipe")
         if len(data) > CONFIG_MAX_BYTES:
             raise ConfigError(f"config file {path} exceeds the cap of {CONFIG_MAX_BYTES} bytes (1 MiB)")
         text = data.decode()

@@ -201,9 +201,9 @@ def _memory_estimate(job: SimulationJob, chunk: int, processes: int) -> int:
     else sized by the grid: 4 bytes per pair and column of a CHECK_COLUMNS
     batch for its check of which rows have reached the level, and 66 bytes
     per entry of its tail's TAIL_PIECE-column pieces of Python floats
-    (65.1 B by `tracemalloc`).  The calling process holds every result
-    array twice while it merges the chunks, and 1 kB of array headers per
-    chunk and H.  Raises ValueError for an unknown model.
+    (65.1 B by `tracemalloc`).  The calling process holds every array of
+    `_empty_outputs` twice while it merges the chunks, and 1 kB of array
+    headers per chunk and H.  Raises ValueError for an unknown model.
     """
     pairs = (job.samples + 1) // 2
     pc = min(chunk, pairs)  # pairs in the largest chunk
@@ -214,8 +214,8 @@ def _memory_estimate(job: SimulationJob, chunk: int, processes: int) -> int:
     transform = min(BLOCK_PAIRS, pc) * 32 * n
     euler = 4 * min(CHECK_COLUMNS + 1, n) * pc + 66 * TAIL_PIECE if _is_looped(job) else 0
     per_process = (64 << 10) + (16 * len(job.hurst) + 32) * n + euler + transform + pc * per_pair
-    columns = len(job.rules) + len(job.marginal_indices) + 2 * len(job.extreme_indices)
-    results = 2 * 8 * job.samples * columns + 1024 * math.ceil(pairs / chunk)
+    per_path = sum(a.itemsize * math.prod(a.shape[2:]) for a in _empty_outputs(job, 0).values())
+    results = 2 * job.samples * per_path + 1024 * math.ceil(pairs / chunk)
     return processes * per_process + len(job.hurst) * results
 
 

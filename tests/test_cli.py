@@ -18,6 +18,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 import warnings
 from pathlib import Path
@@ -108,6 +109,43 @@ def test_load_config_file_errors(tmp_path):
 
     with pytest.raises(ConfigError, match="cannot read"):
         load_config_file(tmp_path / "missing.cfg")
+
+
+def test_config_fifo_with_no_writer_exits_at_once(tmp_path):
+    """A blocking open would wait for a writer forever; the timeout keeps that from hanging the suite."""
+    fifo = tmp_path / "run.cfg"
+    os.mkfifo(fifo)
+    src = str(Path(fbmpassage.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = [sys.executable, "-m", "fbmpassage", "simulate", "--config", str(fifo), "--out", str(tmp_path / "out")]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=5)
+    assert done.returncode == 2
+    assert done.stderr.splitlines() == [f"error: config file {fifo} is a FIFO with no writer, or an empty pipe"]
+
+
+def test_config_fifo_whose_writer_is_open_loads(tmp_path):
+    fifo = tmp_path / "run.cfg"
+    os.mkfifo(fifo)
+    writer = os.open(fifo, os.O_RDWR)  # open for writing before the load; O_RDWR waits for no reader
+
+    def write():
+        time.sleep(0.1)
+        os.write(writer, b"seed = 7\n")
+        os.close(writer)
+
+    thread = threading.Thread(target=write)
+    thread.start()
+    try:
+        assert load_config_file(fifo) == {"seed": 7}
+    finally:
+        thread.join(timeout=5)
+    assert not thread.is_alive()
+
+
+def test_empty_config_file_means_the_defaults(tmp_path):
+    empty = tmp_path / "run.cfg"
+    empty.write_bytes(b"")
+    assert resolve_config(build_parser().parse_args(["simulate", "--config", str(empty)])) == RunConfig()
 
 
 def test_flag_overrides_file_overrides_default(tmp_path):

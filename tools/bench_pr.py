@@ -12,9 +12,11 @@ every workload that BENCHMARK.json declares:
   change alternating which runs first, pair i on seed SEED + i.
 
 For every end-to-end metric the report gives each side's median and
-quartiles over the pairs, the change's median relative to the base's, and
-the number of pairs in which the change was better.  Runs are sequential,
-so a full report takes about 10 x workloads x 2 x (run_seconds + 5) s.
+quartiles over the pairs, the change's median relative to the base's, the
+number of pairs in which the change was better, and a verdict against the
+metric's bound in BENCHMARK.json: "worse", "unresolved" or "within".
+Runs are sequential, so a full report takes about
+10 x workloads x 2 x (run_seconds + 5) s.
 """
 
 from __future__ import annotations
@@ -65,21 +67,38 @@ def summary(values: list[float]) -> dict:
 
 
 def compare(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> dict:
-    """Per end-to-end metric: both sides' spread, the median move and the pairs won."""
+    """Per end-to-end metric: both sides' spread, the median move, the pairs won and the verdict on its bound.
+
+    The verdict is "worse" when the change's median is worse than the base's
+    by more than the bound; "unresolved" when it is not, but the base's
+    quartile spread relative to its median exceeds the bound and not every
+    change run beats every base run; "within" otherwise.
+    """
     out = {}
     for spec in metrics:
-        name, lower = spec["name"], spec["better"] == "lower"
+        name, lower, bound = spec["name"], spec["better"] == "lower", spec["bound"]
         both = [(b["metrics"][name]["value"], c["metrics"][name]["value"]) for b, c in pairs]
         if not both:
             continue
-        base, change = summary([b for b, _ in both]), summary([c for _, c in both])
+        bases, changes = [b for b, _ in both], [c for _, c in both]
+        base, change = summary(bases), summary(changes)
+        move = change["median"] / base["median"] - 1.0
+        every_run_better = max(changes) < min(bases) if lower else min(changes) > max(bases)
+        if (move if lower else -move) > bound:
+            verdict = "worse"
+        elif (base["q3"] - base["q1"]) / base["median"] > bound and not every_run_better:
+            verdict = "unresolved"
+        else:
+            verdict = "within"
         out[name] = {
             "unit": spec["unit"],
             "base": base,
             "change": change,
-            "change_vs_base": change["median"] / base["median"] - 1.0,
+            "change_vs_base": move,
             "change_better_pairs": sum((c < b) if lower else (c > b) for b, c in both),
             "pairs": len(both),
+            "bound": bound,
+            "verdict": verdict,
         }
     return out
 

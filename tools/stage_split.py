@@ -1,73 +1,73 @@
-"""In-process stage timer for the runner's hot path.
+"""In-process timer of the benchmark's CLI commands, by package function.
 
-    python3 tools/stage_split.py [--shape NAME] [--src DIR] [--steps N] [--samples M]
+    python3 tools/stage_split.py [--shape NAME] [--src DIR] [--seed S] [--steps N] [--samples M]
 
-Wraps the stage entry points that `fbmpassage.runner` calls with
-`time.perf_counter`, runs `run_simulation` serially on the three
-benchmark shapes, and prints each stage's seconds and its share of the
-runner's wall time.  "rest" is what no wrapper saw: the prefix sums,
-chunk bookkeeping and result assembly.  `--src` imports `fbmpassage` from
-another source tree (say, a base revision exported with `git archive`),
-so two revisions can be split with one timer.  A stage name that the
-tree's runner lacks is left unwrapped and reported as absent.
-The bridge scan calls the uniforms stage, so each stage is booked its self
-time: a stack of open stages takes the time of the stages a call encloses
-out of its own, and the stages add up to at most the runner's wall time.
-The pool shape runs serially here, so its pool start-up is not counted.
+Builds each benchmark workload's command line with `perfbench/workloads.py`
+(one worker, so it runs serially and its pool start-up is not counted),
+appends `--steps` and `--samples` when given (the last flag wins; the
+conjecture windows are times, so they need no rescaling), and runs it
+through `fbmpassage.cli.main` in this process.  Every function defined in
+an `fbmpassage` module is wrapped with `time.perf_counter` at each module
+attribute that refers to it, and labelled `module.name`, for example
+`fgn._pair_fft`.  Each call is booked its self time: a stack of open calls
+takes the time of the calls one encloses out of its own, so the functions
+add up to at most the CLI call's wall time, and "rest" is the time outside
+any package function.  The report lists each reached function's seconds
+and share of the CLI call, largest first.  `--src` imports `fbmpassage`
+from another source tree (say, a base revision exported with `git
+archive`), so two revisions can be split with one timer; the tree's CLI
+must take the workload flags.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
+import importlib
+import pkgutil
 import sys
+import tempfile
 import time
+import types
 from collections import defaultdict
 from contextlib import contextmanager
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# runner global -> stage label; every name is looked up in the runner's
-# namespace, where the chunk loop finds it
-STAGES = {
-    "_noise_scales": "spectra",
-    "substream": "substream",
-    "_complex_noise": "normals",
-    "_pair_fft": "FFT",
-    "affine_euler": "Euler",
-    "_plain_hit_index": "plain scan",
-    "_bridge_hit_times_batch": "bridge scan",
-    "_row_log_uniforms": "uniforms",
-    "_running_extremes": "extremes",
-}
 
-# The benchmark's three workloads as runner jobs: horizon 20, level 1
-# from x0 = 0.
-SHAPES = {
-    "sim-multiH-bridge": dict(
-        hurst=(0.5, 0.51, 0.52, 0.54, 0.6), steps=2**14, samples=256, rules=("simple", "bridge")
-    ),
-    "sim-ou-plain": dict(hurst=(0.5,), steps=2**14, samples=512, drift="ou:1", diffusion="const:2"),
-    "conjecture-large-pool": dict(
-        hurst=(0.5, 0.55, 0.6), steps=2**16, samples=512, rules=(), extreme_indices=(16384, 32768, 65536)
-    ),
-}
+def load_workloads() -> dict:
+    """perfbench's {name: Workload}, imported without writing bytecode into perfbench/."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        return importlib.import_module("workloads").WORKLOADS
+    finally:
+        sys.dont_write_bytecode = dont_write
+        sys.path.remove(str(ROOT / "perfbench"))
+
+
+def package_modules() -> list[types.ModuleType]:
+    """`fbmpassage` and every submodule but `__main__`, imported."""
+    package = importlib.import_module("fbmpassage")
+    names = [info.name for info in pkgutil.iter_modules(package.__path__, "fbmpassage.")]
+    return [package, *(importlib.import_module(name) for name in names if name != "fbmpassage.__main__")]
 
 
 @contextmanager
-def timed_stages(runner):
-    """Wrap the runner's stage entry points; yields {label: self seconds}, restores them on exit.
+def timed_functions(modules):
+    """Wrap every function defined in one of `modules` at each of their attributes that refers to it.
 
-    The label of a stage that the runner lacks maps to None in place of seconds.
+    Yields {"module.name": self seconds}; restores every attribute on exit.
     """
     seconds = defaultdict(float)
-    enclosed = [0.0]  # time of the stages a call encloses, one entry per open stage
-    originals = {name: getattr(runner, name) for name in STAGES if hasattr(runner, name)}
-    for name in STAGES.keys() - originals.keys():
-        seconds[STAGES[name]] = None
+    enclosed = [0.0]  # time of the calls a call encloses, one entry per open call
+    defined = {module.__name__ for module in modules}
+    wrappers = {}
+    originals = {}
 
-    def wrap(label, fn):
+    def wrap(fn):
+        label = f"{fn.__module__.rpartition('.')[2]}.{fn.__qualname__}"
+
         def timed(*args, **kwargs):
             enclosed.append(0.0)
             start = time.perf_counter()
@@ -80,53 +80,65 @@ def timed_stages(runner):
 
         return timed
 
-    for name, fn in originals.items():
-        setattr(runner, name, wrap(STAGES[name], fn))
+    for module in modules:
+        for name, value in vars(module).items():
+            if isinstance(value, types.FunctionType) and value.__module__ in defined:
+                originals[module, name] = value
+    for (module, name), fn in originals.items():
+        if fn not in wrappers:
+            wrappers[fn] = wrap(fn)
+        setattr(module, name, wrappers[fn])
     try:
         yield seconds
     finally:
-        for name, fn in originals.items():
-            setattr(runner, name, fn)
+        for (module, name), fn in originals.items():
+            setattr(module, name, fn)
 
 
-def split(runner, job) -> tuple[float, dict[str, float]]:
-    """(runner wall seconds, {stage: seconds}) of one serial run of `job`."""
-    with timed_stages(runner) as seconds:
+def timed_main(argv: list[str]) -> tuple[float, dict[str, float]]:
+    """(wall seconds, {function: self seconds}) of one `fbmpassage.cli.main(argv)`; exits on a nonzero code."""
+    modules = package_modules()
+    cli = sys.modules["fbmpassage.cli"]
+    with timed_functions(modules) as seconds:
         start = time.perf_counter()
-        runner.run_simulation(job, workers=1)
+        code = cli.main(argv)
         wall = time.perf_counter() - start
+    if code != 0:
+        raise SystemExit(f"fbmpassage {' '.join(argv)} exited {code}")
     return wall, dict(seconds)
 
 
 def report(name: str, wall: float, seconds: dict[str, float]) -> str:
-    lines = [f"{name}: runner {wall:.3f} s"]
-    rest = wall - sum(s for s in seconds.values() if s is not None)
-    for label, s in [*((label, seconds.get(label, 0.0)) for label in dict.fromkeys(STAGES.values())), ("rest", rest)]:
-        timing = "  absent" if s is None else f"{s:8.3f} s  {100.0 * s / wall:5.1f}%"
-        lines.append(f"  {label:<12} {timing}")
+    rows = [*sorted(seconds.items(), key=lambda item: -item[1]), ("rest", wall - sum(seconds.values()))]
+    width = max(len(label) for label, _ in rows)
+    lines = [f"{name}: CLI {wall:.3f} s"]
+    lines += [f"  {label:<{width}} {s:8.3f} s  {100.0 * s / wall:5.1f}%" for label, s in rows]
     return "\n".join(lines)
 
 
+def workload_argv(workload, seed: int, out: Path, steps: int | None, samples: int | None) -> list[str]:
+    """The workload's own serial command line, with `--steps` and `--samples` appended when given."""
+    argv = workload.argv(seed, out, workers=1)
+    for flag, value in (("--steps", steps), ("--samples", samples)):
+        if value:
+            argv += [flag, str(value)]
+    return argv
+
+
 def main(argv: list[str] | None = None) -> int:
+    workloads = load_workloads()
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--shape", choices=sorted(SHAPES), action="append", help="shape to run (default: all)")
+    parser.add_argument("--shape", choices=sorted(workloads), action="append", help="workload to run (default: all)")
     parser.add_argument("--src", type=Path, default=ROOT / "src", help="source tree that holds fbmpassage")
     parser.add_argument("--seed", type=int, default=3)
-    parser.add_argument("--steps", type=int, help="grid steps in place of the shape's")
-    parser.add_argument("--samples", type=int, help="sample paths in place of the shape's")
+    parser.add_argument("--steps", type=int, help="grid steps in place of the workload's")
+    parser.add_argument("--samples", type=int, help="sample paths in place of the workload's")
     args = parser.parse_args(argv)
     sys.path.insert(0, str(args.src.resolve()))
-    from fbmpassage import SimulationJob, runner
-
-    for name in args.shape or SHAPES:
-        job = SimulationJob(horizon=20.0, threshold=1.0, master_seed=args.seed, **SHAPES[name])
-        if args.steps:
-            scale = args.steps / job.steps  # keep the windows at the same times
-            indices = tuple(int(i * scale) for i in job.extreme_indices)
-            job = dataclasses.replace(job, steps=args.steps, extreme_indices=indices)
-        if args.samples:
-            job = dataclasses.replace(job, samples=args.samples)
-        print(report(name, *split(runner, job)), flush=True)
+    for name in args.shape or workloads:
+        with tempfile.TemporaryDirectory(prefix="stage-split-") as out:
+            command = workload_argv(workloads[name], args.seed, Path(out), args.steps, args.samples)
+            print(report(name, *timed_main(command)), flush=True)
     return 0
 
 
