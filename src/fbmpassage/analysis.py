@@ -74,7 +74,7 @@ def rate_exponent(hurst, gaps, gap_ses=None) -> RegressionFit:
     The slope beta estimates the decay exponent of the gap as H approaches
     1/2.  Gaps that are non-positive, or within two standard errors of zero
     when `gap_ses` is given, carry no log-scale signal and are dropped with
-    a log note.
+    a log note that names each dropped H by its shortest round-tripping repr.
     """
     h = np.asarray(hurst, dtype=float)
     g = np.asarray(gaps, dtype=float)
@@ -92,7 +92,7 @@ def rate_exponent(hurst, gaps, gap_ses=None) -> RegressionFit:
         logger.warning(
             "rate fit dropped %d gap(s) at H=%s (non-positive or within 2 SE of zero)",
             int((~keep).sum()),
-            np.array2string(h[~keep], precision=4),
+            "[" + ", ".join(repr(float(v)) for v in h[~keep]) + "]",
         )
     if keep.sum() < 2:
         raise ValueError("fewer than two usable gaps for the log-log rate fit")

@@ -19,8 +19,10 @@ import ctypes
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cache, lru_cache, partial
+from threading import Semaphore, Thread
 
 import numpy as np
 
@@ -195,7 +197,9 @@ def _memory_estimate(job: SimulationJob, chunk: int, processes: int) -> int:
     holds 16N of path rows and 2N of scan or finiteness mask; with the
     bridge rule 16N of log-uniforms and two uniform generators of ~1 kB;
     with several H values 32N of stashed noise.  A single-H chunk draws
-    its noise into the transform buffer's rows.
+    its noise into the transform buffer's rows.  A one-process run of
+    several H values also holds its _NoiseFeed: a ring of BLOCK_PAIRS rows
+    of 32N, and the 16N of the draw its thread has in hand.
     The largest temporary is 32N: the 16N of one noise draw, the FFT's
     ufunc buffer or one row's bridge scan.  The Euler loop holds nothing
     else sized by the grid: 4 bytes per pair and column of a CHECK_COLUMNS
@@ -213,13 +217,70 @@ def _memory_estimate(job: SimulationJob, chunk: int, processes: int) -> int:
     per_pair += 2048 * bridge
     transform = min(BLOCK_PAIRS, pc) * 32 * n
     euler = 4 * min(CHECK_COLUMNS + 1, n) * pc + 66 * TAIL_PIECE if _is_looped(job) else 0
-    per_process = (64 << 10) + (16 * len(job.hurst) + 32) * n + euler + transform + pc * per_pair
+    feed = (BLOCK_PAIRS * 32 + 16) * n if processes == 1 and len(job.hurst) > 1 else 0
+    per_process = (64 << 10) + (16 * len(job.hurst) + 32) * n + euler + transform + feed + pc * per_pair
     per_path = sum(a.itemsize * math.prod(a.shape[2:]) for a in _empty_outputs(job, 0).values())
     results = 2 * job.samples * per_path + 1024 * math.ceil(pairs / chunk)
     return processes * per_process + len(job.hurst) * results
 
 
-def _chunk_compute(job: SimulationJob, first_pair: int, pairs: int) -> dict[str, np.ndarray]:
+def _draw_noise(master_seed: int, m: int, pair: int, out: np.ndarray) -> None:
+    """Pair `pair`'s complex noise of length m, drawn from its Gaussian stream into `out`."""
+    _complex_noise(substream(master_seed, GAUSSIAN_STREAM, pair), m, out=out)
+
+
+class _NoiseFeed:
+    """One helper thread that draws a run's noise, pair by pair in pair order, at most BLOCK_PAIRS pairs ahead of use.
+
+    Each pair is drawn by _draw_noise, as an inline draw would be, into the
+    row pair % BLOCK_PAIRS of a ring; `take(pair, out)` copies the pairs
+    into `out` in the same order.  The helper signals a row only once it
+    is written, and writes it again only after `take` has copied it, so
+    the bytes a run sees do not depend on the timing of the two threads.
+    An exception in the helper is raised by the next `take`.  As a context
+    manager it yields `take`, and joins the thread on exit, whether the
+    run completed or raised.
+    """
+
+    def __init__(self, master_seed: int, m: int, pairs: int):
+        self._ring = np.empty((BLOCK_PAIRS, m), dtype=complex)
+        self._free = Semaphore(BLOCK_PAIRS)
+        self._filled = Semaphore(0)
+        self._stopped = False
+        self._error: BaseException | None = None
+        self._thread = Thread(target=self._draw, args=(master_seed, m, pairs))
+
+    def _draw(self, master_seed: int, m: int, pairs: int) -> None:
+        try:
+            for pair in range(pairs):
+                self._free.acquire()
+                if self._stopped:
+                    return
+                _draw_noise(master_seed, m, pair, self._ring[pair % BLOCK_PAIRS])
+                self._filled.release()
+        except BaseException as exc:  # handed to the caller's thread by take
+            self._error = exc
+            self._filled.release()
+
+    def take(self, pair: int, out: np.ndarray) -> None:
+        """Copy pair `pair`'s noise into `out`; pairs are taken in order, from 0."""
+        self._filled.acquire()
+        if self._error is not None:
+            raise self._error
+        out[...] = self._ring[pair % BLOCK_PAIRS]
+        self._free.release()
+
+    def __enter__(self):
+        self._thread.start()
+        return self.take
+
+    def __exit__(self, *exc_info) -> None:
+        self._stopped = True
+        self._free.release()
+        self._thread.join()
+
+
+def _chunk_compute(job: SimulationJob, first_pair: int, pairs: int, draw=None) -> dict[str, np.ndarray]:
     """Per-path outputs of the chunk of `pairs` path pairs from `first_pair` on, indexed [H, path in chunk].
 
     Paths run in the reduced coordinates y = (x - x0) / s of the model
@@ -237,7 +298,8 @@ def _chunk_compute(job: SimulationJob, first_pair: int, pairs: int) -> dict[str,
     of its plain hit and the last column that a marginal or extreme reads;
     the states past that are not read, and hold the noise prefix sums or
     states stepped on with the chunk.  A pair's normals are drawn when the
-    first H reaches it: into its row of the transform buffer when the job
+    first H reaches it, by `draw(pair, out)` (by default _draw_noise, or a
+    _NoiseFeed's take): into its row of the transform buffer when the job
     has one H, and into a stash row that the later H values read again
     when it has several.  A path's bridge scan stops at its plain hit and
     asks _row_log_uniforms for the uniforms it reads, which draws them,
@@ -253,6 +315,7 @@ def _chunk_compute(job: SimulationJob, first_pair: int, pairs: int) -> dict[str,
     first_path = 2 * first_pair
     n_valid = min(2 * pairs, job.samples - first_path)
     scales = _noise_scales(tuple(job.hurst), job.horizon, steps)
+    draw = draw or partial(_draw_noise, job.master_seed, m)
     a, c_reduced, s = _reduced_drift(job)
     looped = _is_looped(job)
     thr = (job.threshold - job.x0) / s
@@ -278,8 +341,7 @@ def _chunk_compute(job: SimulationJob, first_pair: int, pairs: int) -> dict[str,
             noise = transformed[:g] if stash is None else stash[g0 : g0 + g]
             if not k:
                 for i in range(g):
-                    rng = substream(job.master_seed, GAUSSIAN_STREAM, first_pair + g0 + i)
-                    _complex_noise(rng, m, out=noise[i])
+                    draw(first_pair + g0 + i, noise[i])
             y = _pair_fft(scale, noise, out=transformed[:g])
             group = values[2 * g0 : 2 * (g0 + g), 1:]
             np.add.accumulate(y.real[:, :steps], axis=1, out=group[0::2])
@@ -319,11 +381,14 @@ def run_simulation(job: SimulationJob, workers: int = 1) -> dict[str, np.ndarray
     fits physical memory at min(workers, CPUs) processes, and are merged
     in path order; since every per-path output is a pure function of
     (job, H, path index), the assembled arrays are byte-identical for any
-    `workers` and chunk size.  A run that does not fit at one pair raises
-    MemoryBudgetError; a master seed outside the integers in [0, 2^64), a non-integer count,
-    step count or grid index, a non-finite x0 or threshold, or a `workers`
-    that is not an integer of at least 1 raises ValueError.  Both are
-    raised before anything is allocated.
+    `workers` and chunk size.  A serial run of several H values, in a
+    process that may run on more than one CPU, draws its normals on one
+    _NoiseFeed thread while this one transforms them; the thread is joined
+    before the run returns or raises.  A run that does not fit at one pair
+    raises MemoryBudgetError; a master seed outside the integers in
+    [0, 2^64), a non-integer count, step count or grid index, a non-finite
+    x0 or threshold, or a `workers` that is not an integer of at least 1
+    raises ValueError.  Both are raised before anything is allocated.
     """
     if not (_is_int(job.master_seed) and 0 <= job.master_seed < 2**64):
         raise ValueError(f"master_seed must be an integer in [0, 2**64), got {job.master_seed!r}")
@@ -360,7 +425,10 @@ def run_simulation(job: SimulationJob, workers: int = 1) -> dict[str, np.ndarray
     _noise_scales(tuple(job.hurst), job.horizon, job.steps)
     sizes = [min(chunk, pairs - first) for first in firsts]
     if workers == 1:
-        chunks = [_chunk_compute(job, first, size) for first, size in zip(firsts, sizes)]
+        # several H values transform each pair's noise several times, so a spare CPU draws it meanwhile
+        ahead = len(job.hurst) > 1 and cpus > 1
+        with _NoiseFeed(job.master_seed, 2 * job.steps, pairs) if ahead else nullcontext() as draw:
+            chunks = [_chunk_compute(job, first, size, draw) for first, size in zip(firsts, sizes)]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_chunk_compute, [job] * len(firsts), firsts, sizes))

@@ -84,7 +84,8 @@ def test_simple_estimator_error_band(desk_sweep):
 
 
 def test_bridge_beats_simple_at_brownian_case():
-    times = {name: t[0] for name, t in fp.run_simulation(_job((0.5,), 2**13, 20_000, rules=fp.RULES)).items()}
+    job = _job((0.5,), 2**13, 20_000, rules=fp.RULES)
+    times = {name: t[0] for name, t in fp.run_simulation(job, workers=2).items()}
     wins = 0
     details = []
     for lam in LAMBDAS:

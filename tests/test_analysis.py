@@ -4,8 +4,12 @@ Covers:
   - linear_fit on exact lines and on a reference gap
     sequence with frozen slope / R-squared / log-log exponent.
   - rate_exponent filtering rules: non-positive gaps and gaps within two
-    standard errors are dropped; fewer than two survivors is an error.
+    standard errors are dropped; fewer than two survivors is an error.  The
+    drop note names each dropped H by its shortest round-tripping repr, so
+    H values that differ in the seventh digit stay apart.
 """
+
+import logging
 
 import numpy as np
 import pytest
@@ -73,3 +77,12 @@ def test_rate_exponent_drops_noise_level_gaps():
 def test_rate_exponent_needs_two_survivors():
     with pytest.raises(ValueError):
         rate_exponent([0.51, 0.52], [0.01, -0.01])
+
+
+def test_rate_exponent_names_dropped_h_values_apart(caplog):
+    hs = [0.5000001, 0.5000002, 0.5000003, 0.51, 0.6]
+    gaps = [-1e-4, -2e-4, -3e-4, 0.012, 0.049]
+    with caplog.at_level(logging.WARNING, logger="fbmpassage.analysis"):
+        fit = rate_exponent(hs, gaps)
+    assert fit.n == 2
+    assert "dropped 3 gap(s) at H=[0.5000001, 0.5000002, 0.5000003] " in caplog.text

@@ -4,7 +4,10 @@ Covers each verdict against a metric's bound: "worse" when the change's
 median is worse by more than the bound, in either direction of better;
 "unresolved" when the base's relative quartile spread exceeds the bound
 and not every change run beats every base run; "within" otherwise,
-including a wide spread that every change run beats.
+including a wide spread that every change run beats.  `claim_met` holds
+only when the change wins at least nine of ten pairs, ties counting for
+neither side, and its median moves by more than the base's quartile
+spread, in either direction of better.
 """
 
 import importlib.util
@@ -43,3 +46,23 @@ def test_compare_gives_each_verdict(base, change, better, verdict):
     got = _compare(base, change, better)
     assert got["verdict"] == verdict
     assert got["bound"] == 0.25 and got["pairs"] == 10
+
+
+# the base's quartiles are 0.9925 and 1.0075 (IQR 0.015) and its median 1.0
+@pytest.mark.parametrize(
+    "change, better, met",
+    [
+        ([0.9 * v for v in TIGHT], "lower", True),  # 10/10, the median falls by 0.1
+        ([1.1 * v for v in TIGHT], "higher", True),
+        ([0.9 * v for v in TIGHT[:9]] + [2.0], "lower", True),  # 9/10 is enough
+        ([0.9 * v for v in TIGHT[:8]] + [2.0, 2.0], "lower", False),  # 8/10 is not
+        ([0.9 * v for v in TIGHT[:9]] + [TIGHT[9]], "lower", True),  # a tie counts for neither side
+        ([0.9 * v for v in TIGHT[:8]] + TIGHT[8:], "lower", False),
+        ([v - 0.012 for v in TIGHT], "lower", False),  # 10/10, but 0.012 is inside the IQR
+        ([v - 0.02 for v in TIGHT], "lower", True),
+        ([0.9 * v for v in TIGHT], "higher", False),
+    ],
+)
+def test_claim_needs_nine_in_ten_pairs_and_a_move_past_the_base_iqr(change, better, met):
+    got = _compare(TIGHT, change, better)
+    assert got["claim_met"] is met

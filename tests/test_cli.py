@@ -787,9 +787,9 @@ def test_conjecture_runs_in_zero_drift_default_chunks(monkeypatch, tmp_path):
     calls = []
     original = runner._chunk_compute
 
-    def counting(job, first_pair, pairs):
+    def counting(job, first_pair, pairs, *draw):
         calls.append((first_pair, pairs))
-        return original(job, first_pair, pairs)
+        return original(job, first_pair, pairs, *draw)
 
     monkeypatch.setattr(runner, "_chunk_compute", counting)
     argv = [
@@ -876,7 +876,7 @@ def test_cli_import_loads_no_heavy_scipy_module():
 
 def test_bridge_compare_brownian_reference(tmp_path):
     out = tmp_path / "bc"
-    assert main(["bridge-compare", "--hurst-list", "0.5", "--out", str(out)]) == 0
+    assert main(["bridge-compare", "--hurst-list", "0.5", "--workers", "2", "--out", str(out)]) == 0
     rows = _read_csv(out / "bridge_compare.csv")
     assert list(rows[0]) == [
         "lambda", "reference_or_fine", "simple",

@@ -22,6 +22,13 @@ Covers:
   - Chunk assembly: every path, pure or through the Euler loop, equals the
     prefix sum of its sample_fgn row bit for bit, for one and several H,
     partial last chunks and FFT groups and a half-used last pair.
+  - Drawing ahead: a serial multi-H run on two CPUs starts exactly one
+    noise thread and returns every output `==` to the one-CPU run (pure
+    and OU, odd samples, 1- and 3-pair chunks, and 200 one-pair chunks
+    with the threads switching every microsecond); single-H, pool and one-CPU
+    runs start none; no thread outlives a run, one whose Euler loop raises
+    included; an error in the helper is raised by the run, which does not
+    wait for the noise.
   - Lazy uniforms: a Philox substream's draws split anywhere give the same
     values, and each path draws no uniform past its plain hit.
   - Window extremes equal a rescan of every prefix, ties included, and
@@ -30,8 +37,8 @@ Covers:
     never on import; the model's chunk halves until the run fits in memory,
     down to one pair, and the chunks tile the path pairs in order, each
     computed from the caller's job; the memory bound refuses a run before
-    allocating, counts chunks, spectra, the transform buffer and results
-    exactly, and bounds the traced peak of eight job shapes from above.
+    allocating, counts chunks, spectra, the transform buffer, the noise
+    helper's ring and results exactly, and bounds the traced peak of eight job shapes from above.
   - Closed-form affine reduction: registry models agree with a scalar
     per-path Euler loop on y = (x - x0) / s, and zero drift with constant
     diffusion is scaled fBm with no Euler loop at all.  OU marginals match
@@ -48,6 +55,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from collections import Counter, defaultdict
 from pathlib import Path
@@ -440,6 +448,123 @@ def test_block_paths_equal_summed_sample_fgn_rows(pin_chunk, chunk_pairs, hursts
 
 
 # ---------------------------------------------------------------------------
+# drawing ahead on a helper thread
+# ---------------------------------------------------------------------------
+
+def _cpus(monkeypatch, count: int) -> None:
+    monkeypatch.setattr(runner.os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+def _counting_threads(monkeypatch) -> list:
+    """Patch the runner's Thread to record each thread it starts."""
+    started = []
+
+    class Counting(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(runner, "Thread", Counting)
+    return started
+
+
+_AHEAD = {  # (pinned chunk pairs, job fields)
+    "pure-5H": (None, dict(hurst=(0.5, 0.52, 0.55, 0.6, 0.75), rules=RULES)),
+    "ou-2H": (None, dict(hurst=(0.5, 0.6), drift="ou:1", rules=RULES, marginal_indices=(7, 256))),  # 128 + 22 pairs
+    "odd-samples": (None, dict(hurst=(0.5, 0.6, 0.75), samples=61, rules=RULES, extreme_indices=(50, 256))),
+    "1-pair-chunks": (1, dict(hurst=(0.5, 0.6), samples=61, rules=RULES)),
+    "3-pair-chunks": (3, dict(hurst=(0.5, 0.6), samples=61, rules=RULES)),  # a partial last chunk and group
+}
+
+
+@pytest.mark.parametrize("name", _AHEAD)
+def test_drawing_ahead_changes_no_output(monkeypatch, pin_chunk, name):
+    chunk_pairs, fields = _AHEAD[name]
+    if chunk_pairs:
+        pin_chunk(chunk_pairs)
+    job = _job(**fields)
+    started = _counting_threads(monkeypatch)
+    _cpus(monkeypatch, 1)
+    inline = run_simulation(job)
+    assert started == []
+    _cpus(monkeypatch, 2)
+    before = threading.active_count()
+    ahead = run_simulation(job)
+    assert len(started) == 1 and not started[0].is_alive()
+    assert threading.active_count() == before
+    assert ahead.keys() == inline.keys()
+    assert all(np.array_equal(ahead[key], inline[key]) for key in inline)
+
+
+def test_drawing_ahead_holds_under_fast_thread_switching(monkeypatch, pin_chunk):
+    # 200 pairs in 1-pair chunks, the two threads switching as often as they can
+    pin_chunk(1)
+    job = _job(hurst=(0.5, 0.6, 0.75), steps=64, samples=400, rules=RULES)
+    _cpus(monkeypatch, 1)
+    inline = run_simulation(job)
+    _cpus(monkeypatch, 2)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        ahead = [run_simulation(job) for _ in range(3)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(np.array_equal(run[key], inline[key]) for run in ahead for key in inline)
+
+
+@pytest.mark.parametrize("hurst, workers", [((0.6,), 1), ((0.5, 0.6), 2)])
+def test_single_h_and_pool_runs_start_no_thread(monkeypatch, hurst, workers):
+    started = _counting_threads(monkeypatch)
+    _cpus(monkeypatch, 2)
+    run_simulation(_job(hurst=hurst, samples=40), workers=workers)  # 5 chunks
+    assert started == []
+
+
+def test_a_raising_euler_loop_leaves_no_thread(monkeypatch):
+    # every state overflows some 70 steps in, before the marginal the loop must reach
+    job = _job(hurst=(0.5, 0.6), drift="linear:1e6,1e6", rules=(), marginal_indices=(256,))
+    started = _counting_threads(monkeypatch)
+    _cpus(monkeypatch, 2)
+    before = threading.active_count()
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(PropagationError):
+        run_simulation(job)
+    assert len(started) == 1 and not started[0].is_alive()
+    assert threading.active_count() == before
+
+
+# at pair 0 the run waits on its first take; by pair 5 it still has rows drawn before the error
+@pytest.mark.parametrize("bad_pair", [0, 5])
+def test_an_error_in_the_helper_is_raised_by_the_run(monkeypatch, bad_pair):
+    drawn_on = []
+    original = runner._complex_noise
+
+    def failing(rng, m, out=None):
+        if len(drawn_on) == bad_pair:
+            raise RuntimeError(f"no noise for pair {bad_pair}")
+        drawn_on.append(threading.get_ident())
+        return original(rng, m, out=out)
+
+    monkeypatch.setattr(runner, "_complex_noise", failing)
+    _cpus(monkeypatch, 2)
+    before = threading.active_count()
+    raised = []
+
+    def run():
+        try:
+            run_simulation(_job(hurst=(0.5, 0.6), samples=40))
+        except RuntimeError as exc:
+            raised.append((threading.get_ident(), str(exc)))
+
+    caller = threading.Thread(target=run, daemon=True)  # a hung run must not hold up the test process
+    caller.start()
+    caller.join(timeout=60)
+    assert not caller.is_alive(), "the run must not wait for noise that never comes"
+    assert raised == [(caller.ident, f"no noise for pair {bad_pair}")]
+    assert len(drawn_on) == bad_pair and caller.ident not in drawn_on
+    assert threading.active_count() == before
+
+
+# ---------------------------------------------------------------------------
 # lazy uniforms and window extremes
 # ---------------------------------------------------------------------------
 
@@ -592,9 +717,9 @@ def _counting_chunks(monkeypatch) -> list:
     calls = []
     original = runner._chunk_compute
 
-    def counting(job, first_pair, pairs):
+    def counting(job, first_pair, pairs, *draw):
         calls.append((job, first_pair, pairs))
-        return original(job, first_pair, pairs)
+        return original(job, first_pair, pairs, *draw)
 
     monkeypatch.setattr(runner, "_chunk_compute", counting)
     return calls
@@ -640,10 +765,16 @@ def test_memory_estimate_counts_blocks_spectra_and_results():
     pure = _job(steps=2**10, samples=300, rules=RULES, hurst=(0.5, 0.6))
     # two 16N spectra and a 32N temporary; 4-pair chunks with a 4-row 32N
     # transform buffer, 66N per pair (32N of it stashed noise) and two 1 kB
-    # generators per pair; two H rows of two columns over 300 paths, held
-    # twice, and 1 kB of array headers per chunk (38 chunks) and H
+    # generators per pair; the noise helper's 4-row 32N ring and its 16N
+    # draw; two H rows of two columns over 300 paths, held twice, and 1 kB
+    # of array headers per chunk (38 chunks) and H
+    feed = 4 * 32 * n + 16 * n
     assert runner._memory_estimate(pure, 4, 1) == (
-        small + 16 * n * 2 + 32 * n + 4 * 32 * n + 4 * (66 * n + 2048) + 2 * (2 * 8 * 300 * 2 + 1024 * 38)
+        small + 16 * n * 2 + 32 * n + 4 * 32 * n + feed + 4 * (66 * n + 2048) + 2 * (2 * 8 * 300 * 2 + 1024 * 38)
+    )
+    # on two processes no helper runs
+    assert runner._memory_estimate(pure, 4, 2) == (
+        2 * (small + 16 * n * 2 + 32 * n + 4 * 32 * n + 4 * (66 * n + 2048)) + 2 * (2 * 8 * 300 * 2 + 1024 * 38)
     )
     # one H: the noise is drawn into the transform buffer, no stash
     single = _job(steps=2**10, samples=300, rules=RULES)

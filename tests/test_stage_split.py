@@ -2,11 +2,15 @@
 
 Covers:
   - A tiny run of each benchmark workload's own command line: its CSVs are
-    those of an untimed `cli.main` of the same argv, its functions add up
-    to no more than the CLI call's wall time, it names the hot functions
-    the workload reaches, and every package attribute is restored after.
+    those of an untimed `cli.main` of the same argv, its main thread's
+    functions add up to no more than the CLI call's wall time, it names the
+    hot functions the workload reaches, and every package attribute is
+    restored after.
   - A function called from inside another is booked to itself only: the
-    enclosing function's self time leaves it out.
+    enclosing function's self time leaves it out.  A call on another thread
+    is booked apart, under a "[helper]" label, and takes nothing from the
+    calls open on the main thread; a multi-H run on two CPUs books its
+    noise draws there, and on one CPU it has no helper rows.
   - The command line at a tiny grid, in a fresh process, on all three
     workloads; every file under perfbench/ is unchanged by it.
 """
@@ -16,13 +20,14 @@ import importlib.util
 import os
 import subprocess
 import sys
+import threading
 import time
 import types
 from pathlib import Path
 
 import pytest
 
-from fbmpassage import cli
+from fbmpassage import cli, runner
 
 ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "stage_split.py"
@@ -54,8 +59,8 @@ def test_tiny_workload_run_is_timed_and_keeps_outputs(tmp_path, name):
     wall, seconds = tool.timed_main(tool.workload_argv(workload, 5, tmp_path / "timed", 256, 100))
     after = _attributes(modules)
     assert after.keys() == before.keys() and all(after[key] is value for key, value in before.items())
-    assert EVERY_WORKLOAD | REACHED[name] <= seconds.keys()
-    assert 0.0 < sum(seconds.values()) <= wall
+    assert EVERY_WORKLOAD | REACHED[name] <= {label.removesuffix(tool.HELPER) for label in seconds}
+    assert 0.0 < tool.main_thread_seconds(seconds) <= wall
     assert cli.main(tool.workload_argv(workload, 5, tmp_path / "plain", 256, 100)) == 0
     csvs = sorted(path.name for path in (tmp_path / "plain").glob("*.csv"))
     assert csvs and csvs == sorted(path.name for path in (tmp_path / "timed").glob("*.csv"))
@@ -76,6 +81,40 @@ def test_a_stage_inside_another_books_only_its_self_time():
     assert seconds["fake.inner"] >= 0.05
     assert seconds["fake.outer"] < 0.04
     assert sum(seconds.values()) <= wall
+
+
+def test_a_call_on_another_thread_is_booked_apart():
+    tool = _tool()
+    fake = types.ModuleType("fake")
+    exec("import time\ndef inner():\n    time.sleep(0.05)\ndef outer():\n    time.sleep(0.1)\n", vars(fake))
+    start = time.perf_counter()
+    with tool.timed_functions([fake]) as seconds:
+        helper = threading.Thread(target=fake.inner)
+        helper.start()  # inner runs while outer is open on this thread
+        fake.outer()
+        helper.join(timeout=10)
+    wall = time.perf_counter() - start
+    assert not helper.is_alive()
+    assert seconds.keys() == {"fake.outer", "fake.inner [helper]"}
+    assert seconds["fake.outer"] >= 0.1 and seconds["fake.inner [helper]"] >= 0.05
+    assert tool.main_thread_seconds(seconds) == seconds["fake.outer"] <= wall
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_multi_h_run_books_its_noise_helper_apart(tmp_path, monkeypatch, cpus):
+    monkeypatch.setattr(runner.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    tool = _tool()
+    workload = tool.load_workloads()["sim-multiH-bridge"]
+    wall, seconds = tool.timed_main(tool.workload_argv(workload, 5, tmp_path, 256, 100))
+    helper = {label for label in seconds if label.endswith(tool.HELPER)}
+    if cpus == 1:
+        assert not helper and "fgn._complex_noise" in seconds
+    else:
+        assert {"fgn._complex_noise [helper]", "rng.substream [helper]"} <= helper
+        assert "fgn._complex_noise" not in seconds
+    assert 0.0 < tool.main_thread_seconds(seconds) <= wall
+    rest = tool.report("sim-multiH-bridge", wall, seconds).splitlines()[-1].split()
+    assert rest[0] == "rest" and float(rest[1]) >= -0.0005
 
 
 def _digests(tree: Path) -> dict[str, str]:

@@ -13,8 +13,10 @@ every workload that BENCHMARK.json declares:
 
 For every end-to-end metric the report gives each side's median and
 quartiles over the pairs, the change's median relative to the base's, the
-number of pairs in which the change was better, and a verdict against the
-metric's bound in BENCHMARK.json: "worse", "unresolved" or "within".
+number of pairs in which the change was better, a verdict against the
+metric's bound in BENCHMARK.json: "worse", "unresolved" or "within", and
+`claim_met`: whether the change won at least nine in ten of the pairs and
+moved the median by more than the base's interquartile range.
 Runs are sequential, so a full report takes about
 10 x workloads x 2 x (run_seconds + 5) s.
 """
@@ -72,7 +74,10 @@ def compare(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> dict:
     The verdict is "worse" when the change's median is worse than the base's
     by more than the bound; "unresolved" when it is not, but the base's
     quartile spread relative to its median exceeds the bound and not every
-    change run beats every base run; "within" otherwise.
+    change run beats every base run; "within" otherwise.  `claim_met` says
+    whether a gain on the metric may be claimed: the change is better in at
+    least nine in ten of the pairs, ties counting for neither side, and its
+    median is better than the base's by more than the base's quartile spread.
     """
     out = {}
     for spec in metrics:
@@ -90,15 +95,18 @@ def compare(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> dict:
             verdict = "unresolved"
         else:
             verdict = "within"
+        better_pairs = sum((c < b) if lower else (c > b) for b, c in both)
+        gain = base["median"] - change["median"] if lower else change["median"] - base["median"]
         out[name] = {
             "unit": spec["unit"],
             "base": base,
             "change": change,
             "change_vs_base": move,
-            "change_better_pairs": sum((c < b) if lower else (c > b) for b, c in both),
+            "change_better_pairs": better_pairs,
             "pairs": len(both),
             "bound": bound,
             "verdict": verdict,
+            "claim_met": 10 * better_pairs >= 9 * len(both) and gain > base["q3"] - base["q1"],
         }
     return out
 

@@ -10,13 +10,15 @@ through `fbmpassage.cli.main` in this process.  Every function defined in
 an `fbmpassage` module is wrapped with `time.perf_counter` at each module
 attribute that refers to it, and labelled `module.name`, for example
 `fgn._pair_fft`.  Each call is booked its self time: a stack of open calls
-takes the time of the calls one encloses out of its own, so the functions
-add up to at most the CLI call's wall time, and "rest" is the time outside
-any package function.  The report lists each reached function's seconds
-and share of the CLI call, largest first.  `--src` imports `fbmpassage`
-from another source tree (say, a base revision exported with `git
-archive`), so two revisions can be split with one timer; the tree's CLI
-must take the workload flags.
+per thread takes the time of the calls one encloses out of its own.  Calls
+made on another thread than the CLI call's, such as the runner's noise
+helper, are booked apart under "module.name [helper]".  The main thread's
+functions add up to at most the CLI call's wall time, and "rest" is its
+time outside any package function.  The report lists each reached
+function's seconds and share of the CLI call, largest first.  `--src`
+imports `fbmpassage` from another source tree (say, a base revision
+exported with `git archive`), so two revisions can be split with one
+timer; the tree's CLI must take the workload flags.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import importlib
 import pkgutil
 import sys
 import tempfile
+import threading
 import time
 import types
 from collections import defaultdict
@@ -33,6 +36,8 @@ from contextlib import contextmanager
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+# label suffix of the calls made on a thread other than the CLI call's
+HELPER = " [helper]"
 
 
 def load_workloads() -> dict:
@@ -57,10 +62,14 @@ def package_modules() -> list[types.ModuleType]:
 def timed_functions(modules):
     """Wrap every function defined in one of `modules` at each of their attributes that refers to it.
 
-    Yields {"module.name": self seconds}; restores every attribute on exit.
+    Yields {"module.name": self seconds}; a call made on any thread but the
+    one that entered is booked apart, as "module.name [helper]".  Restores
+    every attribute on exit.
     """
     seconds = defaultdict(float)
-    enclosed = [0.0]  # time of the calls a call encloses, one entry per open call
+    main = threading.get_ident()
+    # per thread: the time of the calls a call encloses, one entry per open call
+    enclosed = defaultdict(lambda: [0.0])
     defined = {module.__name__ for module in modules}
     wrappers = {}
     originals = {}
@@ -69,14 +78,16 @@ def timed_functions(modules):
         label = f"{fn.__module__.rpartition('.')[2]}.{fn.__qualname__}"
 
         def timed(*args, **kwargs):
-            enclosed.append(0.0)
+            thread = threading.get_ident()
+            stack = enclosed[thread]
+            stack.append(0.0)
             start = time.perf_counter()
             try:
                 return fn(*args, **kwargs)
             finally:
                 elapsed = time.perf_counter() - start
-                seconds[label] += elapsed - enclosed.pop()
-                enclosed[-1] += elapsed
+                seconds[label if thread == main else label + HELPER] += elapsed - stack.pop()
+                stack[-1] += elapsed
 
         return timed
 
@@ -108,8 +119,13 @@ def timed_main(argv: list[str]) -> tuple[float, dict[str, float]]:
     return wall, dict(seconds)
 
 
+def main_thread_seconds(seconds: dict[str, float]) -> float:
+    """The seconds booked on the CLI call's own thread: at most its wall time."""
+    return sum(s for label, s in seconds.items() if not label.endswith(HELPER))
+
+
 def report(name: str, wall: float, seconds: dict[str, float]) -> str:
-    rows = [*sorted(seconds.items(), key=lambda item: -item[1]), ("rest", wall - sum(seconds.values()))]
+    rows = [*sorted(seconds.items(), key=lambda item: -item[1]), ("rest", wall - main_thread_seconds(seconds))]
     width = max(len(label) for label, _ in rows)
     lines = [f"{name}: CLI {wall:.3f} s"]
     lines += [f"  {label:<{width}} {s:8.3f} s  {100.0 * s / wall:5.1f}%" for label, s in rows]
