@@ -25,10 +25,10 @@ Covers:
   - Drawing ahead: a serial multi-H run on two CPUs starts exactly one
     noise thread and returns every output `==` to the one-CPU run (pure
     and OU, odd samples, 1- and 3-pair chunks, and 200 one-pair chunks
-    with the threads switching every microsecond); single-H, pool and one-CPU
-    runs start none; no thread outlives a run, one whose Euler loop raises
-    included; an error in the helper is raised by the run, which does not
-    wait for the noise.
+    with the threads switching every microsecond); single-H, pool and
+    one-CPU runs start none; no thread outlives a run, one whose Euler
+    loop raises included; an error in the helper is raised by the run,
+    which does not wait for the noise.
   - Lazy uniforms: a Philox substream's draws split anywhere give the same
     values, and each path draws no uniform past its plain hit.
   - Window extremes equal a rescan of every prefix, ties included, and
@@ -38,7 +38,8 @@ Covers:
     down to one pair, and the chunks tile the path pairs in order, each
     computed from the caller's job; the memory bound refuses a run before
     allocating, counts chunks, spectra, the transform buffer, the noise
-    helper's ring and results exactly, and bounds the traced peak of eight job shapes from above.
+    helper's ring and results exactly, and bounds the traced peak of
+    eight job shapes from above.
   - Closed-form affine reduction: registry models agree with a scalar
     per-path Euler loop on y = (x - x0) / s, and zero drift with constant
     diffusion is scaled fBm with no Euler loop at all.  OU marginals match
