@@ -22,7 +22,7 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cache, lru_cache, partial
-from threading import Semaphore, Thread
+from threading import Condition, Thread
 
 import numpy as np
 
@@ -44,6 +44,15 @@ RULES = ("simple", "bridge")
 # Euler step is a Python loop over grid steps, vectorised across rows, and
 # costs less per row on more rows.
 BLOCK_PAIRS = 4
+# Grid steps from which a serial run on more than one CPU draws its noise
+# through a _NoiseFeed.  Below them a pair's draw is mostly Python (its
+# `substream` alone takes ~25 us), and the two threads convoy on the GIL.
+# run_simulation alone at 2^22 path steps (2 vCPUs, medians of 3) took
+# 2.24x, 1.66x and 1.19x its one-CPU time at N = 2^8, 2^9 and 2^10 with
+# one pure H, and 0.68x (one H), 0.88x (2 H, both rules) and 0.69x
+# (`ou:1`) at 2^12.  At 2^11 it took 0.74-0.85x, but a prototype measured
+# 2 H with both rules 12% slower there, so the floor keeps a factor of 2.
+FEED_STEPS = 2**12
 
 
 @dataclass(frozen=True)
@@ -197,9 +206,9 @@ def _memory_estimate(job: SimulationJob, chunk: int, processes: int) -> int:
     holds 16N of path rows and 2N of scan or finiteness mask; with the
     bridge rule 16N of log-uniforms and two uniform generators of ~1 kB;
     with several H values 32N of stashed noise.  A single-H chunk draws
-    its noise into the transform buffer's rows.  A one-process run of
-    several H values also holds its _NoiseFeed: a ring of BLOCK_PAIRS rows
-    of 32N, and the 16N of the draw its thread has in hand.
+    its noise into the transform buffer's rows.  A one-process run of at
+    least FEED_STEPS steps also holds its _NoiseFeed: a ring of BLOCK_PAIRS
+    rows of 32N, and the 16N of a draw in hand on each of its two threads.
     The largest temporary is 32N: the 16N of one noise draw, the FFT's
     ufunc buffer or one row's bridge scan.  The Euler loop holds nothing
     else sized by the grid: 4 bytes per pair and column of a CHECK_COLUMNS
@@ -217,7 +226,7 @@ def _memory_estimate(job: SimulationJob, chunk: int, processes: int) -> int:
     per_pair += 2048 * bridge
     transform = min(BLOCK_PAIRS, pc) * 32 * n
     euler = 4 * min(CHECK_COLUMNS + 1, n) * pc + 66 * TAIL_PIECE if _is_looped(job) else 0
-    feed = (BLOCK_PAIRS * 32 + 16) * n if processes == 1 and len(job.hurst) > 1 else 0
+    feed = (BLOCK_PAIRS * 32 + 2 * 16) * n if processes == 1 and job.steps >= FEED_STEPS else 0
     per_process = (64 << 10) + (16 * len(job.hurst) + 32) * n + euler + transform + feed + pc * per_pair
     per_path = sum(a.itemsize * math.prod(a.shape[2:]) for a in _empty_outputs(job, 0).values())
     results = 2 * job.samples * per_path + 1024 * math.ceil(pairs / chunk)
@@ -230,53 +239,90 @@ def _draw_noise(master_seed: int, m: int, pair: int, out: np.ndarray) -> None:
 
 
 class _NoiseFeed:
-    """One helper thread that draws a run's noise, pair by pair in pair order, at most BLOCK_PAIRS pairs ahead of use.
+    """A run's noise, drawn by one helper thread and by the caller while it would wait, at most BLOCK_PAIRS pairs ahead of use.
 
-    Each pair is drawn by _draw_noise, as an inline draw would be, into the
-    row pair % BLOCK_PAIRS of a ring; `take(pair, out)` copies the pairs
-    into `out` in the same order.  The helper signals a row only once it
-    is written, and writes it again only after `take` has copied it, so
-    the bytes a run sees do not depend on the timing of the two threads.
-    An exception in the helper is raised by the next `take`.  As a context
-    manager it yields `take`, and joins the thread on exit, whether the
-    run completed or raised.
+    Pairs are claimed in pair order from one counter, under one lock: by
+    the helper whenever a ring row is free, and by `take` while the pair
+    it wants is not drawn yet.  The claimed pairs not yet taken are
+    consecutive and at most BLOCK_PAIRS, so pair p owns row p % BLOCK_PAIRS
+    of a ring, and whichever thread claimed it draws it there by
+    _draw_noise, as an inline draw would.  `take(pair, out)` copies the
+    pairs into `out` in the same order.  A row is copied only once it is
+    drawn, and claimed again only once it is copied, so the bytes a run
+    sees do not depend on which thread drew which pair.  An exception in
+    the helper is raised by the first `take` whose pair is not drawn, and
+    one in the caller's own draw by its `take`.  As a context manager it
+    yields `take`, and joins the thread on exit, whether the run completed
+    or raised.
     """
 
     def __init__(self, master_seed: int, m: int, pairs: int):
+        self._draw = partial(_draw_noise, master_seed, m)
+        self._pairs = pairs
         self._ring = np.empty((BLOCK_PAIRS, m), dtype=complex)
-        self._free = Semaphore(BLOCK_PAIRS)
-        self._filled = Semaphore(0)
+        self._drawn = [-1] * BLOCK_PAIRS  # the pair in each ring row, once it is drawn
+        self._claimed = 0
+        self._taken = 0
+        self._changed = Condition()
         self._stopped = False
         self._error: BaseException | None = None
-        self._thread = Thread(target=self._draw, args=(master_seed, m, pairs))
+        self._thread = Thread(target=self._help)
 
-    def _draw(self, master_seed: int, m: int, pairs: int) -> None:
+    def _claim(self, wanted: int | None) -> int | None:
+        """Claim the next pair once a ring row is free, waiting as needed, and return it.
+
+        Returns None instead: for the caller (`wanted` a pair) once that
+        pair is drawn, and for the helper (`wanted` None) once the run has
+        stopped or every pair is claimed.  Raises the helper's exception
+        in a caller whose pair is not drawn.
+        """
+        with self._changed:
+            while True:
+                if wanted is None:
+                    if self._stopped or self._claimed == self._pairs:
+                        return None
+                elif self._drawn[wanted % BLOCK_PAIRS] == wanted:
+                    return None
+                elif self._error is not None:
+                    raise self._error
+                if self._claimed < self._pairs and self._claimed - self._taken < BLOCK_PAIRS:
+                    self._claimed += 1
+                    return self._claimed - 1
+                self._changed.wait()
+
+    def _fill(self, pair: int) -> None:
+        """Draw a claimed pair into its ring row, then mark the row drawn."""
+        self._draw(pair, self._ring[pair % BLOCK_PAIRS])
+        with self._changed:
+            self._drawn[pair % BLOCK_PAIRS] = pair
+            self._changed.notify_all()
+
+    def _help(self) -> None:
         try:
-            for pair in range(pairs):
-                self._free.acquire()
-                if self._stopped:
-                    return
-                _draw_noise(master_seed, m, pair, self._ring[pair % BLOCK_PAIRS])
-                self._filled.release()
+            while (pair := self._claim(None)) is not None:
+                self._fill(pair)
         except BaseException as exc:  # handed to the caller's thread by take
-            self._error = exc
-            self._filled.release()
+            with self._changed:
+                self._error = exc
+                self._changed.notify_all()
 
     def take(self, pair: int, out: np.ndarray) -> None:
-        """Copy pair `pair`'s noise into `out`; pairs are taken in order, from 0."""
-        self._filled.acquire()
-        if self._error is not None:
-            raise self._error
+        """Copy pair `pair`'s noise into `out`, drawing later pairs while it waits; pairs are taken in order, from 0."""
+        while (mine := self._claim(pair)) is not None:
+            self._fill(mine)
         out[...] = self._ring[pair % BLOCK_PAIRS]
-        self._free.release()
+        with self._changed:
+            self._taken += 1
+            self._changed.notify_all()
 
     def __enter__(self):
         self._thread.start()
         return self.take
 
     def __exit__(self, *exc_info) -> None:
-        self._stopped = True
-        self._free.release()
+        with self._changed:
+            self._stopped = True
+            self._changed.notify_all()
         self._thread.join()
 
 
@@ -381,10 +427,11 @@ def run_simulation(job: SimulationJob, workers: int = 1) -> dict[str, np.ndarray
     fits physical memory at min(workers, CPUs) processes, and are merged
     in path order; since every per-path output is a pure function of
     (job, H, path index), the assembled arrays are byte-identical for any
-    `workers` and chunk size.  A serial run of several H values, in a
-    process that may run on more than one CPU, draws its normals on one
-    _NoiseFeed thread while this one transforms them; the thread is joined
-    before the run returns or raises.  A run that does not fit at one pair
+    `workers` and chunk size.  A serial run of at least FEED_STEPS steps,
+    in a process that may run on more than one CPU, draws its normals
+    through a _NoiseFeed: on one helper thread while this one transforms
+    them, and on this one while it would wait; the thread is joined before
+    the run returns or raises.  A run that does not fit at one pair
     raises MemoryBudgetError; a master seed outside the integers in
     [0, 2^64), a non-integer count, step count or grid index, a non-finite
     x0 or threshold, or a `workers` that is not an integer of at least 1
@@ -425,8 +472,8 @@ def run_simulation(job: SimulationJob, workers: int = 1) -> dict[str, np.ndarray
     _noise_scales(tuple(job.hurst), job.horizon, job.steps)
     sizes = [min(chunk, pairs - first) for first in firsts]
     if workers == 1:
-        # several H values transform each pair's noise several times, so a spare CPU draws it meanwhile
-        ahead = len(job.hurst) > 1 and cpus > 1
+        # a spare CPU draws noise while this one transforms it, and this one draws too while it would wait
+        ahead = cpus > 1 and job.steps >= FEED_STEPS
         with _NoiseFeed(job.master_seed, 2 * job.steps, pairs) if ahead else nullcontext() as draw:
             chunks = [_chunk_compute(job, first, size, draw) for first, size in zip(firsts, sizes)]
     else:

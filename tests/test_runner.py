@@ -22,13 +22,17 @@ Covers:
   - Chunk assembly: every path, pure or through the Euler loop, equals the
     prefix sum of its sample_fgn row bit for bit, for one and several H,
     partial last chunks and FFT groups and a half-used last pair.
-  - Drawing ahead: a serial multi-H run on two CPUs starts exactly one
-    noise thread and returns every output `==` to the one-CPU run (pure
-    and OU, odd samples, 1- and 3-pair chunks, and 200 one-pair chunks
-    with the threads switching every microsecond); single-H, pool and
-    one-CPU runs start none; no thread outlives a run, one whose Euler
-    loop raises included; an error in the helper is raised by the run,
-    which does not wait for the noise.
+  - Drawing ahead: a serial run of one H or several on two CPUs, at the
+    grid floor of the noise feed (lowered by the tests), starts exactly
+    one noise thread and returns every output `==` to the one-CPU run
+    (pure and OU, odd samples, a partial last chunk, 1- and 3-pair chunks,
+    and 200 one-pair chunks with the threads switching every
+    microsecond); pool, one-CPU and below-floor runs start none, and at
+    the unlowered floor a 256-step run starts none and a run at the floor
+    one.  While the helper is slow the caller draws some pairs itself,
+    with the same outputs.  No thread outlives a run, one whose Euler
+    loop raises included; an error in a pair drawn by the helper or by
+    the caller is raised by the run, which does not wait for the noise.
   - Lazy uniforms: a Philox substream's draws split anywhere give the same
     values, and each path draws no uniform past its plain hit.
   - Window extremes equal a rescan of every prefix, ties included, and
@@ -38,8 +42,8 @@ Covers:
     down to one pair, and the chunks tile the path pairs in order, each
     computed from the caller's job; the memory bound refuses a run before
     allocating, counts chunks, spectra, the transform buffer, the noise
-    helper's ring and results exactly, and bounds the traced peak of
-    eight job shapes from above.
+    feed's ring and draws and results exactly, and bounds the traced peak
+    of nine job shapes from above.
   - Closed-form affine reduction: registry models agree with a scalar
     per-path Euler loop on y = (x - x0) / s, and zero drift with constant
     diffusion is scaled fBm with no Euler loop at all.  OU marginals match
@@ -57,6 +61,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from collections import Counter, defaultdict
 from pathlib import Path
@@ -456,6 +461,11 @@ def _cpus(monkeypatch, count: int) -> None:
     monkeypatch.setattr(runner.os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
 
 
+def _feed_from(monkeypatch, steps: int) -> None:
+    """Lower the grid floor of the noise feed, so that small grids draw ahead."""
+    monkeypatch.setattr(runner, "FEED_STEPS", steps)
+
+
 def _counting_threads(monkeypatch) -> list:
     """Patch the runner's Thread to record each thread it starts."""
     started = []
@@ -475,6 +485,8 @@ _AHEAD = {  # (pinned chunk pairs, job fields)
     "odd-samples": (None, dict(hurst=(0.5, 0.6, 0.75), samples=61, rules=RULES, extreme_indices=(50, 256))),
     "1-pair-chunks": (1, dict(hurst=(0.5, 0.6), samples=61, rules=RULES)),
     "3-pair-chunks": (3, dict(hurst=(0.5, 0.6), samples=61, rules=RULES)),  # a partial last chunk and group
+    "pure-1H": (None, dict(samples=61, rules=RULES)),
+    "ou-1H": (None, dict(drift="ou:1", marginal_indices=(7, 256))),  # 128 + 22 pairs
 }
 
 
@@ -485,6 +497,7 @@ def test_drawing_ahead_changes_no_output(monkeypatch, pin_chunk, name):
         pin_chunk(chunk_pairs)
     job = _job(**fields)
     started = _counting_threads(monkeypatch)
+    _feed_from(monkeypatch, job.steps)
     _cpus(monkeypatch, 1)
     inline = run_simulation(job)
     assert started == []
@@ -500,31 +513,95 @@ def test_drawing_ahead_changes_no_output(monkeypatch, pin_chunk, name):
 def test_drawing_ahead_holds_under_fast_thread_switching(monkeypatch, pin_chunk):
     # 200 pairs in 1-pair chunks, the two threads switching as often as they can
     pin_chunk(1)
-    job = _job(hurst=(0.5, 0.6, 0.75), steps=64, samples=400, rules=RULES)
-    _cpus(monkeypatch, 1)
-    inline = run_simulation(job)
-    _cpus(monkeypatch, 2)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        ahead = [run_simulation(job) for _ in range(3)]
-    finally:
-        sys.setswitchinterval(interval)
-    assert all(np.array_equal(run[key], inline[key]) for run in ahead for key in inline)
+    _feed_from(monkeypatch, 64)
+    for hurst in ((0.6,), (0.5, 0.6, 0.75)):
+        job = _job(hurst=hurst, steps=64, samples=400, rules=RULES)
+        _cpus(monkeypatch, 1)
+        inline = run_simulation(job)
+        _cpus(monkeypatch, 2)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            ahead = [run_simulation(job) for _ in range(3)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(np.array_equal(run[key], inline[key]) for run in ahead for key in inline), hurst
 
 
-@pytest.mark.parametrize("hurst, workers", [((0.6,), 1), ((0.5, 0.6), 2)])
-def test_single_h_and_pool_runs_start_no_thread(monkeypatch, hurst, workers):
+@pytest.mark.parametrize(
+    "hurst, workers, cpus, steps",
+    [((0.5, 0.6), 2, 2, 256), ((0.5, 0.6), 1, 1, 256), ((0.6,), 1, 2, 128)],
+    ids=["pool", "one-cpu", "below-floor"],
+)
+def test_pool_one_cpu_and_below_floor_runs_start_no_thread(monkeypatch, hurst, workers, cpus, steps):
+    started = _counting_threads(monkeypatch)
+    _feed_from(monkeypatch, 256)
+    _cpus(monkeypatch, cpus)
+    run_simulation(_job(hurst=hurst, steps=steps, samples=40), workers=workers)  # 5 chunks
+    assert started == []
+
+
+@pytest.mark.parametrize("steps, threads", [(256, 0), (runner.FEED_STEPS, 1)])
+def test_a_serial_run_draws_ahead_from_the_grid_floor(monkeypatch, steps, threads):
     started = _counting_threads(monkeypatch)
     _cpus(monkeypatch, 2)
-    run_simulation(_job(hurst=hurst, samples=40), workers=workers)  # 5 chunks
-    assert started == []
+    run_simulation(_job(hurst=(0.5, 0.6), steps=steps, samples=16, rules=RULES))
+    assert len(started) == threads
+
+
+def _slow_helper(monkeypatch, started: list, caller_draw=None) -> list:
+    """Patch _complex_noise to sleep 5 ms on the helper thread, and on any other thread
+    to call `caller_draw` first; return the list of threads that drew, one entry per pair."""
+    drawn_on = []
+    original = runner._complex_noise
+
+    def drawing(rng, m, out=None):
+        if threading.current_thread() in started:
+            time.sleep(0.005)
+        elif caller_draw is not None:
+            caller_draw()
+        drawn_on.append(threading.current_thread())
+        return original(rng, m, out=out)
+
+    monkeypatch.setattr(runner, "_complex_noise", drawing)
+    return drawn_on
+
+
+@pytest.mark.parametrize("hurst", [(0.6,), (0.5, 0.6)])
+def test_the_caller_draws_while_the_helper_is_slow(monkeypatch, hurst):
+    job = _job(hurst=hurst, samples=61, rules=RULES)
+    inline = run_simulation(job)
+    started = _counting_threads(monkeypatch)
+    _feed_from(monkeypatch, job.steps)
+    _cpus(monkeypatch, 2)
+    drawn_on = _slow_helper(monkeypatch, started)
+    ahead = run_simulation(job)
+    assert len(started) == 1 and not started[0].is_alive()
+    assert len(drawn_on) == 31
+    assert 0 < drawn_on.count(threading.current_thread()) < 31
+    assert all(np.array_equal(ahead[key], inline[key]) for key in inline)
+
+
+def test_an_error_in_a_pair_the_caller_draws_is_raised_and_leaves_no_thread(monkeypatch):
+    def fail():
+        raise RuntimeError("no noise on the caller")
+
+    started = _counting_threads(monkeypatch)
+    _feed_from(monkeypatch, 256)
+    _cpus(monkeypatch, 2)
+    _slow_helper(monkeypatch, started, fail)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="^no noise on the caller$"):
+        run_simulation(_job(samples=40))
+    assert len(started) == 1 and not started[0].is_alive()
+    assert threading.active_count() == before
 
 
 def test_a_raising_euler_loop_leaves_no_thread(monkeypatch):
     # every state overflows some 70 steps in, before the marginal the loop must reach
     job = _job(hurst=(0.5, 0.6), drift="linear:1e6,1e6", rules=(), marginal_indices=(256,))
     started = _counting_threads(monkeypatch)
+    _feed_from(monkeypatch, job.steps)
     _cpus(monkeypatch, 2)
     before = threading.active_count()
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(PropagationError):
@@ -533,19 +610,23 @@ def test_a_raising_euler_loop_leaves_no_thread(monkeypatch):
     assert threading.active_count() == before
 
 
-# at pair 0 the run waits on its first take; by pair 5 it still has rows drawn before the error
+# after 0 pairs the run waits on its first take; after 5 it still has rows drawn before the error
 @pytest.mark.parametrize("bad_pair", [0, 5])
 def test_an_error_in_the_helper_is_raised_by_the_run(monkeypatch, bad_pair):
+    started = _counting_threads(monkeypatch)
     drawn_on = []
     original = runner._complex_noise
+    lock = threading.Lock()
 
     def failing(rng, m, out=None):
-        if len(drawn_on) == bad_pair:
-            raise RuntimeError(f"no noise for pair {bad_pair}")
-        drawn_on.append(threading.get_ident())
+        with lock:  # either thread may draw, so count and fail under one lock
+            if threading.current_thread() in started and len(drawn_on) >= bad_pair:
+                raise RuntimeError(f"no noise after {bad_pair} pairs")
+            drawn_on.append(threading.get_ident())
         return original(rng, m, out=out)
 
     monkeypatch.setattr(runner, "_complex_noise", failing)
+    _feed_from(monkeypatch, 256)
     _cpus(monkeypatch, 2)
     before = threading.active_count()
     raised = []
@@ -560,8 +641,9 @@ def test_an_error_in_the_helper_is_raised_by_the_run(monkeypatch, bad_pair):
     caller.start()
     caller.join(timeout=60)
     assert not caller.is_alive(), "the run must not wait for noise that never comes"
-    assert raised == [(caller.ident, f"no noise for pair {bad_pair}")]
-    assert len(drawn_on) == bad_pair and caller.ident not in drawn_on
+    assert raised == [(caller.ident, f"no noise after {bad_pair} pairs")]
+    assert len(drawn_on) >= bad_pair
+    assert len(started) == 1 and not started[0].is_alive()
     assert threading.active_count() == before
 
 
@@ -760,22 +842,17 @@ def test_a_default_chunk_fits_down_to_one_pair(monkeypatch):
     assert all(np.array_equal(got[key], want[key]) for key in want)
 
 
-def test_memory_estimate_counts_blocks_spectra_and_results():
+def test_memory_estimate_counts_blocks_spectra_and_results(monkeypatch):
     n = 2**10 + 1
     small = 64 << 10  # small objects, per process
     pure = _job(steps=2**10, samples=300, rules=RULES, hurst=(0.5, 0.6))
     # two 16N spectra and a 32N temporary; 4-pair chunks with a 4-row 32N
     # transform buffer, 66N per pair (32N of it stashed noise) and two 1 kB
-    # generators per pair; the noise helper's 4-row 32N ring and its 16N
-    # draw; two H rows of two columns over 300 paths, held twice, and 1 kB
-    # of array headers per chunk (38 chunks) and H
-    feed = 4 * 32 * n + 16 * n
+    # generators per pair; two H rows of two columns over 300 paths, held
+    # twice, and 1 kB of array headers per chunk (38 chunks) and H; the
+    # grid is below the noise feed's floor
     assert runner._memory_estimate(pure, 4, 1) == (
-        small + 16 * n * 2 + 32 * n + 4 * 32 * n + feed + 4 * (66 * n + 2048) + 2 * (2 * 8 * 300 * 2 + 1024 * 38)
-    )
-    # on two processes no helper runs
-    assert runner._memory_estimate(pure, 4, 2) == (
-        2 * (small + 16 * n * 2 + 32 * n + 4 * 32 * n + 4 * (66 * n + 2048)) + 2 * (2 * 8 * 300 * 2 + 1024 * 38)
+        small + 16 * n * 2 + 32 * n + 4 * 32 * n + 4 * (66 * n + 2048) + 2 * (2 * 8 * 300 * 2 + 1024 * 38)
     )
     # one H: the noise is drawn into the transform buffer, no stash
     single = _job(steps=2**10, samples=300, rules=RULES)
@@ -803,6 +880,20 @@ def test_memory_estimate_counts_blocks_spectra_and_results():
         small + 16 * n + 32 * n + 4 * 32 * n + 4 * 18 * n + 2 * 8 * 300 * 4 + 1024 * 38
     )
     assert runner._memory_estimate(_job(), 4, 1) < runner._physical_memory()
+    # at the floor a serial run of one H or several adds the feed's 4-row
+    # 32N ring and a 16N draw on each of its two threads
+    _feed_from(monkeypatch, 2**10)
+    feed = 4 * 32 * n + 2 * 16 * n
+    assert runner._memory_estimate(pure, 4, 1) == (
+        small + 16 * n * 2 + 32 * n + 4 * 32 * n + feed + 4 * (66 * n + 2048) + 2 * (2 * 8 * 300 * 2 + 1024 * 38)
+    )
+    assert runner._memory_estimate(single, 4, 1) == (
+        small + 16 * n + 32 * n + 4 * 32 * n + feed + 4 * (34 * n + 2048) + 2 * 8 * 300 * 2 + 1024 * 38
+    )
+    # on two processes no feed runs
+    assert runner._memory_estimate(pure, 4, 2) == (
+        2 * (small + 16 * n * 2 + 32 * n + 4 * 32 * n + 4 * (66 * n + 2048)) + 2 * (2 * 8 * 300 * 2 + 1024 * 38)
+    )
 
 
 @pytest.mark.parametrize(
@@ -811,6 +902,7 @@ def test_memory_estimate_counts_blocks_spectra_and_results():
         {},
         {"hurst": (0.5, 0.6, 0.7), "rules": RULES},
         {"drift": "ou:1", "diffusion": "const:2"},
+        {"drift": "ou:1", "samples": 301, "rules": RULES},
         {"drift": "ou:1", "hurst": (0.5, 0.6), "rules": RULES},
         {"hurst": (0.5, 0.7), "rules": (), "extreme_indices": (1024, 4096), "marginal_indices": (7,)},
         {"samples": 301, "chunk_pairs": 7, "rules": RULES},

@@ -9,8 +9,9 @@ Covers:
   - A function called from inside another is booked to itself only: the
     enclosing function's self time leaves it out.  A call on another thread
     is booked apart, under a "[helper]" label, and takes nothing from the
-    calls open on the main thread; a multi-H run on two CPUs books its
-    noise draws there, and on one CPU it has no helper rows.
+    calls open on the main thread; a serial run of several H values or of
+    one, on two CPUs, books noise draws there, and on one CPU it has no
+    helper rows.
   - The command line at a tiny grid, in a fresh process, on all three
     workloads; every file under perfbench/ is unchanged by it.
 """
@@ -103,18 +104,19 @@ def test_a_call_on_another_thread_is_booked_apart():
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_a_multi_h_run_books_its_noise_helper_apart(tmp_path, monkeypatch, cpus):
     monkeypatch.setattr(runner.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    monkeypatch.setattr(runner, "FEED_STEPS", 256)  # the tiny grid draws ahead
     tool = _tool()
-    workload = tool.load_workloads()["sim-multiH-bridge"]
-    wall, seconds = tool.timed_main(tool.workload_argv(workload, 5, tmp_path, 256, 100))
-    helper = {label for label in seconds if label.endswith(tool.HELPER)}
-    if cpus == 1:
-        assert not helper and "fgn._complex_noise" in seconds
-    else:
-        assert {"fgn._complex_noise [helper]", "rng.substream [helper]"} <= helper
-        assert "fgn._complex_noise" not in seconds
-    assert 0.0 < tool.main_thread_seconds(seconds) <= wall
-    rest = tool.report("sim-multiH-bridge", wall, seconds).splitlines()[-1].split()
-    assert rest[0] == "rest" and float(rest[1]) >= -0.0005
+    for name in ("sim-multiH-bridge", "sim-ou-plain"):  # several H values, and one
+        workload = tool.load_workloads()[name]
+        wall, seconds = tool.timed_main(tool.workload_argv(workload, 5, tmp_path / name, 256, 100))
+        helper = {label for label in seconds if label.endswith(tool.HELPER)}
+        if cpus == 1:
+            assert not helper and "fgn._complex_noise" in seconds, name
+        else:  # the caller draws too while it would wait
+            assert {"fgn._complex_noise [helper]", "rng.substream [helper]"} <= helper, name
+        assert 0.0 < tool.main_thread_seconds(seconds) <= wall
+        rest = tool.report(name, wall, seconds).splitlines()[-1].split()
+        assert rest[0] == "rest" and float(rest[1]) >= -0.0005
 
 
 def _digests(tree: Path) -> dict[str, str]:
