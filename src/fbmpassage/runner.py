@@ -51,7 +51,7 @@ BLOCK_PAIRS = 4
 # 2.24x, 1.66x and 1.19x its one-CPU time at N = 2^8, 2^9 and 2^10 with
 # one pure H, and 0.68x (one H), 0.88x (2 H, both rules) and 0.69x
 # (`ou:1`) at 2^12.  At 2^11 it took 0.74-0.85x, but a prototype measured
-# 2 H with both rules 12% slower there, so the floor keeps a factor of 2.
+# 2 H with both rules 12% slower there, so the floor sits one doubling up.
 FEED_STEPS = 2**12
 
 

@@ -570,7 +570,7 @@ def _slow_helper(monkeypatch, started: list, caller_draw=None) -> list:
 @pytest.mark.parametrize("hurst", [(0.6,), (0.5, 0.6)])
 def test_the_caller_draws_while_the_helper_is_slow(monkeypatch, hurst):
     job = _job(hurst=hurst, samples=61, rules=RULES)
-    inline = run_simulation(job)
+    inline = run_simulation(job)  # below the unlowered floor
     started = _counting_threads(monkeypatch)
     _feed_from(monkeypatch, job.steps)
     _cpus(monkeypatch, 2)
