@@ -18,11 +18,10 @@ from __future__ import annotations
 import ctypes
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cache, lru_cache, partial
-from threading import Condition, Thread
 
 import numpy as np
 
@@ -241,89 +240,58 @@ def _draw_noise(master_seed: int, m: int, pair: int, out: np.ndarray) -> None:
 class _NoiseFeed:
     """A run's noise, drawn by one helper thread and by the caller while it would wait, at most BLOCK_PAIRS pairs ahead of use.
 
-    Pairs are claimed in pair order from one counter, under one lock: by
-    the helper whenever a ring row is free, and by `take` while the pair
-    it wants is not drawn yet.  The claimed pairs not yet taken are
-    consecutive and at most BLOCK_PAIRS, so pair p owns row p % BLOCK_PAIRS
-    of a ring, and whichever thread claimed it draws it there by
-    _draw_noise, as an inline draw would.  `take(pair, out)` copies the
-    pairs into `out` in the same order.  A row is copied only once it is
-    drawn, and claimed again only once it is copied, so the bytes a run
-    sees do not depend on which thread drew which pair.  An exception in
-    the helper is raised by the first `take` whose pair is not drawn, and
-    one in the caller's own draw by its `take`.  As a context manager it
-    yields `take`, and joins the thread on exit, whether the run completed
-    or raised.
+    Pair p is queued on a one-thread executor, to be drawn by _draw_noise
+    into row p % BLOCK_PAIRS of a ring, once pair p - BLOCK_PAIRS is taken;
+    the first BLOCK_PAIRS pairs are queued at once.  `take(pair, out)`
+    cancels the pair's future if the helper has not started it, and draws
+    the pair into `out` itself.  Otherwise, while the helper draws it, the
+    caller cancels each later queued pair the helper has not started and
+    draws it into its ring row; then it waits for the pair and copies its
+    row into `out`.  Every pair is drawn once, as an inline draw would
+    draw it, so the bytes a run sees do not depend on which thread drew
+    which pair.  An exception in the helper is raised by the `take` of
+    its pair, and one in the caller's own draw by its `take`.  As a
+    context manager it yields `take`, and on exit cancels the queued
+    pairs and joins the thread, whether the run completed or raised.
     """
 
     def __init__(self, master_seed: int, m: int, pairs: int):
         self._draw = partial(_draw_noise, master_seed, m)
         self._pairs = pairs
         self._ring = np.empty((BLOCK_PAIRS, m), dtype=complex)
-        self._drawn = [-1] * BLOCK_PAIRS  # the pair in each ring row, once it is drawn
-        self._claimed = 0
-        self._taken = 0
-        self._changed = Condition()
-        self._stopped = False
-        self._error: BaseException | None = None
-        self._thread = Thread(target=self._help)
+        self._executor = ThreadPoolExecutor(1)
+        self._queued = {}  # the future of each queued pair not yet taken, or None once the caller drew it
+        for pair in range(min(BLOCK_PAIRS, pairs)):
+            self._queue(pair)
 
-    def _claim(self, wanted: int | None) -> int | None:
-        """Claim the next pair once a ring row is free, waiting as needed, and return it.
-
-        Returns None instead: for the caller (`wanted` a pair) once that
-        pair is drawn, and for the helper (`wanted` None) once the run has
-        stopped or every pair is claimed.  Raises the helper's exception
-        in a caller whose pair is not drawn.
-        """
-        with self._changed:
-            while True:
-                if wanted is None:
-                    if self._stopped or self._claimed == self._pairs:
-                        return None
-                elif self._drawn[wanted % BLOCK_PAIRS] == wanted:
-                    return None
-                elif self._error is not None:
-                    raise self._error
-                if self._claimed < self._pairs and self._claimed - self._taken < BLOCK_PAIRS:
-                    self._claimed += 1
-                    return self._claimed - 1
-                self._changed.wait()
-
-    def _fill(self, pair: int) -> None:
-        """Draw a claimed pair into its ring row, then mark the row drawn."""
-        self._draw(pair, self._ring[pair % BLOCK_PAIRS])
-        with self._changed:
-            self._drawn[pair % BLOCK_PAIRS] = pair
-            self._changed.notify_all()
-
-    def _help(self) -> None:
-        try:
-            while (pair := self._claim(None)) is not None:
-                self._fill(pair)
-        except BaseException as exc:  # handed to the caller's thread by take
-            with self._changed:
-                self._error = exc
-                self._changed.notify_all()
+    def _queue(self, pair: int) -> None:
+        self._queued[pair] = self._executor.submit(self._draw, pair, self._ring[pair % BLOCK_PAIRS])
 
     def take(self, pair: int, out: np.ndarray) -> None:
         """Copy pair `pair`'s noise into `out`, drawing later pairs while it waits; pairs are taken in order, from 0."""
-        while (mine := self._claim(pair)) is not None:
-            self._fill(mine)
-        out[...] = self._ring[pair % BLOCK_PAIRS]
-        with self._changed:
-            self._taken += 1
-            self._changed.notify_all()
+        future = self._queued.pop(pair)
+        row = self._ring[pair % BLOCK_PAIRS]
+        if future is None:
+            out[...] = row
+        elif future.cancel():
+            self._draw(pair, out)
+        else:
+            for later, queued in self._queued.items():
+                if future.done():
+                    break
+                if queued is not None and queued.cancel():
+                    self._draw(later, self._ring[later % BLOCK_PAIRS])
+                    self._queued[later] = None
+            future.result()
+            out[...] = row
+        if pair + BLOCK_PAIRS < self._pairs:
+            self._queue(pair + BLOCK_PAIRS)
 
     def __enter__(self):
-        self._thread.start()
         return self.take
 
     def __exit__(self, *exc_info) -> None:
-        with self._changed:
-            self._stopped = True
-            self._changed.notify_all()
-        self._thread.join()
+        self._executor.shutdown(cancel_futures=True)
 
 
 def _chunk_compute(job: SimulationJob, first_pair: int, pairs: int, draw=None) -> dict[str, np.ndarray]:
@@ -429,13 +397,14 @@ def run_simulation(job: SimulationJob, workers: int = 1) -> dict[str, np.ndarray
     (job, H, path index), the assembled arrays are byte-identical for any
     `workers` and chunk size.  A serial run of at least FEED_STEPS steps,
     in a process that may run on more than one CPU, draws its normals
-    through a _NoiseFeed: on one helper thread while this one transforms
-    them, and on this one while it would wait; the thread is joined before
-    the run returns or raises.  A run that does not fit at one pair
-    raises MemoryBudgetError; a master seed outside the integers in
-    [0, 2^64), a non-integer count, step count or grid index, a non-finite
-    x0 or threshold, or a `workers` that is not an integer of at least 1
-    raises ValueError.  Both are raised before anything is allocated.
+    through a _NoiseFeed: queued on a one-thread executor while this
+    thread transforms them, and cancelled and drawn here while it would
+    wait; the executor is shut down before the run returns or raises.  A
+    run that does not fit at one pair raises MemoryBudgetError; a master
+    seed outside the integers in [0, 2^64), a non-integer count, step
+    count or grid index, a non-finite x0 or threshold, or a `workers` that
+    is not an integer of at least 1 raises ValueError.  Both are raised
+    before anything is allocated.
     """
     if not (_is_int(job.master_seed) and 0 <= job.master_seed < 2**64):
         raise ValueError(f"master_seed must be an integer in [0, 2**64), got {job.master_seed!r}")

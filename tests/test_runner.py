@@ -24,15 +24,16 @@ Covers:
     partial last chunks and FFT groups and a half-used last pair.
   - Drawing ahead: a serial run of one H or several on two CPUs, at the
     grid floor of the noise feed (lowered by the tests), starts exactly
-    one noise thread and returns every output `==` to the one-CPU run
+    one executor thread and returns every output `==` to the one-CPU run
     (pure and OU, odd samples, a partial last chunk, 1- and 3-pair chunks,
     and 200 one-pair chunks with the threads switching every
     microsecond); pool, one-CPU and below-floor runs start none, and at
     the unlowered floor a 256-step run starts none and a run at the floor
-    one.  While the helper is slow the caller draws some pairs itself,
-    with the same outputs.  No thread outlives a run, one whose Euler
-    loop raises included; an error in a pair drawn by the helper or by
-    the caller is raised by the run, which does not wait for the noise.
+    one.  While the helper is slow the caller cancels queued pairs and
+    draws them itself, with the same outputs.  No thread outlives a run,
+    one whose Euler loop raises included; an error in a pair drawn by the
+    helper or by the caller is raised by the run, which does not wait for
+    the noise.
   - Lazy uniforms: a Philox substream's draws split anywhere give the same
     values, and each path draws no uniform past its plain hit.
   - Window extremes equal a rescan of every prefix, ties included, and
@@ -467,15 +468,14 @@ def _feed_from(monkeypatch, steps: int) -> None:
 
 
 def _counting_threads(monkeypatch) -> list:
-    """Patch the runner's Thread to record each thread it starts."""
+    """Patch the runner's ThreadPoolExecutor to record each worker thread it starts, as that thread starts."""
     started = []
 
-    class Counting(threading.Thread):
-        def start(self):
-            started.append(self)
-            super().start()
+    class Counting(runner.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, initializer=lambda: started.append(threading.current_thread()), **kwargs)
 
-    monkeypatch.setattr(runner, "Thread", Counting)
+    monkeypatch.setattr(runner, "ThreadPoolExecutor", Counting)
     return started
 
 
