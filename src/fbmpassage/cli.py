@@ -32,7 +32,7 @@ from .analysis import linear_fit, rate_exponent
 from .estimate import NoHitsError, density_from_times, gap_estimate, laplace_from_times, truncated_argmax_moments
 from .fgn import EmbeddingError, cholesky_fbm, circulant_spectrum, fgn_autocovariance, sample_fgn
 from .runner import RULES, MemoryBudgetError, SimulationJob, _brownian_level, _check_fits_in_memory, run_simulation
-from .sde import PropagationError, affine_coefficients, affine_euler
+from .sde import PropagationError, affine_euler, reduced_model
 from .theory import laplace_bm
 
 __all__ = ["RunConfig", "ConfigError", "main", "run_selftest", "load_config_file", "resolve_config"]
@@ -190,14 +190,14 @@ def validate_config(cfg: RunConfig) -> None:
     if cfg.estimator not in ESTIMATOR_CHOICES:
         fail(f"estimator must be one of {ESTIMATOR_CHOICES}, got {cfg.estimator!r}")
     try:
-        _, _, s = affine_coefficients(cfg.drift, cfg.diffusion)
+        level = reduced_model(cfg.drift, cfg.diffusion, cfg.x0, cfg.threshold)[3]
     except ValueError as exc:
         fail(str(exc))
     # The bridge test divides 2 (level - y)^2 by step^(2H), with the reduced
-    # level (threshold - x0) / s and paths within 64 standard deviations,
-    # horizon^H, of zero.  Hit times reach 2 horizon and meet lambda in
-    # exp(-lambda t).  Both must stay finite.
-    scale = (cfg.threshold - cfg.x0) / s + 64.0 * max(cfg.horizon**h for h in cfg.hurst_list)
+    # level and paths within 64 standard deviations, horizon^H, of zero.
+    # Hit times reach 2 horizon and meet lambda in exp(-lambda t).  Both
+    # must stay finite.
+    scale = level + 64.0 * max(cfg.horizon**h for h in cfg.hurst_list)
     if not math.isfinite(2.0 * scale * scale / min(variances)):
         fail(f"path scale (threshold - x0)/s + 64 horizon^H = {scale:g} overflows the bridge test 2 scale^2 / step^(2H)")
     if not math.isfinite(2.0 * cfg.horizon * max(1.0, *cfg.lambda_list)):

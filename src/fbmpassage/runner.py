@@ -28,7 +28,7 @@ import numpy as np
 from .fgn import _complex_noise, _is_int, _pair_fft, circulant_spectrum
 from .passage import _bridge_hit_times_batch, _grid_times, _plain_hit_index
 from .rng import GAUSSIAN_STREAM, UNIFORM_STREAM, substream
-from .sde import CHECK_COLUMNS, TAIL_PIECE, affine_coefficients, affine_euler
+from .sde import CHECK_COLUMNS, TAIL_PIECE, affine_euler, reduced_model
 
 __all__ = ["MemoryBudgetError", "RULES", "SimulationJob", "run_simulation"]
 
@@ -43,8 +43,8 @@ RULES = ("simple", "bridge")
 # Euler step is a Python loop over grid steps, vectorised across rows, and
 # costs less per row on more rows.
 BLOCK_PAIRS = 4
-# Grid steps from which a serial run on more than one CPU draws its noise
-# through a _NoiseFeed.  Below them a pair's draw is mostly Python (its
+# Grid steps from which a run may draw its noise through a _NoiseFeed
+# (see _draws_ahead).  Below them a pair's draw is mostly Python (its
 # `substream` alone takes ~25 us), and the two threads convoy on the GIL.
 # run_simulation alone at 2^22 path steps (2 vCPUs, medians of 3) took
 # 2.24x, 1.66x and 1.19x its one-CPU time at N = 2^8, 2^9 and 2^10 with
@@ -173,49 +173,48 @@ def _check_fits_in_memory(need: int, advice: str) -> None:
         )
 
 
-def _reduced_drift(job: SimulationJob) -> tuple[float, float, float]:
-    """(a, c~, s): the job's model in y = (x - x0) / s has drift a y + c~ and unit diffusion."""
-    a, c, s = affine_coefficients(job.drift, job.diffusion)
-    return a, (a * job.x0 + c) / s, s
-
-
-def _is_looped(job: SimulationJob) -> bool:
-    """True when the reduced drift is not zero, so the Euler loop runs.  Raises ValueError for an unknown model."""
-    a, c_reduced, _ = _reduced_drift(job)
-    return a != 0.0 or c_reduced != 0.0
-
-
 def _brownian_level(job: SimulationJob) -> float | None:
-    """The level (threshold - x0) / s that the paths run to as fBm when the reduced drift is zero, else None."""
-    return None if _is_looped(job) else (job.threshold - job.x0) / _reduced_drift(job)[2]
+    """The level of `reduced_model` when its drift is zero, so the paths are fBm run to it; else None."""
+    a, c_reduced, _, level = reduced_model(job.drift, job.diffusion, job.x0, job.threshold)
+    return level if a == 0.0 and c_reduced == 0.0 else None
 
 
 def _model_chunk_pairs(job: SimulationJob) -> int:
     """The model's pairs per chunk: DEFAULT_CHUNK_PAIRS with the Euler loop and BLOCK_PAIRS without."""
-    return DEFAULT_CHUNK_PAIRS if _is_looped(job) else BLOCK_PAIRS
+    return DEFAULT_CHUNK_PAIRS if _brownian_level(job) is None else BLOCK_PAIRS
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on; an affinity mask (taskset, a cpuset) may allow fewer than the machine has."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _draws_ahead(job: SimulationJob, processes: int) -> bool:
+    """True when a run on `processes` processes draws its noise through a _NoiseFeed: serial, with a spare CPU."""
+    return processes == 1 and job.steps >= FEED_STEPS and _usable_cpus() > 1
 
 
 def _memory_estimate(job: SimulationJob, chunk: int, processes: int) -> int:
     """Bytes a run of `job` in chunks of `chunk` pairs holds at its peak, computed before anything is allocated.
 
-    An upper bound on the traced peak, with N = steps.  Every process
-    holds 64 kB of small objects, the job's spectrum table (16N bytes per
-    H), one transform buffer of min(BLOCK_PAIRS, chunk) rows of 32N, one
-    chunk and the largest temporary of a chunk step.  Per pair, a chunk
-    holds 16N of path rows and 2N of scan or finiteness mask; with the
-    bridge rule 16N of log-uniforms and two uniform generators of ~1 kB;
-    with several H values 32N of stashed noise.  A single-H chunk draws
-    its noise into the transform buffer's rows.  A one-process run of at
-    least FEED_STEPS steps also holds its _NoiseFeed: a ring of BLOCK_PAIRS
-    rows of 32N, and the 16N of a draw in hand on each of its two threads.
-    The largest temporary is 32N: the 16N of one noise draw, the FFT's
-    ufunc buffer or one row's bridge scan.  The Euler loop holds nothing
-    else sized by the grid: 4 bytes per pair and column of a CHECK_COLUMNS
-    batch for its check of which rows have reached the level, and 66 bytes
-    per entry of its tail's TAIL_PIECE-column pieces of Python floats
-    (65.1 B by `tracemalloc`).  The calling process holds every array of
-    `_empty_outputs` twice while it merges the chunks, and 1 kB of array
-    headers per chunk and H.  Raises ValueError for an unknown model.
+    An upper bound on the traced peak, with N = steps.  Every process holds
+    64 kB of small objects, the job's spectrum table (16N bytes per H), one
+    transform buffer of min(BLOCK_PAIRS, chunk) rows of 32N, one chunk and
+    the largest temporary of a chunk step.  Per pair, a chunk holds 16N of
+    path rows and 2N of scan or finiteness mask; with the bridge rule 16N of
+    log-uniforms and two uniform generators of ~1 kB; with several H values
+    32N of stashed noise.  A single-H chunk draws its noise into the
+    transform buffer's rows.  A run that _draws_ahead also holds its
+    _NoiseFeed: a ring of BLOCK_PAIRS rows of 32N, and the 16N of a draw in
+    hand on each of its two threads.  The largest temporary is 32N: the 16N
+    of one noise draw, the FFT's ufunc buffer or one row's bridge scan.  The
+    Euler loop holds nothing else sized by the grid: 4 bytes per pair and
+    column of a CHECK_COLUMNS batch for its check of which rows have reached
+    the level, and 66 bytes per entry of its tail's TAIL_PIECE-column pieces
+    of Python floats (65.1 B by `tracemalloc`).  The calling process holds
+    every array of `_empty_outputs` twice while it merges the chunks, and
+    1 kB of array headers per chunk and H.  Raises ValueError for an
+    unknown model.
     """
     pairs = (job.samples + 1) // 2
     pc = min(chunk, pairs)  # pairs in the largest chunk
@@ -224,8 +223,8 @@ def _memory_estimate(job: SimulationJob, chunk: int, processes: int) -> int:
     per_pair = (16 + 2 + 16 * bridge + 32 * (len(job.hurst) > 1)) * n
     per_pair += 2048 * bridge
     transform = min(BLOCK_PAIRS, pc) * 32 * n
-    euler = 4 * min(CHECK_COLUMNS + 1, n) * pc + 66 * TAIL_PIECE if _is_looped(job) else 0
-    feed = (BLOCK_PAIRS * 32 + 2 * 16) * n if processes == 1 and job.steps >= FEED_STEPS else 0
+    euler = 4 * min(CHECK_COLUMNS + 1, n) * pc + 66 * TAIL_PIECE if _brownian_level(job) is None else 0
+    feed = (BLOCK_PAIRS * 32 + 2 * 16) * n if _draws_ahead(job, processes) else 0
     per_process = (64 << 10) + (16 * len(job.hurst) + 32) * n + euler + transform + feed + pc * per_pair
     per_path = sum(a.itemsize * math.prod(a.shape[2:]) for a in _empty_outputs(job, 0).values())
     results = 2 * job.samples * per_path + 1024 * math.ceil(pairs / chunk)
@@ -297,27 +296,26 @@ class _NoiseFeed:
 def _chunk_compute(job: SimulationJob, first_pair: int, pairs: int, draw=None) -> dict[str, np.ndarray]:
     """Per-path outputs of the chunk of `pairs` path pairs from `first_pair` on, indexed [H, path in chunk].
 
-    Paths run in the reduced coordinates y = (x - x0) / s of the model
-    dX = (a X + c) dt + s dB: drift a y + (a x0 + c) / s, unit diffusion,
-    level (threshold - x0) / s; marginals and suprema map back by x0 + s y.
-    The chunk is processed as one unit, and opens each path's uniform
-    stream once.  For each H in turn, and for each BLOCK_PAIRS pairs of
-    the chunk, it scales the pairs' noise by that H's sqrt(spectrum / 2N)
-    into the rows of one reused buffer of up to BLOCK_PAIRS rows of 2N,
-    and transforms them in one FFT call; then it prefix-sums their real
-    parts into the even and their imaginary parts into the odd rows of one
-    reused path buffer, one call per part, runs the Euler step on the
-    chunk's valid rows if the reduced drift is not zero, and runs the scans
-    and reductions.  The Euler step takes each row only through the later
-    of its plain hit and the last column that a marginal or extreme reads;
-    the states past that are not read, and hold the noise prefix sums or
-    states stepped on with the chunk.  A pair's normals are drawn when the
-    first H reaches it, by `draw(pair, out)` (by default _draw_noise, or a
-    _NoiseFeed's take): into its row of the transform buffer when the job
-    has one H, and into a stash row that the later H values read again
-    when it has several.  A path's bridge scan stops at its plain hit and
-    asks _row_log_uniforms for the uniforms it reads, which draws them,
-    and takes their logs, only as far as some H has asked so far.
+    Paths run in the coordinates y = (x - x0) / s of `reduced_model`;
+    marginals and suprema map back by x0 + s y.  The chunk is processed as
+    one unit, and opens each path's uniform stream once.  For each H in
+    turn, and for each BLOCK_PAIRS pairs of the chunk, it scales the pairs'
+    noise by that H's sqrt(spectrum / 2N) into the rows of one reused buffer
+    of up to BLOCK_PAIRS rows of 2N, and transforms them in one FFT call;
+    then it prefix-sums their real parts into the even and their imaginary
+    parts into the odd rows of one reused path buffer, one call per part,
+    runs the Euler step on the chunk's valid rows unless _brownian_level
+    gives a level, and runs the scans and reductions.  The Euler step takes
+    each row only through the later of its plain hit and the last column
+    that a marginal or extreme reads; the states past that are not read, and
+    hold the noise prefix sums or states stepped on with the chunk.  A
+    pair's normals are drawn when the first H reaches it, by
+    `draw(pair, out)` (by default _draw_noise, or a _NoiseFeed's take):
+    into its row of the transform buffer when the job has one H, and into a
+    stash row that the later H values read again when it has several.  A
+    path's bridge scan stops at its plain hit and asks _row_log_uniforms
+    for the uniforms it reads, which draws them, and takes their logs, only
+    as far as some H has asked so far.
 
     Its buffers are the ones _memory_estimate counts; the Euler step
     overwrites the path rows in place.
@@ -330,9 +328,8 @@ def _chunk_compute(job: SimulationJob, first_pair: int, pairs: int, draw=None) -
     n_valid = min(2 * pairs, job.samples - first_path)
     scales = _noise_scales(tuple(job.hurst), job.horizon, steps)
     draw = draw or partial(_draw_noise, job.master_seed, m)
-    a, c_reduced, s = _reduced_drift(job)
-    looped = _is_looped(job)
-    thr = (job.threshold - job.x0) / s
+    a, c_reduced, s, thr = reduced_model(job.drift, job.diffusion, job.x0, job.threshold)
+    looped = _brownian_level(job) is None
 
     out = _empty_outputs(job, n_valid)
     bridge = "bridge" in job.rules
@@ -395,8 +392,7 @@ def run_simulation(job: SimulationJob, workers: int = 1) -> dict[str, np.ndarray
     fits physical memory at min(workers, CPUs) processes, and are merged
     in path order; since every per-path output is a pure function of
     (job, H, path index), the assembled arrays are byte-identical for any
-    `workers` and chunk size.  A serial run of at least FEED_STEPS steps,
-    in a process that may run on more than one CPU, draws its normals
+    `workers` and chunk size.  A run that _draws_ahead draws its normals
     through a _NoiseFeed: queued on a one-thread executor while this
     thread transforms them, and cancelled and drawn here while it would
     wait; the executor is shut down before the run returns or raises.  A
@@ -425,9 +421,7 @@ def run_simulation(job: SimulationJob, workers: int = 1) -> dict[str, np.ndarray
         raise ValueError(f"grid indices must be integers in [0, {job.steps}], got {bad}")
     # validate the model; its chunk halves until the run fits at the most processes it may start
     chunk = _model_chunk_pairs(job)
-    # an affinity mask (taskset, a cpuset) may allow fewer CPUs than the machine has
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    workers = min(int(workers), cpus)
+    workers = min(int(workers), _usable_cpus())
     have = _physical_memory()
     if have is not None:
         while chunk > 1 and _memory_estimate(job, chunk, workers) > have:
@@ -442,8 +436,7 @@ def run_simulation(job: SimulationJob, workers: int = 1) -> dict[str, np.ndarray
     sizes = [min(chunk, pairs - first) for first in firsts]
     if workers == 1:
         # a spare CPU draws noise while this one transforms it, and this one draws too while it would wait
-        ahead = cpus > 1 and job.steps >= FEED_STEPS
-        with _NoiseFeed(job.master_seed, 2 * job.steps, pairs) if ahead else nullcontext() as draw:
+        with _NoiseFeed(job.master_seed, 2 * job.steps, pairs) if _draws_ahead(job, workers) else nullcontext() as draw:
             chunks = [_chunk_compute(job, first, size, draw) for first, size in zip(firsts, sizes)]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:

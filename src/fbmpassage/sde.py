@@ -4,7 +4,8 @@ Every registry model is affine: dX = (a X + c) dt + s dB with a constant
 diffusion s > 0.  The increasing map y = (x - x0) / s turns it into
 dY = (a y + (a x0 + c) / s) dt + dB with unit diffusion, so path
 functionals of X below a level L are functionals of Y below (L - x0) / s.
-`affine_coefficients` reads (a, c, s) from a registry spec, and
+`affine_coefficients` reads (a, c, s) from a registry spec, `reduced_model`
+gives the reduced drift and level, the one place that works them out, and
 `affine_euler` steps the reduced equation in place on a block of paths.
 
 Given a level and a last read column, `affine_euler` steps each row only
@@ -23,7 +24,7 @@ from itertools import pairwise
 
 import numpy as np
 
-__all__ = ["PropagationError", "affine_euler", "affine_coefficients"]
+__all__ = ["PropagationError", "affine_euler", "affine_coefficients", "reduced_model"]
 
 
 class PropagationError(ArithmeticError):
@@ -175,3 +176,9 @@ def _diffusion_level(spec: str) -> float:
 def affine_coefficients(drift: str, diffusion: str) -> tuple[float, float, float]:
     """(a, c, s) of a registry model: drift b(x) = a x + c, diffusion sigma = s > 0."""
     return (*_drift_line(drift), _diffusion_level(diffusion))
+
+
+def reduced_model(drift: str, diffusion: str, x0: float, threshold: float) -> tuple[float, float, float, float]:
+    """(a, c~, s, level): y = (x - x0) / s has drift a y + c~, unit diffusion and level (threshold - x0) / s."""
+    a, c, s = affine_coefficients(drift, diffusion)
+    return a, (a * x0 + c) / s, s, (threshold - x0) / s

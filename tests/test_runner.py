@@ -33,7 +33,8 @@ Covers:
     draws them itself, with the same outputs.  No thread outlives a run,
     one whose Euler loop raises included; an error in a pair drawn by the
     helper or by the caller is raised by the run, which does not wait for
-    the noise.
+    the noise.  These tests pin the CPU count the runner sees, and slow
+    the caller where the helper must draw, so they hold on a one-CPU host.
   - Lazy uniforms: a Philox substream's draws split anywhere give the same
     values, and each path draws no uniform past its plain hit.
   - Window extremes equal a rescan of every prefix, ties included, and
@@ -43,8 +44,9 @@ Covers:
     down to one pair, and the chunks tile the path pairs in order, each
     computed from the caller's job; the memory bound refuses a run before
     allocating, counts chunks, spectra, the transform buffer, the noise
-    feed's ring and draws and results exactly, and bounds the traced peak
-    of nine job shapes from above.
+    feed's ring and draws (only for a serial run with a spare CPU) and
+    results exactly, and bounds the traced peak of nine job shapes from
+    above, on one CPU as on two.
   - Closed-form affine reduction: registry models agree with a scalar
     per-path Euler loop on y = (x - x0) / s, and zero drift with constant
     diffusion is scaled fBm with no Euler loop at all.  OU marginals match
@@ -168,19 +170,19 @@ def test_start_shift_equals_threshold_shift():
     assert np.array_equal(shifted, rebased)
 
 
-def test_is_looped_reads_the_reduced_drift():
-    """One Brownian test: the Euler loop runs exactly when the reduced drift
-    is not zero, and otherwise the paths are fBm run to (threshold - x0) / s."""
-    assert not runner._is_looped(_job())
-    assert not runner._is_looped(_job(x0=0.3))  # a start shift keeps the fast path
-    assert not runner._is_looped(_job(diffusion="const:2"))  # so does a constant diffusion
+def test_brownian_level_reads_the_reduced_drift():
+    """One Brownian test: the Euler loop runs (no level) exactly when the reduced
+    drift is not zero, and otherwise the paths are fBm run to (threshold - x0) / s."""
+    assert runner._brownian_level(_job()) is not None
+    assert runner._brownian_level(_job(x0=0.3)) is not None  # a start shift keeps the fast path
+    assert runner._brownian_level(_job(diffusion="const:2")) is not None  # so does a constant diffusion
     # the coefficients decide, not the spelling of the specs
-    assert not runner._is_looped(_job(drift="linear:0,0"))
-    assert not runner._is_looped(_job(drift="ou:0"))
-    assert not runner._is_looped(_job(diffusion="const:1"))
-    assert runner._is_looped(_job(drift="ou:0.5"))
-    assert runner._is_looped(_job(drift="linear:0,0.5"))
-    assert runner._is_looped(_job(drift="linear:0.5,0"))
+    assert runner._brownian_level(_job(drift="linear:0,0")) is not None
+    assert runner._brownian_level(_job(drift="ou:0")) is not None
+    assert runner._brownian_level(_job(diffusion="const:1")) is not None
+    assert runner._brownian_level(_job(drift="ou:0.5")) is None
+    assert runner._brownian_level(_job(drift="linear:0,0.5")) is None
+    assert runner._brownian_level(_job(drift="linear:0.5,0")) is None
 
     assert runner._brownian_level(_job()) == 1.0
     assert runner._brownian_level(_job(x0=0.3, threshold=1.3)) == 1.3 - 0.3
@@ -619,6 +621,8 @@ def test_an_error_in_the_helper_is_raised_by_the_run(monkeypatch, bad_pair):
     lock = threading.Lock()
 
     def failing(rng, m, out=None):
+        if threading.current_thread() not in started:
+            time.sleep(0.005)  # a slow caller lets the helper draw, on one CPU too
         with lock:  # either thread may draw, so count and fail under one lock
             if threading.current_thread() in started and len(drawn_on) >= bad_pair:
                 raise RuntimeError(f"no noise after {bad_pair} pairs")
@@ -880,9 +884,10 @@ def test_memory_estimate_counts_blocks_spectra_and_results(monkeypatch):
         small + 16 * n + 32 * n + 4 * 32 * n + 4 * 18 * n + 2 * 8 * 300 * 4 + 1024 * 38
     )
     assert runner._memory_estimate(_job(), 4, 1) < runner._physical_memory()
-    # at the floor a serial run of one H or several adds the feed's 4-row
-    # 32N ring and a 16N draw on each of its two threads
+    # at the floor a serial run of one H or several on two CPUs adds the
+    # feed's 4-row 32N ring and a 16N draw on each of its two threads
     _feed_from(monkeypatch, 2**10)
+    _cpus(monkeypatch, 2)
     feed = 4 * 32 * n + 2 * 16 * n
     assert runner._memory_estimate(pure, 4, 1) == (
         small + 16 * n * 2 + 32 * n + 4 * 32 * n + feed + 4 * (66 * n + 2048) + 2 * (2 * 8 * 300 * 2 + 1024 * 38)
@@ -893,6 +898,11 @@ def test_memory_estimate_counts_blocks_spectra_and_results(monkeypatch):
     # on two processes no feed runs
     assert runner._memory_estimate(pure, 4, 2) == (
         2 * (small + 16 * n * 2 + 32 * n + 4 * 32 * n + 4 * (66 * n + 2048)) + 2 * (2 * 8 * 300 * 2 + 1024 * 38)
+    )
+    # nor on one CPU, where a serial run draws inline
+    _cpus(monkeypatch, 1)
+    assert runner._memory_estimate(pure, 4, 1) == (
+        small + 16 * n * 2 + 32 * n + 4 * 32 * n + 4 * (66 * n + 2048) + 2 * (2 * 8 * 300 * 2 + 1024 * 38)
     )
 
 

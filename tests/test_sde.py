@@ -4,7 +4,9 @@ Covers:
   - Drift/diffusion registry parsing and rejection of unknown specs and of
     a vanishing diffusion.
   - Unit-diffusion reduction: identity map for unit diffusion, rescale by
-    1/s for constant diffusion s.
+    1/s for constant diffusion s; `reduced_model`'s drift and level are
+    (a x0 + c) / s and (threshold - x0) / s bit for bit, on floats where
+    algebraically equal rewrites of either round differently.
   - Euler recursion: exact zero-drift shortcut, constant-drift ramp,
     geometric decay for b(y) = -y, non-finite state detection.
   - Block Euler for affine drift: bit for bit the plain five-ufunc loop,
@@ -22,20 +24,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fbmpassage import PropagationError, SimulationJob, circulant_spectrum, sample_fgn
+from fbmpassage import PropagationError, circulant_spectrum, sample_fgn
 from fbmpassage import sde
-from fbmpassage.runner import _reduced_drift
-from fbmpassage.sde import affine_coefficients, affine_euler
+from fbmpassage.sde import affine_coefficients, affine_euler, reduced_model
 
 
 def _sampled_path(seed=11, horizon=5.0, steps=512, hv=0.6):
     """A (1, steps+1) block holding one fBm path's prefix sums, and its mesh."""
     increments = sample_fgn(circulant_spectrum(hv, horizon, steps), np.random.default_rng(seed))[0]
     return np.concatenate(([0.0], np.cumsum(increments)))[None, :], horizon / steps
-
-
-def _model(drift="zero", diffusion="one", x0=0.0):
-    return SimulationJob(hurst=(0.5,), horizon=1.0, steps=2, samples=2, master_seed=0, x0=x0, drift=drift, diffusion=diffusion)
 
 
 # ---------------------------------------------------------------------------
@@ -68,17 +65,37 @@ def test_diffusion_registry():
 # ---------------------------------------------------------------------------
 
 def test_unit_diffusion_reduces_to_identity():
-    assert _reduced_drift(_model()) == (0.0, 0.0, 1.0)
+    assert reduced_model("zero", "one", 0.0, 1.0) == (0.0, 0.0, 1.0, 1.0)
     # a start shift moves the level, not the reduced drift
-    assert _reduced_drift(_model(x0=0.7)) == (0.0, 0.0, 1.0)
+    assert reduced_model("zero", "one", 0.7, 1.0) == (0.0, 0.0, 1.0, 1.0 - 0.7)
 
 
 def test_constant_diffusion_rescales():
-    a, c_reduced, s = _reduced_drift(_model(diffusion="const:2"))
+    a, c_reduced, s, level = reduced_model("zero", "const:2", 0.0, 1.0)
     assert (a, c_reduced, s) == (0.0, 0.0, 2.0)
-    assert (1.0 - 0.0) / s == 0.5  # the level 1 from x0 = 0
+    assert level == 0.5  # the level 1 from x0 = 0
     # drift a x + c becomes a y + (a x0 + c) / s
-    assert _reduced_drift(_model("linear:0.5,1", "const:2", x0=2.0)) == (0.5, 1.0, 2.0)
+    assert reduced_model("linear:0.5,1", "const:2", 2.0, 1.0)[:3] == (0.5, 1.0, 2.0)
+
+
+@pytest.mark.parametrize(
+    "model",  # (drift, diffusion, x0, threshold)
+    [
+        ("linear:0.3,0.7", "const:3", 0.1, 0.3),
+        ("linear:0.3,0.2", "const:3", 0.1, 0.3),
+        ("linear:0.3,0.7", "const:7", -0.3, 0.1),
+        ("linear:-0.7,0.2", "const:7", -0.3, 0.1),
+    ],
+)
+def test_reduced_model_keeps_its_float_expressions_bit_for_bit(model):
+    drift, diffusion, x0, threshold = model
+    a, c, s = affine_coefficients(drift, diffusion)
+    c_reduced, level = (a * x0 + c) / s, (threshold - x0) / s
+    assert [x.hex() for x in reduced_model(*model)] == [x.hex() for x in (a, c_reduced, s, level)]
+    # each case has teeth: an algebraically equal rewrite of c~ or of the level rounds to another float
+    drift_rewrites = {a * x0 / s + c / s, (a * x0 + c) * (1 / s)}
+    level_rewrites = {threshold / s - x0 / s, (threshold - x0) * (1 / s)}
+    assert drift_rewrites != {c_reduced} or level_rewrites != {level}
 
 
 def test_vanishing_diffusion_rejected():
@@ -212,8 +229,8 @@ def _drifted_block(drift, rows, steps=1024, horizon=3.0, hv=0.6, seed=3):
     noise = np.zeros((rows, steps + 1))
     for r in range(0, rows, 2):
         np.add.accumulate(sample_fgn(spectrum, rng), axis=1, out=noise[r : r + 2, 1:])
-    a, c_reduced, s = _reduced_drift(_model(drift, "const:2", x0=0.25))
-    return noise, a, c_reduced, (1.0 - 0.25) / s, horizon / steps
+    a, c_reduced, _, level = reduced_model(drift, "const:2", 0.25, 1.0)
+    return noise, a, c_reduced, level, horizon / steps
 
 
 @pytest.mark.parametrize("read_to", [0, 17, 64])

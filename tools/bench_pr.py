@@ -131,6 +131,8 @@ def main(argv=None) -> int:
             "host": {
                 "machine": platform.machine(),
                 "cpus": os.cpu_count(),
+                # the CPUs the runs could use, which the runner's pool and noise-feed decisions read
+                "usable_cpus": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None,
                 "python": platform.python_version(),
                 "numpy": np.__version__,
                 "scipy": scipy.__version__,
