@@ -5,10 +5,12 @@ drawn from one complex FFT whose Gaussian stream is keyed by (master_seed,
 GAUSSIAN_STREAM, k); bridge uniforms for path m come from (master_seed,
 UNIFORM_STREAM, m).  Neither key involves the Hurst index, and the map from
 noise to path is linear, so one job covers several H values: each pair's
-normals and each path's uniforms are drawn once and serve every H.  Every
-per-path output depends only on the master seed, the path index and H, so
-results are identical for any worker count and any chunk size; chunking
-exists purely to bound memory and to let chunks run on separate processes.
+normals and each path's uniforms are drawn once and serve every H, and a
+pair's normals are transformed and summed at every H as soon as they are
+drawn.  Every per-path output depends only on the master seed, the path
+index and H, so results are identical for any worker count and any chunk
+size; chunking exists purely to bound memory and to let chunks run on
+separate processes.
 A run returns one array per output, indexed [H, path]: row k of every
 array belongs to hurst[k], and column m of every row to path m.
 """
@@ -36,21 +38,20 @@ DEFAULT_CHUNK_PAIRS = 128
 # hit-time rules, by the key of their times in run_simulation's output
 RULES = ("simple", "bridge")
 
-# Pairs per FFT call, and the default pairs per chunk with no Euler loop.
-# A chunk's noise is drawn once and then transformed, summed and scanned
-# for each H in turn, so such a chunk's buffers stay small enough to be
+# The default pairs per chunk with no Euler loop, the depth of a
+# _PathFeed's ring, and the pairs per _fill_paths call of an inline chunk
+# (see _pairs_per_fill).  A chunk with no Euler loop is filled at every H and
+# then scanned for each H in turn, so its buffers stay small enough to be
 # reused from cache.  Drifted models default to DEFAULT_CHUNK_PAIRS: their
 # Euler step is a Python loop over grid steps, vectorised across rows, and
 # costs less per row on more rows.
 BLOCK_PAIRS = 4
-# Grid steps from which a run may draw its noise through a _NoiseFeed
-# (see _draws_ahead).  Below them a pair's draw is mostly Python (its
-# `substream` alone takes ~25 us), and the two threads convoy on the GIL.
-# run_simulation alone at 2^22 path steps (2 vCPUs, medians of 3) took
-# 2.24x, 1.66x and 1.19x its one-CPU time at N = 2^8, 2^9 and 2^10 with
-# one pure H, and 0.68x (one H), 0.88x (2 H, both rules) and 0.69x
-# (`ou:1`) at 2^12.  At 2^11 it took 0.74-0.85x, but a prototype measured
-# 2 H with both rules 12% slower there, so the floor sits one doubling up.
+# Grid steps from which a run may fill its paths through a _PathFeed (see
+# _draws_ahead).  Below them a pair's draw is mostly Python (its `substream` alone takes
+# ~25 us), and the two threads convoy on the GIL.  run_simulation alone at
+# 2^22 path steps (2 vCPUs, medians of 5) with the feed took 0.98x, 1.31x
+# and 1.13x its one-CPU time at N = 2^11 with one pure H, 2 H with both
+# rules and one `ou:1` H, and 0.88x, 0.87x and 0.97x at 2^12.
 FEED_STEPS = 2**12
 
 
@@ -180,8 +181,25 @@ def _brownian_level(job: SimulationJob) -> float | None:
 
 
 def _model_chunk_pairs(job: SimulationJob) -> int:
-    """The model's pairs per chunk: DEFAULT_CHUNK_PAIRS with the Euler loop and BLOCK_PAIRS without."""
-    return DEFAULT_CHUNK_PAIRS if _brownian_level(job) is None else BLOCK_PAIRS
+    """The model's pairs per chunk: BLOCK_PAIRS without the Euler loop, and with it DEFAULT_CHUNK_PAIRS, cut from 3 H on.
+
+    A chunk holds 16N of path rows per pair and H.  The cut keeps those
+    rows, with the _PathFeed's ring of BLOCK_PAIRS pairs, within 48N per
+    pair of a DEFAULT_CHUNK_PAIRS chunk.
+    """
+    if _brownian_level(job) is not None:
+        return BLOCK_PAIRS
+    return max(1, min(DEFAULT_CHUNK_PAIRS, 3 * DEFAULT_CHUNK_PAIRS // len(job.hurst) - BLOCK_PAIRS))
+
+
+def _pairs_per_fill(steps: int) -> int:
+    """Pairs an inline chunk hands to each _fill_paths call: BLOCK_PAIRS below 2^15 steps, one from there on.
+
+    On one CPU at 2^22 path steps, one-pair calls took 0.96-1.01x the time
+    of 4-pair calls at 2^15 and 2^16 steps and 1.00-1.18x at 2^12 to 2^14,
+    and a 4-pair call at 2^16 raised a run's peak RSS by 18 MB.
+    """
+    return BLOCK_PAIRS if steps < 2**15 else 1
 
 
 def _usable_cpus() -> int:
@@ -190,99 +208,116 @@ def _usable_cpus() -> int:
 
 
 def _draws_ahead(job: SimulationJob, processes: int) -> bool:
-    """True when a run on `processes` processes draws its noise through a _NoiseFeed: serial, with a spare CPU."""
+    """True when a run on `processes` processes fills its paths through a _PathFeed: serial, with a spare CPU."""
     return processes == 1 and job.steps >= FEED_STEPS and _usable_cpus() > 1
 
 
 def _memory_estimate(job: SimulationJob, chunk: int, processes: int) -> int:
     """Bytes a run of `job` in chunks of `chunk` pairs holds at its peak, computed before anything is allocated.
 
-    An upper bound on the traced peak, with N = steps.  Every process holds
-    64 kB of small objects, the job's spectrum table (16N bytes per H), one
-    transform buffer of min(BLOCK_PAIRS, chunk) rows of 32N, one chunk and
-    the largest temporary of a chunk step.  Per pair, a chunk holds 16N of
-    path rows and 2N of scan or finiteness mask; with the bridge rule 16N of
-    log-uniforms and two uniform generators of ~1 kB; with several H values
-    32N of stashed noise.  A single-H chunk draws its noise into the
-    transform buffer's rows.  A run that _draws_ahead also holds its
-    _NoiseFeed: a ring of BLOCK_PAIRS rows of 32N, and the 16N of a draw in
-    hand on each of its two threads.  The largest temporary is 32N: the 16N
-    of one noise draw, the FFT's ufunc buffer or one row's bridge scan.  The
-    Euler loop holds nothing else sized by the grid: 4 bytes per pair and
-    column of a CHECK_COLUMNS batch for its check of which rows have reached
-    the level, and 66 bytes per entry of its tail's TAIL_PIECE-column pieces
-    of Python floats (65.1 B by `tracemalloc`).  The calling process holds
-    every array of `_empty_outputs` twice while it merges the chunks, and
-    1 kB of array headers per chunk and H.  Raises ValueError for an
-    unknown model.
+    An upper bound on the traced peak, with N = steps and nH H values.
+    Every process holds 64 kB of small objects, the job's spectrum table
+    (16N bytes per H), one chunk, the largest temporary of a chunk step,
+    and the 64N per pair of a _fill_paths call (its normals and its
+    transform buffer) for the pairs of one call, one pair under a feed.  Per pair, a chunk holds
+    16N of path rows per H and 2N of scan or finiteness mask; with the
+    bridge rule 16N of log-uniforms and two uniform generators of ~1 kB.  A
+    run that _draws_ahead also holds its _PathFeed: a ring of BLOCK_PAIRS
+    slots of 16N per H, and the 64N of a one-pair call and the 16N of a
+    draw in hand on its helper thread.  The largest temporary is 32N: the
+    16N of one noise draw, the FFT's ufunc buffer or one row's bridge scan.
+    The Euler loop holds nothing else sized by the grid: 4 bytes per pair
+    and column of a CHECK_COLUMNS batch for its check of which rows have
+    reached the level, and 66 bytes per entry of its tail's
+    TAIL_PIECE-column pieces of Python floats (65.1 B by `tracemalloc`).
+    The calling process holds every array of `_empty_outputs` twice while
+    it merges the chunks, and 1 kB of array headers per chunk and H.
+    Raises ValueError for an unknown model.
     """
     pairs = (job.samples + 1) // 2
     pc = min(chunk, pairs)  # pairs in the largest chunk
     n = job.steps + 1
+    nh = len(job.hurst)
     bridge = "bridge" in job.rules
-    per_pair = (16 + 2 + 16 * bridge + 32 * (len(job.hurst) > 1)) * n
-    per_pair += 2048 * bridge
-    transform = min(BLOCK_PAIRS, pc) * 32 * n
+    per_pair = (16 * nh + 2 + 16 * bridge) * n + 2048 * bridge
+    ahead = _draws_ahead(job, processes)
+    fill = (1 if ahead else min(_pairs_per_fill(job.steps), pc)) * 64 * n
     euler = 4 * min(CHECK_COLUMNS + 1, n) * pc + 66 * TAIL_PIECE if _brownian_level(job) is None else 0
-    feed = (BLOCK_PAIRS * 32 + 2 * 16) * n if _draws_ahead(job, processes) else 0
-    per_process = (64 << 10) + (16 * len(job.hurst) + 32) * n + euler + transform + feed + pc * per_pair
+    feed = (BLOCK_PAIRS * 16 * nh + 64 + 16) * n if ahead else 0
+    per_process = (64 << 10) + (16 * nh + 32) * n + euler + fill + feed + pc * per_pair
     per_path = sum(a.itemsize * math.prod(a.shape[2:]) for a in _empty_outputs(job, 0).values())
     results = 2 * job.samples * per_path + 1024 * math.ceil(pairs / chunk)
-    return processes * per_process + len(job.hurst) * results
+    return processes * per_process + nh * results
 
 
-def _draw_noise(master_seed: int, m: int, pair: int, out: np.ndarray) -> None:
-    """Pair `pair`'s complex noise of length m, drawn from its Gaussian stream into `out`."""
-    _complex_noise(substream(master_seed, GAUSSIAN_STREAM, pair), m, out=out)
+def _fill_paths(master_seed: int, scales: tuple[np.ndarray, ...], first_pair: int, paths: np.ndarray) -> None:
+    """Fill the (H, 2 pairs, N + 1) rows `paths` with the pairs from `first_pair` on, at the H of each scale.
+
+    Draws each pair's normals once, from its Gaussian stream.  Then, for
+    each H, scales them by that H's sqrt(spectrum / 2N) into one reused
+    buffer, transforms the buffer in place in one call, and prefix-sums its
+    real parts into the even and its imaginary parts into the odd rows of
+    that H's paths, one call per part.  Column 0 is left as it is.
+    """
+    m = len(scales[0])
+    noise = np.empty((paths.shape[1] // 2, m), dtype=complex)
+    for i, row in enumerate(noise):
+        _complex_noise(substream(master_seed, GAUSSIAN_STREAM, first_pair + i), m, out=row)
+    transformed = np.empty_like(noise)
+    for scale, rows in zip(scales, paths):
+        y = _pair_fft(scale, noise, out=transformed)
+        np.add.accumulate(y.real[:, : m // 2], axis=1, out=rows[0::2, 1:])
+        np.add.accumulate(y.imag[:, : m // 2], axis=1, out=rows[1::2, 1:])
 
 
-class _NoiseFeed:
-    """A run's noise, drawn by one helper thread and by the caller while it would wait, at most BLOCK_PAIRS pairs ahead of use.
+class _PathFeed:
+    """A run's path rows, filled by one helper thread and by the caller while it would wait, at most BLOCK_PAIRS pairs ahead of use.
 
-    Pair p is queued on a one-thread executor, to be drawn by _draw_noise
-    into row p % BLOCK_PAIRS of a ring, once pair p - BLOCK_PAIRS is taken;
-    the first BLOCK_PAIRS pairs are queued at once.  `take(pair, out)`
-    cancels the pair's future if the helper has not started it, and draws
-    the pair into `out` itself.  Otherwise, while the helper draws it, the
-    caller cancels each later queued pair the helper has not started and
-    draws it into its ring row; then it waits for the pair and copies its
-    row into `out`.  Every pair is drawn once, as an inline draw would
-    draw it, so the bytes a run sees do not depend on which thread drew
-    which pair.  An exception in the helper is raised by the `take` of
-    its pair, and one in the caller's own draw by its `take`.  As a
-    context manager it yields `take`, and on exit cancels the queued
-    pairs and joins the thread, whether the run completed or raised.
+    Pair p is queued on a one-thread executor, to be filled by _fill_paths
+    at every H into slot p % BLOCK_PAIRS of a ring, once pair p - BLOCK_PAIRS
+    is taken; the first BLOCK_PAIRS pairs are queued at once.  `take(pair,
+    out)` cancels the pair's future if the helper has not started it, and
+    fills `out` itself.  Otherwise, while the helper fills it, the caller
+    cancels each later queued pair the helper has not started and fills its
+    ring slot; then it waits for the pair and copies its slot into `out`.
+    Every pair is filled once, as an inline run would fill it, so the bytes
+    a run sees do not depend on which thread filled which pair.  An
+    exception in the helper is raised by the `take` of its pair, and one in
+    the caller's own fill by its `take`.  As a context manager it yields
+    `take`, and on exit cancels the queued pairs and joins the thread,
+    whether the run completed or raised.
     """
 
-    def __init__(self, master_seed: int, m: int, pairs: int):
-        self._draw = partial(_draw_noise, master_seed, m)
+    def __init__(self, job: SimulationJob, pairs: int):
+        scales = _noise_scales(tuple(job.hurst), job.horizon, job.steps)
+        self._fill = partial(_fill_paths, job.master_seed, scales)
         self._pairs = pairs
-        self._ring = np.empty((BLOCK_PAIRS, m), dtype=complex)
+        self._ring = np.zeros((BLOCK_PAIRS, len(scales), 2, job.steps + 1))
         self._executor = ThreadPoolExecutor(1)
-        self._queued = {}  # the future of each queued pair not yet taken, or None once the caller drew it
+        self._queued = {}  # the future of each queued pair not yet taken, or None once the caller filled it
         for pair in range(min(BLOCK_PAIRS, pairs)):
             self._queue(pair)
 
     def _queue(self, pair: int) -> None:
-        self._queued[pair] = self._executor.submit(self._draw, pair, self._ring[pair % BLOCK_PAIRS])
+        self._queued[pair] = self._executor.submit(self._fill, pair, self._ring[pair % BLOCK_PAIRS])
 
     def take(self, pair: int, out: np.ndarray) -> None:
-        """Copy pair `pair`'s noise into `out`, drawing later pairs while it waits; pairs are taken in order, from 0."""
+        """Fill `out`, of shape (H, 2, N + 1), with pair `pair`'s paths, filling later pairs while it waits; pairs are taken in order, from 0."""
         future = self._queued.pop(pair)
-        row = self._ring[pair % BLOCK_PAIRS]
+        slot = self._ring[pair % BLOCK_PAIRS]
         if future is None:
-            out[...] = row
+            out[...] = slot
         elif future.cancel():
-            self._draw(pair, out)
+            self._fill(pair, out)
         else:
             for later, queued in self._queued.items():
                 if future.done():
                     break
                 if queued is not None and queued.cancel():
-                    self._draw(later, self._ring[later % BLOCK_PAIRS])
+                    self._fill(later, self._ring[later % BLOCK_PAIRS])
                     self._queued[later] = None
             future.result()
-            out[...] = row
+            out[...] = slot
         if pair + BLOCK_PAIRS < self._pairs:
             self._queue(pair + BLOCK_PAIRS)
 
@@ -293,29 +328,23 @@ class _NoiseFeed:
         self._executor.shutdown(cancel_futures=True)
 
 
-def _chunk_compute(job: SimulationJob, first_pair: int, pairs: int, draw=None) -> dict[str, np.ndarray]:
+def _chunk_compute(job: SimulationJob, first_pair: int, pairs: int, take=None) -> dict[str, np.ndarray]:
     """Per-path outputs of the chunk of `pairs` path pairs from `first_pair` on, indexed [H, path in chunk].
 
     Paths run in the coordinates y = (x - x0) / s of `reduced_model`;
     marginals and suprema map back by x0 + s y.  The chunk is processed as
-    one unit, and opens each path's uniform stream once.  For each H in
-    turn, and for each BLOCK_PAIRS pairs of the chunk, it scales the pairs'
-    noise by that H's sqrt(spectrum / 2N) into the rows of one reused buffer
-    of up to BLOCK_PAIRS rows of 2N, and transforms them in one FFT call;
-    then it prefix-sums their real parts into the even and their imaginary
-    parts into the odd rows of one reused path buffer, one call per part,
-    runs the Euler step on the chunk's valid rows unless _brownian_level
-    gives a level, and runs the scans and reductions.  The Euler step takes
-    each row only through the later of its plain hit and the last column
-    that a marginal or extreme reads; the states past that are not read, and
-    hold the noise prefix sums or states stepped on with the chunk.  A
-    pair's normals are drawn when the first H reaches it, by
-    `draw(pair, out)` (by default _draw_noise, or a _NoiseFeed's take):
-    into its row of the transform buffer when the job has one H, and into a
-    stash row that the later H values read again when it has several.  A
-    path's bridge scan stops at its plain hit and asks _row_log_uniforms
-    for the uniforms it reads, which draws them, and takes their logs, only
-    as far as some H has asked so far.
+    one unit, and opens each path's uniform stream once.  It first fills
+    its rows of every H, (H, 2 pairs, N + 1), by _fill_paths: one pair at a
+    time through `take(pair, out)` (a _PathFeed's take) when given, else
+    inline, _pairs_per_fill pairs per call.  Then, for each H in turn, it runs the Euler
+    step on that H's valid rows unless _brownian_level gives a level, and
+    the scans and reductions.  The Euler step takes each row only through
+    the later of its plain hit and the last column that a marginal or
+    extreme reads; the states past that are not read, and hold the noise
+    prefix sums or states stepped on with the chunk.  A path's bridge scan
+    stops at its plain hit and asks _row_log_uniforms for the uniforms it
+    reads, which draws them, and takes their logs, only as far as some H
+    has asked so far.
 
     Its buffers are the ones _memory_estimate counts; the Euler step
     overwrites the path rows in place.
@@ -323,21 +352,19 @@ def _chunk_compute(job: SimulationJob, first_pair: int, pairs: int, draw=None) -
     _raise_malloc_thresholds()
     steps = job.steps
     step = job.horizon / steps
-    m = 2 * steps
     first_path = 2 * first_pair
     n_valid = min(2 * pairs, job.samples - first_path)
-    scales = _noise_scales(tuple(job.hurst), job.horizon, steps)
-    draw = draw or partial(_draw_noise, job.master_seed, m)
     a, c_reduced, s, thr = reduced_model(job.drift, job.diffusion, job.x0, job.threshold)
     looped = _brownian_level(job) is None
 
     out = _empty_outputs(job, n_valid)
     bridge = "bridge" in job.rules
-    transformed = np.empty((min(BLOCK_PAIRS, pairs), m), dtype=complex)
-    stash = np.empty((pairs, m), dtype=complex) if len(job.hurst) > 1 else None
-    values = np.empty((2 * pairs, steps + 1))
-    values[:, 0] = 0.0
-    paths = values[:n_valid]
+    values = np.empty((len(job.hurst), 2 * pairs, steps + 1))
+    values[:, :, 0] = 0.0
+    group = 1 if take else _pairs_per_fill(steps)
+    take = take or partial(_fill_paths, job.master_seed, _noise_scales(tuple(job.hurst), job.horizon, steps))
+    for p in range(0, pairs, group):
+        take(first_pair + p, values[:, 2 * p : 2 * min(p + group, pairs)])
     if bridge:
         generators = [substream(job.master_seed, UNIFORM_STREAM, first_path + j) for j in range(n_valid)]
         log_uniforms = partial(_row_log_uniforms, generators, [0] * n_valid, np.empty((2 * pairs, steps)))
@@ -346,17 +373,8 @@ def _chunk_compute(job: SimulationJob, first_pair: int, pairs: int, draw=None) -
     level = thr if job.rules else -math.inf
     read_to = max((*job.marginal_indices, *job.extreme_indices), default=0)
 
-    for k, (h, scale) in enumerate(zip(job.hurst, scales)):
-        for g0 in range(0, pairs, BLOCK_PAIRS):
-            g = min(BLOCK_PAIRS, pairs - g0)
-            noise = transformed[:g] if stash is None else stash[g0 : g0 + g]
-            if not k:
-                for i in range(g):
-                    draw(first_pair + g0 + i, noise[i])
-            y = _pair_fft(scale, noise, out=transformed[:g])
-            group = values[2 * g0 : 2 * (g0 + g), 1:]
-            np.add.accumulate(y.real[:, :steps], axis=1, out=group[0::2])
-            np.add.accumulate(y.imag[:, :steps], axis=1, out=group[1::2])
+    for k, h in enumerate(job.hurst):
+        paths = values[k, :n_valid]
         if looped:
             affine_euler(paths, a, c_reduced, step, level, read_to)
 
@@ -392,9 +410,9 @@ def run_simulation(job: SimulationJob, workers: int = 1) -> dict[str, np.ndarray
     fits physical memory at min(workers, CPUs) processes, and are merged
     in path order; since every per-path output is a pure function of
     (job, H, path index), the assembled arrays are byte-identical for any
-    `workers` and chunk size.  A run that _draws_ahead draws its normals
-    through a _NoiseFeed: queued on a one-thread executor while this
-    thread transforms them, and cancelled and drawn here while it would
+    `workers` and chunk size.  A run that _draws_ahead fills its paths
+    through a _PathFeed: queued on a one-thread executor while this
+    thread scans them, and cancelled and filled here while it would
     wait; the executor is shut down before the run returns or raises.  A
     run that does not fit at one pair raises MemoryBudgetError; a master
     seed outside the integers in [0, 2^64), a non-integer count, step
@@ -435,9 +453,9 @@ def run_simulation(job: SimulationJob, workers: int = 1) -> dict[str, np.ndarray
     _noise_scales(tuple(job.hurst), job.horizon, job.steps)
     sizes = [min(chunk, pairs - first) for first in firsts]
     if workers == 1:
-        # a spare CPU draws noise while this one transforms it, and this one draws too while it would wait
-        with _NoiseFeed(job.master_seed, 2 * job.steps, pairs) if _draws_ahead(job, workers) else nullcontext() as draw:
-            chunks = [_chunk_compute(job, first, size, draw) for first, size in zip(firsts, sizes)]
+        # a spare CPU fills paths while this one scans them, and this one fills too while it would wait
+        with _PathFeed(job, pairs) if _draws_ahead(job, workers) else nullcontext() as take:
+            chunks = [_chunk_compute(job, first, size, take) for first, size in zip(firsts, sizes)]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_chunk_compute, [job] * len(firsts), firsts, sizes))

@@ -134,11 +134,24 @@ def test_chunk_size_is_observationally_irrelevant(pin_chunk):
 
 
 @pytest.mark.parametrize(
-    "model, pairs", [(("zero", "one"), 4), (("zero", "const:2"), 4), (("ou:1", "one"), 128)]
+    "model, pairs",
+    [
+        (("zero", "one"), 4),
+        (("zero", "const:2"), 4),
+        (("ou:1", "one"), 128),
+        # (drift, diffusion, H values): a drifted chunk is cut from 3 H on
+        # to 3 * 128 // H - 4 pairs, rows of 3 H per pair with a 4-pair ring
+        (("zero", "one", 5), 4),
+        (("ou:1", "one", 2), 128),
+        (("ou:1", "one", 3), 124),
+        (("ou:1", "one", 5), 72),
+        (("ou:1", "one", 200), 1),
+    ],
 )
 def test_default_chunk_pairs_follow_the_model(model, pairs):
-    drift, diffusion = model
-    assert runner._model_chunk_pairs(_job(drift=drift, diffusion=diffusion)) == pairs
+    drift, diffusion, hursts = (*model, 1)[:3]
+    hurst = tuple(0.5 + 0.001 * i for i in range(hursts))
+    assert runner._model_chunk_pairs(_job(drift=drift, diffusion=diffusion, hurst=hurst)) == pairs
     with pytest.raises(ValueError):
         runner._model_chunk_pairs(_job(drift="nope"))
 
@@ -489,6 +502,11 @@ _AHEAD = {  # (pinned chunk pairs, job fields)
     "3-pair-chunks": (3, dict(hurst=(0.5, 0.6), samples=61, rules=RULES)),  # a partial last chunk and group
     "pure-1H": (None, dict(samples=61, rules=RULES)),
     "ou-1H": (None, dict(drift="ou:1", marginal_indices=(7, 256))),  # 128 + 22 pairs
+    "pure-5H-odd": (None, dict(hurst=(0.5, 0.52, 0.55, 0.6, 0.75), samples=61, rules=RULES, marginal_indices=(3, 256))),
+    "ou-2H-every-output": (
+        None,
+        dict(hurst=(0.5, 0.6), drift="ou:1", samples=301, rules=RULES, marginal_indices=(7, 256), extreme_indices=(50, 256)),
+    ),  # 128 + 23 pairs, the last one half used
 }
 
 
@@ -850,60 +868,62 @@ def test_memory_estimate_counts_blocks_spectra_and_results(monkeypatch):
     n = 2**10 + 1
     small = 64 << 10  # small objects, per process
     pure = _job(steps=2**10, samples=300, rules=RULES, hurst=(0.5, 0.6))
-    # two 16N spectra and a 32N temporary; 4-pair chunks with a 4-row 32N
-    # transform buffer, 66N per pair (32N of it stashed noise) and two 1 kB
+    # two 16N spectra and a 32N temporary; below the noise feed's floor a
+    # fill takes 4 pairs, 64N each of normals and transform buffer; 4-pair
+    # chunks of 50N per pair (16N of path rows per H) and two 1 kB
     # generators per pair; two H rows of two columns over 300 paths, held
-    # twice, and 1 kB of array headers per chunk (38 chunks) and H; the
-    # grid is below the noise feed's floor
+    # twice, and 1 kB of array headers per chunk (38 chunks) and H
     assert runner._memory_estimate(pure, 4, 1) == (
-        small + 16 * n * 2 + 32 * n + 4 * 32 * n + 4 * (66 * n + 2048) + 2 * (2 * 8 * 300 * 2 + 1024 * 38)
+        small + 16 * n * 2 + 32 * n + 4 * 64 * n + 4 * (50 * n + 2048) + 2 * (2 * 8 * 300 * 2 + 1024 * 38)
     )
-    # one H: the noise is drawn into the transform buffer, no stash
     single = _job(steps=2**10, samples=300, rules=RULES)
     assert runner._memory_estimate(single, 4, 1) == (
-        small + 16 * n + 32 * n + 4 * 32 * n + 4 * (34 * n + 2048) + 2 * 8 * 300 * 2 + 1024 * 38
+        small + 16 * n + 32 * n + 4 * 64 * n + 4 * (34 * n + 2048) + 2 * 8 * 300 * 2 + 1024 * 38
     )
-    # drifted: a 128-pair chunk, transformed four pairs
-    # at a time; the Euler loop's row check takes 4 B per pair and column of
-    # a 128-column batch, and its tail 66 B per entry of a 256-entry piece
+    # drifted: a 128-pair chunk, filled four pairs at a time; the Euler
+    # loop's row check takes 4 B per pair and column of a 128-column batch,
+    # and its tail 66 B per entry of a 256-entry piece
     euler = 4 * 129 * 128 + 66 * 256
     drifted = _job(steps=2**10, samples=300, drift="ou:1")
     assert runner._memory_estimate(drifted, 128, 2) == (
-        2 * (small + 16 * n + 32 * n + 4 * 32 * n + euler + 128 * 18 * n) + 2 * 8 * 300 + 1024 * 2
+        2 * (small + 16 * n + 32 * n + 4 * 64 * n + euler + 128 * 18 * n) + 2 * 8 * 300 + 1024 * 2
     )
     drifted_multi = _job(steps=2**10, samples=300, drift="ou:1", hurst=(0.5, 0.6))
     assert runner._memory_estimate(drifted_multi, 128, 2) == (
-        2 * (small + 16 * n * 2 + 32 * n + 4 * 32 * n + euler + 128 * 50 * n) + 2 * (2 * 8 * 300 + 1024 * 2)
+        2 * (small + 16 * n * 2 + 32 * n + 4 * 64 * n + euler + 128 * 34 * n) + 2 * (2 * 8 * 300 + 1024 * 2)
     )
-    # a one-pair chunk holds a one-row transform buffer
+    # a one-pair chunk fills one pair
     tiny = _job(steps=2**10, samples=2)
-    assert runner._memory_estimate(tiny, 1, 1) == small + 16 * n + 32 * n + 32 * n + 18 * n + 2 * 8 * 2 + 1024
+    assert runner._memory_estimate(tiny, 1, 1) == small + 16 * n + 32 * n + 64 * n + 18 * n + 2 * 8 * 2 + 1024
     # window extremes: argmax scans row slices in place, two columns per window
     extremes = _job(steps=2**10, samples=300, rules=(), extreme_indices=(10, 1024))
     assert runner._memory_estimate(extremes, 4, 1) == (
-        small + 16 * n + 32 * n + 4 * 32 * n + 4 * 18 * n + 2 * 8 * 300 * 4 + 1024 * 38
+        small + 16 * n + 32 * n + 4 * 64 * n + 4 * 18 * n + 2 * 8 * 300 * 4 + 1024 * 38
     )
     assert runner._memory_estimate(_job(), 4, 1) < runner._physical_memory()
-    # at the floor a serial run of one H or several on two CPUs adds the
-    # feed's 4-row 32N ring and a 16N draw on each of its two threads
+    # at the floor a serial run of one H or several on two CPUs fills one
+    # pair at a time, and adds the feed's ring of 4 pairs of 16N per H, and
+    # a one-pair fill (64N) and a 16N draw on its helper thread
     _feed_from(monkeypatch, 2**10)
     _cpus(monkeypatch, 2)
-    feed = 4 * 32 * n + 2 * 16 * n
     assert runner._memory_estimate(pure, 4, 1) == (
-        small + 16 * n * 2 + 32 * n + 4 * 32 * n + feed + 4 * (66 * n + 2048) + 2 * (2 * 8 * 300 * 2 + 1024 * 38)
+        small + 16 * n * 2 + 32 * n + 64 * n + (4 * 32 + 80) * n + 4 * (50 * n + 2048) + 2 * (2 * 8 * 300 * 2 + 1024 * 38)
     )
     assert runner._memory_estimate(single, 4, 1) == (
-        small + 16 * n + 32 * n + 4 * 32 * n + feed + 4 * (34 * n + 2048) + 2 * 8 * 300 * 2 + 1024 * 38
+        small + 16 * n + 32 * n + 64 * n + (4 * 16 + 80) * n + 4 * (34 * n + 2048) + 2 * 8 * 300 * 2 + 1024 * 38
     )
     # on two processes no feed runs
     assert runner._memory_estimate(pure, 4, 2) == (
-        2 * (small + 16 * n * 2 + 32 * n + 4 * 32 * n + 4 * (66 * n + 2048)) + 2 * (2 * 8 * 300 * 2 + 1024 * 38)
+        2 * (small + 16 * n * 2 + 32 * n + 4 * 64 * n + 4 * (50 * n + 2048)) + 2 * (2 * 8 * 300 * 2 + 1024 * 38)
     )
-    # nor on one CPU, where a serial run draws inline
+    # nor on one CPU, where a serial run fills inline
     _cpus(monkeypatch, 1)
     assert runner._memory_estimate(pure, 4, 1) == (
-        small + 16 * n * 2 + 32 * n + 4 * 32 * n + 4 * (66 * n + 2048) + 2 * (2 * 8 * 300 * 2 + 1024 * 38)
+        small + 16 * n * 2 + 32 * n + 4 * 64 * n + 4 * (50 * n + 2048) + 2 * (2 * 8 * 300 * 2 + 1024 * 38)
     )
+    # from 2^15 steps an inline fill takes one pair
+    big, m = _job(steps=2**15, samples=16), 2**15 + 1
+    assert runner._memory_estimate(big, 4, 1) == small + 16 * m + 32 * m + 64 * m + 4 * 18 * m + 2 * 8 * 16 + 1024 * 2
 
 
 @pytest.mark.parametrize(
@@ -919,6 +939,9 @@ def test_memory_estimate_counts_blocks_spectra_and_results(monkeypatch):
         {"drift": "ou:1", "samples": 301, "chunk_pairs": 7},
         # no path reaches the level, so every row runs the scalar tail to the end
         {"drift": "ou:1", "threshold": 1e6, "samples": 16, "chunk_pairs": 1},
+        # five H values: path rows of every H, a 72-pair drifted chunk, and the feed's ring
+        {"drift": "ou:1", "hurst": (0.5, 0.52, 0.55, 0.6, 0.75)},
+        {"hurst": (0.5, 0.52, 0.55, 0.6, 0.75), "rules": RULES},
     ],
 )
 def test_memory_estimate_bounds_the_traced_peak(pin_chunk, shape):

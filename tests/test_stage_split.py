@@ -114,6 +114,8 @@ def test_a_multi_h_run_books_its_noise_helper_apart(tmp_path, monkeypatch, cpus)
             assert not helper and "fgn._complex_noise" in seconds, name
         else:  # the caller draws too while it would wait
             assert {"fgn._complex_noise [helper]", "rng.substream [helper]"} <= helper, name
+            if name == "sim-multiH-bridge":  # the helper transforms the pairs it draws, at every H
+                assert {"fgn._pair_fft [helper]", "runner._fill_paths [helper]"} <= helper, name
         assert 0.0 < tool.main_thread_seconds(seconds) <= wall
         rest = tool.report(name, wall, seconds).splitlines()[-1].split()
         assert rest[0] == "rest" and float(rest[1]) >= -0.0005
