@@ -3,7 +3,7 @@
 Covers:
   - Bit-identical results across worker counts and chunk sizes, the
     model's default chunk size included: 4 pairs with no Euler loop, 128
-    with one.
+    with one, cut from 3 H on.
   - Seed separation: different seeds decorrelate, same seed reproduces.
   - Shift invariance of the pure zero-drift case: moving the start is the
     same as moving the threshold.
@@ -23,14 +23,15 @@ Covers:
     prefix sum of its sample_fgn row bit for bit, for one and several H,
     partial last chunks and FFT groups and a half-used last pair.
   - Drawing ahead: a serial run of one H or several on two CPUs, at the
-    grid floor of the noise feed (lowered by the tests), starts exactly
+    grid floor of the path feed (lowered by the tests), starts exactly
     one executor thread and returns every output `==` to the one-CPU run
     (pure and OU, odd samples, a partial last chunk, 1- and 3-pair chunks,
-    and 200 one-pair chunks with the threads switching every
-    microsecond); pool, one-CPU and below-floor runs start none, and at
-    the unlowered floor a 256-step run starts none and a run at the floor
-    one.  While the helper is slow the caller cancels queued pairs and
-    draws them itself, with the same outputs.  No thread outlives a run,
+    five H with marginals, two drifted H with every output, and 200
+    one-pair chunks with the threads switching every microsecond); pool,
+    one-CPU and below-floor runs start none, and at the unlowered floor a
+    256-step run starts none and a run at the floor one.  While the helper
+    is slow the caller cancels queued pairs and fills them itself, with
+    the same outputs.  No thread outlives a run,
     one whose Euler loop raises included; an error in a pair drawn by the
     helper or by the caller is raised by the run, which does not wait for
     the noise.  These tests pin the CPU count the runner sees, and slow
@@ -43,10 +44,10 @@ Covers:
     never on import; the model's chunk halves until the run fits in memory,
     down to one pair, and the chunks tile the path pairs in order, each
     computed from the caller's job; the memory bound refuses a run before
-    allocating, counts chunks, spectra, the transform buffer, the noise
-    feed's ring and draws (only for a serial run with a spare CPU) and
-    results exactly, and bounds the traced peak of nine job shapes from
-    above, on one CPU as on two.
+    allocating, counts chunks, spectra, the fill buffers, the path feed's
+    ring and draws (only for a serial run with a spare CPU) and results
+    exactly, and bounds the traced peak of eleven job shapes from above,
+    on one CPU as on two.
   - Closed-form affine reduction: registry models agree with a scalar
     per-path Euler loop on y = (x - x0) / s, and zero drift with constant
     diffusion is scaled fBm with no Euler loop at all.  OU marginals match
@@ -478,7 +479,7 @@ def _cpus(monkeypatch, count: int) -> None:
 
 
 def _feed_from(monkeypatch, steps: int) -> None:
-    """Lower the grid floor of the noise feed, so that small grids draw ahead."""
+    """Lower the grid floor of the path feed, so that small grids fill ahead."""
     monkeypatch.setattr(runner, "FEED_STEPS", steps)
 
 
@@ -868,7 +869,7 @@ def test_memory_estimate_counts_blocks_spectra_and_results(monkeypatch):
     n = 2**10 + 1
     small = 64 << 10  # small objects, per process
     pure = _job(steps=2**10, samples=300, rules=RULES, hurst=(0.5, 0.6))
-    # two 16N spectra and a 32N temporary; below the noise feed's floor a
+    # two 16N spectra and a 32N temporary; below 2^15 steps an inline
     # fill takes 4 pairs, 64N each of normals and transform buffer; 4-pair
     # chunks of 50N per pair (16N of path rows per H) and two 1 kB
     # generators per pair; two H rows of two columns over 300 paths, held

@@ -10,8 +10,8 @@ Covers:
     enclosing function's self time leaves it out.  A call on another thread
     is booked apart, under a "[helper]" label, and takes nothing from the
     calls open on the main thread; a serial run of several H values or of
-    one, on two CPUs, books noise draws there, and on one CPU it has no
-    helper rows.
+    one, on two CPUs, books noise draws there, and with several H values
+    the FFT too, and on one CPU it has no helper rows.
   - The command line at a tiny grid, in a fresh process, on all three
     workloads; every file under perfbench/ is unchanged by it.
 """
