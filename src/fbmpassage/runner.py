@@ -219,13 +219,14 @@ def _memory_estimate(job: SimulationJob, chunk: int, processes: int) -> int:
     Every process holds 64 kB of small objects, the job's spectrum table
     (16N bytes per H), one chunk, the largest temporary of a chunk step,
     and the 64N per pair of a _fill_paths call (its normals and its
-    transform buffer) for the pairs of one call, one pair under a feed.  Per pair, a chunk holds
-    16N of path rows per H and 2N of scan or finiteness mask; with the
-    bridge rule 16N of log-uniforms and two uniform generators of ~1 kB.  A
-    run that _draws_ahead also holds its _PathFeed: a ring of BLOCK_PAIRS
-    slots of 16N per H, and the 64N of a one-pair call and the 16N of a
-    draw in hand on its helper thread.  The largest temporary is 32N: the
-    16N of one noise draw, the FFT's ufunc buffer or one row's bridge scan.
+    transform buffer) for the pairs of one call, one pair under a feed.
+    Per pair, a chunk holds 16N of path rows per H and 2N of scan or
+    finiteness mask; with the bridge rule 16N of log-uniforms and two
+    uniform generators of ~1 kB.  A run that _draws_ahead also holds its
+    _PathFeed: a ring of BLOCK_PAIRS slots of 16N per H, and the 64N of a
+    one-pair call and the 16N of a draw in hand on its helper thread.  The
+    largest temporary is 32N: the 16N of one noise draw, the FFT's ufunc
+    buffer or one row's bridge scan.
     The Euler loop holds nothing else sized by the grid: 4 bytes per pair
     and column of a CHECK_COLUMNS batch for its check of which rows have
     reached the level, and 66 bytes per entry of its tail's
