@@ -19,14 +19,7 @@ from .estimate import (
     laplace_from_times,
     truncated_argmax_moments,
 )
-from .fgn import (
-    CHOLESKY_CAP,
-    EmbeddingError,
-    cholesky_fbm,
-    circulant_spectrum,
-    fgn_autocovariance,
-    sample_fgn,
-)
+from .fgn import EmbeddingError, circulant_spectrum, fgn_autocovariance
 from .rng import GAUSSIAN_STREAM, UNIFORM_STREAM, substream
 from .runner import RULES, MemoryBudgetError, SimulationJob, run_simulation
 from .sde import PropagationError
@@ -40,9 +33,6 @@ __all__ = [
     "EmbeddingError",
     "fgn_autocovariance",
     "circulant_spectrum",
-    "sample_fgn",
-    "cholesky_fbm",
-    "CHOLESKY_CAP",
     # rng
     "substream",
     "GAUSSIAN_STREAM",

@@ -30,7 +30,7 @@ import scipy
 from . import __version__
 from .analysis import linear_fit, rate_exponent
 from .estimate import NoHitsError, density_from_times, gap_estimate, laplace_from_times, truncated_argmax_moments
-from .fgn import EmbeddingError, cholesky_fbm, circulant_spectrum, fgn_autocovariance, sample_fgn
+from .fgn import EmbeddingError, circulant_spectrum, fgn_autocovariance
 from .runner import RULES, MemoryBudgetError, SimulationJob, _brownian_level, _check_fits_in_memory, run_simulation
 from .sde import PropagationError, affine_euler, reduced_model
 from .theory import laplace_bm
@@ -498,7 +498,8 @@ def run_selftest() -> list[tuple[str, bool, str]]:
 
     Statistical checks run on fixed internal seeds and the censoring bound
     on RunConfig's defaults, so a correct build always reports the same,
-    whatever the run's configuration.
+    whatever the run's configuration.  The sampler checks read the paths
+    that run_simulation makes, every grid column through marginal_indices.
     """
     checks: list[tuple[str, bool, str]] = []
 
@@ -514,11 +515,11 @@ def run_selftest() -> list[tuple[str, bool, str]]:
         dev = float(np.max(np.abs(spectrum - 1.0 / 256)))
         return dev < 1e-12, f"max |eigenvalue - step| = {dev:.3g} (limit 1e-12)"
 
-    def fgn_rows(h, horizon, steps, seed, pairs):
-        """`pairs` sample_fgn draws from one seeded generator, as a (2 * pairs, steps) array."""
-        spectrum = circulant_spectrum(h, horizon, steps)
-        rng = np.random.default_rng(seed)
-        return np.concatenate([sample_fgn(spectrum, rng) for _ in range(pairs)])
+    def runner_paths(h, horizon, steps, samples):
+        """The runner's first `samples` pure fBm paths at H, every grid column, as a (samples, steps + 1) array."""
+        job = SimulationJob(hurst=(h,), horizon=horizon, steps=steps, samples=samples, master_seed=1729,
+                            rules=(), marginal_indices=tuple(range(steps + 1)))
+        return run_simulation(job)["marginals"][0]
 
     def lag_z(rows, lag, ref):
         """|z| of the mean lag-`lag` product of the rows against `ref`, with rows as blocks."""
@@ -528,21 +529,20 @@ def run_selftest() -> list[tuple[str, bool, str]]:
         return abs(block_means.mean() - ref) / se
 
     def increment_autocov():
-        rows = fgn_rows(0.7, 256.0, 256, 1008, 2000)  # unit step keeps the lags O(1)
+        rows = np.diff(runner_paths(0.7, 256.0, 256, 4000), axis=1)  # unit step keeps the lags O(1)
         worst = max(lag_z(rows, lag, fgn_autocovariance(0.7, lag, 1.0)) for lag in range(6))
         return worst < 5.0, f"worst |z| over lags 0..5 = {worst:.2f} (limit 5)"
 
-    def sampler_agreement():
-        from scipy.stats import ks_2samp
+    def terminal_law():
+        from scipy.stats import kstest
 
-        term_a = fgn_rows(0.8, 1.0, 128, 2718, 750).sum(axis=1)
-        rng_b = np.random.default_rng(3141)
-        term_b = np.array([cholesky_fbm(0.8, 1.0, 128, rng_b)[-1] for _ in range(1500)])
-        pvalue = float(ks_2samp(term_a, term_b).pvalue)
-        return pvalue > 0.001, f"terminal-value KS p = {pvalue:.4f} (limit 0.001)"
+        # at T = 1 the law N(0, T^(2H)) would be N(0, 1) for every H
+        terminal = runner_paths(0.8, 256.0, 128, 1500)[:, -1]
+        pvalue = float(kstest(terminal, "norm", args=(0.0, 256.0**0.8)).pvalue)
+        return pvalue > 0.001, f"terminal-value KS p = {pvalue:.4f} against N(0, T^(2H)) at T = 256 (limit 0.001)"
 
     def independent_increments():
-        z = lag_z(fgn_rows(0.5, 1024.0, 1024, 55, 200), 1, 0.0)
+        z = lag_z(np.diff(runner_paths(0.5, 1024.0, 1024, 400), axis=1), 1, 0.0)
         return z < 5.0, f"lag-1 product |z| = {z:.2f} (limit 5)"
 
     def bridge_dominance():
@@ -555,10 +555,10 @@ def run_selftest() -> list[tuple[str, bool, str]]:
         return ok, f"bridge time <= plain time on all 400 paths ({early} strictly earlier)"
 
     def euler_zero_drift():
-        path = np.concatenate(([0.0], np.cumsum(fgn_rows(0.6, 5.0, 512, 11, 1)[0])))
-        solved = affine_euler(path[None, :].copy(), 0.0, 0.0, 5.0 / 512)
+        path = runner_paths(0.6, 5.0, 512, 1)
+        solved = affine_euler(path.copy(), 0.0, 0.0, 5.0 / 512)
         ok = solved.tobytes() == path.tobytes()
-        return ok, "zero-drift Euler output equals the prefix sums bit for bit"
+        return ok, "zero-drift Euler output equals the runner's path bit for bit"
 
     def laplace_generator():
         lam, h = 1.7, 1e-4
@@ -577,7 +577,7 @@ def run_selftest() -> list[tuple[str, bool, str]]:
 
     record("flat_spectrum_at_h_half", flat_spectrum)
     record("increment_autocovariance", increment_autocov)
-    record("circulant_vs_cholesky_ks", sampler_agreement)
+    record("terminal_value_ks", terminal_law)
     record("brownian_increment_independence", independent_increments)
     record("bridge_dominance", bridge_dominance)
     record("euler_zero_drift_exact", euler_zero_drift)

@@ -4,36 +4,26 @@ The sampler embeds the stationary increment covariance in a circulant matrix
 that the FFT diagonalizes (Davies-Harte construction).  Eigenvalues are the
 discrete Fourier transform of the wrapped autocovariance row, and one complex
 FFT of white noise yields two independent increment blocks, so the method is
-exact in distribution at every grid size.  A dense Cholesky factorization of
-the same covariance serves as an independent, small-size oracle for
-cross-checking the fast path.  Every entry point takes the Hurst index h,
-the horizon and the grid's steps as plain numbers, the fields of a
+exact in distribution at every grid size.  Every entry point takes the Hurst
+index h, the horizon and the grid's steps as plain numbers, the fields of a
 SimulationJob, and checks them; the mesh is horizon / steps.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 import numpy as np
 from numpy.fft import fft  # numpy imports its fft module on first use otherwise
 
 __all__ = [
     "EIGENVALUE_TOL",
-    "CHOLESKY_CAP",
     "EmbeddingError",
     "fgn_autocovariance",
     "circulant_spectrum",
-    "sample_fgn",
-    "cholesky_fbm",
 ]
 
 # Relative tolerance for the eigenvalue clamp: entries in [-tol * max, 0)
 # are rounded up to zero, anything lower is a hard failure.
 EIGENVALUE_TOL = 1e-12
-
-# Size cap for the dense Cholesky oracle (O(N^3) factor cost).
-CHOLESKY_CAP = 2**11
 
 
 class EmbeddingError(RuntimeError):
@@ -68,14 +58,6 @@ def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-def _check_grid(horizon: float, steps: int) -> None:
-    """Raise ValueError unless [0, horizon] with `steps` intervals is a grid."""
-    if not (np.isfinite(horizon) and horizon > 0.0):
-        raise ValueError(f"horizon must be positive and finite, got {horizon}")
-    if not (_is_int(steps) and steps >= 1):
-        raise ValueError(f"steps must be a positive integer, got {steps}")
-
-
 def circulant_spectrum(h: float, horizon: float, steps: int) -> np.ndarray:
     """Eigenvalues of the circulant embedding of the increment covariance.
 
@@ -94,7 +76,10 @@ def circulant_spectrum(h: float, horizon: float, steps: int) -> np.ndarray:
     Returns:
         Vector of 2N non-negative eigenvalues.
     """
-    _check_grid(horizon, steps)
+    if not (np.isfinite(horizon) and horizon > 0.0):
+        raise ValueError(f"horizon must be positive and finite, got {horizon}")
+    if not (_is_int(steps) and steps >= 1):
+        raise ValueError(f"steps must be a positive integer, got {steps}")
     if steps & (steps - 1):
         raise ValueError(f"steps must be a power of two for the circulant sampler, got {steps}")
     gamma = fgn_autocovariance(h, np.arange(steps + 1), horizon / steps)
@@ -140,53 +125,3 @@ def _pair_fft(scale: np.ndarray, noise: np.ndarray, out: np.ndarray | None = Non
     the transform, and is returned.
     """
     return fft(np.multiply(scale, noise, out=out), out=out)
-
-
-def sample_fgn(spectrum: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Two independent increment rows of N = len(spectrum) / 2 steps from one complex FFT.
-
-    With w = u + iv standard complex white noise drawn from `rng` (4N
-    normals), the real and imaginary parts of FFT(sqrt(spectrum / 2N) * w)
-    each carry the circulant covariance, and they are mutually
-    independent.  Returns a (2, N) array: the first N real parts, then the
-    first N imaginary parts, as the runner's paths 2k and 2k+1 use them.
-    """
-    m = len(spectrum)
-    y = _pair_fft(np.sqrt(spectrum / m), _complex_noise(rng, m))
-    steps = m // 2
-    return np.array([y.real[:steps], y.imag[:steps]])
-
-
-@lru_cache(maxsize=8)
-def _cholesky_factor(h: float, horizon: float, steps: int) -> np.ndarray:
-    i = np.arange(steps)
-    gamma = fgn_autocovariance(h, i, horizon / steps)
-    try:
-        return np.linalg.cholesky(gamma[np.abs(i[:, None] - i)])
-    except np.linalg.LinAlgError as exc:
-        raise EmbeddingError(
-            f"increment covariance not positive definite for H={h}, N={steps}: {exc}"
-        ) from exc
-
-
-def cholesky_fbm(h: float, horizon: float, steps: int, rng: np.random.Generator) -> np.ndarray:
-    """Exact fBm path values at the N + 1 points of the grid of `steps` intervals
-    on [0, horizon], from a dense Cholesky factorization of the increment
-    covariance; the path starts at zero.
-
-    Slow reference oracle: the factor costs O(N^3) once per (h, horizon, steps)
-    and is cached; each call then consumes N normals.  Sizes above CHOLESKY_CAP are
-    refused to keep accidental quadratic-memory use out of production paths.
-    """
-    _check_grid(horizon, steps)
-    if steps > CHOLESKY_CAP:
-        raise ValueError(
-            f"Cholesky oracle capped at {CHOLESKY_CAP} steps, got {steps}; "
-            "use the circulant sampler for large grids"
-        )
-    factor = _cholesky_factor(h, horizon, steps)
-    increments = factor @ rng.standard_normal(steps)
-    values = np.empty(steps + 1)
-    values[0] = 0.0
-    np.cumsum(increments, out=values[1:])
-    return values

@@ -20,6 +20,7 @@ from scipy.stats import chi2, ks_2samp, norm
 
 import fbmpassage as fp
 from fbmpassage.cli import _grid_index, main
+from reference_samplers import cholesky_fbm
 
 SEED = 1729
 LAMBDAS = (1.0, 2.0, 3.0, 4.0)
@@ -130,13 +131,11 @@ def test_sampler_agreement_and_autocovariance():
     results = []
     ok = True
     for hv, seed_c, seed_k in ((0.6, 101, 201), (0.8, 102, 202)):
-        spectrum = fp.circulant_spectrum(hv, horizon, steps)
-        rng = np.random.default_rng(seed_c)
-        blocks = np.empty((10_000, steps))
-        for i in range(5_000):
-            blocks[2 * i : 2 * i + 2] = fp.sample_fgn(spectrum, rng)
+        job = fp.SimulationJob(hurst=(hv,), horizon=horizon, steps=steps, samples=10_000, master_seed=seed_c,
+                               rules=(), marginal_indices=tuple(range(steps + 1)))
+        blocks = np.diff(fp.run_simulation(job)["marginals"][0], axis=1)
         rng_k = np.random.default_rng(seed_k)
-        chol_T = np.array([fp.cholesky_fbm(hv, horizon, steps, rng_k)[-1] for _ in range(10_000)])
+        chol_T = np.array([cholesky_fbm(hv, horizon, steps, rng_k)[-1] for _ in range(10_000)])
         pvalue = float(ks_2samp(blocks.sum(axis=1), chol_T).pvalue)
         worst_z = 0.0
         for lag in range(6):
@@ -146,7 +145,7 @@ def test_sampler_agreement_and_autocovariance():
             worst_z = max(worst_z, abs((per_block.mean() - ref) / se))
         ok &= pvalue > 0.01 and worst_z < 5.0
         results.append(f"H={hv:g}: KS p {pvalue:.3f}, worst lag |z| {worst_z:.2f}")
-    _report(6, "FFT sampler agrees with the Cholesky oracle and the increment autocovariance",
+    _report(6, "runner's paths agree with the Cholesky oracle and the increment autocovariance",
             ok, "; ".join(results))
     assert ok
 

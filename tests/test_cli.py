@@ -49,7 +49,7 @@ from fbmpassage.cli import (
 SELFTEST_NAMES = [
     "flat_spectrum_at_h_half",
     "increment_autocovariance",
-    "circulant_vs_cholesky_ks",
+    "terminal_value_ks",
     "brownian_increment_independence",
     "bridge_dominance",
     "euler_zero_drift_exact",
@@ -1062,3 +1062,22 @@ def test_selftest_catches_covariance_corruption(monkeypatch):
     checks = run_selftest()
     failed = [name for name, ok, _ in checks if not ok]
     assert failed == ["increment_autocovariance"]
+
+
+def test_selftest_catches_a_wrong_hurst_in_the_terminal_law(monkeypatch):
+    """Building the runner's spectrum at H + 0.05 for the terminal-law
+    check's H alone must trip exactly that check: at its horizon of 256
+    the law N(0, T^(2H)) depends on H."""
+    exact = runner.circulant_spectrum
+
+    def shifted(h, horizon, steps):
+        return exact(h + 0.05 if h == 0.8 else h, horizon, steps)
+
+    monkeypatch.setattr(runner, "circulant_spectrum", shifted)
+    runner._noise_scales.cache_clear()
+    try:
+        checks = run_selftest()
+    finally:
+        runner._noise_scales.cache_clear()  # drop the scales built from the shifted spectrum
+    failed = [name for name, ok, _ in checks if not ok]
+    assert failed == ["terminal_value_ks"]

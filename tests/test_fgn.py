@@ -5,12 +5,14 @@ Covers:
   - Covariance closed forms against frozen constants and the telescoping
     identity sum_{i,j} gamma(|i-j|) = T^{2H}; lag arrays against scalar lags.
   - Circulant spectrum: flatness at H = 1/2, positivity, trace identity.
-  - FFT sampler statistics: increment variance, terminal variance and
-    normality, lag-1 autocovariance, pair independence, determinism.
-  - Dense Cholesky oracle: its factor is that of the Toeplitz covariance,
-    agreement with the FFT sampler (two-sample KS), size cap, exact
+  - FFT sampler statistics, through the tests' one-pair helper
+    (`reference_samplers.sample_fgn`): increment variance, terminal
+    variance and normality, lag-1 autocovariance, pair independence,
+    determinism.
+  - The tests' dense Cholesky oracle: its factor is that of the Toeplitz
+    covariance, agreement with the FFT sampler (two-sample KS), exact
     prefix-sum bookkeeping.
-  - The runner's paths are the prefix sums of the sampler's increment rows.
+  - The runner's paths are the prefix sums of the pair helper's increment rows.
 """
 
 import re
@@ -21,18 +23,15 @@ from scipy.linalg import toeplitz
 from scipy.stats import kstest, ks_2samp
 
 from fbmpassage import (
-    CHOLESKY_CAP,
     GAUSSIAN_STREAM,
     SimulationJob,
-    cholesky_fbm,
     circulant_spectrum,
     fgn_autocovariance,
     run_simulation,
-    sample_fgn,
     substream,
 )
 from fbmpassage.cli import _grid_index
-from fbmpassage.fgn import _cholesky_factor
+from reference_samplers import cholesky_factor, cholesky_fbm, sample_fgn
 
 
 # ---------------------------------------------------------------------------
@@ -41,19 +40,17 @@ from fbmpassage.fgn import _cholesky_factor
 
 @pytest.mark.parametrize("bad", [0.0, 1.0, -0.3, float("nan"), float("inf")])
 def test_hurst_rejects_out_of_range(bad):
-    """The covariance, the spectrum and the Cholesky oracle refuse an H outside (0, 1)."""
+    """The covariance and the spectrum refuse an H outside (0, 1)."""
     message = re.escape(f"Hurst index must lie in (0, 1), got {bad}")
     with pytest.raises(ValueError, match=message):
         fgn_autocovariance(bad, 1, 0.25)
     with pytest.raises(ValueError, match=message):
         circulant_spectrum(bad, 1.0, 8)
-    with pytest.raises(ValueError, match=message):
-        cholesky_fbm(bad, 1.0, 8, np.random.default_rng(0))
 
 
 def test_time_grid_arithmetic():
     """The mesh is horizon / steps, the CLI's time index rounds down to a grid
-    point (tolerating roundoff), and the spectrum and the oracle refuse a bad grid."""
+    point (tolerating roundoff), and the spectrum refuses a bad grid."""
     assert np.max(np.abs(circulant_spectrum(0.5, 5.0, 8) - 0.625)) < 1e-12
     assert _grid_index(0.0, 5.0, 8) == 0
     assert _grid_index(1.25, 5.0, 8) == 2
@@ -67,8 +64,6 @@ def test_time_grid_arithmetic():
     ]:
         with pytest.raises(ValueError, match=message):
             circulant_spectrum(0.6, horizon, steps)
-        with pytest.raises(ValueError, match=message):
-            cholesky_fbm(0.6, horizon, steps, np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------
@@ -240,16 +235,11 @@ def test_cholesky_matches_fft_sampler_distribution():
     assert p > 0.001, f"two-sample KS p = {p:.5f}"
 
 
-def test_cholesky_cap():
-    with pytest.raises(ValueError):
-        cholesky_fbm(0.6, 1.0, CHOLESKY_CAP * 2, np.random.default_rng(0))
-
-
 @pytest.mark.parametrize("hv", [0.3, 0.5, 0.8])
 def test_cholesky_factor_equals_factor_of_toeplitz_matrix(hv):
     """The oracle's covariance matrix is the Toeplitz layout of gamma(0..N-1), bit for bit."""
     cov = toeplitz(fgn_autocovariance(hv, np.arange(64), 3.0 / 64))
-    np.testing.assert_array_equal(_cholesky_factor(hv, 3.0, 64), np.linalg.cholesky(cov))
+    np.testing.assert_array_equal(cholesky_factor(hv, 3.0, 64), np.linalg.cholesky(cov))
 
 
 def test_cholesky_path_layout():
@@ -264,7 +254,7 @@ def test_cholesky_path_layout():
 
 def test_fbm_path_differences_recover_block():
     """The runner's paths 2k and 2k+1 start at zero and step by the
-    increment rows that sample_fgn draws from pair k's Gaussian stream."""
+    increment rows that the pair helper draws from pair k's Gaussian stream."""
     h, horizon, steps = 0.6, 5.0, 512
     job = SimulationJob(
         hurst=(h,), horizon=horizon, steps=steps, samples=4, master_seed=11,

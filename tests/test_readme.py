@@ -18,7 +18,7 @@ def _library_example() -> str:
 def test_library_example_runs_as_written(capsys):
     namespace = {}
     exec(compile(_library_example(), f"{README} (Library)", "exec"), namespace)
-    assert namespace["increments"].shape == (2, 2**10)
+    assert namespace["increments"].shape == (2, 4, 2**10)
     printed = capsys.readouterr().out.split()
     assert len(printed) == 4 and all(float(x) == float(x) for x in printed)  # four numbers, none nan
 

@@ -20,8 +20,9 @@ Covers:
     once per run; a 17-H job over several chunks computes each spectrum
     once, and a job whose H values are a list equals the tuple job.
   - Chunk assembly: every path, pure or through the Euler loop, equals the
-    prefix sum of its sample_fgn row bit for bit, for one and several H,
-    partial last chunks and FFT groups and a half-used last pair.
+    prefix sum of its row from the tests' pair helper (`sample_fgn`) bit
+    for bit, for one and several H, partial last chunks and FFT groups
+    and a half-used last pair.
   - Drawing ahead: a serial run of one H or several on two CPUs, at the
     grid floor of the path feed (lowered by the tests), starts exactly
     one executor thread and returns every output `==` to the one-CPU run
@@ -75,13 +76,14 @@ import pytest
 
 from fbmpassage import (
     GAUSSIAN_STREAM, RULES, UNIFORM_STREAM, SimulationJob, circulant_spectrum, fgn_autocovariance, run_simulation,
-    sample_fgn, substream,
+    substream,
 )
 import fbmpassage
 from fbmpassage import runner
 from fbmpassage.cli import _grid_index
 from fbmpassage.passage import _bridge_hit_times_batch, _grid_times, _plain_hit_index
 from fbmpassage.sde import PropagationError, affine_coefficients, affine_euler
+from reference_samplers import sample_fgn
 
 
 def _job(**kw):
@@ -298,9 +300,8 @@ def test_job_validation(pin_chunk):
     top_seed = run_simulation(_job(steps=64, samples=10, master_seed=np.uint64(top)))
     assert np.array_equal(top_seed["simple"], run_simulation(_job(steps=64, samples=10, master_seed=top))["simple"])
     # a bool step count is no grid
-    for sampler in (circulant_spectrum, lambda *grid: fbmpassage.cholesky_fbm(*grid, np.random.default_rng(0))):
-        with pytest.raises(ValueError, match="steps must be a positive integer, got True"):
-            sampler(0.6, 1.0, True)
+    with pytest.raises(ValueError, match="steps must be a positive integer, got True"):
+        circulant_spectrum(0.6, 1.0, True)
     i64 = np.int64
     numpy_ints = run_simulation(_job(steps=64, samples=i64(10), marginal_indices=(i64(3),), extreme_indices=(i64(5),)))
     plain_ints = run_simulation(_job(steps=64, samples=10, marginal_indices=(3,), extreme_indices=(5,)))

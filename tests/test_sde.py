@@ -24,9 +24,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fbmpassage import PropagationError, circulant_spectrum, sample_fgn
+from fbmpassage import PropagationError, circulant_spectrum
 from fbmpassage import sde
 from fbmpassage.sde import affine_coefficients, affine_euler, reduced_model
+from reference_samplers import sample_fgn
 
 
 def _sampled_path(seed=11, horizon=5.0, steps=512, hv=0.6):
