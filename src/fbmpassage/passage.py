@@ -47,9 +47,9 @@ def _bridge_hit_times_batch(
     Rowwise the same arithmetic as a full-grid scan, but each row is
     scanned on its own and only up to its plain hit, `plain_index` from
     _plain_hit_index: no bridge time can exceed the plain time.
-    log_uniforms(r, n) returns row r's first n log-uniforms, entry j for
-    step j+1.  The scan asks only the rows whose plain hit is past index 1,
-    each for one per step before that hit, all of them on a censored row.
+    log_uniforms[r] holds row r's log-uniforms, entry j for step j+1: at
+    least one per step before its plain hit, N on a censored row.  The scan
+    reads only the rows whose plain hit is past index 1.
     """
     steps = values.shape[1] - 1
     times = _grid_times(plain_index, steps, step)
@@ -57,7 +57,7 @@ def _bridge_hit_times_batch(
     # before its plain hit, at most at steps + 1, only the bridge can fire
     for r, stop in zip(rows.tolist(), plain_index[rows].tolist()):
         gap = threshold - values[r, :stop]
-        fire = -2.0 * gap[:-1] * gap[1:] / step_var > log_uniforms(r, stop - 1)
+        fire = -2.0 * gap[:-1] * gap[1:] / step_var > log_uniforms[r][: stop - 1]
         j = fire.argmax()
         if fire[j]:
             times[r] = (j + 1) * step

@@ -129,20 +129,6 @@ def _raise_malloc_thresholds() -> bool:
     return True
 
 
-def _row_log_uniforms(generators, drawn: list[int], buffer: np.ndarray, r: int, n: int) -> np.ndarray:
-    """Row r's first n log-uniforms, drawn from its own generator on first need.
-
-    drawn[r] counts the entries of buffer row r drawn so far.  Each draw
-    continues the row's stream, so the entries are those of one random(n) call.
-    """
-    lo = drawn[r]
-    if lo < n:
-        with np.errstate(divide="ignore"):
-            np.log(generators[r].random(n - lo), out=buffer[r, lo:n])
-        drawn[r] = n
-    return buffer[r, :n]
-
-
 def _running_extremes(paths: np.ndarray, indices) -> tuple[np.ndarray, np.ndarray]:
     """Max and first argmax of every row over [0, i] for each i in `indices`.
 
@@ -216,17 +202,18 @@ def _memory_estimate(job: SimulationJob, chunk: int, processes: int) -> int:
     """Bytes a run of `job` in chunks of `chunk` pairs holds at its peak, computed before anything is allocated.
 
     An upper bound on the traced peak, with N = steps and nH H values.
-    Every process holds 64 kB of small objects, the job's spectrum table
-    (16N bytes per H), one chunk, the largest temporary of a chunk step,
-    and the 64N per pair of a _fill_paths call (its normals and its
+    Every process holds 64 kB of small objects (a chunk's plain hit
+    indices, 16 bytes per pair and H, among them), the job's spectrum
+    table (16N bytes per H), one chunk, the largest temporary of a chunk
+    step, and the 64N per pair of a _fill_paths call (its normals and its
     transform buffer) for the pairs of one call, one pair under a feed.
     Per pair, a chunk holds 16N of path rows per H and 2N of scan or
-    finiteness mask; with the bridge rule 16N of log-uniforms and two
-    uniform generators of ~1 kB.  A run that _draws_ahead also holds its
-    _PathFeed: a ring of BLOCK_PAIRS slots of 16N per H, and the 64N of a
-    one-pair call and the 16N of a draw in hand on its helper thread.  The
-    largest temporary is 32N: the 16N of one noise draw, the FFT's ufunc
-    buffer or one row's bridge scan.
+    finiteness mask; with the bridge rule 16N of log-uniforms, one array
+    per path, and 2 kB for their headers and the generator of each draw.
+    A run that _draws_ahead also holds its _PathFeed: a ring of BLOCK_PAIRS
+    slots of 16N per H, and the 64N of a one-pair call and the 16N of a
+    draw in hand on its helper thread.  The largest temporary is 32N: the
+    16N of one noise draw, the FFT's ufunc buffer or one row's bridge scan.
     The Euler loop holds nothing else sized by the grid: 4 bytes per pair
     and column of a CHECK_COLUMNS batch for its check of which rows have
     reached the level, and 66 bytes per entry of its tail's
@@ -337,15 +324,16 @@ def _chunk_compute(job: SimulationJob, first_pair: int, pairs: int, take=None) -
     one unit, and opens each path's uniform stream once.  It first fills
     its rows of every H, (H, 2 pairs, N + 1), by _fill_paths: one pair at a
     time through `take(pair, out)` (a _PathFeed's take) when given, else
-    inline, _pairs_per_fill pairs per call.  Then, for each H in turn, it runs the Euler
-    step on that H's valid rows unless _brownian_level gives a level, and
-    the scans and reductions.  The Euler step takes each row only through
-    the later of its plain hit and the last column that a marginal or
-    extreme reads; the states past that are not read, and hold the noise
-    prefix sums or states stepped on with the chunk.  A path's bridge scan
-    stops at its plain hit and asks _row_log_uniforms for the uniforms it
-    reads, which draws them, and takes their logs, only as far as some H
-    has asked so far.
+    inline, _pairs_per_fill pairs per call.  Then, for each H, it runs the
+    Euler step on that H's valid rows unless _brownian_level gives a level,
+    and the plain scan.  The Euler step takes each row only through the
+    later of its plain hit and the last column that a marginal or extreme
+    reads; the states past that are not read, and hold the noise prefix
+    sums or states stepped on with the chunk.  With the bridge rule each
+    path then draws, in one call, the uniforms its scans read: one per
+    step before its latest plain hit over the H values, all N when
+    censored, as logs.  Last, for each H, it runs the bridge scan and the
+    reductions.
 
     Its buffers are the ones _memory_estimate counts; the Euler step
     overwrites the path rows in place.
@@ -366,32 +354,38 @@ def _chunk_compute(job: SimulationJob, first_pair: int, pairs: int, take=None) -
     take = take or partial(_fill_paths, job.master_seed, _noise_scales(tuple(job.hurst), job.horizon, steps))
     for p in range(0, pairs, group):
         take(first_pair + p, values[:, 2 * p : 2 * min(p + group, pairs)])
-    if bridge:
-        generators = [substream(job.master_seed, UNIFORM_STREAM, first_path + j) for j in range(n_valid)]
-        log_uniforms = partial(_row_log_uniforms, generators, [0] * n_valid, np.empty((2 * pairs, steps)))
     columns = list(job.marginal_indices)
     # the Euler loop steps each row through its plain hit and the last column any output reads
     level = thr if job.rules else -math.inf
     read_to = max((*job.marginal_indices, *job.extreme_indices), default=0)
+    paths = values[:, :n_valid]
+    plain = []
+    for rows in paths:
+        if looped:
+            affine_euler(rows, a, c_reduced, step, level, read_to)
+        if job.rules:
+            plain.append(_plain_hit_index(rows, thr))
+    if bridge:
+        # a row's scans read one uniform per step before its latest plain hit, all N when censored
+        need = np.maximum(np.max(plain, axis=0) - 1, 0).tolist()
+        log_u = [substream(job.master_seed, UNIFORM_STREAM, first_path + j).random(n) for j, n in enumerate(need)]
+        with np.errstate(divide="ignore"):
+            for u in log_u:
+                np.log(u, out=u)
 
     for k, h in enumerate(job.hurst):
-        paths = values[k, :n_valid]
-        if looped:
-            affine_euler(paths, a, c_reduced, step, level, read_to)
-
-        if job.rules:
-            plain = _plain_hit_index(paths, thr)
+        rows = paths[k]
         if "simple" in out:
-            out["simple"][k] = _grid_times(plain, steps, step)
+            out["simple"][k] = _grid_times(plain[k], steps, step)
         if bridge:
             step_var = step ** (2.0 * h)
-            out["bridge"][k] = _bridge_hit_times_batch(paths, thr, step, step_var, log_uniforms, plain)
+            out["bridge"][k] = _bridge_hit_times_batch(rows, thr, step, step_var, log_u, plain[k])
         if job.marginal_indices:
-            out["marginals"][k] = job.x0 + s * paths[:, columns]
+            out["marginals"][k] = job.x0 + s * rows[:, columns]
         if job.extreme_indices:
             # x0 + s y is strictly increasing, so suprema and argmax
             # locations carry over to the original coordinates
-            sup, where = _running_extremes(paths, job.extreme_indices)
+            sup, where = _running_extremes(rows, job.extreme_indices)
             out["sup_values"][k] = job.x0 + s * sup
             out["argmax_times"][k] = where * step
     return out

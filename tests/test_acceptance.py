@@ -127,7 +127,7 @@ def test_gap_growth_rate_fits(desk_sweep):
 
 
 def test_sampler_agreement_and_autocovariance():
-    horizon, steps = 1.0, 256
+    horizon, steps = 256.0, 256
     results = []
     ok = True
     for hv, seed_c, seed_k in ((0.6, 101, 201), (0.8, 102, 202)):

@@ -9,17 +9,17 @@ Covers:
   - Bridge scan semantics: grid hits fire regardless of the uniforms, a
     remote threshold censors, recorded times are right-endpoint multiples
     of the mesh, bridge times never exceed grid times on the same path.
-  - The batch bridge scan stops at each row's plain hit and asks for no
+  - The batch bridge scan stops at each row's plain hit and reads no
     uniform past it, yet equals the full-grid scan on crafted rows: a
     censored row, a start at the level, a hit at index 1, a bridge firing
     one step before the plain hit, a grid value equal to the level, early
-    and late in the grid.  The runner's accessor draws a row's uniforms
-    once, on first need, and a later scan that needs no more draws none.
+    and late in the grid.  Rows that hold exactly one uniform per step
+    before their plain hit give the full-grid times, and a row that holds
+    one too few raises.
   - Distributional check at H = 1/2: the bridge hit time matches the exact
     ceiling-law value computed from the closed-form passage distribution.
 """
 
-import functools
 import math
 
 import numpy as np
@@ -27,7 +27,6 @@ import pytest
 from scipy.stats import norm
 
 from fbmpassage import RULES, SimulationJob, laplace_from_times, run_simulation
-from fbmpassage import runner
 from fbmpassage.passage import _bridge_hit_times_batch, _grid_times, _plain_hit_index
 
 
@@ -69,7 +68,7 @@ def _bridge_times(rows, threshold, step, uniform):
     values = np.atleast_2d(np.asarray(rows, dtype=float))
     log_u = np.full((len(values), values.shape[1] - 1), math.log(uniform))
     plain = _plain_hit_index(values, threshold)
-    return _bridge_hit_times_batch(values, threshold, step, step, lambda r, n: log_u[r, :n], plain)
+    return _bridge_hit_times_batch(values, threshold, step, step, log_u, plain)
 
 
 def _simulate(hurst, horizon, steps, samples, seed, **kw):
@@ -121,7 +120,7 @@ def test_bridge_scan_fires_below_frozen_log_probability(row, step, hurst, log_p)
     values = np.array([row])
     plain = _plain_hit_index(values, 1.0)
     for log_u, expected in ((log_p - 1e-12, step), (log_p + 1e-12, np.inf)):
-        times = _bridge_hit_times_batch(values, 1.0, step, step ** (2.0 * hurst), lambda r, n: np.full(n, log_u), plain)
+        times = _bridge_hit_times_batch(values, 1.0, step, step ** (2.0 * hurst), np.full((1, 1), log_u), plain)
         assert times.tolist() == [expected], log_u
 
 
@@ -173,7 +172,7 @@ def test_batch_detectors_match_scalar_path_scan():
     log_u = np.log(rng.random((40, 64)))
     step_var = step
     bridged = _bridge_hit_times_batch(
-        values, 1.0, step, step_var, lambda r, n: log_u[r, :n], _plain_hit_index(values, 1.0)
+        values, 1.0, step, step_var, log_u, _plain_hit_index(values, 1.0)
     )
     assert np.isfinite(simple).any() and not np.isfinite(simple).all()
     for i in range(40):
@@ -242,39 +241,27 @@ def test_bounded_bridge_scan_equals_full_scan():
     assert full[8] == step
     assert full[12] == 2 * step
     log_u = np.log(uniforms)
-    got = _bridge_hit_times_batch(values, 1.0, step, step_var, lambda r, n: log_u[r, :n], plain)
+    got = _bridge_hit_times_batch(values, 1.0, step, step_var, log_u, plain)
     assert got.tolist() == full
 
 
 def test_bridge_draws_stop_before_the_plain_hit():
-    values, _, step_var = _crafted_rows()
+    values, uniforms, step_var = _crafted_rows()
+    step = 0.5
     steps = values.shape[1] - 1
     plain = _plain_hit_index(values, 1.0)
     assert plain[:4].tolist() == [steps + 1, steps + 1, 0, 1]
-
-    class Recording:
-        def __init__(self):
-            self.sizes = []
-
-        def random(self, n):
-            self.sizes.append(n)
-            return np.full(n, 0.5)
-
-    generators = [Recording() for _ in values]
-    log_uniforms = functools.partial(runner._row_log_uniforms, generators, [0] * len(values), np.empty(values.shape))
-    first = _bridge_hit_times_batch(values, 1.0, 0.5, step_var, log_uniforms, plain)
-    sizes = [g.sizes for g in generators]
-    # censored rows draw every step, rows at or above the level by index 1 none
-    assert sizes[:4] == [[steps], [steps], [], []]
-    assert sizes[6] == [6]  # the plain hit is at 7
-    assert all(len(s) <= 1 for s in sizes)
-    # a later H that needs no more draws takes none, and reads the same entries
-    again = _bridge_hit_times_batch(values, 1.0, 0.5, step_var, log_uniforms, plain)
-    assert [g.sizes for g in generators] == sizes and again.tolist() == first.tolist()
-    assert log_uniforms(6, 6).tolist() == [math.log(0.5)] * 6
-    # a row asked for more draws only the entries it lacks
-    log_uniforms(6, 9)
-    assert generators[6].sizes == [6, 3]
+    assert plain[6] == 7
+    full = [_bridge_hit_index(row, 1.0, step_var, u) for row, u in zip(values, uniforms)]
+    full = [np.inf if n < 0 else n * step for n in full]
+    # each row holds exactly one log-uniform per step before its plain hit, N when censored
+    log_u = [np.log(u[: max(stop - 1, 0)]) for u, stop in zip(uniforms, plain.tolist())]
+    assert [len(u) for u in log_u[:4]] == [steps, steps, 0, 0] and len(log_u[6]) == 6
+    assert _bridge_hit_times_batch(values, 1.0, step, step_var, log_u, plain).tolist() == full
+    # a row that holds one entry too few raises instead of broadcasting
+    log_u[6] = log_u[6][:5]
+    with pytest.raises(ValueError):
+        _bridge_hit_times_batch(values, 1.0, step, step_var, log_u, plain)
 
 
 # ---------------------------------------------------------------------------

@@ -37,8 +37,9 @@ Covers:
     helper or by the caller is raised by the run, which does not wait for
     the noise.  These tests pin the CPU count the runner sees, and slow
     the caller where the helper must draw, so they hold on a one-CPU host.
-  - Lazy uniforms: a Philox substream's draws split anywhere give the same
-    values, and each path draws no uniform past its plain hit.
+  - Bridge uniforms: a Philox substream's draws split anywhere give the
+    same values, and each path draws its uniforms in one call per chunk,
+    none past its latest plain hit.
   - Window extremes equal a rescan of every prefix, ties included, and
     copy no window.
   - The allocator setting runs once per process, on its first run or chunk, and
@@ -672,7 +673,7 @@ def test_an_error_in_the_helper_is_raised_by_the_run(monkeypatch, bad_pair):
 
 
 # ---------------------------------------------------------------------------
-# lazy uniforms and window extremes
+# bridge uniforms and window extremes
 # ---------------------------------------------------------------------------
 
 def test_substream_draws_split_anywhere_give_the_same_values():
@@ -686,6 +687,7 @@ def test_substream_draws_split_anywhere_give_the_same_values():
 
 def test_each_path_draws_uniforms_only_up_to_its_plain_hit(monkeypatch, pin_chunk):
     drawn = defaultdict(int)
+    calls = defaultdict(int)
     original = runner.substream
 
     class Counting:
@@ -694,6 +696,7 @@ def test_each_path_draws_uniforms_only_up_to_its_plain_hit(monkeypatch, pin_chun
 
         def random(self, size, **kwargs):
             drawn[self.index] += size
+            calls[self.index] += 1
             return self.generator.random(size, **kwargs)
 
     def counting(master_seed, stream, index):
@@ -719,6 +722,8 @@ def test_each_path_draws_uniforms_only_up_to_its_plain_hit(monkeypatch, pin_chun
         else:
             assert drawn[i] == max(last_hit[i] - 1, 0) <= last_hit[i]
     assert sum(drawn.values()) < job.samples * job.steps
+    # each path lies in one chunk, which draws its uniforms in one call for every H
+    assert calls == {i: 1 for i in range(job.samples)}
 
 
 def test_running_window_extremes_equal_prefix_rescans():
@@ -997,7 +1002,7 @@ def test_affine_reduction_matches_tabulated_lamperti_euler(drift, diffusion):
     thr = (level - x0) / s
     log_u = np.log([substream(42, UNIFORM_STREAM, i).random(256) for i in range(40)])
     bridge = _bridge_hit_times_batch(
-        reduced, thr, step, step ** (2.0 * hv), lambda r, n: log_u[r, :n], _plain_hit_index(reduced, thr)
+        reduced, thr, step, step ** (2.0 * hv), log_u, _plain_hit_index(reduced, thr)
     )
     plain = [np.argmax(row >= thr) * step if (row >= thr).any() else np.inf for row in reduced]
     assert np.array_equal(got["simple"][0], plain)

@@ -34,7 +34,7 @@ ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "stage_split.py"
 EVERY_WORKLOAD = {"fgn._complex_noise", "fgn._pair_fft", "runner._chunk_compute"}
 REACHED = {
-    "sim-multiH-bridge": {"passage._bridge_hit_times_batch", "runner._row_log_uniforms"},
+    "sim-multiH-bridge": {"passage._bridge_hit_times_batch", "passage._plain_hit_index"},
     "sim-ou-plain": {"sde.affine_euler"},
     "conjecture-large-pool": {"runner._running_extremes"},
 }
