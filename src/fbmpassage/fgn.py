@@ -4,9 +4,10 @@ The sampler embeds the stationary increment covariance in a circulant matrix
 that the FFT diagonalizes (Davies-Harte construction).  Eigenvalues are the
 discrete Fourier transform of the wrapped autocovariance row, and one complex
 FFT of white noise yields two independent increment blocks, so the method is
-exact in distribution at every grid size.  Every entry point takes the Hurst
-index h, the horizon and the grid's steps as plain numbers, the fields of a
-SimulationJob, and checks them; the mesh is horizon / steps.
+exact in distribution at every grid size.  `_pair_paths` alone fixes how a
+pair's generator becomes its two path rows.  Every entry point takes the
+Hurst index h, the horizon and the grid's steps as plain numbers, the
+fields of a SimulationJob, and checks them; the mesh is horizon / steps.
 """
 
 from __future__ import annotations
@@ -101,27 +102,38 @@ def circulant_spectrum(h: float, horizon: float, steps: int) -> np.ndarray:
 # samplers
 # ---------------------------------------------------------------------------
 
-def _complex_noise(rng: np.random.Generator, m: int, out: np.ndarray | None = None) -> np.ndarray:
-    """Standard complex white noise u + iv of length m from 2m normals.
+def _pair_fft(scale: np.ndarray, normals: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """FFT(scale * (u + iv)) along the last axis, with scale = sqrt(spectrum / 2N).
 
-    The real parts are drawn first, then the imaginary parts; this layout
-    is part of the reproducibility contract.  `out`, if given, receives
-    the noise and is returned.
+    `normals` is a (pairs, 2, 2N) block: u is normals[:, 0] and v is
+    normals[:, 1].  Each is multiplied by `scale` into its own part of the
+    complex (pairs, 2N) buffer `out`, which is transformed in place, row by
+    row in one call, with the same bits as one call per row, and returned.
     """
-    noise = np.empty(m, dtype=complex) if out is None else out
-    noise.real = rng.standard_normal(m)
-    noise.imag = rng.standard_normal(m)
-    return noise
+    np.multiply(scale, normals[:, 0], out=out.real)
+    np.multiply(scale, normals[:, 1], out=out.imag)
+    return fft(out, out=out)
 
 
-def _pair_fft(scale: np.ndarray, noise: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """FFT(scale * noise) along the last axis, with scale = sqrt(spectrum / 2N).
+def _pair_paths(rngs, scales: tuple[np.ndarray, ...], out: np.ndarray) -> None:
+    """Fill the (H, 2 pairs, N + 1) rows `out` with one pair per generator of `rngs`, at the H of each scale.
 
-    `noise` is one pair's 2N entries or a (pairs, 2N) block of them, and a
-    block is transformed in one call, row by row, with the same bits as one
-    call per row.  In each row of the result the first N real parts and the
-    first N imaginary parts are the increments of the pair's two paths.
-    `out`, if given, has the shape of `noise`, holds the product and then
-    the transform, and is returned.
+    `rngs` is any iterable of generators, taken one at a time, in pair
+    order.  Each pair draws its 4N normals in one call into a float block:
+    the real parts of its 2N complex normals, then the imaginary parts;
+    this layout is part of the reproducibility contract.  Then, for each H,
+    _pair_fft transforms the block into one reused buffer, and the first N
+    real parts are prefix-summed into the pair's even row and the first N
+    imaginary parts into its odd row, from column 1 on.  Column 0 is left
+    as it is.
     """
-    return fft(np.multiply(scale, noise, out=out), out=out)
+    m = len(scales[0])
+    block = np.empty((out.shape[1] // 2, 2, m))
+    for rng, normals in zip(rngs, block):
+        # the size, redundant with `out`, lets a wrapped generator count the draw
+        rng.standard_normal(normals.shape, out=normals)
+    transformed = np.empty((len(block), m), dtype=complex)
+    for scale, rows in zip(scales, out):
+        y = _pair_fft(scale, block, transformed)
+        np.add.accumulate(y.real[:, : m // 2], axis=1, out=rows[0::2, 1:])
+        np.add.accumulate(y.imag[:, : m // 2], axis=1, out=rows[1::2, 1:])

@@ -27,7 +27,7 @@ from functools import cache, lru_cache, partial
 
 import numpy as np
 
-from .fgn import _complex_noise, _is_int, _pair_fft, circulant_spectrum
+from .fgn import _is_int, _pair_paths, circulant_spectrum
 from .passage import _bridge_hit_times_batch, _grid_times, _plain_hit_index
 from .rng import GAUSSIAN_STREAM, UNIFORM_STREAM, substream
 from .sde import CHECK_COLUMNS, TAIL_PIECE, affine_euler, reduced_model
@@ -204,16 +204,16 @@ def _memory_estimate(job: SimulationJob, chunk: int, processes: int) -> int:
     An upper bound on the traced peak, with N = steps and nH H values.
     Every process holds 64 kB of small objects (a chunk's plain hit
     indices, 16 bytes per pair and H, among them), the job's spectrum
-    table (16N bytes per H), one chunk, the largest temporary of a chunk
-    step, and the 64N per pair of a _fill_paths call (its normals and its
-    transform buffer) for the pairs of one call, one pair under a feed.
+    table (16N bytes per H), one chunk, with the bridge rule the 32N of one
+    row's bridge scan, and the 64N per pair of a _fill_paths call (its
+    block of normals and its transform buffer) for the pairs of one call,
+    one pair under a feed.  A fill holds no other temporary: the normals
+    are drawn into the block and scaled into the buffer in place.
     Per pair, a chunk holds 16N of path rows per H and 2N of scan or
     finiteness mask; with the bridge rule 16N of log-uniforms, one array
     per path, and 2 kB for their headers and the generator of each draw.
     A run that _draws_ahead also holds its _PathFeed: a ring of BLOCK_PAIRS
-    slots of 16N per H, and the 64N of a one-pair call and the 16N of a
-    draw in hand on its helper thread.  The largest temporary is 32N: the
-    16N of one noise draw, the FFT's ufunc buffer or one row's bridge scan.
+    slots of 16N per H, and the 64N of a one-pair call on its helper thread.
     The Euler loop holds nothing else sized by the grid: 4 bytes per pair
     and column of a CHECK_COLUMNS batch for its check of which rows have
     reached the level, and 66 bytes per entry of its tail's
@@ -231,31 +231,17 @@ def _memory_estimate(job: SimulationJob, chunk: int, processes: int) -> int:
     ahead = _draws_ahead(job, processes)
     fill = (1 if ahead else min(_pairs_per_fill(job.steps), pc)) * 64 * n
     euler = 4 * min(CHECK_COLUMNS + 1, n) * pc + 66 * TAIL_PIECE if _brownian_level(job) is None else 0
-    feed = (BLOCK_PAIRS * 16 * nh + 64 + 16) * n if ahead else 0
-    per_process = (64 << 10) + (16 * nh + 32) * n + euler + fill + feed + pc * per_pair
+    feed = (BLOCK_PAIRS * 16 * nh + 64) * n if ahead else 0
+    per_process = (64 << 10) + (16 * nh + 32 * bridge) * n + euler + fill + feed + pc * per_pair
     per_path = sum(a.itemsize * math.prod(a.shape[2:]) for a in _empty_outputs(job, 0).values())
     results = 2 * job.samples * per_path + 1024 * math.ceil(pairs / chunk)
     return processes * per_process + nh * results
 
 
 def _fill_paths(master_seed: int, scales: tuple[np.ndarray, ...], first_pair: int, paths: np.ndarray) -> None:
-    """Fill the (H, 2 pairs, N + 1) rows `paths` with the pairs from `first_pair` on, at the H of each scale.
-
-    Draws each pair's normals once, from its Gaussian stream.  Then, for
-    each H, scales them by that H's sqrt(spectrum / 2N) into one reused
-    buffer, transforms the buffer in place in one call, and prefix-sums its
-    real parts into the even and its imaginary parts into the odd rows of
-    that H's paths, one call per part.  Column 0 is left as it is.
-    """
-    m = len(scales[0])
-    noise = np.empty((paths.shape[1] // 2, m), dtype=complex)
-    for i, row in enumerate(noise):
-        _complex_noise(substream(master_seed, GAUSSIAN_STREAM, first_pair + i), m, out=row)
-    transformed = np.empty_like(noise)
-    for scale, rows in zip(scales, paths):
-        y = _pair_fft(scale, noise, out=transformed)
-        np.add.accumulate(y.real[:, : m // 2], axis=1, out=rows[0::2, 1:])
-        np.add.accumulate(y.imag[:, : m // 2], axis=1, out=rows[1::2, 1:])
+    """Fill the (H, 2 pairs, N + 1) rows `paths` by _pair_paths with the pairs from `first_pair` on, each from its Gaussian stream."""
+    pairs = range(first_pair, first_pair + paths.shape[1] // 2)
+    _pair_paths((substream(master_seed, GAUSSIAN_STREAM, pair) for pair in pairs), scales, paths)
 
 
 class _PathFeed:

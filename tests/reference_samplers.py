@@ -1,26 +1,34 @@
 """Reference samplers for the tests, outside the package.
 
 The package makes fGn only through the runner's chunk pipeline.  These two
-stand beside it: `sample_fgn` transforms one pair's noise with the
-runner's own pieces, so tests can build a path row by row from any
-generator, and `cholesky_fbm` samples from a dense Cholesky factor of the
-increment covariance, with no FFT and no circulant embedding, as an
-independent oracle on small grids.
+stand beside it and share none of its sampling code: `sample_fgn` builds
+one pair's two increment rows by its own copy of the circulant
+construction, so tests can build a path row by row from any generator and
+compare the runner's rows with it bit for bit, and `cholesky_fbm` samples
+from a dense Cholesky factor of the increment covariance, with no FFT and
+no circulant embedding, as an independent oracle on small grids.
 """
 
 from functools import lru_cache
 
 import numpy as np
 
-from fbmpassage.fgn import _complex_noise, _pair_fft, fgn_autocovariance
+from fbmpassage.fgn import fgn_autocovariance
 
 
 def sample_fgn(spectrum: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Two independent increment rows of N = len(spectrum) / 2 steps from one complex FFT of 4N normals
     from `rng`: the first N real parts, then the first N imaginary parts, as the runner's paths 2k and
-    2k + 1 step."""
+    2k + 1 step.
+
+    The white noise u + iv takes u from the first 2N normals and v from the next 2N, and is multiplied
+    by sqrt(spectrum / 2N) as a complex array.
+    """
     m = len(spectrum)
-    y = _pair_fft(np.sqrt(spectrum / m), _complex_noise(rng, m))
+    noise = np.empty(m, dtype=complex)
+    noise.real = rng.standard_normal(m)
+    noise.imag = rng.standard_normal(m)
+    y = np.fft.fft(np.sqrt(spectrum / m) * noise)
     return np.array([y.real[: m // 2], y.imag[: m // 2]])
 
 

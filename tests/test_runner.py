@@ -46,9 +46,9 @@ Covers:
     never on import; the model's chunk halves until the run fits in memory,
     down to one pair, and the chunks tile the path pairs in order, each
     computed from the caller's job; the memory bound refuses a run before
-    allocating, counts chunks, spectra, the fill buffers, the path feed's
-    ring and draws (only for a serial run with a spare CPU) and results
-    exactly, and bounds the traced peak of eleven job shapes from above,
+    allocating, counts chunks, spectra, the bridge scan (only with the
+    bridge rule), the fill buffers, the path feed's ring and its helper's
+    fill (only for a serial run with a spare CPU) and results exactly, and bounds the traced peak of eleven job shapes from above,
     on one CPU as on two.
   - Closed-form affine reduction: registry models agree with a scalar
     per-path Euler loop on y = (x - x0) / s, and zero drift with constant
@@ -573,20 +573,22 @@ def test_a_serial_run_draws_ahead_from_the_grid_floor(monkeypatch, steps, thread
 
 
 def _slow_helper(monkeypatch, started: list, caller_draw=None) -> list:
-    """Patch _complex_noise to sleep 5 ms on the helper thread, and on any other thread
-    to call `caller_draw` first; return the list of threads that drew, one entry per pair."""
+    """Patch the runner's substream so that opening a pair's Gaussian stream sleeps 5 ms on the helper
+    thread, and on any other thread calls `caller_draw` first; return the list of threads that drew, one
+    entry per pair."""
     drawn_on = []
-    original = runner._complex_noise
+    original = runner.substream
 
-    def drawing(rng, m, out=None):
-        if threading.current_thread() in started:
-            time.sleep(0.005)
-        elif caller_draw is not None:
-            caller_draw()
-        drawn_on.append(threading.current_thread())
-        return original(rng, m, out=out)
+    def drawing(master_seed, stream, index):
+        if stream == GAUSSIAN_STREAM:
+            if threading.current_thread() in started:
+                time.sleep(0.005)
+            elif caller_draw is not None:
+                caller_draw()
+            drawn_on.append(threading.current_thread())
+        return original(master_seed, stream, index)
 
-    monkeypatch.setattr(runner, "_complex_noise", drawing)
+    monkeypatch.setattr(runner, "substream", drawing)
     return drawn_on
 
 
@@ -638,19 +640,21 @@ def test_a_raising_euler_loop_leaves_no_thread(monkeypatch):
 def test_an_error_in_the_helper_is_raised_by_the_run(monkeypatch, bad_pair):
     started = _counting_threads(monkeypatch)
     drawn_on = []
-    original = runner._complex_noise
+    original = runner.substream
     lock = threading.Lock()
 
-    def failing(rng, m, out=None):
+    def failing(master_seed, stream, index):
+        if stream != GAUSSIAN_STREAM:
+            return original(master_seed, stream, index)
         if threading.current_thread() not in started:
             time.sleep(0.005)  # a slow caller lets the helper draw, on one CPU too
         with lock:  # either thread may draw, so count and fail under one lock
             if threading.current_thread() in started and len(drawn_on) >= bad_pair:
                 raise RuntimeError(f"no noise after {bad_pair} pairs")
             drawn_on.append(threading.get_ident())
-        return original(rng, m, out=out)
+        return original(master_seed, stream, index)
 
-    monkeypatch.setattr(runner, "_complex_noise", failing)
+    monkeypatch.setattr(runner, "substream", failing)
     _feed_from(monkeypatch, 256)
     _cpus(monkeypatch, 2)
     before = threading.active_count()
@@ -875,7 +879,7 @@ def test_memory_estimate_counts_blocks_spectra_and_results(monkeypatch):
     n = 2**10 + 1
     small = 64 << 10  # small objects, per process
     pure = _job(steps=2**10, samples=300, rules=RULES, hurst=(0.5, 0.6))
-    # two 16N spectra and a 32N temporary; below 2^15 steps an inline
+    # two 16N spectra and a 32N bridge scan; below 2^15 steps an inline
     # fill takes 4 pairs, 64N each of normals and transform buffer; 4-pair
     # chunks of 50N per pair (16N of path rows per H) and two 1 kB
     # generators per pair; two H rows of two columns over 300 paths, held
@@ -893,31 +897,31 @@ def test_memory_estimate_counts_blocks_spectra_and_results(monkeypatch):
     euler = 4 * 129 * 128 + 66 * 256
     drifted = _job(steps=2**10, samples=300, drift="ou:1")
     assert runner._memory_estimate(drifted, 128, 2) == (
-        2 * (small + 16 * n + 32 * n + 4 * 64 * n + euler + 128 * 18 * n) + 2 * 8 * 300 + 1024 * 2
+        2 * (small + 16 * n + 4 * 64 * n + euler + 128 * 18 * n) + 2 * 8 * 300 + 1024 * 2
     )
     drifted_multi = _job(steps=2**10, samples=300, drift="ou:1", hurst=(0.5, 0.6))
     assert runner._memory_estimate(drifted_multi, 128, 2) == (
-        2 * (small + 16 * n * 2 + 32 * n + 4 * 64 * n + euler + 128 * 34 * n) + 2 * (2 * 8 * 300 + 1024 * 2)
+        2 * (small + 16 * n * 2 + 4 * 64 * n + euler + 128 * 34 * n) + 2 * (2 * 8 * 300 + 1024 * 2)
     )
     # a one-pair chunk fills one pair
     tiny = _job(steps=2**10, samples=2)
-    assert runner._memory_estimate(tiny, 1, 1) == small + 16 * n + 32 * n + 64 * n + 18 * n + 2 * 8 * 2 + 1024
+    assert runner._memory_estimate(tiny, 1, 1) == small + 16 * n + 64 * n + 18 * n + 2 * 8 * 2 + 1024
     # window extremes: argmax scans row slices in place, two columns per window
     extremes = _job(steps=2**10, samples=300, rules=(), extreme_indices=(10, 1024))
     assert runner._memory_estimate(extremes, 4, 1) == (
-        small + 16 * n + 32 * n + 4 * 64 * n + 4 * 18 * n + 2 * 8 * 300 * 4 + 1024 * 38
+        small + 16 * n + 4 * 64 * n + 4 * 18 * n + 2 * 8 * 300 * 4 + 1024 * 38
     )
     assert runner._memory_estimate(_job(), 4, 1) < runner._physical_memory()
     # at the floor a serial run of one H or several on two CPUs fills one
     # pair at a time, and adds the feed's ring of 4 pairs of 16N per H, and
-    # a one-pair fill (64N) and a 16N draw on its helper thread
+    # a one-pair fill (64N) on its helper thread
     _feed_from(monkeypatch, 2**10)
     _cpus(monkeypatch, 2)
     assert runner._memory_estimate(pure, 4, 1) == (
-        small + 16 * n * 2 + 32 * n + 64 * n + (4 * 32 + 80) * n + 4 * (50 * n + 2048) + 2 * (2 * 8 * 300 * 2 + 1024 * 38)
+        small + 16 * n * 2 + 32 * n + 64 * n + (4 * 32 + 64) * n + 4 * (50 * n + 2048) + 2 * (2 * 8 * 300 * 2 + 1024 * 38)
     )
     assert runner._memory_estimate(single, 4, 1) == (
-        small + 16 * n + 32 * n + 64 * n + (4 * 16 + 80) * n + 4 * (34 * n + 2048) + 2 * 8 * 300 * 2 + 1024 * 38
+        small + 16 * n + 32 * n + 64 * n + (4 * 16 + 64) * n + 4 * (34 * n + 2048) + 2 * 8 * 300 * 2 + 1024 * 38
     )
     # on two processes no feed runs
     assert runner._memory_estimate(pure, 4, 2) == (
@@ -930,7 +934,7 @@ def test_memory_estimate_counts_blocks_spectra_and_results(monkeypatch):
     )
     # from 2^15 steps an inline fill takes one pair
     big, m = _job(steps=2**15, samples=16), 2**15 + 1
-    assert runner._memory_estimate(big, 4, 1) == small + 16 * m + 32 * m + 64 * m + 4 * 18 * m + 2 * 8 * 16 + 1024 * 2
+    assert runner._memory_estimate(big, 4, 1) == small + 16 * m + 64 * m + 4 * 18 * m + 2 * 8 * 16 + 1024 * 2
 
 
 @pytest.mark.parametrize(

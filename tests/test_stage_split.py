@@ -32,7 +32,7 @@ from fbmpassage import cli, runner
 
 ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "stage_split.py"
-EVERY_WORKLOAD = {"fgn._complex_noise", "fgn._pair_fft", "runner._chunk_compute"}
+EVERY_WORKLOAD = {"fgn._pair_paths", "fgn._pair_fft", "runner._chunk_compute"}
 REACHED = {
     "sim-multiH-bridge": {"passage._bridge_hit_times_batch", "passage._plain_hit_index"},
     "sim-ou-plain": {"sde.affine_euler"},
@@ -111,9 +111,9 @@ def test_a_multi_h_run_books_its_noise_helper_apart(tmp_path, monkeypatch, cpus)
         wall, seconds = tool.timed_main(tool.workload_argv(workload, 5, tmp_path / name, 256, 100))
         helper = {label for label in seconds if label.endswith(tool.HELPER)}
         if cpus == 1:
-            assert not helper and "fgn._complex_noise" in seconds, name
+            assert not helper and "fgn._pair_paths" in seconds, name
         else:  # the caller draws too while it would wait
-            assert {"fgn._complex_noise [helper]", "rng.substream [helper]"} <= helper, name
+            assert {"fgn._pair_paths [helper]", "rng.substream [helper]"} <= helper, name
             if name == "sim-multiH-bridge":  # the helper transforms the pairs it draws, at every H
                 assert {"fgn._pair_fft [helper]", "runner._fill_paths [helper]"} <= helper, name
         assert 0.0 < tool.main_thread_seconds(seconds) <= wall

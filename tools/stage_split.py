@@ -11,14 +11,15 @@ an `fbmpassage` module is wrapped with `time.perf_counter` at each module
 attribute that refers to it, and labelled `module.name`, for example
 `fgn._pair_fft`.  Each call is booked its self time: a stack of open calls
 per thread takes the time of the calls one encloses out of its own.  Calls
-made on another thread than the CLI call's, such as the runner's noise
-helper, are booked apart under "module.name [helper]".  The main thread's
-functions add up to at most the CLI call's wall time, and "rest" is its
-time outside any package function.  The report lists each reached
-function's seconds and share of the CLI call, largest first.  `--src`
-imports `fbmpassage` from another source tree (say, a base revision
-exported with `git archive`), so two revisions can be split with one
-timer; the tree's CLI must take the workload flags.
+made on another thread than the CLI call's, such as the runner's path
+helper (its draws and transforms in `fgn._pair_paths` and
+`fgn._pair_fft`), are booked apart under "module.name [helper]".  The
+main thread's functions add up to at most the CLI call's wall time, and
+"rest" is its time outside any package function.  The report lists each
+reached function's seconds and share of the CLI call, largest first.
+`--src` imports `fbmpassage` from another source tree (say, a base
+revision exported with `git archive`), so two revisions can be split with
+one timer; the tree's CLI must take the workload flags.
 """
 
 from __future__ import annotations
