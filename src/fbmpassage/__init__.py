@@ -9,51 +9,58 @@ reference curves for comparison.  run_simulation returns those arrays as
 one mapping, hit times keyed by rule name, each indexed [H, path].  Every
 layer takes the Hurst index, the horizon and the grid steps as plain
 numbers, the fields of a SimulationJob.
+
+`import fbmpassage` loads no submodule, and so no numpy: each exported
+name imports its module on first use (PEP 562).  The package leaves BLAS
+threading to the program that imports it; the command line caps it in
+its own process (see `cli`).
 """
 
-from .analysis import RegressionFit, linear_fit, rate_exponent
-from .estimate import (
-    NoHitsError,
-    density_from_times,
-    gap_estimate,
-    laplace_from_times,
-    truncated_argmax_moments,
-)
-from .fgn import EmbeddingError, circulant_spectrum, fgn_autocovariance
-from .rng import GAUSSIAN_STREAM, UNIFORM_STREAM, substream
-from .runner import RULES, MemoryBudgetError, SimulationJob, run_simulation
-from .sde import PropagationError
-from .theory import laplace_bm
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
+# each exported name, by the submodule that defines it
+_EXPORTS = {
     # sampling
-    "EmbeddingError",
-    "fgn_autocovariance",
-    "circulant_spectrum",
+    "EmbeddingError": "fgn",
+    "fgn_autocovariance": "fgn",
+    "circulant_spectrum": "fgn",
     # rng
-    "substream",
-    "GAUSSIAN_STREAM",
-    "UNIFORM_STREAM",
+    "substream": "rng",
+    "GAUSSIAN_STREAM": "rng",
+    "UNIFORM_STREAM": "rng",
     # model reduction
-    "PropagationError",
+    "PropagationError": "sde",
     # driver
-    "SimulationJob",
-    "RULES",
-    "MemoryBudgetError",
-    "run_simulation",
+    "SimulationJob": "runner",
+    "RULES": "runner",
+    "MemoryBudgetError": "runner",
+    "run_simulation": "runner",
     # estimation
-    "NoHitsError",
-    "laplace_from_times",
-    "gap_estimate",
-    "density_from_times",
-    "truncated_argmax_moments",
+    "NoHitsError": "estimate",
+    "laplace_from_times": "estimate",
+    "gap_estimate": "estimate",
+    "density_from_times": "estimate",
+    "truncated_argmax_moments": "estimate",
     # closed forms
-    "laplace_bm",
+    "laplace_bm": "theory",
     # analysis
-    "RegressionFit",
-    "linear_fit",
-    "rate_exponent",
-]
+    "RegressionFit": "analysis",
+    "linear_fit": "analysis",
+    "rate_exponent": "analysis",
+}
+
+__all__ = ["__version__", *_EXPORTS]
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS})

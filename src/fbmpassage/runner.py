@@ -167,15 +167,18 @@ def _brownian_level(job: SimulationJob) -> float | None:
 
 
 def _model_chunk_pairs(job: SimulationJob) -> int:
-    """The model's pairs per chunk: BLOCK_PAIRS without the Euler loop, and with it DEFAULT_CHUNK_PAIRS, cut from 3 H on.
+    """The model's pairs per chunk: BLOCK_PAIRS without the Euler loop, cut from 6 H on, and with it DEFAULT_CHUNK_PAIRS, cut from 3 H on.
 
-    A chunk holds 16N of path rows per pair and H.  The cut keeps those
-    rows, with the _PathFeed's ring of BLOCK_PAIRS pairs, within 48N per
-    pair of a DEFAULT_CHUNK_PAIRS chunk.
+    A chunk holds 16N of path rows per pair and H.  Without the Euler loop
+    the cut keeps a chunk's rows within the 320N of a BLOCK_PAIRS chunk at
+    5 H, down to one pair from 11 H on.  With it, the cut keeps them, with
+    the _PathFeed's ring of BLOCK_PAIRS pairs, within 48N per pair of a
+    DEFAULT_CHUNK_PAIRS chunk.
     """
+    nh = len(job.hurst)
     if _brownian_level(job) is not None:
-        return BLOCK_PAIRS
-    return max(1, min(DEFAULT_CHUNK_PAIRS, 3 * DEFAULT_CHUNK_PAIRS // len(job.hurst) - BLOCK_PAIRS))
+        return max(1, min(BLOCK_PAIRS, 5 * BLOCK_PAIRS // nh))
+    return max(1, min(DEFAULT_CHUNK_PAIRS, 3 * DEFAULT_CHUNK_PAIRS // nh - BLOCK_PAIRS))
 
 
 def _pairs_per_fill(steps: int) -> int:
@@ -219,7 +222,7 @@ def _memory_estimate(job: SimulationJob, chunk: int, processes: int) -> int:
     reached the level, and 66 bytes per entry of its tail's
     TAIL_PIECE-column pieces of Python floats (65.1 B by `tracemalloc`).
     The calling process holds every array of `_empty_outputs` twice while
-    it merges the chunks, and 1 kB of array headers per chunk and H.
+    it merges the chunks, and 1 kB of array headers per chunk.
     Raises ValueError for an unknown model.
     """
     pairs = (job.samples + 1) // 2
@@ -234,8 +237,8 @@ def _memory_estimate(job: SimulationJob, chunk: int, processes: int) -> int:
     feed = (BLOCK_PAIRS * 16 * nh + 64) * n if ahead else 0
     per_process = (64 << 10) + (16 * nh + 32 * bridge) * n + euler + fill + feed + pc * per_pair
     per_path = sum(a.itemsize * math.prod(a.shape[2:]) for a in _empty_outputs(job, 0).values())
-    results = 2 * job.samples * per_path + 1024 * math.ceil(pairs / chunk)
-    return processes * per_process + nh * results
+    results = 2 * nh * job.samples * per_path + 1024 * math.ceil(pairs / chunk)
+    return processes * per_process + results
 
 
 def _fill_paths(master_seed: int, scales: tuple[np.ndarray, ...], first_pair: int, paths: np.ndarray) -> None:

@@ -3,8 +3,8 @@
 Covers config parsing and precedence, validation, exit codes, output file
 schemas, the run manifest, worker-count independence of the written files,
 warnings on model runs and their once-per-run `warning:` lines on stderr,
-the modules a CLI import loads, and the statistical checks pinned to CLI
-output at its default desk scale.
+the modules a CLI import loads and its cap on BLAS threads, and the
+statistical checks pinned to CLI output at its default desk scale.
 """
 
 import contextlib
@@ -868,6 +868,41 @@ def test_cli_import_loads_no_heavy_scipy_module():
     loaded = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     submodules = {m.split(".")[1] for m in loaded.stdout.split() if "." in m}
     assert submodules & {"stats", "integrate", "interpolate", "linalg"} == set()
+
+
+def _fresh_import(module: str, blas_threads: str | None) -> dict:
+    """In a fresh interpreter whose OPENBLAS_NUM_THREADS is `blas_threads` (None: unset),
+    import `module` and report that variable, whether numpy loaded and the thread count."""
+    src = str(Path(fbmpassage.__file__).resolve().parents[1])
+    # built key by key: importing fbmpassage.cli in this process has set the variable here
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
+    code = (
+        f"import json, os, sys, {module}; tasks = '/proc/self/task'; print(json.dumps({{"
+        "'blas': os.environ.get('OPENBLAS_NUM_THREADS'), 'numpy': 'numpy' in sys.modules,"
+        "'threads': len(os.listdir(tasks)) if os.path.isdir(tasks) else None}))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    return json.loads(out.stdout)
+
+
+def test_cli_import_loads_blas_with_one_thread():
+    """The command line loads OpenBLAS with no worker thread, which would spin through the import."""
+    got = _fresh_import("fbmpassage.cli", None)
+    assert got["blas"] == "1" and got["numpy"]
+    if got["threads"] is not None:
+        assert got["threads"] == 1
+
+
+def test_cli_import_keeps_a_blas_thread_count_the_user_set():
+    assert _fresh_import("fbmpassage.cli", "2")["blas"] == "2"
+
+
+def test_package_import_loads_no_numpy_and_leaves_blas_threads_alone():
+    got = _fresh_import("fbmpassage", None)
+    assert got["blas"] is None and not got["numpy"]
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,8 @@
 
 Covers:
   - Bit-identical results across worker counts and chunk sizes, the
-    model's default chunk size included: 4 pairs with no Euler loop, 128
-    with one, cut from 3 H on.
+    model's default chunk size included: 4 pairs with no Euler loop, cut
+    from 6 H on, and 128 with one, cut from 3 H on.
   - Seed separation: different seeds decorrelate, same seed reproduces.
   - Shift invariance of the pure zero-drift case: moving the start is the
     same as moving the threshold.
@@ -48,8 +48,9 @@ Covers:
     computed from the caller's job; the memory bound refuses a run before
     allocating, counts chunks, spectra, the bridge scan (only with the
     bridge rule), the fill buffers, the path feed's ring and its helper's
-    fill (only for a serial run with a spare CPU) and results exactly, and bounds the traced peak of eleven job shapes from above,
-    on one CPU as on two.
+    fill (only for a serial run with a spare CPU) and results exactly, 17 H
+    in one-pair chunks included, and bounds the traced peak of twelve job
+    shapes from above, on one CPU as on two.
   - Closed-form affine reduction: registry models agree with a scalar
     per-path Euler loop on y = (x - x0) / s, and zero drift with constant
     diffusion is scaled fBm with no Euler loop at all.  OU marginals match
@@ -128,6 +129,7 @@ def test_a_one_cpu_affinity_mask_starts_no_pool(monkeypatch, pin_chunk):
 def test_chunk_size_is_observationally_irrelevant(pin_chunk):
     outputs = dict(rules=RULES, marginal_indices=(17, 256), extreme_indices=(64, 256))
     jobs = [_job(drift=drift, **outputs) for drift in ("zero", "ou:1")]
+    jobs.append(_job(hurst=tuple(0.5 + 0.05 * i for i in range(7)), **outputs))  # past 5 H, 2-pair chunks
     defaults = [run_simulation(job) for job in jobs]  # the model's chunk
     for pairs in (1, 3, 7, 128):
         pin_chunk(pairs)
@@ -150,6 +152,13 @@ def test_chunk_size_is_observationally_irrelevant(pin_chunk):
         (("ou:1", "one", 3), 124),
         (("ou:1", "one", 5), 72),
         (("ou:1", "one", 200), 1),
+        # a zero-drift chunk is cut from 6 H on to 5 * 4 // H pairs, at
+        # least one, so its path rows stay those of a 4-pair chunk at 5 H
+        (("zero", "const:2", 6), 3),
+        (("zero", "one", 10), 2),
+        (("zero", "one", 11), 1),
+        (("zero", "one", 17), 1),
+        (("zero", "one", 40), 1),
     ],
 )
 def test_default_chunk_pairs_follow_the_model(model, pairs):
@@ -883,9 +892,9 @@ def test_memory_estimate_counts_blocks_spectra_and_results(monkeypatch):
     # fill takes 4 pairs, 64N each of normals and transform buffer; 4-pair
     # chunks of 50N per pair (16N of path rows per H) and two 1 kB
     # generators per pair; two H rows of two columns over 300 paths, held
-    # twice, and 1 kB of array headers per chunk (38 chunks) and H
+    # twice, and 1 kB of array headers per chunk (38 chunks)
     assert runner._memory_estimate(pure, 4, 1) == (
-        small + 16 * n * 2 + 32 * n + 4 * 64 * n + 4 * (50 * n + 2048) + 2 * (2 * 8 * 300 * 2 + 1024 * 38)
+        small + 16 * n * 2 + 32 * n + 4 * 64 * n + 4 * (50 * n + 2048) + 2 * 2 * 8 * 300 * 2 + 1024 * 38
     )
     single = _job(steps=2**10, samples=300, rules=RULES)
     assert runner._memory_estimate(single, 4, 1) == (
@@ -901,7 +910,7 @@ def test_memory_estimate_counts_blocks_spectra_and_results(monkeypatch):
     )
     drifted_multi = _job(steps=2**10, samples=300, drift="ou:1", hurst=(0.5, 0.6))
     assert runner._memory_estimate(drifted_multi, 128, 2) == (
-        2 * (small + 16 * n * 2 + 4 * 64 * n + euler + 128 * 34 * n) + 2 * (2 * 8 * 300 + 1024 * 2)
+        2 * (small + 16 * n * 2 + 4 * 64 * n + euler + 128 * 34 * n) + 2 * 2 * 8 * 300 + 1024 * 2
     )
     # a one-pair chunk fills one pair
     tiny = _job(steps=2**10, samples=2)
@@ -918,19 +927,25 @@ def test_memory_estimate_counts_blocks_spectra_and_results(monkeypatch):
     _feed_from(monkeypatch, 2**10)
     _cpus(monkeypatch, 2)
     assert runner._memory_estimate(pure, 4, 1) == (
-        small + 16 * n * 2 + 32 * n + 64 * n + (4 * 32 + 64) * n + 4 * (50 * n + 2048) + 2 * (2 * 8 * 300 * 2 + 1024 * 38)
+        small + 16 * n * 2 + 32 * n + 64 * n + (4 * 32 + 64) * n + 4 * (50 * n + 2048) + 2 * 2 * 8 * 300 * 2 + 1024 * 38
     )
     assert runner._memory_estimate(single, 4, 1) == (
         small + 16 * n + 32 * n + 64 * n + (4 * 16 + 64) * n + 4 * (34 * n + 2048) + 2 * 8 * 300 * 2 + 1024 * 38
     )
     # on two processes no feed runs
     assert runner._memory_estimate(pure, 4, 2) == (
-        2 * (small + 16 * n * 2 + 32 * n + 4 * 64 * n + 4 * (50 * n + 2048)) + 2 * (2 * 8 * 300 * 2 + 1024 * 38)
+        2 * (small + 16 * n * 2 + 32 * n + 4 * 64 * n + 4 * (50 * n + 2048)) + 2 * 2 * 8 * 300 * 2 + 1024 * 38
     )
     # nor on one CPU, where a serial run fills inline
     _cpus(monkeypatch, 1)
     assert runner._memory_estimate(pure, 4, 1) == (
-        small + 16 * n * 2 + 32 * n + 4 * 64 * n + 4 * (50 * n + 2048) + 2 * (2 * 8 * 300 * 2 + 1024 * 38)
+        small + 16 * n * 2 + 32 * n + 4 * 64 * n + 4 * (50 * n + 2048) + 2 * 2 * 8 * 300 * 2 + 1024 * 38
+    )
+    # seventeen H values start from one-pair chunks, filled one pair at a
+    # time: seventeen spectra, one pair of path rows at every H, and 150 chunks
+    many = _job(steps=2**10, samples=300, rules=RULES, hurst=tuple(0.5 + 0.01 * i for i in range(17)))
+    assert runner._memory_estimate(many, runner._model_chunk_pairs(many), 1) == (
+        small + 16 * n * 17 + 32 * n + 64 * n + (16 * 17 + 18) * n + 2048 + 17 * 2 * 8 * 300 * 2 + 1024 * 150
     )
     # from 2^15 steps an inline fill takes one pair
     big, m = _job(steps=2**15, samples=16), 2**15 + 1
@@ -953,6 +968,8 @@ def test_memory_estimate_counts_blocks_spectra_and_results(monkeypatch):
         # five H values: path rows of every H, a 72-pair drifted chunk, and the feed's ring
         {"drift": "ou:1", "hurst": (0.5, 0.52, 0.55, 0.6, 0.75)},
         {"hurst": (0.5, 0.52, 0.55, 0.6, 0.75), "rules": RULES},
+        # seventeen: a one-pair zero-drift chunk
+        {"hurst": tuple(0.5 + 0.025 * i for i in range(17)), "rules": RULES},
     ],
 )
 def test_memory_estimate_bounds_the_traced_peak(pin_chunk, shape):

@@ -13,7 +13,7 @@ Covers:
     one, on two CPUs, books noise draws there, and with several H values
     the FFT too, and on one CPU it has no helper rows.
   - The command line at a tiny grid, in a fresh process, on all three
-    workloads; every file under perfbench/ is unchanged by it.
+    workloads; every file git tracks under perfbench/ is unchanged by it.
 """
 
 import hashlib
@@ -121,17 +121,27 @@ def test_a_multi_h_run_books_its_noise_helper_apart(tmp_path, monkeypatch, cpus)
         assert rest[0] == "rest" and float(rest[1]) >= -0.0005
 
 
-def _digests(tree: Path) -> dict[str, str]:
-    return {str(p.relative_to(tree)): hashlib.sha256(p.read_bytes()).hexdigest() for p in tree.rglob("*") if p.is_file()}
+def _tracked_digests(tree: Path) -> dict[str, str]:
+    """Digests of the files git tracks under `tree`, so not the scratch files a benchmark run writes there.
+
+    Where git lists none (an exported tree), every file counts but those
+    under the git-ignored .scratch/ and __pycache__/.
+    """
+    listed = subprocess.run(["git", "ls-files", "-z", "--", "."], cwd=tree, capture_output=True).stdout
+    files = [tree / name for name in listed.decode().split("\0") if name]
+    if not files:
+        ignored = {".scratch", "__pycache__"}
+        files = [p for p in tree.rglob("*") if p.is_file() and not ignored & set(p.relative_to(tree).parts)]
+    return {str(p.relative_to(tree)): hashlib.sha256(p.read_bytes()).hexdigest() for p in files}
 
 
 def test_command_line_at_a_tiny_grid():
     src = Path(cli.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
     argv = [sys.executable, str(TOOL), "--src", str(src), "--steps", "256", "--samples", "100"]
-    before = _digests(ROOT / "perfbench")
+    before = _tracked_digests(ROOT / "perfbench")
     out = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     heads = [line.split(":")[0] for line in out.stdout.splitlines() if not line.startswith(" ")]
     assert heads == ["sim-multiH-bridge", "sim-ou-plain", "conjecture-large-pool"]
-    assert _digests(ROOT / "perfbench") == before
+    assert _tracked_digests(ROOT / "perfbench") == before

@@ -139,6 +139,11 @@ def main(argv=None) -> int:
                 # when set, every run compiles src/ afresh (~20 ms of setup_s), so
                 # setup_s compares only between reports that agree on it
                 "PYTHONDONTWRITEBYTECODE": bool(os.environ.get("PYTHONDONTWRITEBYTECODE")),
+                # as set in this shell, so in every run (None: unset).  A base side run
+                # with either one preset has no spinning BLAS worker, so its cpu_s
+                # compares only with reports that agree on these settings
+                "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+                "OMP_NUM_THREADS": os.environ.get("OMP_NUM_THREADS"),
             },
             "command": "perfbench/run.py",
             "traced": {side: {} for side in trees},
