@@ -641,6 +641,7 @@ def _add_common_options(parser: argparse.ArgumentParser) -> None:
         type=int,
         default=1,
         help="process count, at least 1 and capped at the work to share and the CPUs this process may run on; "
+        "a serial run with a spare CPU and at least 2^12 steps also fills paths on one helper thread; "
         "results do not depend on it",
     )
     parser.add_argument(

@@ -39,12 +39,15 @@ DEFAULT_CHUNK_PAIRS = 128
 RULES = ("simple", "bridge")
 
 # The default pairs per chunk with no Euler loop, the depth of a
-# _PathFeed's ring, and the pairs per _fill_paths call of an inline chunk
-# (see _pairs_per_fill).  A chunk with no Euler loop is filled at every H and
-# then scanned for each H in turn, so its buffers stay small enough to be
-# reused from cache.  Drifted models default to DEFAULT_CHUNK_PAIRS: their
-# Euler step is a Python loop over grid steps, vectorised across rows, and
-# costs less per row on more rows.
+# _PathFeed's ring, and the pairs per _fill_paths call of an inline chunk.
+# A chunk with no Euler loop is filled at every H and then scanned for each
+# H in turn, so its buffers stay small enough to be reused from cache.
+# Drifted models default to DEFAULT_CHUNK_PAIRS: their Euler step is a
+# Python loop over grid steps, vectorised across rows, and costs less per
+# row on more rows.  On one CPU, medians of paired trials, a 4-pair fill
+# took 7% and 15% less time than four one-pair fills at 2^15 steps with
+# 1 and 3 H, 5% and 2% less at 2^16, and 0.5% more and 14% less at 2^17;
+# it holds 192 (N + 1) bytes more.
 BLOCK_PAIRS = 4
 # Grid steps from which a run may fill its paths through a _PathFeed (see
 # _draws_ahead).  Below them a pair's draw is mostly Python (its `substream` alone takes
@@ -181,16 +184,6 @@ def _model_chunk_pairs(job: SimulationJob) -> int:
     return max(1, min(DEFAULT_CHUNK_PAIRS, 3 * DEFAULT_CHUNK_PAIRS // nh - BLOCK_PAIRS))
 
 
-def _pairs_per_fill(steps: int) -> int:
-    """Pairs an inline chunk hands to each _fill_paths call: BLOCK_PAIRS below 2^15 steps, one from there on.
-
-    On one CPU at 2^22 path steps, one-pair calls took 0.96-1.01x the time
-    of 4-pair calls at 2^15 and 2^16 steps and 1.00-1.18x at 2^12 to 2^14,
-    and a 4-pair call at 2^16 raised a run's peak RSS by 18 MB.
-    """
-    return BLOCK_PAIRS if steps < 2**15 else 1
-
-
 def _usable_cpus() -> int:
     """CPUs this process may run on; an affinity mask (taskset, a cpuset) may allow fewer than the machine has."""
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
@@ -209,9 +202,10 @@ def _memory_estimate(job: SimulationJob, chunk: int, processes: int) -> int:
     indices, 16 bytes per pair and H, among them), the job's spectrum
     table (16N bytes per H), one chunk, with the bridge rule the 32N of one
     row's bridge scan, and the 64N per pair of a _fill_paths call (its
-    block of normals and its transform buffer) for the pairs of one call,
-    one pair under a feed.  A fill holds no other temporary: the normals
-    are drawn into the block and scaled into the buffer in place.
+    block of normals and its transform buffer) for the BLOCK_PAIRS pairs
+    of an inline call (fewer in a smaller chunk), one pair under a feed.
+    A fill holds no other temporary: the normals are drawn into the block
+    and scaled into the buffer in place.
     Per pair, a chunk holds 16N of path rows per H and 2N of scan or
     finiteness mask; with the bridge rule 16N of log-uniforms, one array
     per path, and 2 kB for their headers and the generator of each draw.
@@ -232,7 +226,7 @@ def _memory_estimate(job: SimulationJob, chunk: int, processes: int) -> int:
     bridge = "bridge" in job.rules
     per_pair = (16 * nh + 2 + 16 * bridge) * n + 2048 * bridge
     ahead = _draws_ahead(job, processes)
-    fill = (1 if ahead else min(_pairs_per_fill(job.steps), pc)) * 64 * n
+    fill = (1 if ahead else min(BLOCK_PAIRS, pc)) * 64 * n
     euler = 4 * min(CHECK_COLUMNS + 1, n) * pc + 66 * TAIL_PIECE if _brownian_level(job) is None else 0
     feed = (BLOCK_PAIRS * 16 * nh + 64) * n if ahead else 0
     per_process = (64 << 10) + (16 * nh + 32 * bridge) * n + euler + fill + feed + pc * per_pair
@@ -313,7 +307,7 @@ def _chunk_compute(job: SimulationJob, first_pair: int, pairs: int, take=None) -
     one unit, and opens each path's uniform stream once.  It first fills
     its rows of every H, (H, 2 pairs, N + 1), by _fill_paths: one pair at a
     time through `take(pair, out)` (a _PathFeed's take) when given, else
-    inline, _pairs_per_fill pairs per call.  Then, for each H, it runs the
+    inline, BLOCK_PAIRS pairs per call.  Then, for each H, it runs the
     Euler step on that H's valid rows unless _brownian_level gives a level,
     and the plain scan.  The Euler step takes each row only through the
     later of its plain hit and the last column that a marginal or extreme
@@ -339,7 +333,7 @@ def _chunk_compute(job: SimulationJob, first_pair: int, pairs: int, take=None) -
     bridge = "bridge" in job.rules
     values = np.empty((len(job.hurst), 2 * pairs, steps + 1))
     values[:, :, 0] = 0.0
-    group = 1 if take else _pairs_per_fill(steps)
+    group = 1 if take else BLOCK_PAIRS
     take = take or partial(_fill_paths, job.master_seed, _noise_scales(tuple(job.hurst), job.horizon, steps))
     for p in range(0, pairs, group):
         take(first_pair + p, values[:, 2 * p : 2 * min(p + group, pairs)])

@@ -22,7 +22,9 @@ Covers:
   - Chunk assembly: every path, pure or through the Euler loop, equals the
     prefix sum of its row from the tests' pair helper (`sample_fgn`) bit
     for bit, for one and several H, partial last chunks and FFT groups
-    and a half-used last pair.
+    and a half-used last pair.  On one CPU an inline chunk hands
+    BLOCK_PAIRS pairs to each fill call at 2^15 steps too, and equals a
+    pooled run bit for bit.
   - Drawing ahead: a serial run of one H or several on two CPUs, at the
     grid floor of the path feed (lowered by the tests), starts exactly
     one executor thread and returns every output `==` to the one-CPU run
@@ -49,8 +51,8 @@ Covers:
     allocating, counts chunks, spectra, the bridge scan (only with the
     bridge rule), the fill buffers, the path feed's ring and its helper's
     fill (only for a serial run with a spare CPU) and results exactly, 17 H
-    in one-pair chunks included, and bounds the traced peak of twelve job
-    shapes from above, on one CPU as on two.
+    in one-pair chunks included, and bounds the traced peak of thirteen
+    job shapes from above, on one CPU as on two.
   - Closed-form affine reduction: registry models agree with a scalar
     per-path Euler loop on y = (x - x0) / s, and zero drift with constant
     diffusion is scaled fBm with no Euler loop at all.  OU marginals match
@@ -481,6 +483,25 @@ def test_block_paths_equal_summed_sample_fgn_rows(pin_chunk, chunk_pairs, hursts
         assert (got == job.x0 + s * paths[:11]).all(), h
 
 
+def test_an_inline_chunk_fills_block_pairs_per_call_on_a_large_grid(monkeypatch):
+    job = _job(hurst=(0.5, 0.6), steps=2**15, samples=16, rules=RULES, extreme_indices=(2**14, 2**15))
+    filled = []
+    original = runner._pair_paths
+
+    def recording(rngs, scales, out):
+        filled.append(out.shape[1] // 2)
+        original(rngs, scales, out)
+
+    monkeypatch.setattr(runner, "_pair_paths", recording)
+    _cpus(monkeypatch, 1)
+    inline = run_simulation(job)
+    assert filled == [runner.BLOCK_PAIRS] * (8 // runner.BLOCK_PAIRS)
+    _cpus(monkeypatch, 2)
+    pooled = run_simulation(job, workers=2)
+    assert pooled.keys() == inline.keys()
+    assert all(np.array_equal(pooled[key], inline[key]) for key in inline)
+
+
 # ---------------------------------------------------------------------------
 # drawing ahead on a helper thread
 # ---------------------------------------------------------------------------
@@ -888,8 +909,8 @@ def test_memory_estimate_counts_blocks_spectra_and_results(monkeypatch):
     n = 2**10 + 1
     small = 64 << 10  # small objects, per process
     pure = _job(steps=2**10, samples=300, rules=RULES, hurst=(0.5, 0.6))
-    # two 16N spectra and a 32N bridge scan; below 2^15 steps an inline
-    # fill takes 4 pairs, 64N each of normals and transform buffer; 4-pair
+    # two 16N spectra and a 32N bridge scan; an inline fill takes 4 pairs,
+    # 64N each of normals and transform buffer, at every grid; 4-pair
     # chunks of 50N per pair (16N of path rows per H) and two 1 kB
     # generators per pair; two H rows of two columns over 300 paths, held
     # twice, and 1 kB of array headers per chunk (38 chunks)
@@ -947,9 +968,9 @@ def test_memory_estimate_counts_blocks_spectra_and_results(monkeypatch):
     assert runner._memory_estimate(many, runner._model_chunk_pairs(many), 1) == (
         small + 16 * n * 17 + 32 * n + 64 * n + (16 * 17 + 18) * n + 2048 + 17 * 2 * 8 * 300 * 2 + 1024 * 150
     )
-    # from 2^15 steps an inline fill takes one pair
+    # from 2^15 steps too an inline fill takes 4 pairs
     big, m = _job(steps=2**15, samples=16), 2**15 + 1
-    assert runner._memory_estimate(big, 4, 1) == small + 16 * m + 64 * m + 4 * 18 * m + 2 * 8 * 16 + 1024 * 2
+    assert runner._memory_estimate(big, 4, 1) == small + 16 * m + 4 * 64 * m + 4 * 18 * m + 2 * 8 * 16 + 1024 * 2
 
 
 @pytest.mark.parametrize(
@@ -970,6 +991,8 @@ def test_memory_estimate_counts_blocks_spectra_and_results(monkeypatch):
         {"hurst": (0.5, 0.52, 0.55, 0.6, 0.75), "rules": RULES},
         # seventeen: a one-pair zero-drift chunk
         {"hurst": tuple(0.5 + 0.025 * i for i in range(17)), "rules": RULES},
+        # both rules in 7-pair chunks, where no path hits, so every path draws N log-uniforms
+        {"samples": 301, "chunk_pairs": 7, "rules": RULES, "threshold": 1e6},
     ],
 )
 def test_memory_estimate_bounds_the_traced_peak(pin_chunk, shape):

@@ -17,6 +17,9 @@ helper (its draws and transforms in `fgn._pair_paths` and
 main thread's functions add up to at most the CLI call's wall time, and
 "rest" is its time outside any package function.  The report lists each
 reached function's seconds and share of the CLI call, largest first.
+A serial run with a spare CPU fills its paths through the runner's path
+feed, one pair per fill, so the inline chunk's 4-pair fills that pool
+workers run are timed by running this tool under `taskset -c 0`.
 `--src` imports `fbmpassage` from another source tree (say, a base
 revision exported with `git archive`), so two revisions can be split with
 one timer; the tree's CLI must take the workload flags.
