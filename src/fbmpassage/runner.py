@@ -20,8 +20,9 @@ from __future__ import annotations
 import ctypes
 import math
 import os
+import queue
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from contextlib import nullcontext
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import cache, lru_cache, partial
 
@@ -38,8 +39,8 @@ DEFAULT_CHUNK_PAIRS = 128
 # hit-time rules, by the key of their times in run_simulation's output
 RULES = ("simple", "bridge")
 
-# The default pairs per chunk with no Euler loop, the depth of a
-# _PathFeed's ring, and the pairs per _fill_paths call of an inline chunk.
+# The default pairs per chunk with no Euler loop, and the pairs per
+# _fill_paths call of a chunk that fills its pairs on one thread.
 # A chunk with no Euler loop is filled at every H and then scanned for each
 # H in turn, so its buffers stay small enough to be reused from cache.
 # Drifted models default to DEFAULT_CHUNK_PAIRS: their Euler step is a
@@ -49,12 +50,9 @@ RULES = ("simple", "bridge")
 # 1 and 3 H, 5% and 2% less at 2^16, and 0.5% more and 14% less at 2^17;
 # it holds 192 (N + 1) bytes more.
 BLOCK_PAIRS = 4
-# Grid steps from which a run may fill its paths through a _PathFeed (see
-# _draws_ahead).  Below them a pair's draw is mostly Python (its `substream` alone takes
-# ~25 us), and the two threads convoy on the GIL.  run_simulation alone at
-# 2^22 path steps (2 vCPUs, medians of 5) with the feed took 0.98x, 1.31x
-# and 1.13x its one-CPU time at N = 2^11 with one pure H, 2 H with both
-# rules and one `ou:1` H, and 0.88x, 0.87x and 0.97x at 2^12.
+# Grid steps from which a serial run shares its work with a helper thread
+# (see _draws_ahead).  Below them a pair's draw is mostly Python (its
+# `substream` alone takes ~25 us), and the two threads convoy on the GIL.
 FEED_STEPS = 2**12
 
 
@@ -174,14 +172,13 @@ def _model_chunk_pairs(job: SimulationJob) -> int:
 
     A chunk holds 16N of path rows per pair and H.  Without the Euler loop
     the cut keeps a chunk's rows within the 320N of a BLOCK_PAIRS chunk at
-    5 H, down to one pair from 11 H on.  With it, the cut keeps them, with
-    the _PathFeed's ring of BLOCK_PAIRS pairs, within 48N per pair of a
-    DEFAULT_CHUNK_PAIRS chunk.
+    5 H, down to one pair from 11 H on.  With it, the cut keeps them within
+    48N per pair of a DEFAULT_CHUNK_PAIRS chunk.
     """
     nh = len(job.hurst)
     if _brownian_level(job) is not None:
         return max(1, min(BLOCK_PAIRS, 5 * BLOCK_PAIRS // nh))
-    return max(1, min(DEFAULT_CHUNK_PAIRS, 3 * DEFAULT_CHUNK_PAIRS // nh - BLOCK_PAIRS))
+    return max(1, min(DEFAULT_CHUNK_PAIRS, 3 * DEFAULT_CHUNK_PAIRS // nh))
 
 
 def _usable_cpus() -> int:
@@ -190,7 +187,7 @@ def _usable_cpus() -> int:
 
 
 def _draws_ahead(job: SimulationJob, processes: int) -> bool:
-    """True when a run on `processes` processes fills its paths through a _PathFeed: serial, with a spare CPU."""
+    """True when a run on `processes` processes shares its work with one helper thread: serial, with a spare CPU."""
     return processes == 1 and job.steps >= FEED_STEPS and _usable_cpus() > 1
 
 
@@ -200,23 +197,23 @@ def _memory_estimate(job: SimulationJob, chunk: int, processes: int) -> int:
     An upper bound on the traced peak, with N = steps and nH H values.
     Every process holds 64 kB of small objects (a chunk's plain hit
     indices, 16 bytes per pair and H, among them), the job's spectrum
-    table (16N bytes per H), one chunk, with the bridge rule the 32N of one
-    row's bridge scan, and the 64N per pair of a _fill_paths call (its
-    block of normals and its transform buffer) for the BLOCK_PAIRS pairs
-    of an inline call (fewer in a smaller chunk), one pair under a feed.
-    A fill holds no other temporary: the normals are drawn into the block
-    and scaled into the buffer in place.
-    Per pair, a chunk holds 16N of path rows per H and 2N of scan or
-    finiteness mask; with the bridge rule 16N of log-uniforms, one array
-    per path, and 2 kB for their headers and the generator of each draw.
-    A run that _draws_ahead also holds its _PathFeed: a ring of BLOCK_PAIRS
-    slots of 16N per H, and the 64N of a one-pair call on its helper thread.
-    The Euler loop holds nothing else sized by the grid: 4 bytes per pair
-    and column of a CHECK_COLUMNS batch for its check of which rows have
-    reached the level, and 66 bytes per entry of its tail's
-    TAIL_PIECE-column pieces of Python floats (65.1 B by `tracemalloc`).
-    The calling process holds every array of `_empty_outputs` twice while
-    it merges the chunks, and 1 kB of array headers per chunk.
+    table (16N bytes per H) and one chunk: 16N of path rows per pair and
+    H, and the larger of what its two phases add.  The fill adds 64N per
+    pair of a _fill_paths call (its block of normals and its transform
+    buffer) for the BLOCK_PAIRS pairs of a call (fewer in a smaller
+    chunk); a fill holds no other temporary, since the normals are drawn
+    into the block and scaled into the buffer in place.  The scans add
+    2N per pair of scan or finiteness mask; with the bridge rule 16N per
+    pair of log-uniforms, one array per path, 2 kB per pair for their
+    headers and the generator of each draw, and the 32N of one row's
+    bridge scan.  The Euler loop holds nothing else sized by the grid: 4
+    bytes per pair and column of a CHECK_COLUMNS batch for its check of
+    which rows have reached the level, and 66 bytes per entry of its
+    tail's TAIL_PIECE-column pieces of Python floats (65.1 B by
+    `tracemalloc`).  A run that _draws_ahead holds two chunks at once
+    without the Euler loop, one per thread, and with it two one-pair
+    fills.  The calling process holds every array of `_empty_outputs`
+    twice while it merges the chunks, and 1 kB of array headers per chunk.
     Raises ValueError for an unknown model.
     """
     pairs = (job.samples + 1) // 2
@@ -224,12 +221,13 @@ def _memory_estimate(job: SimulationJob, chunk: int, processes: int) -> int:
     n = job.steps + 1
     nh = len(job.hurst)
     bridge = "bridge" in job.rules
-    per_pair = (16 * nh + 2 + 16 * bridge) * n + 2048 * bridge
+    looped = _brownian_level(job) is None
     ahead = _draws_ahead(job, processes)
-    fill = (1 if ahead else min(BLOCK_PAIRS, pc)) * 64 * n
-    euler = 4 * min(CHECK_COLUMNS + 1, n) * pc + 66 * TAIL_PIECE if _brownian_level(job) is None else 0
-    feed = (BLOCK_PAIRS * 16 * nh + 64) * n if ahead else 0
-    per_process = (64 << 10) + (16 * nh + 32 * bridge) * n + euler + fill + feed + pc * per_pair
+    fill = min(2 if ahead and looped else BLOCK_PAIRS, pc) * 64 * n
+    euler = 4 * min(CHECK_COLUMNS + 1, n) * pc + 66 * TAIL_PIECE if looped else 0
+    scans = 2 * n * pc + euler + bridge * (pc * (16 * n + 2048) + 32 * n)
+    per_chunk = 16 * nh * n * pc + max(fill, scans)
+    per_process = (64 << 10) + 16 * nh * n + (2 if ahead and not looped else 1) * per_chunk
     per_path = sum(a.itemsize * math.prod(a.shape[2:]) for a in _empty_outputs(job, 0).values())
     results = 2 * nh * job.samples * per_path + 1024 * math.ceil(pairs / chunk)
     return processes * per_process + results
@@ -241,73 +239,46 @@ def _fill_paths(master_seed: int, scales: tuple[np.ndarray, ...], first_pair: in
     _pair_paths((substream(master_seed, GAUSSIAN_STREAM, pair) for pair in pairs), scales, paths)
 
 
-class _PathFeed:
-    """A run's path rows, filled by one helper thread and by the caller while it would wait, at most BLOCK_PAIRS pairs ahead of use.
+def _shared(work, count: int) -> list:
+    """[work(k) for k in range(count)], computed by this thread and one helper thread, each taking the next k from one queue.
 
-    Pair p is queued on a one-thread executor, to be filled by _fill_paths
-    at every H into slot p % BLOCK_PAIRS of a ring, once pair p - BLOCK_PAIRS
-    is taken; the first BLOCK_PAIRS pairs are queued at once.  `take(pair,
-    out)` cancels the pair's future if the helper has not started it, and
-    fills `out` itself.  Otherwise, while the helper fills it, the caller
-    cancels each later queued pair the helper has not started and fills its
-    ring slot; then it waits for the pair and copies its slot into `out`.
-    Every pair is filled once, as an inline run would fill it, so the bytes
-    a run sees do not depend on which thread filled which pair.  An
-    exception in the helper is raised by the `take` of its pair, and one in
-    the caller's own fill by its `take`.  As a context manager it yields
-    `take`, and on exit cancels the queued pairs and joins the thread,
-    whether the run completed or raised.
+    An exception on either thread empties the queue, so the other thread
+    stops after its current k.  The helper is joined before this returns
+    or raises, and the exception is raised (this thread's, if both raise).
     """
+    todo = queue.SimpleQueue()
+    for k in range(count):
+        todo.put(k)
 
-    def __init__(self, job: SimulationJob, pairs: int):
-        scales = _noise_scales(tuple(job.hurst), job.horizon, job.steps)
-        self._fill = partial(_fill_paths, job.master_seed, scales)
-        self._pairs = pairs
-        self._ring = np.zeros((BLOCK_PAIRS, len(scales), 2, job.steps + 1))
-        self._executor = ThreadPoolExecutor(1)
-        self._queued = {}  # the future of each queued pair not yet taken, or None once the caller filled it
-        for pair in range(min(BLOCK_PAIRS, pairs)):
-            self._queue(pair)
+    def drain() -> dict:
+        done = {}
+        try:
+            with suppress(queue.Empty):
+                while True:
+                    k = todo.get_nowait()
+                    done[k] = work(k)
+            return done
+        finally:
+            with suppress(queue.Empty):
+                while True:
+                    todo.get_nowait()
 
-    def _queue(self, pair: int) -> None:
-        self._queued[pair] = self._executor.submit(self._fill, pair, self._ring[pair % BLOCK_PAIRS])
-
-    def take(self, pair: int, out: np.ndarray) -> None:
-        """Fill `out`, of shape (H, 2, N + 1), with pair `pair`'s paths, filling later pairs while it waits; pairs are taken in order, from 0."""
-        future = self._queued.pop(pair)
-        slot = self._ring[pair % BLOCK_PAIRS]
-        if future is None:
-            out[...] = slot
-        elif future.cancel():
-            self._fill(pair, out)
-        else:
-            for later, queued in self._queued.items():
-                if future.done():
-                    break
-                if queued is not None and queued.cancel():
-                    self._fill(later, self._ring[later % BLOCK_PAIRS])
-                    self._queued[later] = None
-            future.result()
-            out[...] = slot
-        if pair + BLOCK_PAIRS < self._pairs:
-            self._queue(pair + BLOCK_PAIRS)
-
-    def __enter__(self):
-        return self.take
-
-    def __exit__(self, *exc_info) -> None:
-        self._executor.shutdown(cancel_futures=True)
+    with ThreadPoolExecutor(1) as helper:
+        theirs = helper.submit(drain)
+        done = drain()
+    done.update(theirs.result())
+    return [done[k] for k in range(count)]
 
 
-def _chunk_compute(job: SimulationJob, first_pair: int, pairs: int, take=None) -> dict[str, np.ndarray]:
+def _chunk_compute(job: SimulationJob, first_pair: int, pairs: int, shared: bool = False) -> dict[str, np.ndarray]:
     """Per-path outputs of the chunk of `pairs` path pairs from `first_pair` on, indexed [H, path in chunk].
 
     Paths run in the coordinates y = (x - x0) / s of `reduced_model`;
     marginals and suprema map back by x0 + s y.  The chunk is processed as
     one unit, and opens each path's uniform stream once.  It first fills
-    its rows of every H, (H, 2 pairs, N + 1), by _fill_paths: one pair at a
-    time through `take(pair, out)` (a _PathFeed's take) when given, else
-    inline, BLOCK_PAIRS pairs per call.  Then, for each H, it runs the
+    its rows of every H, (H, 2 pairs, N + 1), by _fill_paths: BLOCK_PAIRS
+    pairs per call, or, when `shared`, one pair per call, by this thread
+    and one helper thread through _shared.  Then, for each H, it runs the
     Euler step on that H's valid rows unless _brownian_level gives a level,
     and the plain scan.  The Euler step takes each row only through the
     later of its plain hit and the last column that a marginal or extreme
@@ -333,10 +304,12 @@ def _chunk_compute(job: SimulationJob, first_pair: int, pairs: int, take=None) -
     bridge = "bridge" in job.rules
     values = np.empty((len(job.hurst), 2 * pairs, steps + 1))
     values[:, :, 0] = 0.0
-    group = 1 if take else BLOCK_PAIRS
-    take = take or partial(_fill_paths, job.master_seed, _noise_scales(tuple(job.hurst), job.horizon, steps))
-    for p in range(0, pairs, group):
-        take(first_pair + p, values[:, 2 * p : 2 * min(p + group, pairs)])
+    fill = partial(_fill_paths, job.master_seed, _noise_scales(tuple(job.hurst), job.horizon, steps))
+    if shared:
+        _shared(lambda p: fill(first_pair + p, values[:, 2 * p : 2 * p + 2]), pairs)
+    else:
+        for p in range(0, pairs, BLOCK_PAIRS):
+            fill(first_pair + p, values[:, 2 * p : 2 * min(p + BLOCK_PAIRS, pairs)])
     columns = list(job.marginal_indices)
     # the Euler loop steps each row through its plain hit and the last column any output reads
     level = thr if job.rules else -math.inf
@@ -388,10 +361,12 @@ def run_simulation(job: SimulationJob, workers: int = 1) -> dict[str, np.ndarray
     fits physical memory at min(workers, CPUs) processes, and are merged
     in path order; since every per-path output is a pure function of
     (job, H, path index), the assembled arrays are byte-identical for any
-    `workers` and chunk size.  A run that _draws_ahead fills its paths
-    through a _PathFeed: queued on a one-thread executor while this
-    thread scans them, and cancelled and filled here while it would
-    wait; the executor is shut down before the run returns or raises.  A
+    `workers` and chunk size.  A run that _draws_ahead shares its work
+    with one helper thread through _shared: whole chunks without the
+    Euler loop, and with it each chunk's pairs, one per call, before this
+    thread steps and scans the chunk.  An error in a pooled chunk cancels
+    the chunks not yet started.  No thread or process outlives the run,
+    whether it returns or raises.  A
     run that does not fit at one pair raises MemoryBudgetError; a master
     seed outside the integers in [0, 2^64), a non-integer count, step
     count or grid index, a non-finite x0 or threshold, or a `workers` that
@@ -430,11 +405,17 @@ def run_simulation(job: SimulationJob, workers: int = 1) -> dict[str, np.ndarray
     # build the job's spectrum table once, validating every spectrum; forked workers inherit it
     _noise_scales(tuple(job.hurst), job.horizon, job.steps)
     sizes = [min(chunk, pairs - first) for first in firsts]
-    if workers == 1:
-        # a spare CPU fills paths while this one scans them, and this one fills too while it would wait
-        with _PathFeed(job, pairs) if _draws_ahead(job, workers) else nullcontext() as take:
-            chunks = [_chunk_compute(job, first, size, take) for first, size in zip(firsts, sizes)]
-    else:
+    ahead = _draws_ahead(job, workers)
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_chunk_compute, [job] * len(firsts), firsts, sizes))
+            try:
+                chunks = list(pool.map(_chunk_compute, [job] * len(firsts), firsts, sizes))
+            except BaseException:
+                pool.shutdown(cancel_futures=True)
+                raise
+    elif ahead and _brownian_level(job) is not None:
+        # chunks without the Euler loop are cheap to scan, so the threads share whole chunks
+        chunks = _shared(lambda k: _chunk_compute(job, firsts[k], sizes[k]), len(firsts))
+    else:
+        chunks = [_chunk_compute(job, first, size, ahead) for first, size in zip(firsts, sizes)]
     return {key: np.concatenate([c[key] for c in chunks], axis=1) for key in chunks[0]}

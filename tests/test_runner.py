@@ -25,20 +25,21 @@ Covers:
     and a half-used last pair.  On one CPU an inline chunk hands
     BLOCK_PAIRS pairs to each fill call at 2^15 steps too, and equals a
     pooled run bit for bit.
-  - Drawing ahead: a serial run of one H or several on two CPUs, at the
-    grid floor of the path feed (lowered by the tests), starts exactly
-    one executor thread and returns every output `==` to the one-CPU run
-    (pure and OU, odd samples, a partial last chunk, 1- and 3-pair chunks,
-    five H with marginals, two drifted H with every output, and 200
+  - Sharing with a helper thread: a serial run of one H or several on two
+    CPUs, at the grid floor (lowered by the tests), shares whole chunks
+    without the Euler loop and a chunk's pairs with it, and returns every
+    output `==` to the one-CPU and pooled runs (pure and OU, odd samples,
+    a partial last chunk, 1- and 3-pair chunks, five and eleven H, three
+    drifted H with odd samples, two drifted H with every output, and 200
     one-pair chunks with the threads switching every microsecond); pool,
-    one-CPU and below-floor runs start none, and at the unlowered floor a
-    256-step run starts none and a run at the floor one.  While the helper
-    is slow the caller cancels queued pairs and fills them itself, with
-    the same outputs.  No thread outlives a run,
-    one whose Euler loop raises included; an error in a pair drawn by the
-    helper or by the caller is raised by the run, which does not wait for
-    the noise.  These tests pin the CPU count the runner sees, and slow
-    the caller where the helper must draw, so they hold on a one-CPU host.
+    one-CPU and below-floor runs start no thread, and at the unlowered
+    floor a 256-step run starts none.  While the helper is slow the caller
+    takes the rest, with the same outputs.  No thread outlives a run, one
+    whose Euler loop raises included; an error on either thread stops the
+    other after its item and is raised by the run.  A pooled run whose
+    chunk raises cancels the chunks not started.  These tests pin the CPU
+    count the runner sees, and slow the caller where the helper must
+    draw, so they hold on a one-CPU host.
   - Bridge uniforms: a Philox substream's draws split anywhere give the
     same values, and each path draws its uniforms in one call per chunk,
     none past its latest plain hit.
@@ -49,8 +50,8 @@ Covers:
     down to one pair, and the chunks tile the path pairs in order, each
     computed from the caller's job; the memory bound refuses a run before
     allocating, counts chunks, spectra, the bridge scan (only with the
-    bridge rule), the fill buffers, the path feed's ring and its helper's
-    fill (only for a serial run with a spare CPU) and results exactly, 17 H
+    bridge rule) and the fill buffers as two phases, the helper thread's
+    chunk or fill (only for a serial run with a spare CPU) and results exactly, 17 H
     in one-pair chunks included, and bounds the traced peak of thirteen
     job shapes from above, on one CPU as on two.
   - Closed-form affine reduction: registry models agree with a scalar
@@ -148,11 +149,11 @@ def test_chunk_size_is_observationally_irrelevant(pin_chunk):
         (("zero", "const:2"), 4),
         (("ou:1", "one"), 128),
         # (drift, diffusion, H values): a drifted chunk is cut from 3 H on
-        # to 3 * 128 // H - 4 pairs, rows of 3 H per pair with a 4-pair ring
+        # to 3 * 128 // H pairs, rows of 3 H per pair
         (("zero", "one", 5), 4),
         (("ou:1", "one", 2), 128),
-        (("ou:1", "one", 3), 124),
-        (("ou:1", "one", 5), 72),
+        (("ou:1", "one", 3), 128),
+        (("ou:1", "one", 5), 76),
         (("ou:1", "one", 200), 1),
         # a zero-drift chunk is cut from 6 H on to 5 * 4 // H pairs, at
         # least one, so its path rows stay those of a 4-pair chunk at 5 H
@@ -503,7 +504,7 @@ def test_an_inline_chunk_fills_block_pairs_per_call_on_a_large_grid(monkeypatch)
 
 
 # ---------------------------------------------------------------------------
-# drawing ahead on a helper thread
+# sharing a serial run with a helper thread
 # ---------------------------------------------------------------------------
 
 def _cpus(monkeypatch, count: int) -> None:
@@ -511,7 +512,7 @@ def _cpus(monkeypatch, count: int) -> None:
 
 
 def _feed_from(monkeypatch, steps: int) -> None:
-    """Lower the grid floor of the path feed, so that small grids fill ahead."""
+    """Lower the grid floor of sharing, so that small grids share their work with a helper thread."""
     monkeypatch.setattr(runner, "FEED_STEPS", steps)
 
 
@@ -527,15 +528,22 @@ def _counting_threads(monkeypatch) -> list:
     return started
 
 
-_AHEAD = {  # (pinned chunk pairs, job fields)
+def _helpers_done(started: list, before: int) -> bool:
+    """Whether a run started a helper thread, every one has ended, and no other thread is left over."""
+    return bool(started) and not any(t.is_alive() for t in started) and threading.active_count() == before
+
+
+_AHEAD = {  # (pinned chunk pairs, job fields); zero drift shares whole chunks, the Euler loop a chunk's pairs
     "pure-5H": (None, dict(hurst=(0.5, 0.52, 0.55, 0.6, 0.75), rules=RULES)),
     "ou-2H": (None, dict(hurst=(0.5, 0.6), drift="ou:1", rules=RULES, marginal_indices=(7, 256))),  # 128 + 22 pairs
     "odd-samples": (None, dict(hurst=(0.5, 0.6, 0.75), samples=61, rules=RULES, extreme_indices=(50, 256))),
     "1-pair-chunks": (1, dict(hurst=(0.5, 0.6), samples=61, rules=RULES)),
-    "3-pair-chunks": (3, dict(hurst=(0.5, 0.6), samples=61, rules=RULES)),  # a partial last chunk and group
+    "3-pair-chunks": (3, dict(hurst=(0.5, 0.6), samples=61, rules=RULES)),  # a partial last chunk
     "pure-1H": (None, dict(samples=61, rules=RULES)),
     "ou-1H": (None, dict(drift="ou:1", marginal_indices=(7, 256))),  # 128 + 22 pairs
     "pure-5H-odd": (None, dict(hurst=(0.5, 0.52, 0.55, 0.6, 0.75), samples=61, rules=RULES, marginal_indices=(3, 256))),
+    "pure-11H": (None, dict(hurst=tuple(0.5 + 0.03 * i for i in range(11)), samples=41, rules=RULES)),  # 1-pair chunks
+    "ou-3H-odd": (None, dict(hurst=(0.5, 0.6, 0.75), drift="ou:1", samples=61, rules=RULES, marginal_indices=(7,))),
     "ou-2H-every-output": (
         None,
         dict(hurst=(0.5, 0.6), drift="ou:1", samples=301, rules=RULES, marginal_indices=(7, 256), extreme_indices=(50, 256)),
@@ -544,7 +552,7 @@ _AHEAD = {  # (pinned chunk pairs, job fields)
 
 
 @pytest.mark.parametrize("name", _AHEAD)
-def test_drawing_ahead_changes_no_output(monkeypatch, pin_chunk, name):
+def test_sharing_changes_no_output(monkeypatch, pin_chunk, name):
     chunk_pairs, fields = _AHEAD[name]
     if chunk_pairs:
         pin_chunk(chunk_pairs)
@@ -557,18 +565,19 @@ def test_drawing_ahead_changes_no_output(monkeypatch, pin_chunk, name):
     _cpus(monkeypatch, 2)
     before = threading.active_count()
     ahead = run_simulation(job)
-    assert len(started) == 1 and not started[0].is_alive()
-    assert threading.active_count() == before
-    assert ahead.keys() == inline.keys()
-    assert all(np.array_equal(ahead[key], inline[key]) for key in inline)
+    assert _helpers_done(started, before)
+    pooled = run_simulation(job, workers=2)
+    for got in (ahead, pooled):
+        assert got.keys() == inline.keys()
+        assert all(np.array_equal(got[key], inline[key]) for key in inline)
 
 
-def test_drawing_ahead_holds_under_fast_thread_switching(monkeypatch, pin_chunk):
+def test_sharing_holds_under_fast_thread_switching(monkeypatch, pin_chunk):
     # 200 pairs in 1-pair chunks, the two threads switching as often as they can
     pin_chunk(1)
     _feed_from(monkeypatch, 64)
-    for hurst in ((0.6,), (0.5, 0.6, 0.75)):
-        job = _job(hurst=hurst, steps=64, samples=400, rules=RULES)
+    for fields in (dict(hurst=(0.6,)), dict(hurst=(0.5, 0.6, 0.75)), dict(hurst=(0.5, 0.6), drift="ou:1")):
+        job = _job(**fields, steps=64, samples=400, rules=RULES)
         _cpus(monkeypatch, 1)
         inline = run_simulation(job)
         _cpus(monkeypatch, 2)
@@ -578,28 +587,32 @@ def test_drawing_ahead_holds_under_fast_thread_switching(monkeypatch, pin_chunk)
             ahead = [run_simulation(job) for _ in range(3)]
         finally:
             sys.setswitchinterval(interval)
-        assert all(np.array_equal(run[key], inline[key]) for run in ahead for key in inline), hurst
+        assert all(np.array_equal(run[key], inline[key]) for run in ahead for key in inline), fields
 
 
+@pytest.mark.parametrize("drift", ["zero", "ou:1"])
 @pytest.mark.parametrize(
     "hurst, workers, cpus, steps",
     [((0.5, 0.6), 2, 2, 256), ((0.5, 0.6), 1, 1, 256), ((0.6,), 1, 2, 128)],
     ids=["pool", "one-cpu", "below-floor"],
 )
-def test_pool_one_cpu_and_below_floor_runs_start_no_thread(monkeypatch, hurst, workers, cpus, steps):
+def test_pool_one_cpu_and_below_floor_runs_start_no_thread(monkeypatch, pin_chunk, hurst, workers, cpus, steps, drift):
+    pin_chunk(4)
     started = _counting_threads(monkeypatch)
     _feed_from(monkeypatch, 256)
     _cpus(monkeypatch, cpus)
-    run_simulation(_job(hurst=hurst, steps=steps, samples=40), workers=workers)  # 5 chunks
+    run_simulation(_job(hurst=hurst, steps=steps, samples=40, drift=drift), workers=workers)  # 5 chunks
     assert started == []
 
 
-@pytest.mark.parametrize("steps, threads", [(256, 0), (runner.FEED_STEPS, 1)])
-def test_a_serial_run_draws_ahead_from_the_grid_floor(monkeypatch, steps, threads):
+@pytest.mark.parametrize("drift, threads", [("zero", 1), ("ou:1", 2)])  # one helper per run, or per chunk
+@pytest.mark.parametrize("steps", [256, runner.FEED_STEPS])
+def test_a_serial_run_shares_from_the_grid_floor(monkeypatch, pin_chunk, steps, drift, threads):
+    pin_chunk(4)
     started = _counting_threads(monkeypatch)
     _cpus(monkeypatch, 2)
-    run_simulation(_job(hurst=(0.5, 0.6), steps=steps, samples=16, rules=RULES))
-    assert len(started) == threads
+    run_simulation(_job(hurst=(0.5, 0.6), steps=steps, samples=16, drift=drift, rules=RULES))  # 2 chunks
+    assert len(started) == (threads if steps >= runner.FEED_STEPS else 0)
 
 
 def _slow_helper(monkeypatch, started: list, caller_draw=None) -> list:
@@ -622,9 +635,9 @@ def _slow_helper(monkeypatch, started: list, caller_draw=None) -> list:
     return drawn_on
 
 
-@pytest.mark.parametrize("hurst", [(0.6,), (0.5, 0.6)])
-def test_the_caller_draws_while_the_helper_is_slow(monkeypatch, hurst):
-    job = _job(hurst=hurst, samples=61, rules=RULES)
+@pytest.mark.parametrize("fields", [dict(hurst=(0.6,)), dict(hurst=(0.5, 0.6)), dict(hurst=(0.5, 0.6), drift="ou:1")])
+def test_the_caller_takes_the_rest_while_the_helper_is_slow(monkeypatch, fields):
+    job = _job(**fields, samples=61, rules=RULES)  # 31 pairs: 8 zero-drift chunks, or one drifted chunk
     inline = run_simulation(job)  # below the unlowered floor
     started = _counting_threads(monkeypatch)
     _feed_from(monkeypatch, job.steps)
@@ -637,7 +650,8 @@ def test_the_caller_draws_while_the_helper_is_slow(monkeypatch, hurst):
     assert all(np.array_equal(ahead[key], inline[key]) for key in inline)
 
 
-def test_an_error_in_a_pair_the_caller_draws_is_raised_and_leaves_no_thread(monkeypatch):
+@pytest.mark.parametrize("drift", ["zero", "ou:1"])
+def test_an_error_in_a_pair_the_caller_draws_is_raised_and_leaves_no_thread(monkeypatch, drift):
     def fail():
         raise RuntimeError("no noise on the caller")
 
@@ -647,9 +661,8 @@ def test_an_error_in_a_pair_the_caller_draws_is_raised_and_leaves_no_thread(monk
     _slow_helper(monkeypatch, started, fail)
     before = threading.active_count()
     with pytest.raises(RuntimeError, match="^no noise on the caller$"):
-        run_simulation(_job(samples=40))
-    assert len(started) == 1 and not started[0].is_alive()
-    assert threading.active_count() == before
+        run_simulation(_job(samples=40, drift=drift))
+    assert _helpers_done(started, before)
 
 
 def test_a_raising_euler_loop_leaves_no_thread(monkeypatch):
@@ -661,13 +674,13 @@ def test_a_raising_euler_loop_leaves_no_thread(monkeypatch):
     before = threading.active_count()
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(PropagationError):
         run_simulation(job)
-    assert len(started) == 1 and not started[0].is_alive()
-    assert threading.active_count() == before
+    assert len(started) == 1 and _helpers_done(started, before)
 
 
-# after 0 pairs the run waits on its first take; after 5 it still has rows drawn before the error
+# after 0 pairs the helper fails on its first take; after 5 the caller has taken some too
+@pytest.mark.parametrize("drift", ["zero", "ou:1"])
 @pytest.mark.parametrize("bad_pair", [0, 5])
-def test_an_error_in_the_helper_is_raised_by_the_run(monkeypatch, bad_pair):
+def test_an_error_in_the_helper_is_raised_by_the_run(monkeypatch, bad_pair, drift):
     started = _counting_threads(monkeypatch)
     drawn_on = []
     original = runner.substream
@@ -692,18 +705,67 @@ def test_an_error_in_the_helper_is_raised_by_the_run(monkeypatch, bad_pair):
 
     def run():
         try:
-            run_simulation(_job(hurst=(0.5, 0.6), samples=40))
+            run_simulation(_job(hurst=(0.5, 0.6), samples=40, drift=drift))
         except RuntimeError as exc:
             raised.append((threading.get_ident(), str(exc)))
 
     caller = threading.Thread(target=run, daemon=True)  # a hung run must not hold up the test process
     caller.start()
     caller.join(timeout=60)
-    assert not caller.is_alive(), "the run must not wait for noise that never comes"
+    assert not caller.is_alive(), "the run must not wait for work that never comes"
     assert raised == [(caller.ident, f"no noise after {bad_pair} pairs")]
     assert len(drawn_on) >= bad_pair
-    assert len(started) == 1 and not started[0].is_alive()
-    assert threading.active_count() == before
+    assert _helpers_done(started, before)
+
+
+@pytest.mark.parametrize("failing_on", ["caller", "helper"])
+def test_an_error_on_either_thread_stops_the_other_after_its_item(monkeypatch, failing_on):
+    started = _counting_threads(monkeypatch)
+    taken = []
+
+    def work(k):
+        on_helper = threading.current_thread() in started
+        taken.append(k)
+        time.sleep(0.002)
+        if on_helper == (failing_on == "helper"):
+            raise RuntimeError(f"item {k}")
+        return k
+
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="^item "):
+        runner._shared(work, 1000)
+    assert len(taken) < 10
+    assert _helpers_done(started, before)
+    assert runner._shared(lambda k: k * k, 50) == [k * k for k in range(50)]
+
+
+class _EagerPool(runner.ThreadPoolExecutor):
+    """A one-thread stand-in for the process pool whose map, as Executor.map's contract allows, cancels
+    nothing when a result raises: only the runner's own cancel keeps queued chunks from running."""
+
+    def __init__(self, max_workers):
+        super().__init__(1)
+
+    def map(self, fn, *iterables):
+        futures = [self.submit(fn, *args) for args in zip(*iterables)]
+        return (future.result() for future in futures)
+
+
+def test_a_failing_pooled_run_cancels_the_chunks_not_started(monkeypatch, pin_chunk):
+    ran = []
+
+    def failing(job, first_pair, pairs, *shared):
+        ran.append(first_pair)
+        time.sleep(0.01)
+        raise RuntimeError(f"chunk {first_pair} fails")
+
+    pin_chunk(1)
+    monkeypatch.setattr(runner, "ProcessPoolExecutor", _EagerPool)
+    monkeypatch.setattr(runner, "_chunk_compute", failing)
+    _cpus(monkeypatch, 2)
+    with pytest.raises(RuntimeError, match="^chunk 0 fails$"):
+        run_simulation(_job(samples=200), workers=2)  # 100 chunks
+    assert len(ran) < 10
 
 
 # ---------------------------------------------------------------------------
@@ -909,68 +971,80 @@ def test_memory_estimate_counts_blocks_spectra_and_results(monkeypatch):
     n = 2**10 + 1
     small = 64 << 10  # small objects, per process
     pure = _job(steps=2**10, samples=300, rules=RULES, hurst=(0.5, 0.6))
-    # two 16N spectra and a 32N bridge scan; an inline fill takes 4 pairs,
-    # 64N each of normals and transform buffer, at every grid; 4-pair
-    # chunks of 50N per pair (16N of path rows per H) and two 1 kB
-    # generators per pair; two H rows of two columns over 300 paths, held
-    # twice, and 1 kB of array headers per chunk (38 chunks)
+    # two 16N spectra; 4-pair chunks of 16N of path rows per pair and H;
+    # the larger phase is the fill, 4 pairs of 64N each of normals and
+    # transform buffer, over the scans' 2N of mask and 16N of log-uniforms
+    # and 2 kB per pair and a 32N bridge scan; two H rows of two columns
+    # over 300 paths, held twice, and 1 kB of array headers per chunk (38)
+    scans = 4 * (18 * n + 2048) + 32 * n
+    assert scans < 4 * 64 * n
     assert runner._memory_estimate(pure, 4, 1) == (
-        small + 16 * n * 2 + 32 * n + 4 * 64 * n + 4 * (50 * n + 2048) + 2 * 2 * 8 * 300 * 2 + 1024 * 38
+        small + 16 * n * 2 + 4 * 32 * n + 4 * 64 * n + 2 * 2 * 8 * 300 * 2 + 1024 * 38
     )
     single = _job(steps=2**10, samples=300, rules=RULES)
     assert runner._memory_estimate(single, 4, 1) == (
-        small + 16 * n + 32 * n + 4 * 64 * n + 4 * (34 * n + 2048) + 2 * 8 * 300 * 2 + 1024 * 38
+        small + 16 * n + 4 * 16 * n + 4 * 64 * n + 2 * 8 * 300 * 2 + 1024 * 38
     )
-    # drifted: a 128-pair chunk, filled four pairs at a time; the Euler
-    # loop's row check takes 4 B per pair and column of a 128-column batch,
-    # and its tail 66 B per entry of a 256-entry piece
+    # drifted: a 128-pair chunk, whose larger phase is the scans: 2N of
+    # mask per pair, and the Euler loop's row check of 4 B per pair and
+    # column of a 128-column batch and its tail of 66 B per entry of a
+    # 256-entry piece
     euler = 4 * 129 * 128 + 66 * 256
+    assert 128 * 2 * n + euler > 4 * 64 * n
     drifted = _job(steps=2**10, samples=300, drift="ou:1")
     assert runner._memory_estimate(drifted, 128, 2) == (
-        2 * (small + 16 * n + 4 * 64 * n + euler + 128 * 18 * n) + 2 * 8 * 300 + 1024 * 2
+        2 * (small + 16 * n + 128 * 16 * n + 128 * 2 * n + euler) + 2 * 8 * 300 + 1024 * 2
     )
     drifted_multi = _job(steps=2**10, samples=300, drift="ou:1", hurst=(0.5, 0.6))
     assert runner._memory_estimate(drifted_multi, 128, 2) == (
-        2 * (small + 16 * n * 2 + 4 * 64 * n + euler + 128 * 34 * n) + 2 * 2 * 8 * 300 + 1024 * 2
+        2 * (small + 16 * n * 2 + 128 * 32 * n + 128 * 2 * n + euler) + 2 * 2 * 8 * 300 + 1024 * 2
     )
     # a one-pair chunk fills one pair
     tiny = _job(steps=2**10, samples=2)
-    assert runner._memory_estimate(tiny, 1, 1) == small + 16 * n + 64 * n + 18 * n + 2 * 8 * 2 + 1024
+    assert runner._memory_estimate(tiny, 1, 1) == small + 16 * n + 16 * n + 64 * n + 2 * 8 * 2 + 1024
     # window extremes: argmax scans row slices in place, two columns per window
     extremes = _job(steps=2**10, samples=300, rules=(), extreme_indices=(10, 1024))
     assert runner._memory_estimate(extremes, 4, 1) == (
-        small + 16 * n + 4 * 64 * n + 4 * 18 * n + 2 * 8 * 300 * 4 + 1024 * 38
+        small + 16 * n + 4 * 16 * n + 4 * 64 * n + 2 * 8 * 300 * 4 + 1024 * 38
     )
     assert runner._memory_estimate(_job(), 4, 1) < runner._physical_memory()
-    # at the floor a serial run of one H or several on two CPUs fills one
-    # pair at a time, and adds the feed's ring of 4 pairs of 16N per H, and
-    # a one-pair fill (64N) on its helper thread
+    # at the floor a serial run on two CPUs without the Euler loop holds
+    # two chunks at once, one per thread, with one spectrum table
     _feed_from(monkeypatch, 2**10)
     _cpus(monkeypatch, 2)
     assert runner._memory_estimate(pure, 4, 1) == (
-        small + 16 * n * 2 + 32 * n + 64 * n + (4 * 32 + 64) * n + 4 * (50 * n + 2048) + 2 * 2 * 8 * 300 * 2 + 1024 * 38
+        small + 16 * n * 2 + 2 * (4 * 32 * n + 4 * 64 * n) + 2 * 2 * 8 * 300 * 2 + 1024 * 38
     )
     assert runner._memory_estimate(single, 4, 1) == (
-        small + 16 * n + 32 * n + 64 * n + (4 * 16 + 64) * n + 4 * (34 * n + 2048) + 2 * 8 * 300 * 2 + 1024 * 38
+        small + 16 * n + 2 * (4 * 16 * n + 4 * 64 * n) + 2 * 8 * 300 * 2 + 1024 * 38
     )
-    # on two processes no feed runs
+    # and with the Euler loop one chunk, whose two threads fill one pair each
+    euler4 = 4 * 129 * 4 + 66 * 256
+    assert 4 * 2 * n + euler4 < 2 * 64 * n
+    assert runner._memory_estimate(drifted, 4, 1) == (
+        small + 16 * n + 4 * 16 * n + 2 * 64 * n + 2 * 8 * 300 + 1024 * 38
+    )
+    # on two processes no thread shares a run
     assert runner._memory_estimate(pure, 4, 2) == (
-        2 * (small + 16 * n * 2 + 32 * n + 4 * 64 * n + 4 * (50 * n + 2048)) + 2 * 2 * 8 * 300 * 2 + 1024 * 38
+        2 * (small + 16 * n * 2 + 4 * 32 * n + 4 * 64 * n) + 2 * 2 * 8 * 300 * 2 + 1024 * 38
     )
-    # nor on one CPU, where a serial run fills inline
+    # nor on one CPU, where a serial run fills 4 pairs per call
     _cpus(monkeypatch, 1)
     assert runner._memory_estimate(pure, 4, 1) == (
-        small + 16 * n * 2 + 32 * n + 4 * 64 * n + 4 * (50 * n + 2048) + 2 * 2 * 8 * 300 * 2 + 1024 * 38
+        small + 16 * n * 2 + 4 * 32 * n + 4 * 64 * n + 2 * 2 * 8 * 300 * 2 + 1024 * 38
     )
-    # seventeen H values start from one-pair chunks, filled one pair at a
-    # time: seventeen spectra, one pair of path rows at every H, and 150 chunks
+    assert runner._memory_estimate(drifted, 4, 1) == (
+        small + 16 * n + 4 * 16 * n + 4 * 64 * n + 2 * 8 * 300 + 1024 * 38
+    )
+    # seventeen H values start from one-pair chunks: seventeen spectra, one
+    # pair of path rows at every H and a one-pair fill, and 150 chunks
     many = _job(steps=2**10, samples=300, rules=RULES, hurst=tuple(0.5 + 0.01 * i for i in range(17)))
     assert runner._memory_estimate(many, runner._model_chunk_pairs(many), 1) == (
-        small + 16 * n * 17 + 32 * n + 64 * n + (16 * 17 + 18) * n + 2048 + 17 * 2 * 8 * 300 * 2 + 1024 * 150
+        small + 16 * n * 17 + 16 * 17 * n + 64 * n + 17 * 2 * 8 * 300 * 2 + 1024 * 150
     )
-    # from 2^15 steps too an inline fill takes 4 pairs
+    # from 2^15 steps too a fill takes 4 pairs
     big, m = _job(steps=2**15, samples=16), 2**15 + 1
-    assert runner._memory_estimate(big, 4, 1) == small + 16 * m + 4 * 64 * m + 4 * 18 * m + 2 * 8 * 16 + 1024 * 2
+    assert runner._memory_estimate(big, 4, 1) == small + 16 * m + 4 * 16 * m + 4 * 64 * m + 2 * 8 * 16 + 1024 * 2
 
 
 @pytest.mark.parametrize(
@@ -986,7 +1060,7 @@ def test_memory_estimate_counts_blocks_spectra_and_results(monkeypatch):
         {"drift": "ou:1", "samples": 301, "chunk_pairs": 7},
         # no path reaches the level, so every row runs the scalar tail to the end
         {"drift": "ou:1", "threshold": 1e6, "samples": 16, "chunk_pairs": 1},
-        # five H values: path rows of every H, a 72-pair drifted chunk, and the feed's ring
+        # five H values: path rows of every H in a 76-pair drifted chunk
         {"drift": "ou:1", "hurst": (0.5, 0.52, 0.55, 0.6, 0.75)},
         {"hurst": (0.5, 0.52, 0.55, 0.6, 0.75), "rules": RULES},
         # seventeen: a one-pair zero-drift chunk

@@ -112,10 +112,11 @@ def test_a_multi_h_run_books_its_noise_helper_apart(tmp_path, monkeypatch, cpus)
         helper = {label for label in seconds if label.endswith(tool.HELPER)}
         if cpus == 1:
             assert not helper and "fgn._pair_paths" in seconds, name
-        else:  # the caller draws too while it would wait
-            assert {"fgn._pair_paths [helper]", "rng.substream [helper]"} <= helper, name
-            if name == "sim-multiH-bridge":  # the helper transforms the pairs it draws, at every H
-                assert {"fgn._pair_fft [helper]", "runner._fill_paths [helper]"} <= helper, name
+        elif name == "sim-multiH-bridge":  # zero drift: the helper computes whole chunks, scans included
+            assert {"runner._chunk_compute [helper]", "fgn._pair_fft [helper]"} <= helper, name
+        else:  # the Euler loop: the helper fills one pair per take, and the caller steps and scans
+            assert {"fgn._pair_paths [helper]", "runner._fill_paths [helper]"} <= helper, name
+            assert "runner._chunk_compute [helper]" not in helper, name
         assert 0.0 < tool.main_thread_seconds(seconds) <= wall
         rest = tool.report(name, wall, seconds).splitlines()[-1].split()
         assert rest[0] == "rest" and float(rest[1]) >= -0.0005

@@ -11,15 +11,17 @@ an `fbmpassage` module is wrapped with `time.perf_counter` at each module
 attribute that refers to it, and labelled `module.name`, for example
 `fgn._pair_fft`.  Each call is booked its self time: a stack of open calls
 per thread takes the time of the calls one encloses out of its own.  Calls
-made on another thread than the CLI call's, such as the runner's path
-helper (its draws and transforms in `fgn._pair_paths` and
-`fgn._pair_fft`), are booked apart under "module.name [helper]".  The
+made on another thread than the CLI call's, such as the runner's
+helper, are booked apart under "module.name [helper]": without an Euler
+loop the helper computes whole chunks (`runner._chunk_compute [helper]`,
+scans included), and with one it fills one pair per take
+(`fgn._pair_paths [helper]`).  The
 main thread's functions add up to at most the CLI call's wall time, and
 "rest" is its time outside any package function.  The report lists each
 reached function's seconds and share of the CLI call, largest first.
-A serial run with a spare CPU fills its paths through the runner's path
-feed, one pair per fill, so the inline chunk's 4-pair fills that pool
-workers run are timed by running this tool under `taskset -c 0`.
+A drifted serial run with a spare CPU fills one pair per call, so the
+4-pair fills that pool workers run are timed by running this tool under
+`taskset -c 0`.
 `--src` imports `fbmpassage` from another source tree (say, a base
 revision exported with `git archive`), so two revisions can be split with
 one timer; the tree's CLI must take the workload flags.
