@@ -552,7 +552,7 @@ _AHEAD = {  # (pinned chunk pairs, job fields); zero drift shares whole chunks, 
 
 
 @pytest.mark.parametrize("name", _AHEAD)
-def test_sharing_changes_no_output(monkeypatch, pin_chunk, name):
+def test_drawing_ahead_changes_no_output(monkeypatch, pin_chunk, name):
     chunk_pairs, fields = _AHEAD[name]
     if chunk_pairs:
         pin_chunk(chunk_pairs)
@@ -572,7 +572,7 @@ def test_sharing_changes_no_output(monkeypatch, pin_chunk, name):
         assert all(np.array_equal(got[key], inline[key]) for key in inline)
 
 
-def test_sharing_holds_under_fast_thread_switching(monkeypatch, pin_chunk):
+def test_drawing_ahead_holds_under_fast_thread_switching(monkeypatch, pin_chunk):
     # 200 pairs in 1-pair chunks, the two threads switching as often as they can
     pin_chunk(1)
     _feed_from(monkeypatch, 64)
@@ -590,29 +590,31 @@ def test_sharing_holds_under_fast_thread_switching(monkeypatch, pin_chunk):
         assert all(np.array_equal(run[key], inline[key]) for run in ahead for key in inline), fields
 
 
-@pytest.mark.parametrize("drift", ["zero", "ou:1"])
 @pytest.mark.parametrize(
     "hurst, workers, cpus, steps",
     [((0.5, 0.6), 2, 2, 256), ((0.5, 0.6), 1, 1, 256), ((0.6,), 1, 2, 128)],
     ids=["pool", "one-cpu", "below-floor"],
 )
-def test_pool_one_cpu_and_below_floor_runs_start_no_thread(monkeypatch, pin_chunk, hurst, workers, cpus, steps, drift):
+def test_pool_one_cpu_and_below_floor_runs_start_no_thread(monkeypatch, pin_chunk, hurst, workers, cpus, steps):
     pin_chunk(4)
     started = _counting_threads(monkeypatch)
     _feed_from(monkeypatch, 256)
     _cpus(monkeypatch, cpus)
-    run_simulation(_job(hurst=hurst, steps=steps, samples=40, drift=drift), workers=workers)  # 5 chunks
+    for drift in ("zero", "ou:1"):
+        run_simulation(_job(hurst=hurst, steps=steps, samples=40, drift=drift), workers=workers)  # 5 chunks
     assert started == []
 
 
-@pytest.mark.parametrize("drift, threads", [("zero", 1), ("ou:1", 2)])  # one helper per run, or per chunk
-@pytest.mark.parametrize("steps", [256, runner.FEED_STEPS])
-def test_a_serial_run_shares_from_the_grid_floor(monkeypatch, pin_chunk, steps, drift, threads):
+@pytest.mark.parametrize("steps, threads", [(256, 0), (runner.FEED_STEPS, 1)])
+def test_a_serial_run_draws_ahead_from_the_grid_floor(monkeypatch, pin_chunk, steps, threads):
     pin_chunk(4)
     started = _counting_threads(monkeypatch)
     _cpus(monkeypatch, 2)
-    run_simulation(_job(hurst=(0.5, 0.6), steps=steps, samples=16, drift=drift, rules=RULES))  # 2 chunks
-    assert len(started) == (threads if steps >= runner.FEED_STEPS else 0)
+    # one helper per zero-drift run, and one per chunk with the Euler loop
+    for drift, per_run in (("zero", 1), ("ou:1", 2)):
+        started.clear()
+        run_simulation(_job(hurst=(0.5, 0.6), steps=steps, samples=16, drift=drift, rules=RULES))  # 2 chunks
+        assert len(started) == per_run * threads, drift
 
 
 def _slow_helper(monkeypatch, started: list, caller_draw=None) -> list:
@@ -635,23 +637,26 @@ def _slow_helper(monkeypatch, started: list, caller_draw=None) -> list:
     return drawn_on
 
 
-@pytest.mark.parametrize("fields", [dict(hurst=(0.6,)), dict(hurst=(0.5, 0.6)), dict(hurst=(0.5, 0.6), drift="ou:1")])
-def test_the_caller_takes_the_rest_while_the_helper_is_slow(monkeypatch, fields):
-    job = _job(**fields, samples=61, rules=RULES)  # 31 pairs: 8 zero-drift chunks, or one drifted chunk
-    inline = run_simulation(job)  # below the unlowered floor
+@pytest.mark.parametrize("hurst", [(0.6,), (0.5, 0.6)])
+def test_the_caller_draws_while_the_helper_is_slow(monkeypatch, hurst):
+    # 31 pairs: 8 zero-drift chunks the caller and the helper share, or one drifted chunk whose pairs they share
+    jobs = [_job(hurst=hurst, drift=drift, samples=61, rules=RULES) for drift in ("zero", "ou:1")]
+    inline = [run_simulation(job) for job in jobs]  # below the unlowered floor
     started = _counting_threads(monkeypatch)
-    _feed_from(monkeypatch, job.steps)
+    _feed_from(monkeypatch, jobs[0].steps)
     _cpus(monkeypatch, 2)
     drawn_on = _slow_helper(monkeypatch, started)
-    ahead = run_simulation(job)
-    assert len(started) == 1 and not started[0].is_alive()
-    assert len(drawn_on) == 31
-    assert 0 < drawn_on.count(threading.current_thread()) < 31
-    assert all(np.array_equal(ahead[key], inline[key]) for key in inline)
+    for job, expected in zip(jobs, inline):
+        started.clear()
+        drawn_on.clear()
+        ahead = run_simulation(job)
+        assert len(started) == 1 and not started[0].is_alive(), job.drift
+        assert len(drawn_on) == 31
+        assert 0 < drawn_on.count(threading.current_thread()) < 31
+        assert all(np.array_equal(ahead[key], expected[key]) for key in expected)
 
 
-@pytest.mark.parametrize("drift", ["zero", "ou:1"])
-def test_an_error_in_a_pair_the_caller_draws_is_raised_and_leaves_no_thread(monkeypatch, drift):
+def test_an_error_in_a_pair_the_caller_draws_is_raised_and_leaves_no_thread(monkeypatch):
     def fail():
         raise RuntimeError("no noise on the caller")
 
@@ -659,10 +664,12 @@ def test_an_error_in_a_pair_the_caller_draws_is_raised_and_leaves_no_thread(monk
     _feed_from(monkeypatch, 256)
     _cpus(monkeypatch, 2)
     _slow_helper(monkeypatch, started, fail)
-    before = threading.active_count()
-    with pytest.raises(RuntimeError, match="^no noise on the caller$"):
-        run_simulation(_job(samples=40, drift=drift))
-    assert _helpers_done(started, before)
+    for drift in ("zero", "ou:1"):
+        started.clear()
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="^no noise on the caller$"):
+            run_simulation(_job(samples=40, drift=drift))
+        assert _helpers_done(started, before), drift
 
 
 def test_a_raising_euler_loop_leaves_no_thread(monkeypatch):
@@ -678,9 +685,8 @@ def test_a_raising_euler_loop_leaves_no_thread(monkeypatch):
 
 
 # after 0 pairs the helper fails on its first take; after 5 the caller has taken some too
-@pytest.mark.parametrize("drift", ["zero", "ou:1"])
 @pytest.mark.parametrize("bad_pair", [0, 5])
-def test_an_error_in_the_helper_is_raised_by_the_run(monkeypatch, bad_pair, drift):
+def test_an_error_in_the_helper_is_raised_by_the_run(monkeypatch, bad_pair):
     started = _counting_threads(monkeypatch)
     drawn_on = []
     original = runner.substream
@@ -700,22 +706,25 @@ def test_an_error_in_the_helper_is_raised_by_the_run(monkeypatch, bad_pair, drif
     monkeypatch.setattr(runner, "substream", failing)
     _feed_from(monkeypatch, 256)
     _cpus(monkeypatch, 2)
-    before = threading.active_count()
-    raised = []
+    for drift in ("zero", "ou:1"):
+        started.clear()
+        drawn_on.clear()
+        before = threading.active_count()
+        raised = []
 
-    def run():
-        try:
-            run_simulation(_job(hurst=(0.5, 0.6), samples=40, drift=drift))
-        except RuntimeError as exc:
-            raised.append((threading.get_ident(), str(exc)))
+        def run():
+            try:
+                run_simulation(_job(hurst=(0.5, 0.6), samples=40, drift=drift))
+            except RuntimeError as exc:
+                raised.append((threading.get_ident(), str(exc)))
 
-    caller = threading.Thread(target=run, daemon=True)  # a hung run must not hold up the test process
-    caller.start()
-    caller.join(timeout=60)
-    assert not caller.is_alive(), "the run must not wait for work that never comes"
-    assert raised == [(caller.ident, f"no noise after {bad_pair} pairs")]
-    assert len(drawn_on) >= bad_pair
-    assert _helpers_done(started, before)
+        caller = threading.Thread(target=run, daemon=True)  # a hung run must not hold up the test process
+        caller.start()
+        caller.join(timeout=60)
+        assert not caller.is_alive(), "the run must not wait for work that never comes"
+        assert raised == [(caller.ident, f"no noise after {bad_pair} pairs")], drift
+        assert len(drawn_on) >= bad_pair
+        assert _helpers_done(started, before)
 
 
 @pytest.mark.parametrize("failing_on", ["caller", "helper"])
