@@ -21,7 +21,7 @@ import ctypes
 import math
 import os
 import queue
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor, wait
 from contextlib import suppress
 from dataclasses import dataclass
 from functools import cache, lru_cache, partial
@@ -53,7 +53,11 @@ BLOCK_PAIRS = 4
 # Grid steps from which a serial run shares its work with a helper thread
 # (see _draws_ahead).  Below them a pair's draw is mostly Python (its
 # `substream` alone takes ~25 us), and the two threads convoy on the GIL.
-FEED_STEPS = 2**12
+# run_simulation alone at 2^22 path steps (2 vCPUs, medians of 9
+# alternating runs) took, shared over inline, 0.69-0.73x, 0.70-0.73x and
+# 0.84-0.85x at N = 2^11 with one pure H, 2 H with both rules and one
+# `ou:1` H; 0.56x, 0.73x and 0.75x at 2^12; 0.61x, 1.14x and 1.02x at 2^10.
+FEED_STEPS = 2**11
 
 
 @dataclass(frozen=True)
@@ -239,12 +243,13 @@ def _fill_paths(master_seed: int, scales: tuple[np.ndarray, ...], first_pair: in
     _pair_paths((substream(master_seed, GAUSSIAN_STREAM, pair) for pair in pairs), scales, paths)
 
 
-def _shared(work, count: int) -> list:
-    """[work(k) for k in range(count)], computed by this thread and one helper thread, each taking the next k from one queue.
+def _shared(helper: ThreadPoolExecutor, work, count: int) -> list:
+    """[work(k) for k in range(count)], computed by this thread and the one thread of `helper`, each taking the next k from one queue.
 
     An exception on either thread empties the queue, so the other thread
-    stops after its current k.  The helper is joined before this returns
-    or raises, and the exception is raised (this thread's, if both raise).
+    stops after its current k.  The helper's share is done before this
+    returns or raises, and the exception is raised (this thread's, if both
+    raise).
     """
     todo = queue.SimpleQueue()
     for k in range(count):
@@ -263,24 +268,28 @@ def _shared(work, count: int) -> list:
                 while True:
                     todo.get_nowait()
 
-    with ThreadPoolExecutor(1) as helper:
-        theirs = helper.submit(drain)
+    theirs = helper.submit(drain)
+    try:
         done = drain()
+    finally:
+        wait([theirs])
     done.update(theirs.result())
     return [done[k] for k in range(count)]
 
 
-def _chunk_compute(job: SimulationJob, first_pair: int, pairs: int, shared: bool = False) -> dict[str, np.ndarray]:
+def _chunk_compute(
+    job: SimulationJob, first_pair: int, pairs: int, helper: ThreadPoolExecutor | None = None
+) -> dict[str, np.ndarray]:
     """Per-path outputs of the chunk of `pairs` path pairs from `first_pair` on, indexed [H, path in chunk].
 
     Paths run in the coordinates y = (x - x0) / s of `reduced_model`;
     marginals and suprema map back by x0 + s y.  The chunk is processed as
     one unit, and opens each path's uniform stream once.  It first fills
     its rows of every H, (H, 2 pairs, N + 1), by _fill_paths: BLOCK_PAIRS
-    pairs per call, or, when `shared`, one pair per call, by this thread
-    and one helper thread through _shared.  Then, for each H, it runs the
-    Euler step on that H's valid rows unless _brownian_level gives a level,
-    and the plain scan.  The Euler step takes each row only through the
+    pairs per call, or, given a `helper`, one pair per call, by this
+    thread and the helper's thread through _shared.  Then, for each H, it
+    runs the Euler step on that H's valid rows unless _brownian_level
+    gives a level, and the plain scan.  The Euler step takes each row only through the
     later of its plain hit and the last column that a marginal or extreme
     reads; the states past that are not read, and hold the noise prefix
     sums or states stepped on with the chunk.  With the bridge rule each
@@ -305,8 +314,8 @@ def _chunk_compute(job: SimulationJob, first_pair: int, pairs: int, shared: bool
     values = np.empty((len(job.hurst), 2 * pairs, steps + 1))
     values[:, :, 0] = 0.0
     fill = partial(_fill_paths, job.master_seed, _noise_scales(tuple(job.hurst), job.horizon, steps))
-    if shared:
-        _shared(lambda p: fill(first_pair + p, values[:, 2 * p : 2 * p + 2]), pairs)
+    if helper is not None:
+        _shared(helper, lambda p: fill(first_pair + p, values[:, 2 * p : 2 * p + 2]), pairs)
     else:
         for p in range(0, pairs, BLOCK_PAIRS):
             fill(first_pair + p, values[:, 2 * p : 2 * min(p + BLOCK_PAIRS, pairs)])
@@ -361,13 +370,11 @@ def run_simulation(job: SimulationJob, workers: int = 1) -> dict[str, np.ndarray
     fits physical memory at min(workers, CPUs) processes, and are merged
     in path order; since every per-path output is a pure function of
     (job, H, path index), the assembled arrays are byte-identical for any
-    `workers` and chunk size.  A run that _draws_ahead shares its work
-    with one helper thread through _shared: whole chunks without the
-    Euler loop, and with it each chunk's pairs, one per call, before this
-    thread steps and scans the chunk.  An error in a pooled chunk cancels
-    the chunks not yet started.  No thread or process outlives the run,
-    whether it returns or raises.  A
-    run that does not fit at one pair raises MemoryBudgetError; a master
+    `workers` and chunk size.  A run that _draws_ahead starts one helper
+    thread and shares its work with it through _shared: whole chunks
+    without the Euler loop, and with it each chunk's pairs, one per call,
+    before this thread steps and scans the chunk.  No thread or process
+    outlives the run, whether it returns or raises.  A run that does not fit at one pair raises MemoryBudgetError; a master
     seed outside the integers in [0, 2^64), a non-integer count, step
     count or grid index, a non-finite x0 or threshold, or a `workers` that
     is not an integer of at least 1 raises ValueError.  Both are raised
@@ -405,17 +412,16 @@ def run_simulation(job: SimulationJob, workers: int = 1) -> dict[str, np.ndarray
     # build the job's spectrum table once, validating every spectrum; forked workers inherit it
     _noise_scales(tuple(job.hurst), job.horizon, job.steps)
     sizes = [min(chunk, pairs - first) for first in firsts]
-    ahead = _draws_ahead(job, workers)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            try:
-                chunks = list(pool.map(_chunk_compute, [job] * len(firsts), firsts, sizes))
-            except BaseException:
-                pool.shutdown(cancel_futures=True)
-                raise
-    elif ahead and _brownian_level(job) is not None:
-        # chunks without the Euler loop are cheap to scan, so the threads share whole chunks
-        chunks = _shared(lambda k: _chunk_compute(job, firsts[k], sizes[k]), len(firsts))
+            chunks = list(pool.map(_chunk_compute, [job] * len(firsts), firsts, sizes))
+    elif not _draws_ahead(job, workers):
+        chunks = [_chunk_compute(job, first, size) for first, size in zip(firsts, sizes)]
     else:
-        chunks = [_chunk_compute(job, first, size, ahead) for first, size in zip(firsts, sizes)]
+        with ThreadPoolExecutor(1) as helper:
+            if _brownian_level(job) is not None:
+                # chunks without the Euler loop are cheap to scan, so the threads share whole chunks
+                chunks = _shared(helper, lambda k: _chunk_compute(job, firsts[k], sizes[k]), len(firsts))
+            else:
+                chunks = [_chunk_compute(job, first, size, helper) for first, size in zip(firsts, sizes)]
     return {key: np.concatenate([c[key] for c in chunks], axis=1) for key in chunks[0]}

@@ -33,11 +33,12 @@ Covers:
     drifted H with odd samples, two drifted H with every output, and 200
     one-pair chunks with the threads switching every microsecond); pool,
     one-CPU and below-floor runs start no thread, and at the unlowered
-    floor a 256-step run starts none.  While the helper is slow the caller
+    floor 256- and 1024-step runs start none and 2048- and 4096-step runs
+    one each.  While the helper is slow the caller
     takes the rest, with the same outputs.  No thread outlives a run, one
     whose Euler loop raises included; an error on either thread stops the
-    other after its item and is raised by the run.  A pooled run whose
-    chunk raises cancels the chunks not started.  These tests pin the CPU
+    other after its item and is raised by the run.  A run starts one
+    helper whatever its chunk count.  These tests pin the CPU
     count the runner sees, and slow the caller where the helper must
     draw, so they hold on a one-CPU host.
   - Bridge uniforms: a Philox substream's draws split anywhere give the
@@ -605,16 +606,18 @@ def test_pool_one_cpu_and_below_floor_runs_start_no_thread(monkeypatch, pin_chun
     assert started == []
 
 
-@pytest.mark.parametrize("steps, threads", [(256, 0), (runner.FEED_STEPS, 1)])
+@pytest.mark.parametrize(
+    "steps, threads", [(256, 0), (4096, 1), (runner.FEED_STEPS // 2, 0), (runner.FEED_STEPS, 1)]
+)
 def test_a_serial_run_draws_ahead_from_the_grid_floor(monkeypatch, pin_chunk, steps, threads):
     pin_chunk(4)
     started = _counting_threads(monkeypatch)
     _cpus(monkeypatch, 2)
-    # one helper per zero-drift run, and one per chunk with the Euler loop
-    for drift, per_run in (("zero", 1), ("ou:1", 2)):
+    # one helper per run, whether it shares whole chunks or, with the Euler loop, each chunk's pairs
+    for drift in ("zero", "ou:1"):
         started.clear()
         run_simulation(_job(hurst=(0.5, 0.6), steps=steps, samples=16, drift=drift, rules=RULES))  # 2 chunks
-        assert len(started) == per_run * threads, drift
+        assert len(started) == threads, drift
 
 
 def _slow_helper(monkeypatch, started: list, caller_draw=None) -> list:
@@ -741,40 +744,12 @@ def test_an_error_on_either_thread_stops_the_other_after_its_item(monkeypatch, f
         return k
 
     before = threading.active_count()
-    with pytest.raises(RuntimeError, match="^item "):
-        runner._shared(work, 1000)
-    assert len(taken) < 10
+    with runner.ThreadPoolExecutor(1) as helper:
+        with pytest.raises(RuntimeError, match="^item "):
+            runner._shared(helper, work, 1000)
+        assert len(taken) < 10
+        assert runner._shared(helper, lambda k: k * k, 50) == [k * k for k in range(50)]
     assert _helpers_done(started, before)
-    assert runner._shared(lambda k: k * k, 50) == [k * k for k in range(50)]
-
-
-class _EagerPool(runner.ThreadPoolExecutor):
-    """A one-thread stand-in for the process pool whose map, as Executor.map's contract allows, cancels
-    nothing when a result raises: only the runner's own cancel keeps queued chunks from running."""
-
-    def __init__(self, max_workers):
-        super().__init__(1)
-
-    def map(self, fn, *iterables):
-        futures = [self.submit(fn, *args) for args in zip(*iterables)]
-        return (future.result() for future in futures)
-
-
-def test_a_failing_pooled_run_cancels_the_chunks_not_started(monkeypatch, pin_chunk):
-    ran = []
-
-    def failing(job, first_pair, pairs, *shared):
-        ran.append(first_pair)
-        time.sleep(0.01)
-        raise RuntimeError(f"chunk {first_pair} fails")
-
-    pin_chunk(1)
-    monkeypatch.setattr(runner, "ProcessPoolExecutor", _EagerPool)
-    monkeypatch.setattr(runner, "_chunk_compute", failing)
-    _cpus(monkeypatch, 2)
-    with pytest.raises(RuntimeError, match="^chunk 0 fails$"):
-        run_simulation(_job(samples=200), workers=2)  # 100 chunks
-    assert len(ran) < 10
 
 
 # ---------------------------------------------------------------------------
