@@ -2,7 +2,8 @@
 
 Subcommands run the passage-time experiments from a flat configuration
 (defaults, then an optional key=value file, then command-line overrides)
-and write CSV tables plus a run_manifest.json into the output directory.
+and return their tables; `main` writes them as CSV files, then a
+run_manifest.json, into the output directory.  A failed command writes no CSV.
 Numbers are serialized with 17 significant digits, and all outputs are
 byte-identical across reruns and worker counts for a fixed configuration.
 """
@@ -52,8 +53,8 @@ FULL_SCALE_STEPS = 2**16
 FULL_SCALE_SAMPLES = 100_000
 ESTIMATOR_CHOICES = (*RULES, "both")
 # Peak bytes per bin of a density histogram: its edge, width and density
-# arrays, measured with tracemalloc at 10^6 bins (40.2 B).  Its CSV rows
-# are streamed from them, one at a time.
+# arrays, measured with tracemalloc at 10^6 bins (40.2 B).  `density` holds
+# one per H until its CSVs are written, their rows streamed one at a time.
 HISTOGRAM_BYTES_PER_BIN = 41
 CONFIG_MAX_BYTES = 2**20  # a longer config file is refused, after reading one byte past this
 
@@ -267,12 +268,11 @@ def _output(path: Path):
         raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
-def write_csv(path: Path, header: list[str], rows) -> None:
-    with _output(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(cell) for cell in row])
+def write_csv(fh, header: list[str], rows) -> None:
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([_fmt(cell) for cell in row])
 
 
 def write_manifest(out_dir: Path, command: str, cfg: RunConfig, outputs: list[str]) -> None:
@@ -314,16 +314,19 @@ def _job(cfg: RunConfig, **overrides) -> SimulationJob:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each CSV command returns {filename: (header, rows)}, and main writes them
 # ---------------------------------------------------------------------------
 
-def cmd_simulate(cfg: RunConfig, workers: int, out_dir: Path) -> list[str]:
+def cmd_simulate(cfg: RunConfig, workers: int) -> dict:
     """Laplace table over the (H, lambda, estimator) lattice -> laplace.csv.
 
     delta_vs_bm is the gap against the Brownian reference: the estimated
     H = 1/2 row with the same estimator when 1/2 is in hurst_list (delta_se
     is then the SE of per-path differences, and that row reads 0 +- 0),
-    else the closed form when the reduced drift is zero, else nan.
+    else the closed form when the reduced drift is zero, else nan.  The
+    closed form is a continuous-time value, so that gap also holds the
+    rule's grid bias: 0.0612 +- 0.0026 against a paired 0.0360 +- 0.0014
+    for the plain rule at H = 0.6, N = 1024, lambda = 1.
     """
     job = _job(cfg)
     times = run_simulation(job, workers)
@@ -342,15 +345,11 @@ def cmd_simulate(cfg: RunConfig, workers: int, out_dir: Path) -> list[str]:
                 else:
                     delta, delta_se = math.nan, math.nan
                 rows.append([hv, lam, name, value, se, censored[name][k], delta, delta_se])
-    write_csv(
-        out_dir / "laplace.csv",
-        ["H", "lambda", "estimator", "value", "std_error", "censored", "delta_vs_bm", "delta_se"],
-        rows,
-    )
-    return ["laplace.csv"]
+    header = ["H", "lambda", "estimator", "value", "std_error", "censored", "delta_vs_bm", "delta_se"]
+    return {"laplace.csv": (header, rows)}
 
 
-def cmd_bridge_compare(cfg: RunConfig, workers: int, out_dir: Path) -> list[str]:
+def cmd_bridge_compare(cfg: RunConfig, workers: int) -> dict:
     """Plain vs bridge-corrected estimator at the configured grid -> bridge_compare.csv.
 
     Uses the first entry of hurst_list.  The reference column is the closed
@@ -377,15 +376,11 @@ def cmd_bridge_compare(cfg: RunConfig, workers: int, out_dir: Path) -> list[str]
             value = laplace_from_times(times[name][0], lam)[0]
             row += [value, 100.0 * abs(value - ref) / ref]
         rows.append(row)
-    write_csv(
-        out_dir / "bridge_compare.csv",
-        ["lambda", "reference_or_fine", "simple", "simple_err_pct", "bridge", "bridge_err_pct"],
-        rows,
-    )
-    return ["bridge_compare.csv"]
+    header = ["lambda", "reference_or_fine", "simple", "simple_err_pct", "bridge", "bridge_err_pct"]
+    return {"bridge_compare.csv": (header, rows)}
 
 
-def cmd_rate(cfg: RunConfig, workers: int, out_dir: Path) -> list[str]:
+def cmd_rate(cfg: RunConfig, workers: int) -> dict:
     """Gap-vs-(H - 1/2) regression per lambda -> rate.csv and fig1_data.csv.
 
     fig1_data.csv holds, per lambda, a `point` row (gap, se) per H above
@@ -416,13 +411,13 @@ def cmd_rate(cfg: RunConfig, workers: int, out_dir: Path) -> list[str]:
         rate_rows.append([lam, fit.slope, fit.intercept, fit.r_squared, beta])
         fig_rows += [["point", lam, x, gap, se] for x, gap, se in zip(xs, gaps, ses)]
         fig_rows += [["line", lam, x, fit.intercept + fit.slope * x, ""] for x in (0.0, max(xs))]
+    return {
+        "rate.csv": (["lambda", "slope", "intercept", "r_squared", "beta_hat"], rate_rows),
+        "fig1_data.csv": (["kind", "lambda", "x", "y", "se"], fig_rows),
+    }
 
-    write_csv(out_dir / "rate.csv", ["lambda", "slope", "intercept", "r_squared", "beta_hat"], rate_rows)
-    write_csv(out_dir / "fig1_data.csv", ["kind", "lambda", "x", "y", "se"], fig_rows)
-    return ["rate.csv", "fig1_data.csv"]
 
-
-def cmd_density(cfg: RunConfig, workers: int, out_dir: Path) -> list[str]:
+def cmd_density(cfg: RunConfig, workers: int) -> dict:
     """Hit-time histogram per Hurst value -> density_H{value}.csv.
 
     Each file is named by the exact H, its shortest round-tripping repr
@@ -431,13 +426,12 @@ def cmd_density(cfg: RunConfig, workers: int, out_dir: Path) -> list[str]:
     explicitly `simple`; the plain rule's systematic late-crossing bias is
     visible at histogram resolution.
     """
-    _check_fits_in_memory(HISTOGRAM_BYTES_PER_BIN * cfg.hist_bins, "use fewer histogram bins")
-    outputs = [f"density_H{hv!r}.csv" for hv in cfg.hurst_list]
+    _check_fits_in_memory(HISTOGRAM_BYTES_PER_BIN * cfg.hist_bins * len(cfg.hurst_list), "use fewer histogram bins")
     name = "simple" if cfg.estimator == "simple" else "bridge"
-    for filename, times in zip(outputs, run_simulation(_job(cfg, rules=(name,)), workers)[name]):
+    outputs = {}
+    for hv, times in zip(cfg.hurst_list, run_simulation(_job(cfg, rules=(name,)), workers)[name]):
         edges, mass = density_from_times(times, cfg.horizon, cfg.hist_bins)
-        rows = zip(edges[:-1], edges[1:], mass)
-        write_csv(out_dir / filename, ["bin_left", "bin_right", "density"], rows)
+        outputs[f"density_H{hv!r}.csv"] = (["bin_left", "bin_right", "density"], zip(edges[:-1], edges[1:], mass))
     return outputs
 
 
@@ -449,7 +443,7 @@ def _grid_index(t: float, horizon: float, steps: int) -> int:
     return min(int(np.floor(t / (horizon / steps) + 1e-9)), steps)
 
 
-def cmd_conjecture(cfg: RunConfig, workers: int, out_dir: Path) -> list[str]:
+def cmd_conjecture(cfg: RunConfig, workers: int) -> dict:
     """Truncated argmax moments over the r windows -> conjecture.csv.
 
     Each H row group carries the OLS trend of moment against r and its
@@ -490,12 +484,7 @@ def cmd_conjecture(cfg: RunConfig, workers: int, out_dir: Path) -> list[str]:
             slope, slope_se = math.nan, math.nan
         for r, moment, se in triples:
             rows.append([hv, r, moment, se, slope, slope_se])
-    write_csv(
-        out_dir / "conjecture.csv",
-        ["H", "r", "moment", "std_error", "trend_slope", "trend_slope_se"],
-        rows,
-    )
-    return ["conjecture.csv"]
+    return {"conjecture.csv": (["H", "r", "moment", "std_error", "trend_slope", "trend_slope_se"], rows)}
 
 
 # ---------------------------------------------------------------------------
@@ -604,19 +593,18 @@ def _format_selftest(checks: list[tuple[str, bool, str]]) -> str:
     return "\n".join(lines)
 
 
-def cmd_selftest(cfg: RunConfig, workers: int, out_dir: Path) -> list[str]:
+def cmd_selftest(cfg: RunConfig, workers: int) -> str:
+    """The invariant battery's report, also printed; raises _SelftestFailure carrying it if a check failed."""
     checks = run_selftest()
     report = _format_selftest(checks)
     print(report)
-    with _output(out_dir / "selftest_report.txt") as fh:
-        fh.write(report + "\n")
     if any(not ok for _, ok, _ in checks):
-        raise _SelftestFailure()
-    return ["selftest_report.txt"]
+        raise _SelftestFailure(report)
+    return report
 
 
 class _SelftestFailure(Exception):
-    """Internal signal: report already printed, exit with code 1."""
+    """A selftest with a failing check: `main` still writes its report (args[0]), then exits with code 1."""
 
 
 # ---------------------------------------------------------------------------
@@ -708,11 +696,21 @@ def main(argv=None) -> int:
         except OSError as exc:
             raise ConfigError(f"cannot create output directory {out_dir}: {exc}") from exc
         command, _ = _COMMANDS[args.command]
-        outputs = command(cfg, args.workers, out_dir)
-        write_manifest(out_dir, args.command, cfg, outputs)
-        return 0
-    except _SelftestFailure:
-        return 1
+        try:
+            outputs, code = command(cfg, args.workers), 0
+        except _SelftestFailure as failure:
+            outputs, code = failure.args[0], 1
+        if isinstance(outputs, str):  # the selftest's report
+            outputs = {"selftest_report.txt": outputs}
+        for filename, output in outputs.items():  # all computed, so a failed command writes no file
+            with _output(out_dir / filename) as fh:
+                if isinstance(output, str):
+                    fh.write(output + "\n")
+                else:
+                    write_csv(fh, *output)
+        if not code:
+            write_manifest(out_dir, args.command, cfg, list(outputs))
+        return code
     except (ConfigError, MemoryBudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

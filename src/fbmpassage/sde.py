@@ -143,39 +143,34 @@ def affine_euler(
 # named coefficient registry (CLI surface)
 # ---------------------------------------------------------------------------
 
-def _parse_spec(spec: str, n_params: dict[str, int], kind: str) -> tuple[str, list[float]]:
+# name -> (parameter count, map from the parameters to (a, c) of the drift a x + c)
+_DRIFTS = {"zero": (0, lambda: (0.0, 0.0)), "linear": (2, lambda a, c: (a, c)), "ou": (1, lambda k: (-k, 0.0))}
+# name -> (parameter count, map from the parameter to the constant diffusion s)
+_DIFFUSIONS = {"one": (0, lambda: 1.0), "const": (1, lambda s: s)}
+
+
+def _parse_spec(spec: str, registry: dict, kind: str):
+    """The registry's map of the model that `spec` names, "name" or "name:p1,p2", applied to its parameters."""
     name, _, tail = spec.partition(":")
     name = name.strip()
-    if name not in n_params:
-        raise ValueError(f"unknown {kind} '{name}'; known: {', '.join(sorted(n_params))}")
+    if name not in registry:
+        raise ValueError(f"unknown {kind} '{name}'; known: {', '.join(sorted(registry))}")
+    count, coefficients = registry[name]
     params = [float(p) for p in tail.split(",") if p.strip() != ""] if tail else []
-    if len(params) != n_params[name]:
-        raise ValueError(
-            f"{kind} '{name}' takes {n_params[name]} parameter(s), got {len(params)}"
-        )
+    if len(params) != count:
+        raise ValueError(f"{kind} '{name}' takes {count} parameter(s), got {len(params)}")
     if not all(np.isfinite(params)):
         raise ValueError(f"{kind} '{name}' received non-finite parameters {params}")
-    return name, params
-
-
-def _drift_line(spec: str) -> tuple[float, float]:
-    name, params = _parse_spec(spec, {"zero": 0, "linear": 2, "ou": 1}, "drift")
-    if name == "ou":
-        return -params[0], 0.0
-    return (params[0], params[1]) if name == "linear" else (0.0, 0.0)
-
-
-def _diffusion_level(spec: str) -> float:
-    name, params = _parse_spec(spec, {"one": 0, "const": 1}, "diffusion")
-    s = params[0] if name == "const" else 1.0
-    if s <= 0.0:
-        raise ValueError(f"constant diffusion must be positive, got {s}")
-    return s
+    return coefficients(*params)
 
 
 def affine_coefficients(drift: str, diffusion: str) -> tuple[float, float, float]:
     """(a, c, s) of a registry model: drift b(x) = a x + c, diffusion sigma = s > 0."""
-    return (*_drift_line(drift), _diffusion_level(diffusion))
+    a, c = _parse_spec(drift, _DRIFTS, "drift")
+    s = _parse_spec(diffusion, _DIFFUSIONS, "diffusion")
+    if s <= 0.0:
+        raise ValueError(f"constant diffusion must be positive, got {s}")
+    return a, c, s
 
 
 def reduced_model(drift: str, diffusion: str, x0: float, threshold: float) -> tuple[float, float, float, float]:

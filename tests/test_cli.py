@@ -543,6 +543,25 @@ def test_exit_code_no_hits(capsys, tmp_path):
     assert "degenerate data:" in capsys.readouterr().err
 
 
+def test_a_failed_density_run_writes_no_file(capsys, tmp_path):
+    """H = 0.9 histograms fine and H = 1/2 never hits: every histogram is computed before any file is written."""
+    out = tmp_path / "o"
+    argv = ["density", "--hurst-list", "0.9,0.5", "--threshold", "30", "--steps", "256", "--samples", "200"]
+    assert main([*argv, "--out", str(out)]) == 4
+    assert capsys.readouterr().err == "degenerate data: every path was censored; no hit times to histogram\n"
+    assert list(out.iterdir()) == []
+
+
+def test_a_failed_selftest_prints_and_writes_its_report_and_no_manifest(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr(fbmpassage.cli, "run_selftest", lambda: [("good", True, "fine"), ("bad", False, "off")])
+    out = tmp_path / "st"
+    assert main(["selftest", "--out", str(out)]) == 1
+    report = "[PASS] good: fine\n[FAIL] bad: off\nselftest: 1 passed, 1 failed\nfailed checks: bad\n"
+    assert capsys.readouterr().out == report
+    assert [p.name for p in out.iterdir()] == ["selftest_report.txt"]
+    assert (out / "selftest_report.txt").read_text() == report
+
+
 @pytest.mark.parametrize(
     "hurst, threshold, simulates",
     [("0.6", "200", True), ("0.5", "600", False)],
@@ -664,6 +683,27 @@ def test_simulate_schema_and_manifest(tmp_path):
     # runtime knobs must not leak into the record of what was computed
     assert "workers" not in manifest["config"]
     assert "chunk" not in (out / "run_manifest.json").read_text()
+
+
+_TINY = ["--samples", "100", "--steps", "64", "--hurst-list", "0.5,0.6", "--lambda-list", "1"]
+
+# command -> (options after _TINY, the files it writes besides the manifest, sorted)
+_WRITES = {
+    "simulate": ([], ["laplace.csv"]),
+    "bridge-compare": ([], ["bridge_compare.csv"]),
+    "rate": (["--hurst-list", "0.5,0.55,0.6,0.7", "--steps", "1024", "--samples", "600"], ["fig1_data.csv", "rate.csv"]),
+    "density": ([], ["density_H0.5.csv", "density_H0.6.csv"]),
+    "conjecture": (["--steps", "256"], ["conjecture.csv"]),
+}
+
+
+@pytest.mark.parametrize("command", _WRITES)
+def test_manifest_lists_exactly_the_files_written(tmp_path, command):
+    options, written = _WRITES[command]
+    assert main([command, *_TINY, *options, "--out", str(tmp_path)]) == 0
+    manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+    assert (manifest["command"], manifest["outputs"]) == (command, written)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([*written, "run_manifest.json"])
 
 
 def test_simulate_without_half_gaps_against_the_closed_form(tmp_path):

@@ -613,6 +613,12 @@ def test_a_serial_run_draws_ahead_from_the_grid_floor(monkeypatch, pin_chunk, st
     pin_chunk(4)
     started = _counting_threads(monkeypatch)
     _cpus(monkeypatch, 2)
+
+    def no_process(*args, **kwargs):
+        raise AssertionError("a run with workers=1 starts no process")
+
+    # a library call at the default workers=1 needs no `__main__` guard under the spawn start method
+    monkeypatch.setattr(runner, "ProcessPoolExecutor", no_process)
     # one helper per run, whether it shares whole chunks or, with the Euler loop, each chunk's pairs
     for drift in ("zero", "ou:1"):
         started.clear()
