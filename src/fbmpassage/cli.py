@@ -32,6 +32,7 @@ import sys
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -128,7 +129,7 @@ def load_config_file(path) -> dict:
                 raise ConfigError(f"config file {path} is a FIFO with no writer, or an empty pipe")
         if len(data) > CONFIG_MAX_BYTES:
             raise ConfigError(f"config file {path} exceeds the cap of {CONFIG_MAX_BYTES} bytes (1 MiB)")
-        text = data.decode()
+        text = data.decode("utf-8-sig")  # a leading byte-order mark is dropped
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     options = {option.name: option for option in fields(RunConfig)}
@@ -181,10 +182,11 @@ def validate_config(cfg: RunConfig) -> None:
     if cfg.samples < 100:
         fail(f"samples must be at least 100, got {cfg.samples}")
     step = cfg.horizon / cfg.steps
-    variances = []
-    for h in _list_entries(
+    variances = {}
+    listed = _list_entries(
         cfg.hurst_list, "hurst_list", "H", lambda h: 0.5 <= h < 1.0, "every Hurst value must lie in [0.5, 1)"
-    ):
+    )
+    for h in chain(listed, [0.5]):  # simulate and rate also run H = 1/2 when the list lacks it
         # the increment variance step^(2H) scales every spectrum and bridge
         try:
             variance = step ** (2.0 * h)
@@ -192,7 +194,7 @@ def validate_config(cfg: RunConfig) -> None:
             variance = math.inf
         if not (math.isfinite(variance) and variance > 0):
             fail(f"(horizon/steps)^(2H) must be positive and finite, got {variance} for step {step:g} and H={h}")
-        variances.append(variance)
+        variances[h] = variance
     for _ in _list_entries(cfg.lambda_list, "lambda_list", "lambda", positive, "every lambda must be a positive real"):
         pass
     if not (math.isfinite(cfg.x0) and math.isfinite(cfg.threshold) and cfg.x0 < cfg.threshold):
@@ -207,8 +209,8 @@ def validate_config(cfg: RunConfig) -> None:
     # level and paths within 64 standard deviations, horizon^H, of zero.
     # Hit times reach 2 horizon and meet lambda in exp(-lambda t).  Both
     # must stay finite.
-    scale = level + 64.0 * max(cfg.horizon**h for h in cfg.hurst_list)
-    if not math.isfinite(2.0 * scale * scale / min(variances)):
+    scale = level + 64.0 * max(cfg.horizon**h for h in variances)
+    if not math.isfinite(2.0 * scale * scale / min(variances.values())):
         fail(f"path scale (threshold - x0)/s + 64 horizon^H = {scale:g} overflows the bridge test 2 scale^2 / step^(2H)")
     if not math.isfinite(2.0 * cfg.horizon * max(1.0, *cfg.lambda_list)):
         fail(f"time scale 2 horizon max(1, lambda) overflows for horizon {cfg.horizon:g}")
@@ -320,30 +322,21 @@ def _job(cfg: RunConfig, **overrides) -> SimulationJob:
 def cmd_simulate(cfg: RunConfig, workers: int) -> dict:
     """Laplace table over the (H, lambda, estimator) lattice -> laplace.csv.
 
-    delta_vs_bm is the gap against the Brownian reference: the estimated
-    H = 1/2 row with the same estimator when 1/2 is in hurst_list (delta_se
-    is then the SE of per-path differences, and that row reads 0 +- 0),
-    else the closed form when the reduced drift is zero, else nan.  The
-    closed form is a continuous-time value, so that gap also holds the
-    rule's grid bias: 0.0612 +- 0.0026 against a paired 0.0360 +- 0.0014
-    for the plain rule at H = 0.6, N = 1024, lambda = 1.
+    delta_vs_bm is the gap against the H = 1/2 row with the same estimator,
+    and delta_se the SE of its per-path differences (so that row reads
+    0 +- 0).  The job simulates H = 1/2 after the listed values when
+    hurst_list lacks it, and writes rows for the listed values only.
     """
-    job = _job(cfg)
+    job = _job(cfg, hurst=cfg.hurst_list if 0.5 in cfg.hurst_list else (*cfg.hurst_list, 0.5))
     times = run_simulation(job, workers)
-    level = _brownian_level(job)
     censored = {name: np.isinf(times[name]).sum(axis=1) for name in job.rules}
-    half = cfg.hurst_list.index(0.5) if 0.5 in cfg.hurst_list else None
+    half = job.hurst.index(0.5)
     rows = []
     for k, hv in enumerate(cfg.hurst_list):
         for lam in cfg.lambda_list:
             for name in job.rules:
                 value, se = laplace_from_times(times[name][k], lam)
-                if half is not None:
-                    delta, delta_se = gap_estimate(times[name][k], times[name][half], lam)
-                elif level is not None:
-                    delta, delta_se = laplace_bm(lam, 0.0, level) - value, se
-                else:
-                    delta, delta_se = math.nan, math.nan
+                delta, delta_se = gap_estimate(times[name][k], times[name][half], lam)
                 rows.append([hv, lam, name, value, se, censored[name][k], delta, delta_se])
     header = ["H", "lambda", "estimator", "value", "std_error", "censored", "delta_vs_bm", "delta_se"]
     return {"laplace.csv": (header, rows)}
@@ -383,20 +376,20 @@ def cmd_bridge_compare(cfg: RunConfig, workers: int) -> dict:
 def cmd_rate(cfg: RunConfig, workers: int) -> dict:
     """Gap-vs-(H - 1/2) regression per lambda -> rate.csv and fig1_data.csv.
 
-    fig1_data.csv holds, per lambda, a `point` row (gap, se) per H above
-    1/2 and the fitted line's two endpoints, x = 0 and x = max(H - 1/2).
-    All H values share the same Gaussian draws (the increment stream is
-    keyed by path index alone), so `se` is the standard error of the
-    per-path differences against the H = 1/2 row, far below what
-    independent runs would give; the log-log fit's 2-SE drop rule reads it.
+    It runs the H values above 1/2, at least three, with H = 1/2 whether
+    or not hurst_list holds it.  fig1_data.csv holds, per lambda, a `point`
+    row (gap, se) per H above 1/2 and the fitted line's two endpoints,
+    x = 0 and x = max(H - 1/2).  All H values share the same Gaussian
+    draws (the increment stream is keyed by path index alone), so `se` is
+    the standard error of the per-path differences against the H = 1/2
+    row, far below what independent runs would give; the log-log fit's
+    2-SE drop rule reads it.
     """
     h_above = [hv for hv in cfg.hurst_list if hv > 0.5]
-    if 0.5 not in cfg.hurst_list or len(h_above) < 3:
-        raise ConfigError("rate needs hurst_list to contain 0.5 plus at least three larger values")
+    if len(h_above) < 3:
+        raise ConfigError("rate needs hurst_list to contain at least three values above 0.5")
     name = "simple" if cfg.estimator == "both" else cfg.estimator
-    times = run_simulation(_job(cfg, rules=(name,)), workers)[name]
-    brownian = times[cfg.hurst_list.index(0.5)]
-    above = [t for hv, t in zip(cfg.hurst_list, times) if hv > 0.5]
+    brownian, *above = run_simulation(_job(cfg, hurst=(0.5, *h_above), rules=(name,)), workers)[name]
 
     rate_rows = []
     fig_rows = []

@@ -91,6 +91,14 @@ def test_load_config_file(tmp_path):
     }
 
 
+def test_config_file_may_start_with_a_byte_order_mark(tmp_path):
+    """Editors that save UTF-8 with a BOM write EF BB BF first; the first key keeps its name."""
+    cfg = tmp_path / "bom.cfg"
+    cfg.write_bytes(b"\xef\xbb\xbfsamples = 100\nsteps = 16\n")
+    assert load_config_file(cfg) == {"samples": 100, "steps": 16}
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+
+
 def test_load_config_file_errors(tmp_path):
     bad_key = tmp_path / "a.cfg"
     bad_key.write_text("samples = 300\nturbo = yes\n")
@@ -706,24 +714,39 @@ def test_manifest_lists_exactly_the_files_written(tmp_path, command):
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted([*written, "run_manifest.json"])
 
 
-def test_simulate_without_half_gaps_against_the_closed_form(tmp_path):
-    """With no H = 1/2 row, a pure model's gap is laplace_bm - value and
-    carries the estimate's own standard error, bit for bit."""
-    argv = ["simulate", "--hurst-list", "0.55,0.6", "--samples", "200", "--steps", "64", "--lambda-list", "1,2,3"]
-    assert main([*argv, "--out", str(tmp_path)]) == 0
-    rows = _read_csv(tmp_path / "laplace.csv")
-    assert len(rows) == 2 * 3 * 2
-    for row in rows:
-        value = float(row["value"])
-        assert float(row["delta_vs_bm"]) == laplace_bm(float(row["lambda"])) - value
-        assert row["delta_se"] == row["std_error"]
+@pytest.mark.parametrize("model", [[], ["--drift", "ou:1", "--diffusion", "const:2"]], ids=["pure", "ou-const2"])
+def test_simulate_without_half_writes_the_rows_of_the_run_with_it(tmp_path, model):
+    """A list without 0.5 still gets its gaps from a simulated H = 1/2 row:
+    the file is the run with 0.5 appended, less that row's lines, for a
+    drifted model too, with no nan."""
+    argv = ["simulate", "--samples", "200", "--steps", "64", "--lambda-list", "1,2,3", *model]
+    assert main([*argv, "--hurst-list", "0.55,0.6", "--out", str(tmp_path / "without")]) == 0
+    assert main([*argv, "--hurst-list", "0.55,0.6,0.5", "--out", str(tmp_path / "with")]) == 0
+    without = (tmp_path / "without" / "laplace.csv").read_text()
+    with_half = (tmp_path / "with" / "laplace.csv").read_text().splitlines(keepends=True)
+    assert "nan" not in without
+    assert len(with_half) == 1 + 3 * 3 * 2
+    assert without == "".join(line for line in with_half if not line.startswith("0.5,"))
+
+
+def test_rate_without_half_writes_the_bytes_of_the_run_with_it(capsys, tmp_path):
+    """rate needs three H values above 1/2, not 0.5 itself: its gaps pair with a simulated H = 1/2 row."""
+    argv = ["rate", "--samples", "400", "--steps", "256", "--seed", "4", "--lambda-list", "1,2"]
+    assert main([*argv, "--hurst-list", "0.51,0.52,0.6", "--out", str(tmp_path / "without")]) == 0
+    assert main([*argv, "--hurst-list", "0.5,0.51,0.52,0.6", "--out", str(tmp_path / "with")]) == 0
+    for filename in ("rate.csv", "fig1_data.csv"):
+        assert (tmp_path / "without" / filename).read_bytes() == (tmp_path / "with" / filename).read_bytes()
+    capsys.readouterr()
+    for hurst in ("0.5,0.6,0.7", "0.6,0.7"):  # two values above 1/2, with and without 0.5
+        assert main([*argv, "--hurst-list", hurst, "--out", str(tmp_path / "few")]) == 2
+        assert capsys.readouterr().err == "error: rate needs hurst_list to contain at least three values above 0.5\n"
 
 
 @pytest.mark.parametrize("model", [["--drift", "linear:0,0"], ["--drift", "ou:0"], ["--diffusion", "const:1"]])
 def test_pure_model_spellings_write_the_pure_bytes(tmp_path, model):
-    """Zero drift and unit diffusion under another name get the closed-form
-    reference: the same gap columns in laplace.csv and the same reference
-    column in bridge_compare.csv as the default model."""
+    """Zero drift and unit diffusion under another name write the default
+    model's bytes: the same paired gap columns in laplace.csv and the same
+    closed-form reference column in bridge_compare.csv."""
     small = ["--samples", "200", "--steps", "64"]
     for argv, filename in (
         (["simulate", "--hurst-list", "0.6", "--estimator", "simple", *small], "laplace.csv"),
@@ -747,8 +770,9 @@ def test_pure_model_spellings_write_the_pure_bytes(tmp_path, model):
 )
 def test_constant_diffusion_writes_the_reduced_experiments_bytes(tmp_path, argv, filename):
     """Zero drift with diffusion 2 and threshold 1 is fBm run to 1/2, so it
-    writes the bytes of the default model at threshold 0.5: the closed-form
-    gaps and reference included, with no nan and no fine-grid reference."""
+    writes the bytes of the default model at threshold 0.5: the paired gaps
+    and the closed-form reference included, with no nan and no fine-grid
+    reference."""
     small = ["--samples", "200", "--steps", "64"]
     assert main([*argv, *small, "--diffusion", "const:2", "--threshold", "1", "--out", str(tmp_path / "s2")]) == 0
     assert main([*argv, *small, "--threshold", "0.5", "--out", str(tmp_path / "reduced")]) == 0

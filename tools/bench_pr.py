@@ -131,7 +131,7 @@ def main(argv=None) -> int:
             "host": {
                 "machine": platform.machine(),
                 "cpus": os.cpu_count(),
-                # the CPUs the runs could use, which the runner's pool and noise-feed decisions read
+                # the CPUs the runs could use, which the runner's pool and helper-thread decisions read
                 "usable_cpus": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None,
                 "python": platform.python_version(),
                 "numpy": np.__version__,
